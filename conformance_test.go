@@ -268,6 +268,15 @@ func makeRealFedPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 		return d
 	}
 	alice, bob := open("alice", s1.Endpoint()), open("bob", s2.Endpoint())
+	// Registrations replicate to the other server asynchronously: a
+	// dial issued before the callee's record crossed the federation
+	// link is refused as an unknown peer.
+	for deadline := time.Now().Add(5 * time.Second); !(s1.Registered("bob") && s2.Registered("alice")); {
+		if time.Now().After(deadline) {
+			t.Fatal("registrations never replicated across the federation link")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if blockDirect {
 		dropProbes(alice)
 		dropProbes(bob)

@@ -38,6 +38,9 @@ type Agent struct {
 
 	negs   map[uint64]*negotiation
 	byPeer map[string]*negotiation
+	// inbound indexes the pending peer-initiated negotiations by peer:
+	// relayed traffic names its sender but carries no nonce.
+	inbound map[string]*negotiation
 
 	// Trace, if set, receives one line per notable negotiation event.
 	Trace func(format string, args ...any)
@@ -47,10 +50,11 @@ type Agent struct {
 // inherit the client's probe and timeout settings.
 func New(c *punch.Client, cfg Config) *Agent {
 	a := &Agent{
-		c:      c,
-		cfg:    cfg.withDefaults(c.Config().PunchInterval, c.Config().PunchTimeout),
-		negs:   make(map[uint64]*negotiation),
-		byPeer: make(map[string]*negotiation),
+		c:       c,
+		cfg:     cfg.withDefaults(c.Config().PunchInterval, c.Config().PunchTimeout),
+		negs:    make(map[uint64]*negotiation),
+		byPeer:  make(map[string]*negotiation),
+		inbound: make(map[string]*negotiation),
 	}
 	c.SetUDPIntercept(a.intercept)
 	c.OnRepunch = a.repunch
@@ -69,6 +73,7 @@ func (a *Agent) Close() {
 	}
 	a.negs = make(map[uint64]*negotiation)
 	a.byPeer = make(map[string]*negotiation)
+	a.inbound = make(map[string]*negotiation)
 }
 
 // Config returns the agent's effective configuration.
@@ -200,6 +205,18 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 		if n := a.negs[m.Nonce]; n != nil && !n.done && n.peer == m.From {
 			a.nominate(n, from, m)
 		}
+	case proto.TypeRelayed:
+		// The requester's deadline fires one server round trip before
+		// ours, so the first datagram it relays can find our side still
+		// checking. Relayed traffic from the negotiation's peer proves
+		// the peer nominated the relay: nominate it here too — the
+		// deadline, early — and return false so the client delivers the
+		// payload to the session that just adopted.
+		if n := a.inbound[m.From]; n != nil && a.c.LookupUDPSession(n.peer) == nil &&
+			a.c.Config().RelayFallback && !a.cfg.NoRelay {
+			a.tracef("relayed data from %s beat our deadline", n.peer)
+			a.timeout(n)
+		}
 	case proto.TypeError:
 		// S could not broker the negotiation (peer unknown/offline).
 		// Fail matching requester-side negotiations; fall through so
@@ -234,6 +251,7 @@ func (a *Agent) handleDetails(m *proto.Message) {
 			byEP: make(map[inet.Endpoint]*check),
 		}
 		a.negs[n.nonce] = n
+		a.inbound[n.peer] = n
 		n.deadline = a.tr().After(a.cfg.Timeout, func() { a.timeout(n) })
 	}
 	if n.gotDetails || n.done {
@@ -444,5 +462,8 @@ func (a *Agent) finish(n *negotiation) {
 	delete(a.negs, n.nonce)
 	if a.byPeer[n.peer] == n {
 		delete(a.byPeer, n.peer)
+	}
+	if a.inbound[n.peer] == n {
+		delete(a.inbound, n.peer)
 	}
 }

@@ -218,6 +218,50 @@ func TestSymmetricStrictPairRelays(t *testing.T) {
 	}
 }
 
+// TestRelayedDataBeforeResponderDeadline: the requester's deadline
+// runs from its offer, the responder's from the forwarded offer's
+// arrival, so the requester nominates the relay first and its first
+// relayed datagram races the responder's own deadline. The
+// server→responder hop is slow while the offer is forwarded and fast
+// again when the data comes, which fixes the order: the datagram finds
+// the responder still checking, and must nominate the relay there and
+// be delivered rather than dropped.
+func TestRelayedDataBeforeResponderDeadline(t *testing.T) {
+	c := topo.NewCanonical(7, nat.Symmetric(), nat.Symmetric())
+	r := newRig(t, c.Internet, c.S, c.A, c.B, fastCfg(), ice.Config{})
+	sched := c.Net.Sched
+	var bChosen ice.Candidate
+	var bGot string
+	var bGotAt time.Duration
+	r.agB.Inbound = ice.Callbacks{
+		Established: func(_ *punch.UDPSession, chosen ice.Candidate) { bChosen = chosen },
+		Data:        func(_ *punch.UDPSession, p []byte) { bGot, bGotAt = string(p), sched.Now() },
+	}
+	c.RealmB.Seg.SetLatency(30 * topo.LANLatency)
+	start := sched.Now()
+	r.agA.Connect("bob", ice.Callbacks{
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("only datagram")) },
+		Failed:      func(_ string, err error) { t.Fatalf("negotiation failed: %v", err) },
+	})
+	c.RunFor(time.Second) // the exchange is over; both sides check in vain
+	c.RealmB.Seg.SetLatency(topo.LANLatency)
+	if !r.await(5*time.Second, func() bool { return bGot != "" }) {
+		t.Fatal("the requester's only datagram never reached the responder's application")
+	}
+	if bGot != "only datagram" || bChosen.Kind != ice.KindRelay {
+		t.Fatalf("responder got %q after nominating %v, want the datagram on the relay", bGot, bChosen)
+	}
+	responderDeadline := start + topo.CoreLatency + topo.LANLatency + // alice -> S
+		topo.CoreLatency + 30*topo.LANLatency + fastCfg().PunchTimeout // S -> bob, then the timeout
+	if bGotAt >= responderDeadline {
+		t.Fatalf("datagram delivered at %v, not before the responder's deadline %v: the order was not forced",
+			bGotAt, responderDeadline)
+	}
+	if n := r.agB.PendingNegotiations(); n != 0 {
+		t.Errorf("%d negotiations still pending on the responder", n)
+	}
+}
+
 func TestRestrictedConeSymmetricConvergesReflexive(t *testing.T) {
 	// A restricted-cone (address-dependent filter) side admits the
 	// symmetric peer's probes from their fresh mapping; the triggered

@@ -237,6 +237,9 @@ type Client struct {
 	relayReg map[inet.Endpoint]bool
 
 	udpAttempts map[uint64]*udpAttempt
+	// udpInbound indexes the pending peer-initiated attempts by peer:
+	// relayed traffic names its sender but carries no nonce.
+	udpInbound  map[string]*udpAttempt
 	udpSessions map[string]*UDPSession
 
 	// InboundUDP supplies callbacks for sessions initiated by peers
@@ -285,6 +288,7 @@ func NewClientOver(tr transport.Transport, name string, server inet.Endpoint, cf
 		server:      server,
 		cfg:         cfg.withDefaults(),
 		udpAttempts: make(map[uint64]*udpAttempt),
+		udpInbound:  make(map[string]*udpAttempt),
 		udpSessions: make(map[string]*UDPSession),
 	}
 	if hp, ok := tr.(interface{ SimHost() *host.Host }); ok {
@@ -473,10 +477,9 @@ func (c *Client) AdoptUDPSession(peer string, remote inet.Endpoint, via Method, 
 // cancelling our dial must not kill the peer's crossing dial.
 func (c *Client) AbortUDP(peer string) bool {
 	aborted := false
-	for n, a := range c.udpAttempts {
+	for _, a := range c.udpAttempts {
 		if a.peer == peer && a.requester && !a.done {
-			a.stop()
-			delete(c.udpAttempts, n)
+			c.retireUDPAttempt(a)
 			aborted = true
 		}
 	}

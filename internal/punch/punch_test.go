@@ -225,6 +225,52 @@ func TestUDPPunchSymmetricFailsThenRelayRescues(t *testing.T) {
 	_ = sb
 }
 
+// TestRelayedDataBeforeListenerDeadline: the dialer starts its punch
+// deadline when it asks S, the listener when the forwarded request
+// arrives, so the dialer falls to the relay first and its first
+// relayed datagram races the listener's own deadline. Here the race is
+// fixed: the server→listener hop is slow while the request is
+// forwarded and fast again when the data comes, so the datagram finds
+// the listener still probing. It must conclude the attempt on the
+// relay floor and be delivered — an application that sends one
+// datagram and waits would otherwise wait forever.
+func TestRelayedDataBeforeListenerDeadline(t *testing.T) {
+	d := newDuo(t, 4, nat.Symmetric(), nat.Symmetric(), punch.Config{
+		PunchTimeout: 2 * time.Second, RelayFallback: true,
+	})
+	d.registerUDP(t)
+	var sb *punch.UDPSession
+	var bGot string
+	var bGotAt time.Duration
+	d.b.InboundUDP = punch.UDPCallbacks{
+		Established: func(s *punch.UDPSession) { sb = s },
+		Data: func(_ *punch.UDPSession, p []byte) {
+			bGot, bGotAt = string(p), d.Net.Sched.Now()
+		},
+	}
+	d.RealmB.Seg.SetLatency(30 * topo.LANLatency)
+	start := d.Net.Sched.Now()
+	d.a.ConnectUDP("bob", punch.UDPCallbacks{
+		Established: func(s *punch.UDPSession) { s.Send([]byte("only datagram")) },
+		Failed:      func(_ string, err error) { t.Fatalf("dial failed: %v", err) },
+	})
+	d.RunFor(time.Second) // the introduction is over; both sides probe in vain
+	d.RealmB.Seg.SetLatency(topo.LANLatency)
+	d.runUntil(t, 5*time.Second, func() bool { return bGot != "" })
+	if bGot != "only datagram" || sb == nil || sb.Via != punch.MethodRelay {
+		t.Fatalf("listener got %q on session %+v, want the datagram on a relay session", bGot, sb)
+	}
+	listenerDeadline := start + topo.CoreLatency + topo.LANLatency + // alice -> S
+		topo.CoreLatency + 30*topo.LANLatency + 2*time.Second // S -> bob, then PunchTimeout
+	if bGotAt >= listenerDeadline {
+		t.Fatalf("datagram delivered at %v, not before the listener's deadline %v: the order was not forced",
+			bGotAt, listenerDeadline)
+	}
+	if n := d.b.PendingUDPAttempts(); n != 0 {
+		t.Errorf("%d attempts still pending on the listener", n)
+	}
+}
+
 // TestRelaySessionIdleDeath pins the §3.6 death watch on *relayed*
 // sessions: when the peer goes away, the idle timer must fire Dead
 // exactly as it does for punched sessions (regression: the relay

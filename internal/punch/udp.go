@@ -101,6 +101,15 @@ func (a *udpAttempt) stop() {
 	}
 }
 
+// retireUDPAttempt stops a concluded attempt and releases its indexes.
+func (c *Client) retireUDPAttempt(a *udpAttempt) {
+	a.stop()
+	delete(c.udpAttempts, a.nonce)
+	if c.udpInbound[a.peer] == a {
+		delete(c.udpInbound, a.peer)
+	}
+}
+
 // BindUDP binds the client's UDP socket to localPort without yet
 // registering with S. Most callers use RegisterUDP; binding alone
 // supports adapters that must own a socket before the rendezvous
@@ -362,6 +371,7 @@ func (c *Client) handleConnectDetails(m *proto.Message) {
 		// We are the target side: adopt the inbound-session callbacks.
 		a = &udpAttempt{c: c, peer: m.From, nonce: m.Nonce, cb: c.InboundUDP}
 		c.udpAttempts[m.Nonce] = a
+		c.udpInbound[a.peer] = a
 		a.deadline = c.after(c.cfg.PunchTimeout, func() { c.udpAttemptTimeout(a) })
 	}
 	if a.gotDetails || a.done {
@@ -452,8 +462,7 @@ func (c *Client) handlePunchAck(from inet.Endpoint, m *proto.Message) {
 	if a == nil || a.done {
 		return
 	}
-	a.stop()
-	delete(c.udpAttempts, m.Nonce)
+	c.retireUDPAttempt(a)
 
 	// Classify the locked endpoint. For an un-NATed peer public and
 	// private coincide (§3.1); report that as public.
@@ -485,8 +494,7 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 	if a.done {
 		return
 	}
-	a.stop()
-	delete(c.udpAttempts, a.nonce)
+	c.retireUDPAttempt(a)
 	if s := c.udpSessions[a.peer]; s != nil && !s.closed && s.Nonce == a.nonce {
 		// A live session already carries this nonce (relay-first
 		// connect or background re-punch): the timed-out attempt was
@@ -525,10 +533,9 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 func (c *Client) handleServerError(m *proto.Message) {
 	// S reports failures against the requester; fail all attempts
 	// toward that peer.
-	for n, a := range c.udpAttempts {
+	for _, a := range c.udpAttempts {
 		if a.peer == m.From && a.requester && !a.gotDetails {
-			a.stop()
-			delete(c.udpAttempts, n)
+			c.retireUDPAttempt(a)
 			if a.upgrade {
 				continue // silent: the live session stays on its path
 			}
@@ -555,8 +562,7 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 		if a == nil || a.done || a.peer != m.From || m.From == c.name {
 			return // unauthenticated (§3.4)
 		}
-		a.stop()
-		delete(c.udpAttempts, m.Nonce)
+		c.retireUDPAttempt(a)
 		via := MethodPublic
 		if from == a.priv && a.priv != a.pub {
 			via = MethodPrivate
@@ -583,8 +589,7 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 			// Migrate without waiting for our own ack (which may have
 			// crossed with this datagram, or been lost).
 			if a := c.udpAttempts[m.Nonce]; a != nil && !a.done && a.peer == m.From {
-				a.stop()
-				delete(c.udpAttempts, m.Nonce)
+				c.retireUDPAttempt(a)
 				via := MethodPublic
 				if from == a.priv && a.priv != a.pub {
 					via = MethodPrivate
@@ -611,6 +616,16 @@ func (c *Client) handleSessionKeepAlive(from inet.Endpoint, m *proto.Message) {
 
 func (c *Client) handleRelayed(m *proto.Message) {
 	s := c.udpSessions[m.From]
+	if a := c.udpInbound[m.From]; s == nil && a != nil && c.cfg.RelayFallback {
+		// The dialer's punch deadline fires one server round trip
+		// before ours, so the first datagram it relays can find our
+		// side still probing. Relayed traffic from the attempt's peer
+		// proves the peer nominated the relay: take the relay floor now
+		// instead of dropping what may be the only datagram it sends.
+		c.tracef("udp relayed data from %s beat our punch deadline", a.peer)
+		c.udpAttemptTimeout(a)
+		s = c.udpSessions[m.From]
+	}
 	if s == nil || (s.Via != MethodRelay && !c.cfg.PathUpgrade) {
 		// Relayed data can also arrive for TCP relay sessions.
 		c.tcpHandleRelayed(m)

@@ -1,7 +1,8 @@
 // Package stream is the multiplexed reliable-stream engine layered
 // over a punched (or relayed) session's datagrams: QUIC-style streams
-// with explicit IDs and byte offsets, go-back-N ARQ with an
-// RFC 6298 RTT-estimated retransmission timer, per-stream and
+// with explicit IDs and byte offsets, selective-repeat ARQ driven by
+// the out-of-order ranges every ack reports (an RFC 6298
+// RTT-estimated retransmission timer is the fallback), per-stream and
 // per-session flow-control windows, and in-order reassembly on the
 // 32-bit circular offset space shared with internal/tcp.
 //
@@ -21,6 +22,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"sort"
 	"time"
@@ -150,6 +152,7 @@ type Mux struct {
 	pings    []pingProbe
 
 	scratch []byte // datagram packing scratch, reused per flush
+	ranges  []byte // ack-range encodings of the flush in progress
 	closed  bool
 }
 
@@ -172,6 +175,11 @@ const (
 	maxResetRecords = 128
 	// maxPings bounds outstanding ping probes under pathological loss.
 	maxPings = 256
+	// maxAckRanges bounds the out-of-order ranges one ack reports.
+	maxAckRanges = 8
+	// lossThreshold is how many full segments the peer must report
+	// above a hole before the hole counts as lost rather than late.
+	lossThreshold = 3
 )
 
 // NewMux creates the stream engine over a session. send transmits one
@@ -509,7 +517,7 @@ func (m *Mux) terminate(s *Stream, err error) {
 		}
 		m.recordReset(s.id, resetRec{final: s.sndMax, settled: settled, rcvLimit: s.rcvLimit})
 	}
-	s.sndBuf, s.rcvBuf, s.ooo = nil, nil, nil
+	s.sndBuf, s.rcvBuf, s.ooo, s.sacked = nil, nil, nil, nil
 	s.rtxAt = 0
 	m.release(s)
 	if m.cb.Readable != nil {
@@ -554,20 +562,25 @@ func (m *Mux) clearProbeDeadlines() {
 func (m *Mux) queueControl(f Frame) { m.pendingCtl = append(m.pendingCtl, f) }
 
 // flush drains everything sendable: staged control frames, per-stream
-// acks and window updates, then data round-robin across streams with
-// budget. Frames pack into MaxDatagram-bounded datagrams. Finally the
-// retransmission timer is re-armed to the earliest deadline,
-// including window-probe deadlines for streams starved of credit.
+// acks and window updates, the holes each stream's scoreboard proves
+// lost, then data round-robin across streams with budget. Frames pack
+// into MaxDatagram-bounded datagrams. Finally the retransmission timer
+// is re-armed to the earliest deadline, including window-probe
+// deadlines for streams starved of credit.
 func (m *Mux) flush() {
 	if m.closed {
 		return
 	}
 	frames := m.pendingCtl
 	m.pendingCtl = nil
+	m.ranges = m.ranges[:0]
 	// Per-stream control: acks and window advertisements. The ack FIN
 	// bit — "your FIN is fully delivered" — requires every byte up to
 	// the FIN offset, not just the FIN frame itself: the sender
-	// treats it as license to forget its retransmission buffer.
+	// treats it as license to forget its retransmission buffer. Lost
+	// holes ride along, ahead of all fresh data: they are what the
+	// peer's reader is blocked on.
+	maxSeg := m.cfg.MaxDatagram - frameOverhead
 	for _, id := range m.order {
 		s := m.streams[id]
 		if s.ackPending {
@@ -575,6 +588,7 @@ func (m *Mux) flush() {
 			frames = append(frames, Frame{
 				Type: proto.TypeStreamAck, Stream: s.id,
 				Off: s.rcvNxt, FIN: s.finRcvd && s.rcvNxt == s.finRcvOff,
+				Data: s.ackRanges(),
 			})
 		}
 		if s.winPending {
@@ -584,6 +598,7 @@ func (m *Mux) flush() {
 				Type: proto.TypeStreamWindow, Stream: s.id, Off: s.rcvLimit,
 			})
 		}
+		frames = s.appendLost(frames, maxSeg)
 	}
 	if m.sessWinPend {
 		m.sessWinPend = false
@@ -594,7 +609,6 @@ func (m *Mux) flush() {
 	}
 	// Data: round-robin one segment per stream per round, starting at
 	// the cursor, until nothing can send.
-	maxSeg := m.cfg.MaxDatagram - frameOverhead
 	for len(m.order) > 0 {
 		sent := false
 		n := len(m.order)
@@ -678,9 +692,12 @@ func (m *Mux) armRtx() {
 	m.rtxTimer = m.tr.After(d, m.onRtxTimer)
 }
 
-// onRtxTimer fires expired per-stream deadlines. Streams with data in
-// flight go back N — sndNxt rewinds to sndUna with exponential RTO
-// backoff, and any outstanding RTT sample is invalidated (Karn's
+// onRtxTimer fires expired per-stream deadlines: the last resort when
+// acks stopped saying anything useful. Streams with data in flight go
+// back N — sndNxt rewinds to sndUna with exponential RTO backoff, the
+// scoreboard is forgotten (RFC 2018 §8: the peer may have reported
+// everything and released the stream, so only a resend draws its
+// answer), and any outstanding RTT sample is invalidated (Karn's
 // algorithm). Streams starved of credit send an empty window-probe
 // frame at sndNxt, which makes the receiver re-advertise its current
 // limits even if they have not changed.
@@ -698,6 +715,8 @@ func (m *Mux) onRtxTimer() {
 			s.sndNxt = s.sndUna
 			s.finSent = false
 			s.rttValid = false
+			s.sacked = s.sacked[:0]
+			s.rtxHi = s.sndUna
 		} else {
 			m.queueControl(Frame{Type: proto.TypeStream, Stream: s.id, Off: s.sndNxt})
 		}
@@ -722,13 +741,24 @@ type Stream struct {
 	id uint64
 
 	// Send side: sndBuf holds bytes [sndUna, sndUna+len(sndBuf)) —
-	// unacked and not-yet-sent alike (go-back-N keeps one buffer).
+	// unacked and not-yet-sent alike, so a hole the scoreboard proves
+	// lost and an RTO's rewind both resend from the one buffer.
 	sndBuf    []byte
 	sndUna    uint32 // oldest unacknowledged offset
 	sndNxt    uint32 // next offset to transmit
 	sndMax    uint32 // highest offset ever transmitted (session budget)
 	sndLimit  uint32 // peer-advertised stream flow-control limit
 	wantWrite bool   // Write refused bytes for lack of credit
+
+	// Scoreboard: sacked holds the ranges the peer's acks reported
+	// beyond the cumulative one — sorted, disjoint, never touching,
+	// within [sndUna, sndNxt]; the gaps between them are the holes.
+	// Holes below rtxHi were retransmitted when sndMax stood at
+	// rtxMark, so a report of anything sent later while one is still
+	// open means that retransmission was lost too.
+	sacked  []span
+	rtxHi   uint32
+	rtxMark uint32
 
 	finQueued bool
 	finSent   bool
@@ -763,6 +793,9 @@ type ooseg struct {
 	off  uint32
 	data []byte
 }
+
+// span is the half-open offset range [start, end).
+type span struct{ start, end uint32 }
 
 // ID returns the stream's wire ID.
 func (s *Stream) ID() uint64 { return s.id }
@@ -1085,6 +1118,10 @@ func (s *Stream) acceptInOrder(data []byte) {
 	}
 	s.rcvBuf = append(s.rcvBuf, data...)
 	s.m.rcvInUse += len(data)
+	// A Readable that reads at once flushes the pending ack mid-merge:
+	// what merges after it is news again, or a stream that completes in
+	// this very merge is released with its final ack never sent.
+	s.ackPending = true
 	if s.m.cb.Readable != nil {
 		s.m.cb.Readable(s)
 	}
@@ -1093,7 +1130,12 @@ func (s *Stream) acceptInOrder(data []byte) {
 // insertOOO stores an out-of-order segment (copied; the frame's data
 // is decoder-owned), keeping the list sorted by offset. Overlaps are
 // tolerated: merge trims against rcvNxt as segments become in-order.
+// A bare FIN ahead of its bytes is not stored — handleData recorded
+// it — so every segment here is a range an ack can report.
 func (s *Stream) insertOOO(off uint32, data []byte) {
+	if len(data) == 0 {
+		return
+	}
 	at := sort.Search(len(s.ooo), func(i int) bool { return SeqGEQ(s.ooo[i].off, off) })
 	if at < len(s.ooo) && s.ooo[at].off == off && len(s.ooo[at].data) >= len(data) {
 		return // duplicate covered by an existing segment
@@ -1131,7 +1173,39 @@ func (s *Stream) mergeOOO() {
 	}
 }
 
-// handleAck processes a cumulative acknowledgment.
+// ackRanges encodes the lowest maxAckRanges coalesced out-of-order
+// ranges as big-endian (start, end) pairs into the mux's per-flush
+// scratch, which outlives the flush's frame list. Nothing out of
+// order is nil: the lossless ack is the bare cumulative one.
+func (s *Stream) ackRanges() []byte {
+	if len(s.ooo) == 0 {
+		return nil
+	}
+	m := s.m
+	from, n := len(m.ranges), 0
+	cur := span{s.ooo[0].off, s.ooo[0].off}
+	for _, seg := range s.ooo {
+		if SeqGT(seg.off, cur.end) {
+			if n++; n == maxAckRanges {
+				break
+			}
+			m.ranges = appendSpan(m.ranges, cur)
+			cur = span{seg.off, seg.off}
+		}
+		if end := seg.off + uint32(len(seg.data)); SeqGT(end, cur.end) {
+			cur.end = end
+		}
+	}
+	m.ranges = appendSpan(m.ranges, cur)
+	return m.ranges[from:len(m.ranges):len(m.ranges)]
+}
+
+func appendSpan(dst []byte, sp span) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(dst, sp.start), sp.end)
+}
+
+// handleAck processes an acknowledgment: the cumulative offset, then
+// the out-of-order ranges the peer holds beyond it.
 func (s *Stream) handleAck(f Frame) {
 	if s.done {
 		return
@@ -1157,6 +1231,17 @@ func (s *Stream) handleAck(f Frame) {
 		if SeqLT(s.sndNxt, ack) {
 			s.sndNxt = ack
 		}
+		if SeqLT(s.rtxHi, ack) {
+			s.rtxHi = ack
+		}
+		covered := 0
+		for covered < len(s.sacked) && SeqLEQ(s.sacked[covered].end, ack) {
+			covered++
+		}
+		s.sacked = append(s.sacked[:0], s.sacked[covered:]...)
+		if len(s.sacked) > 0 && SeqLT(s.sacked[0].start, ack) {
+			s.sacked[0].start = ack
+		}
 		// Fresh progress: reset backoff and restart the timer.
 		s.rto = s.m.rtt.RTO()
 		if s.inFlight() {
@@ -1171,7 +1256,109 @@ func (s *Stream) handleAck(f Frame) {
 	if !s.inFlight() && s.pendingBytes() <= 0 {
 		s.rtxAt = 0
 	}
+	s.noteRanges(f.Data)
 	s.maybeComplete()
+}
+
+// noteRanges folds an ack's reported ranges into the scoreboard. The
+// bytes are decoder-owned and peer-controlled: at most maxAckRanges
+// whole pairs are read, each clamped to [sndUna, sndNxt] and dropped
+// if nothing is left, and none is retained.
+func (s *Stream) noteRanges(data []byte) {
+	pastMark := false
+	for n := 0; n < maxAckRanges && len(data) >= 8; n, data = n+1, data[8:] {
+		sp := span{binary.BigEndian.Uint32(data), binary.BigEndian.Uint32(data[4:])}
+		if SeqLT(sp.start, s.sndUna) {
+			sp.start = s.sndUna
+		}
+		if SeqGT(sp.end, s.sndNxt) {
+			sp.end = s.sndNxt
+		}
+		if SeqGEQ(sp.start, sp.end) {
+			continue
+		}
+		s.markSacked(sp)
+		pastMark = pastMark || SeqGT(sp.end, s.rtxMark)
+	}
+	// Something first sent after the last retransmission got through
+	// while holes retransmitted then are still open: on a FIFO path
+	// those retransmissions were lost, so the holes are eligible again.
+	if pastMark {
+		s.rtxHi = s.sndUna
+	}
+}
+
+// markSacked merges sp into the scoreboard, coalescing every span it
+// overlaps or touches. A span that would be a new entry beyond the
+// cap is dropped: the cap is the most holes a conforming peer can
+// report in one window, and forgetting a report only delays a repair
+// to the retransmission timer.
+func (s *Stream) markSacked(sp span) {
+	lo := sort.Search(len(s.sacked), func(i int) bool { return SeqGEQ(s.sacked[i].end, sp.start) })
+	hi := lo
+	for hi < len(s.sacked) && SeqLEQ(s.sacked[hi].start, sp.end) {
+		hi++
+	}
+	if lo == hi {
+		if len(s.sacked) >= int(s.m.cfg.StreamWindow)/s.m.cfg.MaxDatagram {
+			return
+		}
+		s.sacked = append(s.sacked, span{})
+		copy(s.sacked[lo+1:], s.sacked[lo:])
+		s.sacked[lo] = sp
+		return
+	}
+	if SeqLT(s.sacked[lo].start, sp.start) {
+		sp.start = s.sacked[lo].start
+	}
+	if SeqGT(s.sacked[hi-1].end, sp.end) {
+		sp.end = s.sacked[hi-1].end
+	}
+	s.sacked[lo] = sp
+	s.sacked = append(s.sacked[:lo+1], s.sacked[hi:]...)
+}
+
+// appendLost appends retransmissions of the holes the scoreboard
+// proves lost — those with at least lossThreshold segments' worth of
+// bytes reported above them — that have not been retransmitted yet.
+// The frames' Data aliases sndBuf, like nextSegment's.
+func (s *Stream) appendLost(frames []Frame, maxSeg int) []Frame {
+	// Bytes reported above a hole only shrink going up the board, so
+	// the lost holes are the ones below the first `lost` spans.
+	lost, above := 0, 0
+	for i := len(s.sacked) - 1; i >= 0; i-- {
+		above += int(SeqDiff(s.sacked[i].end, s.sacked[i].start))
+		if above >= lossThreshold*maxSeg {
+			lost = i + 1
+			break
+		}
+	}
+	sent := false
+	from := s.sndUna
+	for _, sp := range s.sacked[:lost] {
+		if SeqLT(from, s.rtxHi) {
+			from = s.rtxHi
+		}
+		for SeqLT(from, sp.start) {
+			n := min(int(SeqDiff(sp.start, from)), maxSeg)
+			at := int(SeqDiff(from, s.sndUna))
+			frames = append(frames, Frame{
+				Type: proto.TypeStream, Stream: s.id, Off: from, Data: s.sndBuf[at : at+n],
+			})
+			from += uint32(n)
+			sent = true
+		}
+		if SeqLT(s.rtxHi, sp.start) {
+			s.rtxHi = sp.start
+		}
+		from = sp.end
+	}
+	if sent {
+		s.rtxMark = s.sndMax
+		s.rttValid = false // Karn: the pending sample's range may now be ambiguous
+		s.rtxAt = s.m.tr.Now() + s.rto
+	}
+	return frames
 }
 
 // handleWindow processes a stream flow-control update.

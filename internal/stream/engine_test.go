@@ -13,8 +13,9 @@ import (
 
 // The engine tests run two muxes over a hand-rolled single-threaded
 // event loop: one shared virtual clock, per-endpoint fake transports,
-// and a scriptable link (delay, loss, duplication, reordering). Every
-// schedule is deterministic, so failures reproduce exactly.
+// and a scriptable link (delay, loss, duplication, reordering) and
+// writer (as fast as credit allows, or paced). Every schedule is
+// deterministic, so failures reproduce exactly.
 
 type hevent struct {
 	at  time.Duration
@@ -41,10 +42,26 @@ type harness struct {
 	// dupEvery duplicates every Nth datagram (0 = never).
 	dupEvery int
 	sent     int
+	// pace, when nonzero, makes oneWayTransfer's writer application
+	// limited: chunk bytes every pace instead of all the credit allows,
+	// so fresh data keeps following whatever the ARQ resends.
+	pace  time.Duration
+	chunk int
+	// watch, when set, runs after every event: tests sample engine
+	// state over virtual time with it.
+	watch func()
+
+	// What a sent on the wire, from its data frames: the highest offset
+	// per stream and the payload bytes sent below it (retransmissions).
+	sentTo   map[uint64]uint32
+	rtxBytes int
 }
 
 func newHarness(seed int64) *harness {
-	h := &harness{rng: rand.New(rand.NewSource(seed)), delay: 10 * time.Millisecond}
+	h := &harness{
+		rng: rand.New(rand.NewSource(seed)), delay: 10 * time.Millisecond,
+		sentTo: make(map[uint64]uint32),
+	}
 	h.ta = &fakeTransport{h: h}
 	h.tb = &fakeTransport{h: h}
 	return h
@@ -66,6 +83,9 @@ func (h *harness) schedule(d time.Duration, fn func()) *hevent {
 func (h *harness) sendFrom(from int) func([]byte) error {
 	return func(p []byte) error {
 		h.sent++
+		if from == 0 {
+			h.countRetransmitted(p)
+		}
 		if h.drop != nil && h.drop(from, p) {
 			return nil
 		}
@@ -87,6 +107,39 @@ func (h *harness) sendFrom(from int) func([]byte) error {
 	}
 }
 
+// countRetransmitted accounts one of a's datagrams, lost or not.
+func (h *harness) countRetransmitted(p []byte) {
+	var pr Parser
+	_ = pr.Parse(p, func(f Frame) error {
+		if f.Type != proto.TypeStream || len(f.Data) == 0 {
+			return nil
+		}
+		if old := SeqDiff(h.sentTo[f.Stream], f.Off); old > 0 {
+			h.rtxBytes += min(int(old), len(f.Data))
+		}
+		if end := f.Off + uint32(len(f.Data)); SeqGT(end, h.sentTo[f.Stream]) {
+			h.sentTo[f.Stream] = end
+		}
+		return nil
+	})
+}
+
+// dataTo reports whether p is one of a's datagrams carrying stream
+// payload, the thing the loss tests drop.
+func dataTo(from int, p []byte) (off uint32, ok bool) {
+	if from != 0 {
+		return 0, false
+	}
+	var pr Parser
+	_ = pr.Parse(p, func(f Frame) error {
+		if f.Type == proto.TypeStream && len(f.Data) > 0 && !ok {
+			off, ok = f.Off, true
+		}
+		return nil
+	})
+	return off, ok
+}
+
 // step runs the earliest pending event; false when idle.
 func (h *harness) step() bool {
 	if len(h.events) == 0 {
@@ -103,6 +156,9 @@ func (h *harness) step() bool {
 	h.events = append(h.events[:best], h.events[best+1:]...)
 	h.clk = ev.at
 	ev.fn()
+	if h.watch != nil {
+		h.watch()
+	}
 	return true
 }
 
@@ -174,17 +230,24 @@ func (k *sink) pump(s *Stream) {
 }
 
 // source wires a send-side pump: every Writable pushes more of the
-// payload, half-closing after the final byte.
+// payload, half-closing after the final byte. A nonzero chunk bounds
+// what one pump writes.
 type source struct {
-	data []byte
-	off  int
+	data  []byte
+	off   int
+	chunk int
 }
 
 func (src *source) pump(s *Stream) {
+	quota := len(src.data)
+	if src.chunk > 0 {
+		quota = src.chunk
+	}
 	for src.off < len(src.data) {
-		n := s.Write(src.data[src.off:])
+		n := s.Write(src.data[src.off:min(src.off+quota, len(src.data))])
 		src.off += n
-		if n == 0 {
+		quota -= n
+		if n == 0 || (quota == 0 && src.off < len(src.data)) {
 			return
 		}
 	}
@@ -205,11 +268,15 @@ func payload(n int) []byte {
 // close-out of both engine streams.
 func oneWayTransfer(t *testing.T, h *harness, cfg Config, size, budget int) {
 	t.Helper()
-	src := &source{data: payload(size)}
+	src := &source{data: payload(size), chunk: h.chunk}
 	rcv := &sink{}
 	var accepted *Stream
 	cba := Callbacks{
-		Writable: func(s *Stream) { src.pump(s) },
+		Writable: func(s *Stream) {
+			if h.pace == 0 {
+				src.pump(s)
+			}
+		},
 		Closed: func(s *Stream, err error) {
 			if err != nil {
 				t.Fatalf("sender stream closed with error: %v", err)
@@ -239,6 +306,15 @@ func oneWayTransfer(t *testing.T, h *harness, cfg Config, size, budget int) {
 		t.Fatal(err)
 	}
 	src.pump(s)
+	if h.pace > 0 {
+		var tick func()
+		tick = func() {
+			if src.pump(s); src.off < len(src.data) {
+				h.schedule(h.pace, tick)
+			}
+		}
+		h.schedule(h.pace, tick)
+	}
 	h.run(t, func() bool { return rcv.done && s.Done() }, budget)
 
 	if !bytes.Equal(rcv.buf.Bytes(), src.data) {
@@ -308,6 +384,332 @@ func TestTransferLossReorderDupSmallWindows(t *testing.T) {
 	h.dupEvery = 5
 	cfg := Config{StreamWindow: 4 << 10, SessionWindow: 8 << 10}
 	oneWayTransfer(t, h, cfg, 64<<10, 2000000)
+}
+
+// dropDataNth loses the payload datagrams at the given positions
+// (1-based) in the sequence a sends, first transmissions and
+// retransmissions counted alike, and nothing else.
+func dropDataNth(nth ...int) func(int, []byte) bool {
+	n := 0
+	return func(from int, p []byte) bool {
+		if _, ok := dataTo(from, p); !ok {
+			return false
+		}
+		n++
+		for _, k := range nth {
+			if n == k {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestTransferOnePercentLoss: with one segment in a hundred lost, every
+// hole is repaired from the ranges the acks report — the transfer
+// takes about as long as the lossless one and resends about what was
+// lost, instead of paying a timeout and a window per hole. The loss
+// hits first transmissions only: a flight here is a whole window sent
+// in one instant, so nothing fresh follows a retransmission to expose
+// its loss and only the timer can repair it; the paced writer of
+// TestLostRetransmissionRepairedWithoutTimeout covers that case.
+func TestTransferOnePercentLoss(t *testing.T) {
+	const size = 4 << 20
+	clean := newHarness(18)
+	oneWayTransfer(t, clean, Config{}, size, 4000000)
+	if clean.rtxBytes != 0 {
+		t.Fatalf("lossless transfer retransmitted %d bytes", clean.rtxBytes)
+	}
+	for _, phase := range []int{0, 37, 99} {
+		lossy := newHarness(18)
+		seen := make(map[uint32]bool)
+		lossy.drop = func(from int, p []byte) bool {
+			off, ok := dataTo(from, p)
+			if !ok || seen[off] {
+				return false
+			}
+			seen[off] = true
+			return len(seen)%100 == phase
+		}
+		oneWayTransfer(t, lossy, Config{}, size, 4000000)
+		if limit := clean.clk * 11 / 10; lossy.clk > limit {
+			t.Errorf("phase %d: 1%% loss took %v, lossless %v: want within %v",
+				phase, lossy.clk, clean.clk, limit)
+		}
+		if ratio := float64(lossy.rtxBytes) / size; ratio > 0.015 {
+			t.Errorf("phase %d: retransmitted %.4f bytes per byte delivered, want <= 0.015",
+				phase, ratio)
+		}
+		t.Logf("phase %d: %v (lossless %v), %.4f retransmitted", phase, lossy.clk, clean.clk,
+			float64(lossy.rtxBytes)/size)
+	}
+}
+
+// TestThreeHolesRepairedTogether: three losses in one window are three
+// holes on the scoreboard, and all three are refilled one round trip
+// after the third is reported. A cumulative ack can only name the
+// lowest, so it would take a round trip each.
+func TestThreeHolesRepairedTogether(t *testing.T) {
+	const size = 200 << 10 // inside one stream window: a single flight
+	h := newHarness(19)
+	h.drop = dropDataNth(20, 80, 140)
+	var reported, repaired time.Duration
+	h.watch = func() {
+		s := h.a.streams[2]
+		if s != nil && reported == 0 && len(s.sacked) == 3 {
+			reported = h.clk
+		}
+		// The sender sees the repair as the cumulative ack of everything
+		// (which may release the stream in the same event).
+		if reported != 0 && repaired == 0 && (s == nil || s.sndUna == size) {
+			repaired = h.clk
+		}
+	}
+	oneWayTransfer(t, h, Config{}, size, 200000)
+	if reported == 0 || repaired == 0 {
+		t.Fatalf("three holes never stood on the scoreboard (reported %v, repaired %v)", reported, repaired)
+	}
+	if rtt := 2 * h.delay; repaired-reported > rtt {
+		t.Errorf("holes reported at %v were all acknowledged at %v: want within one RTT (%v)",
+			reported, repaired, rtt)
+	}
+	if h.rtxBytes > 3*(1152-frameOverhead) {
+		t.Errorf("retransmitted %d bytes for three lost segments", h.rtxBytes)
+	}
+}
+
+// TestLostRetransmissionRepairedWithoutTimeout: the hole's first
+// retransmission is dropped as well. Data first sent after it is then
+// reported with the hole still open, which proves the retransmission
+// lost; the hole goes out again at once, well inside the 100 ms RTO,
+// and nothing else is resent.
+func TestLostRetransmissionRepairedWithoutTimeout(t *testing.T) {
+	const size = 256 << 10
+	h := newHarness(20)
+	h.pace, h.chunk = time.Millisecond, 2<<10
+	var lostOff uint32
+	var lostAt, filledAt time.Duration
+	drops := 0
+	h.drop = func(from int, p []byte) bool {
+		off, ok := dataTo(from, p)
+		if !ok || h.clk < 40*time.Millisecond {
+			return false
+		}
+		if drops == 0 {
+			lostOff, lostAt = off, h.clk
+		}
+		if off != lostOff || drops == 2 {
+			return false
+		}
+		drops++
+		return true
+	}
+	h.watch = func() {
+		if s := h.b.streams[2]; s != nil && drops == 2 && filledAt == 0 && SeqGT(s.rcvNxt, lostOff) {
+			filledAt = h.clk
+		}
+	}
+	oneWayTransfer(t, h, Config{}, size, 400000)
+	if drops != 2 || filledAt == 0 {
+		t.Fatalf("scenario did not run: %d drops, hole filled at %v", drops, filledAt)
+	}
+	// Detect (1 RTT), detect again (1 RTT), deliver (half): the pacing
+	// adds a few milliseconds of waiting for three segments above.
+	if limit := lostAt + 3*2*h.delay; filledAt > limit {
+		t.Errorf("hole sent at %v filled at %v, want by %v (no RTO)", lostAt, filledAt, limit)
+	}
+	if h.rtxBytes > 2*(1152-frameOverhead) {
+		t.Errorf("retransmitted %d bytes: more than the one segment twice", h.rtxBytes)
+	}
+}
+
+// TestReleasedReceiverFinalAckLost is the trap selective recovery must
+// stay out of: the receiver reported everything above a hole, got the
+// hole, finished, released the stream — and its final ack was lost.
+// The scoreboard then says only the hole is missing and the hole has
+// been resent, so nothing looks worth sending; only the timer's
+// go-back-N resend reaches the released stream's re-ack.
+func TestReleasedReceiverFinalAckLost(t *testing.T) {
+	const size = 64 << 10
+	h := newHarness(21)
+	loseData := dropDataNth(10)
+	finalAcks, sawBoard := 0, false
+	h.drop = func(from int, p []byte) bool {
+		if loseData(from, p) {
+			return true
+		}
+		final := false
+		if from == 1 {
+			var pr Parser
+			_ = pr.Parse(p, func(f Frame) error {
+				final = final || (f.Type == proto.TypeStreamAck && f.FIN)
+				return nil
+			})
+		}
+		if final {
+			finalAcks++
+		}
+		return final && finalAcks == 1
+	}
+	h.watch = func() {
+		if s := h.a.streams[2]; s != nil && len(s.sacked) > 0 {
+			sawBoard = true
+		}
+	}
+	oneWayTransfer(t, h, Config{}, size, 200000)
+	if !sawBoard || finalAcks < 2 {
+		t.Fatalf("scenario did not run: scoreboard used %v, %d final acks", sawBoard, finalAcks)
+	}
+	if h.clk < 100*time.Millisecond {
+		t.Fatalf("finished at %v, before any retransmission timeout could fire", h.clk)
+	}
+}
+
+// ackRangesOf encodes (start, end) pairs the way an ack's Data does.
+func ackRangesOf(bounds ...uint32) []byte {
+	var b []byte
+	for i := 0; i+1 < len(bounds); i += 2 {
+		b = appendSpan(b, span{bounds[i], bounds[i+1]})
+	}
+	return b
+}
+
+// TestAckReportsLowestRanges: an ack names what the receiver holds out
+// of order as coalesced ranges, lowest first, at most maxAckRanges of
+// them — and nothing at all once the holes are filled.
+func TestAckReportsLowestRanges(t *testing.T) {
+	h := newHarness(23)
+	var acks []Frame
+	h.drop = func(from int, p []byte) bool {
+		var pr Parser
+		_ = pr.Parse(p, func(f Frame) error {
+			if from == 1 && f.Type == proto.TypeStreamAck {
+				f.Data = append([]byte(nil), f.Data...)
+				acks = append(acks, f)
+			}
+			return nil
+		})
+		return true
+	}
+	h.wire(Config{}, Callbacks{}, Callbacks{})
+	feed := func(off, n int) {
+		h.b.HandleDatagram(AppendFrame(nil, &Frame{
+			Type: proto.TypeStream, Stream: 2, Off: uint32(off), Data: payload(n),
+		}))
+	}
+	// Twelve islands of two touching segments each, every other 100.
+	for i := 11; i >= 0; i-- {
+		feed(200*i+150, 50)
+		feed(200*i+100, 50)
+	}
+	var want []uint32
+	for i := 0; i < maxAckRanges; i++ {
+		want = append(want, uint32(200*i+100), uint32(200*i+200))
+	}
+	last := acks[len(acks)-1]
+	if last.Off != 0 || !bytes.Equal(last.Data, ackRangesOf(want...)) {
+		t.Fatalf("ack at %d reports % x, want the lowest %d of 12 ranges % x",
+			last.Off, last.Data, maxAckRanges, ackRangesOf(want...))
+	}
+	for i := 0; i <= 12; i++ {
+		feed(200*i, 100)
+	}
+	if last = acks[len(acks)-1]; last.Off != 2500 || last.Data != nil {
+		t.Fatalf("ack after the holes filled: at %d with ranges % x, want 2500 and none", last.Off, last.Data)
+	}
+}
+
+// TestHostileAckRangesBounded feeds the sender acks no conforming
+// receiver would send, mid-transfer with a full window in flight. The
+// scoreboard must stay sorted, disjoint, inside the flight and under
+// its cap, and — since it may now hold lies about bytes the lossy link
+// then drops — the transfer must still finish byte-exact through the
+// timer, which forgets the board.
+func TestHostileAckRangesBounded(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	limit := int(cfg.StreamWindow) / cfg.MaxDatagram
+	cases := []struct {
+		name string
+		acks func(una, nxt uint32) [][]byte // ack Data payloads
+		want int                            // spans on a board that was empty
+	}{
+		{"reversed", func(una, _ uint32) [][]byte {
+			return [][]byte{ackRangesOf(una+5000, una+1000)}
+		}, 0},
+		{"empty", func(una, _ uint32) [][]byte {
+			return [][]byte{ackRangesOf(una+1000, una+1000)}
+		}, 0},
+		{"outside the flight", func(una, nxt uint32) [][]byte {
+			return [][]byte{ackRangesOf(una-9000, una-10, nxt+1, nxt+9000, 1<<31+una, 1<<31+nxt)}
+		}, 0},
+		{"straddling both ends", func(una, nxt uint32) [][]byte {
+			return [][]byte{ackRangesOf(una-9000, una+100, nxt-100, nxt+9000)}
+		}, 2},
+		{"overlapping", func(una, _ uint32) [][]byte {
+			return [][]byte{ackRangesOf(una+100, una+500, una+300, una+900, una+900, una+950, una+50, una+120)}
+		}, 1},
+		{"truncated tail", func(una, _ uint32) [][]byte {
+			return [][]byte{append(ackRangesOf(una+100, una+200), 0, 0, 0, 1, 0, 0, 2)}
+		}, 1},
+		{"more than eight", func(una, _ uint32) [][]byte {
+			var b []uint32
+			for i := uint32(0); i < 12; i++ {
+				b = append(b, una+100*i+10, una+100*i+20)
+			}
+			return [][]byte{ackRangesOf(b...)}
+		}, maxAckRanges},
+		{"alternate bytes", func(una, nxt uint32) [][]byte {
+			var acks [][]byte
+			for at := una + 1; SeqLT(at+16, nxt) && len(acks) < 4*limit; at += 16 {
+				var b []uint32
+				for i := uint32(0); i < maxAckRanges; i++ {
+					b = append(b, at+2*i, at+2*i+1)
+				}
+				acks = append(acks, ackRangesOf(b...))
+			}
+			return acks
+		}, limit},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(22)
+			injected := false
+			h.drop = func(int, []byte) bool { return injected && h.rng.Intn(100) < 2 }
+			h.watch = func() {
+				s := h.a.streams[2]
+				if s == nil {
+					return
+				}
+				if !injected && len(s.sacked) == 0 && SeqDiff(s.sndNxt, s.sndUna) > 100<<10 {
+					injected = true
+					for _, ranges := range tc.acks(s.sndUna, s.sndNxt) {
+						h.a.HandleDatagram(AppendFrame(nil, &Frame{
+							Type: proto.TypeStreamAck, Stream: 2, Off: s.sndUna, Data: ranges,
+						}))
+					}
+					if len(s.sacked) != tc.want {
+						t.Errorf("scoreboard holds %d spans (lowest %v), want %d",
+							len(s.sacked), s.sacked[:min(len(s.sacked), 4)], tc.want)
+					}
+				}
+				if len(s.sacked) > limit {
+					t.Fatalf("scoreboard grew to %d spans, cap is %d", len(s.sacked), limit)
+				}
+				at := s.sndUna
+				for i, sp := range s.sacked {
+					if SeqLT(sp.start, at) || (i > 0 && sp.start == at) ||
+						SeqGEQ(sp.start, sp.end) || SeqGT(sp.end, s.sndNxt) {
+						t.Fatalf("scoreboard %v broken at %d (flight %d..%d)", s.sacked, i, s.sndUna, s.sndNxt)
+					}
+					at = sp.end
+				}
+			}
+			oneWayTransfer(t, h, Config{}, 1<<20, 2000000)
+			if !injected {
+				t.Fatal("never had a window in flight to inject into")
+			}
+		})
+	}
 }
 
 // TestWindowUpdateLossRecovery drops every window-advertisement frame

@@ -15,7 +15,7 @@ import (
 //
 // Field mapping onto proto.Message: Nonce carries the stream ID, Seq
 // the offset/ack/limit/token, Requester the FIN bit, Data the
-// payload. Stream ID 0 is reserved for session-scoped frames (the
+// payload or ack ranges. Stream ID 0 is reserved for session-scoped frames (the
 // session flow-control window, pings).
 type Frame struct {
 	// Type is one of proto.TypeStream, TypeStreamAck,
@@ -31,7 +31,10 @@ type Frame struct {
 	// received FIN (TypeStreamAck), or marks a ping reply
 	// (TypeStreamPing).
 	FIN bool
-	// Data is the stream payload (TypeStream only).
+	// Data is the stream payload (TypeStream), or the out-of-order
+	// ranges the receiver holds beyond the cumulative ack
+	// (TypeStreamAck): up to eight big-endian (start, end) uint32
+	// pairs, lowest first, empty when nothing is out of order.
 	Data []byte
 }
 

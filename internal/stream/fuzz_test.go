@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -88,6 +89,13 @@ func FuzzFrameParse(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00})
 	f.Add([]byte{0x00, 0x00, 0xFF, 0xFF, 0x01})
 	f.Add(proto.AppendFrame(nil, &proto.Message{Type: proto.TypeData}, 0))
+	// Acks reporting out-of-order ranges: well-formed, then with a
+	// 7-byte tail, a reversed pair and more pairs than an ack may carry.
+	ranges := ackRangesOf(2000, 3110, 4220, 5330)
+	f.Add(AppendFrame(nil, &Frame{Type: proto.TypeStreamAck, Stream: 2, Off: 1110, Data: ranges}))
+	f.Add(AppendFrame(nil, &Frame{Type: proto.TypeStreamAck, Stream: 2, Off: 1110, FIN: true, Data: ranges[:15]}))
+	f.Add(AppendFrame(nil, &Frame{Type: proto.TypeStreamAck, Stream: 3, Data: ackRangesOf(
+		9, 1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pr Parser
 		var frames []Frame
@@ -133,6 +141,9 @@ func FuzzStreamReassembly(f *testing.F) {
 	f.Add(payload(4096), int64(7))
 	f.Add([]byte{}, int64(3))
 	f.Add(payload(300), int64(99))
+	// Twenty-odd segments in shuffled order: acks reporting several
+	// ranges at once.
+	f.Add(payload(12<<10), int64(5))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		if len(data) > 48<<10 {
 			return // stay inside the default flow-control windows
@@ -171,7 +182,33 @@ func FuzzStreamReassembly(f *testing.F) {
 		rng.Shuffle(len(sched), func(i, j int) { sched[i], sched[j] = sched[j], sched[i] })
 
 		h := newHarness(seed)
-		h.drop = func(int, []byte) bool { return true } // acks go nowhere
+		// Acks go nowhere, but each must describe what the receiver holds:
+		// at most maxAckRanges whole ranges, ascending and apart from each
+		// other, inside the stream, not below the cumulative offset (a
+		// reader draining inside Readable acks mid-merge, when the lowest
+		// range starts exactly there).
+		h.drop = func(_ int, p []byte) bool {
+			var pr Parser
+			_ = pr.Parse(p, func(fr Frame) error {
+				if fr.Type != proto.TypeStreamAck {
+					return nil
+				}
+				if len(fr.Data)%8 != 0 || len(fr.Data) > 8*maxAckRanges {
+					t.Fatalf("ack carries %d range bytes", len(fr.Data))
+				}
+				at := fr.Off
+				for r := fr.Data; len(r) > 0; r = r[8:] {
+					start, end := binary.BigEndian.Uint32(r), binary.BigEndian.Uint32(r[4:])
+					if start < at || (start == at && at != fr.Off) || end <= start || end > uint32(len(data)) {
+						t.Fatalf("ack at %d reports range %d..%d after %d (stream of %d bytes)",
+							fr.Off, start, end, at, len(data))
+					}
+					at = end
+				}
+				return nil
+			})
+			return true
+		}
 		rcv := &sink{}
 		h.wire(Config{}, Callbacks{}, Callbacks{
 			Readable: func(s *Stream) { rcv.pump(s) },

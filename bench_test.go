@@ -30,10 +30,8 @@ package natpunch
 // without any flags.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -45,7 +43,6 @@ import (
 var (
 	benchWorkers = flag.Int("workers", 1, "worker-pool width for experiment fan-out")
 	benchRuns    = flag.Int("runs", 1, "independent seeds per benchmark iteration")
-	connectJSON  = flag.String("connectjson", "", "write the BenchmarkConnect latency summary as JSON to this path")
 )
 
 // benchExperiment runs one experiment driver per iteration over
@@ -228,9 +225,7 @@ func BenchmarkICE(b *testing.B) {
 // BenchmarkConnect is the standing connect-latency workload: the same
 // 48-peer fleet dialed relay-first and punch-at-dial, reporting
 // dial-to-usable-session p50/p95 plus the relay->direct upgrade
-// success rate as benchmark metrics. With -connectjson PATH the
-// summary is also written as JSON (CI emits BENCH_connect.json), so
-// the latency trajectory accumulates run over run.
+// success rate as benchmark metrics.
 func BenchmarkConnect(b *testing.B) {
 	base := fleet.Config{
 		Peers:            48,
@@ -240,7 +235,6 @@ func BenchmarkConnect(b *testing.B) {
 		MeanConnectEvery: 20 * time.Second,
 		AppDataEvery:     5 * time.Second,
 	}
-	summary := map[string]map[string]float64{}
 	for _, mode := range []string{"punch-at-dial", "relay-first"} {
 		b.Run(mode, func(b *testing.B) {
 			cfg := base
@@ -253,12 +247,8 @@ func BenchmarkConnect(b *testing.B) {
 					b.Fatal("fleet made no punch attempts")
 				}
 			}
-			m := map[string]float64{
-				"connect_p50_ms": float64(last.ConnectQuantile(0.5)) / float64(time.Millisecond),
-				"connect_p95_ms": float64(last.ConnectQuantile(0.95)) / float64(time.Millisecond),
-			}
-			b.ReportMetric(m["connect_p50_ms"], "p50-ms")
-			b.ReportMetric(m["connect_p95_ms"], "p95-ms")
+			b.ReportMetric(float64(last.ConnectQuantile(0.5))/float64(time.Millisecond), "p50-ms")
+			b.ReportMetric(float64(last.ConnectQuantile(0.95))/float64(time.Millisecond), "p95-ms")
 			if cfg.RelayFirst {
 				upgraded := 0
 				for _, ps := range last.Pairs {
@@ -268,21 +258,10 @@ func BenchmarkConnect(b *testing.B) {
 				if c := last.Relay + last.Failed; c > 0 {
 					rate = float64(upgraded) / float64(c)
 				}
-				m["upgrade_success_rate"] = rate
-				m["upgrade_p50_ms"] = float64(last.UpgradeQuantile(0.5)) / float64(time.Millisecond)
 				b.ReportMetric(rate, "upgrade-rate")
+				b.ReportMetric(float64(last.UpgradeQuantile(0.5))/float64(time.Millisecond), "upgrade-p50-ms")
 			}
-			summary[mode] = m
 		})
-	}
-	if *connectJSON != "" {
-		data, err := json.MarshalIndent(summary, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(*connectJSON, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -14,13 +14,9 @@ package natpunch
 //     per-datagram fallback. The batched path is the PR's tentpole;
 //     its speedup over portable is reported as a metric.
 //
-// With -throughputjson PATH the collected metrics are written as JSON
-// after the run (CI emits BENCH_throughput.json next to
-// BENCH_connect.json), so the throughput trajectory accumulates run
-// over run:
+// Run with:
 //
-//	go test -run=NONE -bench 'RelayGoodput|Throughput' \
-//	    -throughputjson BENCH_throughput.json .
+//	go test -run=NONE -bench 'RelayGoodput|Throughput' .
 //
 // The goodput comparison is build flavor against build flavor: the
 // batched subtest runs the Linux fast path end to end (GSO-segmented
@@ -29,13 +25,9 @@ package natpunch
 // one syscall per datagram everywhere — on the same hardware.
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,40 +39,6 @@ import (
 	"natpunch/relayapi"
 	"natpunch/rendezvousapi"
 )
-
-var throughputJSON = flag.String("throughputjson", "", "write the throughput benchmark metrics as JSON to this path")
-
-var (
-	throughputMu      sync.Mutex
-	throughputMetrics = map[string]float64{}
-)
-
-func recordThroughput(name string, v float64) {
-	throughputMu.Lock()
-	throughputMetrics[name] = v
-	throughputMu.Unlock()
-}
-
-// TestMain exists solely to flush the -throughputjson artifact after
-// the benchmarks have recorded their metrics.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if *throughputJSON != "" {
-		throughputMu.Lock()
-		data, err := json.MarshalIndent(throughputMetrics, "", "  ")
-		throughputMu.Unlock()
-		if err == nil {
-			err = os.WriteFile(*throughputJSON, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "throughputjson:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // loadConn is one benchmark load-generator endpoint: a raw loopback
 // UDP socket wrapped in the batched I/O helper, so on Linux the
@@ -275,22 +233,13 @@ func benchRelayGoodput(b *testing.B, batching bool) float64 {
 // workload: relayed datagrams per second over loopback, batched
 // (sendmmsg/recvmmsg) against the portable per-datagram fallback. On
 // Linux the batched path must hold a clear multiple of the portable
-// one — the speedup is recorded as relay_goodput_speedup_x in the
-// -throughputjson artifact.
+// one — the speedup is logged after both subtests.
 func BenchmarkRelayGoodput(b *testing.B) {
 	var batched, portable float64
-	b.Run("batched", func(b *testing.B) {
-		batched = benchRelayGoodput(b, true)
-		recordThroughput("relay_goodput_batched_pps", batched)
-	})
-	b.Run("portable", func(b *testing.B) {
-		portable = benchRelayGoodput(b, false)
-		recordThroughput("relay_goodput_portable_pps", portable)
-	})
+	b.Run("batched", func(b *testing.B) { batched = benchRelayGoodput(b, true) })
+	b.Run("portable", func(b *testing.B) { portable = benchRelayGoodput(b, false) })
 	if batched > 0 && portable > 0 {
-		speedup := batched / portable
-		recordThroughput("relay_goodput_speedup_x", speedup)
-		b.Logf("batched/portable relay goodput: %.0f / %.0f pps (%.2fx)", batched, portable, speedup)
+		b.Logf("batched/portable relay goodput: %.0f / %.0f pps (%.2fx)", batched, portable, batched/portable)
 	}
 }
 
@@ -315,9 +264,7 @@ func BenchmarkThroughput(b *testing.B) {
 				b.Fatal("registry lost a live record")
 			}
 		}
-		ops := 2 * float64(b.N) / b.Elapsed().Seconds()
-		b.ReportMetric(ops, "ops/s")
-		recordThroughput("registry_ops_per_sec", ops)
+		b.ReportMetric(2*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 	})
 	b.Run("forwarder", func(b *testing.B) {
 		requireLoopbackUDP(b)
@@ -344,10 +291,7 @@ func BenchmarkThroughput(b *testing.B) {
 		wire := proto.Encode(&proto.Message{
 			Type: proto.TypeConnectRequest, From: "alice", Target: "bob", Nonce: 7,
 		}, 0)
-		pps := benchServerLoad(b, addr, requester, target, wire, proto.TypeConnectDetails)
-		recordThroughput("forwarder_intros_per_sec", pps)
+		benchServerLoad(b, addr, requester, target, wire, proto.TypeConnectDetails)
 	})
-	b.Run("relay", func(b *testing.B) {
-		recordThroughput("relay_loopback_pps", benchRelayGoodput(b, true))
-	})
+	b.Run("relay", func(b *testing.B) { benchRelayGoodput(b, true) })
 }

@@ -2,7 +2,6 @@ package natpunch
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -38,37 +37,33 @@ func (a Addr) Endpoint() transport.Endpoint { return a.ep }
 
 // Conn is an established peer-to-peer session satisfying net.Conn.
 //
-// Over UDP (the default), Conn is message-oriented like net.UDPConn:
-// each Write sends one datagram and each Read returns one (truncating
-// to the buffer, discarding the rest, exactly like UDP). With
-// WithTCP, Conn is a reliable byte stream. Deadlines are wall-clock
-// on every transport (they bound the application's wait, not the
-// protocol's virtual timers).
+// Conn is message-oriented like net.UDPConn: each Write sends one
+// datagram and each Read returns one (truncating to the buffer,
+// discarding the rest, exactly like UDP). Reliable byte streams are
+// layered on top by natpunch/stream (WithStreams). Deadlines are
+// wall-clock on every transport (they bound the application's wait,
+// not the protocol's virtual timers).
 //
 // A Conn whose session dies under §3.6 idle detection returns
 // ErrSessionDead from Read; the application may re-dial on demand.
 type Conn struct {
-	d      *Dialer
-	peer   string
-	local  Addr
-	stream bool
+	d     *Dialer
+	peer  string
+	local Addr
 
-	// sess/tsess are engine objects: touched only under d.tr.Invoke.
-	sess  *punch.UDPSession
-	tsess *punch.TCPSession
+	// sess is an engine object: touched only under d.tr.Invoke.
+	sess *punch.UDPSession
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	via       punch.Method // live path; moves on upgrade/failback
-	remote    Addr         // live remote endpoint, tracks via
-	inbox     [][]byte     // datagram queue (UDP mode)
-	buf       []byte       // stream buffer (TCP mode)
-	closed    bool         // closed locally
-	remoteEOF bool         // stream closed by peer
-	dead      bool         // terminal: §3.6 idle death or superseded
-	deadErr   error        // which terminal error Read/Write surface
-	rdl, wdl  time.Time
-	rdlTimer  *time.Timer
+	mu       sync.Mutex
+	cond     *sync.Cond
+	via      punch.Method // live path; moves on upgrade/failback
+	remote   Addr         // live remote endpoint, tracks via
+	inbox    [][]byte     // datagram queue
+	closed   bool         // closed locally
+	dead     bool         // terminal: §3.6 idle death or superseded
+	deadErr  error        // which terminal error Read/Write surface
+	rdl, wdl time.Time
+	rdlTimer *time.Timer
 
 	// tap/onDead divert the Conn to a stream session (Carry): inbound
 	// datagrams go to tap instead of the inbox, and onDead fires once
@@ -113,7 +108,7 @@ func (c *Conn) migrated(s *punch.UDPSession, old, new punch.Method) {
 // a genuine §3.6 death, though errors.Is(err, ErrSessionDead) still
 // holds — and drop their deadline timer, which would otherwise keep
 // firing into the abandoned Conn until its wall-clock deadline.
-func (d *Dialer) adopt(sess any, c *Conn) {
+func (d *Dialer) adopt(sess *punch.UDPSession, c *Conn) {
 	var stale []*Conn
 	d.mu.Lock()
 	for k, old := range d.conns {
@@ -143,22 +138,6 @@ func (d *Dialer) adopt(sess any, c *Conn) {
 			onDead(err)
 		}
 	}
-}
-
-// newTCPConn wraps an engine TCP session (engine context).
-func (d *Dialer) newTCPConn(s *punch.TCPSession) *Conn {
-	c := &Conn{
-		d: d, peer: s.Peer, via: s.Via, tsess: s, stream: true,
-		local:  Addr{ep: d.client.PrivateUDP()},
-		remote: Addr{relay: true},
-	}
-	if s.Conn != nil {
-		c.local = Addr{ep: s.Conn.Local()}
-		c.remote = Addr{ep: s.Conn.Remote()}
-	}
-	c.cond = sync.NewCond(&c.mu)
-	d.adopt(s, c)
-	return c
 }
 
 // Peer returns the remote endpoint's rendezvous name.
@@ -202,11 +181,7 @@ func (c *Conn) deliver(p []byte) {
 		return
 	}
 	defer c.mu.Unlock()
-	if c.stream {
-		c.buf = append(c.buf, p...)
-	} else {
-		c.inbox = append(c.inbox, append([]byte(nil), p...))
-	}
+	c.inbox = append(c.inbox, append([]byte(nil), p...))
 	c.cond.Broadcast()
 }
 
@@ -225,7 +200,7 @@ func (c *Conn) markDead() {
 	if onDead != nil {
 		onDead(err)
 	}
-	c.d.forget(c.sessKey())
+	c.d.forget(c.sess)
 }
 
 // deadError reports which terminal error this dead Conn surfaces
@@ -237,36 +212,16 @@ func (c *Conn) deadError() error {
 	return ErrSessionDead
 }
 
-// markRemoteClosed flags a peer-closed stream (engine context).
-func (c *Conn) markRemoteClosed() {
-	c.mu.Lock()
-	c.remoteEOF = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *Conn) sessKey() any {
-	if c.tsess != nil {
-		return c.tsess
-	}
-	return c.sess
-}
-
-// Read returns the next datagram (UDP mode; long datagrams truncate
-// to len(p) like net.UDPConn) or the next stream bytes (TCP mode).
-// It blocks until data, deadline, close, or session death.
+// Read returns the next datagram (long datagrams truncate to len(p)
+// like net.UDPConn). It blocks until data, deadline, close, or
+// session death.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.d.addWaiter()
 	defer c.d.removeWaiter()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if c.stream && len(c.buf) > 0 {
-			n := copy(p, c.buf)
-			c.buf = c.buf[n:]
-			return n, nil
-		}
-		if !c.stream && len(c.inbox) > 0 {
+		if len(c.inbox) > 0 {
 			n := copy(p, c.inbox[0])
 			// Nil the popped slot before resslicing: the backing array
 			// keeps every consumed position alive until the whole array
@@ -284,8 +239,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return 0, ErrCarried
 		case c.closed:
 			return 0, ErrClosed
-		case c.remoteEOF:
-			return 0, io.EOF
 		case c.dead:
 			return 0, c.deadError()
 		case !c.rdl.IsZero() && !time.Now().Before(c.rdl):
@@ -295,9 +248,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 }
 
-// Write sends p as one datagram (UDP mode) or appends it to the
-// stream (TCP mode). Sends never block on the peer; the write
-// deadline only guards an already-closed or dead session.
+// Write sends p as one datagram. Sends never block on the peer; the
+// write deadline only guards an already-closed or dead session.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	switch {
@@ -318,13 +270,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Unlock()
 
 	var err error
-	c.d.tr.Invoke(func() {
-		if c.tsess != nil {
-			err = c.tsess.Send(p)
-		} else {
-			err = c.sess.Send(p)
-		}
-	})
+	c.d.tr.Invoke(func() { err = c.sess.Send(p) })
 	if err != nil {
 		return 0, fmt.Errorf("natpunch: write to %s: %w", c.peer, err)
 	}
@@ -351,13 +297,9 @@ func (c *Conn) Close() error {
 		if onDead != nil {
 			onDead(ErrClosed)
 		}
-		if c.tsess != nil {
-			c.tsess.Close()
-		} else {
-			c.sess.Close()
-		}
+		c.sess.Close()
 	})
-	c.d.forget(c.sessKey())
+	c.d.forget(c.sess)
 	return nil
 }
 

@@ -66,10 +66,9 @@ func (*supersededError) Is(target error) bool { return target == ErrSessionDead 
 // registered with the rendezvous server S, able to dial peers by name
 // and to accept inbound sessions through a Listener. It is the
 // public face of the engine the paper describes — UDP hole punching
-// (§3), candidate negotiation (WithICE), TCP hole punching (WithTCP),
-// and relaying (§2.2, WithRelayFallback) — over any transport: the
-// deterministic simulator (natpunch/simnet) or real UDP sockets
-// (natpunch/realudp).
+// (§3), candidate negotiation (WithICE), and relaying (§2.2,
+// WithRelayFallback) — over any transport: the deterministic
+// simulator (natpunch/simnet) or real UDP sockets (natpunch/realudp).
 //
 // All methods are safe for concurrent use.
 type Dialer struct {
@@ -81,7 +80,7 @@ type Dialer struct {
 	agent  *ice.Agent
 
 	mu       sync.Mutex
-	conns    map[any]*Conn // engine session (UDP or TCP) -> Conn
+	conns    map[*punch.UDPSession]*Conn
 	listener *Listener
 	pending  []*Conn // inbound conns accepted before Listen
 	closed   bool
@@ -101,9 +100,6 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.useStreams && cfg.useTCP {
-		return nil, errors.New("natpunch: WithStreams and WithTCP are mutually exclusive")
-	}
 	pool := make([]transport.Endpoint, 0, len(cfg.servers)+1)
 	seen := make(map[transport.Endpoint]bool)
 	for _, ep := range append([]transport.Endpoint{server}, cfg.servers...) {
@@ -118,13 +114,12 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 	}
 	pool = rendezvous.Preference(name, pool)
 
-	d := &Dialer{tr: tr, name: name, cfg: cfg, conns: make(map[any]*Conn)}
+	d := &Dialer{tr: tr, name: name, cfg: cfg, conns: make(map[*punch.UDPSession]*Conn)}
 	if w, ok := tr.(transport.Waiter); ok {
 		d.waiter = w
 	}
 
-	regCh := make(chan error, 2)
-	regWait := 1
+	regCh := make(chan error, 1)
 	var err error
 	tr.Invoke(func() {
 		d.client = punch.NewClientOver(tr, name, pool[0], cfg.punch)
@@ -156,18 +151,6 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 			Data:        d.udpData,
 			Dead:        d.udpDead,
 		}
-		if cfg.useTCP {
-			regWait = 2
-			tcpDone := func(e error) {
-				regCh <- e
-			}
-			d.client.InboundTCP = punch.TCPCallbacks{
-				Established: func(s *punch.TCPSession) { d.inbound(d.newTCPConn(s)) },
-				Data:        d.tcpData,
-				Closed:      d.tcpClosed,
-			}
-			err = d.client.RegisterTCP(cfg.localPort, tcpDone)
-		}
 	})
 	if err != nil {
 		d.shutdownEngine()
@@ -176,18 +159,15 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 
 	d.addWaiter()
 	defer d.removeWaiter()
-	deadline := time.After(cfg.registerTimeout)
-	for i := 0; i < regWait; i++ {
-		select {
-		case e := <-regCh:
-			if e != nil {
-				d.shutdownEngine()
-				return nil, e
-			}
-		case <-deadline:
+	select {
+	case e := <-regCh:
+		if e != nil {
 			d.shutdownEngine()
-			return nil, ErrRegisterTimeout
+			return nil, e
 		}
+	case <-time.After(cfg.registerTimeout):
+		d.shutdownEngine()
+		return nil, ErrRegisterTimeout
 	}
 	return d, nil
 }
@@ -259,22 +239,14 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		}
 	}
 	d.tr.Invoke(func() {
-		switch {
-		case d.cfg.useTCP:
-			d.client.ConnectTCP(peer, punch.TCPCallbacks{
-				Established: func(s *punch.TCPSession) { deliver(dialResult{conn: d.newTCPConn(s)}) },
-				Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
-				Data:        d.tcpData,
-				Closed:      d.tcpClosed,
-			})
-		case d.cfg.useICE:
+		if d.cfg.useICE {
 			d.agent.Connect(peer, ice.Callbacks{
 				Established: func(s *punch.UDPSession, _ ice.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
 				Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
 				Data:        d.udpData,
 				Dead:        d.udpDead,
 			})
-		default:
+		} else {
 			d.client.ConnectUDP(peer, punch.UDPCallbacks{
 				Established: func(s *punch.UDPSession) { deliver(dialResult{conn: d.newUDPConn(s)}) },
 				Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
@@ -301,12 +273,9 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		return r.conn, nil
 	case <-ctx.Done():
 		d.tr.Invoke(func() {
-			switch {
-			case d.cfg.useTCP:
-				d.client.AbortTCP(peer)
-			case d.cfg.useICE:
+			if d.cfg.useICE {
 				d.agent.Abort(peer)
-			default:
+			} else {
 				d.client.AbortUDP(peer)
 			}
 		})
@@ -401,12 +370,8 @@ func (d *Dialer) inbound(c *Conn) {
 		c.closed = true
 		c.cond.Broadcast()
 		c.mu.Unlock()
-		if c.tsess != nil {
-			c.tsess.Close()
-		} else if c.sess != nil {
-			c.sess.Close()
-		}
-		d.forget(c.sessKey())
+		c.sess.Close()
+		d.forget(c.sess)
 		return
 	}
 	l := d.listener
@@ -419,7 +384,7 @@ func (d *Dialer) inbound(c *Conn) {
 	}
 }
 
-func (d *Dialer) lookup(sess any) *Conn {
+func (d *Dialer) lookup(sess *punch.UDPSession) *Conn {
 	d.mu.Lock()
 	c := d.conns[sess]
 	d.mu.Unlock()
@@ -444,19 +409,7 @@ func (d *Dialer) udpDead(s *punch.UDPSession) {
 	}
 }
 
-func (d *Dialer) tcpData(s *punch.TCPSession, p []byte) {
-	if c := d.lookup(s); c != nil {
-		c.deliver(p)
-	}
-}
-
-func (d *Dialer) tcpClosed(s *punch.TCPSession) {
-	if c := d.lookup(s); c != nil {
-		c.markRemoteClosed()
-	}
-}
-
-func (d *Dialer) forget(sess any) {
+func (d *Dialer) forget(sess *punch.UDPSession) {
 	d.mu.Lock()
 	delete(d.conns, sess)
 	d.mu.Unlock()

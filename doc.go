@@ -2,8 +2,9 @@
 // "Peer-to-Peer Communication Across Network Address Translators"
 // (Ford, Srisuresh, Kegel; USENIX ATC 2005): dial a peer by its
 // rendezvous name and get back a net.Conn, with UDP hole punching
-// (§3), ICE-style candidate negotiation, TCP hole punching (§4), and
-// relaying (§2.2) underneath.
+// (§3), ICE-style candidate negotiation, and relaying (§2.2)
+// underneath, and multiplexed reliable streams (natpunch/stream) on
+// top.
 //
 // The three facade types are Dialer (one named, registered endpoint),
 // Listener (inbound sessions, a net.Listener), and Conn (an
@@ -27,7 +28,7 @@
 // The repository is structured facade → engine → transport:
 //
 //	natpunch (Dialer/Listener/Conn, options, blocking+context API)
-//	  └─ internal/punch + internal/ice + internal/rendezvous + internal/relay
+//	  └─ internal/punch + internal/ice + internal/rendezvous
 //	       └─ natpunch/transport (sockets, timers, clock, serialization)
 //	            ├─ natpunch/simnet  (deterministic simulated worlds)
 //	            └─ natpunch/realudp (real UDP sockets)

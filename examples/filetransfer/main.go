@@ -1,19 +1,20 @@
-// File transfer example: TCP hole punching (§4) used for what TCP is
-// for — a bulk reliable stream. Two peers behind NATs punch a TCP
-// session through the public Dialer/Listener/Conn API (WithTCP) and
-// transfer 256 KiB, verified with a FNV hash; runs once with
-// BSD-style stacks and once with Linux-style stacks to show both
-// §4.3 behaviors carrying real data.
+// File transfer example: a bulk reliable stream over a punched UDP
+// session. Two peers behind NATs punch a session through the public
+// Dialer/Listener/Conn API (WithStreams), open a natpunch/stream
+// stream on it, and transfer 256 KiB, verified with a FNV hash; runs
+// once on BSD-style hosts and once on Linux-style hosts.
 package main
 
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"natpunch"
 	"natpunch/rendezvousapi"
 	"natpunch/simnet"
+	"natpunch/stream"
 )
 
 const fileSize = 256 << 10
@@ -31,11 +32,11 @@ func transfer(flavor simnet.OSFlavor) {
 	hostB := realmB.AddHostOS("B", "10.1.1.3", flavor)
 
 	sender, err := natpunch.Open(hostA.Transport(), "sender", server.Endpoint(),
-		natpunch.WithTCP(), natpunch.WithLocalPort(4321))
+		natpunch.WithStreams(), natpunch.WithLocalPort(4321))
 	check(err)
 	defer sender.Close()
 	receiver, err := natpunch.Open(hostB.Transport(), "receiver", server.Endpoint(),
-		natpunch.WithTCP(), natpunch.WithLocalPort(4321))
+		natpunch.WithStreams(), natpunch.WithLocalPort(4321))
 	check(err)
 	defer receiver.Close()
 
@@ -57,38 +58,33 @@ func transfer(flavor simnet.OSFlavor) {
 	done := make(chan summary, 1)
 	go func() {
 		conn, err := ln.AcceptConn()
-		if err != nil {
-			return
-		}
+		check(err)
+		sess, err := stream.NewSession(conn)
+		check(err)
+		defer sess.Close()
+		st, err := sess.AcceptStream()
+		check(err)
 		got := fnv.New64a()
-		received := 0
-		buf := make([]byte, 32<<10)
-		conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-		for received < fileSize {
-			n, err := conn.Read(buf)
-			if err != nil {
-				break
-			}
-			got.Write(buf[:n])
-			received += n
-		}
-		done <- summary{received, received == fileSize && got.Sum64() == want.Sum64(), conn.Path()}
+		st.SetReadDeadline(time.Now().Add(60 * time.Second))
+		received, _ := io.Copy(got, st)
+		done <- summary{int(received), received == fileSize && got.Sum64() == want.Sum64(), conn.Path()}
 	}()
 
 	start := world.Now()
 	conn, err := sender.Dial("receiver")
 	check(err)
 	fmt.Printf("  sender:   stream via %s to %v\n", conn.Path(), conn.RemoteAddr())
+	sess, err := stream.NewSession(conn)
+	check(err)
+	defer sess.Close()
+	st, err := sess.OpenStream()
+	check(err)
 	// Send in 8 KiB application chunks.
 	for off := 0; off < len(file); off += 8 << 10 {
-		end := off + 8<<10
-		if end > len(file) {
-			end = len(file)
-		}
-		if _, err := conn.Write(file[off:end]); err != nil {
-			panic(err)
-		}
+		_, err := st.Write(file[off:min(off+8<<10, len(file))])
+		check(err)
 	}
+	check(st.CloseWrite())
 	sum := <-done
 	fmt.Printf("  receiver: stream via %s\n", sum.path)
 	fmt.Printf("  %d/%d bytes, hash match: %v, virtual transfer time %v\n",
@@ -96,10 +92,10 @@ func transfer(flavor simnet.OSFlavor) {
 }
 
 func main() {
-	fmt.Println("TCP hole punched file transfer (256 KiB):")
-	fmt.Println("BSD-style stacks (§4.3 first behavior):")
+	fmt.Println("Hole punched file transfer over a reliable stream (256 KiB):")
+	fmt.Println("BSD-style hosts:")
 	transfer(simnet.BSD)
-	fmt.Println("Linux-style stacks (§4.3 second behavior):")
+	fmt.Println("Linux-style hosts:")
 	transfer(simnet.Linux)
 }
 

@@ -128,33 +128,6 @@ func TestFacadeSimICERelayFloor(t *testing.T) {
 	}
 }
 
-func TestFacadeSimTCPStream(t *testing.T) {
-	alice, bob, _, _ := simPair(t, simnet.Cone(), simnet.Cone(), WithTCP())
-	ln, err := bob.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	echoAccept(t, ln)
-
-	conn, err := alice.Dial("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("stream me")); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	buf := make([]byte, 256)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "echo:stream me" {
-		t.Errorf("got %q", buf[:n])
-	}
-}
-
 func TestFacadeDialUnknownPeerFails(t *testing.T) {
 	alice, _, _, _ := simPair(t, simnet.Cone(), simnet.Cone())
 	if _, err := alice.Dial("ghost"); err == nil {

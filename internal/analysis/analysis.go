@@ -147,7 +147,6 @@ func DefaultConfig() *Config {
 			"natpunch/internal/ice",
 			"natpunch/internal/fleet",
 			"natpunch/internal/rendezvous",
-			"natpunch/internal/relay",
 			"natpunch/internal/experiments",
 			"natpunch/internal/tcp",
 			"natpunch/internal/stream",
@@ -183,13 +182,11 @@ func DefaultConfig() *Config {
 			"natpunch/transport",
 			"natpunch/simnet",
 			"natpunch/realudp",
-			"natpunch/realnet",
 			"natpunch/relayapi",
 			"natpunch/rendezvousapi",
 			"natpunch/natcheckapi",
 			"natpunch/internal/punch",
 			"natpunch/internal/ice",
-			"natpunch/internal/relay",
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/tcp",
 			"natpunch/internal/stream",
@@ -213,10 +210,8 @@ func DefaultConfig() *Config {
 			"natpunch/transport",
 			"natpunch/simnet",
 			"natpunch/realudp",
-			"natpunch/realnet",
 			"natpunch/internal/punch",
 			"natpunch/internal/ice",
-			"natpunch/internal/relay",
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/tcp",
 			"natpunch/internal/stream",

@@ -36,7 +36,7 @@ var allowedRand = map[string]bool{
 // experiment output at any parallelism width — the repo's headline
 // reproducibility claim — holds only if every timestamp and random
 // draw comes from the per-run transport seam (virtual clock, seeded
-// source). realudp/realnet and the cmds are deliberately outside the
+// source). realudp and the cmds are deliberately outside the
 // scope: they adapt the engine to the real world, where the wall
 // clock is the point.
 var Determinism = &Analyzer{

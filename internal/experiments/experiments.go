@@ -193,7 +193,7 @@ func (p *pair) punchUDP(window time.Duration) udpOutcome {
 	start := p.Net.Sched.Now()
 	var sa, sb *punch.UDPSession
 	failed := false
-	p.b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }}
+	p.b.InboundUDP.Established = func(s *punch.UDPSession) { sb = s }
 	p.a.ConnectUDP("bob", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession) { sa = s },
 		Failed:      func(string, error) { failed = true },

@@ -9,7 +9,6 @@ import (
 	"natpunch/internal/nat"
 	"natpunch/internal/natcheck"
 	"natpunch/internal/punch"
-	"natpunch/internal/relay"
 	"natpunch/internal/rendezvous"
 	"natpunch/internal/sim"
 	"natpunch/internal/tcp"
@@ -72,89 +71,25 @@ func Fig1AddressRealms(seed int64) Result {
 	}
 }
 
-// Fig2Relaying quantifies §2.2: message RTT and server load when
-// relaying through a TURN-style server, against a punched direct path.
+// Fig2Relaying quantifies §2.2: message RTT and server load when a
+// session falls back to relaying through S, against a punched direct
+// path.
 func Fig2Relaying(seed int64) Result {
 	const messages = 50
 
-	// Relayed path between symmetric NATs (punching impossible).
-	c := topo.NewCanonical(seed, nat.Symmetric(), nat.Symmetric())
-	rsrv, err := relay.New(c.S, 3478)
-	must(err)
-	sa, err := c.A.UDPBind(4321)
-	must(err)
-	sb, err := c.B.UDPBind(4321)
-	must(err)
-	ra := relay.NewClient(sa, rsrv.Endpoint())
-	rb := relay.NewClient(sb, rsrv.Endpoint())
-	c.RunFor(time.Second)
-	ra.Permit(rb.Relayed)
-	rb.Permit(ra.Relayed)
-	c.RunFor(time.Second)
+	// Symmetric NATs on both sides: punching is impossible, so the
+	// session lands on the relay floor.
+	relayed := newUDPPair(seed, nat.Symmetric(), nat.Symmetric(), punch.Config{RelayFallback: true})
+	done, relayRTT := relayed.pingPong(messages)
+	relayBytes := relayed.srv.Stats().RelayedBytes
 
-	var relayRTT time.Duration
-	done := 0
-	var sendPing func()
-	var sentAt time.Duration
-	rb.OnData = func(from inet.Endpoint, p []byte) { rb.SendTo(from, p) }
-	ra.OnData = func(from inet.Endpoint, p []byte) {
-		relayRTT += c.Net.Sched.Now() - sentAt
-		done++
-		if done < messages {
-			sendPing()
-		}
-	}
-	sendPing = func() {
-		sentAt = c.Net.Sched.Now()
-		ra.SendTo(rb.Relayed, []byte("ping"))
-	}
-	sendPing()
-	c.RunFor(time.Minute)
-	relayBytes := rsrv.Stats().BytesForwarded
-
-	// Direct punched path between cone NATs, with bob echoing on his
-	// side of the session.
-	p := newUDPPair(seed+1, nat.Cone(), nat.Cone(), punch.Config{})
-	var bobSession *punch.UDPSession
-	p.b.InboundUDP = punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { bobSession = s },
-		Data:        func(s *punch.UDPSession, data []byte) { s.Send(data) },
-	}
-	var aliceSession *punch.UDPSession
-	p.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { aliceSession = s },
-	})
-	p.await(30*time.Second, func() bool { return aliceSession != nil && bobSession != nil })
-
-	var directRTT time.Duration
-	if aliceSession != nil {
-		echoCount := 0
-		var dSentAt time.Duration
-		var dPing func()
-		aliceSession.OnData(func(*punch.UDPSession, []byte) {
-			directRTT += p.Net.Sched.Now() - dSentAt
-			echoCount++
-			if echoCount < messages {
-				dPing()
-			}
-		})
-		dPing = func() {
-			dSentAt = p.Net.Sched.Now()
-			aliceSession.Send([]byte("ping"))
-		}
-		dPing()
-		p.RunFor(time.Minute)
-		if echoCount > 0 {
-			directRTT /= time.Duration(echoCount)
-		}
-	}
-	if done > 0 {
-		relayRTT /= time.Duration(done)
-	}
+	// Cone NATs: the same exchange over the punched direct path.
+	direct := newUDPPair(seed+1, nat.Cone(), nat.Cone(), punch.Config{})
+	directDone, directRTT := direct.pingPong(messages)
 
 	rows := [][]string{
 		{"relayed (Figure 2)", fmt.Sprint(done), ms(relayRTT), fmt.Sprintf("%dB", relayBytes)},
-		{"direct punched (§3)", fmt.Sprint(messages), ms(directRTT), "0B"},
+		{"direct punched (§3)", fmt.Sprint(directDone), ms(directRTT), fmt.Sprintf("%dB", direct.srv.Stats().RelayedBytes)},
 	}
 	return Result{
 		ID:    "E3",
@@ -169,6 +104,35 @@ func Fig2Relaying(seed int64) Result {
 			"relay_bytes":   float64(relayBytes),
 		},
 	}
+}
+
+// pingPong establishes alice's session to bob (bob echoing) and sends
+// n 4-byte pings one at a time, each after the previous echo. It
+// returns how many echoes came back and their average RTT.
+func (p *pair) pingPong(n int) (echoes int, avg time.Duration) {
+	p.b.InboundUDP.Data = func(s *punch.UDPSession, data []byte) { s.Send(data) }
+	out := p.punchUDP(30 * time.Second)
+	if !out.ok {
+		return 0, 0
+	}
+	var total, sentAt time.Duration
+	ping := func() {
+		sentAt = p.Net.Sched.Now()
+		out.session.Send([]byte("ping"))
+	}
+	out.session.OnData(func(*punch.UDPSession, []byte) {
+		total += p.Net.Sched.Now() - sentAt
+		echoes++
+		if echoes < n {
+			ping()
+		}
+	})
+	ping()
+	p.RunFor(time.Minute)
+	if echoes > 0 {
+		avg = total / time.Duration(echoes)
+	}
+	return echoes, avg
 }
 
 // Fig3ConnectionReversal reproduces §2.3: direct dialing a NATed peer

@@ -7,22 +7,6 @@ import (
 	"natpunch/internal/experiments"
 )
 
-// TestFleetSerialParallelIdentical is the E-FLEET acceptance bar: the
-// rendered fleet table must be byte-identical at -parallel 1 and
-// -parallel 8 for the same seed, because each scenario is an isolated
-// (seed, config) simulation and aggregation happens in submission
-// order.
-func TestFleetSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-FLEET", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-FLEET", 1)
-	if serial != parallel {
-		t.Errorf("E-FLEET serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestFleetTable1Expectations sanity-checks the fleet outcomes
 // against the paper: cone pairs punch directly (near-universally),
 // symmetric-involved pairs fall back to relay, nothing hard-fails

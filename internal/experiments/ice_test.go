@@ -7,20 +7,6 @@ import (
 	"natpunch/internal/experiments"
 )
 
-// TestICESerialParallelIdentical is the E-ICE acceptance bar: the
-// rendered table must be byte-identical at -parallel 1 and
-// -parallel 8 for the same seed.
-func TestICESerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-ICE", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-ICE", 1)
-	if serial != parallel {
-		t.Errorf("E-ICE serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestICEExpectations pins the scenario outcomes the issue's
 // acceptance criteria name: same-site pairs connect via private
 // candidates, and symmetric<->symmetric pairs behind a hairpinning

@@ -24,17 +24,22 @@ func runOne(t *testing.T, id string, seed int64) string {
 
 // TestRunnerSerialParallelIdentical is the engine's core guarantee:
 // the rendered tables are byte-for-byte identical at any worker-pool
-// width.
+// width (-parallel 1 vs -parallel 8). The fleet-scale experiments ride
+// along: each of their scenarios is an isolated (seed, config)
+// simulation aggregated in submission order, and E-UPGRADE's paired
+// variants share a derived seed that must be width-independent too.
 func TestRunnerSerialParallelIdentical(t *testing.T) {
 	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	for _, id := range detExperiments {
-		experiments.SetWorkers(1)
-		serial := runOne(t, id, 1)
-		experiments.SetWorkers(8)
-		parallel := runOne(t, id, 1)
-		if serial != parallel {
-			t.Errorf("%s: serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
-		}
+	for _, id := range append([]string{"E-FLEET", "E-ICE", "E-FED", "E-UPGRADE"}, detExperiments...) {
+		t.Run(id, func(t *testing.T) {
+			experiments.SetWorkers(1)
+			serial := runOne(t, id, 1)
+			experiments.SetWorkers(8)
+			parallel := runOne(t, id, 1)
+			if serial != parallel {
+				t.Errorf("serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+			}
+		})
 	}
 }
 

@@ -8,21 +8,6 @@ import (
 	"natpunch/internal/experiments"
 )
 
-// TestUpgradeSerialParallelIdentical is the E-UPGRADE acceptance bar:
-// the rendered comparison must be byte-identical at -parallel 1 and
-// -parallel 8 for the same seed. Both variants of a scenario share a
-// derived seed, so the pairing itself must also be width-independent.
-func TestUpgradeSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
-	experiments.SetWorkers(1)
-	serial := runOne(t, "E-UPGRADE", 1)
-	experiments.SetWorkers(8)
-	parallel := runOne(t, "E-UPGRADE", 1)
-	if serial != parallel {
-		t.Errorf("E-UPGRADE serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestUpgradeExpectations pins the experiment's headline claims:
 // relay-first connects faster than punch-at-dial (a usable relay
 // session after ~one relay round-trip vs a punched path), the

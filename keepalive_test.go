@@ -8,9 +8,11 @@ package natpunch
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"natpunch/internal/proto"
 	"natpunch/realudp"
 	"natpunch/rendezvousapi"
 )
@@ -156,5 +158,91 @@ func TestRealSocketRelayKeepAliveAndIdleDeath(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := conn.Read(buf); !errors.Is(err, ErrSessionDead) {
 		t.Fatalf("read after peer death = %v, want ErrSessionDead", err)
+	}
+}
+
+// TestDataBeforePunchAckLocksIn covers the UDP reordering case where
+// the peer's first data datagram overtakes the punch-ack: with both
+// sides punching, the side whose ack is still in flight must accept
+// correctly-nonced data as session lock-in instead of dropping it.
+func TestDataBeforePunchAckLocksIn(t *testing.T) {
+	requireLoopbackUDP(t)
+	// A bare socket plays both the rendezvous server and the peer: it
+	// acks alice's registration, reads her ConnectRequest to learn the
+	// session nonce, then — without ever sending a punch or punch-ack —
+	// delivers a data datagram from "bob" carrying that nonce.
+	fake, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakeDone := make(chan struct{})
+	defer func() {
+		fake.Close()
+		<-fakeDone
+	}()
+	go func() {
+		defer close(fakeDone)
+		buf := make([]byte, 64<<10)
+		for {
+			n, aliceAddr, err := fake.ReadFromUDP(buf)
+			if err != nil {
+				return // socket closed: test over
+			}
+			m, err := proto.Decode(buf[:n])
+			if err != nil {
+				t.Errorf("undecodable datagram from alice: %v", err)
+				return
+			}
+			var reply *proto.Message
+			switch m.Type {
+			case proto.TypeRegister:
+				pub, err := realudp.ToEndpoint(aliceAddr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reply = &proto.Message{Type: proto.TypeRegisterOK, Target: m.From, Public: pub}
+			case proto.TypeConnectRequest:
+				if m.Target != "bob" {
+					t.Errorf("connect request for %q, want bob", m.Target)
+				}
+				reply = &proto.Message{Type: proto.TypeData, From: "bob", Nonce: m.Nonce, Data: []byte("early bird")}
+			default:
+				continue // keep-alives
+			}
+			if _, err := fake.WriteToUDP(proto.Encode(reply, 0), aliceAddr); err != nil {
+				return
+			}
+		}
+	}()
+
+	server, err := realudp.ToEndpoint(fake.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := newLoopTransport(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := Open(tr, "alice", server, WithPunchTimeout(5*time.Second), WithRegisterTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alice.Close()
+	conn, err := alice.Dial("bob")
+	if err != nil {
+		t.Fatalf("Dial did not resolve on early data: %v", err)
+	}
+	if conn.Peer() != "bob" {
+		t.Errorf("peer = %q", conn.Peer())
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("Read of the early datagram: %v", err)
+	}
+	if string(buf[:n]) != "early bird" {
+		t.Errorf("got %q", buf[:n])
 	}
 }

@@ -13,7 +13,6 @@ type config struct {
 	punch           punch.Config
 	useICE          bool
 	iceCfg          ice.Config
-	useTCP          bool
 	useStreams      bool
 	localPort       transport.Port
 	registerTimeout time.Duration
@@ -119,25 +118,12 @@ func WithKeepAlive(interval, deadAfter time.Duration) Option {
 	}
 }
 
-// WithTCP switches dialing to TCP hole punching (§4): Conns become
-// reliable byte streams punched with the parallel procedure of §4.2.
-// Requires a transport with the full simulated host stack; real-UDP
-// transports fail Open with an error.
-//
-// Deprecated: for reliable byte streams between peers, use
-// WithStreams and the natpunch/stream package, which multiplexes
-// flow-controlled streams over the UDP session and survives live
-// relay↔direct migration. WithTCP remains only to reproduce the
-// paper's §4 TCP hole-punching experiments on the simulated host
-// stack, and is mutually exclusive with WithStreams.
-func WithTCP() Option { return func(c *config) { c.useTCP = true } }
-
 // WithStreams enables carrying multiplexed reliable streams over this
 // endpoint's UDP sessions: Conn.Carry becomes available, which the
 // natpunch/stream package uses to run QUIC-style flow-controlled
 // streams (stream.NewSession) over any session — direct, relayed, or
 // relay-first — surviving live path migration. Both peers of a
-// streamed session must enable it. Mutually exclusive with WithTCP.
+// streamed session must enable it.
 func WithStreams() Option { return func(c *config) { c.useStreams = true } }
 
 // WithObfuscation one's-complements addresses inside message bodies

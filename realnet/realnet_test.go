@@ -2,39 +2,15 @@ package realnet_test
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
-	"natpunch/internal/proto"
 	"natpunch/realnet"
 )
 
-// requireLoopbackUDP probes — with a short deadline so a broken
-// environment cannot hang the suite — whether UDP over 127.0.0.1
-// actually delivers datagrams. Restricted CI containers and sandboxes
-// sometimes permit binding but silently drop loopback traffic, which
-// used to surface as 5-second flaky timeouts; skipping keeps
-// `go test -race ./...` reliable everywhere.
-func requireLoopbackUDP(t *testing.T) {
-	t.Helper()
-	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Skipf("UDP loopback unavailable: %v", err)
-	}
-	defer c.Close()
-	if _, err := c.WriteToUDP([]byte("probe"), c.LocalAddr().(*net.UDPAddr)); err != nil {
-		t.Skipf("UDP loopback send failed: %v", err)
-	}
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 16)
-	if _, _, err := c.ReadFromUDP(buf); err != nil {
-		t.Skipf("UDP loopback does not deliver datagrams: %v", err)
-	}
-}
-
-// requireLoopbackTCP is the TCP twin: skip when loopback listeners
-// cannot accept connections in this environment.
+// requireLoopbackTCP skips when loopback listeners cannot accept
+// connections in this environment (restricted CI containers and
+// sandboxes sometimes permit binding but drop loopback traffic).
 func requireLoopbackTCP(t *testing.T) {
 	t.Helper()
 	l, err := net.Listen("tcp4", "127.0.0.1:0")
@@ -62,106 +38,6 @@ func requireLoopbackTCP(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Skip("TCP loopback accept timed out")
-	}
-}
-
-// TestUDPPunchOverLoopback runs the full rendezvous + punch exchange
-// over real loopback sockets. There is no NAT on the path, but every
-// protocol step — registration with observed endpoints, connect
-// request forwarding, crossing punch probes, nonce authentication,
-// lock-in, data — is the real code path.
-func TestUDPPunchOverLoopback(t *testing.T) {
-	requireLoopbackUDP(t)
-	srv, err := realnet.ListenServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	alice, err := realnet.NewClient("alice", "127.0.0.1:0", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alice.Close()
-	bob, err := realnet.NewClient("bob", "127.0.0.1:0", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bob.Close()
-
-	pubA, err := alice.Register(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bob.Register(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// On loopback the observed public endpoint is the bound address.
-	if pubA.Port == 0 {
-		t.Fatalf("bad observed endpoint %v", pubA)
-	}
-
-	var mu sync.Mutex
-	var bobGot []byte
-	var bobSession *realnet.Session
-	gotData := make(chan struct{}, 1)
-	bob.SetOnSession(func(s *realnet.Session) {
-		mu.Lock()
-		bobSession = s
-		mu.Unlock()
-	})
-	bob.SetOnData(func(s *realnet.Session, p []byte) {
-		mu.Lock()
-		bobGot = append([]byte(nil), p...)
-		mu.Unlock()
-		select {
-		case gotData <- struct{}{}:
-		default:
-		}
-	})
-
-	sess, err := alice.Connect("bob", 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Peer != "bob" {
-		t.Errorf("peer = %q", sess.Peer)
-	}
-	if err := sess.Send([]byte("over the real wire")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-gotData:
-	case <-time.After(5 * time.Second):
-		t.Fatal("bob never received data")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if string(bobGot) != "over the real wire" {
-		t.Errorf("bob got %q", bobGot)
-	}
-	if bobSession == nil {
-		t.Error("bob's OnSession never fired")
-	}
-}
-
-func TestConnectUnknownPeerTimesOut(t *testing.T) {
-	requireLoopbackUDP(t)
-	srv, err := realnet.ListenServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	alice, err := realnet.NewClient("alice", "127.0.0.1:0", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alice.Close()
-	if _, err := alice.Register(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alice.Connect("ghost", 500*time.Millisecond); err == nil {
-		t.Fatal("connect to unregistered peer should time out")
 	}
 }
 
@@ -220,88 +96,4 @@ func TestTCPPortReuse(t *testing.T) {
 		t.Fatalf("second dial from listening port: %v", err)
 	}
 	conn2.Close()
-}
-
-// TestDataBeforePunchAckLocksIn covers the UDP reordering case where
-// the peer's first data datagram overtakes the punch-ack: with both
-// sides punching, the side whose ack is still in flight must accept
-// correctly-nonced data as session lock-in instead of dropping it.
-func TestDataBeforePunchAckLocksIn(t *testing.T) {
-	requireLoopbackUDP(t)
-	// A bare socket plays both the rendezvous server and the peer.
-	fake, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fake.Close()
-
-	alice, err := realnet.NewClient("alice", "127.0.0.1:0", fake.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alice.Close()
-
-	var mu sync.Mutex
-	var got []byte
-	gotData := make(chan struct{}, 1)
-	alice.SetOnData(func(s *realnet.Session, p []byte) {
-		mu.Lock()
-		got = append([]byte(nil), p...)
-		mu.Unlock()
-		select {
-		case gotData <- struct{}{}:
-		default:
-		}
-	})
-
-	type connectResult struct {
-		sess *realnet.Session
-		err  error
-	}
-	res := make(chan connectResult, 1)
-	go func() {
-		s, err := alice.Connect("bob", 5*time.Second)
-		res <- connectResult{s, err}
-	}()
-
-	// Read alice's ConnectRequest to learn the session nonce and her
-	// address, then — without ever sending a punch-ack — deliver a
-	// data datagram from "bob" carrying that nonce.
-	buf := make([]byte, 64<<10)
-	fake.SetReadDeadline(time.Now().Add(5 * time.Second))
-	n, aliceAddr, err := fake.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := proto.Decode(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Type != proto.TypeConnectRequest || req.Target != "bob" {
-		t.Fatalf("unexpected first message %v to %q", req.Type, req.Target)
-	}
-	data := proto.Encode(&proto.Message{
-		Type: proto.TypeData, From: "bob", Nonce: req.Nonce, Data: []byte("early bird"),
-	}, 0)
-	if _, err := fake.WriteToUDP(data, aliceAddr); err != nil {
-		t.Fatal(err)
-	}
-
-	r := <-res
-	if r.err != nil {
-		t.Fatalf("Connect did not resolve on early data: %v", r.err)
-	}
-	if r.sess.Peer != "bob" {
-		t.Errorf("peer = %q", r.sess.Peer)
-	}
-	select {
-	case <-gotData:
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnData never fired for the early datagram")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if string(got) != "early bird" {
-		t.Errorf("got %q", got)
-	}
 }

@@ -1,15 +1,14 @@
+// Package realnet holds the §4.1 socket arrangement on real sockets:
+// "use a single local TCP port to listen for incoming TCP connections
+// and to initiate multiple outgoing TCP connections concurrently",
+// which needs SO_REUSEADDR (and SO_REUSEPORT on BSD-derived systems)
+// set on every socket sharing the port.
 package realnet
 
 import (
 	"net"
 	"syscall"
 )
-
-// The §4.1 requirement: "use a single local TCP port to listen for
-// incoming TCP connections and to initiate multiple outgoing TCP
-// connections concurrently", which needs SO_REUSEADDR (and
-// SO_REUSEPORT on BSD-derived systems) set on every socket sharing
-// the port.
 
 // controlReuse sets SO_REUSEADDR (+SO_REUSEPORT where available) on a
 // raw socket before bind.

@@ -488,8 +488,7 @@ func TestStreamSimOutcomeDeterminism(t *testing.T) {
 }
 
 // TestNewSessionRequiresWithStreams pins the facade gate: carrying a
-// session without the option is refused, and combining streams with
-// the deprecated TCP mode is refused at Open.
+// session without the option is refused.
 func TestNewSessionRequiresWithStreams(t *testing.T) {
 	w := simWorld(t, 42, simnet.Cone(), simnet.Cone(),
 		natpunch.WithICE(), natpunch.WithRelayFallback())
@@ -516,16 +515,4 @@ func TestNewSessionRequiresWithStreams(t *testing.T) {
 	if _, err := stream.NewSession(conn); err == nil {
 		t.Fatal("NewSession accepted a conn dialed without WithStreams")
 	}
-
-	core := w.sim.Core()
-	host := core.AddHost("C", "18.181.0.99")
-	_, err = natpunch.Open(host.Transport(), "carol", w.server,
-		natpunch.WithStreams(), natpunch.WithTCP())
-	if err == nil || !errorContains(err, "mutually exclusive") {
-		t.Fatalf("Open(WithStreams, WithTCP) = %v, want mutual-exclusion error", err)
-	}
-}
-
-func errorContains(err error, substr string) bool {
-	return err != nil && bytes.Contains([]byte(err.Error()), []byte(substr))
 }

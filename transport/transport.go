@@ -1,8 +1,8 @@
 // Package transport defines the seam between the natpunch engine and
 // the network it runs on: a small sockets-and-timers interface that
 // the hole-punching client (internal/punch), the candidate-negotiation
-// engine (internal/ice), the rendezvous server (internal/rendezvous),
-// and the TURN-style relay (internal/relay) are written against.
+// engine (internal/ice), and the rendezvous server
+// (internal/rendezvous) are written against.
 //
 // Two implementations ship with the repository:
 //

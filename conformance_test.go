@@ -474,3 +474,60 @@ func TestConformanceRelayFirstUpgrade(t *testing.T) {
 		})
 	}
 }
+
+// TestRealSocketInboxSurvivesDecoderReuse: over real sockets the
+// engine decodes every datagram into one reused message, so a payload
+// waiting in a Conn's read queue is the Conn's own copy — the
+// datagrams that arrive behind it leave it as it was sent.
+func TestRealSocketInboxSurvivesDecoderReuse(t *testing.T) {
+	alice, bob := makeRealPair(t, false)
+	ln, err := bob.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := ln.AcceptConn(); err == nil {
+			accepted <- c
+		}
+	}()
+	conn, err := alice.Dial("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	want := []string{"the first, queued longest", "second", "and a third of yet another length"}
+	for _, p := range want {
+		if _, err := conn.Write([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var peer *Conn
+	select {
+	case peer = <-accepted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("bob never accepted")
+	}
+	defer peer.Close()
+	queued := func() int {
+		peer.mu.Lock()
+		defer peer.mu.Unlock()
+		return len(peer.inbox)
+	}
+	for deadline := time.Now().Add(10 * time.Second); queued() < len(want); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d datagrams queued", queued(), len(want))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	buf := make([]byte, 256)
+	for i, p := range want {
+		n, err := peer.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(buf[:n]) != p {
+			t.Errorf("datagram %d read %q, want %q", i+1, buf[:n], p)
+		}
+	}
+}

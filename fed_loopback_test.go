@@ -57,6 +57,25 @@ func openLoop(t *testing.T, name string, server transport.Endpoint, opts ...Opti
 	return d
 }
 
+// awaitReplicated waits until every server knows every name. Open
+// returns on the home server's ack, which that server sends ahead of
+// the record it replicates to its peers: a dial issued at once can
+// reach the other server first.
+func awaitReplicated(t *testing.T, srvs []*rendezvousapi.Server, names ...string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, srv := range srvs {
+		for _, name := range names {
+			for !srv.Registered(name) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never replicated to %s", name, srv.Endpoint())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+}
+
 // TestFederatedLoopbackCrossServerICE: alice homed on S1, bob on S2,
 // candidate negotiation brokered across the federation link, direct
 // outcome class, data both ways.
@@ -64,6 +83,7 @@ func TestFederatedLoopbackCrossServerICE(t *testing.T) {
 	srvs, eps := fedServers(t, 2)
 	alice := openLoop(t, "alice", eps[0], WithICE(), WithRelayFallback(), WithPunchTimeout(2*time.Second))
 	bob := openLoop(t, "bob", eps[1], WithICE(), WithRelayFallback(), WithPunchTimeout(2*time.Second))
+	awaitReplicated(t, srvs, "alice", "bob")
 
 	dialPath, acceptPath := runScenario(t, alice, bob)
 	if classOf(dialPath) != "direct" || classOf(acceptPath) != "direct" {
@@ -96,6 +116,7 @@ func TestFederatedLoopbackRelayOnlyFallback(t *testing.T) {
 	}
 	alice := openLoop(t, "alice", eps[0], opts...)
 	bob := openLoop(t, "bob", eps[1], opts...)
+	awaitReplicated(t, srvs, "alice", "bob")
 	dropProbes(alice)
 	dropProbes(bob)
 
@@ -143,6 +164,7 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 	}
 	alice := openLoop(t, "alice", transport.Endpoint{}, opts...)
 	bob := openLoop(t, "bob", transport.Endpoint{}, opts...)
+	awaitReplicated(t, srvs, "alice", "bob")
 	dropProbes(alice) // force the relay path: it must survive the kill
 	dropProbes(bob)
 

@@ -200,6 +200,7 @@ func DefaultConfig() *Config {
 			"natpunch/internal/rendezvous.Server.enc",
 			"natpunch/internal/rendezvous.Server.fedScratch",
 			"natpunch/internal/rendezvous.Server.scratchMsg",
+			"natpunch/internal/punch.Client.enc",
 		},
 		RetainingSends: []string{"SendTo"},
 		// Everything that spawns goroutines serving live sessions: the

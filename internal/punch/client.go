@@ -217,6 +217,17 @@ type Client struct {
 	udpRegTries   int
 	udpKeepAlive  transport.Timer
 
+	// Allocation-free datagram path, enabled (reuse) when the socket
+	// declares transport.ScratchSender: every inbound datagram decodes
+	// into dec's one reused Message — its byte fields valid until the
+	// next datagram, so whatever outlives the handler copies — and
+	// every send encodes into enc. The simulated transport retains
+	// sent payloads, and sessions over it hand received ones to
+	// applications that keep them, so it gets fresh ones both ways.
+	reuse bool
+	dec   proto.Decoder
+	enc   []byte
+
 	// Server pool state: pool is the preference-ordered rendezvous
 	// server list (pool[poolIdx] == server), lastServerSeen timestamps
 	// the last traffic from the current server, and serverConfirmed
@@ -444,7 +455,7 @@ func (c *Client) SendUDPMessage(to inet.Endpoint, m *proto.Message) error {
 	if c.udp == nil {
 		return ErrNotRegistered
 	}
-	return c.udp.SendTo(to, proto.Encode(m, c.obf))
+	return c.sendUDP(to, m)
 }
 
 // AdoptUDPSession installs an externally negotiated session — the

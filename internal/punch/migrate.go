@@ -61,9 +61,9 @@ func (s *UDPSession) migrateTo(remote inet.Endpoint, via Method) {
 	}
 	old := s.Via
 	if via != MethodRelay {
-		s.c.udp.SendTo(remote, proto.Encode(&proto.Message{
+		s.c.sendUDP(remote, &proto.Message{
 			Type: proto.TypeMigrate, From: s.c.name, Nonce: s.Nonce, Seq: s.seq,
-		}, s.c.obf))
+		})
 	}
 	s.Remote = remote
 	s.Via = via
@@ -105,8 +105,9 @@ func (s *UDPSession) pathChanged(old Method) {
 func (s *UDPSession) receive(seq uint32, data []byte) {
 	if s.draining && seq > s.drainTo {
 		// New-path datagram overtaking the old path's in-flight tail:
-		// hold it until the drain completes.
-		s.held = append(s.held, heldDatagram{seq: seq, data: data})
+		// hold it — a copy, data may be the decoder's — until the
+		// drain completes.
+		s.held = append(s.held, heldDatagram{seq: seq, data: append([]byte(nil), data...)})
 		return
 	}
 	s.deliver(seq, data)

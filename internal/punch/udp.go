@@ -124,6 +124,9 @@ func (c *Client) BindUDP(localPort inet.Port) error {
 	}
 	c.udp = s
 	c.udpPrivate = s.Local()
+	if ss, ok := s.(transport.ScratchSender); ok && ss.ScratchSendOK() {
+		c.reuse = true
+	}
 	s.OnRecv(c.handleUDPPacket)
 	return nil
 }
@@ -143,9 +146,9 @@ func (c *Client) RegisterUDP(localPort inet.Port, done func(error)) error {
 		c.relayReg = make(map[inet.Endpoint]bool, len(c.cfg.RelayServers))
 		for _, ep := range c.cfg.RelayServers {
 			c.relayReg[ep] = false
-			c.udp.SendTo(ep, proto.Encode(&proto.Message{
+			c.sendUDP(ep, &proto.Message{
 				Type: proto.TypeRegister, From: c.name, Private: c.udpPrivate,
-			}, c.obf))
+			})
 		}
 	}
 	c.sendRegisterUDP()
@@ -203,8 +206,17 @@ func (c *Client) advanceServer() {
 }
 
 // sendToServer transmits a message to S over UDP.
-func (c *Client) sendToServer(m *proto.Message) {
-	c.udp.SendTo(c.server, proto.Encode(m, c.obf))
+func (c *Client) sendToServer(m *proto.Message) { c.sendUDP(c.server, m) }
+
+// sendUDP encodes and transmits one message: into the client's reused
+// scratch when the socket releases payloads before SendTo returns,
+// else as a fresh encoding the transport may keep.
+func (c *Client) sendUDP(to inet.Endpoint, m *proto.Message) error {
+	if c.reuse {
+		c.enc = proto.AppendMessage(c.enc[:0], m, c.obf)
+		return c.udp.SendTo(to, c.enc)
+	}
+	return c.udp.SendTo(to, proto.Encode(m, c.obf))
 }
 
 // UDPRegistered reports whether UDP registration completed.
@@ -252,7 +264,15 @@ func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 // data, and stray traffic (§3.4 requires robust filtering of the
 // latter).
 func (c *Client) handleUDPPacket(from inet.Endpoint, payload []byte) {
-	m, err := proto.Decode(payload)
+	var (
+		m   *proto.Message
+		err error
+	)
+	if c.reuse {
+		m, err = c.dec.Decode(payload)
+	} else {
+		m, err = proto.Decode(payload)
+	}
 	if err != nil {
 		return // stray datagram (wrong host scenarios of §3.4)
 	}
@@ -355,7 +375,7 @@ func (c *Client) scheduleServerKeepAlive() {
 			if !c.relayReg[ep] {
 				m = &proto.Message{Type: proto.TypeRegister, From: c.name, Private: c.udpPrivate}
 			}
-			c.udp.SendTo(ep, proto.Encode(m, c.obf))
+			c.sendUDP(ep, m)
 		}
 		c.scheduleServerKeepAlive()
 	})
@@ -428,25 +448,25 @@ func (c *Client) handlePunch(from inet.Endpoint, m *proto.Message) {
 		return
 	}
 	if a := c.udpAttempts[m.Nonce]; a != nil && !a.done {
-		c.udp.SendTo(from, proto.Encode(&proto.Message{
+		c.sendUDP(from, &proto.Message{
 			Type: proto.TypePunchAck, From: c.name, Nonce: m.Nonce,
-		}, c.obf))
+		})
 		// Triggered probe at the observed source: when the peer is
 		// behind a symmetric NAT, its probes arrive from a mapping we
 		// were never told about, and only a probe aimed at *that*
 		// endpoint can elicit the ack that locks our side in.
-		c.udp.SendTo(from, proto.Encode(&proto.Message{
+		c.sendUDP(from, &proto.Message{
 			Type: proto.TypePunch, From: c.name, Nonce: m.Nonce,
-		}, c.obf))
+		})
 		return
 	}
 	// Re-ack probes for sessions already locked in, so a peer whose
 	// ack was lost can still converge.
 	for _, s := range c.udpSessions {
 		if s.Nonce == m.Nonce && !s.closed {
-			c.udp.SendTo(from, proto.Encode(&proto.Message{
+			c.sendUDP(from, &proto.Message{
 				Type: proto.TypePunchAck, From: c.name, Nonce: m.Nonce,
-			}, c.obf))
+			})
 			return
 		}
 	}
@@ -662,15 +682,15 @@ func (s *UDPSession) Send(data []byte) error {
 	s.seq++
 	s.SentDatagrams++
 	if s.Via == MethodRelay {
-		return s.c.udp.SendTo(s.relayTarget(), proto.Encode(&proto.Message{
+		return s.c.sendUDP(s.relayTarget(), &proto.Message{
 			Type: proto.TypeRelayTo, From: s.c.name, Target: s.Peer,
 			Seq: s.seq, Data: data,
-		}, s.c.obf))
+		})
 	}
-	return s.c.udp.SendTo(s.Remote, proto.Encode(&proto.Message{
+	return s.c.sendUDP(s.Remote, &proto.Message{
 		Type: proto.TypeData, From: s.c.name, Nonce: s.Nonce,
 		Seq: s.seq, Data: data,
-	}, s.c.obf))
+	})
 }
 
 // Close tears the session down locally.
@@ -734,9 +754,9 @@ func (s *UDPSession) scheduleKeepAlive() {
 			// §3.6 applies to relayed sessions too: an empty RelayTo
 			// (Seq 0) refreshes both ends' NAT state and idle clocks
 			// without surfacing as application data.
-			s.c.udp.SendTo(s.relayTarget(), proto.Encode(&proto.Message{
+			s.c.sendUDP(s.relayTarget(), &proto.Message{
 				Type: proto.TypeRelayTo, From: s.c.name, Target: s.Peer,
-			}, s.c.obf))
+			})
 			if s.c.cfg.PathUpgrade && now-s.lastRepunch >= s.c.cfg.RepunchEvery {
 				// Periodically try to win a direct path (back): a
 				// temporary block may have lifted, or the NAT may
@@ -745,9 +765,9 @@ func (s *UDPSession) scheduleKeepAlive() {
 				s.c.repunch(s)
 			}
 		} else {
-			s.c.udp.SendTo(s.Remote, proto.Encode(&proto.Message{
+			s.c.sendUDP(s.Remote, &proto.Message{
 				Type: proto.TypeKeepAlive, From: s.c.name, Nonce: s.Nonce,
-			}, s.c.obf))
+			})
 		}
 		s.scheduleKeepAlive()
 	})

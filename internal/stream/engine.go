@@ -145,14 +145,16 @@ type Mux struct {
 	sndSessLimit uint32
 	rcvSessUsed  uint32 // consumed by the application (or discarded)
 	rcvSessLimit uint32 // last advertised session budget
-	rcvInUse     int    // bytes buffered across all streams (rcvBuf + ooo)
+	rcvInUse     int    // bytes buffered across all streams (rcv + ooo)
 	sessWinPend  bool
 
 	pingNext uint32
 	pings    []pingProbe
 
-	scratch []byte // datagram packing scratch, reused per flush
-	ranges  []byte // ack-range encodings of the flush in progress
+	scratch []byte  // datagram packing scratch, reused per flush
+	ranges  []byte  // ack-range encodings of the flush in progress
+	frames  []Frame // frame list scratch, reused per flush
+	spare   []byte  // the one idle byteQueue array the session keeps
 	closed  bool
 }
 
@@ -461,6 +463,8 @@ func (m *Mux) recordReset(id uint64, rec resetRec) {
 func (m *Mux) newStream(id uint64) *Stream {
 	s := &Stream{
 		m: m, id: id,
+		snd:      byteQueue{spare: &m.spare},
+		rcv:      byteQueue{spare: &m.spare},
 		sndLimit: m.cfg.StreamWindow,
 		rcvLimit: m.cfg.StreamWindow,
 		rto:      m.rtt.RTO(),
@@ -495,7 +499,7 @@ func (m *Mux) terminate(s *Stream, err error) {
 	}
 	s.done = true
 	s.closedErr = err
-	m.rcvInUse -= len(s.rcvBuf) + s.oooBytes()
+	m.rcvInUse -= s.rcv.Len() + s.oooBytes()
 	if err != nil {
 		// Settle receive-side session flow control: the peer charged
 		// its session send-window up to its final size — at least
@@ -517,7 +521,9 @@ func (m *Mux) terminate(s *Stream, err error) {
 		}
 		m.recordReset(s.id, resetRec{final: s.sndMax, settled: settled, rcvLimit: s.rcvLimit})
 	}
-	s.sndBuf, s.rcvBuf, s.ooo, s.sacked = nil, nil, nil, nil
+	s.snd.Release()
+	s.rcv.Release()
+	s.ooo, s.sacked = nil, nil
 	s.rtxAt = 0
 	m.release(s)
 	if m.cb.Readable != nil {
@@ -571,8 +577,8 @@ func (m *Mux) flush() {
 	if m.closed {
 		return
 	}
-	frames := m.pendingCtl
-	m.pendingCtl = nil
+	frames := append(m.frames[:0], m.pendingCtl...)
+	m.pendingCtl = m.pendingCtl[:0]
 	m.ranges = m.ranges[:0]
 	// Per-stream control: acks and window advertisements. The ack FIN
 	// bit — "your FIN is fully delivered" — requires every byte up to
@@ -637,6 +643,8 @@ func (m *Mux) flush() {
 		}
 	}
 	m.transmit(frames)
+	clear(frames) // drop the aliases of queue arrays since replaced
+	m.frames = frames[:0]
 	m.armRtx()
 }
 
@@ -648,10 +656,12 @@ func (m *Mux) transmit(frames []Frame) {
 	m.scratch = m.scratch[:0]
 	for i := range frames {
 		next := AppendFrame(m.scratch, &frames[i])
-		if len(m.scratch) > 0 && len(next) > m.cfg.MaxDatagram {
-			_ = m.send(m.scratch) // lossy by contract; the ARQ recovers
-			m.scratch = AppendFrame(m.scratch[:0], &frames[i])
-			continue
+		if full := len(m.scratch); full > 0 && len(next) > m.cfg.MaxDatagram {
+			// The frame that does not fit opens the next datagram, in
+			// the array the append may just have grown: the scratch
+			// settles at two datagrams and is never reallocated.
+			_ = m.send(next[:full]) // lossy by contract; the ARQ recovers
+			next = next[:copy(next, next[full:])]
 		}
 		m.scratch = next
 	}
@@ -678,7 +688,10 @@ func (m *Mux) armRtx() {
 		m.rtxAt = 0
 		return
 	}
-	if m.rtxTimer != nil && m.rtxAt == at && m.rtxTimer.Active() {
+	// A timer due no later than the deadline stays: every advancing ack
+	// moves the deadline out, and a timer that fires early finds no
+	// stream due, sends nothing and lands here again through its flush.
+	if m.rtxTimer != nil && m.rtxAt <= at && m.rtxTimer.Active() {
 		return
 	}
 	if m.rtxTimer != nil {
@@ -740,10 +753,10 @@ type Stream struct {
 	m  *Mux
 	id uint64
 
-	// Send side: sndBuf holds bytes [sndUna, sndUna+len(sndBuf)) —
-	// unacked and not-yet-sent alike, so a hole the scoreboard proves
-	// lost and an RTO's rewind both resend from the one buffer.
-	sndBuf    []byte
+	// Send side: snd holds bytes [sndUna, sndUna+snd.Len()) — unacked
+	// and not-yet-sent alike, so a hole the scoreboard proves lost and
+	// an RTO's rewind both resend from the one queue.
+	snd       byteQueue
 	sndUna    uint32 // oldest unacknowledged offset
 	sndNxt    uint32 // next offset to transmit
 	sndMax    uint32 // highest offset ever transmitted (session budget)
@@ -771,9 +784,9 @@ type Stream struct {
 	rttAt    time.Duration
 	rttValid bool
 
-	// Receive side: rcvBuf holds in-order bytes awaiting the
-	// application; ooo holds out-of-order segments sorted by offset.
-	rcvBuf     []byte
+	// Receive side: rcv holds in-order bytes awaiting the application;
+	// ooo holds out-of-order segments sorted by offset.
+	rcv        byteQueue
 	rcvNxt     uint32 // next expected offset
 	rcvUsed    uint32 // offset consumed (or discarded) locally
 	rcvHi      uint32 // highest received end / peer-claimed final (≤ rcvLimit)
@@ -815,7 +828,7 @@ func (s *Stream) inFlight() bool {
 
 // pendingBytes counts buffered bytes not yet transmitted.
 func (s *Stream) pendingBytes() int32 {
-	return SeqDiff(s.sndUna+uint32(len(s.sndBuf)), s.sndNxt)
+	return SeqDiff(s.sndUna+uint32(s.snd.Len()), s.sndNxt)
 }
 
 // WriteBudget reports how many bytes Write would accept now: the
@@ -824,7 +837,7 @@ func (s *Stream) WriteBudget() int {
 	if s.done || s.finQueued {
 		return 0
 	}
-	b := SeqDiff(s.sndLimit, s.sndUna) - int32(len(s.sndBuf))
+	b := SeqDiff(s.sndLimit, s.sndUna) - int32(s.snd.Len())
 	if b < 0 {
 		return 0
 	}
@@ -851,7 +864,7 @@ func (s *Stream) Write(p []byte) int {
 		return 0
 	}
 	s.wantWrite = false
-	s.sndBuf = append(s.sndBuf, p[:n]...)
+	s.snd.Append(p[:n])
 	s.m.flush()
 	return n
 }
@@ -862,7 +875,7 @@ func (s *Stream) CloseWrite() {
 		return
 	}
 	s.finQueued = true
-	s.finOff = s.sndUna + uint32(len(s.sndBuf))
+	s.finOff = s.sndUna + uint32(s.snd.Len())
 	s.m.flush()
 }
 
@@ -886,11 +899,11 @@ func (s *Stream) DiscardReads() {
 		return
 	}
 	s.discard = true
-	n := uint32(len(s.rcvBuf))
-	s.rcvUsed += n
-	s.m.rcvSessUsed += n
-	s.m.rcvInUse -= len(s.rcvBuf)
-	s.rcvBuf = nil
+	n := s.rcv.Len()
+	s.rcvUsed += uint32(n)
+	s.m.rcvSessUsed += uint32(n)
+	s.m.rcvInUse -= n
+	s.rcv.Release()
 	s.maybeAdvertise(false)
 	s.m.maybeAdvertiseSession()
 	s.maybeComplete()
@@ -912,22 +925,17 @@ func (s *Stream) oooBytes() int {
 // ReadReady reports the readable byte count and whether EOF has been
 // reached (all data up to the peer's FIN consumed).
 func (s *Stream) ReadReady() (int, bool) {
-	eof := s.finRcvd && s.rcvNxt == s.finRcvOff && len(s.rcvBuf) == 0
-	return len(s.rcvBuf), eof
+	eof := s.finRcvd && s.rcvNxt == s.finRcvOff && s.rcv.Len() == 0
+	return s.rcv.Len(), eof
 }
 
 // Read copies buffered in-order bytes into p, advancing the consumed
 // point and re-advertising windows as they open. eof reports that the
 // stream's final byte has been consumed.
 func (s *Stream) Read(p []byte) (n int, eof bool) {
-	n = copy(p, s.rcvBuf)
+	n = copy(p, s.rcv.Bytes(0, s.rcv.Len()))
 	if n > 0 {
-		rest := len(s.rcvBuf) - n
-		copy(s.rcvBuf, s.rcvBuf[n:])
-		s.rcvBuf = s.rcvBuf[:rest]
-		if rest == 0 {
-			s.rcvBuf = nil
-		}
+		s.rcv.Consume(n)
 		s.rcvUsed += uint32(n)
 		s.m.rcvSessUsed += uint32(n)
 		s.m.rcvInUse -= n
@@ -972,8 +980,8 @@ func (m *Mux) maybeAdvertiseSession() {
 
 // nextSegment produces the stream's next data frame, or false when
 // nothing can be sent: no pending bytes, or flow control (stream or
-// session) blocks. The returned frame's Data aliases sndBuf, which
-// is stable until the flush's sends complete.
+// session) blocks. The returned frame's Data aliases snd, which is
+// stable until the flush's sends complete.
 func (s *Stream) nextSegment(maxSeg int) (Frame, bool) {
 	if s.done {
 		return Frame{}, false
@@ -1003,8 +1011,8 @@ func (s *Stream) nextSegment(maxSeg int) (Frame, bool) {
 		return Frame{}, false
 	}
 	off := s.sndNxt
-	start := SeqDiff(off, s.sndUna)
-	data := s.sndBuf[start : start+int32(n)]
+	start := int(SeqDiff(off, s.sndUna))
+	data := s.snd.Bytes(start, start+n)
 	s.sndNxt += uint32(n)
 	if SeqGT(s.sndNxt, s.sndMax) {
 		s.m.sndSessNxt += uint32(SeqDiff(s.sndNxt, s.sndMax))
@@ -1116,7 +1124,7 @@ func (s *Stream) acceptInOrder(data []byte) {
 		s.m.maybeAdvertiseSession()
 		return
 	}
-	s.rcvBuf = append(s.rcvBuf, data...)
+	s.rcv.Append(data)
 	s.m.rcvInUse += len(data)
 	// A Readable that reads at once flushes the pending ack mid-merge:
 	// what merges after it is news again, or a stream that completes in
@@ -1214,19 +1222,13 @@ func (s *Stream) handleAck(f Frame) {
 		s.finAcked = true
 	}
 	ack := f.Off
-	if SeqGT(ack, s.sndUna) && SeqLEQ(ack, s.sndUna+uint32(len(s.sndBuf))) {
+	if SeqGT(ack, s.sndUna) && SeqLEQ(ack, s.sndUna+uint32(s.snd.Len())) {
 		// RTT sample before state moves (Karn: untouched sends only).
 		if s.rttValid && SeqGEQ(ack, s.rttOff) {
 			s.m.rtt.Sample(s.m.tr.Now() - s.rttAt)
 			s.rttValid = false
 		}
-		drop := SeqDiff(ack, s.sndUna)
-		rest := len(s.sndBuf) - int(drop)
-		copy(s.sndBuf, s.sndBuf[drop:])
-		s.sndBuf = s.sndBuf[:rest]
-		if rest == 0 {
-			s.sndBuf = nil
-		}
+		s.snd.Consume(int(SeqDiff(ack, s.sndUna)))
 		s.sndUna = ack
 		if SeqLT(s.sndNxt, ack) {
 			s.sndNxt = ack
@@ -1321,7 +1323,7 @@ func (s *Stream) markSacked(sp span) {
 // appendLost appends retransmissions of the holes the scoreboard
 // proves lost — those with at least lossThreshold segments' worth of
 // bytes reported above them — that have not been retransmitted yet.
-// The frames' Data aliases sndBuf, like nextSegment's.
+// The frames' Data aliases snd, like nextSegment's.
 func (s *Stream) appendLost(frames []Frame, maxSeg int) []Frame {
 	// Bytes reported above a hole only shrink going up the board, so
 	// the lost holes are the ones below the first `lost` spans.
@@ -1343,7 +1345,7 @@ func (s *Stream) appendLost(frames []Frame, maxSeg int) []Frame {
 			n := min(int(SeqDiff(sp.start, from)), maxSeg)
 			at := int(SeqDiff(from, s.sndUna))
 			frames = append(frames, Frame{
-				Type: proto.TypeStream, Stream: s.id, Off: from, Data: s.sndBuf[at : at+n],
+				Type: proto.TypeStream, Stream: s.id, Off: from, Data: s.snd.Bytes(at, at+n),
 			})
 			from += uint32(n)
 			sent = true
@@ -1381,10 +1383,10 @@ func (s *Stream) handleWindow(f Frame) {
 // finished: our FIN fully acknowledged, the peer's FIN received, and
 // every received byte consumed (or discarded) locally.
 func (s *Stream) maybeComplete() {
-	if s.done || !s.finAcked || !s.finRcvd || len(s.sndBuf) != 0 {
+	if s.done || !s.finAcked || !s.finRcvd || s.snd.Len() != 0 {
 		return
 	}
-	if s.rcvNxt != s.finRcvOff || len(s.rcvBuf) != 0 {
+	if s.rcvNxt != s.finRcvOff || s.rcv.Len() != 0 {
 		return
 	}
 	s.m.terminate(s, nil)

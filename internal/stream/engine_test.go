@@ -50,6 +50,8 @@ type harness struct {
 	// watch, when set, runs after every event: tests sample engine
 	// state over virtual time with it.
 	watch func()
+	// tap, when set, sees every datagram either side sends, lost or not.
+	tap func(from int, p []byte)
 
 	// What a sent on the wire, from its data frames: the highest offset
 	// per stream and the payload bytes sent below it (retransmissions).
@@ -85,6 +87,9 @@ func (h *harness) sendFrom(from int) func([]byte) error {
 		h.sent++
 		if from == 0 {
 			h.countRetransmitted(p)
+		}
+		if h.tap != nil {
+			h.tap(from, p)
 		}
 		if h.drop != nil && h.drop(from, p) {
 			return nil
@@ -176,7 +181,11 @@ func (h *harness) run(t testing.TB, done func() bool, budget int) {
 	t.Fatalf("event budget %d exhausted (t=%v)", budget, h.clk)
 }
 
-type fakeTransport struct{ h *harness }
+type fakeTransport struct {
+	h *harness
+	// armed lists the due time of every timer ever set, in order.
+	armed []time.Duration
+}
 
 func (t *fakeTransport) BindUDP(port transport.Port) (transport.UDPConn, error) {
 	panic("not used")
@@ -186,6 +195,7 @@ func (t *fakeTransport) Rand() *rand.Rand   { return t.h.rng }
 func (t *fakeTransport) Invoke(fn func())   { fn() }
 func (t *fakeTransport) After(d time.Duration, fn func()) transport.Timer {
 	ft := &fakeTimer{}
+	t.armed = append(t.armed, t.h.clk+d)
 	ft.ev = t.h.schedule(d, func() {
 		if !ft.stopped {
 			ft.fired = true
@@ -1192,7 +1202,7 @@ func TestSessionBufferBound(t *testing.T) {
 	}
 	total := 0
 	for _, s := range accepted {
-		total += len(s.rcvBuf) + s.oooBytes()
+		total += s.rcv.Len() + s.oooBytes()
 	}
 	if total != h.b.rcvInUse {
 		t.Fatalf("in-use accounting drifted: tracked %d, actual %d", h.b.rcvInUse, total)

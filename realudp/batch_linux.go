@@ -36,6 +36,44 @@ type batchState struct {
 	gsoBuf  []byte
 	gsoCmsg []byte
 	gsoOff  bool
+
+	// The one callback this direction hands to RawConn.Read/Write,
+	// built on first use: a closure per call would go to the heap,
+	// with everything it captures, once per batch. The system call's
+	// number and arguments go in through the fields, its result and
+	// error come back through them.
+	call   func(fd uintptr) bool
+	trap   uintptr
+	msg    unsafe.Pointer // the msghdr, or the first mmsghdr
+	a2, a3 uintptr
+	n      int
+	errno  syscall.Errno
+}
+
+// do issues one non-blocking system call on the socket through park
+// (the RawConn's Read or Write, which waits on the runtime poller
+// whenever the call would block) and returns its result.
+func (st *batchState) do(park func(func(fd uintptr) bool) error, trap uintptr, msg unsafe.Pointer, a2, a3 uintptr) (int, error) {
+	if st.call == nil {
+		st.call = func(fd uintptr) bool {
+			r, _, e := syscall.Syscall6(st.trap, fd, uintptr(st.msg), st.a2, st.a3, 0, 0)
+			if e == syscall.EAGAIN || e == syscall.EINTR {
+				return false // park on the poller until ready
+			}
+			st.n, st.errno = int(r), e
+			return true
+		}
+	}
+	st.trap, st.msg, st.a2, st.a3 = trap, msg, a2, a3
+	err := park(st.call)
+	st.msg = nil
+	if err != nil {
+		return 0, err
+	}
+	if st.errno != 0 {
+		return 0, st.errno
+	}
+	return st.n, nil
 }
 
 func (st *batchState) grow(n int) {
@@ -158,22 +196,8 @@ func (bc *BatchConn) sendGSO(run []Datagram) error {
 	h.Control = &st.gsoCmsg[0]
 	h.SetControllen(len(st.gsoCmsg))
 
-	var sysErr error
-	err := bc.rc.Write(func(fd uintptr) bool {
-		_, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd,
-			uintptr(unsafe.Pointer(h)), syscall.MSG_DONTWAIT)
-		if e == syscall.EAGAIN || e == syscall.EINTR {
-			return false // park on the poller until writable
-		}
-		if e != 0 {
-			sysErr = e
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return sysErr
+	_, err := st.do(bc.rc.Write, syscall.SYS_SENDMSG, unsafe.Pointer(h), syscall.MSG_DONTWAIT, 0)
+	return err
 }
 
 // WriteBatch sends all datagrams: same-destination runs as one
@@ -239,26 +263,10 @@ func (bc *BatchConn) sendMMsg(ms []Datagram) (int, error) {
 	}
 	sent := 0
 	for sent < len(ms) {
-		n := 0
-		var sysErr error
-		err := bc.rc.Write(func(fd uintptr) bool {
-			r, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[sent])), uintptr(len(ms)-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN || e == syscall.EINTR {
-				return false // park on the poller until writable
-			}
-			if e != 0 {
-				sysErr = e
-			}
-			n = int(r)
-			return true
-		})
+		n, err := st.do(bc.rc.Write, sysSENDMMSG, unsafe.Pointer(&st.hdrs[sent]),
+			uintptr(len(ms)-sent), syscall.MSG_DONTWAIT)
 		if err != nil {
 			return sent, err
-		}
-		if sysErr != nil {
-			return sent, sysErr
 		}
 		if n <= 0 {
 			break
@@ -280,26 +288,10 @@ func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) {
 	for i := range ms {
 		st.prepare(i, ms[i].Payload)
 	}
-	n := 0
-	var sysErr error
-	err := bc.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(len(ms)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN || e == syscall.EINTR {
-			return false // park on the poller until readable
-		}
-		if e != 0 {
-			sysErr = e
-		}
-		n = int(r)
-		return true
-	})
+	n, err := st.do(bc.rc.Read, sysRECVMMSG, unsafe.Pointer(&st.hdrs[0]),
+		uintptr(len(ms)), syscall.MSG_DONTWAIT)
 	if err != nil {
 		return 0, err
-	}
-	if sysErr != nil {
-		return 0, sysErr
 	}
 	for i := 0; i < n; i++ {
 		ms[i].Addr = st.addrPort(i)

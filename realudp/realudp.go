@@ -13,18 +13,22 @@
 //
 // # Batched data plane
 //
-// On Linux the data plane batches kernel crossings: the read loop
+// On Linux the data plane batches kernel crossings. The read loop
 // drains up to recvBatch datagrams per recvmmsg(2) call and delivers
-// the whole batch under one mutex acquisition, and datagrams the
-// engine sends while a batch is being delivered are queued in
-// per-conn slots and flushed with one sendmmsg(2) per socket when the
-// batch ends. A relayed stream therefore costs ~1/recvBatch of a
-// syscall per packet in and ~1/sendBatch out. Other platforms (and
-// Linux with WithBatching(false)) fall back to a portable
-// one-datagram-per-syscall loop with identical semantics. Receive
-// buffers are reused on both paths — delivery callbacks get a slice
-// that is valid only during the callback, per the transport.UDPConn
-// ownership contract.
+// the whole batch under one mutex acquisition. Every entry into the
+// serialized context — a delivered batch, an Invoke body, a timer
+// callback — is one send batch: the datagrams the engine sends inside
+// it are copied into per-conn slots and leave with one sendmmsg(2) per
+// socket (one segmented send per same-size run to one peer, with UDP
+// GSO) before the entry returns, so everything an Invoke body sent is
+// with the kernel when Invoke returns. A relayed stream therefore
+// costs ~1/recvBatch of a syscall per packet in and ~1/sendBatch out,
+// and a stream Write's whole flight costs its writer a syscall or two.
+// Other platforms (and Linux with WithBatching(false)) fall back to a
+// portable one-datagram-per-syscall loop with identical semantics.
+// Receive buffers are reused on both paths — delivery callbacks get a
+// slice that is valid only during the callback, per the
+// transport.UDPConn ownership contract.
 package realudp
 
 import (
@@ -42,7 +46,22 @@ import (
 
 // seedCounter decorrelates the nonce streams of transports created in
 // the same wall-clock nanosecond.
-var seedCounter atomic.Int64
+var seedCounter atomic.Uint64
+
+// newSeed mixes the creation time and a process-wide counter through
+// the splitmix64 finalizer. math/rand folds a seed modulo 2³¹−1, under
+// which a plain "time + counter<<32" of two transports created by two
+// goroutines two nanoseconds apart can fold to one value: the same
+// nonce stream on both, and a peer with two live sessions it cannot
+// tell apart.
+func newSeed() int64 { return mixSeed(time.Now().UnixNano(), seedCounter.Add(1)) }
+
+func mixSeed(nanos int64, n uint64) int64 {
+	z := uint64(nanos) + n*0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return int64(z ^ z>>31)
+}
 
 // ErrClosed is returned by BindUDP after Transport.Close: a bind that
 // raced shutdown must not leak a socket and read loop that nobody
@@ -51,8 +70,8 @@ var ErrClosed = errors.New("realudp: transport closed")
 
 // Datagram batch sizing. recvBatch bounds per-socket buffer memory
 // (recvBatch 64KiB buffers per conn); sendBatch bounds how many
-// engine sends a single delivery batch can coalesce before an
-// intra-batch flush.
+// engine sends one entry into the serialized context can coalesce
+// before a flush in the middle of it.
 const (
 	recvBatch = 16
 	sendBatch = 32
@@ -69,7 +88,7 @@ type Transport struct {
 	first    *Conn
 	done     chan struct{}
 	batching bool    // construction-time, immutable
-	inBatch  bool    // under mu: a recvmmsg batch is being delivered
+	inBatch  bool    // under mu: engine code is running (enter/leave)
 	dirty    []*Conn // under mu: conns with queued sends to flush
 	// filter (under mu) drops inbound datagrams before the engine sees
 	// them; see SetPacketFilter.
@@ -96,7 +115,7 @@ func New(laddr string, opts ...Option) (*Transport, error) {
 	t := &Transport{
 		laddr:    a,
 		start:    time.Now(),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano() + seedCounter.Add(1)<<32)),
+		rng:      rand.New(rand.NewSource(newSeed())),
 		done:     make(chan struct{}),
 		batching: true,
 	}
@@ -163,8 +182,8 @@ func (t *Transport) BindUDP(port transport.Port) (transport.UDPConn, error) {
 func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
 	tm := &timer{}
 	tm.t = time.AfterFunc(d, func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
+		t.enter()
+		defer t.leave()
 		if tm.stopped {
 			return
 		}
@@ -190,9 +209,23 @@ func (t *Transport) Rand() *rand.Rand { return t.rng }
 // must not be called from inside an engine callback (the engine never
 // does; adapters dispatch application callbacks off-loop instead).
 func (t *Transport) Invoke(fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.enter()
+	defer t.leave()
 	fn()
+}
+
+// enter and leave bracket every run of engine code — a delivered
+// batch, an Invoke body, a timer callback: the serialization mutex,
+// and one send batch that is on the wire when leave returns.
+func (t *Transport) enter() {
+	t.mu.Lock()
+	t.inBatch = true
+}
+
+func (t *Transport) leave() {
+	t.inBatch = false
+	t.flushDirtyLocked()
+	t.mu.Unlock()
 }
 
 // SetPacketFilter installs an inbound drop filter on every socket of
@@ -275,12 +308,13 @@ type Conn struct {
 	// loop checks it under t.mu.
 	closed atomic.Bool
 	onRecv func(from transport.Endpoint, payload []byte)
-	// pend holds sends queued during a delivery batch (under t.mu).
+	// pend holds sends queued between enter and leave (under t.mu).
 	// Slots and their payload buffers are reused across flushes, so
 	// the steady-state queue path allocates nothing.
 	pend    []Datagram
 	npend   int
 	inDirty bool
+	flushes int // WriteBatch calls so far: what the batch tests count
 }
 
 // Local returns the socket's bound endpoint (the private endpoint of
@@ -294,9 +328,10 @@ func (c *Conn) Local() transport.Endpoint { return c.local }
 func (c *Conn) OnRecv(fn func(from transport.Endpoint, payload []byte)) { c.onRecv = fn }
 
 // SendTo transmits one datagram. The payload is released before
-// SendTo returns (see ScratchSendOK): either written to the kernel
-// immediately, or copied into a reusable batch slot and flushed with
-// the enclosing delivery batch.
+// SendTo returns (see ScratchSendOK): copied into a reusable batch
+// slot that leaves when the engine code that is running returns, or —
+// on a portable or closed socket, whose error the caller gets at once
+// — written to the kernel immediately.
 func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
 	if c.t.inBatch && c.bc != nil && !c.closed.Load() {
 		c.enqueueLocked(to, payload)
@@ -311,7 +346,7 @@ func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
 // reusable scratch buffers when sending through this conn.
 func (c *Conn) ScratchSendOK() bool { return true }
 
-// enqueueLocked queues one datagram for the end-of-batch flush,
+// enqueueLocked queues one datagram for leave's flush,
 // copying payload into a reusable slot (callers reuse their encode
 // scratch). Runs under t.mu with t.inBatch set.
 func (c *Conn) enqueueLocked(to transport.Endpoint, payload []byte) {
@@ -341,11 +376,12 @@ func (c *Conn) flushLocked() {
 	}
 	n := c.npend
 	c.npend = 0
+	c.flushes++
 	c.bc.WriteBatch(c.pend[:n])
 }
 
-// flushDirtyLocked flushes every conn that queued sends during the
-// delivery batch, then resets the dirty list. Runs under t.mu.
+// flushDirtyLocked flushes every conn that queued sends since enter,
+// then resets the dirty list. Runs under t.mu.
 func (t *Transport) flushDirtyLocked() {
 	for i, c := range t.dirty {
 		c.flushLocked()
@@ -382,18 +418,17 @@ func (c *Conn) readLoopSimple() {
 		if !ok {
 			continue
 		}
-		c.t.mu.Lock()
+		c.t.enter()
 		if !c.closed.Load() && c.onRecv != nil &&
 			(c.t.filter == nil || c.t.filter(ep)) {
 			c.onRecv(ep, buf[:n])
 		}
-		c.t.mu.Unlock()
+		c.t.leave()
 	}
 }
 
 // readLoopBatched drains up to recvBatch datagrams per recvmmsg and
-// delivers them under a single mutex acquisition; sends the engine
-// issues during delivery coalesce into per-conn sendmmsg flushes.
+// delivers them under a single mutex acquisition.
 func (c *Conn) readLoopBatched() {
 	bufs := make([][]byte, recvBatch)
 	for i := range bufs {
@@ -412,12 +447,10 @@ func (c *Conn) readLoopBatched() {
 	}
 }
 
-// deliverBatch feeds one received batch to the engine and flushes the
-// sends it provoked.
+// deliverBatch feeds one received batch to the engine.
 func (t *Transport) deliverBatch(c *Conn, ms []Datagram) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.inBatch = true
+	t.enter()
+	defer t.leave()
 	for i := range ms {
 		// Per-datagram check: a handler may close this conn mid-batch.
 		if c.closed.Load() || c.onRecv == nil {
@@ -432,8 +465,6 @@ func (t *Transport) deliverBatch(c *Conn, ms []Datagram) {
 		}
 		c.onRecv(ep, ms[i].Payload)
 	}
-	t.inBatch = false
-	t.flushDirtyLocked()
 }
 
 // toAddrPort converts a wire endpoint to a netip.AddrPort (both value

@@ -2,6 +2,7 @@ package realudp
 
 import (
 	"bytes"
+	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -29,6 +30,28 @@ func newTransport(t *testing.T, opts ...Option) *Transport {
 	}
 	t.Cleanup(func() { tr.Close() })
 	return tr
+}
+
+// TestSeedsSurviveMathRandFold: two goroutines creating transports a
+// few nanoseconds apart, drawing their counter values in either order,
+// get different nonce streams. (The sum "time + counter<<32" this
+// replaces gave both the same one at two nanoseconds' distance:
+// math/rand folds its seed modulo 2³¹−1, where 2³² is 2.)
+func TestSeedsSurviveMathRandFold(t *testing.T) {
+	first := func(seed int64) uint64 { return rand.New(rand.NewSource(seed)).Uint64() }
+	now := time.Now().UnixNano()
+	if a, b := now+1<<32, now+2+0<<32; first(a) != first(b) {
+		t.Fatalf("the collision this guards against is gone from math/rand: seeds %d and %d differ", a, b)
+	}
+	for n := uint64(1); n < 500; n++ {
+		for d := int64(-8); d <= 8; d++ {
+			for _, m := range []uint64{n - 1, n + 1} {
+				if first(mixSeed(now, n)) == first(mixSeed(now+d, m)) {
+					t.Fatalf("transports %d and %d created %d ns apart share a nonce stream", n, m, d)
+				}
+			}
+		}
+	}
 }
 
 // TestBindAfterCloseRefused pins the shutdown-race fix: a BindUDP
@@ -256,59 +279,200 @@ func TestScratchSender(t *testing.T) {
 	}
 }
 
+// loopSink binds a plain loopback socket for a transport conn to send
+// to, outside any transport.
+func loopSink(t *testing.T) (*net.UDPConn, transport.Endpoint) {
+	t.Helper()
+	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sink.Close() })
+	sink.SetReadBuffer(1 << 20)
+	ep, _ := ToEndpoint(sink.LocalAddr().(*net.UDPAddr))
+	return sink, ep
+}
+
+func bindConn(t *testing.T, tr *Transport) *Conn {
+	t.Helper()
+	var conn *Conn
+	tr.Invoke(func() {
+		c, err := tr.BindUDP(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn = c.(*Conn)
+	})
+	return conn
+}
+
 // TestDeferredSendScratchReuse proves the batch queue copies payloads:
 // a sender that reuses its encode scratch between SendTo calls inside
-// one delivery batch must not see its earlier datagrams corrupted.
+// one entry into the serialized context — a delivery batch, the way
+// the rendezvous relay does, or an Invoke body, the way a session's
+// Send does — must not see its earlier datagrams corrupted.
 func TestDeferredSendScratchReuse(t *testing.T) {
 	requireLoopback(t)
 	if !batchSupported {
 		t.Skip("no batched path on this platform")
 	}
 	tr := newTransport(t)
-	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	sinkEP, _ := ToEndpoint(sink.LocalAddr().(*net.UDPAddr))
-
-	var conn transport.UDPConn
+	sink, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
 	scratch := make([]byte, 4)
-	tr.Invoke(func() {
-		c, err := tr.BindUDP(0)
+	burst := func() {
+		for i := byte(0); i < 4; i++ {
+			scratch[0], scratch[1], scratch[2], scratch[3] = i, i, i, i
+			conn.SendTo(sinkEP, scratch)
+		}
+	}
+	expectBurst := func(t *testing.T) {
+		sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+		seen := make(map[byte]bool)
+		buf := make([]byte, 16)
+		for len(seen) < 4 {
+			n, _, err := sink.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("sink read after %d/4 distinct payloads: %v", len(seen), err)
+			}
+			if n != 4 || buf[0] != buf[3] {
+				t.Fatalf("corrupted deferred datagram: %x", buf[:n])
+			}
+			seen[buf[0]] = true
+		}
+	}
+	t.Run("delivery", func(t *testing.T) {
+		tr.Invoke(func() {
+			conn.OnRecv(func(from transport.Endpoint, payload []byte) { burst() })
+		})
+		probe, err := net.DialUDP("udp4", nil, ToUDPAddr(conn.Local()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn = c
-		c.OnRecv(func(from transport.Endpoint, payload []byte) {
-			// Re-encode into the same scratch for every reply, the way
-			// the rendezvous relay does.
-			for i := byte(0); i < 4; i++ {
-				scratch[0], scratch[1], scratch[2], scratch[3] = i, i, i, i
-				c.SendTo(sinkEP, scratch)
-			}
-		})
+		defer probe.Close()
+		if _, err := probe.Write([]byte("go")); err != nil {
+			t.Fatal(err)
+		}
+		expectBurst(t)
 	})
-	probe, err := net.DialUDP("udp4", nil, ToUDPAddr(conn.Local()))
-	if err != nil {
-		t.Fatal(err)
+	t.Run("invoke", func(t *testing.T) {
+		tr.Invoke(burst)
+		expectBurst(t)
+	})
+}
+
+// TestSendBatchPerEntry: the datagrams one Invoke body or one timer
+// callback sends leave as one send batch — in order, in at most
+// ⌈N/sendBatch⌉ WriteBatch calls, and with nothing left queued once
+// the entry has returned.
+func TestSendBatchPerEntry(t *testing.T) {
+	requireLoopback(t)
+	if !batchSupported {
+		t.Skip("no batched path on this platform")
 	}
-	defer probe.Close()
-	if _, err := probe.Write([]byte("go")); err != nil {
-		t.Fatal(err)
+	const n = 2*sendBatch + 6
+	tr := newTransport(t)
+	sink, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
+	burst := func() {
+		for i := 0; i < n; i++ {
+			if err := conn.SendTo(sinkEP, []byte{byte(i), 0xA5, 0x5A, byte(i)}); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}
 	}
-	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
-	seen := make(map[byte]bool)
-	buf := make([]byte, 16)
-	for len(seen) < 4 {
-		n, _, err := sink.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			t.Fatalf("sink read after %d/4 distinct payloads: %v", len(seen), err)
+	// state reads the conn's batch counters the way engine code would.
+	state := func() (flushes, queued int) {
+		tr.Invoke(func() { flushes, queued = conn.flushes, conn.npend })
+		return
+	}
+	expectInOrder := func(t *testing.T, wait time.Duration) {
+		t.Helper()
+		sink.SetReadDeadline(time.Now().Add(wait))
+		buf := make([]byte, 16)
+		for i := 0; i < n; i++ {
+			got, _, err := sink.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("datagram %d of %d: %v", i, n, err)
+			}
+			if got != 4 || buf[0] != byte(i) || buf[3] != byte(i) {
+				t.Fatalf("datagram %d of %d is %x", i, n, buf[:got])
+			}
 		}
-		if n != 4 || buf[0] != buf[3] {
-			t.Fatalf("corrupted deferred datagram: %x", buf[:n])
+	}
+	want := (n + sendBatch - 1) / sendBatch
+
+	t.Run("invoke", func(t *testing.T) {
+		before, _ := state()
+		tr.Invoke(burst)
+		tr.mu.Lock() // not state(): another Invoke would flush what this one left
+		queued := conn.npend
+		tr.mu.Unlock()
+		if queued != 0 {
+			t.Errorf("%d datagrams still queued when Invoke returned", queued)
 		}
-		seen[buf[0]] = true
+		// Loopback delivers inside the send call: everything is already
+		// in the sink's buffer, no waiting needed beyond scheduling.
+		expectInOrder(t, time.Second)
+		if after, _ := state(); after-before > want {
+			t.Errorf("%d datagrams took %d WriteBatch calls, want at most %d", n, after-before, want)
+		}
+	})
+	t.Run("timer", func(t *testing.T) {
+		before, _ := state()
+		tr.Invoke(func() { tr.After(0, burst) })
+		expectInOrder(t, 5*time.Second)
+		after, queued := state()
+		if queued != 0 {
+			t.Errorf("%d datagrams still queued after the timer callback returned", queued)
+		}
+		if after-before > want {
+			t.Errorf("%d datagrams took %d WriteBatch calls, want at most %d", n, after-before, want)
+		}
+	})
+}
+
+// TestSendBatchZeroAlloc: queueing a datagram and flushing the batch —
+// one sendmmsg for a lone datagram, one segmented send for a run, a
+// flush in the middle of a 64 KiB write's 57 — allocate nothing once
+// the slots and the syscall scratch have grown.
+func TestSendBatchZeroAlloc(t *testing.T) {
+	requireLoopback(t)
+	if !batchSupported {
+		t.Skip("no batched path on this platform")
+	}
+	tr := newTransport(t)
+	_, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
+	payload := make([]byte, 1152)
+	for _, n := range []int{1, 8, 57} {
+		burst := func() {
+			for i := 0; i < n; i++ {
+				conn.SendTo(sinkEP, payload)
+			}
+		}
+		invoke := func() { tr.Invoke(burst) }
+		invoke()
+		if allocs := testing.AllocsPerRun(200, invoke); allocs != 0 {
+			t.Errorf("Invoke sending %d datagrams allocates %v/op in steady state, want 0", n, allocs)
+		}
+	}
+}
+
+// TestSendAfterCloseStillErrors: a closed conn's SendTo is not parked
+// in the batch to fail silently later; the caller gets the error.
+func TestSendAfterCloseStillErrors(t *testing.T) {
+	requireLoopback(t)
+	tr := newTransport(t)
+	_, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
+	var err error
+	tr.Invoke(func() {
+		conn.Close()
+		err = conn.SendTo(sinkEP, []byte("late"))
+	})
+	if err == nil {
+		t.Fatal("SendTo on a closed conn inside Invoke returned nil")
 	}
 }
 

@@ -118,11 +118,12 @@ type Transport interface {
 // SendTo does not retain the payload slice after it returns: the
 // implementation hands the bytes to the kernel (or copies them into
 // its own batching slots) before returning. Engine hot paths — the
-// rendezvous forwarder and the §2.2 relay — probe for it and, when
-// present, re-encode into a reusable scratch buffer instead of
-// allocating a fresh encoding per datagram. The simulated transport
-// deliberately does not implement it: queued simulated packets
-// reference the payload slice, so senders must allocate fresh.
+// rendezvous forwarder, the §2.2 relay and the punch client's session
+// datagrams — probe for it and, when present, re-encode into a
+// reusable scratch buffer instead of allocating a fresh encoding per
+// datagram. The simulated transport deliberately does not implement
+// it: queued simulated packets reference the payload slice, so senders
+// must allocate fresh.
 type ScratchSender interface {
 	// ScratchSendOK reports that SendTo releases the payload slice
 	// before returning.

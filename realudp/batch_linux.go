@@ -37,6 +37,13 @@ type batchState struct {
 	gsoCmsg []byte
 	gsoOff  bool
 
+	// UDP GRO scratch (the receive direction of a transport's own
+	// socket only): set once enableGRO's socket option took, and one
+	// control buffer per recvmmsg slot for the segment size the kernel
+	// reports with each coalesced run.
+	gro   bool
+	cmsgs []byte
+
 	// The one callback this direction hands to RawConn.Read/Write,
 	// built on first use: a closure per call would go to the heap,
 	// with everything it captures, once per batch. The system call's
@@ -196,7 +203,7 @@ func (bc *BatchConn) sendGSO(run []Datagram) error {
 	h.Control = &st.gsoCmsg[0]
 	h.SetControllen(len(st.gsoCmsg))
 
-	_, err := st.do(bc.rc.Write, syscall.SYS_SENDMSG, unsafe.Pointer(h), syscall.MSG_DONTWAIT, 0)
+	_, err := st.do(bc.rc.Write, sysSENDMSG, unsafe.Pointer(h), syscall.MSG_DONTWAIT, 0)
 	return err
 }
 
@@ -276,26 +283,111 @@ func (bc *BatchConn) sendMMsg(ms []Datagram) (int, error) {
 	return sent, nil
 }
 
+// UDP generic receive offload (UDP_GRO, Linux 5.0+), the receive-side
+// twin of UDP_SEGMENT: a socket that opts in is handed a run of
+// equal-size datagrams from one source — a GSO super-datagram that
+// crossed loopback whole, or what the NIC's GRO merged — as one
+// buffer plus the segment size in a control message, instead of the
+// kernel splitting the run and queueing, then copying out, every
+// datagram on its own.
+const udpGRO = 104 // UDP_GRO socket option and cmsg type
+
+// groCmsgSpace is one slot's control buffer: room for the UDP_GRO
+// cmsg (an int) and nothing else, so anything more shows as MSG_CTRUNC.
+var groCmsgSpace = syscall.CmsgSpace(4)
+
+// enableGRO opts the socket into coalesced receives. Only the
+// transport's read loop calls it, before its first readBatch and
+// always passing segs from then on; a BatchConn from NewBatchConn
+// never coalesces. A kernel that refuses the option leaves the flag
+// off and the socket on the one-datagram-per-slot path.
+func (bc *BatchConn) enableGRO() {
+	bc.rc.Control(func(fd uintptr) {
+		bc.recv.gro = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) == nil
+	})
+}
+
+// parseGRO reads what recvmsg reported beside a slot's n payload
+// bytes on a GRO socket: the segment size the payload divides into
+// (n itself when the slot holds a single datagram), and whether the
+// slot can be trusted at all. A truncated payload ends in a partial
+// segment that would pass for a short datagram, and truncated control
+// data may have lost the segment size, so neither is delivered; the
+// same goes for a segment size no kernel sends.
+func parseGRO(control []byte, flags int32, n int) (seg int, ok bool) {
+	if flags&(syscall.MSG_TRUNC|syscall.MSG_CTRUNC) != 0 {
+		return 0, false
+	}
+	for len(control) >= syscall.SizeofCmsghdr {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&control[0]))
+		l := int(h.Len)
+		if l < syscall.SizeofCmsghdr || l > len(control) {
+			return 0, false
+		}
+		if h.Level == syscall.IPPROTO_UDP && h.Type == udpGRO && l >= syscall.CmsgLen(4) {
+			seg = int(*(*int32)(unsafe.Pointer(&control[syscall.CmsgLen(0)])))
+			if seg <= 0 {
+				return 0, false
+			}
+			return min(seg, n), true
+		}
+		control = control[min(syscall.CmsgSpace(l-syscall.CmsgLen(0)), len(control)):]
+	}
+	return n, true
+}
+
 // ReadBatch receives up to len(ms) datagrams in one recvmmsg(2) call,
 // blocking (on the runtime poller) until at least one arrives. Filled
-// entries get Addr set and Payload re-sliced to the received length.
-func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) {
+// entries get Addr set and Payload re-sliced to the received length,
+// one datagram per entry.
+func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) { return bc.readBatch(ms, nil) }
+
+// readBatch is the one receive routine. On a socket with GRO on, a
+// filled entry may hold a coalesced run: segs[i] is the size its
+// payload divides into (the last segment may be shorter), and slots
+// parseGRO rejects are dropped as loss — swapped out of ms[:n], so
+// every entry keeps a buffer of its own, and n may then be 0. With GRO
+// off (never asked for, or refused) segs[i] is the payload's length.
+func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
 	st := &bc.recv
 	st.grow(len(ms))
+	if st.gro && len(st.cmsgs) < len(ms)*groCmsgSpace {
+		st.cmsgs = make([]byte, len(ms)*groCmsgSpace)
+	}
 	for i := range ms {
 		st.prepare(i, ms[i].Payload)
+		if st.gro {
+			h := &st.hdrs[i].hdr
+			h.Control = &st.cmsgs[i*groCmsgSpace]
+			h.SetControllen(groCmsgSpace)
+		}
 	}
 	n, err := st.do(bc.rc.Read, sysRECVMMSG, unsafe.Pointer(&st.hdrs[0]),
 		uintptr(len(ms)), syscall.MSG_DONTWAIT)
 	if err != nil {
 		return 0, err
 	}
+	k := 0
 	for i := 0; i < n; i++ {
-		ms[i].Addr = st.addrPort(i)
-		ms[i].Payload = ms[i].Payload[:st.hdrs[i].n]
+		h := &st.hdrs[i]
+		seg := int(h.n)
+		if st.gro {
+			var ok bool
+			c := st.cmsgs[i*groCmsgSpace:][:h.hdr.Controllen]
+			if seg, ok = parseGRO(c, h.hdr.Flags, seg); !ok {
+				continue
+			}
+		}
+		ms[k], ms[i] = ms[i], ms[k]
+		ms[k].Addr = st.addrPort(i)
+		ms[k].Payload = ms[k].Payload[:h.n]
+		if segs != nil {
+			segs[k] = seg
+		}
+		k++
 	}
-	return n, nil
+	return k, nil
 }

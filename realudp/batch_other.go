@@ -34,3 +34,12 @@ func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) {
 	ms[0].Payload = ms[0].Payload[:n]
 	return 1, nil
 }
+
+// enableGRO: no coalesced receives off Linux.
+func (bc *BatchConn) enableGRO() {}
+
+// readBatch is ReadBatch: every entry is one datagram.
+func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
+	clear(segs)
+	return bc.ReadBatch(ms)
+}

@@ -23,7 +23,9 @@ type Datagram struct {
 // the same semantics. The transport's batched read loop is built on
 // it, and it is exported so load generators (benchmarks, traffic
 // tools) can drive a batched socket at the same syscall amortization
-// as the server under test.
+// as the server under test. ReadBatch fills one datagram per entry
+// whatever the sender did; only the transport's own read loop asks the
+// kernel for coalesced runs (UDP GRO).
 //
 // A BatchConn supports one concurrent reader and one concurrent
 // writer: ReadBatch and WriteBatch own disjoint scratch state, but

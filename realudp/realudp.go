@@ -14,21 +14,29 @@
 // # Batched data plane
 //
 // On Linux the data plane batches kernel crossings. The read loop
-// drains up to recvBatch datagrams per recvmmsg(2) call and delivers
-// the whole batch under one mutex acquisition. Every entry into the
+// drains up to recvBatch slots per recvmmsg(2) call and delivers the
+// whole batch under one mutex acquisition. With UDP GRO (Linux 5.0+,
+// set on the transport's own sockets, never on a BatchConn made by
+// NewBatchConn) a slot holds a whole run of equal-size datagrams from
+// one peer, which the loop delivers one callback per datagram — filter
+// and close checks included — so the engine cannot tell a coalesced
+// run from its datagrams arriving one to a slot; a slot the kernel
+// flags as truncated is dropped as loss. Every entry into the
 // serialized context — a delivered batch, an Invoke body, a timer
 // callback — is one send batch: the datagrams the engine sends inside
 // it are copied into per-conn slots and leave with one sendmmsg(2) per
 // socket (one segmented send per same-size run to one peer, with UDP
 // GSO) before the entry returns, so everything an Invoke body sent is
 // with the kernel when Invoke returns. A relayed stream therefore
-// costs ~1/recvBatch of a syscall per packet in and ~1/sendBatch out,
-// and a stream Write's whole flight costs its writer a syscall or two.
+// costs a recvmmsg slot per run in and ~1/sendBatch of a syscall per
+// packet out, and a stream Write's whole flight costs its writer a
+// syscall or two.
 // Other platforms (and Linux with WithBatching(false)) fall back to a
 // portable one-datagram-per-syscall loop with identical semantics.
-// Receive buffers are reused on both paths — delivery callbacks get a
-// slice that is valid only during the callback, per the
-// transport.UDPConn ownership contract.
+// Receive buffers are reused on both paths — across datagrams, and on
+// the batched path across sockets, through a pool of slabs — so
+// delivery callbacks get a slice that is valid only during the
+// callback, per the transport.UDPConn ownership contract.
 package realudp
 
 import (
@@ -69,7 +77,7 @@ func mixSeed(nanos int64, n uint64) int64 {
 var ErrClosed = errors.New("realudp: transport closed")
 
 // Datagram batch sizing. recvBatch bounds per-socket buffer memory
-// (recvBatch 64KiB buffers per conn); sendBatch bounds how many
+// (recvBatch slots of recvSlot bytes per conn); sendBatch bounds how many
 // engine sends one entry into the serialized context can coalesce
 // before a flush in the middle of it.
 const (
@@ -315,6 +323,7 @@ type Conn struct {
 	npend   int
 	inDirty bool
 	flushes int // WriteBatch calls so far: what the batch tests count
+	slots   int // recvmmsg slots delivered so far (under t.mu), likewise
 }
 
 // Local returns the socket's bound endpoint (the private endpoint of
@@ -427,43 +436,80 @@ func (c *Conn) readLoopSimple() {
 	}
 }
 
-// readLoopBatched drains up to recvBatch datagrams per recvmmsg and
-// delivers them under a single mutex acquisition.
+// recvSlab is one read loop's receive memory: recvBatch slots of
+// recvSlot bytes — any datagram, or any run the kernel coalesces, fits
+// one — and the batch bookkeeping over them.
+type recvSlab struct {
+	ms   [recvBatch]Datagram
+	segs [recvBatch]int
+	bufs []byte // recvBatch × recvSlot
+}
+
+const recvSlot = 64 << 10
+
+// slabs recycles receive slabs across sockets: a fresh MiB zeroed per
+// socket was most of what a short-lived connection cost. A recycled
+// slab still holds the previous socket's bytes; handlers only ever see
+// payloads cut (length and capacity) to what this socket received.
+var slabs = sync.Pool{New: func() any { return &recvSlab{bufs: make([]byte, recvBatch*recvSlot)} }}
+
+// readLoopBatched drains up to recvBatch slots per recvmmsg — each one
+// datagram or, with UDP GRO, a coalesced run of them — and delivers
+// them under a single mutex acquisition.
 func (c *Conn) readLoopBatched() {
-	bufs := make([][]byte, recvBatch)
-	for i := range bufs {
-		bufs[i] = make([]byte, 64<<10)
-	}
-	ms := make([]Datagram, recvBatch)
+	slab := slabs.Get().(*recvSlab)
+	// Back to the pool only once the last deliverBatch has returned:
+	// handlers may not keep a payload past their callback.
+	defer slabs.Put(slab)
+	c.bc.enableGRO()
+	ms, segs := slab.ms[:], slab.segs[:]
 	for {
 		for i := range ms {
-			ms[i] = Datagram{Payload: bufs[i]}
+			ms[i] = Datagram{Payload: slab.bufs[i*recvSlot:][:recvSlot]}
 		}
-		n, err := c.bc.ReadBatch(ms)
+		n, err := c.bc.readBatch(ms, segs)
 		if err != nil {
 			return
 		}
-		c.t.deliverBatch(c, ms[:n])
+		c.t.deliverBatch(c, ms[:n], segs)
 	}
 }
 
-// deliverBatch feeds one received batch to the engine.
-func (t *Transport) deliverBatch(c *Conn, ms []Datagram) {
+// deliverBatch feeds one received batch to the engine: slot i as one
+// callback per segs[i] bytes of its payload (the last may be shorter),
+// or as a single datagram when segs[i] is not inside the payload.
+// Everything that is per datagram stays per segment — the close check,
+// the filter call — so a coalesced run is indistinguishable from its
+// datagrams arriving one slot each.
+func (t *Transport) deliverBatch(c *Conn, ms []Datagram, segs []int) {
 	t.enter()
 	defer t.leave()
+	c.slots += len(ms)
 	for i := range ms {
-		// Per-datagram check: a handler may close this conn mid-batch.
-		if c.closed.Load() || c.onRecv == nil {
-			break
-		}
 		ep, ok := fromAddrPort(ms[i].Addr)
 		if !ok {
 			continue
 		}
-		if t.filter != nil && !t.filter(ep) {
-			continue
+		for p := ms[i].Payload; ; {
+			// A handler may close this conn mid-batch, mid-run.
+			if c.closed.Load() || c.onRecv == nil {
+				return
+			}
+			n := len(p)
+			if 0 < segs[i] && segs[i] < n {
+				n = segs[i]
+			}
+			// Capacity cut too: a handler's append must not reach the
+			// next segment, nor a reslice the slab's stale bytes.
+			seg := p[:n:n]
+			p = p[n:]
+			if t.filter == nil || t.filter(ep) {
+				c.onRecv(ep, seg)
+			}
+			if len(p) == 0 {
+				break
+			}
 		}
-		c.onRecv(ep, ms[i].Payload)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -107,25 +108,32 @@ func TestCloseRace(t *testing.T) {
 	wg.Wait()
 }
 
+// bindBatch binds a raw loopback socket outside any transport and
+// wraps it for batched I/O.
+func bindBatch(t *testing.T) (*net.UDPConn, *BatchConn) {
+	t.Helper()
+	uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { uc.Close() })
+	bc, err := NewBatchConn(uc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uc, bc
+}
+
 // TestBatchConnRoundTrip drives WriteBatch/ReadBatch between two raw
 // sockets and checks every datagram arrives intact with the right
-// source address, on whichever implementation this platform selects.
+// source address, on whichever implementation this platform selects —
+// and one to a slot: the equal-size datagrams leave Linux as a UDP-GSO
+// run, and a BatchConn from NewBatchConn never asks for the run back
+// coalesced the way the transport's read loop does.
 func TestBatchConnRoundTrip(t *testing.T) {
 	requireLoopback(t)
-	bind := func() (*net.UDPConn, *BatchConn) {
-		uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { uc.Close() })
-		bc, err := NewBatchConn(uc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return uc, bc
-	}
-	sender, sbc := bind()
-	receiver, rbc := bind()
+	sender, sbc := bindBatch(t)
+	receiver, rbc := bindBatch(t)
 	dst := receiver.LocalAddr().(*net.UDPAddr).AddrPort()
 	src := sender.LocalAddr().(*net.UDPAddr).AddrPort()
 
@@ -134,35 +142,54 @@ func TestBatchConnRoundTrip(t *testing.T) {
 	for i := range out {
 		out[i] = Datagram{Addr: dst, Payload: []byte{byte(i), byte(i >> 8), 0xAB}}
 	}
-	n, err := sbc.WriteBatch(out)
-	if err != nil || n != total {
-		t.Fatalf("WriteBatch: n=%d err=%v", n, err)
-	}
-
-	got := make(map[byte]bool)
 	bufs := make([]Datagram, 8)
 	backing := make([][]byte, len(bufs))
 	for i := range backing {
 		backing[i] = make([]byte, 2048)
 	}
-	receiver.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for len(got) < total {
-		for i := range bufs {
-			bufs[i] = Datagram{Payload: backing[i]}
+	segs := make([]int, len(bufs))
+	for _, read := range []struct {
+		name string
+		call func() (int, error)
+	}{
+		{"ReadBatch", func() (int, error) { return rbc.ReadBatch(bufs) }},
+		// The read loop's call on a socket that never turned GRO on (a
+		// kernel that refuses it): the same routine, one datagram a slot.
+		{"readBatch, GRO off", func() (int, error) { return rbc.readBatch(bufs, segs) }},
+	} {
+		n, err := sbc.WriteBatch(out)
+		if err != nil || n != total {
+			t.Fatalf("WriteBatch: n=%d err=%v", n, err)
 		}
-		n, err := rbc.ReadBatch(bufs)
-		if err != nil {
-			t.Fatalf("ReadBatch after %d/%d datagrams: %v", len(got), total, err)
+		got := make(map[byte]bool)
+		slots := 0
+		receiver.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for len(got) < total {
+			for i := range bufs {
+				bufs[i] = Datagram{Payload: backing[i]}
+				segs[i] = -1
+			}
+			n, err := read.call()
+			if err != nil {
+				t.Fatalf("%s after %d/%d datagrams: %v", read.name, len(got), total, err)
+			}
+			for i := 0; i < n; i++ {
+				if bufs[i].Addr.Addr().Unmap() != src.Addr().Unmap() || bufs[i].Addr.Port() != src.Port() {
+					t.Fatalf("%s: datagram %d from %v, want %v", read.name, i, bufs[i].Addr, src)
+				}
+				p := bufs[i].Payload
+				if len(p) != 3 || p[2] != 0xAB {
+					t.Fatalf("%s: payload corrupted: %x", read.name, p)
+				}
+				if read.name != "ReadBatch" && segs[i] != 0 && segs[i] != len(p) {
+					t.Fatalf("%s: a %d-byte datagram reported in segments of %d", read.name, len(p), segs[i])
+				}
+				got[p[0]] = true
+			}
+			slots += n
 		}
-		for i := 0; i < n; i++ {
-			if bufs[i].Addr.Addr().Unmap() != src.Addr().Unmap() || bufs[i].Addr.Port() != src.Port() {
-				t.Fatalf("datagram %d from %v, want %v", i, bufs[i].Addr, src)
-			}
-			p := bufs[i].Payload
-			if len(p) != 3 || p[2] != 0xAB {
-				t.Fatalf("payload corrupted: %x", p)
-			}
-			got[p[0]] = true
+		if slots != total {
+			t.Fatalf("%s: %d datagrams filled %d slots", read.name, total, slots)
 		}
 	}
 }
@@ -473,6 +500,69 @@ func TestSendAfterCloseStillErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("SendTo on a closed conn inside Invoke returned nil")
+	}
+}
+
+// TestRecvSlabsRecycled: sockets opened and closed in sequence share
+// receive slabs instead of zeroing a fresh MiB each, and a handler on
+// a recycled slab sees its own datagram and not a byte more — the
+// first socket's datagram is large, so every later slab holds its
+// bytes beyond what the later sockets receive. The test runs each
+// socket's read loop itself, to know when it has returned (and with it
+// the slab).
+func TestRecvSlabsRecycled(t *testing.T) {
+	requireLoopback(t)
+	if !batchSupported {
+		t.Skip("no batched path on this platform")
+	}
+	probe, _ := loopSink(t)
+	const sockets = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sockets; i++ {
+		want := bytes.Repeat([]byte{byte(i + 1)}, 100)
+		if i == 0 {
+			want = bytes.Repeat([]byte{0xEE}, 60000)
+		}
+		tr := newTransport(t)
+		uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err := NewBatchConn(uc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan struct{})
+		conn := &Conn{t: tr, c: uc, bc: bc}
+		conn.onRecv = func(_ transport.Endpoint, p []byte) {
+			if !bytes.Equal(p, want) || cap(p) != len(p) {
+				t.Errorf("socket %d: got %d bytes (cap %d) starting %x, want %d of %x",
+					i, len(p), cap(p), p[:min(2, len(p))], len(want), want[0])
+			}
+			close(got)
+		}
+		exited := make(chan struct{})
+		go func() { conn.readLoop(); close(exited) }()
+		if _, err := probe.WriteToUDPAddrPort(want, uc.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("socket %d: datagram not delivered", i)
+		}
+		conn.Close()
+		<-exited
+	}
+	runtime.ReadMemStats(&after)
+	// A slab is a MiB. The race detector makes sync.Pool drop one Put
+	// in four, at random: 16 ± 4 slabs more.
+	grew := after.TotalAlloc - before.TotalAlloc
+	if grew > sockets*recvBatch*recvSlot*5/8 {
+		t.Errorf("%d sockets in sequence allocated %d KiB: receive slabs are not recycled", sockets, grew>>10)
+	} else {
+		t.Logf("%d sockets in sequence allocated %d KiB", sockets, grew>>10)
 	}
 }
 

@@ -7,4 +7,5 @@ import "syscall"
 const (
 	sysRECVMMSG = syscall.SYS_RECVMMSG
 	sysSENDMMSG = syscall.SYS_SENDMMSG
+	sysSENDMSG  = syscall.SYS_SENDMSG
 )

@@ -23,7 +23,10 @@ import (
 // Any alias of such a buffer that can outlive the callback is flagged:
 // stores to struct fields or package variables, map inserts, retaining
 // appends (append(list, buf) without ...), channel sends, and capture
-// by go/defer closures. Passing an inbound callback-scoped buffer to a
+// by go/defer closures or by a closure handed to the transport's
+// end-of-entry hook (transport.Deferrer's Defer), which runs once the
+// whole delivered batch has been through the callback and the decoder.
+// Passing an inbound callback-scoped buffer to a
 // SendTo-shaped call is also flagged — a transport without the
 // ScratchSender capability (simnet) queues the payload slice past
 // SendTo's return, which is exactly the PR-8 handleFedForward bug.
@@ -803,10 +806,16 @@ func (bo *bufOwnFunc) exprTaintIgnoringCleanse(e ast.Expr) taintClass {
 }
 
 // capturedTaint returns the strongest taint among free variables the
-// literal captures from the enclosing unit.
+// literal captures from the enclosing unit, and the decoder-owned
+// fields it reads through them.
 func (bo *bufOwnFunc) capturedTaint(lit *ast.FuncLit) taintClass {
 	var t taintClass
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		// m.Data of a captured Message parameter: the variable is clean,
+		// the field it reaches is the decoder's.
+		if sel, ok := n.(*ast.SelectorExpr); ok && bo.selectorTaint(sel) == taintCallback {
+			t = taintCallback
+		}
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
@@ -848,8 +857,21 @@ func (bo *bufOwnFunc) scanSinks(body *ast.BlockStmt) {
 			bo.checkAsyncCall(s.Call, "defer")
 		case *ast.CallExpr:
 			bo.checkRetainingSend(s)
+			if isEntryHookRegistrar(s) {
+				bo.checkAsyncCall(s, "Defer")
+			}
 		}
 	})
+}
+
+// isEntryHookRegistrar reports whether the call registers a function
+// with the transport's end-of-entry hook (transport.Deferrer): like a
+// go or defer statement's, its closure runs after the delivery callback
+// that registered it has returned — and after every later datagram of
+// the batch has reused the decoder's storage.
+func isEntryHookRegistrar(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Defer"
 }
 
 // checkStore flags assignments whose target outlives the function.
@@ -933,9 +955,10 @@ func (bo *bufOwnFunc) setCarrier(obj types.Object, t taintClass) {
 	}
 }
 
-// checkAsyncCall flags go/defer calls that smuggle a tainted buffer
-// into a later execution context — captured by the closure or passed
-// as an argument.
+// checkAsyncCall flags go/defer calls and end-of-entry registrations
+// that smuggle a tainted buffer into a later execution context —
+// captured by the closure or passed as an argument (a closure passed as
+// an argument carries what it captures).
 func (bo *bufOwnFunc) checkAsyncCall(call *ast.CallExpr, kw string) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		if t := bo.capturedTaint(lit); t != taintNone {

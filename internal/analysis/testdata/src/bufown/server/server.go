@@ -11,6 +11,11 @@ type Sock interface {
 	SendTo(to string, p []byte)
 }
 
+// Entries is the transport's end-of-entry hook (transport.Deferrer).
+type Entries interface {
+	Defer(fn func())
+}
+
 // lastGlobal is a package-level retention target.
 var lastGlobal []byte
 
@@ -18,6 +23,8 @@ var lastGlobal []byte
 // fedScratch, and scratchMsg are configured scratch fields.
 type Server struct {
 	udp        Sock
+	tr         Entries
+	flushAtEnd func()
 	enc        []byte
 	fedScratch []byte
 	scratchMsg proto.Message
@@ -53,6 +60,11 @@ func (s *Server) handleUDP(from string, p []byte) {
 		s.observe(p)
 	}()
 
+	// The end of the entry is after the callback too: by then the rest
+	// of the delivered batch has been through this callback.
+	s.tr.Defer(func() { s.observe(p) }) // want bufown "passed to a Defer call"
+	s.tr.Defer(s.flushAtEnd)            // a function built beforehand captures nothing of this call
+
 	// An alias carries the taint.
 	alias := p[1:]
 	s.last = alias // want bufown "stored to field"
@@ -69,6 +81,7 @@ func (s *Server) handleUDP(from string, p []byte) {
 	s.byKey[from] = cp
 	key := string(p)
 	_ = key
+	s.tr.Defer(func() { s.observe(cp) })
 }
 
 // RegisterLiteral installs a literal callback directly.
@@ -87,6 +100,8 @@ func (s *Server) handleMsg(from string, m *proto.Message) {
 	s.byKey[m.From] = nil
 	// Re-encoding allocates: clean.
 	s.last = proto.Encode(m)
+	// The decoder reuses m.Data for the next datagram of the batch.
+	s.tr.Defer(func() { s.observe(m.Data) }) // want bufown "passed to a Defer call"
 }
 
 // sendScratch exercises the scratch rules: scratch absorbs

@@ -151,10 +151,19 @@ type Mux struct {
 	pingNext uint32
 	pings    []pingProbe
 
-	scratch []byte  // datagram packing scratch, reused per flush
-	ranges  []byte  // ack-range encodings of the flush in progress
-	frames  []Frame // frame list scratch, reused per flush
-	spare   []byte  // the one idle byteQueue array the session keeps
+	// Receive-path flushes wait for the end of the transport's entry
+	// when it has one (transport.Deferrer; see flushSoon): entryEnd is
+	// nil when it has not, flushAtEnd is the function deferred, built
+	// once, and flushDue says it is registered for the running entry.
+	entryEnd   transport.Deferrer
+	flushAtEnd func()
+	flushDue   bool
+
+	scratch []byte   // datagram packing scratch, reused per flush
+	ranges  []byte   // ack-range encodings of the flush in progress
+	frames  []Frame  // frame list scratch, reused per flush
+	ids     []uint64 // snapshot of order for loops that call out; see liveIDs
+	spare   []byte   // the one idle byteQueue array the session keeps
 	closed  bool
 }
 
@@ -205,6 +214,13 @@ func NewMux(tr transport.Transport, send func(p []byte) error, even bool, cfg Co
 	m.rtt = rttEstimator{initial: m.cfg.InitialRTO, min: m.cfg.MinRTO, max: m.cfg.MaxRTO}
 	m.sndSessLimit = m.cfg.SessionWindow
 	m.rcvSessLimit = m.cfg.SessionWindow
+	if d, ok := tr.(transport.Deferrer); ok {
+		m.entryEnd = d
+		m.flushAtEnd = func() {
+			m.flushDue = false
+			m.flush() // a mux closed or failed since is a no-op there
+		}
+	}
 	return m
 }
 
@@ -280,11 +296,21 @@ func (m *Mux) shutdown(err error, sendResets bool) {
 		m.rtxTimer.Stop()
 		m.rtxTimer = nil
 	}
-	for _, id := range append([]uint64(nil), m.order...) {
+	for _, id := range m.liveIDs() {
 		if s := m.streams[id]; s != nil {
 			m.terminate(s, err)
 		}
 	}
+}
+
+// liveIDs copies order into the mux's one scratch for it, for a loop
+// whose body calls out: a callback may open or release streams, which
+// moves order under the loop. Both users (shutdown, wakeWriters) look
+// each ID up again and skip what is gone, which also covers the one
+// way they nest — a Writable callback that closes the mux.
+func (m *Mux) liveIDs() []uint64 {
+	m.ids = append(m.ids[:0], m.order...)
+	return m.ids
 }
 
 // HandleDatagram processes one received session datagram (engine
@@ -299,7 +325,28 @@ func (m *Mux) HandleDatagram(p []byte) {
 		m.handleFrame(f)
 		return nil
 	})
-	m.flush()
+	m.flushSoon()
+}
+
+// flushSoon is the receive path's flush, and the one place that chooses
+// between now and later. A transport that delivers datagrams a batch at
+// a time (transport.Deferrer) gets one flush when the batch is done:
+// one ack per stream carrying the cumulative offset and the ranges the
+// whole run left, where a flush per datagram sends an ack per datagram
+// — and the peer, in turn, one advancing ack to process per run. On any
+// other transport this is flush. Everything the application or a timer
+// starts (Write, Read, CloseWrite, Reset, DiscardReads, Ping, the
+// retransmission timer) calls flush itself: those are one flush per
+// entry already, and their callers count on the frames being queued
+// when the call returns.
+func (m *Mux) flushSoon() {
+	switch {
+	case m.entryEnd == nil:
+		m.flush()
+	case !m.flushDue:
+		m.flushDue = true
+		m.entryEnd.Defer(m.flushAtEnd)
+	}
 }
 
 // handleFrame dispatches one frame.
@@ -543,7 +590,7 @@ func (m *Mux) wakeWriters() {
 	if m.cb.Writable == nil {
 		return
 	}
-	for _, id := range append([]uint64(nil), m.order...) {
+	for _, id := range m.liveIDs() {
 		if s := m.streams[id]; s != nil {
 			m.cb.Writable(s)
 		}
@@ -719,9 +766,9 @@ func (m *Mux) onRtxTimer() {
 		return
 	}
 	now := m.tr.Now()
-	for _, id := range append([]uint64(nil), m.order...) {
+	for _, id := range m.order { // nothing below calls out or moves order
 		s := m.streams[id]
-		if s == nil || s.done || s.rtxAt == 0 || s.rtxAt > now {
+		if s.rtxAt == 0 || s.rtxAt > now {
 			continue
 		}
 		if s.inFlight() {

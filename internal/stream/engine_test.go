@@ -16,6 +16,10 @@ import (
 // and a scriptable link (delay, loss, duplication, reordering) and
 // writer (as fast as credit allows, or paced). Every schedule is
 // deterministic, so failures reproduce exactly.
+//
+// By default each datagram is an event of its own and the transports
+// have no end of entry, like the simulator's. harness.batch opts into
+// what a real socket does with a flight: see there.
 
 type hevent struct {
 	at  time.Duration
@@ -53,6 +57,16 @@ type harness struct {
 	// tap, when set, sees every datagram either side sends, lost or not.
 	tap func(from int, p []byte)
 
+	// batch, when nonzero (set it before wire), gives events the shape
+	// of realudp's entries. Both transports implement
+	// transport.Deferrer: what engine code defers runs when the event
+	// that ran it returns (endEntry). And the datagrams one event sends
+	// one way with one delay arrive as one event, up to batch of them:
+	// a delivered recvmmsg batch of UDP-GRO runs.
+	batch int
+	hooks []func()
+	open  [2]*arrival // per direction: the arrival the running event's sends join
+
 	// What a sent on the wire, from its data frames: the highest offset
 	// per stream and the payload bytes sent below it (retransmissions).
 	sentTo   map[uint64]uint32
@@ -71,8 +85,60 @@ func newHarness(seed int64) *harness {
 
 // wire creates the two muxes with the given config and callbacks.
 func (h *harness) wire(cfg Config, cba, cbb Callbacks) {
-	h.a = NewMux(h.ta, h.sendFrom(0), true, cfg, cba)
-	h.b = NewMux(h.tb, h.sendFrom(1), false, cfg, cbb)
+	h.a = NewMux(h.seam(h.ta), h.sendFrom(0), true, cfg, cba)
+	h.b = NewMux(h.seam(h.tb), h.sendFrom(1), false, cfg, cbb)
+}
+
+// seam is ft as a mux gets it: with an end of entry in batch mode.
+func (h *harness) seam(ft *fakeTransport) transport.Transport {
+	if h.batch > 0 {
+		return entryTransport{ft}
+	}
+	return ft
+}
+
+// entryTransport is a fakeTransport with an end of entry.
+type entryTransport struct{ *fakeTransport }
+
+func (t entryTransport) Defer(fn func()) { t.h.hooks = append(t.h.hooks, fn) }
+
+// endEntry runs what the entry deferred, and what that defers, and
+// closes the arrivals its sends were joining. step calls it after every
+// event; a test that calls into a mux between events ends that entry
+// itself.
+func (h *harness) endEntry() {
+	for i := 0; i < len(h.hooks); i++ {
+		h.hooks[i]()
+	}
+	h.hooks = h.hooks[:0]
+	h.open = [2]*arrival{}
+}
+
+// arrival is one delivered batch in the making.
+type arrival struct {
+	at      time.Duration
+	deliver []func()
+}
+
+// deliverAfter schedules one datagram's delivery: an event of its own,
+// or in batch mode a place in the arrival the running event is sending
+// that way for that instant.
+func (h *harness) deliverAfter(from int, d time.Duration, deliver func()) {
+	if h.batch == 0 {
+		h.schedule(d, deliver)
+		return
+	}
+	ar := h.open[from]
+	if ar == nil || ar.at != h.clk+d || len(ar.deliver) == h.batch {
+		ar = &arrival{at: h.clk + d}
+		h.open[from] = ar
+		h.schedule(d, func() {
+			for _, fn := range ar.deliver {
+				fn()
+			}
+		})
+	}
+	ar.deliver = append(ar.deliver, deliver)
 }
 
 func (h *harness) schedule(d time.Duration, fn func()) *hevent {
@@ -104,9 +170,9 @@ func (h *harness) sendFrom(from int) func([]byte) error {
 		if h.jitter > 0 {
 			d += time.Duration(h.rng.Int63n(int64(h.jitter)))
 		}
-		h.schedule(d, deliver)
+		h.deliverAfter(from, d, deliver)
 		if h.dupEvery > 0 && h.sent%h.dupEvery == 0 {
-			h.schedule(d+h.delay/2, deliver)
+			h.deliverAfter(from, d+h.delay/2, deliver)
 		}
 		return nil
 	}
@@ -161,6 +227,7 @@ func (h *harness) step() bool {
 	h.events = append(h.events[:best], h.events[best+1:]...)
 	h.clk = ev.at
 	ev.fn()
+	h.endEntry()
 	if h.watch != nil {
 		h.watch()
 	}

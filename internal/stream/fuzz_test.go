@@ -181,46 +181,68 @@ func FuzzStreamReassembly(f *testing.F) {
 		}
 		rng.Shuffle(len(sched), func(i, j int) { sched[i], sched[j] = sched[j], sched[i] })
 
-		h := newHarness(seed)
-		// Acks go nowhere, but each must describe what the receiver holds:
-		// at most maxAckRanges whole ranges, ascending and apart from each
-		// other, inside the stream, not below the cumulative offset (a
-		// reader draining inside Readable acks mid-merge, when the lowest
-		// range starts exactly there).
-		h.drop = func(_ int, p []byte) bool {
-			var pr Parser
-			_ = pr.Parse(p, func(fr Frame) error {
-				if fr.Type != proto.TypeStreamAck {
-					return nil
-				}
-				if len(fr.Data)%8 != 0 || len(fr.Data) > 8*maxAckRanges {
-					t.Fatalf("ack carries %d range bytes", len(fr.Data))
-				}
-				at := fr.Off
-				for r := fr.Data; len(r) > 0; r = r[8:] {
-					start, end := binary.BigEndian.Uint32(r), binary.BigEndian.Uint32(r[4:])
-					if start < at || (start == at && at != fr.Off) || end <= start || end > uint32(len(data)) {
-						t.Fatalf("ack at %d reports range %d..%d after %d (stream of %d bytes)",
-							fr.Off, start, end, at, len(data))
-					}
-					at = end
-				}
-				return nil
-			})
-			return true
-		}
-		rcv := &sink{}
-		h.wire(Config{}, Callbacks{}, Callbacks{
-			Readable: func(s *Stream) { rcv.pump(s) },
-		})
-		for _, fr := range sched {
-			h.b.HandleDatagram(AppendFrame(nil, &fr))
-		}
-		if got := rcv.buf.Bytes(); !bytes.Equal(got, data) {
-			t.Fatalf("reassembly drifted: got %d bytes, want %d", len(got), len(data))
-		}
-		if !rcv.eof {
-			t.Fatalf("EOF not observed after full delivery")
-		}
+		// Once a datagram per entry, once in runs: a reader that drains
+		// inside Readable then flushes in the middle of entries whose
+		// own flush comes at their end.
+		reassemble(t, data, sched, seed, 0)
+		reassemble(t, data, sched, seed, 8)
 	})
+}
+
+// reassemble delivers sched to a fresh receiver that drains inside
+// Readable — a datagram per entry, or with batch > 0 in entries of 1 to
+// batch datagrams on a transport with an end of entry (harness.batch) —
+// and requires data back, in order, exactly once, with EOF, and every
+// ack sent on the way well-formed.
+func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int) {
+	h := newHarness(seed)
+	h.batch = batch
+	// Acks go nowhere, but each must describe what the receiver holds:
+	// at most maxAckRanges whole ranges, ascending and apart from each
+	// other, inside the stream, not below the cumulative offset (a
+	// reader draining inside Readable acks mid-merge, when the lowest
+	// range starts exactly there).
+	h.drop = func(_ int, p []byte) bool {
+		var pr Parser
+		_ = pr.Parse(p, func(fr Frame) error {
+			if fr.Type != proto.TypeStreamAck {
+				return nil
+			}
+			if len(fr.Data)%8 != 0 || len(fr.Data) > 8*maxAckRanges {
+				t.Fatalf("ack carries %d range bytes", len(fr.Data))
+			}
+			at := fr.Off
+			for r := fr.Data; len(r) > 0; r = r[8:] {
+				start, end := binary.BigEndian.Uint32(r), binary.BigEndian.Uint32(r[4:])
+				if start < at || (start == at && at != fr.Off) || end <= start || end > uint32(len(data)) {
+					t.Fatalf("ack at %d reports range %d..%d after %d (stream of %d bytes)",
+						fr.Off, start, end, at, len(data))
+				}
+				at = end
+			}
+			return nil
+		})
+		return true
+	}
+	rcv := &sink{}
+	h.wire(Config{}, Callbacks{}, Callbacks{
+		Readable: func(s *Stream) { rcv.pump(s) },
+	})
+	for len(sched) > 0 {
+		n := 1
+		if batch > 0 {
+			n = min(1+h.rng.Intn(batch), len(sched))
+		}
+		for i := range sched[:n] {
+			h.b.HandleDatagram(AppendFrame(nil, &sched[i]))
+		}
+		h.endEntry()
+		sched = sched[n:]
+	}
+	if got := rcv.buf.Bytes(); !bytes.Equal(got, data) {
+		t.Fatalf("reassembly drifted: got %d bytes, want %d", len(got), len(data))
+	}
+	if !rcv.eof {
+		t.Fatalf("EOF not observed after full delivery")
+	}
 }

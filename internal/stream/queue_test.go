@@ -75,9 +75,14 @@ type solo struct {
 	sent int
 }
 
-func newSolo(even bool, cfg Config) *solo {
+func newSolo(even bool, cfg Config) *solo { return newSoloBatch(even, cfg, 0) }
+
+// newSoloBatch is newSolo on a harness in batch mode (for batch > 0):
+// the test ends the entries, with so.h.endEntry.
+func newSoloBatch(even bool, cfg Config, batch int) *solo {
 	so := &solo{h: newHarness(1)}
-	so.m = NewMux(so.h.ta, func([]byte) error { so.sent++; return nil }, even, cfg, Callbacks{})
+	so.h.batch = batch
+	so.m = NewMux(so.h.seam(so.h.ta), func([]byte) error { so.sent++; return nil }, even, cfg, Callbacks{})
 	return so
 }
 
@@ -176,6 +181,75 @@ func TestSegmentReadZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Errorf("segment + read allocates %v/op in steady state, want 0", allocs)
+	}
+}
+
+// TestEntryFlushZeroAlloc: on a transport with an end of entry, a run of
+// in-order segments, the one flush deferred to the end of their entry
+// and the reads that take as much out again allocate nothing, and the
+// run is answered by one datagram.
+func TestEntryFlushZeroAlloc(t *testing.T) {
+	const held, run = 256 << 10, 8
+	so := newSoloBatch(false, Config{StreamWindow: 2*held + 64<<10, SessionWindow: 8 * held}, run)
+	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	off := uint32(0)
+	arrive := func(n int) {
+		for i := 0; i < n; i++ {
+			so.feed(Frame{Type: proto.TypeStream, Stream: 2, Off: off, Data: seg})
+			off += uint32(len(seg))
+		}
+		so.h.endEntry()
+	}
+	arrive(held / len(seg))
+	s := so.m.streams[2]
+	buf := make([]byte, run*len(seg))
+	answers := 0
+	step := func() {
+		sent := so.sent
+		arrive(run)
+		answers += so.sent - sent
+		if n, _ := s.Read(buf); n != len(buf) {
+			t.Fatalf("read %d of %d bytes", n, len(buf))
+		}
+	}
+	for i := 0; i < 500; i++ {
+		step()
+	}
+	answers = 0
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("a run of %d segments, its deferred flush and the read allocate %v/op in steady state, want 0", run, allocs)
+	}
+	if answers != 201 { // AllocsPerRun warms up with one run of its own
+		t.Errorf("201 runs of %d segments were answered by %d datagrams, want one each", run, answers)
+	}
+}
+
+// TestSessionWindowUpdateZeroAlloc: session credit is not any one
+// stream's, so an update wakes every writer — over a copy of the stream
+// list, because a woken writer may open or finish streams — and that
+// copy is the mux's, not a fresh one per update.
+func TestSessionWindowUpdateZeroAlloc(t *testing.T) {
+	so := newSolo(true, Config{})
+	woken := 0
+	so.m.cb.Writable = func(*Stream) { woken++ }
+	const streams = 16
+	for i := 0; i < streams; i++ {
+		if _, err := so.m.Open(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	limit := so.m.sndSessLimit
+	step := func() {
+		limit += 1024
+		so.feed(Frame{Type: proto.TypeStreamWindow, Off: limit})
+	}
+	step()
+	woken = 0
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a session window update over %d streams allocates %v/op, want 0", streams, allocs)
+	}
+	if woken != 101*streams {
+		t.Errorf("101 updates woke %d writers, want %d each", woken, streams)
 	}
 }
 

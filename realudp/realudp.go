@@ -30,7 +30,10 @@
 // with the kernel when Invoke returns. A relayed stream therefore
 // costs a recvmmsg slot per run in and ~1/sendBatch of a syscall per
 // packet out, and a stream Write's whole flight costs its writer a
-// syscall or two.
+// syscall or two. The entry is also the unit of transport.Deferrer's
+// Defer (a deferred function runs when the entry's engine code is done
+// and before its sends leave) and of the clock (Now is read once as the
+// entry begins).
 // Other platforms (and Linux with WithBatching(false)) fall back to a
 // portable one-datagram-per-syscall loop with identical semantics.
 // Receive buffers are reused on both paths — across datagrams, and on
@@ -95,9 +98,17 @@ type Transport struct {
 	conns    []*Conn
 	first    *Conn
 	done     chan struct{}
-	batching bool    // construction-time, immutable
-	inBatch  bool    // under mu: engine code is running (enter/leave)
-	dirty    []*Conn // under mu: conns with queued sends to flush
+	batching bool     // construction-time, immutable
+	dirty    []*Conn  // under mu: conns with queued sends to flush
+	hooks    []func() // under mu: end-of-entry functions (Defer), run by leave
+	// inBatch is set while engine code is running (enter/leave) and
+	// written under mu; it is atomic, like clock, only so that Now may be
+	// called from outside the serialized context.
+	inBatch atomic.Bool
+	// clock is the latest reading of the wall clock anyone was given,
+	// as nanoseconds since start: it only moves forward, and between
+	// enter and leave it stands still. See Now.
+	clock atomic.Int64
 	// filter (under mu) drops inbound datagrams before the engine sees
 	// them; see SetPacketFilter.
 	filter func(src transport.Endpoint) bool
@@ -207,8 +218,37 @@ func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
 }
 
 // Now returns monotonic elapsed wall time since the transport was
-// created.
-func (t *Transport) Now() time.Duration { return time.Since(t.start) }
+// created. Inside the serialized context it is one reading per entry:
+// the clock is read when a delivered batch, an Invoke body or a timer
+// callback begins, and every Now until that entry ends returns that
+// reading, so a timestamp or an RTT sample taken by engine code is
+// early by at most the time the entry has been running (microseconds,
+// against a 100 ms minimum retransmission timeout). A caller outside
+// the serialized context gets the running entry's reading, or a fresh
+// one when none is running; whoever calls, and from whichever
+// goroutines, the values never go backwards.
+func (t *Transport) Now() time.Duration {
+	if t.inBatch.Load() {
+		return time.Duration(t.clock.Load())
+	}
+	return t.readClock()
+}
+
+// readClock reads the wall clock, never returning less than any
+// reading handed out before it: two goroutines that read nanoseconds
+// apart may publish in either order.
+func (t *Transport) readClock() time.Duration {
+	now := int64(time.Since(t.start))
+	for {
+		last := t.clock.Load()
+		if now <= last {
+			return time.Duration(last)
+		}
+		if t.clock.CompareAndSwap(last, now) {
+			return time.Duration(now)
+		}
+	}
+}
 
 // Rand returns the transport's (wall-clock seeded) randomness source.
 func (t *Transport) Rand() *rand.Rand { return t.rng }
@@ -222,18 +262,44 @@ func (t *Transport) Invoke(fn func()) {
 	fn()
 }
 
+// Defer implements transport.Deferrer: fn runs once when the engine
+// code of the running entry has returned, while what it sends still
+// joins the entry's send batch. Engine context only.
+func (t *Transport) Defer(fn func()) { t.hooks = append(t.hooks, fn) }
+
 // enter and leave bracket every run of engine code — a delivered
 // batch, an Invoke body, a timer callback: the serialization mutex,
-// and one send batch that is on the wire when leave returns.
+// one clock reading, the deferred functions, and one send batch that
+// is on the wire when leave returns.
 func (t *Transport) enter() {
 	t.mu.Lock()
-	t.inBatch = true
+	t.readClock()
+	t.inBatch.Store(true)
 }
 
 func (t *Transport) leave() {
-	t.inBatch = false
+	if len(t.hooks) > 0 {
+		t.runHooksLocked()
+	}
+	t.inBatch.Store(false)
 	t.flushDirtyLocked()
 	t.mu.Unlock()
+}
+
+// runHooksLocked runs the entry's deferred functions in the order they
+// were registered, those registered meanwhile included; on a closed
+// transport it only forgets them. The slice is reused, so a steady
+// state of one or two hooks per entry allocates nothing.
+func (t *Transport) runHooksLocked() {
+	select {
+	case <-t.done:
+	default:
+		for i := 0; i < len(t.hooks); i++ {
+			t.hooks[i]()
+		}
+	}
+	clear(t.hooks)
+	t.hooks = t.hooks[:0]
 }
 
 // SetPacketFilter installs an inbound drop filter on every socket of
@@ -342,7 +408,7 @@ func (c *Conn) OnRecv(fn func(from transport.Endpoint, payload []byte)) { c.onRe
 // on a portable or closed socket, whose error the caller gets at once
 // — written to the kernel immediately.
 func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
-	if c.t.inBatch && c.bc != nil && !c.closed.Load() {
+	if c.t.inBatch.Load() && c.bc != nil && !c.closed.Load() {
 		c.enqueueLocked(to, payload)
 		return nil
 	}

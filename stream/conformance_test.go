@@ -516,3 +516,37 @@ func TestNewSessionRequiresWithStreams(t *testing.T) {
 		t.Fatal("NewSession accepted a conn dialed without WithStreams")
 	}
 }
+
+// TestSessionWakeZeroAlloc: however many readable/writable events an
+// entry raises, they cost one wake-up when it ends and no allocation.
+func TestSessionWakeZeroAlloc(t *testing.T) {
+	w := loopWorld(t, baseOpts()...)
+	ln, err := w.bob.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ln.AcceptConn()
+	conn, err := w.alice.Dial("bob")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	sess, err := stream.NewSession(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	events := func() {
+		sess.EngineEvent()
+		sess.EngineEvent()
+		sess.EngineEvent()
+	}
+	entry := func() { w.trA.Invoke(events) }
+	entry()
+	before := sess.Wakeups()
+	if allocs := testing.AllocsPerRun(200, entry); allocs != 0 {
+		t.Errorf("an entry raising three events allocates %v/op, want 0", allocs)
+	}
+	if n := sess.Wakeups() - before; n != 201 {
+		t.Errorf("201 entries of three events each woke the waiters %d times, want once each", n)
+	}
+}

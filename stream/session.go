@@ -71,10 +71,16 @@ type Session struct {
 	tr   transport.Transport
 	w    transport.Waiter // non-nil on virtual-time transports
 
-	// mux and early are engine-context state: touched only inside
-	// tr.Invoke or engine callbacks.
+	// mux, early and the wake-up fields are engine-context state:
+	// touched only inside tr.Invoke or engine callbacks.
 	mux   *istream.Mux
 	early [][]byte // datagrams that arrived before the mux existed
+	// On a transport with an end of entry (transport.Deferrer) the
+	// readable/writable wake-up is sent once per entry, from wakeAtEnd
+	// (built once); wakeDue says it is registered for the running entry.
+	entryEnd  transport.Deferrer
+	wakeAtEnd func()
+	wakeDue   bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -110,6 +116,13 @@ func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
 	s.tr = cr.Transport()
 	if w, ok := s.tr.(transport.Waiter); ok {
 		s.w = w
+	}
+	if d, ok := s.tr.(transport.Deferrer); ok {
+		s.entryEnd = d
+		s.wakeAtEnd = func() {
+			s.wakeDue = false
+			s.wake()
+		}
 	}
 	// Stream-ID parity must differ across the two endpoints; both
 	// sides know both rendezvous names, so the lexicographically
@@ -180,12 +193,25 @@ func (s *Session) engineAccept(es *istream.Stream) {
 	s.mu.Unlock()
 }
 
-// engineEvent wakes facade waiters on any readable/writable change
-// (engine context).
-func (s *Session) engineEvent(*istream.Stream) {
+// wake is bump for callers that do not hold s.mu.
+func (s *Session) wake() {
 	s.mu.Lock()
 	s.bump()
 	s.mu.Unlock()
+}
+
+// engineEvent wakes facade waiters on any readable/writable change
+// (engine context). A waiter cannot enter the engine before the entry
+// that woke it is over, so where the transport says when that is, a
+// batch of datagrams costs one wake-up, not one per datagram.
+func (s *Session) engineEvent(*istream.Stream) {
+	switch {
+	case s.entryEnd == nil:
+		s.wake()
+	case !s.wakeDue:
+		s.wakeDue = true
+		s.entryEnd.Defer(s.wakeAtEnd)
+	}
 }
 
 // engineClosed drops a terminated stream from the registry (engine

@@ -24,10 +24,10 @@
 // Transport implementation must therefore serialize everything that
 // enters engine code — datagram delivery callbacks, timer callbacks,
 // and work submitted through Invoke all run mutually excluded, and
-// the engine only ever calls BindUDP, After, Now, and Rand from
-// inside that serialized context. Application-side callers (the
-// facade, adapters, tests) must enter the engine exclusively through
-// Invoke.
+// the engine only ever calls BindUDP, After, Now, Rand, and (where the
+// transport has it) Deferrer's Defer from inside that serialized
+// context. Application-side callers (the facade, adapters, tests) must
+// enter the engine exclusively through Invoke.
 //
 // Timer.Stop and Timer.Active are likewise only called from inside
 // the serialized context, which is what lets the real-socket
@@ -102,7 +102,9 @@ type Transport interface {
 	After(d time.Duration, fn func()) Timer
 	// Now returns the transport's clock: virtual time for the
 	// simulator, monotonic elapsed wall time for real sockets. Only
-	// differences of Now values are meaningful.
+	// differences of Now values are meaningful, and an implementation
+	// may hold the clock still while one delivered batch, Invoke body
+	// or timer callback runs (realudp reads it once as each begins).
 	Now() time.Duration
 	// Rand returns the randomness source used for nonces and any
 	// randomized protocol behavior. Deterministic transports return a
@@ -128,6 +130,25 @@ type ScratchSender interface {
 	// ScratchSendOK reports that SendTo releases the payload slice
 	// before returning.
 	ScratchSendOK() bool
+}
+
+// Deferrer is an optional Transport capability for implementations
+// whose serialized context has a boundary the engine can batch against:
+// an entry — one delivered batch of datagrams, one Invoke body, one
+// timer callback — after which everything the entry sent leaves at
+// once. Engine code that would otherwise do the same work once per
+// datagram of a batch (the stream engine's flush, the stream facade's
+// wake-up) probes for it and does that work once per entry. A
+// transport without it has no such boundary and the engine works per
+// datagram; the simulated transport deliberately does not implement
+// it, which keeps simulated runs datagram for datagram what they were.
+type Deferrer interface {
+	// Defer runs fn once, in the serialized context, after the engine
+	// code of the entry that is running returns and before that entry's
+	// sends leave. A function deferred by a deferred function runs in
+	// the same entry. Engine context only; after the transport is
+	// closed nothing deferred runs.
+	Defer(fn func())
 }
 
 // Waiter is an optional Transport capability for virtual-time

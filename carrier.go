@@ -82,6 +82,24 @@ type Carrier struct {
 // terminal session failure arrives via the Carry onDead callback.
 func (cr *Carrier) Send(p []byte) error { return cr.c.sess.Send(p) }
 
+// BeginSend and EndSend are Send in two halves, for a sender that
+// builds its datagram where it will be sent from instead of handing
+// over a finished one to be copied: BeginSend returns a buffer, the
+// caller appends the datagram to it — behind whatever the buffer
+// already holds, which is the session's envelope — and EndSend
+// transmits the result like Send. Over a transport whose sockets lend
+// their send buffer (transport.InPlaceSender; realudp) the appended
+// bytes are not copied again before the kernel takes them; over any
+// other the buffer is a scratch or a fresh array and nothing else
+// differs. Engine context only, every BeginSend followed by its EndSend
+// before anything else is sent; the buffer belongs to the session and
+// must not be kept, or touched, after EndSend.
+func (cr *Carrier) BeginSend() []byte { return cr.c.sess.BeginSend() }
+
+// EndSend transmits the datagram appended to BeginSend's buffer; see
+// BeginSend. Errors are Send's.
+func (cr *Carrier) EndSend(p []byte) error { return cr.c.sess.EndSend(p) }
+
 // Transport returns the session's transport seam; its Invoke is the
 // door into engine context, and its After/Now drive protocol timers
 // deterministically under simulation.

@@ -8,17 +8,21 @@ import (
 )
 
 // BufOwn enforces the data plane's buffer-ownership contract with a
-// function-local alias/escape analysis. Three buffer classes are
+// function-local alias/escape analysis. Four buffer classes are
 // callback-scoped — valid only until the enclosing engine callback
 // returns, because the producer reuses the backing storage:
 //
 //   - payloads delivered to OnRecv-shaped callbacks (realudp's read
 //     loops reuse one receive buffer per socket, PR 8);
 //   - slice fields of a *proto.Message received as a parameter (the
-//     reusing proto.Decoder owns Data/Candidates storage and the next
-//     datagram overwrites it);
+//     reusing proto.Decoder owns the Candidates storage, which the next
+//     datagram overwrites, and its Data is the received datagram's own
+//     bytes);
 //   - configured scratch fields (Config.ScratchFields: reused encode
-//     buffers and message skeletons on the zero-alloc hot path).
+//     buffers and message skeletons on the zero-alloc hot path);
+//   - the buffer a Reserve() call lends (transport.InPlaceSender): the
+//     tail of the socket's send queue, the caller's only until the
+//     Commit that hands it back, and the next datagram's after that.
 //
 // Any alias of such a buffer that can outlive the callback is flagged:
 // stores to struct fields or package variables, map inserts, retaining
@@ -47,22 +51,28 @@ var BufOwn = &Analyzer{
 }
 
 // taintClass distinguishes inbound callback-scoped buffers from reused
-// scratch: scratch legitimately exits through SendTo (the reuseEnc
-// gate), inbound payloads must be copied first.
+// scratch and lent send buffers: those legitimately exit through SendTo
+// (the reuseEnc gate) and Commit, inbound payloads must be copied
+// first.
 type taintClass int
 
 const (
 	taintNone taintClass = iota
 	// taintScratch marks reused encode scratch (Config.ScratchFields).
 	taintScratch
+	// taintReserved marks a send buffer lent by Reserve().
+	taintReserved
 	// taintCallback marks inbound callback-scoped buffers (OnRecv
 	// payloads, decoder-owned Message slice fields).
 	taintCallback
 )
 
 func (t taintClass) String() string {
-	if t == taintScratch {
+	switch t {
+	case taintScratch:
 		return "reused scratch buffer"
+	case taintReserved:
+		return "send buffer lent by Reserve"
 	}
 	return "callback-scoped buffer"
 }
@@ -698,9 +708,17 @@ func (bo *bufOwnFunc) exprTaint(e ast.Expr) taintClass {
 		// retention vector once stored.
 		return bo.capturedTaint(x)
 	case *ast.CallExpr:
+		if bo.isReserveCall(x) {
+			return taintReserved
+		}
 		if fn, ok := x.Fun.(*ast.Ident); ok && fn.Name == "append" {
 			if x.Ellipsis.IsValid() {
-				return taintNone // append(dst, buf...) copies the bytes
+				// append(dst, buf...) copies the bytes — into dst, which
+				// is still the socket's when it was reserved.
+				if bo.exprTaint(x.Args[0]) == taintReserved {
+					return taintReserved
+				}
+				return taintNone
 			}
 			var t taintClass
 			for _, a := range x.Args[1:] {
@@ -720,6 +738,18 @@ func (bo *bufOwnFunc) exprTaint(e ast.Expr) taintClass {
 	default:
 		return taintNone
 	}
+}
+
+// isReserveCall reports whether the call borrows a socket's send buffer
+// (transport.InPlaceSender): a method named Reserve that takes nothing
+// and returns a byte slice.
+func (bo *bufOwnFunc) isReserveCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Reserve" || len(call.Args) != 0 {
+		return false
+	}
+	t := bo.pkg.Info.TypeOf(call)
+	return t != nil && isByteSlice(t)
 }
 
 // selectorTaint classifies a field read: decoder-owned Message slice

@@ -186,7 +186,13 @@ func capturedCorpus(tb testing.TB) [][]byte {
 // FuzzMessageParse asserts Decode is total (never panics, never
 // reads out of bounds) and canonical: any accepted input re-encodes
 // to a wire form that decodes to the identical message, and that
-// canonical form is a fixed point of encode∘decode.
+// canonical form is a fixed point of encode∘decode. The two ways of
+// encoding and the two ways of decoding agree on every accepted input:
+// a message without candidates built by BeginData, its payload and
+// EndData, under either obfuscation mode and behind whatever the buffer
+// already held, is byte for byte AppendMessage's, and the reusing
+// Decoder, which leaves Data where it lies in the input, reads what the
+// copying Decode reads.
 func FuzzMessageParse(f *testing.F) {
 	for _, wire := range capturedCorpus(f) {
 		f.Add(wire)
@@ -225,7 +231,31 @@ func FuzzMessageParse(f *testing.F) {
 		if again := proto.Encode(m2, proto.PlainEndpoints); !bytes.Equal(canonical, again) {
 			t.Fatalf("canonical form is not a fixed point:\n first: %x\nsecond: %x", canonical, again)
 		}
+		var dec proto.Decoder
+		if md, err := dec.Decode(data); err != nil || !reflect.DeepEqual(normalized(md), normalized(m)) {
+			t.Fatalf("Decoder and Decode disagree (%v):\n Decoder: %+v\n  Decode: %+v", err, md, m)
+		}
+		if len(m.Candidates) > 0 {
+			return
+		}
+		for _, obf := range []proto.Obfuscator{proto.PlainEndpoints, proto.ObfuscatedEndpoints} {
+			prefix := []byte("already queued")
+			buf := proto.BeginData(prefix, m, obf)
+			halves := proto.EndData(append(buf, m.Data...), len(buf))
+			if whole := proto.AppendMessage(prefix, m, obf); !bytes.Equal(halves, whole) {
+				t.Fatalf("BeginData+payload+EndData differs from AppendMessage (obf %d):\nhalves: %x\n whole: %x", obf, halves, whole)
+			}
+		}
 	})
+}
+
+// normalized is m with empty slices for nil ones: a reused Decoder
+// keeps the storage of the message before, a fresh Decode has none.
+func normalized(m *proto.Message) proto.Message {
+	n := *m
+	n.Data = append([]byte{}, m.Data...)
+	n.Candidates = append([]proto.Candidate{}, m.Candidates...)
+	return n
 }
 
 // FuzzStreamDecoder asserts the TCP stream framing layer never

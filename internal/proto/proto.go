@@ -259,12 +259,25 @@ func Encode(m *Message, obf Obfuscator) []byte {
 
 // AppendMessage appends the wire encoding of m to dst and returns the
 // extended slice. This is the allocation-free form of Encode: hot
-// paths (the rendezvous forwarder and §2.2 relay) re-encode into a
-// reusable scratch buffer that amortizes to zero allocations per
-// datagram.
+// paths (the rendezvous forwarder and §2.2 relay) encode into the
+// buffer the socket sends from, or into a reusable scratch, which
+// amortizes to zero allocations per datagram.
 func AppendMessage(dst []byte, m *Message, obf Obfuscator) []byte {
-	buf := dst
-	buf = append(buf, magic, byte(m.Type), byte(obf))
+	buf := appendHeader(dst, m, obf, len(m.Data))
+	buf = append(buf, m.Data...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Candidates)))
+	for _, c := range m.Candidates {
+		buf = append(buf, c.Kind)
+		buf = binary.BigEndian.AppendUint32(buf, c.Priority)
+		buf = appendEndpoint(buf, c.Endpoint, obf)
+	}
+	return buf
+}
+
+// appendHeader appends everything that precedes a message's payload on
+// the wire, the payload's length included.
+func appendHeader(dst []byte, m *Message, obf Obfuscator, dataLen int) []byte {
+	buf := append(dst, magic, byte(m.Type), byte(obf))
 	buf = appendString(buf, m.From)
 	buf = appendString(buf, m.Target)
 	buf = appendEndpoint(buf, m.Public, obf)
@@ -276,15 +289,26 @@ func AppendMessage(dst []byte, m *Message, obf Obfuscator) []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Data)))
-	buf = append(buf, m.Data...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Candidates)))
-	for _, c := range m.Candidates {
-		buf = append(buf, c.Kind)
-		buf = binary.BigEndian.AppendUint32(buf, c.Priority)
-		buf = appendEndpoint(buf, c.Endpoint, obf)
-	}
-	return buf
+	return binary.BigEndian.AppendUint32(buf, uint32(dataLen))
+}
+
+// BeginData and EndData are AppendMessage in two halves, for a caller
+// that writes the payload itself where it will be sent from instead of
+// building it elsewhere for AppendMessage to copy: BeginData appends
+// m's encoding up to where its Data begins (m.Data and m.Candidates are
+// not looked at), the caller appends the payload, and EndData, given
+// the length BeginData's result had, fills in the payload's length and
+// closes the message with an empty candidate list. The result is byte
+// for byte what AppendMessage makes of the same message carrying that
+// payload.
+func BeginData(dst []byte, m *Message, obf Obfuscator) []byte {
+	return appendHeader(dst, m, obf, 0)
+}
+
+// EndData completes the message BeginData began in buf; see there.
+func EndData(buf []byte, dataAt int) []byte {
+	binary.BigEndian.PutUint32(buf[dataAt-4:], uint32(len(buf)-dataAt))
+	return binary.BigEndian.AppendUint16(buf, 0)
 }
 
 // Decode parses a message. The obfuscation mode is carried in the
@@ -298,10 +322,14 @@ func Decode(b []byte) (*Message, error) {
 }
 
 // Decoder decodes messages into a reused Message, interning the
-// From/Target name strings, so steady-state decoding on a server hot
-// path allocates nothing. The returned *Message (and its Data and
-// Candidates slices) is valid only until the next Decode call; the
-// name strings are interned and safe to retain.
+// From/Target name strings, so steady-state decoding on a hot path
+// allocates nothing and copies nothing: the returned Message's Data is
+// not a copy but the payload's bytes inside b itself, cut to their
+// length (appending to it reallocates). The *Message and its Candidates
+// are valid until the next Decode call, its Data only as long as b is —
+// for a datagram, until the delivery callback returns — so whatever
+// outlives that copies it; the name strings are interned and safe to
+// retain.
 type Decoder struct {
 	m     Message
 	names map[string]string
@@ -311,7 +339,7 @@ type Decoder struct {
 // unique names resets the table rather than growing without bound.
 const maxInternedNames = 1 << 14
 
-// Decode parses one message into the Decoder's reused buffer.
+// Decode parses one message into the Decoder's reused Message.
 func (d *Decoder) Decode(b []byte) (*Message, error) {
 	if err := decodeInto(&d.m, b, d); err != nil {
 		return nil, err
@@ -345,9 +373,10 @@ type stringInterner interface {
 	internString(b []byte) string
 }
 
-// decodeInto parses b into m, reusing m's Data and Candidates storage
-// when capacity allows. A nil interner copies name strings fresh
-// (Decode); a non-nil one interns them (Decoder). On error m is left
+// decodeInto parses b into m, reusing m's Candidates storage when
+// capacity allows. A nil interner copies name strings and payload
+// fresh (Decode); a non-nil one interns the names and points Data at
+// the payload where it lies in b (Decoder). On error m is left
 // partially filled and must be discarded.
 func decodeInto(m *Message, b []byte, in stringInterner) error {
 	if len(b) < 3 || b[0] != magic {
@@ -383,11 +412,15 @@ func decodeInto(m *Message, b []byte, in stringInterner) error {
 	if uint32(len(b)) < n {
 		return ErrShort
 	}
-	if n > 0 {
+	switch {
+	case n == 0:
+		// nil stays nil (fresh Message), anything else empties — and
+		// loses its capacity, which may be an earlier datagram's.
+		m.Data = m.Data[:0:0]
+	case in != nil:
+		m.Data = b[:n:n]
+	default:
 		m.Data = append(m.Data[:0], b[:n]...)
-	} else {
-		// nil stays nil (fresh Message), reused storage truncates.
-		m.Data = m.Data[:0]
 	}
 	b = b[n:]
 	m.Candidates = m.Candidates[:0]

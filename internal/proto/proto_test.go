@@ -284,3 +284,85 @@ func TestDecoderInternTableBounded(t *testing.T) {
 		t.Fatalf("intern table grew to %d entries, bound is %d", len(d.names), maxInternedNames)
 	}
 }
+
+// within reports whether p's bytes lie inside b's.
+func within(p, b []byte) bool {
+	for i := range b {
+		if &b[i] == &p[0] {
+			return len(p) <= len(b)-i
+		}
+	}
+	return false
+}
+
+// TestDecoderLeavesDataInPlace pins who copies a payload: the reusing
+// Decoder does not — Data is the payload's bytes in the input, cut to
+// their length so that an append cannot reach what follows them — and
+// the allocating Decode and the stream decoder built on it do, because
+// their callers keep what they get. An empty payload never points
+// anywhere: nil on a fresh Decoder, empty and without capacity after a
+// payload that had some.
+func TestDecoderLeavesDataInPlace(t *testing.T) {
+	m := sampleMessage()
+	wire := Encode(m, PlainEndpoints)
+	var d Decoder
+	got, err := d.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, m.Data) || !within(got.Data, wire) || cap(got.Data) != len(got.Data) {
+		t.Fatalf("Decoder: Data %q (len %d, cap %d), inside the input: %v; want the input's own bytes, cut to length",
+			got.Data, len(got.Data), cap(got.Data), within(got.Data, wire))
+	}
+	if grown := append(got.Data, '!'); within(grown, wire) {
+		t.Fatal("appending to Data wrote into the datagram")
+	}
+
+	empty := Encode(&Message{Type: TypeKeepAlive, From: "b"}, PlainEndpoints)
+	if got, err = d.Decode(empty); err != nil || got.Data == nil || len(got.Data) != 0 || cap(got.Data) != 0 {
+		t.Fatalf("Decoder, empty payload after a full one: Data %v (cap %d), %v; want empty, not nil, no capacity", got.Data, cap(got.Data), err)
+	}
+	var fresh Decoder
+	if got, err = fresh.Decode(empty); err != nil || got.Data != nil {
+		t.Fatalf("fresh Decoder, empty payload: Data %v, %v; want nil", got.Data, err)
+	}
+
+	if got, err = Decode(wire); err != nil || !bytes.Equal(got.Data, m.Data) || within(got.Data, wire) {
+		t.Fatalf("Decode: Data %q inside the input: %v (%v); want a copy", got.Data, within(got.Data, wire), err)
+	}
+	if got, err = Decode(empty); err != nil || got.Data != nil {
+		t.Fatalf("Decode, empty payload: Data %v, %v; want nil", got.Data, err)
+	}
+	framed := AppendFrame(nil, m, PlainEndpoints)
+	var sd StreamDecoder
+	ms, err := sd.Feed(framed)
+	if err != nil || len(ms) != 1 || !bytes.Equal(ms[0].Data, m.Data) || within(ms[0].Data, framed) {
+		t.Fatalf("StreamDecoder.Feed: %d messages (%v), Data inside the input: %v; want one, a copy", len(ms), err, len(ms) == 1 && within(ms[0].Data, framed))
+	}
+	// Nor inside the decoder's own reassembly buffer, which the next
+	// Feed overwrites.
+	sd.Feed(AppendFrame(nil, &Message{Type: TypeRelayTo, Data: bytes.Repeat([]byte("x"), 64)}, PlainEndpoints))
+	if !bytes.Equal(ms[0].Data, m.Data) {
+		t.Fatalf("a later Feed rewrote an earlier message's Data: %q", ms[0].Data)
+	}
+}
+
+// TestBeginEndDataMatchesAppendMessage: the two halves produce
+// AppendMessage's bytes for a message with a payload, with an empty
+// one, and with names of any length, behind a prefix the buffer held.
+func TestBeginEndDataMatchesAppendMessage(t *testing.T) {
+	for _, obf := range []Obfuscator{PlainEndpoints, ObfuscatedEndpoints} {
+		for _, data := range [][]byte{nil, []byte("p"), bytes.Repeat([]byte("frame"), 230)} {
+			m := sampleMessage()
+			m.Candidates = nil
+			m.Data = data
+			want := AppendMessage([]byte("prefix"), m, obf)
+			m.Data = []byte("not looked at")
+			buf := BeginData([]byte("prefix"), m, obf)
+			got := EndData(append(buf, data...), len(buf))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("obf=%d, %d payload bytes: BeginData+EndData diverges from AppendMessage:\n got %x\nwant %x", obf, len(data), got, want)
+			}
+		}
+	}
+}

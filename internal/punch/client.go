@@ -219,14 +219,17 @@ type Client struct {
 
 	// Allocation-free datagram path, enabled (reuse) when the socket
 	// declares transport.ScratchSender: every inbound datagram decodes
-	// into dec's one reused Message — its byte fields valid until the
-	// next datagram, so whatever outlives the handler copies — and
-	// every send encodes into enc. The simulated transport retains
-	// sent payloads, and sessions over it hand received ones to
-	// applications that keep them, so it gets fresh ones both ways.
-	reuse bool
-	dec   proto.Decoder
-	enc   []byte
+	// into dec's one reused Message — its Data the datagram's own bytes,
+	// valid until the handler returns, so whatever outlives it copies —
+	// and every send encodes into enc, or, on a socket that lends its
+	// send buffer (inPlace, transport.InPlaceSender), straight into
+	// that. The simulated transport retains sent payloads, and sessions
+	// over it hand received ones to applications that keep them, so it
+	// gets fresh ones both ways.
+	reuse   bool
+	inPlace transport.InPlaceSender
+	dec     proto.Decoder
+	enc     []byte
 
 	// Server pool state: pool is the preference-ordered rendezvous
 	// server list (pool[poolIdx] == server), lastServerSeen timestamps

@@ -178,3 +178,109 @@ func TestHeldDatagramsSurviveDecoderReuse(t *testing.T) {
 		}
 	}
 }
+
+// lendingConn adds transport.InPlaceSender the way realudp has it: one
+// array of its own, lent whole, and a record of whether what came back
+// was built in it.
+type lendingConn struct {
+	scratchConn
+	arena   []byte
+	inPlace int
+}
+
+func (c *lendingConn) Reserve() []byte { return c.arena[:0] }
+func (c *lendingConn) Commit(to inet.Endpoint, p []byte) error {
+	if len(p) > 0 && cap(c.arena) > 0 && &p[0] == &c.arena[:1][0] {
+		c.inPlace++
+	}
+	return c.SendTo(to, p)
+}
+
+// TestSessionDatagramInPlaceZeroAlloc: over a socket that lends its
+// send buffer, a session datagram — handed over whole to Send, or
+// appended piecemeal between BeginSend and EndSend the way the stream
+// engine packs frames — is encoded in that buffer, envelope and all,
+// allocates nothing, and is on the wire what every other socket gets:
+// the one encoding of the message.
+func TestSessionDatagramInPlaceZeroAlloc(t *testing.T) {
+	for _, via := range []Method{MethodPublic, MethodRelay} {
+		conn := &lendingConn{arena: make([]byte, 0, 2048)}
+		c, s := aliceWith(t, conn, via, func([]byte) {})
+		if c.inPlace == nil {
+			t.Fatal("in-place path off on a socket that lends its send buffer")
+		}
+		payload := make([]byte, 1152)
+		for i := range payload {
+			payload[i] = byte(i * 3)
+		}
+		wire := func(seq uint32) []byte {
+			m := &proto.Message{Type: proto.TypeData, From: "alice", Nonce: sessionNonce, Seq: seq, Data: payload}
+			if via == MethodRelay {
+				m = &proto.Message{Type: proto.TypeRelayTo, From: "alice", Target: "bob", Seq: seq, Data: payload}
+			}
+			return proto.Encode(m, 0)
+		}
+		if err := s.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		if want := wire(1); string(conn.last) != string(want) {
+			t.Fatalf("%v: Send put %d bytes on the wire, want the message's %d-byte encoding", via, len(conn.last), len(want))
+		}
+		halves := func() {
+			buf := s.BeginSend()
+			buf = append(buf, payload[:500]...)
+			buf = append(buf, payload[500:]...)
+			if err := s.EndSend(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		halves()
+		if want := wire(2); string(conn.last) != string(want) {
+			t.Fatalf("%v: BeginSend+EndSend put %d bytes on the wire, want the message's %d-byte encoding", via, len(conn.last), len(want))
+		}
+		if conn.sent != 2 || conn.inPlace != 2 {
+			t.Fatalf("%v: %d of %d datagrams were built in the socket's buffer", via, conn.inPlace, conn.sent)
+		}
+		step := func() {
+			s.Send(payload)
+			halves()
+		}
+		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+			t.Errorf("%v: Send plus BeginSend/EndSend allocate %v/op in steady state, want 0", via, allocs)
+		}
+		if conn.inPlace != conn.sent {
+			t.Errorf("%v: %d of %d datagrams were built in the socket's buffer", via, conn.inPlace, conn.sent)
+		}
+	}
+}
+
+// TestBeginSendOnOtherSockets: the two halves are Send on a socket that
+// only releases payloads (the client's scratch) and on one that keeps
+// them (a fresh array each time, which a later send leaves alone), and
+// a closed session sends nothing either way.
+func TestBeginSendOnOtherSockets(t *testing.T) {
+	want := func(seq uint32, data string) string {
+		return string(proto.Encode(&proto.Message{Type: proto.TypeData, From: "alice", Nonce: sessionNonce, Seq: seq, Data: []byte(data)}, 0))
+	}
+	scratch := &scratchConn{}
+	_, s := aliceWith(t, scratch, MethodPublic, func([]byte) {})
+	s.EndSend(append(s.BeginSend(), "one"...))
+	if string(scratch.last) != want(1, "one") {
+		t.Fatalf("scratch socket: %q on the wire", scratch.last)
+	}
+
+	keeping := &wireConn{}
+	_, s = aliceWith(t, keeping, MethodPublic, func([]byte) {})
+	s.EndSend(append(s.BeginSend(), "first out"...))
+	first := keeping.last
+	s.EndSend(append(s.BeginSend(), "second out"...))
+	if string(first) != want(1, "first out") || string(keeping.last) != want(2, "second out") {
+		t.Fatalf("keeping socket: %q then %q on the wire", first, keeping.last)
+	}
+
+	s.Close()
+	sent := keeping.sent
+	if err := s.EndSend(append(s.BeginSend(), "late"...)); err == nil || keeping.sent != sent || s.SentDatagrams != 2 {
+		t.Fatalf("closed session: error %v, %d datagrams sent, %d counted; want an error and nothing sent", err, keeping.sent-sent, s.SentDatagrams-2)
+	}
+}

@@ -46,6 +46,7 @@ type UDPSession struct {
 
 	cb        UDPCallbacks
 	seq       uint32
+	dataAt    int           // where the payload begins in the datagram BeginSend began
 	lastRecvT time.Duration // transport-clock time of last inbound traffic
 	keepTimer transport.Timer
 	closed    bool
@@ -127,6 +128,7 @@ func (c *Client) BindUDP(localPort inet.Port) error {
 	if ss, ok := s.(transport.ScratchSender); ok && ss.ScratchSendOK() {
 		c.reuse = true
 	}
+	c.inPlace, _ = s.(transport.InPlaceSender)
 	s.OnRecv(c.handleUDPPacket)
 	return nil
 }
@@ -208,15 +210,35 @@ func (c *Client) advanceServer() {
 // sendToServer transmits a message to S over UDP.
 func (c *Client) sendToServer(m *proto.Message) { c.sendUDP(c.server, m) }
 
-// sendUDP encodes and transmits one message: into the client's reused
-// scratch when the socket releases payloads before SendTo returns,
-// else as a fresh encoding the transport may keep.
+// sendUDP encodes and transmits one message.
 func (c *Client) sendUDP(to inet.Endpoint, m *proto.Message) error {
-	if c.reuse {
-		c.enc = proto.AppendMessage(c.enc[:0], m, c.obf)
-		return c.udp.SendTo(to, c.enc)
+	return c.sendFrom(to, proto.AppendMessage(c.sendBuf(envelopeRoom+len(m.Data)), m, c.obf))
+}
+
+// sendBuf returns the empty buffer the next datagram is encoded into,
+// and sendFrom sends what was appended to it: the socket's own send
+// buffer where it lends that, so the encoding is the only copy; else
+// the client's scratch, where the socket releases payloads before
+// SendTo returns; else a fresh array of capacity n, which the simulated
+// transport keeps. Nothing else is sent between the two.
+func (c *Client) sendBuf(n int) []byte {
+	switch {
+	case c.inPlace != nil:
+		return c.inPlace.Reserve()
+	case c.reuse:
+		return c.enc[:0]
 	}
-	return c.udp.SendTo(to, proto.Encode(m, c.obf))
+	return make([]byte, 0, n)
+}
+
+func (c *Client) sendFrom(to inet.Endpoint, p []byte) error {
+	if c.inPlace != nil {
+		return c.inPlace.Commit(to, p)
+	}
+	if c.reuse {
+		c.enc = p[:0] // keep what the appends grew
+	}
+	return c.udp.SendTo(to, p)
 }
 
 // UDPRegistered reports whether UDP registration completed.
@@ -676,21 +698,53 @@ func (s *UDPSession) OnPathChange(fn func(s *UDPSession, old, new Method)) { s.c
 // Send transmits a datagram on the session (directly, or via S for
 // relay sessions).
 func (s *UDPSession) Send(data []byte) error {
+	return s.EndSend(append(s.beginSend(envelopeRoom+len(data)), data...))
+}
+
+// envelopeRoom is room for what wraps a message's payload (what
+// proto.Encode allows); sessionDatagram is room for the whole of a
+// stream engine's default datagram. Both only size the fresh arrays
+// sends are built in over the simulated transport.
+const (
+	envelopeRoom    = 64
+	sessionDatagram = 1280
+)
+
+// BeginSend and EndSend are Send in two halves, for a sender that
+// builds its payload where it will be sent from (the stream engine
+// packing frames): BeginSend returns a buffer that already holds the
+// session datagram's envelope, the caller appends the payload, and
+// EndSend sends the result on the session's live path. Every BeginSend
+// is followed by its EndSend before anything else is sent on the
+// client, and the buffer — the socket's own send buffer where it lends
+// that, see sendBuf — is not kept past it.
+func (s *UDPSession) BeginSend() []byte { return s.beginSend(sessionDatagram) }
+
+func (s *UDPSession) beginSend(n int) []byte {
 	if s.closed {
-		return ErrNotRegistered
+		return nil
 	}
 	s.seq++
 	s.SentDatagrams++
+	m := proto.Message{Type: proto.TypeData, From: s.c.name, Nonce: s.Nonce, Seq: s.seq}
 	if s.Via == MethodRelay {
-		return s.c.sendUDP(s.relayTarget(), &proto.Message{
-			Type: proto.TypeRelayTo, From: s.c.name, Target: s.Peer,
-			Seq: s.seq, Data: data,
-		})
+		m.Type, m.Target, m.Nonce = proto.TypeRelayTo, s.Peer, 0
 	}
-	return s.c.sendUDP(s.Remote, &proto.Message{
-		Type: proto.TypeData, From: s.c.name, Nonce: s.Nonce,
-		Seq: s.seq, Data: data,
-	})
+	buf := proto.BeginData(s.c.sendBuf(n), &m, s.c.obf)
+	s.dataAt = len(buf)
+	return buf
+}
+
+// EndSend sends the datagram BeginSend began; see there.
+func (s *UDPSession) EndSend(p []byte) error {
+	if s.closed {
+		return ErrNotRegistered
+	}
+	to := s.Remote
+	if s.Via == MethodRelay {
+		to = s.relayTarget()
+	}
+	return s.c.sendFrom(to, proto.EndData(p, s.dataAt))
 }
 
 // Close tears the session down locally.

@@ -95,9 +95,10 @@ func (s *Server) handleFedForward(from inet.Endpoint, m *proto.Message) {
 	}
 	wire := m.Data
 	if !s.reuseEnc {
-		// m.Data is the decoder's reused buffer and the next datagram
-		// overwrites it; a transport without ScratchSendOK (simnet)
-		// queues the slice past SendTo, so it needs its own copy.
+		// m.Data is the received datagram's own bytes, the transport's
+		// again once this handler returns; a transport without
+		// ScratchSendOK (simnet) queues the slice past SendTo, so it
+		// needs its own copy.
 		wire = append([]byte(nil), wire...)
 	}
 	s.udp.SendTo(rec.Public, wire)

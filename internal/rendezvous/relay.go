@@ -15,10 +15,11 @@ import "natpunch/internal/proto"
 // registration connection when that is the only surface the target
 // has.
 // relay runs on the server's packets-per-second ceiling, so it is
-// written to allocate nothing: the outgoing message reuses the
-// server's scratch skeleton (referencing the decoder's payload
-// buffer, which sendUDP/sendTCP fully consume before returning) and
-// the stats check is inlined rather than closed over.
+// written to allocate nothing and to copy the payload once: the
+// outgoing message reuses the server's scratch skeleton (referencing
+// the payload where the decoder left it, in the received datagram,
+// which sendUDP/sendTCP fully consume before returning) and the stats
+// check is inlined rather than closed over.
 func (s *Server) relay(m *proto.Message) {
 	// Empty Seq-0 relays are §3.6 keep-alives, not the relay load
 	// §2.2 warns about; forward them but keep the stats honest.

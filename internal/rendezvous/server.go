@@ -134,18 +134,21 @@ type Server struct {
 
 	// Zero-alloc hot path state. dec decodes every UDP datagram into
 	// one reused Message, interning client names (safe to retain in
-	// registry records). scratchMsg is the reused outgoing-message
-	// skeleton; enc and fedScratch are the encode buffers — separate,
-	// because a federated delivery encodes the inner message
-	// (fedScratch) and then the FedForward wrapper around it (enc).
-	// Scratch encoding is only enabled when the transport conn
-	// declares transport.ScratchSender (reuseEnc); the simulated
+	// registry records) and leaving Data where it lies in the datagram.
+	// scratchMsg is the reused outgoing-message skeleton; enc and
+	// fedScratch are the encode buffers — separate, because a federated
+	// delivery encodes the inner message (fedScratch) and then the
+	// FedForward wrapper around it (enc). Scratch encoding is only
+	// enabled when the transport conn declares transport.ScratchSender
+	// (reuseEnc), and a conn that lends its send buffer (inPlace) is
+	// encoded into directly instead of through enc; the simulated
 	// transport retains sent payloads, so it gets fresh encodings.
 	dec        proto.Decoder
 	scratchMsg proto.Message
 	enc        []byte
 	fedScratch []byte
 	reuseEnc   bool
+	inPlace    transport.InPlaceSender
 
 	stats Stats
 
@@ -195,6 +198,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	if ss, ok := u.(transport.ScratchSender); ok && ss.ScratchSendOK() {
 		s.reuseEnc = true
 	}
+	s.inPlace, _ = u.(transport.InPlaceSender)
 	u.OnRecv(s.handleUDP)
 	if s.h != nil && !cfg.RelayOnly {
 		l, err := s.h.TCPListen(s.port, false, s.handleAccept)
@@ -358,18 +362,23 @@ func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
 	}
 }
 
-// sendUDP encodes and transmits one message. When the transport conn
-// releases payloads before SendTo returns (reuseEnc), the encoding
-// goes into the reused scratch buffer — the forward/relay hot path is
-// then allocation-free; otherwise (simulated transports, which queue
-// the payload slice) it allocates a fresh encoding.
+// sendUDP encodes and transmits one message: into the buffer the socket
+// sends it from where the socket lends that (transport.InPlaceSender;
+// the encoding is then the only copy a relayed payload takes through
+// the server), else into the reused scratch where the socket releases
+// payloads before SendTo returns (reuseEnc) — the forward/relay hot
+// path is allocation-free either way — else (simulated transports,
+// which queue the payload slice) as a fresh encoding.
 func (s *Server) sendUDP(to inet.Endpoint, m *proto.Message) {
-	if s.reuseEnc {
+	switch {
+	case s.inPlace != nil:
+		s.inPlace.Commit(to, proto.AppendMessage(s.inPlace.Reserve(), m, s.obf))
+	case s.reuseEnc:
 		s.enc = proto.AppendMessage(s.enc[:0], m, s.obf)
 		s.udp.SendTo(to, s.enc)
-		return
+	default:
+		s.udp.SendTo(to, proto.Encode(m, s.obf))
 	}
-	s.udp.SendTo(to, proto.Encode(m, s.obf))
 }
 
 // deliver routes a message to a registered client: directly when the

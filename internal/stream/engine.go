@@ -110,10 +110,13 @@ type Callbacks struct {
 // Mux multiplexes reliable streams over one session's datagrams.
 // All methods run in the engine dispatch context.
 type Mux struct {
-	tr   transport.Transport
-	send func(p []byte) error
-	cfg  Config
-	cb   Callbacks
+	tr transport.Transport
+	// begin returns the buffer the next datagram is packed into, behind
+	// whatever it already holds; end sends it. See NewMuxInPlace.
+	begin func() []byte
+	end   func(p []byte) error
+	cfg   Config
+	cb    Callbacks
 
 	streams map[uint64]*Stream
 	order   []uint64 // sorted live stream IDs: deterministic iteration
@@ -159,12 +162,11 @@ type Mux struct {
 	flushAtEnd func()
 	flushDue   bool
 
-	scratch []byte   // datagram packing scratch, reused per flush
-	ranges  []byte   // ack-range encodings of the flush in progress
-	frames  []Frame  // frame list scratch, reused per flush
-	ids     []uint64 // snapshot of order for loops that call out; see liveIDs
-	spare   []byte   // the one idle byteQueue array the session keeps
-	closed  bool
+	ranges []byte   // ack-range encodings of the flush in progress
+	frames []Frame  // frame list scratch, reused per flush
+	ids    []uint64 // snapshot of order for loops that call out; see liveIDs
+	spare  []byte   // the one idle byteQueue array the session keeps
+	closed bool
 }
 
 type pingProbe struct {
@@ -201,8 +203,25 @@ const (
 // session must pass true, which the facade derives from the peers'
 // rendezvous names.
 func NewMux(tr transport.Transport, send func(p []byte) error, even bool, cfg Config, cb Callbacks) *Mux {
+	var scratch []byte // one datagram, packed here and handed to send
+	return NewMuxInPlace(tr,
+		func() []byte { return scratch[:0] },
+		func(p []byte) error {
+			scratch = p // keep what the appends grew
+			return send(p)
+		}, even, cfg, cb)
+}
+
+// NewMuxInPlace is NewMux for a session that lets its datagrams be
+// built where they are sent from: begin returns a buffer, the engine
+// appends one datagram's packed frames behind whatever begin left in
+// it (the session's envelope) and hands the result to end, which sends
+// it; end's failures are treated as loss, like send's. Every begin is
+// followed by its end before the engine sends anything else, and the
+// buffer is not touched after it.
+func NewMuxInPlace(tr transport.Transport, begin func() []byte, end func(p []byte) error, even bool, cfg Config, cb Callbacks) *Mux {
 	m := &Mux{
-		tr: tr, send: send, cfg: cfg.withDefaults(), cb: cb,
+		tr: tr, begin: begin, end: end, cfg: cfg.withDefaults(), cb: cb,
 		streams: make(map[uint64]*Stream),
 		resets:  make(map[uint64]*resetRec),
 	}
@@ -695,26 +714,26 @@ func (m *Mux) flush() {
 	m.armRtx()
 }
 
-// transmit packs frames into datagrams and sends them.
+// transmit packs frames into datagrams and sends them: each frame is
+// encoded once, where its datagram is sent from. A frame that would
+// take a datagram past MaxDatagram opens the next one; a datagram's
+// first frame is taken whatever its size.
 func (m *Mux) transmit(frames []Frame) {
 	if len(frames) == 0 {
 		return
 	}
-	m.scratch = m.scratch[:0]
+	buf := m.begin()
+	start := len(buf)
 	for i := range frames {
-		next := AppendFrame(m.scratch, &frames[i])
-		if full := len(m.scratch); full > 0 && len(next) > m.cfg.MaxDatagram {
-			// The frame that does not fit opens the next datagram, in
-			// the array the append may just have grown: the scratch
-			// settles at two datagrams and is never reallocated.
-			_ = m.send(next[:full]) // lossy by contract; the ARQ recovers
-			next = next[:copy(next, next[full:])]
+		f := &frames[i]
+		if packed := len(buf) - start; packed > 0 && packed+frameOverhead+len(f.Data) > m.cfg.MaxDatagram {
+			_ = m.end(buf) // lossy by contract; the ARQ recovers
+			buf = m.begin()
+			start = len(buf)
 		}
-		m.scratch = next
+		buf = AppendFrame(buf, f)
 	}
-	if len(m.scratch) > 0 {
-		_ = m.send(m.scratch)
-	}
+	_ = m.end(buf)
 }
 
 // armRtx (re)arms the single retransmission timer to the earliest

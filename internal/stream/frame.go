@@ -43,7 +43,9 @@ var ErrBadFrame = errors.New("stream: malformed frame datagram")
 
 // frameOverhead is the wire cost of one empty packed frame: the
 // 4-byte length prefix plus the proto envelope with empty strings,
-// zero endpoints, and no candidates.
+// zero endpoints, and no candidates. Every frame's encoding is exactly
+// this much longer than its Data, which is what lets transmit decide
+// where a frame goes before encoding it.
 const frameOverhead = 4 + 3 + 2 + 2 + 6 + 6 + 8 + 1 + 4 + 4 + 2
 
 // AppendFrame appends f's length-prefixed wire encoding to dst.
@@ -56,9 +58,10 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 }
 
 // Parser unpacks frame datagrams, reusing one proto decoder so
-// steady-state parsing allocates nothing. The Frame passed to the
-// callback is decoder-owned: its Data is valid only until the next
-// frame, so the callback must copy what it keeps.
+// steady-state parsing allocates nothing and copies nothing. The Frame
+// passed to the callback is not the callback's to keep: its Data is the
+// frame's bytes where they lie in the datagram being parsed, so the
+// callback must copy what it keeps.
 type Parser struct {
 	dec proto.Decoder
 }

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
+
+	"natpunch/internal/proto"
 )
 
 // traceDigest runs a one-way transfer and digests every datagram both
@@ -79,5 +82,62 @@ func TestWireTraceGolden(t *testing.T) {
 			t.Errorf("%s: wire trace %q over %d datagrams, want %q over %d",
 				tc.name, digest, dgrams, tc.digest, tc.dgrams)
 		}
+	}
+}
+
+// TestFrameOverheadMatchesEncoding: transmit decides which datagram a
+// frame goes into from frameOverhead + len(Data), before encoding it.
+// That is the wire TestWireTraceGolden pins only as long as it is the
+// encoded length exactly, for every frame type — an ack's Data being
+// its out-of-order ranges, none, one or all eight — and a frame that
+// fills a datagram to the byte still goes into it.
+func TestFrameOverheadMatchesEncoding(t *testing.T) {
+	ranges := func(n int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			b = binary.BigEndian.AppendUint32(b, uint32(4096+2000*i))
+			b = binary.BigEndian.AppendUint32(b, uint32(5096+2000*i))
+		}
+		return b
+	}
+	frames := []Frame{
+		{Type: proto.TypeStream, Stream: 1 << 40, Off: 1 << 31, Data: make([]byte, 1152-frameOverhead)},
+		{Type: proto.TypeStream, Stream: 2, Off: 7, FIN: true, Data: []byte("tail")},
+		{Type: proto.TypeStream, Stream: 2, Off: 11, FIN: true}, // bare FIN, window probe
+		{Type: proto.TypeStreamAck, Stream: 3, Off: 4096, Data: ranges(0)},
+		{Type: proto.TypeStreamAck, Stream: 3, Off: 4096, Data: ranges(1)},
+		{Type: proto.TypeStreamAck, Stream: 3, Off: 4096, FIN: true, Data: ranges(maxAckRanges)},
+		{Type: proto.TypeStreamWindow, Stream: 3, Off: 1 << 20},
+		{Type: proto.TypeStreamWindow, Off: 1 << 24}, // session scope
+		{Type: proto.TypeStreamReset, Stream: 5, Off: 123456},
+		{Type: proto.TypeStreamPing, Off: 0xDEAD},
+		{Type: proto.TypeStreamPing, Off: 0xDEAD, FIN: true},
+	}
+	for _, f := range frames {
+		for _, prefix := range [][]byte{nil, []byte("an envelope and a frame before it")} {
+			if got := len(AppendFrame(prefix, &f)) - len(prefix); got != frameOverhead+len(f.Data) {
+				t.Errorf("%v frame with %d bytes of Data encodes to %d bytes, frameOverhead says %d",
+					f.Type, len(f.Data), got, frameOverhead+len(f.Data))
+			}
+		}
+	}
+
+	// The boundary, through transmit: two frames that make MaxDatagram
+	// exactly share a datagram, one byte more and the second opens the
+	// next. begin hands out a buffer with an envelope already in it,
+	// which counts for nothing.
+	const envelope = 43
+	var sent []int
+	var buf []byte
+	m := NewMuxInPlace(newHarness(1).ta,
+		func() []byte { return append(buf[:0], make([]byte, envelope)...) },
+		func(p []byte) error { sent, buf = append(sent, len(p)-envelope), p; return nil },
+		true, Config{}, Callbacks{})
+	ack := Frame{Type: proto.TypeStreamAck, Stream: 1, Off: 1, Data: ranges(2)}
+	room := m.cfg.MaxDatagram - (frameOverhead + len(ack.Data)) - frameOverhead
+	m.transmit([]Frame{ack, {Type: proto.TypeStream, Stream: 1, Data: make([]byte, room)}})
+	m.transmit([]Frame{ack, {Type: proto.TypeStream, Stream: 1, Data: make([]byte, room+1)}})
+	if want := []int{m.cfg.MaxDatagram, frameOverhead + len(ack.Data), frameOverhead + room + 1}; !slices.Equal(sent, want) {
+		t.Errorf("datagrams of %v bytes, want %v: a full one, then the frame that no longer fits on its own", sent, want)
 	}
 }

@@ -30,10 +30,13 @@ type batchState struct {
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrInet4
 
-	// UDP GSO scratch (WriteBatch only): the coalesced super-datagram,
-	// the UDP_SEGMENT control message, and the sticky opt-out set the
-	// first time the kernel rejects a segmented send.
+	// UDP GSO scratch (WriteBatch only): the super-datagram gathered
+	// from a run whose payloads do not already lie back to back, how
+	// many runs needed that (what the in-place tests count), the
+	// UDP_SEGMENT control message, and the sticky opt-out set the first
+	// time the kernel rejects a segmented send.
 	gsoBuf  []byte
+	gathers int
 	gsoCmsg []byte
 	gsoOff  bool
 
@@ -142,13 +145,15 @@ func (st *batchState) addrPort(i int) netip.AddrPort {
 const (
 	udpSegment  = 103 // UDP_SEGMENT cmsg type (not in the frozen syscall package)
 	gsoMinRun   = 2
-	gsoMaxSegs  = 64    // UDP_MAX_SEGMENTS
-	gsoMaxBytes = 65000 // stay under the UDP payload ceiling
+	gsoMaxSegs  = 64       // UDP_MAX_SEGMENTS
+	gsoMaxBytes = arenaMax // stay under the UDP payload ceiling
 )
 
 // gsoRun reports where the GSO-eligible run starting at i ends: same
 // destination, equal-size payloads, with one trailing shorter
-// datagram allowed (GSO's last-segment rule).
+// datagram allowed (GSO's last-segment rule) — shorter, not empty: an
+// empty payload adds no segment to the super-datagram, so it would
+// never be sent.
 func gsoRun(ms []Datagram, i int) int {
 	seg := len(ms[i].Payload)
 	if seg == 0 {
@@ -158,7 +163,7 @@ func gsoRun(ms []Datagram, i int) int {
 	j := i + 1
 	for j < len(ms) && j-i < gsoMaxSegs && ms[j].Addr == ms[i].Addr {
 		n := len(ms[j].Payload)
-		if n > seg || total+n > gsoMaxBytes {
+		if n == 0 || n > seg || total+n > gsoMaxBytes {
 			break
 		}
 		total += n
@@ -177,16 +182,39 @@ func gsoUnsupported(err error) bool {
 	return err == syscall.EINVAL || err == syscall.EOPNOTSUPP || err == syscall.ENOPROTOOPT
 }
 
+// contiguous returns run's payloads as the one slice they are when they
+// lie back to back in one array, which is how a conn's send arena holds
+// what was queued on it; ok is false for anything else, such as the
+// caller-owned payloads of an exported WriteBatch. Only capacity says
+// that two slices share an array, so a payload cut short of its
+// successor does not count.
+func contiguous(run []Datagram) (whole []byte, ok bool) {
+	first, n := run[0].Payload, 0
+	for i := range run {
+		p := run[i].Payload
+		if n+len(p) > cap(first) || &first[:n+1][n] != &p[0] {
+			return nil, false
+		}
+		n += len(p)
+	}
+	return first[:n], true
+}
+
 // sendGSO transmits one same-destination run as a single segmented
-// sendmsg(2).
+// sendmsg(2), from where it lies when that is one piece of memory and
+// gathered into gsoBuf first when it is not.
 func (bc *BatchConn) sendGSO(run []Datagram) error {
 	st := &bc.send
 	seg := len(run[0].Payload)
-	buf := st.gsoBuf[:0]
-	for i := range run {
-		buf = append(buf, run[i].Payload...)
+	buf, ok := contiguous(run)
+	if !ok {
+		st.gathers++
+		buf = st.gsoBuf[:0]
+		for i := range run {
+			buf = append(buf, run[i].Payload...)
+		}
+		st.gsoBuf = buf
 	}
-	st.gsoBuf = buf
 	if len(st.gsoCmsg) == 0 {
 		st.gsoCmsg = make([]byte, syscall.CmsgSpace(2))
 	}

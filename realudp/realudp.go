@@ -24,16 +24,20 @@
 // flags as truncated is dropped as loss. Every entry into the
 // serialized context — a delivered batch, an Invoke body, a timer
 // callback — is one send batch: the datagrams the engine sends inside
-// it are copied into per-conn slots and leave with one sendmmsg(2) per
-// socket (one segmented send per same-size run to one peer, with UDP
-// GSO) before the entry returns, so everything an Invoke body sent is
-// with the kernel when Invoke returns. A relayed stream therefore
-// costs a recvmmsg slot per run in and ~1/sendBatch of a syscall per
-// packet out, and a stream Write's whole flight costs its writer a
-// syscall or two. The entry is also the unit of transport.Deferrer's
-// Defer (a deferred function runs when the entry's engine code is done
-// and before its sends leave) and of the clock (Now is read once as the
-// entry begins).
+// it queue up back to back in the conn's send arena — built there,
+// between Reserve and Commit (transport.InPlaceSender), or copied there
+// by SendTo — and leave with one sendmmsg(2) per socket (one segmented
+// send per same-size run to one peer, with UDP GSO, straight from the
+// arena: a run queued there is one piece of memory already) before the
+// entry returns, so everything an Invoke body sent is with the kernel
+// when Invoke returns. A relayed stream therefore costs a recvmmsg slot
+// per run in and ~1/sendBatch of a syscall per packet out, and a stream
+// Write's whole flight costs its writer a syscall or two. The arena
+// starts empty, grows with what an entry queues and holds at most one
+// segmented send's worth. The entry is also the unit of
+// transport.Deferrer's Defer (a deferred function runs when the entry's
+// engine code is done and before its sends leave) and of the clock (Now
+// is read once as the entry begins).
 // Other platforms (and Linux with WithBatching(false)) fall back to a
 // portable one-datagram-per-syscall loop with identical semantics.
 // Receive buffers are reused on both paths — across datagrams, and on
@@ -382,13 +386,29 @@ type Conn struct {
 	// loop checks it under t.mu.
 	closed atomic.Bool
 	onRecv func(from transport.Endpoint, payload []byte)
-	// pend holds sends queued between enter and leave (under t.mu).
-	// Slots and their payload buffers are reused across flushes, so
-	// the steady-state queue path allocates nothing.
-	pend    []Datagram
-	npend   int
+	// The send queue (under t.mu): what engine code sends between enter
+	// and leave lies back to back in arena, in the order it was sent,
+	// and pend[:npend] are the datagrams, their payloads slices of it
+	// with the capacity left on — which is how sendGSO sees that a run
+	// is one piece of memory already. A datagram is built there
+	// (Reserve, Commit) or copied there (SendTo); leave's flush hands
+	// them to the kernel and the arena starts over. len(arena) is what
+	// is queued in the current array: when the arena grows, the
+	// datagrams queued so far stay where they are, in the old one,
+	// until the flush. It starts empty, doubles up to arenaMax while an
+	// entry queues more than it holds, and past that flushes in the
+	// middle of the entry instead, like a full pend.
+	arena []byte
+	pend  []Datagram
+	npend int
+	// last is the size of the datagram sent before this one: what
+	// Reserve makes room for. lent says the arena's tail is out with a
+	// caller that has not committed it yet.
+	last    int
+	lent    bool
 	inDirty bool
 	flushes int // WriteBatch calls so far: what the batch tests count
+	copied  int // datagrams copied into the arena, not built there, likewise
 	slots   int // recvmmsg slots delivered so far (under t.mu), likewise
 }
 
@@ -403,16 +423,20 @@ func (c *Conn) Local() transport.Endpoint { return c.local }
 func (c *Conn) OnRecv(fn func(from transport.Endpoint, payload []byte)) { c.onRecv = fn }
 
 // SendTo transmits one datagram. The payload is released before
-// SendTo returns (see ScratchSendOK): copied into a reusable batch
-// slot that leaves when the engine code that is running returns, or —
-// on a portable or closed socket, whose error the caller gets at once
-// — written to the kernel immediately.
+// SendTo returns (see ScratchSendOK): copied to the tail of the send
+// queue, which leaves when the engine code that is running returns,
+// or — on a portable or closed socket, whose error the caller gets at
+// once — written to the kernel immediately.
 func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
-	if c.t.inBatch.Load() && c.bc != nil && !c.closed.Load() {
-		c.enqueueLocked(to, payload)
-		return nil
+	if !c.queueing() {
+		return c.writeNow(to, payload)
 	}
-	_, err := c.c.WriteToUDPAddrPort(payload, toAddrPort(to))
+	c.copied++
+	return c.Commit(to, append(c.room(len(payload)), payload...))
+}
+
+func (c *Conn) writeNow(to transport.Endpoint, p []byte) error {
+	_, err := c.c.WriteToUDPAddrPort(p, toAddrPort(to))
 	return err
 }
 
@@ -421,30 +445,108 @@ func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
 // reusable scratch buffers when sending through this conn.
 func (c *Conn) ScratchSendOK() bool { return true }
 
-// enqueueLocked queues one datagram for leave's flush,
-// copying payload into a reusable slot (callers reuse their encode
-// scratch). Runs under t.mu with t.inBatch set.
-func (c *Conn) enqueueLocked(to transport.Endpoint, payload []byte) {
-	if c.npend == len(c.pend) {
-		if c.npend < sendBatch {
-			c.pend = append(c.pend, Datagram{})
-		} else {
-			c.flushLocked() // queue full: flush mid-batch and reuse slots
-		}
+// queueing reports whether what is sent now joins the send queue:
+// engine code is running, on a batched socket that is still open.
+func (c *Conn) queueing() bool {
+	return c.t.inBatch.Load() && c.bc != nil && !c.closed.Load()
+}
+
+// Arena sizing. arenaMin is what a socket's first send allocates: a
+// few control messages' worth, because most sockets of a busy process
+// are short-lived and never send more. arenaMax is one segmented
+// send's worth (gsoMaxBytes): no socket holds more than that, or than
+// its largest single datagram.
+const (
+	arenaMin = 512
+	arenaMax = 65000
+)
+
+// room returns the arena's free tail with at least n bytes of capacity
+// and a free slot in pend to go with it, making them if need be: a
+// full pend is flushed; an arena that is short grows, into a new array
+// that leaves what is queued where it lies (growing sends nothing), or,
+// once it may not grow, is flushed and starts over. A tail that is
+// still lent — somebody reserved it and has sent something else since,
+// or reserved again — goes to whoever holds it, array and all, so that
+// nothing written there late can land on a queued datagram. Runs under
+// t.mu, inside an entry.
+func (c *Conn) room(n int) []byte {
+	if c.npend == sendBatch {
+		c.flushLocked()
 	}
-	d := &c.pend[c.npend]
-	d.Addr = toAddrPort(to)
-	d.Payload = append(d.Payload[:0], payload...)
+	if free := cap(c.arena) - len(c.arena); c.lent || free < n {
+		want := cap(c.arena)
+		if free < n {
+			want = max(2*cap(c.arena), len(c.arena)+n, arenaMin)
+			if want > arenaMax {
+				want = max(arenaMax, n)
+			}
+		}
+		if c.lent || want > cap(c.arena) {
+			c.arena = make([]byte, 0, want)
+		} else {
+			c.flushLocked()
+		}
+		c.lent = false
+	}
+	return c.arena[len(c.arena):]
+}
+
+// Reserve implements transport.InPlaceSender: the tail of the send
+// queue, to build the next datagram in, with room for one the size of
+// the last datagram sent — a sender whose datagrams are of a size
+// outgrows it once. Off the batched path the arena
+// queues nothing and is only the scratch that Commit writes from;
+// outside the serialized context nothing of the conn's is safe to
+// lend, and the caller's appends allocate.
+func (c *Conn) Reserve() []byte {
+	if !c.t.inBatch.Load() {
+		return nil
+	}
+	p := c.room(c.last)
+	c.lent = true
+	return p
+}
+
+// Commit implements transport.InPlaceSender: p joins the send queue
+// where it was built, or — a buffer that is not the reserved tail,
+// because the caller's appends outgrew it, or it never was, or
+// something was queued since — as a copy. On a conn that is not
+// queueing p is written at once.
+func (c *Conn) Commit(to transport.Endpoint, p []byte) error {
+	if !c.t.inBatch.Load() {
+		return c.writeNow(to, p) // not in the serialized context: touch nothing
+	}
+	c.last = len(p)
+	if c.bc == nil || c.closed.Load() {
+		c.lent = false
+		return c.writeNow(to, p)
+	}
+	tail := c.arena[len(c.arena):cap(c.arena)]
+	inPlace := len(p) <= len(tail) && (len(p) == 0 || &p[0] == &tail[0])
+	if !inPlace || c.npend == sendBatch {
+		c.copied++
+		copy(c.room(len(p))[:len(p)], p)
+	}
+	c.lent = false
+	if c.npend == len(c.pend) {
+		c.pend = append(c.pend, Datagram{})
+	}
+	n := len(c.arena)
+	c.arena = c.arena[:n+len(p)]
+	c.pend[c.npend] = Datagram{Addr: toAddrPort(to), Payload: c.arena[n:]}
 	c.npend++
 	if !c.inDirty {
 		c.inDirty = true
 		c.t.dirty = append(c.t.dirty, c)
 	}
+	return nil
 }
 
-// flushLocked sends the queued batch with one sendmmsg. UDP is lossy
-// by contract and SendTo already returned nil for these datagrams, so
-// send errors are dropped like any other lost packet.
+// flushLocked sends the queued batch with one sendmmsg and empties the
+// arena. UDP is lossy by contract and the datagrams' senders were
+// already told nil, so send errors are dropped like any other lost
+// packet.
 func (c *Conn) flushLocked() {
 	if c.npend == 0 {
 		return
@@ -453,6 +555,8 @@ func (c *Conn) flushLocked() {
 	c.npend = 0
 	c.flushes++
 	c.bc.WriteBatch(c.pend[:n])
+	clear(c.pend[:n]) // an array the arena outgrew goes with its last datagram
+	c.arena = c.arena[:0]
 }
 
 // flushDirtyLocked flushes every conn that queued sends since enter,

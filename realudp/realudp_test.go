@@ -459,10 +459,11 @@ func TestSendBatchPerEntry(t *testing.T) {
 	})
 }
 
-// TestSendBatchZeroAlloc: queueing a datagram and flushing the batch —
+// TestSendBatchZeroAlloc: queueing a datagram — copied in by SendTo, or
+// built in place between Reserve and Commit — and flushing the batch —
 // one sendmmsg for a lone datagram, one segmented send for a run, a
 // flush in the middle of a 64 KiB write's 57 — allocate nothing once
-// the slots and the syscall scratch have grown.
+// the arena, the slots and the syscall scratch have grown.
 func TestSendBatchZeroAlloc(t *testing.T) {
 	requireLoopback(t)
 	if !batchSupported {
@@ -472,16 +473,22 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	_, sinkEP := loopSink(t)
 	conn := bindConn(t, tr)
 	payload := make([]byte, 1152)
-	for _, n := range []int{1, 8, 57} {
-		burst := func() {
-			for i := 0; i < n; i++ {
-				conn.SendTo(sinkEP, payload)
+	sends := map[string]func(){
+		"SendTo":         func() { conn.SendTo(sinkEP, payload) },
+		"Reserve+Commit": func() { conn.Commit(sinkEP, append(conn.Reserve(), payload...)) },
+	}
+	for how, send := range sends {
+		for _, n := range []int{1, 8, 57} {
+			burst := func() {
+				for i := 0; i < n; i++ {
+					send()
+				}
 			}
-		}
-		invoke := func() { tr.Invoke(burst) }
-		invoke()
-		if allocs := testing.AllocsPerRun(200, invoke); allocs != 0 {
-			t.Errorf("Invoke sending %d datagrams allocates %v/op in steady state, want 0", n, allocs)
+			invoke := func() { tr.Invoke(burst) }
+			invoke()
+			if allocs := testing.AllocsPerRun(200, invoke); allocs != 0 {
+				t.Errorf("Invoke sending %d datagrams by %s allocates %v/op in steady state, want 0", n, how, allocs)
+			}
 		}
 	}
 }

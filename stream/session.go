@@ -129,7 +129,7 @@ func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
 	// smaller name takes the even IDs.
 	even := cr.LocalName() < conn.Peer()
 	s.tr.Invoke(func() {
-		s.mux = istream.NewMux(s.tr, cr.Send, even, istream.Config{
+		s.mux = istream.NewMuxInPlace(s.tr, cr.BeginSend, cr.EndSend, even, istream.Config{
 			StreamWindow:  cfg.StreamWindow,
 			SessionWindow: cfg.SessionWindow,
 			MaxDatagram:   cfg.MaxDatagram,

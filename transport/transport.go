@@ -25,9 +25,10 @@
 // enters engine code — datagram delivery callbacks, timer callbacks,
 // and work submitted through Invoke all run mutually excluded, and
 // the engine only ever calls BindUDP, After, Now, Rand, and (where the
-// transport has it) Deferrer's Defer from inside that serialized
-// context. Application-side callers (the facade, adapters, tests) must
-// enter the engine exclusively through Invoke.
+// transport has them) Deferrer's Defer and InPlaceSender's Reserve and
+// Commit from inside that serialized context. Application-side callers
+// (the facade, adapters, tests) must enter the engine exclusively
+// through Invoke.
 //
 // Timer.Stop and Timer.Active are likewise only called from inside
 // the serialized context, which is what lets the real-socket
@@ -80,8 +81,9 @@ type UDPConn interface {
 	// runs inside the transport's serialized context. The payload
 	// slice is owned by the transport and valid only for the duration
 	// of the callback: implementations reuse receive buffers across
-	// datagrams, so engine code must decode or copy before returning
-	// (it does — proto.Decode copies what it keeps).
+	// datagrams, so engine code must copy what it keeps before returning
+	// (it does: proto.Decode copies, and what proto.Decoder leaves
+	// pointing into the payload is copied by whoever holds on to it).
 	OnRecv(fn func(from Endpoint, payload []byte))
 	// SendTo transmits one datagram to the given endpoint.
 	SendTo(to Endpoint, payload []byte) error
@@ -130,6 +132,37 @@ type ScratchSender interface {
 	// ScratchSendOK reports that SendTo releases the payload slice
 	// before returning.
 	ScratchSendOK() bool
+}
+
+// InPlaceSender is an optional UDPConn capability for implementations
+// that queue what they are sent: the conn lends the memory its next
+// datagram will leave from, the engine encodes the datagram there —
+// envelope, then frames, each written once — and hands it back, so the
+// bytes are not copied again on their way to the kernel. Engine hot
+// paths (the punch client's and the rendezvous server's sendUDP, a
+// session's BeginSend/EndSend under the stream engine) probe for it by
+// type assertion, like ScratchSender. Only realudp's conns implement
+// it. A conn without it is sent the same bytes through SendTo, from a
+// reused scratch (ScratchSender) or a fresh array (the simulated
+// transport, which keeps what it is sent).
+type InPlaceSender interface {
+	// Reserve returns an empty buffer to append the next datagram to:
+	// the tail of the conn's send queue, with whatever room the conn
+	// keeps there (appends that outgrow it reallocate, as appends do,
+	// and Commit then copies). The buffer is the conn's. It is valid
+	// until the Commit that follows, and nothing else may be sent on
+	// the conn in between; it must not be kept, handed to another
+	// goroutine or captured by anything that runs later. Engine context
+	// only.
+	Reserve() []byte
+	// Commit sends p, what the caller appended to the reserved buffer,
+	// to the given endpoint. Any other p — one the appends outgrew and
+	// reallocated, one of the caller's own, one reserved before
+	// something else was sent — is sent too, through a copy. On a conn
+	// that is not queueing (closed, or outside the transport's
+	// serialized context) the datagram is written at once and the
+	// error returned. Engine context only.
+	Commit(to Endpoint, p []byte) error
 }
 
 // Deferrer is an optional Transport capability for implementations

@@ -140,6 +140,15 @@ type Mux struct {
 
 	rtxTimer transport.Timer
 	rtxAt    time.Duration
+	timeouts int // stream deadlines the timer found expired: go-back-N resends and window probes
+
+	// Ack policy (see handleData and flush): an owed ack that nobody is
+	// waiting for is held until a datagram leaves anyway or ackTimer,
+	// armed ackDelay ahead by the first flush that held one, fires.
+	// ackNow says a frame arrived whose ack may not wait.
+	ackDelay time.Duration
+	ackTimer transport.Timer
+	ackNow   bool
 
 	// Session flow control: cumulative byte totals on the circular
 	// space. The send side counts first transmissions only; the
@@ -162,10 +171,11 @@ type Mux struct {
 	flushAtEnd func()
 	flushDue   bool
 
-	ranges []byte   // ack-range encodings of the flush in progress
-	frames []Frame  // frame list scratch, reused per flush
-	ids    []uint64 // snapshot of order for loops that call out; see liveIDs
-	spare  []byte   // the one idle byteQueue array the session keeps
+	ranges []byte    // ack-range encodings of the flush in progress
+	frames []Frame   // frame list scratch, reused per flush
+	acking []*Stream // streams whose ack is in the flush's frame list
+	ids    []uint64  // snapshot of order for loops that call out; see liveIDs
+	spare  []byte    // the one idle byteQueue array the session keeps
 	closed bool
 }
 
@@ -193,6 +203,14 @@ const (
 	// lossThreshold is how many full segments the peer must report
 	// above a hole before the hole counts as lost rather than late.
 	lossThreshold = 3
+	// ackEvery is how many full segments may arrive in order on a stream
+	// before their ack may no longer wait for company.
+	ackEvery = 2
+	// maxAckDelay is the longest an owed ack is held. A mux uses less
+	// when its MinRTO is short: never more than a quarter of it, so an
+	// RTT sample taken from a timer-sent ack cannot lift the RTO off its
+	// floor and a held ack is never mistaken for a lost segment.
+	maxAckDelay = 5 * time.Millisecond
 )
 
 // NewMux creates the stream engine over a session. send transmits one
@@ -231,6 +249,7 @@ func NewMuxInPlace(tr transport.Transport, begin func() []byte, end func(p []byt
 		m.nextID, m.peerLSB = 1, 0
 	}
 	m.rtt = rttEstimator{initial: m.cfg.InitialRTO, min: m.cfg.MinRTO, max: m.cfg.MaxRTO}
+	m.ackDelay = min(maxAckDelay, m.cfg.MinRTO/4)
 	m.sndSessLimit = m.cfg.SessionWindow
 	m.rcvSessLimit = m.cfg.SessionWindow
 	if d, ok := tr.(transport.Deferrer); ok {
@@ -314,6 +333,10 @@ func (m *Mux) shutdown(err error, sendResets bool) {
 	if m.rtxTimer != nil {
 		m.rtxTimer.Stop()
 		m.rtxTimer = nil
+	}
+	if m.ackTimer != nil {
+		m.ackTimer.Stop()
+		m.ackTimer = nil
 	}
 	for _, id := range m.liveIDs() {
 		if s := m.streams[id]; s != nil {
@@ -586,6 +609,14 @@ func (m *Mux) terminate(s *Stream, err error) {
 			m.maybeAdvertiseSession()
 		}
 		m.recordReset(s.id, resetRec{final: s.sndMax, settled: settled, rcvLimit: s.rcvLimit})
+	} else if s.ackPending {
+		// Completed with an ack still owed (a data-less FIN that found
+		// everything read and our own FIN acked, or a stream in discard
+		// mode finishing inside a run): the stream is released below and
+		// no flush can speak for it any more, so its last word — every
+		// byte and the FIN — leaves as a control frame. Without it the
+		// peer's FIN waits out an RTO.
+		m.queueControl(Frame{Type: proto.TypeStreamAck, Stream: s.id, Off: s.rcvNxt, FIN: true})
 	}
 	s.snd.Release()
 	s.rcv.Release()
@@ -653,10 +684,11 @@ func (m *Mux) flush() {
 	// holes ride along, ahead of all fresh data: they are what the
 	// peer's reader is blocked on.
 	maxSeg := m.cfg.MaxDatagram - frameOverhead
+	acking := m.acking[:0]
 	for _, id := range m.order {
 		s := m.streams[id]
 		if s.ackPending {
-			s.ackPending = false
+			acking = append(acking, s)
 			frames = append(frames, Frame{
 				Type: proto.TypeStreamAck, Stream: s.id,
 				Off: s.rcvNxt, FIN: s.finRcvd && s.rcvNxt == s.finRcvOff,
@@ -708,10 +740,39 @@ func (m *Mux) flush() {
 			s.rtxAt = now + s.rto
 		}
 	}
+	// The ack policy, decided on the finished list. Acks that nobody is
+	// waiting for and that would leave alone are held: the streams keep
+	// ackPending and the ack timer bounds the wait. Anything else in the
+	// list — a control frame, a window update, a retransmission, data —
+	// is a datagram leaving anyway, and the owed acks ride in front of it:
+	// a response carries the ack of its request.
+	if len(frames) == len(acking) && !m.ackNow {
+		if len(acking) > 0 && m.ackTimer == nil {
+			m.ackTimer = m.tr.After(m.ackDelay, m.onAckTimer)
+		}
+		frames = frames[:0]
+	} else {
+		for _, s := range acking {
+			s.ackPending, s.ackOwed = false, 0
+		}
+	}
+	m.ackNow = false
+	clear(acking)
+	m.acking = acking[:0]
 	m.transmit(frames)
 	clear(frames) // drop the aliases of queue arrays since replaced
 	m.frames = frames[:0]
 	m.armRtx()
+}
+
+// onAckTimer sends what is still owed ackDelay after a flush held an
+// ack. The timer is not stopped when the acks it was armed for ride out
+// early: it fires, finds nothing owed and sends nothing, so a steady
+// exchange arms one timer per ackDelay, not one per message.
+func (m *Mux) onAckTimer() {
+	m.ackTimer = nil
+	m.ackNow = true
+	m.flush()
 }
 
 // transmit packs frames into datagrams and sends them: each frame is
@@ -790,6 +851,7 @@ func (m *Mux) onRtxTimer() {
 		if s.rtxAt == 0 || s.rtxAt > now {
 			continue
 		}
+		m.timeouts++
 		if s.inFlight() {
 			s.sndNxt = s.sndUna
 			s.finSent = false
@@ -862,6 +924,7 @@ type Stream struct {
 	finRcvOff  uint32
 	discard    bool // facade closed: drop (but ack) further data
 	ackPending bool
+	ackOwed    int // bytes accepted in order since the last ack left
 	winPending bool
 
 	closedErr error
@@ -1007,8 +1070,8 @@ func (s *Stream) Read(p []byte) (n int, eof bool) {
 		s.m.rcvInUse -= n
 		s.maybeAdvertise(false)
 		s.m.maybeAdvertiseSession()
+		s.maybeComplete() // before the flush: a completing stream hands it its last ack
 		s.m.flush()
-		s.maybeComplete()
 	}
 	_, eof = s.ReadReady()
 	return n, eof
@@ -1107,7 +1170,16 @@ func (s *Stream) handleData(f Frame) {
 	if s.done {
 		return
 	}
+	// Every data frame is owed an ack; which of them may not wait for a
+	// datagram that is leaving anyway (flush) is decided here and below.
+	// Not a frame that repeats, leaves or fills a hole: the peer's
+	// scoreboard hears of loss and of repair within a round trip. Not a
+	// FIN, and not a window probe (empty, no FIN): the peer is waiting
+	// on the answer.
 	s.ackPending = true
+	if f.Off != s.rcvNxt || len(s.ooo) > 0 || f.FIN || len(f.Data) == 0 {
+		s.m.ackNow = true
+	}
 	end := f.Off + uint32(len(f.Data))
 	// Track the highest byte the peer has charged toward session flow
 	// control (clamped to the stream credit we advertised): terminate
@@ -1148,6 +1220,7 @@ func (s *Stream) handleData(f Frame) {
 	// anything beyond the stream limit is dropped (the peer's ARQ
 	// retries once credit returns).
 	if SeqGT(off+uint32(len(data)), s.rcvLimit) {
+		s.m.ackNow = true // trimmed or refused: tell the peer where we stand
 		over := SeqDiff(off+uint32(len(data)), s.rcvLimit)
 		if int32(len(data)) <= over {
 			return
@@ -1163,6 +1236,7 @@ func (s *Stream) handleData(f Frame) {
 	// exempt.
 	if !s.discard || off != s.rcvNxt {
 		if avail := int(s.m.cfg.SessionWindow) - s.m.rcvInUse; len(data) > avail {
+			s.m.ackNow = true
 			if avail <= 0 {
 				return
 			}
@@ -1183,6 +1257,12 @@ func (s *Stream) handleData(f Frame) {
 func (s *Stream) acceptInOrder(data []byte) {
 	n := uint32(len(data))
 	s.rcvNxt += n
+	// The second full segment since the stream's last ack left may not
+	// wait: a bulk sender hears from us every other datagram at least.
+	s.ackOwed += len(data)
+	if s.ackOwed >= ackEvery*(s.m.cfg.MaxDatagram-frameOverhead) {
+		s.m.ackNow = true
+	}
 	if s.discard {
 		s.rcvUsed += n
 		s.m.rcvSessUsed += n

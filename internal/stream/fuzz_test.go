@@ -13,22 +13,29 @@ import (
 // capturedDatagrams runs a lossy, reordering, duplicating bidirectional
 // transfer between two muxes and records every datagram either side
 // sent: real stream-layer traffic (data, acks, windows, resets, pings,
-// multi-frame packings) for seeding the fuzzers.
+// multi-frame packings) for seeding the fuzzers. It runs once
+// reordered, a datagram per entry, and once in order with flights
+// arriving as entries, which packs acks with data differently.
 func capturedDatagrams(tb testing.TB) [][]byte {
 	tb.Helper()
 	seen := make(map[string]bool)
 	var wires [][]byte
-	h := newHarness(424242)
-	h.jitter = 15 * time.Millisecond
-	h.dupEvery = 9
-	h.drop = func(_ int, p []byte) bool {
-		if !seen[string(p)] {
-			seen[string(p)] = true
-			wires = append(wires, append([]byte(nil), p...))
+	for _, batch := range []int{0, 16} {
+		h := newHarness(424242 + int64(batch))
+		h.batch = batch
+		if batch == 0 {
+			h.jitter = 15 * time.Millisecond // apart in time, never a flight
 		}
-		return h.rng.Intn(10) == 0
+		h.dupEvery = 9
+		h.drop = func(_ int, p []byte) bool {
+			if !seen[string(p)] {
+				seen[string(p)] = true
+				wires = append(wires, append([]byte(nil), p...))
+			}
+			return h.rng.Intn(10) == 0
+		}
+		twoWayTransfer(tb, h, Config{StreamWindow: 8 << 10, SessionWindow: 16 << 10}, 40<<10, 1_000_000)
 	}
-	twoWayTransfer(tb, h, Config{StreamWindow: 8 << 10, SessionWindow: 16 << 10}, 40<<10, 1_000_000)
 	return wires
 }
 
@@ -244,5 +251,15 @@ func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int)
 	}
 	if !rcv.eof {
 		t.Fatalf("EOF not observed after full delivery")
+	}
+	// At rest nothing is owed: whatever ack a flush held, the timer sent.
+	h.drain(t, 100)
+	for id, s := range h.b.streams {
+		if s.ackPending {
+			t.Fatalf("stream %d still owes an ack at quiescence", id)
+		}
+	}
+	if h.b.ackTimer != nil || h.tb.live() != 0 {
+		t.Fatalf("ack timer %v, %d timers live at quiescence", h.b.ackTimer, h.tb.live())
 	}
 }

@@ -73,6 +73,7 @@ type solo struct {
 	m    *Mux
 	dg   []byte
 	sent int
+	last []byte // the datagram sent last, copied
 }
 
 func newSolo(even bool, cfg Config) *solo { return newSoloBatch(even, cfg, 0) }
@@ -82,8 +83,22 @@ func newSolo(even bool, cfg Config) *solo { return newSoloBatch(even, cfg, 0) }
 func newSoloBatch(even bool, cfg Config, batch int) *solo {
 	so := &solo{h: newHarness(1)}
 	so.h.batch = batch
-	so.m = NewMux(so.h.seam(so.h.ta), func([]byte) error { so.sent++; return nil }, even, cfg, Callbacks{})
+	so.m = NewMux(so.h.seam(so.h.ta), func(p []byte) error {
+		so.sent++
+		so.last = append(so.last[:0], p...)
+		return nil
+	}, even, cfg, Callbacks{})
 	return so
+}
+
+// lastFrames parses the datagram sent last; a frame's Data aliases it.
+func (so *solo) lastFrames() (frames []Frame) {
+	var pr Parser
+	_ = pr.Parse(so.last, func(f Frame) error {
+		frames = append(frames, f)
+		return nil
+	})
+	return frames
 }
 
 // feed delivers the frames as one datagram, a microsecond later.
@@ -224,6 +239,73 @@ func TestEntryFlushZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHeldAckZeroAlloc: a request arriving, the receive flush that holds
+// its ack, the read, and the response whose flush carries that ack in
+// front of its payload allocate nothing, and the three flushes send one
+// datagram. (The peer acknowledges each response with the request after
+// next, so something is always in flight and the retransmission timer
+// stays where it is; the ack timer, once armed, is left alone too.)
+func TestHeldAckZeroAlloc(t *testing.T) {
+	for _, batch := range []int{0, 8} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			const size = 256
+			// Windows the test's 768 KiB each way never get halfway through:
+			// no window update, either way, joins the count.
+			so := newSoloBatch(false, Config{StreamWindow: 64 << 20, SessionWindow: 64 << 20}, batch)
+			msg, buf := payload(size), make([]byte, size)
+			round := uint32(0)
+			var s *Stream
+			heldFlushes := 0
+			step := func() {
+				req := Frame{Type: proto.TypeStream, Stream: 2, Off: round * size, Data: msg}
+				sent := so.sent
+				if round < 2 {
+					so.feed(req)
+				} else {
+					so.feed(Frame{Type: proto.TypeStreamAck, Stream: 2, Off: (round - 1) * size}, req)
+				}
+				so.h.endEntry()
+				round++
+				if s == nil {
+					s = so.m.streams[2]
+				}
+				if n, _ := s.Read(buf); n != size {
+					t.Fatalf("read %d of %d bytes", n, size)
+				}
+				if so.sent == sent && s.ackPending {
+					heldFlushes++
+				}
+				if n := s.Write(msg); n != size {
+					t.Fatalf("write took %d of %d bytes", n, size)
+				}
+				so.h.endEntry()
+				if so.sent != sent+1 {
+					t.Fatalf("round %d sent %d datagrams, want one", round, so.sent-sent)
+				}
+			}
+			for i := 0; i < 2000; i++ {
+				step()
+			}
+			armed := len(so.h.ta.armed)
+			heldFlushes = 0
+			if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+				t.Errorf("request, held ack, read and response allocate %v/op in steady state, want 0", allocs)
+			}
+			if heldFlushes != 1001 {
+				t.Errorf("%d of 1001 requests had their ack held until the response", heldFlushes)
+			}
+			frames := so.lastFrames()
+			if len(frames) != 2 || frames[0].Type != proto.TypeStreamAck || frames[0].Off != round*size ||
+				frames[1].Type != proto.TypeStream || len(frames[1].Data) != size {
+				t.Errorf("the response left as %+v, want the ack at %d in front of %d bytes", frames, round*size, size)
+			}
+			if n := len(so.h.ta.armed) - armed; n != 0 {
+				t.Errorf("%d timers armed over 1001 rounds inside one ack delay, want none", n)
+			}
+		})
+	}
+}
+
 // TestSessionWindowUpdateZeroAlloc: session credit is not any one
 // stream's, so an update wakes every writer — over a copy of the stream
 // list, because a woken writer may open or finish streams — and that
@@ -344,26 +426,28 @@ func TestEarlyRtxTimerRearms(t *testing.T) {
 	}
 	sentAtEarlyFire := -1
 	h.watch = func() {
-		if h.clk == 120*ms && sentAtEarlyFire < 0 {
+		if h.clk == 125*ms && sentAtEarlyFire < 0 {
 			sentAtEarlyFire = h.sent
 		}
 	}
 	h.run(t, func() bool { return len(dataAt) == 4 }, 1000)
 
-	// Segment 1 is acked at 20 ms: the first RTT sample makes the RTO
-	// its 100 ms floor, and the deadline 120 ms is earlier than the
-	// 500 ms armed at the first write, so the timer moves in. Segment
-	// 2 is acked at 30 ms with segment 3 (lost) in flight: the deadline
-	// becomes 130 ms, later than the timer, which stays.
-	want := []time.Duration{0, 10 * ms, 25 * ms, 130 * ms}
+	// Each segment is a lone small one, so its ack is the ack timer's, 5 ms
+	// after it arrives. Segment 1 is acked at 25 ms: the first RTT sample
+	// (held ack included) makes the RTO its 100 ms floor, and the
+	// deadline 125 ms is earlier than the 500 ms armed at the first
+	// write, so the timer moves in. Segment 2 is acked at 35 ms with
+	// segment 3 (lost) in flight: the deadline becomes 135 ms, later than
+	// the timer, which stays.
+	want := []time.Duration{0, 10 * ms, 25 * ms, 135 * ms}
 	if fmt.Sprint(dataAt) != fmt.Sprint(want) {
 		t.Errorf("payload sent at %v, want %v", dataAt, want)
 	}
 	armed := h.ta.armed
-	if len(armed) < 3 || armed[0] != 500*ms || armed[1] != 120*ms || armed[2] != 130*ms {
-		t.Errorf("sender timers armed for %v, want 500ms, 120ms, then 130ms from the early fire", armed)
+	if len(armed) < 3 || armed[0] != 500*ms || armed[1] != 125*ms || armed[2] != 135*ms {
+		t.Errorf("sender timers armed for %v, want 500ms, 125ms, then 135ms from the early fire", armed)
 	}
 	if before := 3 + 2; sentAtEarlyFire != before {
-		t.Errorf("%d datagrams on the wire after the 120 ms fire, want the %d from before it", sentAtEarlyFire, before)
+		t.Errorf("%d datagrams on the wire after the 125 ms fire, want the %d from before it", sentAtEarlyFire, before)
 	}
 }

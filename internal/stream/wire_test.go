@@ -48,6 +48,13 @@ func traceDigest(t *testing.T, h *harness, size int) (digest string, dgrams int)
 // the wire (buffering, batching, timer handling) must leave all of
 // these alone; one that is meant to (ack thinning, pacing) refreshes
 // them from the failure message and says so.
+//
+// Refreshed once since they were first taken, for the ack policy (an ack
+// nobody is waiting for rides the next datagram that leaves anyway, every
+// second full segment draws one, a short timer sends the rest) and for a
+// completing stream's final ack, which used to be lost with the stream:
+// lossless 7589 -> 5714 datagrams, loss1pct 10658 -> 8778, paced 517 ->
+// 347, loss25pct 172 -> 151.
 func TestWireTraceGolden(t *testing.T) {
 	onePercent := func(h *harness) {
 		seen := make(map[uint32]bool)
@@ -68,12 +75,12 @@ func TestWireTraceGolden(t *testing.T) {
 		digest string
 		dgrams int
 	}{
-		{"lossless", 18, 4 << 20, func(*harness) {}, "2b6ab890c0dbcb21", 7589},
-		{"loss1pct", 18, 4 << 20, onePercent, "367297a46606c8d5", 10658},
-		{"paced", 20, 256 << 10, func(h *harness) { h.pace, h.chunk = time.Millisecond, 2<<10 }, "c339b943ddb037fc", 517},
+		{"lossless", 18, 4 << 20, func(*harness) {}, "ba42b0e81c453448", 5714},
+		{"loss1pct", 18, 4 << 20, onePercent, "37a5227d7f5ac5b1", 8778},
+		{"paced", 20, 256 << 10, func(h *harness) { h.pace, h.chunk = time.Millisecond, 2<<10 }, "3b1baa97c28240e7", 347},
 		{"loss25pct", 2, 50 << 10, func(h *harness) {
 			h.drop = func(int, []byte) bool { return h.rng.Intn(100) < 25 }
-		}, "e540d54bba784dc1", 172},
+		}, "af7bb936b9fd3889", 151},
 	} {
 		h := newHarness(tc.seed)
 		tc.setup(h)

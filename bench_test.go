@@ -197,31 +197,6 @@ func BenchmarkFleetTopologies(b *testing.B) {
 	}
 }
 
-// BenchmarkICE isolates the negotiation engine against the legacy
-// direct punch on an identical flat 300-peer workload: the delta is
-// the candidate machinery's own cost (extra checks, pacing timers,
-// candidate-bearing messages).
-func BenchmarkICE(b *testing.B) {
-	for _, legacy := range []bool{false, true} {
-		name := "engine"
-		if legacy {
-			name = "legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := fleet.Config{
-				Peers:            300,
-				Duration:         5 * time.Minute,
-				MeanArrival:      50 * time.Millisecond,
-				MeanLifetime:     2 * time.Minute,
-				MeanRejoin:       time.Minute,
-				MeanConnectEvery: 25 * time.Second,
-				LegacyPunch:      legacy,
-			}
-			benchFleetRuns(b, cfg)
-		})
-	}
-}
-
 // BenchmarkConnect is the standing connect-latency workload: the same
 // 48-peer fleet dialed relay-first and punch-at-dial, reporting
 // dial-to-usable-session p50/p95 plus the relay->direct upgrade

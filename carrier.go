@@ -22,15 +22,11 @@ import (
 // working — the stream session rides every relay↔direct migration
 // the session makes.
 //
-// Carry requires the WithStreams option; it is the seam the
-// natpunch/stream package builds on, and most applications use
-// stream.NewSession instead of calling it directly.
+// Carry is the seam the natpunch/stream package builds on; most
+// applications use stream.NewSession instead of calling it directly.
 func (c *Conn) Carry(onDatagram func(p []byte), onDead func(err error)) (*Carrier, error) {
 	if onDatagram == nil {
 		return nil, errors.New("natpunch: Carry: nil onDatagram callback")
-	}
-	if !c.d.cfg.useStreams {
-		return nil, errors.New("natpunch: Carry requires the WithStreams option")
 	}
 	var (
 		cr  *Carrier

@@ -10,8 +10,8 @@
 //	go run ./cmd/punch -name alice -server <server-ip>:7000 -wait
 //	go run ./cmd/punch -name bob -server <server-ip>:7000 -peer alice
 //
-// Add -ice for full candidate negotiation (private/public/hairpin
-// candidates with peer-reflexive discovery) and -relay to fall back
+// Dials negotiate full candidate lists (private/public/hairpin
+// candidates with peer-reflexive discovery); add -relay to fall back
 // to relaying through the server when punching fails.
 //
 // Against a federated deployment, -servers pools extra rendezvous
@@ -41,7 +41,6 @@ func main() {
 	peer := flag.String("peer", "", "peer name to punch to (empty: wait for peers)")
 	wait := flag.Bool("wait", false, "stay online waiting for inbound sessions")
 	timeout := flag.Duration("timeout", 15*time.Second, "punch timeout")
-	useICE := flag.Bool("ice", false, "negotiate full candidate lists (ICE-lite)")
 	useRelay := flag.Bool("relay", false, "fall back to relaying through the server")
 	flag.Parse()
 
@@ -64,9 +63,6 @@ func main() {
 	opts := []natpunch.Option{
 		natpunch.WithPunchTimeout(*timeout),
 		natpunch.WithRegisterTimeout(10 * time.Second),
-	}
-	if *useICE {
-		opts = append(opts, natpunch.WithICE())
 	}
 	if *useRelay {
 		opts = append(opts, natpunch.WithRelayFallback())

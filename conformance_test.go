@@ -59,7 +59,6 @@ func serveLoop(t *testing.T, tr *realudp.Transport) (*rendezvousapi.Server, erro
 // conformanceOpts is the option set both backends run under.
 func conformanceOpts() []Option {
 	return []Option{
-		WithICE(),
 		WithRelayFallback(),
 		WithPunchTimeout(1500 * time.Millisecond),
 	}
@@ -439,40 +438,29 @@ func runRelayFirstUpgrade(t *testing.T, alice, bob *Dialer) (dialPath, acceptPat
 
 // TestConformanceRelayFirstUpgrade: a relay-first dial on punchable
 // peers must converge on a direct path class — identically over the
-// simulator and over real loopback sockets, with both the plain
-// punching engine and the candidate engine — while the session keeps
-// carrying traffic throughout.
+// simulator and over real loopback sockets — while the session keeps
+// carrying traffic throughout. The subtest keeps the name "ice": the
+// candidate negotiation is the one dial path.
 func TestConformanceRelayFirstUpgrade(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		extra []Option
-	}{
-		{"plain", nil},
-		{"ice", []Option{WithICE()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithRelayFirst(),
-				WithPunchTimeout(1500 * time.Millisecond),
-			}, mode.extra...)
+	t.Run("ice", func(t *testing.T) {
+		opts := []Option{WithRelayFirst(), WithPunchTimeout(1500 * time.Millisecond)}
 
-			simA, simB, _, _ := simPair(t, simnet.Cone(), simnet.Cone(), opts...)
-			simDial, simAccept := runRelayFirstUpgrade(t, simA, simB)
+		simA, simB, _, _ := simPair(t, simnet.Cone(), simnet.Cone(), opts...)
+		simDial, simAccept := runRelayFirstUpgrade(t, simA, simB)
 
-			realA, realB := makeRealPair(t, false, opts...)
-			realDial, realAccept := runRelayFirstUpgrade(t, realA, realB)
+		realA, realB := makeRealPair(t, false, opts...)
+		realDial, realAccept := runRelayFirstUpgrade(t, realA, realB)
 
-			for _, c := range []struct{ name, sim, real string }{
-				{"dial side", simDial, realDial},
-				{"accept side", simAccept, realAccept},
-			} {
-				if classOf(c.sim) != "direct" || classOf(c.real) != "direct" {
-					t.Errorf("%s: relay-first session never upgraded to direct: sim=%s real=%s",
-						c.name, c.sim, c.real)
-				}
+		for _, c := range []struct{ name, sim, real string }{
+			{"dial side", simDial, realDial},
+			{"accept side", simAccept, realAccept},
+		} {
+			if classOf(c.sim) != "direct" || classOf(c.real) != "direct" {
+				t.Errorf("%s: relay-first session never upgraded to direct: sim=%s real=%s",
+					c.name, c.sim, c.real)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestRealSocketInboxSurvivesDecoderReuse: over real sockets the

@@ -40,7 +40,7 @@ func (a Addr) Endpoint() transport.Endpoint { return a.ep }
 // Conn is message-oriented like net.UDPConn: each Write sends one
 // datagram and each Read returns one (truncating to the buffer,
 // discarding the rest, exactly like UDP). Reliable byte streams are
-// layered on top by natpunch/stream (WithStreams). Deadlines are
+// layered on top by natpunch/stream (Carry). Deadlines are
 // wall-clock on every transport (they bound the application's wait,
 // not the protocol's virtual timers).
 //

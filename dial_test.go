@@ -31,7 +31,7 @@ func recount(d *Dialer) (attempts, negotiations, sessions int) {
 // cancelMidNegotiation dials an unpunchable peer with an effectively
 // infinite deadline, cancels while checks are in flight, and verifies
 // the attempt is fully released.
-func cancelMidNegotiation(t *testing.T, alice, bob *Dialer, useICE bool) {
+func cancelMidNegotiation(t *testing.T, alice *Dialer) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -58,42 +58,25 @@ func cancelMidNegotiation(t *testing.T, alice, bob *Dialer, useICE bool) {
 		t.Fatalf("engine state leaked after cancel: attempts=%d negotiations=%d sessions=%d",
 			attempts, negotiations, sessions)
 	}
-	_ = useICE
-	_ = bob
 }
 
+// The subtests below keep the name "ice": every dial now runs the
+// candidate negotiation, which was the ice mode of the plain/ice pairs.
 func TestDialContextCancelSim(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"plain-punch", []Option{WithPunchTimeout(10 * time.Hour)}},
-		{"ice", []Option{WithICE(), WithPunchTimeout(10 * time.Hour)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			// Symmetric NATs on both sides: checks run and run but
-			// never converge, so the dial hangs until cancelled.
-			alice, bob, _, _ := simPair(t, simnet.Symmetric(), simnet.Symmetric(), mode.opts...)
-			cancelMidNegotiation(t, alice, bob, len(mode.opts) == 2)
-		})
-	}
+	t.Run("ice", func(t *testing.T) {
+		// Symmetric NATs on both sides: checks run and run but never
+		// converge, so the dial hangs until cancelled.
+		alice, _, _, _ := simPair(t, simnet.Symmetric(), simnet.Symmetric(), WithPunchTimeout(10*time.Hour))
+		cancelMidNegotiation(t, alice)
+	})
 }
 
 func TestDialContextCancelRealUDP(t *testing.T) {
 	requireLoopbackUDP(t)
 	baseline := runtime.NumGoroutine()
-	for _, mode := range []struct {
-		name string
-		ice  bool
-	}{
-		{"plain-punch", false},
-		{"ice", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			alice, bob := makeRealPairLongDial(t, mode.ice)
-			cancelMidNegotiation(t, alice, bob, mode.ice)
-		})
-	}
+	t.Run("ice", func(t *testing.T) {
+		cancelMidNegotiation(t, makeRealPairLongDial(t))
+	})
 	// After the per-test cleanups ran, the transports' read loops and
 	// timers must be gone: no goroutine leaks.
 	deadline := time.Now().Add(5 * time.Second)
@@ -107,9 +90,9 @@ func TestDialContextCancelRealUDP(t *testing.T) {
 }
 
 // makeRealPairLongDial is makeRealPair with an effectively infinite
-// punch deadline and bob dropping probes, so a dial to bob hangs
-// mid-negotiation until cancelled.
-func makeRealPairLongDial(t *testing.T, useICE bool) (*Dialer, *Dialer) {
+// punch deadline and bob dropping probes, so alice's dial to bob hangs
+// mid-negotiation until cancelled. It returns alice.
+func makeRealPairLongDial(t *testing.T) *Dialer {
 	t.Helper()
 	serverTr, err := newLoopTransport(t)
 	if err != nil {
@@ -119,25 +102,21 @@ func makeRealPairLongDial(t *testing.T, useICE bool) (*Dialer, *Dialer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithPunchTimeout(10 * time.Hour)}
-	if useICE {
-		opts = append(opts, WithICE())
-	}
 	open := func(name string) *Dialer {
 		tr, err := newLoopTransport(t)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Open(tr, name, srv.Endpoint(), opts...)
+		d, err := Open(tr, name, srv.Endpoint(), WithPunchTimeout(10*time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
 		return d
 	}
-	alice, bob := open("alice"), open("bob")
-	dropProbes(bob)
-	return alice, bob
+	alice := open("alice")
+	dropProbes(open("bob"))
+	return alice
 }
 
 // TestDialSupersededConn pins the error a Conn surfaces when the

@@ -66,7 +66,7 @@ func (*supersededError) Is(target error) bool { return target == ErrSessionDead 
 // registered with the rendezvous server S, able to dial peers by name
 // and to accept inbound sessions through a Listener. It is the
 // public face of the engine the paper describes — UDP hole punching
-// (§3), candidate negotiation (WithICE), and relaying (§2.2,
+// (§3) by candidate negotiation, and relaying (§2.2,
 // WithRelayFallback) — over any transport: the deterministic
 // simulator (natpunch/simnet) or real UDP sockets (natpunch/realudp).
 //
@@ -141,10 +141,9 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 		if err != nil {
 			return
 		}
-		// The agent is always attached so peer-initiated candidate
-		// negotiations get answered regardless of this endpoint's own
-		// dialing mode; WithICE selects which engine outbound dials
-		// use.
+		// Every dial, and every re-punch of a live session, is a
+		// candidate negotiation run by the agent; InboundUDP above still
+		// answers a peer that punches with the plain §3.2 exchange.
 		d.agent = ice.New(d.client, cfg.iceCfg)
 		d.agent.Inbound = ice.Callbacks{
 			Established: func(s *punch.UDPSession, _ ice.Candidate) { d.inbound(d.newUDPConn(s)) },
@@ -219,9 +218,9 @@ type dialResult struct {
 	err  error
 }
 
-// DialContext establishes a session with the named peer: rendezvous
-// through S, hole punching (candidate negotiation with WithICE), and
-// — when enabled — relay fallback at the deadline. Cancelling ctx
+// DialContext establishes a session with the named peer: candidate
+// exchange through S, hole punching by connectivity checks, and — when
+// enabled — relay fallback at the deadline. Cancelling ctx
 // mid-negotiation aborts the attempt and releases all engine state
 // for it.
 func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
@@ -239,21 +238,12 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		}
 	}
 	d.tr.Invoke(func() {
-		if d.cfg.useICE {
-			d.agent.Connect(peer, ice.Callbacks{
-				Established: func(s *punch.UDPSession, _ ice.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
-				Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
-				Data:        d.udpData,
-				Dead:        d.udpDead,
-			})
-		} else {
-			d.client.ConnectUDP(peer, punch.UDPCallbacks{
-				Established: func(s *punch.UDPSession) { deliver(dialResult{conn: d.newUDPConn(s)}) },
-				Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
-				Data:        d.udpData,
-				Dead:        d.udpDead,
-			})
-		}
+		d.agent.Connect(peer, ice.Callbacks{
+			Established: func(s *punch.UDPSession, _ ice.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
+			Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
+			Data:        d.udpData,
+			Dead:        d.udpDead,
+		})
 	})
 
 	d.addWaiter()
@@ -272,13 +262,7 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		}
 		return r.conn, nil
 	case <-ctx.Done():
-		d.tr.Invoke(func() {
-			if d.cfg.useICE {
-				d.agent.Abort(peer)
-			} else {
-				d.client.AbortUDP(peer)
-			}
-		})
+		d.tr.Invoke(func() { d.agent.Abort(peer) })
 		// The dial may have resolved while the abort was acquiring the
 		// engine; release anything that slipped through.
 		select {

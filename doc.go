@@ -14,7 +14,7 @@
 //	tr, _ := realudp.New("0.0.0.0:0")
 //	server, _ := realudp.ResolveEndpoint("rendezvous.example.com:7000")
 //	d, _ := natpunch.Open(tr, "alice", server,
-//	        natpunch.WithICE(), natpunch.WithRelayFallback())
+//	        natpunch.WithRelayFallback())
 //	conn, err := d.DialContext(ctx, "bob")
 //
 // The same calls run over the deterministic network simulator — NAT

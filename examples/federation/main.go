@@ -45,7 +45,6 @@ func main() {
 		d, err := natpunch.Open(host.Transport(), name, transport.Endpoint{},
 			natpunch.Servers(pool...),
 			natpunch.WithRelayServers(relay.Endpoint()),
-			natpunch.WithICE(),
 			natpunch.WithKeepAlive(5*time.Second, 60*time.Second))
 		check(err)
 		return d

@@ -1,6 +1,6 @@
 // File transfer example: a bulk reliable stream over a punched UDP
 // session. Two peers behind NATs punch a session through the public
-// Dialer/Listener/Conn API (WithStreams), open a natpunch/stream
+// Dialer/Listener/Conn API, open a natpunch/stream
 // stream on it, and transfer 256 KiB, verified with a FNV hash; runs
 // once on BSD-style hosts and once on Linux-style hosts.
 package main
@@ -32,11 +32,11 @@ func transfer(flavor simnet.OSFlavor) {
 	hostB := realmB.AddHostOS("B", "10.1.1.3", flavor)
 
 	sender, err := natpunch.Open(hostA.Transport(), "sender", server.Endpoint(),
-		natpunch.WithStreams(), natpunch.WithLocalPort(4321))
+		natpunch.WithLocalPort(4321))
 	check(err)
 	defer sender.Close()
 	receiver, err := natpunch.Open(hostB.Transport(), "receiver", server.Endpoint(),
-		natpunch.WithStreams(), natpunch.WithLocalPort(4321))
+		natpunch.WithLocalPort(4321))
 	check(err)
 	defer receiver.Close()
 

@@ -38,7 +38,6 @@ func main() {
 		{"fox", nil}, // public host
 	}
 	opts := []natpunch.Option{
-		natpunch.WithICE(),
 		natpunch.WithRelayFallback(),
 		natpunch.WithPunchTimeout(4 * time.Second),
 	}

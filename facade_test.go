@@ -99,7 +99,7 @@ func TestFacadeSimICERelayFloor(t *testing.T) {
 	// Symmetric<->symmetric across distinct NATs cannot punch; the
 	// relay floor carries the session.
 	alice, bob, _, _ := simPair(t, simnet.Symmetric(), simnet.Symmetric(),
-		WithICE(), WithRelayFallback(), WithPunchTimeout(3*time.Second))
+		WithRelayFallback(), WithPunchTimeout(3*time.Second))
 	ln, err := bob.Listen()
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package natpunch
 
 // Federated loopback smoke: the multi-server deployment shape on real
 // UDP sockets — two federated rendezvous servers, a cross-server
-// WithICE punch, the relay-only fallback through a standalone
+// negotiated punch, the relay-only fallback through a standalone
 // relayapi host, and mid-run home-server loss with pool failover.
 // These are the real-socket halves of the engine-level pins in
 // internal/rendezvous and internal/punch.
@@ -81,8 +81,8 @@ func awaitReplicated(t *testing.T, srvs []*rendezvousapi.Server, names ...string
 // outcome class, data both ways.
 func TestFederatedLoopbackCrossServerICE(t *testing.T) {
 	srvs, eps := fedServers(t, 2)
-	alice := openLoop(t, "alice", eps[0], WithICE(), WithRelayFallback(), WithPunchTimeout(2*time.Second))
-	bob := openLoop(t, "bob", eps[1], WithICE(), WithRelayFallback(), WithPunchTimeout(2*time.Second))
+	alice := openLoop(t, "alice", eps[0], WithRelayFallback(), WithPunchTimeout(2*time.Second))
+	bob := openLoop(t, "bob", eps[1], WithRelayFallback(), WithPunchTimeout(2*time.Second))
 	awaitReplicated(t, srvs, "alice", "bob")
 
 	dialPath, acceptPath := runScenario(t, alice, bob)
@@ -111,7 +111,7 @@ func TestFederatedLoopbackRelayOnlyFallback(t *testing.T) {
 	t.Cleanup(relay.Close)
 
 	opts := []Option{
-		WithICE(), WithRelayServers(relay.Endpoint()),
+		WithRelayServers(relay.Endpoint()),
 		WithPunchTimeout(1500 * time.Millisecond),
 	}
 	alice := openLoop(t, "alice", eps[0], opts...)
@@ -157,7 +157,7 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 	// keep-alives every 100ms, failover after ~300ms of silence, idle
 	// death only after 3s.
 	opts := []Option{
-		WithICE(), WithRelayServers(relay.Endpoint()),
+		WithRelayServers(relay.Endpoint()),
 		Servers(eps...),
 		WithKeepAlive(100*time.Millisecond, 3*time.Second),
 		WithPunchTimeout(800 * time.Millisecond),
@@ -247,7 +247,7 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 	// (bob re-homes on his own keep-alive clock if he was on the dead
 	// server).
 	carl := openLoop(t, "carl", alice.ServerEndpoint(),
-		WithICE(), WithRelayFallback(), WithPunchTimeout(800*time.Millisecond),
+		WithRelayFallback(), WithPunchTimeout(800*time.Millisecond),
 		WithKeepAlive(100*time.Millisecond, 3*time.Second))
 	lnC, err := carl.Listen()
 	if err != nil {

@@ -11,10 +11,9 @@
 // (Figure 5), multi-peer sites sharing one NAT (Figure 4), and
 // CGN sites nesting per-peer home NATs under an ISP-level NAT
 // (Figure 6) — with or without hairpin support. Every attempt runs
-// through the internal/ice candidate-negotiation engine (unless
-// LegacyPunch selects the PR-2 direct punch), and outcomes are
-// attributed both to the NAT-pair class and to the pair's topology
-// class, by nominated candidate type.
+// through the internal/ice candidate-negotiation engine, and outcomes
+// are attributed both to the NAT-pair class and to the pair's
+// topology class, by nominated candidate type.
 //
 // Everything runs on a single sim.Scheduler/sim.Network, so a run is
 // bit-for-bit reproducible from its seed: the large-scale DCUtR-style
@@ -110,10 +109,6 @@ type Config struct {
 	// ICE tunes the candidate-negotiation engine (pacing, ablations).
 	// Zero fields inherit the punch settings.
 	ICE ice.Config
-	// LegacyPunch routes attempts through the PR-2 direct punch
-	// (punch.ConnectUDP) instead of the engine — the differential
-	// baseline.
-	LegacyPunch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -430,17 +425,11 @@ func (f *Fleet) arrive(p *peer) {
 		c.SetServerPool(order)
 		c.OnServerSwitch = func(_, _ inet.Endpoint) { f.rep.Failovers++ }
 	}
-	c.InboundUDP = punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { f.adopt(p, s, false) },
-		Data:        func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
-	}
 	p.client = c
-	if !f.cfg.LegacyPunch {
-		p.agent = ice.New(c, f.cfg.ICE)
-		p.agent.Inbound = ice.Callbacks{
-			Established: func(s *punch.UDPSession, _ ice.Candidate) { f.adopt(p, s, false) },
-			Data:        func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
-		}
+	p.agent = ice.New(c, f.cfg.ICE)
+	p.agent.Inbound = ice.Callbacks{
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { f.adopt(p, s, false) },
+		Data:        func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
 	}
 	if err := c.RegisterUDP(clientPort, func(err error) {
 		if err != nil {
@@ -533,9 +522,8 @@ func (f *Fleet) tick(p *peer, gen int) {
 	f.attempt(p, q)
 }
 
-// attempt starts one connection attempt from p toward q — through the
-// candidate engine, or the legacy direct punch under LegacyPunch —
-// and wires the outcome into the pair-class and topology-class stats.
+// attempt starts one candidate negotiation from p toward q and wires
+// the outcome into the pair-class and topology-class stats.
 func (f *Fleet) attempt(p, q *peer) {
 	keys := attemptKeys{pair: PairKey(p.class, q.class), topo: topoClass(p, q)}
 	ps, ts := f.pair(keys.pair), f.topo(keys.topo)
@@ -544,42 +532,19 @@ func (f *Fleet) attempt(p, q *peer) {
 	f.rep.Attempts++
 	p.inflight[q.name] = keys
 	start := f.in.Net.Sched.Now()
-	established := func(s *punch.UDPSession, kind ice.Kind) {
-		delete(p.inflight, q.name)
-		f.record(ps, ts, kind, f.in.Net.Sched.Now()-start)
-		f.adopt(p, s, true)
-	}
-	failed := func(string, error) {
-		delete(p.inflight, q.name)
-		ps.Failed++
-		ts.Failed++
-		f.rep.Failed++
-	}
-	if p.agent != nil {
-		p.agent.Connect(q.name, ice.Callbacks{
-			Established: func(s *punch.UDPSession, chosen ice.Candidate) {
-				established(s, chosen.Kind)
-			},
-			Failed: failed,
-			Data:   func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
-		})
-		return
-	}
-	p.client.ConnectUDP(q.name, punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) {
-			// The legacy punch cannot tell hairpin or reflexive paths
-			// from plain public ones; fold onto the coarse kinds.
-			kind := ice.KindPublic
-			switch s.Via {
-			case punch.MethodRelay:
-				kind = ice.KindRelay
-			case punch.MethodPrivate:
-				kind = ice.KindPrivate
-			}
-			established(s, kind)
+	p.agent.Connect(q.name, ice.Callbacks{
+		Established: func(s *punch.UDPSession, chosen ice.Candidate) {
+			delete(p.inflight, q.name)
+			f.record(ps, ts, chosen.Kind, f.in.Net.Sched.Now()-start)
+			f.adopt(p, s, true)
 		},
-		Failed: failed,
-		Data:   func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
+		Failed: func(string, error) {
+			delete(p.inflight, q.name)
+			ps.Failed++
+			ts.Failed++
+			f.rep.Failed++
+		},
+		Data: func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
 	})
 }
 

@@ -252,26 +252,22 @@ func TestFleetSymmetricOpenBehindHairpinCGN(t *testing.T) {
 	}
 }
 
-func TestFleetLegacyEngineAgreeOnFlatCones(t *testing.T) {
-	// Fleet-level differential satellite: on flat all-cone topologies
-	// the engine must preserve the legacy outcome profile — every
-	// completed attempt direct, none relayed, none failed. (Packet
-	// timings differ, so the comparison is semantic, not bitwise.)
+func TestFleetFlatConesGoDirect(t *testing.T) {
+	// On flat all-cone topologies every pair can punch (§3.4), so
+	// every completed attempt is direct: none relayed, none failed.
+	// The paper's plain §3.2 punch has the same profile (the
+	// per-pair differential against it is internal/ice's).
 	cfg := stable(30)
 	cfg.Mix = coneMix()
-	legacy, engine := cfg, cfg
-	legacy.LegacyPunch = true
-	lrep, erep := fleet.Run(25, legacy), fleet.Run(25, engine)
-	for name, rep := range map[string]fleet.Report{"legacy": lrep, "engine": erep} {
-		if rep.Attempts == 0 {
-			t.Fatalf("%s: no attempts", name)
-		}
-		if rep.Relay != 0 || rep.Failed != 0 {
-			t.Errorf("%s: relay=%d failed=%d; want 0/0", name, rep.Relay, rep.Failed)
-		}
-		if direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive; direct+rep.Abandoned != rep.Attempts {
-			t.Errorf("%s: direct=%d abandoned=%d of %d attempts", name, direct, rep.Abandoned, rep.Attempts)
-		}
+	rep := fleet.Run(25, cfg)
+	if rep.Attempts == 0 {
+		t.Fatal("no attempts")
+	}
+	if rep.Relay != 0 || rep.Failed != 0 {
+		t.Errorf("relay=%d failed=%d; want 0/0", rep.Relay, rep.Failed)
+	}
+	if direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive; direct+rep.Abandoned != rep.Attempts {
+		t.Errorf("direct=%d abandoned=%d of %d attempts", direct, rep.Abandoned, rep.Attempts)
 	}
 }
 

@@ -86,46 +86,45 @@ func TestFleetRelayFirstMigrationUnderChurn(t *testing.T) {
 	}
 }
 
-func TestFleetRelayFirstDifferentialVsLegacy(t *testing.T) {
-	// Differential against the legacy direct punch: relay-first must
-	// not change which pair classes can reach a direct path — it only
+func TestFleetRelayFirstBeatsPunchAtDial(t *testing.T) {
+	// Relay-first against punch-at-dial on the same fleet: it must not
+	// change which pair classes can reach a direct path — it only
 	// changes when (upgrade after establishment vs punch before) —
-	// and its connect latency must beat the legacy punch's, since the
-	// relay path is usable after about one rendezvous round-trip.
+	// and its connect latency must be lower, since the relay path is
+	// usable after about one rendezvous round-trip.
 	rfCfg := migrationCfg()
 	rfCfg.MeanRebindEvery = 0 // hold paths still for the class comparison
 	rf := Run(7, rfCfg)
 
-	legacyCfg := rfCfg
-	legacyCfg.RelayFirst = false
-	legacyCfg.LegacyPunch = true
-	legacy := Run(7, legacyCfg)
+	dialCfg := rfCfg
+	dialCfg.RelayFirst = false
+	atDial := Run(7, dialCfg)
 
-	rfCC, legCC := rf.Pair("cone<->cone"), legacy.Pair("cone<->cone")
-	if rfCC == nil || legCC == nil {
-		t.Fatalf("cone<->cone missing: rf=%v legacy=%v", rfCC, legCC)
+	rfCC, dialCC := rf.Pair("cone<->cone"), atDial.Pair("cone<->cone")
+	if rfCC == nil || dialCC == nil {
+		t.Fatalf("cone<->cone missing: relay-first=%v punch-at-dial=%v", rfCC, dialCC)
 	}
-	if legCC.Direct() == 0 {
-		t.Errorf("legacy cone<->cone punched 0 direct sessions: %+v", legCC.Outcomes)
+	if dialCC.Direct() == 0 {
+		t.Errorf("punch-at-dial cone<->cone punched 0 direct sessions: %+v", dialCC.Outcomes)
 	}
 	if rfCC.Upgraded == 0 {
 		t.Errorf("relay-first cone<->cone upgraded 0 sessions: %+v", rfCC)
 	}
 	if rfSS := rf.Pair("symmetric<->symmetric"); rfSS != nil && rfSS.Upgraded != 0 {
-		t.Errorf("relay-first symmetric<->symmetric upgraded %d, legacy class is relay-only", rfSS.Upgraded)
+		t.Errorf("relay-first symmetric<->symmetric upgraded %d, the class is relay-only", rfSS.Upgraded)
 	}
-	if legSS := legacy.Pair("symmetric<->symmetric"); legSS != nil && legSS.Direct() != 0 {
-		t.Errorf("legacy symmetric<->symmetric direct %d, want 0", legSS.Direct())
+	if dialSS := atDial.Pair("symmetric<->symmetric"); dialSS != nil && dialSS.Direct() != 0 {
+		t.Errorf("punch-at-dial symmetric<->symmetric direct %d, want 0", dialSS.Direct())
 	}
 
 	// Connect latency: relay-first p50 (dial to usable session) must
-	// undercut the legacy punch's p50 time-to-establish, which needs
-	// at least one extra probe round-trip beyond the rendezvous.
-	rfP50, legP50 := rf.ConnectQuantile(0.5), legacy.Quantile(0.5)
-	if rfP50 == 0 || legP50 == 0 {
-		t.Fatalf("missing latency distributions: rf p50=%v legacy p50=%v", rfP50, legP50)
+	// undercut punch-at-dial's p50 time-to-establish, which needs at
+	// least one check round-trip beyond the rendezvous.
+	rfP50, dialP50 := rf.ConnectQuantile(0.5), atDial.Quantile(0.5)
+	if rfP50 == 0 || dialP50 == 0 {
+		t.Fatalf("missing latency distributions: relay-first p50=%v punch-at-dial p50=%v", rfP50, dialP50)
 	}
-	if rfP50 >= legP50 {
-		t.Errorf("relay-first p50 connect %v not faster than legacy direct punch p50 %v", rfP50, legP50)
+	if rfP50 >= dialP50 {
+		t.Errorf("relay-first p50 connect %v not faster than punch-at-dial p50 %v", rfP50, dialP50)
 	}
 }

@@ -42,8 +42,28 @@ type Agent struct {
 	// relayed traffic names its sender but carries no nonce.
 	inbound map[string]*negotiation
 
+	// early holds the last few connectivity checks whose nonce no
+	// negotiation had claimed when they arrived, oldest overwritten
+	// first: the requester starts checking as soon as S answers it,
+	// so its first check can reach us before S's NegotiateDetails
+	// naming that nonce does. handleDetails answers them.
+	early     [earlyChecks]earlyCheck
+	earlyNext int
+
 	// Trace, if set, receives one line per notable negotiation event.
 	Trace func(format string, args ...any)
+}
+
+// earlyChecks bounds the unclaimed checks an agent remembers, however
+// many arrive: a check that waits for details is one in flight, and a
+// flood of made-up nonces only recycles the ring.
+const earlyChecks = 8
+
+// earlyCheck is one remembered check; nonce 0 marks an empty slot
+// (clients never draw it, and a check carrying it is not kept).
+type earlyCheck struct {
+	from  inet.Endpoint
+	nonce uint64
 }
 
 // New attaches a negotiation agent to a punch client. Zero cfg fields
@@ -158,8 +178,7 @@ func (a *Agent) Connect(peer string, cb Callbacks) {
 		return
 	}
 	// Only our own outbound negotiations occupy the per-peer slot:
-	// a responder-side negotiation must not block a crossing Connect
-	// (legacy crossing punches likewise proceed independently).
+	// a responder-side negotiation must not block a crossing Connect.
 	if a.byPeer[peer] != nil {
 		if cb.Failed != nil {
 			cb.Failed(peer, punch.ErrBusy)
@@ -187,9 +206,18 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 		a.handleDetails(m)
 		return true
 	case proto.TypePunch:
+		if m.From == a.c.Name() {
+			return true // our own probe looped back (shared private realms, §3.3)
+		}
 		if n := a.negs[m.Nonce]; n != nil && !n.done {
-			a.handleCheck(n, from, m)
+			a.answerCheck(n, from)
 			return true
+		}
+		// Unclaimed: remember it, and let the client re-ack it if the
+		// nonce is a live session's.
+		if m.Nonce != 0 {
+			a.early[a.earlyNext] = earlyCheck{from: from, nonce: m.Nonce}
+			a.earlyNext = (a.earlyNext + 1) % earlyChecks
 		}
 	case proto.TypePunchAck:
 		if n := a.negs[m.Nonce]; n != nil && !n.done {
@@ -296,6 +324,16 @@ func (a *Agent) handleDetails(m *proto.Message) {
 		d := time.Duration(i) * a.cfg.Pace
 		ch.timer = a.tr().After(d, func() { a.startCheck(n, ch) })
 	}
+	// Checks that beat these details here are answered now, as if
+	// they had just arrived, instead of waiting out the requester's
+	// retransmission.
+	for i, e := range a.early {
+		if e.nonce != 0 && e.nonce == n.nonce {
+			a.early[i] = earlyCheck{}
+			a.tracef("answering %s's check from %s that beat the details", n.peer, e.from)
+			a.answerCheck(n, e.from)
+		}
+	}
 }
 
 // startCheck begins (or continues) one candidate's probe loop.
@@ -310,14 +348,11 @@ func (a *Agent) startCheck(n *negotiation, ch *check) {
 	ch.timer = a.tr().After(a.cfg.ProbeInterval, func() { a.startCheck(n, ch) })
 }
 
-// handleCheck answers a connectivity check for an active negotiation:
+// answerCheck answers a connectivity check for an active negotiation:
 // ack the probe, and run the triggered check back at the observed
 // source — discovering it as a peer-reflexive (or hairpin) candidate
 // when nobody advertised it (§5.1's fresh symmetric mappings).
-func (a *Agent) handleCheck(n *negotiation, from inet.Endpoint, m *proto.Message) {
-	if m.From == a.c.Name() {
-		return // our own probe looped back (shared private realms, §3.3)
-	}
+func (a *Agent) answerCheck(n *negotiation, from inet.Endpoint) {
 	a.c.SendUDPMessage(from, &proto.Message{
 		Type: proto.TypePunchAck, From: a.c.Name(), Nonce: n.nonce,
 	})
@@ -411,12 +446,10 @@ func (a *Agent) timeout(n *negotiation) {
 // re-punch for a live session becomes a full re-negotiation under the
 // session's existing nonce, so upgrades explore the same candidate
 // set that established the session (including peer-reflexive
-// discovery, §5.1). It always claims the attempt; with an agent
-// attached the plain §3 fallback would race the agent's interceptor
-// for the shared nonce.
-func (a *Agent) repunch(peer string, nonce uint64) bool {
+// discovery, §5.1).
+func (a *Agent) repunch(peer string, nonce uint64) {
 	if !a.c.UDPRegistered() || a.negs[nonce] != nil || a.byPeer[peer] != nil {
-		return true // not negotiable right now, or already negotiating
+		return // not negotiable right now, or already negotiating
 	}
 	n := &negotiation{
 		peer: peer, nonce: nonce, requester: true, established: true,
@@ -430,7 +463,6 @@ func (a *Agent) repunch(peer string, nonce uint64) bool {
 		Nonce: n.nonce, Candidates: a.localCandidates(),
 	})
 	a.tracef("re-negotiate -> %s (nonce %d)", peer, nonce)
-	return true
 }
 
 // Abort cancels every in-flight negotiation we initiated with peer

@@ -335,6 +335,38 @@ func TestCrossingNegotiations(t *testing.T) {
 	}
 }
 
+// TestAbortDoesNotKillCrossingNegotiation: aborting our own dial (the
+// facade's context-cancellation path) releases only the negotiation we
+// started, never the responder side of the peer's crossing dial to us.
+func TestAbortDoesNotKillCrossingNegotiation(t *testing.T) {
+	r := flatRig(t, 16, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
+	var bobSession *punch.UDPSession
+	r.agA.Connect("bob", ice.Callbacks{
+		Established: func(*punch.UDPSession, ice.Candidate) { t.Error("alice's aborted dial established") },
+	})
+	r.agB.Connect("alice", ice.Callbacks{
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { bobSession = s },
+	})
+	// Let S forward both offers, so alice holds her own negotiation
+	// AND the responder side of bob's.
+	r.await(45*time.Millisecond, func() bool { return false })
+	if n := r.agA.PendingNegotiations(); n != 2 {
+		t.Fatalf("alice holds %d negotiations before the abort, want 2", n)
+	}
+	if !r.agA.Abort("bob") {
+		t.Fatal("expected alice's own dial to be abortable")
+	}
+	if r.agA.Abort("bob") {
+		t.Fatal("second abort should find nothing: the responder side must survive")
+	}
+	if !r.await(5*time.Second, func() bool { return bobSession != nil && r.a.LookupUDPSession("bob") != nil }) {
+		t.Fatalf("bob's crossing dial died with alice's aborted one (bob's session %v)", bobSession)
+	}
+	if s := r.a.LookupUDPSession("bob"); s.Nonce != bobSession.Nonce {
+		t.Fatalf("alice holds a session with nonce %d, want bob's dial's %d", s.Nonce, bobSession.Nonce)
+	}
+}
+
 func TestAdoptedSessionCarriesData(t *testing.T) {
 	r := flatRig(t, 14, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
 	var got []byte

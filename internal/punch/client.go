@@ -123,20 +123,22 @@ type Config struct {
 	// Server-pool failover detection rides the keep-alive clock, so
 	// it is disabled too.
 	DisableRegistrationKeepAlive bool
-	// RelayFirst establishes sessions through the §2.2 relay the
-	// moment the endpoint exchange (§3.2 step 2) completes — roughly
-	// one rendezvous round-trip after the dial — while hole punching
-	// continues in the background; a successful punch migrates the
-	// live session onto the direct path with no datagram loss or
-	// reordering (drain-then-switch, migrate.go). This is the
-	// relay-first pattern the paper's production descendants (e.g.
-	// IPFS's DCUtR) converged on. Implies PathUpgrade.
+	// RelayFirst makes a candidate negotiation (internal/ice)
+	// establish its session through the §2.2 relay the moment the
+	// candidate exchange completes — roughly one rendezvous round-trip
+	// after the dial — while the checks continue in the background; a
+	// nomination migrates the live session onto the direct path with
+	// no datagram loss or reordering (drain-then-switch, migrate.go).
+	// This is the relay-first pattern the paper's production
+	// descendants (e.g. IPFS's DCUtR) converged on. ConnectUDP, the
+	// paper's plain §3.2 attempt, ignores it. Implies PathUpgrade.
 	RelayFirst bool
 	// PathUpgrade enables mid-session path migration: relay->direct
-	// upgrade when a background punch succeeds, direct->relay
-	// failback — instead of terminal session death — when §3.6 idle
-	// detection declares the direct path dead, and periodic
-	// background re-punching while a session rides the relay.
+	// upgrade when a background negotiation nominates a direct path,
+	// direct->relay failback — instead of terminal session death —
+	// when §3.6 idle detection declares the direct path dead, and
+	// periodic background re-punching (OnRepunch) while a session
+	// rides the relay.
 	PathUpgrade bool
 	// DrainTimeout bounds how long a migrating session's receiver
 	// holds new-path datagrams while the old path's in-flight tail
@@ -261,13 +263,13 @@ type Client struct {
 	// any local Connect call).
 	InboundUDP UDPCallbacks
 
-	// OnRepunch, if set, is consulted before the engine launches a
-	// plain §3 background re-punch for a live session (migrate.go);
-	// returning true claims the attempt. The candidate-negotiation
-	// engine (internal/ice) re-negotiates with the session's nonce
-	// instead, so upgrades use the same machinery that established
-	// the session.
-	OnRepunch func(peer string, nonce uint64) bool
+	// OnRepunch, if set, runs when a live session riding the relay
+	// should try for a direct path (migrate.go). The
+	// candidate-negotiation engine (internal/ice) installs it and
+	// re-negotiates under the session's nonce, so upgrades use the
+	// machinery that established the session. Without it sessions
+	// still fail back, but never re-punch.
+	OnRepunch func(peer string, nonce uint64)
 
 	// udpIntercept, if set, sees every decoded UDP message before the
 	// client's own dispatch; returning true consumes the message. The
@@ -471,14 +473,7 @@ func (c *Client) AdoptUDPSession(peer string, remote inet.Endpoint, via Method, 
 	if prev := c.udpSessions[peer]; prev != nil {
 		prev.Close()
 	}
-	s := &UDPSession{c: c, Peer: peer, Remote: remote, Via: via, Nonce: nonce, cb: cb}
-	if via == MethodRelay {
-		s.relayVia, s.relayDynamic = c.relayRoute(peer)
-	}
-	now := c.now()
-	s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-	c.udpSessions[peer] = s
-	s.scheduleKeepAlive()
+	s := c.newUDPSession(peer, remote, via, nonce, cb)
 	c.tracef("udp session with %s adopted at %s (%s)", peer, remote, via)
 	return s
 }

@@ -4,13 +4,15 @@ package punch
 // lifecycle that production descendants of the paper converged on.
 // A session is no longer pinned to the path that established it:
 //
-//   - relay -> direct *upgrade* when a background punch (plain §3 or
-//     candidate negotiation) succeeds after a relay-first connect;
+//   - relay -> direct *upgrade* when a background negotiation
+//     (internal/ice) nominates a direct path after a relay-first
+//     connect;
 //   - direct -> relay *failback* when §3.6 idle detection declares
 //     the direct path dead (NAT rebind, mobility, expired mapping),
 //     instead of terminal session death;
-//   - background *re-punch* — reusing the session's authenticating
-//     nonce — to win the direct path back after a failback.
+//   - background *re-punch* — a negotiation reusing the session's
+//     authenticating nonce (OnRepunch) — to win the direct path back
+//     after a failback.
 //
 // The cutover is drain-then-switch: the migrating sender transmits a
 // TypeMigrate marker on the NEW path carrying the last sequence
@@ -172,29 +174,15 @@ func (c *Client) handleMigrate(from inet.Endpoint, m *proto.Message) {
 	s.drainTimer = c.after(c.cfg.DrainTimeout, s.finishDrain)
 }
 
-// repunch starts a background punching attempt that reuses the live
-// session's authenticating nonce. The nonce reuse is what makes the
-// attempt an upgrade rather than a second dial: whichever side's ack
-// arrives finds the session by nonce and migrates it in place, and
-// crossing re-punches from both sides unify on the shared nonce. The
-// candidate-negotiation engine can claim the attempt via OnRepunch.
+// repunch asks OnRepunch for a background attempt at a direct path
+// for a live session. The client runs none itself: the attempt is the
+// candidate-negotiation engine's, under the session's nonce, and its
+// nomination migrates the session (MigrateUDPSession).
 func (c *Client) repunch(s *UDPSession) {
-	if c.closed || s.closed || !c.cfg.PathUpgrade || c.udp == nil {
+	if c.closed || s.closed || !c.cfg.PathUpgrade || c.udp == nil || c.OnRepunch == nil {
 		return
 	}
-	if a := c.udpAttempts[s.Nonce]; a != nil && !a.done {
-		return // an attempt with this nonce is already in flight
-	}
-	if c.OnRepunch != nil && c.OnRepunch(s.Peer, s.Nonce) {
-		return
-	}
-	a := &udpAttempt{c: c, peer: s.Peer, nonce: s.Nonce, requester: true, upgrade: true, cb: s.cb}
-	c.udpAttempts[s.Nonce] = a
-	a.deadline = c.after(c.cfg.PunchTimeout, func() { c.udpAttemptTimeout(a) })
-	c.sendToServer(&proto.Message{
-		Type: proto.TypeConnectRequest, From: c.name, Target: s.Peer, Nonce: s.Nonce,
-	})
-	c.tracef("udp re-punch -> %s (nonce %d)", s.Peer, s.Nonce)
+	c.OnRepunch(s.Peer, s.Nonce)
 }
 
 // LookupUDPSession returns the live session with peer, or nil.

@@ -86,10 +86,16 @@ type udpAttempt struct {
 	probeTimer transport.Timer
 	deadline   transport.Timer
 	done       bool
-	// upgrade marks a background re-punch for a live session
-	// (migrate.go): its failure modes are all silent — the session
-	// simply stays on its current path.
-	upgrade bool
+}
+
+// via classifies the endpoint that answered the attempt. For an
+// un-NATed peer public and private coincide (§3.1); that is reported
+// as public.
+func (a *udpAttempt) via(from inet.Endpoint) Method {
+	if from == a.priv && a.priv != a.pub {
+		return MethodPrivate
+	}
+	return MethodPublic
 }
 
 func (a *udpAttempt) stop() {
@@ -109,6 +115,35 @@ func (c *Client) retireUDPAttempt(a *udpAttempt) {
 	if c.udpInbound[a.peer] == a {
 		delete(c.udpInbound, a.peer)
 	}
+}
+
+// newUDPSession enters a session with peer in the client's table and
+// starts its §3.6 maintenance. Every lock-in builds its session here:
+// a punch-ack, early data, the relay floor, and a session negotiated
+// outside the client (AdoptUDPSession). The caller fires Established.
+func (c *Client) newUDPSession(peer string, remote inet.Endpoint, via Method, nonce uint64, cb UDPCallbacks) *UDPSession {
+	s := &UDPSession{c: c, Peer: peer, Remote: remote, Via: via, Nonce: nonce, cb: cb}
+	if via == MethodRelay {
+		s.relayVia, s.relayDynamic = c.relayRoute(peer)
+	}
+	now := c.now()
+	s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
+	c.udpSessions[peer] = s
+	s.scheduleKeepAlive()
+	return s
+}
+
+// lockIn concludes attempt a on the endpoint that first elicited a
+// valid response (§3.2 step 3); evidence names what that response
+// was.
+func (c *Client) lockIn(a *udpAttempt, from inet.Endpoint, evidence string) *UDPSession {
+	c.retireUDPAttempt(a)
+	s := c.newUDPSession(a.peer, from, a.via(from), a.nonce, a.cb)
+	c.tracef("udp session with %s locked in by %s at %s (%s)", a.peer, evidence, from, s.Via)
+	if a.cb.Established != nil {
+		a.cb.Established(s)
+	}
+	return s
 }
 
 // BindUDP binds the client's UDP socket to localPort without yet
@@ -422,24 +457,6 @@ func (c *Client) handleConnectDetails(m *proto.Message) {
 	a.gotDetails = true
 	a.pub, a.priv = m.Public, m.Private
 	c.tracef("udp details for %s: public=%s private=%s", a.peer, a.pub, a.priv)
-	if c.cfg.RelayFirst && c.udpSessions[a.peer] == nil {
-		// DCUtR-style relay-first connect: the details round-trip
-		// already proves both ends are registered with S, so the §2.2
-		// relay path is usable right now. Establish through it — one
-		// server round-trip after the dial — and keep punching in the
-		// background; an ack migrates the live session onto the
-		// direct path (drain-then-switch, migrate.go).
-		s := &UDPSession{c: c, Peer: a.peer, Via: MethodRelay, Nonce: a.nonce, cb: a.cb}
-		s.relayVia, s.relayDynamic = c.relayRoute(a.peer)
-		now := c.now()
-		s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-		c.udpSessions[a.peer] = s
-		s.scheduleKeepAlive()
-		c.tracef("udp relay-first session with %s established", a.peer)
-		if a.cb.Established != nil {
-			a.cb.Established(s)
-		}
-	}
 	c.probe(a)
 }
 
@@ -500,35 +517,8 @@ func (c *Client) handlePunchAck(from inet.Endpoint, m *proto.Message) {
 	if m.From == c.name {
 		return
 	}
-	a := c.udpAttempts[m.Nonce]
-	if a == nil || a.done {
-		return
-	}
-	c.retireUDPAttempt(a)
-
-	// Classify the locked endpoint. For an un-NATed peer public and
-	// private coincide (§3.1); report that as public.
-	via := MethodPublic
-	if from == a.priv && a.priv != a.pub {
-		via = MethodPrivate
-	}
-	if s := c.udpSessions[a.peer]; s != nil && !s.closed && s.Nonce == m.Nonce {
-		// A live session already carries this nonce: the attempt was
-		// a background upgrade (relay-first connect or re-punch), and
-		// the ack nominates the direct path for the live session.
-		s.migrateTo(from, via)
-		return
-	}
-	s := &UDPSession{
-		c: c, Peer: a.peer, Remote: from, Via: via, Nonce: m.Nonce, cb: a.cb,
-	}
-	now := c.now()
-	s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-	c.udpSessions[a.peer] = s
-	s.scheduleKeepAlive()
-	c.tracef("udp session with %s locked in at %s (%s)", a.peer, from, via)
-	if a.cb.Established != nil {
-		a.cb.Established(s)
+	if a := c.udpAttempts[m.Nonce]; a != nil && !a.done {
+		c.lockIn(a, from, "punch-ack")
 	}
 }
 
@@ -537,29 +527,14 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 		return
 	}
 	c.retireUDPAttempt(a)
-	if s := c.udpSessions[a.peer]; s != nil && !s.closed && s.Nonce == a.nonce {
-		// A live session already carries this nonce (relay-first
-		// connect or background re-punch): the timed-out attempt was
-		// an upgrade try, and the session simply stays where it is.
-		c.tracef("udp upgrade punch to %s timed out; staying on %s", a.peer, s.Via)
-		return
-	}
-	if a.upgrade {
-		return // the session died while re-punching; nothing to fall back for
-	}
 	if c.cfg.RelayFallback {
 		// §2.2: relaying always works as long as both clients can
-		// reach S (or a configured standalone relay server).
-		s := &UDPSession{c: c, Peer: a.peer, Via: MethodRelay, Nonce: a.nonce, cb: a.cb}
-		s.relayVia, s.relayDynamic = c.relayRoute(a.peer)
-		now := c.now()
-		s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-		c.udpSessions[a.peer] = s
-		// Relay sessions get the same §3.6 maintenance as punched
-		// ones: the timer sends keep-alives across the relay (empty
-		// Seq-0 RelayTo) and fires Dead on idleness, which is what
-		// tells the application its peer is gone.
-		s.scheduleKeepAlive()
+		// reach S (or a configured standalone relay server). Relay
+		// sessions get the same §3.6 maintenance as punched ones: the
+		// timer sends keep-alives across the relay (empty Seq-0
+		// RelayTo) and fires Dead on idleness, which is what tells the
+		// application its peer is gone.
+		s := c.newUDPSession(a.peer, inet.Endpoint{}, MethodRelay, a.nonce, a.cb)
 		c.tracef("udp punch to %s failed; falling back to relay", a.peer)
 		if a.cb.Established != nil {
 			a.cb.Established(s)
@@ -578,9 +553,6 @@ func (c *Client) handleServerError(m *proto.Message) {
 	for _, a := range c.udpAttempts {
 		if a.peer == m.From && a.requester && !a.gotDetails {
 			c.retireUDPAttempt(a)
-			if a.upgrade {
-				continue // silent: the live session stays on its path
-			}
 			if a.cb.Failed != nil {
 				a.cb.Failed(a.peer, ErrPeerUnknown)
 			}
@@ -604,48 +576,19 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 		if a == nil || a.done || a.peer != m.From || m.From == c.name {
 			return // unauthenticated (§3.4)
 		}
-		c.retireUDPAttempt(a)
-		via := MethodPublic
-		if from == a.priv && a.priv != a.pub {
-			via = MethodPrivate
-		}
-		s = &UDPSession{c: c, Peer: a.peer, Remote: from, Via: via, Nonce: m.Nonce, cb: a.cb}
-		now := c.now()
-		s.lastRecvT, s.lastDirectRecvT, s.lastRepunch = now, now, now
-		c.udpSessions[a.peer] = s
-		s.scheduleKeepAlive()
-		c.tracef("udp session with %s locked in by early data at %s (%s)", a.peer, from, via)
-		if a.cb.Established != nil {
-			a.cb.Established(s)
-		}
+		s = c.lockIn(a, from, "early data")
 	}
 	if s.closed || s.Nonce != m.Nonce {
 		return // unauthenticated (§3.4)
 	}
 	s.touchDirect()
-	if c.cfg.PathUpgrade {
-		if s.Via == MethodRelay {
-			// Correctly-nonced data arriving directly means the peer
-			// has already migrated — and, since our punch-ack is what
-			// let it, that both directions of the direct path work.
-			// Migrate without waiting for our own ack (which may have
-			// crossed with this datagram, or been lost).
-			if a := c.udpAttempts[m.Nonce]; a != nil && !a.done && a.peer == m.From {
-				c.retireUDPAttempt(a)
-				via := MethodPublic
-				if from == a.priv && a.priv != a.pub {
-					via = MethodPrivate
-				}
-				s.migrateTo(from, via)
-			}
-		} else if from != s.Remote {
-			// The peer's NAT rebound mid-session: its traffic now
-			// arrives from a fresh mapping. The nonce authenticates it
-			// (§3.4), so follow the peer to its new endpoint — the
-			// QUIC-style connection-migration move.
-			c.tracef("udp session with %s followed rebind %s -> %s", s.Peer, s.Remote, from)
-			s.Remote = from
-		}
+	if c.cfg.PathUpgrade && s.Via != MethodRelay && from != s.Remote {
+		// The peer's NAT rebound mid-session: its traffic now arrives
+		// from a fresh mapping. The nonce authenticates it (§3.4), so
+		// follow the peer to its new endpoint — the QUIC-style
+		// connection-migration move.
+		c.tracef("udp session with %s followed rebind %s -> %s", s.Peer, s.Remote, from)
+		s.Remote = from
 	}
 	s.receive(m.Seq, m.Data)
 }

@@ -34,7 +34,6 @@ func realPairKeepAlive(t *testing.T, blockDirect bool) (alice, bob *Dialer, bobT
 		t.Fatal(err)
 	}
 	opts := []Option{
-		WithICE(),
 		WithRelayFallback(),
 		WithPunchTimeout(700 * time.Millisecond),
 		WithKeepAlive(100*time.Millisecond, 500*time.Millisecond),
@@ -168,8 +167,8 @@ func TestRealSocketRelayKeepAliveAndIdleDeath(t *testing.T) {
 func TestDataBeforePunchAckLocksIn(t *testing.T) {
 	requireLoopbackUDP(t)
 	// A bare socket plays both the rendezvous server and the peer: it
-	// acks alice's registration, reads her ConnectRequest to learn the
-	// session nonce, then — without ever sending a punch or punch-ack —
+	// acks alice's registration, reads her candidate offer to learn the
+	// session nonce, then — without ever sending a check or check-ack —
 	// delivers a data datagram from "bob" carrying that nonce.
 	fake, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -202,9 +201,9 @@ func TestDataBeforePunchAckLocksIn(t *testing.T) {
 					return
 				}
 				reply = &proto.Message{Type: proto.TypeRegisterOK, Target: m.From, Public: pub}
-			case proto.TypeConnectRequest:
+			case proto.TypeNegotiate:
 				if m.Target != "bob" {
-					t.Errorf("connect request for %q, want bob", m.Target)
+					t.Errorf("candidate offer for %q, want bob", m.Target)
 				}
 				reply = &proto.Message{Type: proto.TypeData, From: "bob", Nonce: m.Nonce, Data: []byte("early bird")}
 			default:

@@ -11,9 +11,7 @@ import (
 // config collects the effective settings assembled from Options.
 type config struct {
 	punch           punch.Config
-	useICE          bool
 	iceCfg          ice.Config
-	useStreams      bool
 	localPort       transport.Port
 	registerTimeout time.Duration
 	servers         []transport.Endpoint
@@ -24,18 +22,18 @@ func defaultConfig() config {
 	return config{registerTimeout: 15 * time.Second}
 }
 
-// Option tunes Open. The zero set yields plain UDP hole punching
-// (§3.2-3.4) with the engine's default timers and no fallback.
+// Option tunes Open. The zero set yields UDP hole punching
+// (§3.2-3.5) with the engine's default timers and no fallback: dials
+// exchange candidate lists through S, run prioritized paced
+// connectivity checks with peer-reflexive discovery, and lock in the
+// first candidate that answers — same-NAT private paths (§3.3),
+// punched public paths (§3.4), and hairpin paths under multi-level
+// NAT (§3.5) under one policy.
 type Option func(*config)
 
-// WithICE layers the candidate-negotiation engine (ICE-lite,
-// internal/ice) over the punching client: dials gather and exchange
-// full candidate lists through S, run prioritized paced connectivity
-// checks with peer-reflexive discovery, and nominate the first
-// candidate that answers — covering same-NAT private paths (§3.3),
-// punched public paths (§3.4), and hairpin paths under multi-level
-// NAT (§3.5) with one policy.
-func WithICE() Option { return func(c *config) { c.useICE = true } }
+// WithICE does nothing: every dial negotiates candidates. It remains
+// so that callers written when negotiation was optional still build.
+func WithICE() Option { return func(*config) {} }
 
 // WithRelayFallback enables falling back to relaying through S when
 // punching (or every candidate check) fails — the §2.2 floor that
@@ -78,8 +76,7 @@ func WithRelayServers(eps ...transport.Endpoint) Option {
 // drain-then-switch cutover); Conn.Path() then reports the upgraded
 // path. Peers that can never punch (e.g. symmetric<->symmetric, §5.1)
 // simply stay on the relay. Implies WithRelayFallback and
-// WithPathUpgrade. Works with both the plain punching engine and
-// WithICE.
+// WithPathUpgrade.
 func WithRelayFirst() Option {
 	return func(c *config) {
 		c.punch.RelayFirst = true
@@ -118,22 +115,18 @@ func WithKeepAlive(interval, deadAfter time.Duration) Option {
 	}
 }
 
-// WithStreams enables carrying multiplexed reliable streams over this
-// endpoint's UDP sessions: Conn.Carry becomes available, which the
-// natpunch/stream package uses to run QUIC-style flow-controlled
-// streams (stream.NewSession) over any session — direct, relayed, or
-// relay-first — surviving live path migration. Both peers of a
-// streamed session must enable it.
-func WithStreams() Option { return func(c *config) { c.useStreams = true } }
+// WithStreams does nothing: Conn.Carry, which natpunch/stream builds
+// on, works on every Conn. It remains so that callers written when
+// carrying streams had to be enabled still build.
+func WithStreams() Option { return func(*config) {} }
 
 // WithObfuscation one's-complements addresses inside message bodies
 // (§3.1) to defeat NATs that blindly rewrite payload bytes resembling
 // private addresses (§5.3).
 func WithObfuscation() Option { return func(c *config) { c.punch.Obfuscate = true } }
 
-// WithPunchTimeout bounds each dial's punching (or negotiation)
-// phase; at the deadline the relay is nominated when enabled,
-// otherwise the dial fails.
+// WithPunchTimeout bounds each dial's negotiation; at the deadline
+// the relay is nominated when enabled, otherwise the dial fails.
 func WithPunchTimeout(d time.Duration) Option {
 	return func(c *config) {
 		c.punch.PunchTimeout = d
@@ -149,9 +142,8 @@ func WithPunchInterval(d time.Duration) Option {
 	}
 }
 
-// WithCheckPacing staggers successive ICE candidate first-probes
-// (RFC 8445 §6.1.4's pacing, collapsed to one knob). Only meaningful
-// with WithICE.
+// WithCheckPacing staggers successive candidate first-probes
+// (RFC 8445 §6.1.4's pacing, collapsed to one knob).
 func WithCheckPacing(d time.Duration) Option {
 	return func(c *config) { c.iceCfg.Pace = d }
 }

@@ -136,7 +136,7 @@ func TestLoopbackStreamBuiltInPlace(t *testing.T) {
 	const chunk, warm, chunks = 64 << 10, 16, 256 // 1 MiB to grow into, then 16 MiB counted
 	open := func(name string, server transport.Endpoint) (*natpunch.Dialer, *Transport) {
 		tr := newTransport(t)
-		d, err := natpunch.Open(tr, name, server, natpunch.WithStreams(), natpunch.WithICE())
+		d, err := natpunch.Open(tr, name, server)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Package rendezvousapi runs the well-known rendezvous server S of
 // the paper (§3.1-3.2) over any natpunch transport: registration with
 // observed-public-endpoint reporting, connection-request forwarding
-// with both endpoint pairs, candidate-negotiation brokering for
-// WithICE dialers, relaying (§2.2), reversal/sequential-punch
+// with both endpoint pairs, candidate-negotiation brokering (how every
+// natpunch Dialer dials), relaying (§2.2), reversal/sequential-punch
 // signalling — and federation, which links multiple S instances into
 // one logical service (see Join and WithPeers).
 //

@@ -48,8 +48,6 @@ type world struct {
 // baseOpts is the option set shared by both backends.
 func baseOpts(extra ...natpunch.Option) []natpunch.Option {
 	return append([]natpunch.Option{
-		natpunch.WithStreams(),
-		natpunch.WithICE(),
 		natpunch.WithRelayFallback(),
 		natpunch.WithPunchTimeout(1500 * time.Millisecond),
 	}, extra...)
@@ -484,36 +482,6 @@ func TestStreamSimOutcomeDeterminism(t *testing.T) {
 	d2, a2 := run()
 	if d1 != d2 || a1 != a2 {
 		t.Fatalf("same seed diverged: run1=(%s,%s) run2=(%s,%s)", d1, a1, d2, a2)
-	}
-}
-
-// TestNewSessionRequiresWithStreams pins the facade gate: carrying a
-// session without the option is refused.
-func TestNewSessionRequiresWithStreams(t *testing.T) {
-	w := simWorld(t, 42, simnet.Cone(), simnet.Cone(),
-		natpunch.WithICE(), natpunch.WithRelayFallback())
-	ln, err := w.bob.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		if conn, err := ln.AcceptConn(); err == nil {
-			defer conn.Close()
-			buf := make([]byte, 64)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	conn, err := w.alice.Dial("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := stream.NewSession(conn); err == nil {
-		t.Fatal("NewSession accepted a conn dialed without WithStreams")
 	}
 }
 

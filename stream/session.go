@@ -2,24 +2,22 @@
 // over a punched natpunch session: a QUIC-style stream layer for the
 // paper's UDP hole-punched (or relayed) datagram paths.
 //
-// A Session wraps any natpunch Conn opened with the WithStreams
-// option — direct, relayed, or relay-first — and yields net.Conn-
-// shaped streams via OpenStream and AcceptStream. Delivery is
-// migration-safe: a transfer started over the relay continues without
-// byte loss or reordering through a live relay→direct upgrade and
-// through §3.6 failback, because retransmission state is keyed by
-// stream offset, never by path.
+// A Session wraps any natpunch Conn — direct, relayed, or relay-first
+// — and yields net.Conn-shaped streams via OpenStream and
+// AcceptStream. Delivery is migration-safe: a transfer started over
+// the relay continues without byte loss or reordering through a live
+// relay→direct upgrade and through §3.6 failback, because
+// retransmission state is keyed by stream offset, never by path.
 //
-//	d, _ := natpunch.Open(tr, "alice", server,
-//	    natpunch.WithStreams(), natpunch.WithRelayFallback())
+//	d, _ := natpunch.Open(tr, "alice", server, natpunch.WithRelayFallback())
 //	conn, _ := d.Dial(ctx, "bob")
 //	sess, _ := stream.NewSession(conn)
 //	st, _ := sess.OpenStream()
 //	st.Write([]byte("hello"))
 //
-// Both endpoints must enable WithStreams and should share the same
-// window configuration (there is no handshake; each side assumes the
-// peer's initial credit mirrors its own). The engine lives in
+// Both endpoints should share the same window configuration (there is
+// no handshake; each side assumes the peer's initial credit mirrors its
+// own). The engine lives in
 // internal/stream and runs entirely on the transport seam, so
 // simulated sessions are deterministic in virtual time.
 package stream
@@ -93,8 +91,7 @@ type Session struct {
 }
 
 // NewSession takes over conn's datagram flow (via Carry) and starts
-// the stream engine on it. The Conn's Dialer must have been opened
-// with natpunch.WithStreams; conn remains usable for Peer, Path,
+// the stream engine on it. conn remains usable for Peer, Path,
 // RemoteAddr, and Close, while Read and Write now return
 // natpunch.ErrCarried.
 func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {

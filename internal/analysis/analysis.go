@@ -128,10 +128,6 @@ type Config struct {
 	// legal escape targets for callback-scoped data, and themselves
 	// reused-buffer sources that must not be retained elsewhere.
 	ScratchFields []string
-	// RetainingSends are method names (SendTo) whose callee may retain
-	// the payload slice when the transport lacks the ScratchSender
-	// capability, making an uncopied callback-scoped argument a bug.
-	RetainingSends []string
 	// LifecyclePackages are the engine/facade/transport packages where
 	// the golifecycle analyzer requires every go statement to be tied
 	// to a shutdown path and every timer field to be stoppable.
@@ -202,7 +198,6 @@ func DefaultConfig() *Config {
 			"natpunch/internal/rendezvous.Server.scratchMsg",
 			"natpunch/internal/punch.Client.enc",
 		},
-		RetainingSends: []string{"SendTo"},
 		// Everything that spawns goroutines serving live sessions: the
 		// facade, both socket transports, the sim world driver, and the
 		// engine packages behind them.

@@ -132,7 +132,6 @@ func bufOwnFixtureConfig() *Config {
 			"buffix/server.Server.fedScratch",
 			"buffix/server.Server.scratchMsg",
 		},
-		RetainingSends: []string{"SendTo"},
 	}
 }
 
@@ -154,9 +153,6 @@ func TestGoLifecycleFixture(t *testing.T) {
 // TestCatchesHistoricalBugs pins each new analyzer to the shipped bug
 // it exists to prevent, replayed faithfully in the fixtures:
 //
-//   - PR-8 handleFedForward: decoder-owned m.Data handed to SendTo —
-//     the federation fleet drifted to 161/178 direct before the copy
-//     gate landed (bufown);
 //   - PR-8 Conn.closed: atomic store in Close racing a bare read in
 //     the read loop (atomicfield);
 //   - PR-7 leak class: a pump goroutine with no shutdown tie and a
@@ -178,8 +174,6 @@ func TestCatchesHistoricalBugs(t *testing.T) {
 		}
 		t.Errorf("[%s] did not re-detect its historical bug: want a diagnostic in %s containing %q", a.Name, file, substr)
 	}
-	find(t, "bufown", bufOwnFixtureConfig(), BufOwn,
-		"server/fed.go", "passed to SendTo")
 	find(t, "atomicfield", &Config{}, AtomicField,
 		"conn/conn.go", "plain access to closed")
 	find(t, "golifecycle", &Config{LifecyclePackages: []string{"lifefix/..."}}, GoLifecycle,

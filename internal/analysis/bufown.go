@@ -30,11 +30,9 @@ import (
 // by go/defer closures or by a closure handed to the transport's
 // end-of-entry hook (transport.Deferrer's Defer), which runs once the
 // whole delivered batch has been through the callback and the decoder.
-// Passing an inbound callback-scoped buffer to a
-// SendTo-shaped call is also flagged — a transport without the
-// ScratchSender capability (simnet) queues the payload slice past
-// SendTo's return, which is exactly the PR-8 handleFedForward bug.
-// Copying first launders the taint: append(dst, buf...), copy,
+// Passing any of them to SendTo is not an escape: every transport
+// releases the payload before SendTo returns. Copying first launders
+// the taint: append(dst, buf...), copy,
 // bytes.Clone, string conversion, or any other call boundary.
 //
 // The analysis is function-local and flow-insensitive (one
@@ -51,9 +49,7 @@ var BufOwn = &Analyzer{
 }
 
 // taintClass distinguishes inbound callback-scoped buffers from reused
-// scratch and lent send buffers: those legitimately exit through SendTo
-// (the reuseEnc gate) and Commit, inbound payloads must be copied
-// first.
+// scratch and lent send buffers, which the diagnostics name apart.
 type taintClass int
 
 const (
@@ -544,8 +540,8 @@ func (bo *bufOwnFunc) recordAssign(lhs, rhs ast.Expr, define bool) {
 		return
 	}
 	// A copy idiom over a tainted source makes this variable clean for
-	// the whole function (the fixed handleFedForward shape: the copy
-	// sits on one branch, the send below both).
+	// the whole function (a conditional copy: the copy sits on one
+	// branch, the use below both).
 	if bo.isCopyOfTainted(rhs) {
 		bo.cleansed[obj] = true
 	}
@@ -886,7 +882,6 @@ func (bo *bufOwnFunc) scanSinks(body *ast.BlockStmt) {
 		case *ast.DeferStmt:
 			bo.checkAsyncCall(s.Call, "defer")
 		case *ast.CallExpr:
-			bo.checkRetainingSend(s)
 			if isEntryHookRegistrar(s) {
 				bo.checkAsyncCall(s, "Defer")
 			}
@@ -1002,33 +997,6 @@ func (bo *bufOwnFunc) checkAsyncCall(call *ast.CallExpr, kw string) {
 				"%s passed to a %s call: it runs after the callback returns and the buffer is reused; copy first", t, kw)
 		}
 	}
-}
-
-// checkRetainingSend flags inbound callback-scoped buffers passed to
-// SendTo-shaped calls: a transport without the ScratchSender
-// capability queues the slice past SendTo's return (the PR-8
-// handleFedForward bug). Scratch buffers are exempt — sending encode
-// scratch is exactly what the reuseEnc gate licenses.
-func (bo *bufOwnFunc) checkRetainingSend(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !matchName(sel.Sel.Name, bo.pass.Config.RetainingSends) {
-		return
-	}
-	for _, a := range call.Args {
-		if bo.exprTaint(a) == taintCallback {
-			bo.pass.Reportf(a.Pos(),
-				"callback-scoped buffer passed to %s without a copy: a transport without ScratchSendOK retains the payload past the call (the handleFedForward bug); copy, or gate on the ScratchSender capability", sel.Sel.Name)
-		}
-	}
-}
-
-func matchName(name string, names []string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // inspectUnit walks a function body without descending into nested

@@ -25,7 +25,7 @@ func (s *Server) handleFramed(from string, p []byte) {
 
 	tag, body := split(p)
 	_ = tag
-	s.udp.SendTo(from, body) // want bufown "passed to SendTo"
+	s.ch <- body // want bufown "sent on a channel"
 
 	// A copying helper really does launder.
 	cp := cloned(p)

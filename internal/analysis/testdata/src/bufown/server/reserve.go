@@ -13,8 +13,8 @@ type Lender interface {
 }
 
 func (s *Server) sendInPlace(l Lender, to string, body []byte) {
-	// The intended shape: reserve, append, commit — including through a
-	// SendTo-shaped call, which only inbound payloads may not reach.
+	// The intended shape: reserve, append, commit — or send through
+	// SendTo, which releases whatever it is sent.
 	p := l.Reserve()
 	p = append(p, 0xF0)
 	p = append(p, body...)

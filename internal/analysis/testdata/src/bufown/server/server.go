@@ -28,7 +28,6 @@ type Server struct {
 	enc        []byte
 	fedScratch []byte
 	scratchMsg proto.Message
-	reuseEnc   bool
 
 	last  []byte
 	byKey map[string][]byte
@@ -100,6 +99,8 @@ func (s *Server) handleMsg(from string, m *proto.Message) {
 	s.byKey[m.From] = nil
 	// Re-encoding allocates: clean.
 	s.last = proto.Encode(m)
+	// SendTo releases its payload on every transport: clean.
+	s.udp.SendTo(from, m.Data)
 	// The decoder reuses m.Data for the next datagram of the batch.
 	s.tr.Defer(func() { s.observe(m.Data) }) // want bufown "passed to a Defer call"
 }

@@ -51,14 +51,16 @@ func (s *UDPSocket) OnRecv(fn func(from inet.Endpoint, payload []byte)) { s.onRe
 // socket's traffic.
 func (s *UDPSocket) OnError(fn func(about inet.Endpoint, err error)) { s.onError = fn }
 
-// SendTo transmits a datagram to the given endpoint.
+// SendTo transmits a datagram to the given endpoint. The packet it
+// queues carries its own copy of payload, so the caller may reuse the
+// slice as soon as SendTo returns (the transport.UDPConn contract).
 func (s *UDPSocket) SendTo(to inet.Endpoint, payload []byte) error {
 	if s.closed {
 		return ErrSocketClose
 	}
 	s.h.send(&inet.Packet{
 		Proto: inet.UDP, Src: s.local, Dst: to, TTL: inet.DefaultTTL,
-		Payload: payload,
+		Payload: append([]byte(nil), payload...),
 	})
 	return nil
 }

@@ -219,16 +219,12 @@ type Client struct {
 	udpRegTries   int
 	udpKeepAlive  transport.Timer
 
-	// Allocation-free datagram path, enabled (reuse) when the socket
-	// declares transport.ScratchSender: every inbound datagram decodes
+	// Allocation-free datagram path: every inbound datagram decodes
 	// into dec's one reused Message — its Data the datagram's own bytes,
 	// valid until the handler returns, so whatever outlives it copies —
 	// and every send encodes into enc, or, on a socket that lends its
 	// send buffer (inPlace, transport.InPlaceSender), straight into
-	// that. The simulated transport retains sent payloads, and sessions
-	// over it hand received ones to applications that keep them, so it
-	// gets fresh ones both ways.
-	reuse   bool
+	// that.
 	inPlace transport.InPlaceSender
 	dec     proto.Decoder
 	enc     []byte

@@ -11,17 +11,14 @@ import (
 )
 
 // The session datagram path's allocation gate and the ownership rules
-// it rests on. Over a socket that declares transport.ScratchSender
-// (realudp does) a session datagram is sent from one reused encoding
-// and received into one reused Message, so whatever keeps received
-// bytes past the handler must copy them; over one that does not (the
-// simulator) every send and every receive gets fresh memory, because
-// that transport queues the slice it is handed and its applications
-// keep the slices they are handed.
+// it rests on. A session datagram is sent from one reused encoding,
+// which SendTo releases before it returns, and received into one
+// reused Message, so whatever keeps received bytes past the handler
+// must copy them.
 
-// wireConn is a stub socket: it keeps the last payload slice it was
-// handed — harmless for a ScratchSender, which promises not to look at
-// it again, and exactly what the simulator does otherwise.
+// wireConn is a stub socket: it keeps a copy of the last payload it
+// was sent, as the transport.UDPConn contract requires of a socket
+// that keeps what it is sent.
 type wireConn struct {
 	onRecv func(from inet.Endpoint, payload []byte)
 	sent   int
@@ -32,15 +29,10 @@ func (c *wireConn) Local() inet.Endpoint                               { return 
 func (c *wireConn) OnRecv(fn func(from inet.Endpoint, payload []byte)) { c.onRecv = fn }
 func (c *wireConn) SendTo(to inet.Endpoint, payload []byte) error {
 	c.sent++
-	c.last = payload
+	c.last = append(c.last[:0], payload...)
 	return nil
 }
 func (c *wireConn) Close() {}
-
-// scratchConn adds the capability.
-type scratchConn struct{ wireConn }
-
-func (c *scratchConn) ScratchSendOK() bool { return true }
 
 type idleTimer struct{}
 
@@ -94,12 +86,9 @@ func fromBob(via Method, seq uint32, data string) []byte {
 // once the scratches have grown.
 func TestSessionDatagramZeroAlloc(t *testing.T) {
 	for _, via := range []Method{MethodPublic, MethodRelay} {
-		conn := &scratchConn{}
+		conn := &wireConn{}
 		delivered := 0
-		c, s := aliceWith(t, conn, via, func(p []byte) { delivered += len(p) })
-		if !c.reuse {
-			t.Fatal("scratch path off on a ScratchSender socket")
-		}
+		_, s := aliceWith(t, conn, via, func(p []byte) { delivered += len(p) })
 		out := make([]byte, 1152)
 		in := fromBob(via, 1, string(make([]byte, 1152)))
 		from := bobEP
@@ -124,36 +113,12 @@ func TestSessionDatagramZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSimTransportStillCopies pins the other side of the contract: on
-// a socket without the capability a sent payload the transport still
-// holds survives the next send, and a received payload the application
-// still holds survives the next receive.
-func TestSimTransportStillCopies(t *testing.T) {
-	conn := &wireConn{}
-	var kept [][]byte
-	c, s := aliceWith(t, conn, MethodPublic, func(p []byte) { kept = append(kept, p) })
-	if c.reuse {
-		t.Fatal("scratch path on for a socket without ScratchSendOK")
-	}
-	s.Send([]byte("first out"))
-	first := conn.last
-	s.Send([]byte("second out"))
-	if m, err := proto.Decode(first); err != nil || string(m.Data) != "first out" {
-		t.Fatalf("queued payload corrupted by a later send: %+v %v", m, err)
-	}
-	conn.onRecv(bobEP, fromBob(MethodPublic, 1, "first in"))
-	conn.onRecv(bobEP, fromBob(MethodPublic, 2, "second in"))
-	if len(kept) != 2 || string(kept[0]) != "first in" || string(kept[1]) != "second in" {
-		t.Fatalf("payloads the application kept read %q", kept)
-	}
-}
-
 // TestHeldDatagramsSurviveDecoderReuse: datagrams parked during a
 // migration drain outlive the handler that received them, so on the
 // reused-decoder path they are copies — the datagrams decoded after
 // them, through the same Message, leave them as they arrived.
 func TestHeldDatagramsSurviveDecoderReuse(t *testing.T) {
-	conn := &scratchConn{}
+	conn := &wireConn{}
 	var got []string
 	_, s := aliceWith(t, conn, MethodPublic, func(p []byte) { got = append(got, string(p)) })
 	// Bob migrated after sending seq 2 on his old path; seq 3 and 4
@@ -183,7 +148,7 @@ func TestHeldDatagramsSurviveDecoderReuse(t *testing.T) {
 // array of its own, lent whole, and a record of whether what came back
 // was built in it.
 type lendingConn struct {
-	scratchConn
+	wireConn
 	arena   []byte
 	inPlace int
 }
@@ -254,33 +219,33 @@ func TestSessionDatagramInPlaceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBeginSendOnOtherSockets: the two halves are Send on a socket that
-// only releases payloads (the client's scratch) and on one that keeps
-// them (a fresh array each time, which a later send leaves alone), and
-// a closed session sends nothing either way.
+// TestBeginSendOnOtherSockets: on a socket that does not lend its send
+// buffer the two halves are Send through the client's scratch, which
+// keeps what the appends grew it to and leaves the next datagram as
+// encoded, and a closed session sends nothing.
 func TestBeginSendOnOtherSockets(t *testing.T) {
 	want := func(seq uint32, data string) string {
 		return string(proto.Encode(&proto.Message{Type: proto.TypeData, From: "alice", Nonce: sessionNonce, Seq: seq, Data: []byte(data)}, 0))
 	}
-	scratch := &scratchConn{}
-	_, s := aliceWith(t, scratch, MethodPublic, func([]byte) {})
+	conn := &wireConn{}
+	c, s := aliceWith(t, conn, MethodPublic, func([]byte) {})
 	s.EndSend(append(s.BeginSend(), "one"...))
-	if string(scratch.last) != want(1, "one") {
-		t.Fatalf("scratch socket: %q on the wire", scratch.last)
+	if string(conn.last) != want(1, "one") {
+		t.Fatalf("first datagram: %q on the wire", conn.last)
 	}
-
-	keeping := &wireConn{}
-	_, s = aliceWith(t, keeping, MethodPublic, func([]byte) {})
-	s.EndSend(append(s.BeginSend(), "first out"...))
-	first := keeping.last
-	s.EndSend(append(s.BeginSend(), "second out"...))
-	if string(first) != want(1, "first out") || string(keeping.last) != want(2, "second out") {
-		t.Fatalf("keeping socket: %q then %q on the wire", first, keeping.last)
+	// The appends outgrow the scratch; the next, shorter datagram is
+	// encoded into what they grew it to.
+	big := string(make([]byte, 1500))
+	s.EndSend(append(s.BeginSend(), big...))
+	grown := cap(c.enc)
+	s.EndSend(append(s.BeginSend(), "three"...))
+	if string(conn.last) != want(3, "three") || grown < len(want(2, big)) || cap(c.enc) != grown {
+		t.Fatalf("after outgrowing the scratch: %q on the wire, scratch cap %d then %d", conn.last, grown, cap(c.enc))
 	}
 
 	s.Close()
-	sent := keeping.sent
-	if err := s.EndSend(append(s.BeginSend(), "late"...)); err == nil || keeping.sent != sent || s.SentDatagrams != 2 {
-		t.Fatalf("closed session: error %v, %d datagrams sent, %d counted; want an error and nothing sent", err, keeping.sent-sent, s.SentDatagrams-2)
+	sent := conn.sent
+	if err := s.EndSend(append(s.BeginSend(), "late"...)); err == nil || conn.sent != sent || s.SentDatagrams != 3 {
+		t.Fatalf("closed session: error %v, %d datagrams sent, %d counted; want an error and nothing sent", err, conn.sent-sent, s.SentDatagrams-3)
 	}
 }

@@ -160,9 +160,6 @@ func (c *Client) BindUDP(localPort inet.Port) error {
 	}
 	c.udp = s
 	c.udpPrivate = s.Local()
-	if ss, ok := s.(transport.ScratchSender); ok && ss.ScratchSendOK() {
-		c.reuse = true
-	}
 	c.inPlace, _ = s.(transport.InPlaceSender)
 	s.OnRecv(c.handleUDPPacket)
 	return nil
@@ -247,32 +244,26 @@ func (c *Client) sendToServer(m *proto.Message) { c.sendUDP(c.server, m) }
 
 // sendUDP encodes and transmits one message.
 func (c *Client) sendUDP(to inet.Endpoint, m *proto.Message) error {
-	return c.sendFrom(to, proto.AppendMessage(c.sendBuf(envelopeRoom+len(m.Data)), m, c.obf))
+	return c.sendFrom(to, proto.AppendMessage(c.sendBuf(), m, c.obf))
 }
 
 // sendBuf returns the empty buffer the next datagram is encoded into,
 // and sendFrom sends what was appended to it: the socket's own send
 // buffer where it lends that, so the encoding is the only copy; else
-// the client's scratch, where the socket releases payloads before
-// SendTo returns; else a fresh array of capacity n, which the simulated
-// transport keeps. Nothing else is sent between the two.
-func (c *Client) sendBuf(n int) []byte {
-	switch {
-	case c.inPlace != nil:
+// the client's scratch, which SendTo releases before it returns.
+// Nothing else is sent between the two.
+func (c *Client) sendBuf() []byte {
+	if c.inPlace != nil {
 		return c.inPlace.Reserve()
-	case c.reuse:
-		return c.enc[:0]
 	}
-	return make([]byte, 0, n)
+	return c.enc[:0]
 }
 
 func (c *Client) sendFrom(to inet.Endpoint, p []byte) error {
 	if c.inPlace != nil {
 		return c.inPlace.Commit(to, p)
 	}
-	if c.reuse {
-		c.enc = p[:0] // keep what the appends grew
-	}
+	c.enc = p[:0] // keep what the appends grew
 	return c.udp.SendTo(to, p)
 }
 
@@ -321,15 +312,7 @@ func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 // data, and stray traffic (§3.4 requires robust filtering of the
 // latter).
 func (c *Client) handleUDPPacket(from inet.Endpoint, payload []byte) {
-	var (
-		m   *proto.Message
-		err error
-	)
-	if c.reuse {
-		m, err = c.dec.Decode(payload)
-	} else {
-		m, err = proto.Decode(payload)
-	}
+	m, err := c.dec.Decode(payload)
 	if err != nil {
 		return // stray datagram (wrong host scenarios of §3.4)
 	}
@@ -468,10 +451,9 @@ func (c *Client) probe(a *udpAttempt) {
 		return
 	}
 	msg := &proto.Message{Type: proto.TypePunch, From: c.name, Nonce: a.nonce}
-	wire := proto.Encode(msg, c.obf)
-	c.udp.SendTo(a.pub, wire)
+	c.sendUDP(a.pub, msg)
 	if a.priv != a.pub && !a.priv.IsZero() {
-		c.udp.SendTo(a.priv, wire)
+		c.sendUDP(a.priv, msg)
 	}
 	a.probeTimer = c.after(c.cfg.PunchInterval, func() { c.probe(a) })
 }
@@ -641,17 +623,8 @@ func (s *UDPSession) OnPathChange(fn func(s *UDPSession, old, new Method)) { s.c
 // Send transmits a datagram on the session (directly, or via S for
 // relay sessions).
 func (s *UDPSession) Send(data []byte) error {
-	return s.EndSend(append(s.beginSend(envelopeRoom+len(data)), data...))
+	return s.EndSend(append(s.BeginSend(), data...))
 }
-
-// envelopeRoom is room for what wraps a message's payload (what
-// proto.Encode allows); sessionDatagram is room for the whole of a
-// stream engine's default datagram. Both only size the fresh arrays
-// sends are built in over the simulated transport.
-const (
-	envelopeRoom    = 64
-	sessionDatagram = 1280
-)
 
 // BeginSend and EndSend are Send in two halves, for a sender that
 // builds its payload where it will be sent from (the stream engine
@@ -661,9 +634,7 @@ const (
 // is followed by its EndSend before anything else is sent on the
 // client, and the buffer — the socket's own send buffer where it lends
 // that, see sendBuf — is not kept past it.
-func (s *UDPSession) BeginSend() []byte { return s.beginSend(sessionDatagram) }
-
-func (s *UDPSession) beginSend(n int) []byte {
+func (s *UDPSession) BeginSend() []byte {
 	if s.closed {
 		return nil
 	}
@@ -673,7 +644,7 @@ func (s *UDPSession) beginSend(n int) []byte {
 	if s.Via == MethodRelay {
 		m.Type, m.Target, m.Nonce = proto.TypeRelayTo, s.Peer, 0
 	}
-	buf := proto.BeginData(s.c.sendBuf(n), &m, s.c.obf)
+	buf := proto.BeginData(s.c.sendBuf(), &m, s.c.obf)
 	s.dataAt = len(buf)
 	return buf
 }

@@ -11,19 +11,20 @@ import (
 )
 
 // The allocs/op regression gate for the server's packets-per-second
-// ceiling: with a transport whose conns release payloads before
-// SendTo returns (transport.ScratchSender — realudp does), the
-// relay, forwarder, and keep-alive paths must run without a single
-// steady-state heap allocation. CI runs these tests by name; a
+// ceiling: the relay, forwarder, and keep-alive paths must run
+// without a single steady-state heap allocation. CI runs these tests by name; a
 // regression here is a regression in relay goodput.
 
-// stubConn is a ScratchSender conn that counts sends and discards
-// payloads, isolating the server's own allocation behavior.
+// stubConn is a conn that counts sends and copies each payload into
+// one reused buffer, as the transport.UDPConn contract requires of a
+// conn that keeps what it is sent, isolating the server's own
+// allocation behavior.
 type stubConn struct {
 	local  inet.Endpoint
 	onRecv func(from inet.Endpoint, payload []byte)
 	sent   int
 	lastTo inet.Endpoint
+	last   []byte
 }
 
 func (c *stubConn) Local() inet.Endpoint                               { return c.local }
@@ -31,10 +32,10 @@ func (c *stubConn) OnRecv(fn func(from inet.Endpoint, payload []byte)) { c.onRec
 func (c *stubConn) SendTo(to inet.Endpoint, payload []byte) error {
 	c.sent++
 	c.lastTo = to
+	c.last = append(c.last[:0], payload...)
 	return nil
 }
-func (c *stubConn) Close()              {}
-func (c *stubConn) ScratchSendOK() bool { return true }
+func (c *stubConn) Close() {}
 
 type stubTimer struct{}
 
@@ -172,63 +173,3 @@ func TestKeepAliveZeroAlloc(t *testing.T) {
 		conn.onRecv(src, wire)
 	})
 }
-
-// TestSimTransportStillCopies pins the other side of the
-// ScratchSender contract: without the capability, sendUDP must NOT
-// reuse the scratch encoding, because such transports may retain the
-// payload slice after SendTo returns.
-func TestSimTransportStillCopies(t *testing.T) {
-	conn := &retainingConn{local: inet.MustParseEndpoint("18.181.0.31:1234")}
-	s, err := Serve(&stubTransport2{conn: conn}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.reuseEnc {
-		t.Fatal("reuseEnc enabled for a conn without ScratchSendOK")
-	}
-	for _, name := range []string{"alice", "bob"} {
-		wire := proto.Encode(&proto.Message{Type: proto.TypeRegister, From: name}, 0)
-		conn.onRecv(clientEP(name), wire)
-	}
-	relay := func(seq uint32, data string) []byte {
-		return proto.Encode(&proto.Message{
-			Type: proto.TypeRelayTo, From: "alice", Target: "bob", Seq: seq, Data: []byte(data),
-		}, 0)
-	}
-	conn.onRecv(clientEP("alice"), relay(1, "first"))
-	first := conn.retained
-	conn.onRecv(clientEP("alice"), relay(2, "second"))
-	m, err := proto.Decode(first)
-	if err != nil || m.Seq != 1 || string(m.Data) != "first" {
-		t.Fatalf("retained payload corrupted by a later send: %+v %v", m, err)
-	}
-}
-
-// retainingConn models the simulated transport: it keeps the payload
-// slice (simnet queues packets referencing it) and deliberately lacks
-// the ScratchSender capability.
-type retainingConn struct {
-	local    inet.Endpoint
-	onRecv   func(from inet.Endpoint, payload []byte)
-	retained []byte
-}
-
-func (c *retainingConn) Local() inet.Endpoint { return c.local }
-func (c *retainingConn) OnRecv(fn func(from inet.Endpoint, payload []byte)) {
-	c.onRecv = fn
-}
-func (c *retainingConn) SendTo(to inet.Endpoint, payload []byte) error {
-	c.retained = payload
-	return nil
-}
-func (c *retainingConn) Close() {}
-
-type stubTransport2 struct {
-	conn *retainingConn
-}
-
-func (t *stubTransport2) BindUDP(port inet.Port) (transport.UDPConn, error) { return t.conn, nil }
-func (t *stubTransport2) After(d time.Duration, fn func()) transport.Timer  { return stubTimer{} }
-func (t *stubTransport2) Now() time.Duration                                { return time.Second }
-func (t *stubTransport2) Rand() *rand.Rand                                  { return rand.New(rand.NewSource(2)) }
-func (t *stubTransport2) Invoke(fn func())                                  { fn() }

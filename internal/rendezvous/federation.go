@@ -93,15 +93,7 @@ func (s *Server) handleFedForward(from inet.Endpoint, m *proto.Message) {
 		s.stats.Errors++
 		return
 	}
-	wire := m.Data
-	if !s.reuseEnc {
-		// m.Data is the received datagram's own bytes, the transport's
-		// again once this handler returns; a transport without
-		// ScratchSendOK (simnet) queues the slice past SendTo, so it
-		// needs its own copy.
-		wire = append([]byte(nil), wire...)
-	}
-	s.udp.SendTo(rec.Public, wire)
+	s.udp.SendTo(rec.Public, m.Data)
 }
 
 // fedForward wraps raw wire bytes for delivery to name via its home

@@ -138,16 +138,12 @@ type Server struct {
 	// scratchMsg is the reused outgoing-message skeleton; enc and
 	// fedScratch are the encode buffers — separate, because a federated
 	// delivery encodes the inner message (fedScratch) and then the
-	// FedForward wrapper around it (enc). Scratch encoding is only
-	// enabled when the transport conn declares transport.ScratchSender
-	// (reuseEnc), and a conn that lends its send buffer (inPlace) is
-	// encoded into directly instead of through enc; the simulated
-	// transport retains sent payloads, so it gets fresh encodings.
+	// FedForward wrapper around it (enc). A conn that lends its send
+	// buffer (inPlace) is encoded into directly instead of through enc.
 	dec        proto.Decoder
 	scratchMsg proto.Message
 	enc        []byte
 	fedScratch []byte
-	reuseEnc   bool
 	inPlace    transport.InPlaceSender
 
 	stats Stats
@@ -195,9 +191,6 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	}
 	s.udp = u
 	s.port = u.Local().Port
-	if ss, ok := u.(transport.ScratchSender); ok && ss.ScratchSendOK() {
-		s.reuseEnc = true
-	}
 	s.inPlace, _ = u.(transport.InPlaceSender)
 	u.OnRecv(s.handleUDP)
 	if s.h != nil && !cfg.RelayOnly {
@@ -365,20 +358,16 @@ func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
 // sendUDP encodes and transmits one message: into the buffer the socket
 // sends it from where the socket lends that (transport.InPlaceSender;
 // the encoding is then the only copy a relayed payload takes through
-// the server), else into the reused scratch where the socket releases
-// payloads before SendTo returns (reuseEnc) — the forward/relay hot
-// path is allocation-free either way — else (simulated transports,
-// which queue the payload slice) as a fresh encoding.
+// the server), else into the reused scratch, which SendTo releases
+// before it returns. The forward/relay hot path is allocation-free
+// either way.
 func (s *Server) sendUDP(to inet.Endpoint, m *proto.Message) {
-	switch {
-	case s.inPlace != nil:
+	if s.inPlace != nil {
 		s.inPlace.Commit(to, proto.AppendMessage(s.inPlace.Reserve(), m, s.obf))
-	case s.reuseEnc:
-		s.enc = proto.AppendMessage(s.enc[:0], m, s.obf)
-		s.udp.SendTo(to, s.enc)
-	default:
-		s.udp.SendTo(to, proto.Encode(m, s.obf))
+		return
 	}
+	s.enc = proto.AppendMessage(s.enc[:0], m, s.obf)
+	s.udp.SendTo(to, s.enc)
 }
 
 // deliver routes a message to a registered client: directly when the
@@ -390,16 +379,12 @@ func (s *Server) deliver(rec Record, m *proto.Message) {
 		s.sendUDP(rec.Public, m)
 		return
 	}
-	if s.reuseEnc {
-		// Inner message into its own scratch: fedForward will reuse
-		// both scratchMsg (the wrapper skeleton) and enc (the wrapper
-		// encoding), so m — often scratchMsg itself — must be fully
-		// encoded before the call.
-		s.fedScratch = proto.AppendMessage(s.fedScratch[:0], m, s.obf)
-		s.fedForward(rec.Home, rec.Name, s.fedScratch)
-		return
-	}
-	s.fedForward(rec.Home, rec.Name, proto.Encode(m, s.obf))
+	// Inner message into its own scratch: fedForward will reuse both
+	// scratchMsg (the wrapper skeleton) and enc (the wrapper encoding),
+	// so m — often scratchMsg itself — must be fully encoded before the
+	// call.
+	s.fedScratch = proto.AppendMessage(s.fedScratch[:0], m, s.obf)
+	s.fedForward(rec.Home, rec.Name, s.fedScratch)
 }
 
 // --- TCP transport ---

@@ -423,10 +423,10 @@ func (c *Conn) Local() transport.Endpoint { return c.local }
 func (c *Conn) OnRecv(fn func(from transport.Endpoint, payload []byte)) { c.onRecv = fn }
 
 // SendTo transmits one datagram. The payload is released before
-// SendTo returns (see ScratchSendOK): copied to the tail of the send
-// queue, which leaves when the engine code that is running returns,
-// or — on a portable or closed socket, whose error the caller gets at
-// once — written to the kernel immediately.
+// SendTo returns, as transport.UDPConn requires: copied to the tail of
+// the send queue, which leaves when the engine code that is running
+// returns, or — on a portable or closed socket, whose error the caller
+// gets at once — written to the kernel immediately.
 func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
 	if !c.queueing() {
 		return c.writeNow(to, payload)
@@ -439,11 +439,6 @@ func (c *Conn) writeNow(to transport.Endpoint, p []byte) error {
 	_, err := c.c.WriteToUDPAddrPort(p, toAddrPort(to))
 	return err
 }
-
-// ScratchSendOK implements transport.ScratchSender: SendTo never
-// retains the payload slice, so engine hot paths may encode into
-// reusable scratch buffers when sending through this conn.
-func (c *Conn) ScratchSendOK() bool { return true }
 
 // queueing reports whether what is sent now joins the send queue:
 // engine code is running, on a batched socket that is still open.

@@ -287,25 +287,6 @@ func TestBatchedSelection(t *testing.T) {
 	}
 }
 
-// TestScratchSender pins the capability the rendezvous hot path
-// probes for: realudp conns release payloads before SendTo returns.
-func TestScratchSender(t *testing.T) {
-	requireLoopback(t)
-	tr := newTransport(t)
-	var conn transport.UDPConn
-	tr.Invoke(func() {
-		c, err := tr.BindUDP(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn = c
-	})
-	ss, ok := conn.(transport.ScratchSender)
-	if !ok || !ss.ScratchSendOK() {
-		t.Fatal("realudp conns must implement transport.ScratchSender")
-	}
-}
-
 // loopSink binds a plain loopback socket for a transport conn to send
 // to, outside any transport.
 func loopSink(t *testing.T) (*net.UDPConn, transport.Endpoint) {

@@ -33,6 +33,13 @@
 // Timer.Stop and Timer.Active are likewise only called from inside
 // the serialized context, which is what lets the real-socket
 // implementation keep them lock-free.
+//
+// # Buffer ownership
+//
+// A received payload is the transport's, valid only while the OnRecv
+// callback runs. A sent payload is the caller's again as soon as
+// SendTo returns, on every implementation, so no capability says
+// whether a send buffer may be reused.
 package transport
 
 import (
@@ -82,10 +89,13 @@ type UDPConn interface {
 	// slice is owned by the transport and valid only for the duration
 	// of the callback: implementations reuse receive buffers across
 	// datagrams, so engine code must copy what it keeps before returning
-	// (it does: proto.Decode copies, and what proto.Decoder leaves
-	// pointing into the payload is copied by whoever holds on to it).
+	// (it does: what proto.Decoder leaves pointing into the payload is
+	// copied by whoever holds on to it).
 	OnRecv(fn func(from Endpoint, payload []byte))
-	// SendTo transmits one datagram to the given endpoint.
+	// SendTo transmits one datagram to the given endpoint. It releases
+	// the payload before it returns: an implementation that queues the
+	// datagram queues its own copy, so the caller may reuse the slice
+	// (a scratch encoding, a received datagram's bytes) at once.
 	SendTo(to Endpoint, payload []byte) error
 	// Close releases the socket and its port.
 	Close()
@@ -118,16 +128,9 @@ type Transport interface {
 	Invoke(fn func())
 }
 
-// ScratchSender is an optional UDPConn capability declaring that
-// SendTo does not retain the payload slice after it returns: the
-// implementation hands the bytes to the kernel (or copies them into
-// its own batching slots) before returning. Engine hot paths — the
-// rendezvous forwarder, the §2.2 relay and the punch client's session
-// datagrams — probe for it and, when present, re-encode into a
-// reusable scratch buffer instead of allocating a fresh encoding per
-// datagram. The simulated transport deliberately does not implement
-// it: queued simulated packets reference the payload slice, so senders
-// must allocate fresh.
+// ScratchSender is probed by nothing in this module: every UDPConn's
+// SendTo releases the payload, and the interface goes once the
+// benchmark harness stops naming it.
 type ScratchSender interface {
 	// ScratchSendOK reports that SendTo releases the payload slice
 	// before returning.
@@ -141,10 +144,8 @@ type ScratchSender interface {
 // bytes are not copied again on their way to the kernel. Engine hot
 // paths (the punch client's and the rendezvous server's sendUDP, a
 // session's BeginSend/EndSend under the stream engine) probe for it by
-// type assertion, like ScratchSender. Only realudp's conns implement
-// it. A conn without it is sent the same bytes through SendTo, from a
-// reused scratch (ScratchSender) or a fresh array (the simulated
-// transport, which keeps what it is sent).
+// type assertion. Only realudp's conns implement it. A conn without it
+// is sent the same bytes through SendTo, from a reused scratch.
 type InPlaceSender interface {
 	// Reserve returns an empty buffer to append the next datagram to:
 	// the tail of the conn's send queue, with whatever room the conn

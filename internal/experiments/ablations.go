@@ -43,8 +43,8 @@ func Sec43OSBehaviors(seed int64) Result {
 		_ = slowLAN
 		srv, err := rendezvousNew(s)
 		must(err)
-		a := punch.NewClient(hostA, "alice", srv.Endpoint(), punch.Config{})
-		b := punch.NewClient(hostB, "bob", srv.Endpoint(), punch.Config{})
+		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
+		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
 		must(a.RegisterTCP(4321, nil))
 		must(b.RegisterTCP(4321, nil))
 		await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
@@ -105,8 +105,8 @@ func Sec44SimultaneousOpen(seed int64) Result {
 		hostB := realmB.AddHost("B", "10.1.1.3", flavor)
 		srv, err := rendezvousNew(s)
 		must(err)
-		a := punch.NewClient(hostA, "alice", srv.Endpoint(), punch.Config{})
-		b := punch.NewClient(hostB, "bob", srv.Endpoint(), punch.Config{})
+		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
+		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
 		must(a.RegisterTCP(4321, nil))
 		must(b.RegisterTCP(4321, nil))
 		await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
@@ -451,8 +451,8 @@ func Sec53Mangling(seed int64) Result {
 		srv, err := rendezvousNew(c.S)
 		must(err)
 		cfg := punch.Config{Obfuscate: obfuscate, PunchTimeout: 5 * time.Second}
-		a := punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-		bb := punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+		bb := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 		must(a.RegisterUDP(4321, nil))
 		must(bb.RegisterUDP(4321, nil))
 		await(c.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && bb.UDPRegistered() })

@@ -136,13 +136,13 @@ const serverPort inet.Port = 1234
 // topology errors (experiment code is trusted).
 func newUDPPair(seed int64, behA, behB nat.Behavior, cfg punch.Config) *pair {
 	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.New(c.S, serverPort, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 	if err != nil {
 		panic(err)
 	}
 	p := &pair{Canonical: c, srv: srv}
-	p.a = punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-	p.b = punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+	p.a = punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+	p.b = punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 	must(p.a.RegisterUDP(4321, nil))
 	must(p.b.RegisterUDP(4321, nil))
 	p.await(10*time.Second, func() bool { return p.a.UDPRegistered() && p.b.UDPRegistered() })
@@ -152,13 +152,13 @@ func newUDPPair(seed int64, behA, behB nat.Behavior, cfg punch.Config) *pair {
 // newTCPPair is newUDPPair for TCP registration.
 func newTCPPair(seed int64, behA, behB nat.Behavior, cfg punch.Config) *pair {
 	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.New(c.S, serverPort, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 	if err != nil {
 		panic(err)
 	}
 	p := &pair{Canonical: c, srv: srv}
-	p.a = punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-	p.b = punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+	p.a = punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+	p.b = punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 	must(p.a.RegisterTCP(4321, nil))
 	must(p.b.RegisterTCP(4321, nil))
 	p.await(10*time.Second, func() bool { return p.a.TCPRegistered() && p.b.TCPRegistered() })
@@ -270,9 +270,9 @@ func publicHostPair(seed int64, behB nat.Behavior, cfg punch.Config) (*topo.Inte
 	hostA := core.AddHost("A", "155.99.25.80", host.BSDStyle)
 	realmB := core.AddSite("NAT-B", behB, "138.76.29.7", "10.1.1.0/24")
 	hostB := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
-	srv, err := rendezvous.New(s, serverPort, 0)
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	must(err)
-	a := punch.NewClient(hostA, "alice", srv.Endpoint(), cfg)
-	b := punch.NewClient(hostB, "bob", srv.Endpoint(), cfg)
+	a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), cfg)
+	b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), cfg)
 	return in, srv, a, b
 }

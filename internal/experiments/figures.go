@@ -187,8 +187,8 @@ func Fig4CommonNAT(seed int64) Result {
 		c := topo.NewCommonNAT(seed, b)
 		srv, err := rendezvousNew(c.S)
 		must(err)
-		a := punch.NewClient(c.A, "alice", srv.Endpoint(), punch.Config{})
-		bb := punch.NewClient(c.B, "bob", srv.Endpoint(), punch.Config{})
+		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
+		bb := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
 		must(a.RegisterUDP(4321, nil))
 		must(bb.RegisterUDP(4321, nil))
 		await(c.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && bb.UDPRegistered() })
@@ -286,8 +286,8 @@ func Fig6MultiLevel(seed int64) Result {
 		m := topo.NewMultiLevel(seed, behC, nat.Cone(), nat.Cone())
 		srv, err := rendezvousNew(m.S)
 		must(err)
-		a := punch.NewClient(m.A, "alice", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
-		b := punch.NewClient(m.B, "bob", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
+		a := punch.NewClientOver(m.A.Transport(), "alice", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
+		b := punch.NewClientOver(m.B.Transport(), "bob", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
 		must(a.RegisterUDP(4321, nil))
 		must(b.RegisterUDP(4321, nil))
 		await(m.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && b.UDPRegistered() })
@@ -461,5 +461,5 @@ func tcpErrCB(flag *bool) tcp.Callbacks {
 func tcpErrCBDiscard() tcp.Callbacks { return tcp.Callbacks{} }
 
 func rendezvousNew(s *host.Host) (*rendezvous.Server, error) {
-	return rendezvous.New(s, serverPort, 0)
+	return rendezvous.NewOver(s.Transport(), serverPort, 0)
 }

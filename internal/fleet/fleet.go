@@ -249,7 +249,7 @@ func build(seed int64, cfg Config) *Fleet {
 	for i := 0; i < cfg.Servers; i++ {
 		s := core.AddHost(fmt.Sprintf("S%d", i),
 			inet.AddrFrom4(18, 181, 0, byte(31+i)).String(), host.BSDStyle)
-		srv, err := rendezvous.New(s, serverPort, 0)
+		srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -420,7 +420,7 @@ func (f *Fleet) arrive(p *peer) {
 		p.everJoined = true
 	}
 	order := rendezvous.Preference(p.name, f.eps)
-	c := punch.NewClient(p.host, p.name, order[0], f.cfg.Punch)
+	c := punch.NewClientOver(p.host.Transport(), p.name, order[0], f.cfg.Punch)
 	if len(order) > 1 {
 		c.SetServerPool(order)
 		c.OnServerSwitch = func(_, _ inet.Endpoint) { f.rep.Failovers++ }

@@ -27,13 +27,13 @@ type rig struct {
 
 func newRig(t testing.TB, in *topo.Internet, s, hostA, hostB *host.Host, pcfg punch.Config, icfg ice.Config) *rig {
 	t.Helper()
-	srv, err := rendezvous.New(s, serverPort, 0)
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &rig{in: in, srv: srv}
-	r.a = punch.NewClient(hostA, "alice", srv.Endpoint(), pcfg)
-	r.b = punch.NewClient(hostB, "bob", srv.Endpoint(), pcfg)
+	r.a = punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), pcfg)
+	r.b = punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), pcfg)
 	r.agA = ice.New(r.a, icfg)
 	r.agB = ice.New(r.b, icfg)
 	if err := r.a.RegisterUDP(4321, nil); err != nil {

@@ -28,7 +28,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 	seen := make(map[string]bool)
 	var wires [][]byte
 	capture := func(c *topo.Canonical, cfg punch.Config) {
-		srv, err := rendezvous.New(c.S, 1234, 0)
+		srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -41,8 +41,8 @@ func capturedCorpus(tb testing.TB) [][]byte {
 				wires = append(wires, append([]byte(nil), pkt.Payload...))
 			}
 		})
-		a := punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-		b := punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+		b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 		if err := a.RegisterUDP(4321, nil); err != nil {
 			tb.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 	// lists, plus the check/ack flow, over the topologies that
 	// exercise each candidate type.
 	captureICE := func(in *topo.Internet, s, hostA, hostB *host.Host, cfg punch.Config) {
-		srv, err := rendezvous.New(s, 1234, 0)
+		srv, err := rendezvous.NewOver(s.Transport(), 1234, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -83,8 +83,8 @@ func capturedCorpus(tb testing.TB) [][]byte {
 				wires = append(wires, append([]byte(nil), pkt.Payload...))
 			}
 		})
-		a := punch.NewClient(hostA, "alice", srv.Endpoint(), cfg)
-		b := punch.NewClient(hostB, "bob", srv.Endpoint(), cfg)
+		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), cfg)
+		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), cfg)
 		agA, agB := ice.New(a, ice.Config{}), ice.New(b, ice.Config{})
 		if err := a.RegisterUDP(4321, nil); err != nil {
 			tb.Fatal(err)
@@ -118,11 +118,11 @@ func capturedCorpus(tb testing.TB) [][]byte {
 		core := in.CoreRealm()
 		h1 := core.AddHost("S1", "18.181.0.31", host.BSDStyle)
 		h2 := core.AddHost("S2", "18.181.0.32", host.BSDStyle)
-		s1, err := rendezvous.New(h1, 1234, 0)
+		s1, err := rendezvous.NewOver(h1.Transport(), 1234, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		s2, err := rendezvous.New(h2, 1234, 0)
+		s2, err := rendezvous.NewOver(h2.Transport(), 1234, 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -139,8 +139,8 @@ func capturedCorpus(tb testing.TB) [][]byte {
 		realmA := core.AddSite("NAT-A", nat.Symmetric(), "155.99.25.11", "10.0.0.0/24")
 		realmB := core.AddSite("NAT-B", nat.Symmetric(), "138.76.29.7", "10.1.1.0/24")
 		cfg := punch.Config{RelayFallback: true, PunchTimeout: 2 * time.Second}
-		a := punch.NewClient(realmA.AddHost("A", "10.0.0.1", host.BSDStyle), "alice", s1.Endpoint(), cfg)
-		b := punch.NewClient(realmB.AddHost("B", "10.1.1.3", host.BSDStyle), "bob", s2.Endpoint(), cfg)
+		a := punch.NewClientOver(realmA.AddHost("A", "10.0.0.1", host.BSDStyle).Transport(), "alice", s1.Endpoint(), cfg)
+		b := punch.NewClientOver(realmB.AddHost("B", "10.1.1.3", host.BSDStyle).Transport(), "bob", s2.Endpoint(), cfg)
 		if err := a.RegisterUDP(4321, nil); err != nil {
 			tb.Fatal(err)
 		}

@@ -17,12 +17,12 @@ import (
 
 func TestAbortDoesNotKillCrossingDial(t *testing.T) {
 	world := topo.NewCanonical(11, nat.Cone(), nat.Cone())
-	srv, err := rendezvous.New(world.S, 1234, 0)
+	srv, err := rendezvous.NewOver(world.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(world.A, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(world.B, "bob", srv.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(world.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(world.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	if err := a.RegisterUDP(4321, nil); err != nil {
 		t.Fatal(err)
 	}

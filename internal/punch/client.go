@@ -282,12 +282,6 @@ type Client struct {
 	closed bool
 }
 
-// NewClient creates a punching client for simulated host h,
-// identified to the rendezvous server at server by name.
-func NewClient(h *host.Host, name string, server inet.Endpoint, cfg Config) *Client {
-	return NewClientOver(h.Transport(), name, server, cfg)
-}
-
 // NewClientOver creates a punching client over an arbitrary
 // transport. The full engine — UDP punching, keep-alives, idle
 // death, relay fallback, and (via internal/ice) candidate

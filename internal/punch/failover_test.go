@@ -31,11 +31,11 @@ func newPooledWorld(t *testing.T, seed int64) *pooledWorld {
 	core := in.CoreRealm()
 	h1 := core.AddHost("S1", "18.181.0.31", host.BSDStyle)
 	h2 := core.AddHost("S2", "18.181.0.32", host.BSDStyle)
-	s1, err := rendezvous.New(h1, 1234, 0)
+	s1, err := rendezvous.NewOver(h1.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := rendezvous.New(h2, 1234, 0)
+	s2, err := rendezvous.NewOver(h2.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func newPooledWorld(t *testing.T, seed int64) *pooledWorld {
 	realmA := core.AddSite("NAT-A", nat.Cone(), "155.99.25.11", "10.0.0.0/24")
 	realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
 	w := &pooledWorld{Internet: in, s1: s1, s2: s2}
-	w.a = punch.NewClient(realmA.AddHost("A", "10.0.0.1", host.BSDStyle), "alice", pool[0], punch.Config{})
-	w.b = punch.NewClient(realmB.AddHost("B", "10.1.1.3", host.BSDStyle), "bob", pool[0], punch.Config{})
+	w.a = punch.NewClientOver(realmA.AddHost("A", "10.0.0.1", host.BSDStyle).Transport(), "alice", pool[0], punch.Config{})
+	w.b = punch.NewClientOver(realmB.AddHost("B", "10.1.1.3", host.BSDStyle).Transport(), "bob", pool[0], punch.Config{})
 	w.a.SetServerPool(rendezvous.Preference("alice", pool))
 	w.b.SetServerPool(rendezvous.Preference("bob", pool))
 	for _, c := range []*punch.Client{w.a, w.b} {
@@ -148,11 +148,11 @@ func TestRegistrationWalksDeadPool(t *testing.T) {
 	core := in.CoreRealm()
 	h1 := core.AddHost("S1", "18.181.0.31", host.BSDStyle)
 	h2 := core.AddHost("S2", "18.181.0.32", host.BSDStyle)
-	s1, err := rendezvous.New(h1, 1234, 0)
+	s1, err := rendezvous.NewOver(h1.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := rendezvous.New(h2, 1234, 0)
+	s2, err := rendezvous.NewOver(h2.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRegistrationWalksDeadPool(t *testing.T) {
 	s1.Close() // the head of the pool is dead before anyone registers
 
 	realm := core.AddSite("NAT-A", nat.Cone(), "155.99.25.11", "10.0.0.0/24")
-	c := punch.NewClient(realm.AddHost("A", "10.0.0.1", host.BSDStyle), "alice", s1.Endpoint(), punch.Config{})
+	c := punch.NewClientOver(realm.AddHost("A", "10.0.0.1", host.BSDStyle).Transport(), "alice", s1.Endpoint(), punch.Config{})
 	c.SetServerPool([]inet.Endpoint{s1.Endpoint(), s2.Endpoint()})
 	var regErr error
 	gotErr := false

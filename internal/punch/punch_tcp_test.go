@@ -84,12 +84,12 @@ func TestTCPPunchBothLinuxFlavor(t *testing.T) {
 	realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
 	hostA := realmA.AddHost("A", "10.0.0.1", host.LinuxStyle)
 	hostB := realmB.AddHost("B", "10.1.1.3", host.LinuxStyle)
-	srv2, err := rendezvous.New(s, serverPort, 0)
+	srv2, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(hostA, "alice", srv2.Endpoint(), punch.Config{})
-	b := punch.NewClient(hostB, "bob", srv2.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(hostA.Transport(), "alice", srv2.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(hostB.Transport(), "bob", srv2.Endpoint(), punch.Config{})
 	a.RegisterTCP(4321, nil)
 	b.RegisterTCP(4321, nil)
 	runUntil(t, in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
@@ -142,12 +142,12 @@ func TestConnectionReversalTCP(t *testing.T) {
 	hostA := core.AddHost("A", "155.99.25.80", host.BSDStyle)
 	realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
 	hostB := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
-	srv, err := rendezvous.New(s, serverPort, 0)
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(hostA, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(hostB, "bob", srv.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	a.RegisterTCP(4321, nil)
 	b.RegisterTCP(4321, nil)
 	runUntil(t, in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
@@ -201,12 +201,12 @@ func TestMultiLevelNATRequiresHairpin(t *testing.T) {
 		behC := nat.Cone()
 		behC.HairpinUDP = hairpin
 		m := topo.NewMultiLevel(1, behC, nat.Cone(), nat.Cone())
-		srv, err := rendezvous.New(m.S, serverPort, 0)
+		srv, err := rendezvous.NewOver(m.S.Transport(), serverPort, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := punch.NewClient(m.A, "alice", srv.Endpoint(), punch.Config{PunchTimeout: 5 * time.Second})
-		b := punch.NewClient(m.B, "bob", srv.Endpoint(), punch.Config{PunchTimeout: 5 * time.Second})
+		a := punch.NewClientOver(m.A.Transport(), "alice", srv.Endpoint(), punch.Config{PunchTimeout: 5 * time.Second})
+		b := punch.NewClientOver(m.B.Transport(), "bob", srv.Endpoint(), punch.Config{PunchTimeout: 5 * time.Second})
 		a.RegisterUDP(4321, nil)
 		b.RegisterUDP(4321, nil)
 		runUntil(t, m.Internet, 10*time.Second, func() bool {
@@ -291,13 +291,13 @@ func TestManglerNATBreaksPlainCommonNATPunchObfuscationFixes(t *testing.T) {
 	run := func(obfuscate bool) bool {
 		b := nat.Mangler() // cone, mangles payload, no hairpin
 		c := topo.NewCommonNAT(1, b)
-		srv, err := rendezvous.New(c.S, serverPort, 0)
+		srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := punch.Config{Obfuscate: obfuscate, PunchTimeout: 5 * time.Second}
-		a := punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-		bb := punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+		bb := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 		a.RegisterUDP(4321, nil)
 		bb.RegisterUDP(4321, nil)
 		runUntil(t, c.Internet, 10*time.Second, func() bool {
@@ -339,13 +339,13 @@ func TestStrayTrafficAuthentication(t *testing.T) {
 	twin := realmA.AddHost("twin", "10.1.1.3", host.BSDStyle)
 	hostB := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
 
-	srv, err := rendezvous.New(s, serverPort, 0)
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(hostA, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(hostB, "bob", srv.Endpoint(), punch.Config{})
-	tw := punch.NewClient(twin, "twin", srv.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
+	tw := punch.NewClientOver(twin.Transport(), "twin", srv.Endpoint(), punch.Config{})
 	a.RegisterUDP(4321, nil)
 	b.RegisterUDP(4321, nil)
 	tw.RegisterUDP(4321, nil) // twin binds the same private port

@@ -26,13 +26,13 @@ type duo struct {
 func newDuo(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Config) *duo {
 	t.Helper()
 	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.New(c.S, serverPort, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := &duo{Canonical: c, srv: srv}
-	d.a = punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-	d.b = punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+	d.a = punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+	d.b = punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 	return d
 }
 
@@ -148,12 +148,12 @@ func TestUDPPunchCommonNAT(t *testing.T) {
 	// in — "the clients are most likely to select the private
 	// endpoints" (§3.3).
 	c := topo.NewCommonNAT(1, nat.Cone()) // no hairpin support at all
-	srv, err := rendezvous.New(c.S, serverPort, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(c.A, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(c.B, "bob", srv.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	a.RegisterUDP(4321, nil)
 	b.RegisterUDP(4321, nil)
 	runUntil(t, c.Internet, 10*time.Second, func() bool {
@@ -312,12 +312,12 @@ func TestUDPPunchOnePeerPublic(t *testing.T) {
 	realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
 	bHost := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
 
-	srv, err := rendezvous.New(s, serverPort, 0)
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(aHost, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(bHost, "bob", srv.Endpoint(), punch.Config{})
+	a := punch.NewClientOver(aHost.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(bHost.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	a.RegisterUDP(4321, nil)
 	b.RegisterUDP(4321, nil)
 

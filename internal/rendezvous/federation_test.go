@@ -28,11 +28,11 @@ func newFedWorld(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Co
 	core := in.CoreRealm()
 	h1 := core.AddHost("S1", "18.181.0.31", host.BSDStyle)
 	h2 := core.AddHost("S2", "18.181.0.32", host.BSDStyle)
-	s1, err := rendezvous.New(h1, 1234, 0)
+	s1, err := rendezvous.NewOver(h1.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := rendezvous.New(h2, 1234, 0)
+	s2, err := rendezvous.NewOver(h2.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func newFedWorld(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Co
 	realmA := core.AddSite("NAT-A", behA, "155.99.25.11", "10.0.0.0/24")
 	realmB := core.AddSite("NAT-B", behB, "138.76.29.7", "10.1.1.0/24")
 	w := &fedWorld{Internet: in, s1: s1, s2: s2}
-	w.a = punch.NewClient(realmA.AddHost("A", "10.0.0.1", host.BSDStyle), "alice", s1.Endpoint(), cfg)
-	w.b = punch.NewClient(realmB.AddHost("B", "10.1.1.3", host.BSDStyle), "bob", s2.Endpoint(), cfg)
+	w.a = punch.NewClientOver(realmA.AddHost("A", "10.0.0.1", host.BSDStyle).Transport(), "alice", s1.Endpoint(), cfg)
+	w.b = punch.NewClientOver(realmB.AddHost("B", "10.1.1.3", host.BSDStyle).Transport(), "bob", s2.Endpoint(), cfg)
 	return w
 }
 
@@ -90,12 +90,12 @@ func (w *fedWorld) punchVia(t *testing.T, window time.Duration) (sa, sb *punch.U
 func baselineVia(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Config) punch.Method {
 	t.Helper()
 	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(c.A, "alice", srv.Endpoint(), cfg)
-	b := punch.NewClient(c.B, "bob", srv.Endpoint(), cfg)
+	a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
+	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
 	if err := a.RegisterUDP(4321, nil); err != nil {
 		t.Fatal(err)
 	}

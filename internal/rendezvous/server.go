@@ -152,12 +152,6 @@ type Server struct {
 	Trace func(format string, args ...any)
 }
 
-// New starts a rendezvous server on simulated host h at port (UDP and
-// TCP).
-func New(h *host.Host, port inet.Port, obf proto.Obfuscator) (*Server, error) {
-	return NewOver(h.Transport(), port, obf)
-}
-
 // NewOver starts a rendezvous server over an arbitrary transport at
 // port with default registry and TTL.
 func NewOver(tr transport.Transport, port inet.Port, obf proto.Obfuscator) (*Server, error) {

@@ -50,7 +50,7 @@ func (c *rawClient) find(typ proto.Type) *proto.Message {
 
 func TestRegistrationRecordsBothEndpoints(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRegistrationRecordsBothEndpoints(t *testing.T) {
 
 func TestConnectDetailsGoToBothSides(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestConnectDetailsGoToBothSides(t *testing.T) {
 
 func TestConnectUnknownTargetErrors(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestConnectUnknownTargetErrors(t *testing.T) {
 
 func TestUDPRelayPath(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Symmetric(), nat.Symmetric())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestKeepAliveRefreshesPublicEndpoint(t *testing.T) {
 	b := nat.Cone()
 	b.UDPTimeout = 20 * time.Second
 	c := topo.NewCanonical(1, b, nat.Cone())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestKeepAliveRefreshesPublicEndpoint(t *testing.T) {
 
 func TestTCPRegistrationAndIntroduction(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
-	srv, err := rendezvous.New(c.S, 1234, 0)
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

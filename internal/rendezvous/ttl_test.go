@@ -30,8 +30,8 @@ func newTTLWorld(t *testing.T, ttl time.Duration) (*topo.Canonical, *rendezvous.
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := punch.NewClient(c.A, "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClient(c.B, "bob", srv.Endpoint(), punch.Config{
+	a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{
 		DisableRegistrationKeepAlive: true,
 	})
 	if err := a.RegisterUDP(4321, nil); err != nil {
@@ -86,7 +86,7 @@ func TestKeepAlivesExtendRegistrationTTL(t *testing.T) {
 	}
 	// Default 15s keep-alives against a 30s TTL: the record must
 	// survive arbitrarily long.
-	b := punch.NewClient(c.B, "bob", srv.Endpoint(), punch.Config{})
+	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	if err := b.RegisterUDP(4321, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,10 @@ func (cr *Carrier) Send(p []byte) error { return cr.c.sess.Send(p) }
 // transmits the result like Send. Over a transport whose sockets lend
 // their send buffer (transport.InPlaceSender; realudp) the appended
 // bytes are not copied again before the kernel takes them; over any
-// other the buffer is a scratch or a fresh array and nothing else
-// differs. Engine context only, every BeginSend followed by its EndSend
-// before anything else is sent; the buffer belongs to the session and
-// must not be kept, or touched, after EndSend.
+// other the buffer is a scratch and nothing else differs. Engine
+// context only, every BeginSend followed by its EndSend before
+// anything else is sent; the buffer belongs to the session and must
+// not be kept, or touched, after EndSend.
 func (cr *Carrier) BeginSend() []byte { return cr.c.sess.BeginSend() }
 
 // EndSend transmits the datagram appended to BeginSend's buffer; see

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"natpunch/internal/host"
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
+	"natpunch/internal/sim"
 	"natpunch/transport"
 )
 
@@ -110,6 +112,49 @@ func TestSessionDatagramZeroAlloc(t *testing.T) {
 		if conn.sent-sent < 500 || delivered-before < 500*1152 {
 			t.Fatalf("%v: %d sent, %d bytes delivered: the path under test did not run", via, conn.sent-sent, delivered-before)
 		}
+	}
+}
+
+// TestSimTransportStillCopies: over the simulated transport, which
+// queues a datagram until its delivery time, session datagrams sent
+// back to back from the one reused encoding arrive as they were sent,
+// and received payloads the application keeps past the handler survive
+// the datagrams decoded after them.
+func TestSimTransportStillCopies(t *testing.T) {
+	n := sim.NewNetwork(1)
+	core := n.NewSegment("core", "0.0.0.0/0", 5*time.Millisecond)
+	ah, bh := host.New(n, "A", host.BSDStyle), host.New(n, "B", host.BSDStyle)
+	aliceEP := inet.MustParseEndpoint("155.99.25.11:4321")
+	ah.Attach(core, aliceEP.Addr)
+	bh.Attach(core, bobEP.Addr)
+	bob, err := bh.Transport().BindUDP(bobEP.Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived []string
+	bob.OnRecv(func(_ inet.Endpoint, p []byte) {
+		if m, err := proto.Decode(p); err == nil && m.Type == proto.TypeData {
+			arrived = append(arrived, string(m.Data))
+		}
+	})
+	c := NewClientOver(ah.Transport(), "alice", serverEP, Config{})
+	if err := c.BindUDP(aliceEP.Port); err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte
+	s := c.AdoptUDPSession("bob", bobEP, MethodPublic, sessionNonce, UDPCallbacks{
+		Data: func(_ *UDPSession, p []byte) { kept = append(kept, p) },
+	})
+	s.Send([]byte("first out"))
+	s.Send([]byte("second out"))
+	bob.SendTo(aliceEP, fromBob(MethodPublic, 1, "first in"))
+	bob.SendTo(aliceEP, fromBob(MethodPublic, 2, "second in"))
+	n.Sched.Run()
+	if len(arrived) != 2 || arrived[0] != "first out" || arrived[1] != "second out" {
+		t.Fatalf("bob received %q: a queued datagram was corrupted by a later send", arrived)
+	}
+	if len(kept) != 2 || string(kept[0]) != "first in" || string(kept[1]) != "second in" {
+		t.Fatalf("payloads the application kept read %q", kept)
 	}
 }
 

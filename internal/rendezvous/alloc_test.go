@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"natpunch/internal/host"
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
+	"natpunch/internal/sim"
 	"natpunch/transport"
 )
 
@@ -172,4 +174,46 @@ func TestKeepAliveZeroAlloc(t *testing.T) {
 	requireZeroAllocs(t, "keep-alive refresh", func() {
 		conn.onRecv(src, wire)
 	})
+}
+
+// TestSimTransportStillCopies: over the simulated transport, which
+// queues a datagram until its delivery time, relays forwarded back to
+// back from the server's one reused encoding arrive as they were sent.
+func TestSimTransportStillCopies(t *testing.T) {
+	n := sim.NewNetwork(1)
+	core := n.NewSegment("core", "0.0.0.0/0", 5*time.Millisecond)
+	sh := host.New(n, "S", host.BSDStyle)
+	sh.Attach(core, inet.MustParseAddr("18.181.0.31"))
+	s, err := Serve(sh.Transport(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	socks := map[string]transport.UDPConn{}
+	for _, name := range []string{"alice", "bob"} {
+		ep := clientEP(name)
+		h := host.New(n, name, host.BSDStyle)
+		h.Attach(core, ep.Addr)
+		sock, err := h.Transport().BindUDP(ep.Port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		socks[name] = sock
+		sock.SendTo(s.Endpoint(), proto.Encode(&proto.Message{Type: proto.TypeRegister, From: name}, 0))
+	}
+	n.Sched.Run()
+	var relayed []string
+	socks["bob"].OnRecv(func(_ inet.Endpoint, p []byte) {
+		if m, err := proto.Decode(p); err == nil && m.Type == proto.TypeRelayed {
+			relayed = append(relayed, string(m.Data))
+		}
+	})
+	for seq, data := range []string{"first", "second"} {
+		socks["alice"].SendTo(s.Endpoint(), proto.Encode(&proto.Message{
+			Type: proto.TypeRelayTo, From: "alice", Target: "bob", Seq: uint32(seq + 1), Data: []byte(data),
+		}, 0))
+	}
+	n.Sched.Run()
+	if len(relayed) != 2 || relayed[0] != "first" || relayed[1] != "second" {
+		t.Fatalf("bob received %q: a queued relay was corrupted by a later send", relayed)
+	}
 }

@@ -287,6 +287,40 @@ func TestBatchedSelection(t *testing.T) {
 	}
 }
 
+// TestScratchSender pins what the rendezvous and punch hot paths rely
+// on when they send every datagram from one reused encoding: a realudp
+// conn releases the payload before SendTo returns, on the batched loop
+// and on the portable one alike.
+func TestScratchSender(t *testing.T) {
+	requireLoopback(t)
+	for _, batched := range []bool{true, false} {
+		tr := newTransport(t, WithBatching(batched))
+		if tr.Batched() != batched {
+			continue
+		}
+		sink, sinkEP := loopSink(t)
+		conn := bindConn(t, tr)
+		// Two lengths, so the batched loop cannot send the pair as one
+		// segmented write straight from its own queue.
+		scratch := []byte("sent first, from the scratch")
+		tr.Invoke(func() {
+			conn.SendTo(sinkEP, scratch)
+			conn.SendTo(sinkEP, append(scratch[:0], "then this"...))
+		})
+		sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 64)
+		for _, want := range []string{"sent first, from the scratch", "then this"} {
+			n, _, err := sink.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("batched=%v: sink read: %v", batched, err)
+			}
+			if got := string(buf[:n]); got != want {
+				t.Fatalf("batched=%v: sink got %q, want %q", batched, got, want)
+			}
+		}
+	}
+}
+
 // loopSink binds a plain loopback socket for a transport conn to send
 // to, outside any transport.
 func loopSink(t *testing.T) (*net.UDPConn, transport.Endpoint) {

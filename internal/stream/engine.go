@@ -798,7 +798,9 @@ func (m *Mux) transmit(frames []Frame) {
 }
 
 // armRtx (re)arms the single retransmission timer to the earliest
-// per-stream deadline, or stops it when nothing is pending.
+// per-stream deadline. When nothing is pending an armed timer is left
+// to fire, find nothing due and re-arm nothing, so a request/response
+// exchange arms one timer per RTO, not one per request.
 func (m *Mux) armRtx() {
 	var at time.Duration
 	for _, id := range m.order {
@@ -808,11 +810,6 @@ func (m *Mux) armRtx() {
 		}
 	}
 	if at == 0 {
-		if m.rtxTimer != nil {
-			m.rtxTimer.Stop()
-			m.rtxTimer = nil
-		}
-		m.rtxAt = 0
 		return
 	}
 	// A timer due no later than the deadline stays: every advancing ack

@@ -451,3 +451,66 @@ func TestEarlyRtxTimerRearms(t *testing.T) {
 		t.Errorf("%d datagrams on the wire after the 125 ms fire, want the %d from before it", sentAtEarlyFire, before)
 	}
 }
+
+// TestRequestResponseRtxTimerPerRTO: between the rounds of a
+// request/response exchange nothing is in flight, and the
+// retransmission timer is left running rather than stopped, so the
+// sender arms about one per MinRTO of virtual time, not one per
+// request. Which of the sender's armed timers are retransmission
+// timers, not ack timers, is read off the mux after every event.
+func TestRequestResponseRtxTimerPerRTO(t *testing.T) {
+	const size, rounds = 256, 1000
+	h := newHarness(25)
+	h.delay = time.Millisecond
+	msg := payload(size)
+	// Each side reads a whole message, then answers it; the requester
+	// stops after the last response.
+	answer := func(buf []byte, got *int, done func() bool) func(*Stream) {
+		return func(s *Stream) {
+			for {
+				n, _ := s.Read(buf[*got:])
+				if n == 0 {
+					return
+				}
+				if *got += n; *got == size {
+					*got = 0
+					if done() {
+						s.Write(msg)
+					}
+				}
+			}
+		}
+	}
+	var reqGot, respGot, responses int
+	h.wire(Config{},
+		Callbacks{Readable: answer(make([]byte, size), &respGot, func() bool {
+			responses++
+			return responses < rounds
+		})},
+		Callbacks{Readable: answer(make([]byte, size), &reqGot, func() bool { return true })},
+	)
+	rtx := make(map[*fakeTimer]bool)
+	h.watch = func() {
+		if ft, ok := h.a.rtxTimer.(*fakeTimer); ok {
+			rtx[ft] = true
+		}
+	}
+	s, err := h.a.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Write(msg)
+	h.watch()
+	h.run(t, func() bool { return responses == rounds }, 100*rounds)
+
+	// Beyond one per MinRTO: the one armed at the initial RTO, the one
+	// that moves in when the first sample brings the RTO down, slack.
+	minRTO := h.a.cfg.MinRTO
+	limit := int(h.clk/minRTO) + 4
+	t.Logf("%d round trips in %v of virtual time: %d timers armed by the sender, %d of them retransmission timers",
+		rounds, h.clk, len(h.ta.armed), len(rtx))
+	if len(rtx) > limit {
+		t.Errorf("the sender armed %d retransmission timers over %d round trips in %v, want at most %d: one per MinRTO (%v)",
+			len(rtx), rounds, h.clk, limit, minRTO)
+	}
+}

@@ -62,6 +62,9 @@ func WithWindows(stream, session uint32) Option {
 	return func(c *Config) { c.StreamWindow, c.SessionWindow = stream, session }
 }
 
+// pongPending marks a registered ping token whose pong has not arrived.
+const pongPending time.Duration = -1
+
 // Session runs multiplexed reliable streams over one natpunch Conn.
 type Session struct {
 	conn *natpunch.Conn
@@ -69,24 +72,30 @@ type Session struct {
 	tr   transport.Transport
 	w    transport.Waiter // non-nil on virtual-time transports
 
-	// mux, early and the wake-up fields are engine-context state:
+	// mux, early and the wake-up queue are engine-context state:
 	// touched only inside tr.Invoke or engine callbacks.
 	mux   *istream.Mux
 	early [][]byte // datagrams that arrived before the mux existed
-	// On a transport with an end of entry (transport.Deferrer) the
-	// readable/writable wake-up is sent once per entry, from wakeAtEnd
-	// (built once); wakeDue says it is registered for the running entry.
+	// On a transport with an end of entry (transport.Deferrer) a stream
+	// an event names is queued in woken once per entry (Stream.queued),
+	// and wakeAtEnd (s.wakeQueued, built once), deferred by the first,
+	// wakes them all when the entry ends.
 	entryEnd  transport.Deferrer
 	wakeAtEnd func()
-	wakeDue   bool
+	woken     []*Stream
+
+	// streams finds the facade stream of an engine stream. It is written
+	// in engine context under mu, so engine context reads it without the
+	// lock and everyone else under it.
+	streams map[*istream.Stream]*Stream
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     uint64 // bumped by every engine event; wait token
-	streams map[*istream.Stream]*Stream
+	cond    sync.Cond // session waiters (AcceptStream, Ping), on mu
+	gen     uint64    // bumped by accepts, pongs and the session's end; wait token
+	wakes   uint64    // wake-ups so far, of the session and its streams alike
 	accepts []*Stream
-	pongs   map[uint32]time.Duration
-	err     error // terminal session error
+	pongs   map[uint32]time.Duration // running Pings' tokens: pongPending until the RTT arrives
+	err     error                    // terminal session error
 	closed  bool
 }
 
@@ -104,7 +113,7 @@ func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
 		streams: make(map[*istream.Stream]*Stream),
 		pongs:   make(map[uint32]time.Duration),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond.L = &s.mu
 	cr, err := conn.Carry(s.onDatagram, s.onDead)
 	if err != nil {
 		return nil, err
@@ -116,10 +125,7 @@ func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
 	}
 	if d, ok := s.tr.(transport.Deferrer); ok {
 		s.entryEnd = d
-		s.wakeAtEnd = func() {
-			s.wakeDue = false
-			s.wake()
-		}
+		s.wakeAtEnd = s.wakeQueued
 	}
 	// Stream-ID parity must differ across the two endpoints; both
 	// sides know both rendezvous names, so the lexicographically
@@ -163,102 +169,122 @@ func (s *Session) onDatagram(p []byte) {
 // onDead terminates the session when the underlying natpunch session
 // dies, is superseded, or is closed (engine context).
 func (s *Session) onDead(err error) {
-	if s.mux != nil {
-		s.mux.Fail(err)
-	}
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.bump()
+	s.bumpAll()
 	s.mu.Unlock()
+	if s.mux != nil {
+		s.mux.Fail(err)
+	}
 }
 
-// bump wakes every blocked facade call (caller holds s.mu).
+// bump wakes the session's own waiters (caller holds s.mu).
 func (s *Session) bump() {
 	s.gen++
+	s.wakes++
 	s.cond.Broadcast()
+}
+
+// bumpAll wakes the session's waiters and every stream's, for the
+// session's end (caller holds s.mu).
+func (s *Session) bumpAll() {
+	s.bump()
+	for _, st := range s.streams {
+		st.bump()
+	}
+}
+
+// register records a new facade stream for es (engine context,
+// caller holds s.mu).
+func (s *Session) register(es *istream.Stream) *Stream {
+	st := &Stream{s: s, es: es, id: es.ID()}
+	st.cond.L = &s.mu
+	st.rd.fn = st.engineRead
+	st.wr.fn = st.engineWrite
+	s.streams[es] = st
+	return st
 }
 
 // engineAccept registers a peer-initiated stream (engine context).
 func (s *Session) engineAccept(es *istream.Stream) {
-	st := &Stream{s: s, es: es, id: es.ID()}
 	s.mu.Lock()
-	s.streams[es] = st
-	s.accepts = append(s.accepts, st)
+	s.accepts = append(s.accepts, s.register(es))
 	s.bump()
 	s.mu.Unlock()
 }
 
-// wake is bump for callers that do not hold s.mu.
-func (s *Session) wake() {
-	s.mu.Lock()
-	s.bump()
-	s.mu.Unlock()
-}
-
-// engineEvent wakes facade waiters on any readable/writable change
-// (engine context). A waiter cannot enter the engine before the entry
-// that woke it is over, so where the transport says when that is, a
-// batch of datagrams costs one wake-up, not one per datagram.
-func (s *Session) engineEvent(*istream.Stream) {
+// engineEvent wakes the callers of the stream a readable/writable
+// change names, and nobody else (engine context). A waiter cannot
+// enter the engine before the entry that woke it is over, so where the
+// transport says when that is, each stream the entry touched is woken
+// once, then, however many events it raised.
+func (s *Session) engineEvent(es *istream.Stream) {
+	st := s.streams[es]
 	switch {
 	case s.entryEnd == nil:
-		s.wake()
-	case !s.wakeDue:
-		s.wakeDue = true
-		s.entryEnd.Defer(s.wakeAtEnd)
+		s.mu.Lock()
+		st.bump()
+		s.mu.Unlock()
+	case !st.queued:
+		st.queued = true
+		if len(s.woken) == 0 {
+			s.entryEnd.Defer(s.wakeAtEnd)
+		}
+		s.woken = append(s.woken, st)
 	}
+}
+
+// wakeQueued wakes the streams the ending entry's events named, under
+// one lock (engine context).
+func (s *Session) wakeQueued() {
+	s.mu.Lock()
+	for i, st := range s.woken {
+		st.queued = false
+		st.bump()
+		s.woken[i] = nil
+	}
+	s.mu.Unlock()
+	s.woken = s.woken[:0]
 }
 
 // engineClosed drops a terminated stream from the registry (engine
-// context). The facade Stream keeps its engine handle — terminal
-// state stays readable through it.
+// context); the engine raised its readable and writable events first,
+// which woke its callers. The facade Stream keeps its engine handle —
+// terminal state stays readable through it.
 func (s *Session) engineClosed(es *istream.Stream, _ error) {
 	s.mu.Lock()
 	delete(s.streams, es)
-	s.bump()
 	s.mu.Unlock()
 }
 
-// enginePong records a ping result (engine context).
+// enginePong records the result of a running Ping (engine context); a
+// pong whose Ping has given up is dropped.
 func (s *Session) enginePong(token uint32, rtt time.Duration) {
 	s.mu.Lock()
-	s.pongs[token] = rtt
-	s.bump()
+	if _, ok := s.pongs[token]; ok {
+		s.pongs[token] = rtt
+		s.bump()
+	}
 	s.mu.Unlock()
 }
 
-// waitChange blocks until the session generation moves past gen or
-// the deadline passes; it reports false on deadline. While blocked it
-// registers as a transport waiter so virtual-time worlds advance.
-func (s *Session) waitChange(gen uint64, deadline time.Time) bool {
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		d := time.Until(deadline)
-		if d < 0 {
-			d = 0
-		}
-		timer = time.AfterFunc(d, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
+// wait blocks on c until *gen (the generation of c's owner, session or
+// stream, guarded by s.mu) moves past token or the deadline passes; a
+// caller with a deadline arranges for c to be broadcast then. While
+// blocked it registers as a transport waiter so virtual-time worlds
+// advance.
+func (s *Session) wait(c *sync.Cond, gen *uint64, token uint64, deadline time.Time) {
 	if s.w != nil {
 		s.w.AddWaiter()
 		defer s.w.RemoveWaiter()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.gen == gen {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return false
-		}
-		s.cond.Wait()
+	for *gen == token && (deadline.IsZero() || time.Now().Before(deadline)) {
+		c.Wait()
 	}
-	return true
 }
 
 // OpenStream creates a new outgoing stream. The peer learns of it
@@ -275,18 +301,18 @@ func (s *Session) OpenStream() (*Stream, error) {
 	}
 	s.mu.Unlock()
 	var (
-		es  *istream.Stream
+		st  *Stream
 		err error
 	)
-	s.tr.Invoke(func() { es, err = s.mux.Open() })
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{s: s, es: es, id: es.ID()}
-	s.mu.Lock()
-	s.streams[es] = st
-	s.mu.Unlock()
-	return st, nil
+	s.tr.Invoke(func() {
+		var es *istream.Stream
+		if es, err = s.mux.Open(); err == nil {
+			s.mu.Lock()
+			st = s.register(es)
+			s.mu.Unlock()
+		}
+	})
+	return st, err
 }
 
 // AcceptStream blocks until the peer opens a stream, returning
@@ -316,7 +342,7 @@ func (s *Session) AcceptStream() (*Stream, error) {
 		}
 		gen := s.gen
 		s.mu.Unlock()
-		s.waitChange(gen, time.Time{})
+		s.wait(&s.cond, &s.gen, gen, time.Time{})
 	}
 }
 
@@ -328,15 +354,34 @@ func (s *Session) Ping(timeout time.Duration) (time.Duration, error) {
 		token uint32
 		err   error
 	)
-	s.tr.Invoke(func() { token, err = s.mux.Ping() })
+	// The token is registered in the entry that sends the probe, so its
+	// pong cannot arrive first, and forgotten however Ping returns, so a
+	// pong that arrives too late finds nothing to fill.
+	s.tr.Invoke(func() {
+		if token, err = s.mux.Ping(); err == nil {
+			s.mu.Lock()
+			s.pongs[token] = pongPending
+			s.mu.Unlock()
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.pongs, token)
+		s.mu.Unlock()
+	}()
 	deadline := time.Now().Add(timeout)
+	timer := time.AfterFunc(timeout, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer timer.Stop()
 	for {
 		s.mu.Lock()
-		if rtt, ok := s.pongs[token]; ok {
-			delete(s.pongs, token)
+		if rtt := s.pongs[token]; rtt != pongPending {
 			s.mu.Unlock()
 			return rtt, nil
 		}
@@ -348,12 +393,13 @@ func (s *Session) Ping(timeout time.Duration) (time.Duration, error) {
 			err := s.err
 			s.mu.Unlock()
 			return 0, err
+		case !time.Now().Before(deadline):
+			s.mu.Unlock()
+			return 0, errors.New("stream: ping timeout")
 		}
 		gen := s.gen
 		s.mu.Unlock()
-		if !s.waitChange(gen, deadline) {
-			return 0, errors.New("stream: ping timeout")
-		}
+		s.wait(&s.cond, &s.gen, gen, deadline)
 	}
 }
 
@@ -379,7 +425,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.bump()
+	s.bumpAll()
 	s.mu.Unlock()
 	s.tr.Invoke(func() { s.mux.Close() })
 	return s.conn.Close()

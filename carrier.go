@@ -70,30 +70,25 @@ type Carrier struct {
 	c *Conn
 }
 
-// Send transmits one datagram on the session's live path (direct or
-// relayed — migrations are transparent). Engine context only: call it
-// from inside Transport().Invoke or from an engine callback. The
-// payload may be reused once Send returns. Send errors mean the
-// datagram was not sent — reliability is the caller's concern, and
-// terminal session failure arrives via the Carry onDead callback.
-func (cr *Carrier) Send(p []byte) error { return cr.c.sess.Send(p) }
-
-// BeginSend and EndSend are Send in two halves, for a sender that
-// builds its datagram where it will be sent from instead of handing
-// over a finished one to be copied: BeginSend returns a buffer, the
-// caller appends the datagram to it — behind whatever the buffer
-// already holds, which is the session's envelope — and EndSend
-// transmits the result like Send. Over a transport whose sockets lend
-// their send buffer (transport.InPlaceSender; realudp) the appended
-// bytes are not copied again before the kernel takes them; over any
-// other the buffer is a scratch and nothing else differs. Engine
-// context only, every BeginSend followed by its EndSend before
-// anything else is sent; the buffer belongs to the session and must
-// not be kept, or touched, after EndSend.
+// BeginSend and EndSend transmit one datagram on the session's live
+// path (direct or relayed — migrations are transparent), in two halves
+// so that the sender builds it where it will be sent from instead of
+// handing over a finished one to be copied: BeginSend returns a
+// buffer, the caller appends the datagram to it — behind whatever the
+// buffer already holds, which is the session's envelope — and EndSend
+// transmits the result. Over a transport whose sockets lend their send
+// buffer (transport.InPlaceSender; realudp) the appended bytes are not
+// copied again before the kernel takes them; over any other the buffer
+// is a scratch and nothing else differs. Engine context only — inside
+// Transport().Invoke or an engine callback — every BeginSend followed
+// by its EndSend before anything else is sent; the buffer belongs to
+// the session and must not be kept, or touched, after EndSend.
 func (cr *Carrier) BeginSend() []byte { return cr.c.sess.BeginSend() }
 
 // EndSend transmits the datagram appended to BeginSend's buffer; see
-// BeginSend. Errors are Send's.
+// BeginSend. An error means the datagram was not sent — reliability is
+// the caller's concern, and terminal session failure arrives via the
+// Carry onDead callback.
 func (cr *Carrier) EndSend(p []byte) error { return cr.c.sess.EndSend(p) }
 
 // Transport returns the session's transport seam; its Invoke is the

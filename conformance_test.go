@@ -80,19 +80,12 @@ func makeSimPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 // probes and acks at bob, in front of the engine's own dispatch.
 // Explicit opts replace the default conformance options.
 func makeRealPair(t *testing.T, blockDirect bool, opts ...Option) (*Dialer, *Dialer) {
-	return makeRealPairTr(t, blockDirect, nil, opts...)
-}
-
-// makeRealPairTr is makeRealPair with explicit transport options —
-// the conformance suite uses it to force every socket onto the
-// portable per-datagram loop that non-Linux builds run.
-func makeRealPairTr(t *testing.T, blockDirect bool, trOpts []realudp.Option, opts ...Option) (*Dialer, *Dialer) {
 	t.Helper()
 	requireLoopbackUDP(t)
 	if len(opts) == 0 {
 		opts = conformanceOpts()
 	}
-	serverTr, err := realudp.New("127.0.0.1:0", trOpts...)
+	serverTr, err := realudp.New("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +97,7 @@ func makeRealPairTr(t *testing.T, blockDirect bool, trOpts []realudp.Option, opt
 	server := srv.Endpoint() // bound to 127.0.0.1, so directly dialable
 
 	open := func(name string) *Dialer {
-		tr, err := realudp.New("127.0.0.1:0", trOpts...)
+		tr, err := realudp.New("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,29 +314,6 @@ func TestConformanceDirectClass(t *testing.T) {
 	simDial, simAccept := runScenario(t, simA, simB)
 
 	realA, realB := makeRealPair(t, false)
-	realDial, realAccept := runScenario(t, realA, realB)
-
-	for _, c := range []struct{ name, sim, real string }{
-		{"dial side", simDial, realDial},
-		{"accept side", simAccept, realAccept},
-	} {
-		if classOf(c.sim) != "direct" || classOf(c.real) != "direct" {
-			t.Errorf("%s: outcome classes diverge or are not direct: sim=%s real=%s", c.name, c.sim, c.real)
-		}
-	}
-}
-
-// TestConformancePortableFallback re-runs the direct-class scenario
-// with WithBatching(false) on every real transport, pinning that the
-// portable per-datagram fallback — the data plane every non-Linux
-// build gets — lands in the same outcome class as the simulator and,
-// by extension, as the batched Linux fast path the other conformance
-// tests exercise.
-func TestConformancePortableFallback(t *testing.T) {
-	simA, simB := makeSimPair(t, false)
-	simDial, simAccept := runScenario(t, simA, simB)
-
-	realA, realB := makeRealPairTr(t, false, []realudp.Option{realudp.WithBatching(false)})
 	realDial, realAccept := runScenario(t, realA, realB)
 
 	for _, c := range []struct{ name, sim, real string }{

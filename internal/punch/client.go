@@ -468,26 +468,6 @@ func (c *Client) AdoptUDPSession(peer string, remote inet.Endpoint, via Method, 
 	return s
 }
 
-// AbortUDP cancels an in-flight punching attempt we initiated toward
-// peer without firing its callbacks — the release path for
-// context-cancelled dials. It reports whether an attempt was
-// cancelled. Responder-side attempts (the peer dialing us, §3.2 step
-// 2's forwarded request) and established sessions are not affected:
-// cancelling our dial must not kill the peer's crossing dial.
-func (c *Client) AbortUDP(peer string) bool {
-	aborted := false
-	for _, a := range c.udpAttempts {
-		if a.peer == peer && a.requester && !a.done {
-			c.retireUDPAttempt(a)
-			aborted = true
-		}
-	}
-	if aborted {
-		c.tracef("udp attempt to %s aborted", peer)
-	}
-	return aborted
-}
-
 // PendingUDPAttempts counts in-flight punching attempts — the
 // accounting hook that cancellation tests recount against.
 func (c *Client) PendingUDPAttempts() int { return len(c.udpAttempts) }

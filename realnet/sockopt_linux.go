@@ -2,10 +2,7 @@
 
 package realnet
 
-import (
-	"context"
-	"syscall"
-)
+import "syscall"
 
 // soReusePort is SO_REUSEPORT on Linux (not exported by the syscall
 // package).
@@ -17,5 +14,3 @@ func setReuse(fd uintptr) error {
 	}
 	return syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
 }
-
-func nil2ctx() context.Context { return context.Background() }

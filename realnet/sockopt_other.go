@@ -1,14 +1,9 @@
-//go:build !linux
+//go:build !linux && !windows
 
 package realnet
 
-import (
-	"context"
-	"syscall"
-)
+import "syscall"
 
 func setReuse(fd uintptr) error {
 	return syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1)
 }
-
-func nil2ctx() context.Context { return context.Background() }

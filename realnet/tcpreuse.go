@@ -6,6 +6,7 @@
 package realnet
 
 import (
+	"context"
 	"net"
 	"syscall"
 )
@@ -27,7 +28,7 @@ func controlReuse(network, address string, c syscall.RawConn) error {
 // outgoing connections may share its local port.
 func ListenTCPReuse(addr string) (net.Listener, error) {
 	lc := net.ListenConfig{Control: controlReuse}
-	return lc.Listen(nil2ctx(), "tcp4", addr)
+	return lc.Listen(context.Background(), "tcp4", addr)
 }
 
 // DialTCPFromPort dials raddr with the local endpoint fixed to laddr

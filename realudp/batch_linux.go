@@ -8,9 +8,6 @@ import (
 	"unsafe"
 )
 
-// batchSupported: Linux has sendmmsg(2)/recvmmsg(2).
-const batchSupported = true
-
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the
 // per-message transfer count. The trailing pad matches the C struct's
 // alignment padding — 4 bytes after the u32 on 64-bit ABIs (msghdr
@@ -238,7 +235,8 @@ func (bc *BatchConn) sendGSO(run []Datagram) error {
 // WriteBatch sends all datagrams: same-destination runs as one
 // segmented send each (UDP GSO), everything else batched into as few
 // sendmmsg(2) calls as the kernel accepts. It returns the number of
-// datagrams sent and the first error encountered.
+// datagrams sent and the first error encountered: on an error, ms[n]
+// is where it stopped, and nothing from there on was sent.
 func (bc *BatchConn) WriteBatch(ms []Datagram) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil

@@ -19,13 +19,14 @@ type Datagram struct {
 // BatchConn performs batched datagram I/O on a *net.UDPConn. On Linux
 // WriteBatch and ReadBatch map to single sendmmsg(2)/recvmmsg(2)
 // kernel crossings (stdlib syscall only — the module stays
-// dependency-free); elsewhere they degrade to per-datagram loops with
-// the same semantics. The transport's batched read loop is built on
-// it, and it is exported so load generators (benchmarks, traffic
-// tools) can drive a batched socket at the same syscall amortization
-// as the server under test. ReadBatch fills one datagram per entry
-// whatever the sender did; only the transport's own read loop asks the
-// kernel for coalesced runs (UDP GRO).
+// dependency-free); elsewhere they make one system call per datagram
+// (writeEach, readOne) with the same semantics. It is the one seam
+// between platforms: the transport's read loop and send queue are
+// built on it everywhere, and it is exported so load generators
+// (benchmarks, traffic tools) can drive a batched socket at the same
+// syscall amortization as the server under test. ReadBatch fills one
+// datagram per entry whatever the sender did; only the transport's own
+// read loop asks the kernel for coalesced runs (UDP GRO).
 //
 // A BatchConn supports one concurrent reader and one concurrent
 // writer: ReadBatch and WriteBatch own disjoint scratch state, but
@@ -46,6 +47,30 @@ func NewBatchConn(c *net.UDPConn) (*BatchConn, error) {
 	return &BatchConn{c: c, rc: rc}, nil
 }
 
-// Batched reports whether this platform's WriteBatch/ReadBatch use
-// kernel batching (sendmmsg/recvmmsg) rather than per-datagram loops.
-func (bc *BatchConn) Batched() bool { return batchSupported }
+// writeEach sends the datagrams one system call each, in order. It
+// returns the number sent and the first error: ms[n] is the datagram
+// that failed, and nothing behind it was sent.
+func (bc *BatchConn) writeEach(ms []Datagram) (int, error) {
+	for i := range ms {
+		if _, err := bc.c.WriteToUDPAddrPort(ms[i].Payload, ms[i].Addr); err != nil {
+			return i, err
+		}
+	}
+	return len(ms), nil
+}
+
+// readOne blocks for one datagram and fills ms[0] with it: a single
+// system call cannot drain the socket without risking a second
+// blocking one.
+func (bc *BatchConn) readOne(ms []Datagram) (int, error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
+	n, addr, err := bc.c.ReadFromUDPAddrPort(ms[0].Payload)
+	if err != nil {
+		return 0, err
+	}
+	ms[0].Addr = addr
+	ms[0].Payload = ms[0].Payload[:n]
+	return 1, nil
+}

@@ -1,7 +1,6 @@
 package realudp
 
 import (
-	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -58,79 +57,75 @@ func awaitEntry(t *testing.T, tr *Transport, ran chan struct{}) {
 }
 
 // TestDeferContract is transport.Deferrer as realudp implements it, over
-// every kind of entry and both read loops: a deferred function runs
-// once per registration, in registration order, in the entry that
-// registered it — one registered by a deferred function included — and
-// while that entry is still a send batch, so what it sends leaves with
-// what the engine code sent.
+// every kind of entry: a deferred function runs once per registration,
+// in registration order, in the entry that registered it — one
+// registered by a deferred function included — and while that entry is
+// still a send batch, so what it sends leaves with what the engine code
+// sent.
 func TestDeferContract(t *testing.T) {
 	requireLoopback(t)
-	for _, batching := range []bool{true, false} {
-		for _, kind := range entryKinds {
-			t.Run(fmt.Sprintf("batching=%v/%s", batching, kind.name), func(t *testing.T) {
-				tr := newTransport(t, WithBatching(batching))
-				sink, sinkEP := loopSink(t)
-				conn := bindConn(t, tr)
+	for _, kind := range entryKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			tr := newTransport(t)
+			sink, sinkEP := loopSink(t)
+			conn := bindConn(t, tr)
 
-				var log []string
-				var inBatch []bool
-				var queuedAtHook, flushesAtHook int
-				note := func(what string) {
-					log = append(log, what)
-					inBatch = append(inBatch, tr.inBatch.Load())
-					conn.SendTo(sinkEP, []byte(what))
-				}
-				second := func() { note("second") }
-				nested := func() { note("nested") }
-				first := func() {
-					queuedAtHook, flushesAtHook = conn.npend, conn.flushes
-					note("first")
-					tr.Defer(nested)
-				}
-				var flushes int
-				tr.Invoke(func() { flushes = conn.flushes })
-				kind.run(t, tr, conn, func() {
-					tr.Defer(first)
-					tr.Defer(second)
-					tr.Defer(second) // two registrations, two runs
-					note("body")
-				})
-
-				want := []string{"body", "first", "second", "second", "nested"}
-				if !slices.Equal(log, want) {
-					t.Fatalf("ran %v, want %v", log, want)
-				}
-				if slices.Contains(inBatch, false) {
-					t.Errorf("send batch open at %v: %v, want it open throughout", log, inBatch)
-				}
-				// The same five datagrams, in that order, on the wire.
-				sink.SetReadDeadline(time.Now().Add(5 * time.Second))
-				buf := make([]byte, 16)
-				for i, w := range want {
-					n, _, err := sink.ReadFromUDPAddrPort(buf)
-					if err != nil || string(buf[:n]) != w {
-						t.Fatalf("datagram %d is %q (%v), want %q", i, buf[:n], err, w)
-					}
-				}
-				if tr.Batched() {
-					if queuedAtHook != 1 || flushesAtHook != flushes {
-						t.Errorf("first hook found %d datagrams queued after %d flushes, want the body's one still queued and none",
-							queuedAtHook, flushesAtHook-flushes)
-					}
-					tr.Invoke(func() { flushes = conn.flushes - flushes })
-					if flushes != 1 {
-						t.Errorf("the entry's five datagrams took %d WriteBatch calls, want 1: the hooks' sends ride the body's", flushes)
-					}
-				}
-
-				// Nothing is left over for the next entry.
-				log = log[:0]
-				kind.run(t, tr, conn, func() {})
-				if len(log) != 0 {
-					t.Errorf("an entry that deferred nothing ran %v", log)
-				}
+			var log []string
+			var inBatch []bool
+			var queuedAtHook, flushesAtHook int
+			note := func(what string) {
+				log = append(log, what)
+				inBatch = append(inBatch, tr.inBatch.Load())
+				conn.SendTo(sinkEP, []byte(what))
+			}
+			second := func() { note("second") }
+			nested := func() { note("nested") }
+			first := func() {
+				queuedAtHook, flushesAtHook = conn.npend, conn.flushes
+				note("first")
+				tr.Defer(nested)
+			}
+			var flushes int
+			tr.Invoke(func() { flushes = conn.flushes })
+			kind.run(t, tr, conn, func() {
+				tr.Defer(first)
+				tr.Defer(second)
+				tr.Defer(second) // two registrations, two runs
+				note("body")
 			})
-		}
+
+			want := []string{"body", "first", "second", "second", "nested"}
+			if !slices.Equal(log, want) {
+				t.Fatalf("ran %v, want %v", log, want)
+			}
+			if slices.Contains(inBatch, false) {
+				t.Errorf("send batch open at %v: %v, want it open throughout", log, inBatch)
+			}
+			// The same five datagrams, in that order, on the wire.
+			sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 16)
+			for i, w := range want {
+				n, _, err := sink.ReadFromUDPAddrPort(buf)
+				if err != nil || string(buf[:n]) != w {
+					t.Fatalf("datagram %d is %q (%v), want %q", i, buf[:n], err, w)
+				}
+			}
+			if queuedAtHook != 1 || flushesAtHook != flushes {
+				t.Errorf("first hook found %d datagrams queued after %d flushes, want the body's one still queued and none",
+					queuedAtHook, flushesAtHook-flushes)
+			}
+			tr.Invoke(func() { flushes = conn.flushes - flushes })
+			if flushes != 1 {
+				t.Errorf("the entry's five datagrams took %d WriteBatch calls, want 1: the hooks' sends ride the body's", flushes)
+			}
+
+			// Nothing is left over for the next entry.
+			log = log[:0]
+			kind.run(t, tr, conn, func() {})
+			if len(log) != 0 {
+				t.Errorf("an entry that deferred nothing ran %v", log)
+			}
+		})
 	}
 }
 
@@ -138,21 +133,19 @@ func TestDeferContract(t *testing.T) {
 // in the entry that registered it, not in a later one.
 func TestDeferAfterClose(t *testing.T) {
 	requireLoopback(t)
-	for _, batching := range []bool{true, false} {
-		tr := newTransport(t, WithBatching(batching))
-		bindConn(t, tr)
-		ran := 0
-		hook := func() { ran++ }
-		tr.Invoke(func() { tr.Defer(hook) })
-		tr.Close()
-		tr.Invoke(func() { tr.Defer(hook) })
-		tr.Invoke(func() {})
-		if ran != 1 {
-			t.Errorf("batching=%v: hook ran %d times, want only the once before Close", batching, ran)
-		}
-		if n := len(tr.hooks); n != 0 {
-			t.Errorf("batching=%v: %d hooks still held after Close", batching, n)
-		}
+	tr := newTransport(t)
+	bindConn(t, tr)
+	ran := 0
+	hook := func() { ran++ }
+	tr.Invoke(func() { tr.Defer(hook) })
+	tr.Close()
+	tr.Invoke(func() { tr.Defer(hook) })
+	tr.Invoke(func() {})
+	if ran != 1 {
+		t.Errorf("hook ran %d times, want only the once before Close", ran)
+	}
+	if n := len(tr.hooks); n != 0 {
+		t.Errorf("%d hooks still held after Close", n)
 	}
 }
 
@@ -210,66 +203,62 @@ func TestNowOnePerEntry(t *testing.T) {
 // the clock go backwards, and the race detector has nothing to say.
 func TestNowConcurrentMonotonic(t *testing.T) {
 	requireLoopback(t)
-	for _, batching := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
-			ta, a, b := echoPair(t, WithBatching(batching))
-			var engineLast time.Duration
-			echoes := make(chan struct{}, 1)
-			ta.Invoke(func() {
-				a.OnRecv(func(transport.Endpoint, []byte) {
-					if now := ta.Now(); now < engineLast {
-						t.Errorf("engine saw %v after %v", now, engineLast)
-					} else {
-						engineLast = now
-					}
-					select {
-					case echoes <- struct{}{}:
-					default:
-					}
-				})
-			})
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for g := 0; g < 2; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var last time.Duration
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						now := ta.Now()
-						if now < last {
-							t.Errorf("outside caller saw %v after %v", now, last)
-							return
-						}
-						last = now
-					}
-				}()
+	ta, a, b := echoPair(t)
+	var engineLast time.Duration
+	echoes := make(chan struct{}, 1)
+	ta.Invoke(func() {
+		a.OnRecv(func(transport.Endpoint, []byte) {
+			if now := ta.Now(); now < engineLast {
+				t.Errorf("engine saw %v after %v", now, engineLast)
+			} else {
+				engineLast = now
 			}
-			payload := make([]byte, 64)
-			for i := 0; i < 2000; i++ {
-				ta.Invoke(func() {
-					if now := ta.Now(); now < engineLast {
-						t.Errorf("engine saw %v after %v", now, engineLast)
-					} else {
-						engineLast = now
-					}
-					a.SendTo(b.Local(), payload)
-				})
-				if i%16 == 15 {
-					select {
-					case <-echoes:
-					case <-time.After(5 * time.Second):
-						t.Fatal("no echo: traffic stopped")
-					}
-				}
+			select {
+			case echoes <- struct{}{}:
+			default:
 			}
-			close(stop)
-			wg.Wait()
 		})
+	})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last time.Duration
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := ta.Now()
+				if now < last {
+					t.Errorf("outside caller saw %v after %v", now, last)
+					return
+				}
+				last = now
+			}
+		}()
 	}
+	payload := make([]byte, 64)
+	for i := 0; i < 2000; i++ {
+		ta.Invoke(func() {
+			if now := ta.Now(); now < engineLast {
+				t.Errorf("engine saw %v after %v", now, engineLast)
+			} else {
+				engineLast = now
+			}
+			a.SendTo(b.Local(), payload)
+		})
+		if i%16 == 15 {
+			select {
+			case <-echoes:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no echo: traffic stopped")
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -11,16 +11,18 @@
 // mutex per Transport. Timer.Stop/Active are only ever called from
 // inside that serialized context, which keeps them lock-free.
 //
-// # Batched data plane
+// # Data plane
 //
-// On Linux the data plane batches kernel crossings. The read loop
-// drains up to recvBatch slots per recvmmsg(2) call and delivers the
-// whole batch under one mutex acquisition. With UDP GRO (Linux 5.0+,
-// set on the transport's own sockets, never on a BatchConn made by
-// NewBatchConn) a slot holds a whole run of equal-size datagrams from
-// one peer, which the loop delivers one callback per datagram — filter
-// and close checks included — so the engine cannot tell a coalesced
-// run from its datagrams arriving one to a slot; a slot the kernel
+// Every socket runs the same read loop and send queue on every
+// platform; platforms differ only in the BatchConn underneath. On Linux
+// it batches kernel crossings. The read loop drains up to recvBatch
+// slots per recvmmsg(2) call and delivers the whole batch under one
+// mutex acquisition. With UDP GRO (Linux 5.0+, set on the transport's
+// own sockets, never on a BatchConn made by NewBatchConn) a slot holds
+// a whole run of equal-size datagrams from one peer, which the loop
+// delivers one callback per datagram — filter and close checks
+// included — so the engine cannot tell a coalesced run from its
+// datagrams arriving one to a slot; a slot the kernel
 // flags as truncated is dropped as loss. Every entry into the
 // serialized context — a delivered batch, an Invoke body, a timer
 // callback — is one send batch: the datagrams the engine sends inside
@@ -38,12 +40,14 @@
 // transport.Deferrer's Defer (a deferred function runs when the entry's
 // engine code is done and before its sends leave) and of the clock (Now
 // is read once as the entry begins).
-// Other platforms (and Linux with WithBatching(false)) fall back to a
-// portable one-datagram-per-syscall loop with identical semantics.
-// Receive buffers are reused on both paths — across datagrams, and on
-// the batched path across sockets, through a pool of slabs — so
-// delivery callbacks get a slice that is valid only during the
-// callback, per the transport.UDPConn ownership contract.
+// Elsewhere the BatchConn makes one system call per datagram
+// (batch_other.go): a read fills one slot, a flush writes its queue one
+// datagram at a time, and everything above — entries, send arena,
+// flush — is the same code. A datagram the kernel refuses is lost on
+// its own: the rest of its flush still leaves. Receive buffers are
+// reused across datagrams and, through a pool of slabs, across
+// sockets, so delivery callbacks get a slice that is valid only during
+// the callback, per the transport.UDPConn ownership contract.
 package realudp
 
 import (
@@ -95,16 +99,15 @@ const (
 // Transport carries the natpunch engine over real UDP sockets bound
 // near a configured local address.
 type Transport struct {
-	mu       sync.Mutex
-	laddr    *net.UDPAddr
-	start    time.Time
-	rng      *rand.Rand
-	conns    []*Conn
-	first    *Conn
-	done     chan struct{}
-	batching bool     // construction-time, immutable
-	dirty    []*Conn  // under mu: conns with queued sends to flush
-	hooks    []func() // under mu: end-of-entry functions (Defer), run by leave
+	mu    sync.Mutex
+	laddr *net.UDPAddr
+	start time.Time
+	rng   *rand.Rand
+	conns []*Conn
+	first *Conn
+	done  chan struct{}
+	dirty []*Conn  // under mu: conns with queued sends to flush
+	hooks []func() // under mu: end-of-entry functions (Defer), run by leave
 	// inBatch is set while engine code is running (enter/leave) and
 	// written under mu; it is atomic, like clock, only so that Now may be
 	// called from outside the serialized context.
@@ -118,40 +121,21 @@ type Transport struct {
 	filter func(src transport.Endpoint) bool
 }
 
-// Option configures a Transport.
-type Option func(*Transport)
-
-// WithBatching enables or disables the batched (sendmmsg/recvmmsg)
-// data plane. It defaults to on; it is a no-op on platforms without
-// the fast path. Disabling it selects the portable loop — useful for
-// differential testing and benchmarking the two paths.
-func WithBatching(on bool) Option { return func(t *Transport) { t.batching = on } }
-
 // New prepares a transport whose sockets bind at laddr (e.g.
 // "0.0.0.0:0" or "127.0.0.1:0"). No socket is bound until the engine
 // calls BindUDP.
-func New(laddr string, opts ...Option) (*Transport, error) {
+func New(laddr string) (*Transport, error) {
 	a, err := net.ResolveUDPAddr("udp4", laddr)
 	if err != nil {
 		return nil, err
 	}
-	t := &Transport{
-		laddr:    a,
-		start:    time.Now(),
-		rng:      rand.New(rand.NewSource(newSeed())),
-		done:     make(chan struct{}),
-		batching: true,
-	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t, nil
+	return &Transport{
+		laddr: a,
+		start: time.Now(),
+		rng:   rand.New(rand.NewSource(newSeed())),
+		done:  make(chan struct{}),
+	}, nil
 }
-
-// Batched reports whether sockets bound by this transport use the
-// kernel-batched (sendmmsg/recvmmsg) data plane: true on Linux unless
-// disabled with WithBatching(false), false elsewhere.
-func (t *Transport) Batched() bool { return t.batching && batchSupported }
 
 // BindUDP binds a socket. Port 0 uses the transport's configured
 // local address verbatim; a non-zero port overrides the configured
@@ -184,14 +168,12 @@ func (t *Transport) BindUDP(port transport.Port) (transport.UDPConn, error) {
 		uc.Close()
 		return nil, err
 	}
-	c := &Conn{t: t, c: uc, local: local}
-	if t.Batched() {
-		// A raw-conn failure just means this socket runs the portable
-		// loop; the transport stays usable.
-		if bc, err := NewBatchConn(uc); err == nil {
-			c.bc = bc
-		}
+	bc, err := NewBatchConn(uc)
+	if err != nil {
+		uc.Close()
+		return nil, err
 	}
+	c := &Conn{t: t, c: uc, bc: bc, local: local}
 	t.conns = append(t.conns, c)
 	if t.first == nil {
 		t.first = c
@@ -379,7 +361,7 @@ func (tm *timer) Active() bool { return !tm.fired && !tm.stopped }
 type Conn struct {
 	t     *Transport
 	c     *net.UDPConn
-	bc    *BatchConn // non-nil when this socket runs the batched loop
+	bc    *BatchConn // the socket's datagram I/O: read loop and flush
 	local transport.Endpoint
 	// closed is atomic because Close may be reached from outside the
 	// serialized engine context (facade teardown paths) while the read
@@ -409,7 +391,7 @@ type Conn struct {
 	inDirty bool
 	flushes int // WriteBatch calls so far: what the batch tests count
 	copied  int // datagrams copied into the arena, not built there, likewise
-	slots   int // recvmmsg slots delivered so far (under t.mu), likewise
+	slots   int // receive slots delivered so far (under t.mu), likewise
 }
 
 // Local returns the socket's bound endpoint (the private endpoint of
@@ -425,8 +407,9 @@ func (c *Conn) OnRecv(fn func(from transport.Endpoint, payload []byte)) { c.onRe
 // SendTo transmits one datagram. The payload is released before
 // SendTo returns, as transport.UDPConn requires: copied to the tail of
 // the send queue, which leaves when the engine code that is running
-// returns, or — on a portable or closed socket, whose error the caller
-// gets at once — written to the kernel immediately.
+// returns, or — outside the serialized context, or on a closed socket,
+// whose error the caller gets at once — written to the kernel
+// immediately.
 func (c *Conn) SendTo(to transport.Endpoint, payload []byte) error {
 	if !c.queueing() {
 		return c.writeNow(to, payload)
@@ -441,9 +424,9 @@ func (c *Conn) writeNow(to transport.Endpoint, p []byte) error {
 }
 
 // queueing reports whether what is sent now joins the send queue:
-// engine code is running, on a batched socket that is still open.
+// engine code is running, on a socket that is still open.
 func (c *Conn) queueing() bool {
-	return c.t.inBatch.Load() && c.bc != nil && !c.closed.Load()
+	return c.t.inBatch.Load() && !c.closed.Load()
 }
 
 // Arena sizing. arenaMin is what a socket's first send allocates: a
@@ -490,10 +473,10 @@ func (c *Conn) room(n int) []byte {
 // Reserve implements transport.InPlaceSender: the tail of the send
 // queue, to build the next datagram in, with room for one the size of
 // the last datagram sent — a sender whose datagrams are of a size
-// outgrows it once. Off the batched path the arena
-// queues nothing and is only the scratch that Commit writes from;
-// outside the serialized context nothing of the conn's is safe to
-// lend, and the caller's appends allocate.
+// outgrows it once. On a closed socket the arena queues nothing and is
+// only the scratch that Commit writes from; outside the serialized
+// context nothing of the conn's is safe to lend, and the caller's
+// appends allocate.
 func (c *Conn) Reserve() []byte {
 	if !c.t.inBatch.Load() {
 		return nil
@@ -513,7 +496,7 @@ func (c *Conn) Commit(to transport.Endpoint, p []byte) error {
 		return c.writeNow(to, p) // not in the serialized context: touch nothing
 	}
 	c.last = len(p)
-	if c.bc == nil || c.closed.Load() {
+	if c.closed.Load() {
 		c.lent = false
 		return c.writeNow(to, p)
 	}
@@ -538,18 +521,25 @@ func (c *Conn) Commit(to transport.Endpoint, p []byte) error {
 	return nil
 }
 
-// flushLocked sends the queued batch with one sendmmsg and empties the
+// flushLocked hands the queued batch to the kernel and empties the
 // arena. UDP is lossy by contract and the datagrams' senders were
-// already told nil, so send errors are dropped like any other lost
-// packet.
+// already told nil, so a datagram the kernel refuses is dropped like
+// any other lost packet — on its own: WriteBatch stops at it, and the
+// datagrams behind it go in the next call.
 func (c *Conn) flushLocked() {
 	if c.npend == 0 {
 		return
 	}
 	n := c.npend
 	c.npend = 0
-	c.flushes++
-	c.bc.WriteBatch(c.pend[:n])
+	for ms := c.pend[:n]; len(ms) > 0; {
+		c.flushes++
+		sent, err := c.bc.WriteBatch(ms)
+		if err == nil {
+			break
+		}
+		ms = ms[sent+1:]
+	}
 	clear(c.pend[:n]) // an array the arena outgrew goes with its last datagram
 	c.arena = c.arena[:0]
 }
@@ -571,36 +561,6 @@ func (c *Conn) Close() {
 	c.c.Close()
 }
 
-func (c *Conn) readLoop() {
-	if c.bc != nil {
-		c.readLoopBatched()
-	} else {
-		c.readLoopSimple()
-	}
-}
-
-// readLoopSimple is the portable loop: one datagram per syscall, one
-// mutex acquisition per datagram, one reused receive buffer.
-func (c *Conn) readLoopSimple() {
-	buf := make([]byte, 64<<10)
-	for {
-		n, from, err := c.c.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return
-		}
-		ep, ok := fromAddrPort(from)
-		if !ok {
-			continue
-		}
-		c.t.enter()
-		if !c.closed.Load() && c.onRecv != nil &&
-			(c.t.filter == nil || c.t.filter(ep)) {
-			c.onRecv(ep, buf[:n])
-		}
-		c.t.leave()
-	}
-}
-
 // recvSlab is one read loop's receive memory: recvBatch slots of
 // recvSlot bytes — any datagram, or any run the kernel coalesces, fits
 // one — and the batch bookkeeping over them.
@@ -618,10 +578,10 @@ const recvSlot = 64 << 10
 // payloads cut (length and capacity) to what this socket received.
 var slabs = sync.Pool{New: func() any { return &recvSlab{bufs: make([]byte, recvBatch*recvSlot)} }}
 
-// readLoopBatched drains up to recvBatch slots per recvmmsg — each one
-// datagram or, with UDP GRO, a coalesced run of them — and delivers
-// them under a single mutex acquisition.
-func (c *Conn) readLoopBatched() {
+// readLoop drains up to recvBatch slots per read — each one datagram
+// or, with UDP GRO, a coalesced run of them — and delivers them under a
+// single mutex acquisition.
+func (c *Conn) readLoop() {
 	slab := slabs.Get().(*recvSlab)
 	// Back to the pool only once the last deliverBatch has returned:
 	// handlers may not keep a payload past their callback.

@@ -23,9 +23,9 @@ func requireLoopback(t *testing.T) {
 	c.Close()
 }
 
-func newTransport(t *testing.T, opts ...Option) *Transport {
+func newTransport(t *testing.T) *Transport {
 	t.Helper()
-	tr, err := New("127.0.0.1:0", opts...)
+	tr, err := New("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +196,10 @@ func TestBatchConnRoundTrip(t *testing.T) {
 
 // echoPair wires two conns on separate transports: b echoes every
 // datagram back to its sender.
-func echoPair(t *testing.T, opts ...Option) (ta *Transport, a, b transport.UDPConn) {
+func echoPair(t *testing.T) (ta *Transport, a, b transport.UDPConn) {
 	t.Helper()
-	ta = newTransport(t, opts...)
-	tb := newTransport(t, opts...)
+	ta = newTransport(t)
+	tb := newTransport(t)
 	ta.Invoke(func() {
 		c, err := ta.BindUDP(0)
 		if err != nil {
@@ -223,12 +223,12 @@ func echoPair(t *testing.T, opts ...Option) (ta *Transport, a, b transport.UDPCo
 	return ta, a, b
 }
 
-// testEchoStream pushes a numbered stream through an echo peer and
-// checks every echo comes back intact — exercising receive-buffer
+// TestEchoStreamBatched pushes a numbered stream through an echo peer
+// and checks every echo comes back intact — exercising receive-buffer
 // reuse, batched delivery, and the deferred-send flush path.
-func testEchoStream(t *testing.T, opts ...Option) {
-	t.Helper()
-	ta, a, b := echoPair(t, opts...)
+func TestEchoStreamBatched(t *testing.T) {
+	requireLoopback(t)
+	ta, a, b := echoPair(t)
 	const total = 500
 	recv := make(chan []byte, total)
 	ta.Invoke(func() {
@@ -266,58 +266,128 @@ func testEchoStream(t *testing.T, opts ...Option) {
 	}
 }
 
-func TestEchoStreamBatched(t *testing.T) {
-	requireLoopback(t)
-	testEchoStream(t)
-}
-
-func TestEchoStreamPortable(t *testing.T) {
-	requireLoopback(t)
-	testEchoStream(t, WithBatching(false))
-}
-
-func TestBatchedSelection(t *testing.T) {
-	tr := newTransport(t)
-	off := newTransport(t, WithBatching(false))
-	if tr.Batched() != batchSupported {
-		t.Fatalf("Batched()=%v, want platform default %v", tr.Batched(), batchSupported)
-	}
-	if off.Batched() {
-		t.Fatal("WithBatching(false) did not disable batching")
-	}
-}
-
 // TestScratchSender pins what the rendezvous and punch hot paths rely
 // on when they send every datagram from one reused encoding: a realudp
-// conn releases the payload before SendTo returns, on the batched loop
-// and on the portable one alike.
+// conn releases the payload before SendTo returns.
 func TestScratchSender(t *testing.T) {
 	requireLoopback(t)
-	for _, batched := range []bool{true, false} {
-		tr := newTransport(t, WithBatching(batched))
-		if tr.Batched() != batched {
-			continue
+	tr := newTransport(t)
+	sink, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
+	// Two lengths, so the flush cannot send the pair as one segmented
+	// write straight from its own queue.
+	scratch := []byte("sent first, from the scratch")
+	tr.Invoke(func() {
+		conn.SendTo(sinkEP, scratch)
+		conn.SendTo(sinkEP, append(scratch[:0], "then this"...))
+	})
+	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	for _, want := range []string{"sent first, from the scratch", "then this"} {
+		n, _, err := sink.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("sink read: %v", err)
 		}
-		sink, sinkEP := loopSink(t)
-		conn := bindConn(t, tr)
-		// Two lengths, so the batched loop cannot send the pair as one
-		// segmented write straight from its own queue.
-		scratch := []byte("sent first, from the scratch")
-		tr.Invoke(func() {
-			conn.SendTo(sinkEP, scratch)
-			conn.SendTo(sinkEP, append(scratch[:0], "then this"...))
-		})
-		sink.SetReadDeadline(time.Now().Add(5 * time.Second))
-		buf := make([]byte, 64)
-		for _, want := range []string{"sent first, from the scratch", "then this"} {
-			n, _, err := sink.ReadFromUDPAddrPort(buf)
-			if err != nil {
-				t.Fatalf("batched=%v: sink read: %v", batched, err)
-			}
-			if got := string(buf[:n]); got != want {
-				t.Fatalf("batched=%v: sink got %q, want %q", batched, got, want)
-			}
+		if got := string(buf[:n]); got != want {
+			t.Fatalf("sink got %q, want %q", got, want)
 		}
+	}
+}
+
+// TestRefusedDatagramLostAlone: a datagram the kernel refuses is lost
+// on its own, not with the rest of its entry. One Invoke alternates
+// sends to a destination the kernel refuses with sends to a sink, then
+// sends a run of four equal-size datagrams to the refused destination
+// (on Linux, one segmented send that fails whole) and one more to the
+// sink; all four sink datagrams arrive, in order.
+func TestRefusedDatagramLostAlone(t *testing.T) {
+	requireLoopback(t)
+	tr := newTransport(t)
+	sink, sinkEP := loopSink(t)
+	conn := bindConn(t, tr)
+	// Port 0: UDP refuses it (EINVAL) before any route is looked up, so
+	// nothing can leave the host.
+	refused := transport.Endpoint{Addr: sinkEP.Addr}
+	tr.Invoke(func() {
+		for i := byte(0); i < 3; i++ {
+			conn.SendTo(refused, []byte{0xBA, 0xD0, i})
+			conn.SendTo(sinkEP, []byte{i})
+		}
+		for i := byte(0); i < 4; i++ {
+			conn.SendTo(refused, fill(32, i))
+		}
+		conn.SendTo(sinkEP, []byte{3})
+	})
+	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	for i := byte(0); i < 4; i++ {
+		n, _, err := sink.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("the sink got %d of 4 datagrams: %v", i, err)
+		}
+		if n != 1 || buf[0] != i {
+			t.Fatalf("sink datagram %d is %x, want %x", i, buf[:n], i)
+		}
+	}
+}
+
+// TestPerDatagramBatchConn drives the BatchConn routines that platforms
+// without kernel batching run — writeEach and readOne — on this one.
+// Datagrams arrive in the order they were written, each read fills one
+// entry and re-slices its payload to the datagram's length, and a write
+// stops at the first datagram the kernel refuses, reporting how many
+// went before it and the error.
+func TestPerDatagramBatchConn(t *testing.T) {
+	requireLoopback(t)
+	sender, sbc := bindBatch(t)
+	receiver, rbc := bindBatch(t)
+	src := sender.LocalAddr().(*net.UDPAddr).AddrPort()
+	dst := receiver.LocalAddr().(*net.UDPAddr).AddrPort()
+	refused := netip.AddrPortFrom(dst.Addr(), 0) // see TestRefusedDatagramLostAlone
+
+	out := []Datagram{
+		{Addr: dst, Payload: fill(300, 0x10)},
+		{Addr: dst, Payload: fill(7, 0x20)},
+		{Addr: dst},
+		{Addr: dst, Payload: fill(1200, 0x30)},
+		{Addr: refused, Payload: fill(5, 0x40)},
+		{Addr: dst, Payload: fill(9, 0x50)},
+	}
+	const before = 4 // datagrams ahead of the refused one
+	if n, err := sbc.writeEach(out); n != before || err == nil {
+		t.Fatalf("writeEach = %d, %v; want %d and the refused datagram's error", n, err, before)
+	}
+
+	receiver.SetReadDeadline(time.Now().Add(5 * time.Second))
+	spare := make([]byte, 2048)
+	ms := make([]Datagram, 2)
+	for i, want := range out[:before] {
+		ms[0] = Datagram{Payload: make([]byte, 2048)}
+		ms[1] = Datagram{Payload: spare}
+		n, err := rbc.readOne(ms)
+		if n != 1 || err != nil {
+			t.Fatalf("readOne for datagram %d = %d, %v; want 1, nil", i, n, err)
+		}
+		if !bytes.Equal(ms[0].Payload, want.Payload) { // a length too, in a 2 KiB buffer
+			t.Fatalf("datagram %d: %d bytes starting %x, want %d starting %x",
+				i, len(ms[0].Payload), ms[0].Payload[:min(4, len(ms[0].Payload))], len(want.Payload), want.Payload[:min(4, len(want.Payload))])
+		}
+		if ms[0].Addr.Addr().Unmap() != src.Addr().Unmap() || ms[0].Addr.Port() != src.Port() {
+			t.Fatalf("datagram %d from %v, want %v", i, ms[0].Addr, src)
+		}
+		if ms[1].Addr.IsValid() || len(ms[1].Payload) != len(spare) {
+			t.Fatalf("readOne touched entry 1: %v, %d bytes", ms[1].Addr, len(ms[1].Payload))
+		}
+	}
+
+	// Nothing behind the refused datagram was sent.
+	receiver.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	ms[0] = Datagram{Payload: make([]byte, 2048)}
+	if n, err := rbc.readOne(ms); n != 0 || err == nil {
+		t.Fatalf("readOne after the refused datagram = %d, %v (%x); want 0 and a timeout", n, err, ms[0].Payload)
+	}
+	if n, err := rbc.readOne(nil); n != 0 || err != nil {
+		t.Fatalf("readOne of no entries = %d, %v; want 0, nil", n, err)
 	}
 }
 
@@ -355,9 +425,6 @@ func bindConn(t *testing.T, tr *Transport) *Conn {
 // Send does — must not see its earlier datagrams corrupted.
 func TestDeferredSendScratchReuse(t *testing.T) {
 	requireLoopback(t)
-	if !batchSupported {
-		t.Skip("no batched path on this platform")
-	}
 	tr := newTransport(t)
 	sink, sinkEP := loopSink(t)
 	conn := bindConn(t, tr)
@@ -409,9 +476,6 @@ func TestDeferredSendScratchReuse(t *testing.T) {
 // the entry has returned.
 func TestSendBatchPerEntry(t *testing.T) {
 	requireLoopback(t)
-	if !batchSupported {
-		t.Skip("no batched path on this platform")
-	}
 	const n = 2*sendBatch + 6
 	tr := newTransport(t)
 	sink, sinkEP := loopSink(t)
@@ -481,9 +545,6 @@ func TestSendBatchPerEntry(t *testing.T) {
 // the arena, the slots and the syscall scratch have grown.
 func TestSendBatchZeroAlloc(t *testing.T) {
 	requireLoopback(t)
-	if !batchSupported {
-		t.Skip("no batched path on this platform")
-	}
 	tr := newTransport(t)
 	_, sinkEP := loopSink(t)
 	conn := bindConn(t, tr)
@@ -534,9 +595,6 @@ func TestSendAfterCloseStillErrors(t *testing.T) {
 // the slab).
 func TestRecvSlabsRecycled(t *testing.T) {
 	requireLoopback(t)
-	if !batchSupported {
-		t.Skip("no batched path on this platform")
-	}
 	probe, _ := loopSink(t)
 	const sockets = 64
 	var before, after runtime.MemStats

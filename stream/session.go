@@ -15,11 +15,9 @@
 //	st, _ := sess.OpenStream()
 //	st.Write([]byte("hello"))
 //
-// Both endpoints should share the same window configuration (there is
-// no handshake; each side assumes the peer's initial credit mirrors its
-// own). The engine lives in
-// internal/stream and runs entirely on the transport seam, so
-// simulated sessions are deterministic in virtual time.
+// The engine lives in internal/stream and runs entirely on the
+// transport seam, so simulated sessions are deterministic in virtual
+// time.
 package stream
 
 import (
@@ -32,35 +30,6 @@ import (
 	istream "natpunch/internal/stream"
 	"natpunch/transport"
 )
-
-// Config tunes a Session's stream engine. The zero value selects the
-// defaults noted per field. Both endpoints of a session must use the
-// same window configuration.
-type Config struct {
-	// StreamWindow is the per-stream receive window in bytes
-	// (default 256 KiB).
-	StreamWindow uint32
-	// SessionWindow is the session-wide receive budget in bytes
-	// (default 1 MiB).
-	SessionWindow uint32
-	// MaxDatagram bounds one packed frame datagram (default 1152).
-	MaxDatagram int
-	// InitialRTO seeds the retransmission timeout before the first
-	// RTT sample (default 500ms); MinRTO/MaxRTO clamp it
-	// (defaults 100ms / 10s).
-	InitialRTO, MinRTO, MaxRTO time.Duration
-}
-
-// Option tunes NewSession.
-type Option func(*Config)
-
-// WithConfig replaces the whole engine configuration.
-func WithConfig(c Config) Option { return func(dst *Config) { *dst = c } }
-
-// WithWindows sets the per-stream and per-session receive windows.
-func WithWindows(stream, session uint32) Option {
-	return func(c *Config) { c.StreamWindow, c.SessionWindow = stream, session }
-}
 
 // pongPending marks a registered ping token whose pong has not arrived.
 const pongPending time.Duration = -1
@@ -103,11 +72,7 @@ type Session struct {
 // the stream engine on it. conn remains usable for Peer, Path,
 // RemoteAddr, and Close, while Read and Write now return
 // natpunch.ErrCarried.
-func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+func NewSession(conn *natpunch.Conn) (*Session, error) {
 	s := &Session{
 		conn:    conn,
 		streams: make(map[*istream.Stream]*Stream),
@@ -132,14 +97,7 @@ func NewSession(conn *natpunch.Conn, opts ...Option) (*Session, error) {
 	// smaller name takes the even IDs.
 	even := cr.LocalName() < conn.Peer()
 	s.tr.Invoke(func() {
-		s.mux = istream.NewMuxInPlace(s.tr, cr.BeginSend, cr.EndSend, even, istream.Config{
-			StreamWindow:  cfg.StreamWindow,
-			SessionWindow: cfg.SessionWindow,
-			MaxDatagram:   cfg.MaxDatagram,
-			InitialRTO:    cfg.InitialRTO,
-			MinRTO:        cfg.MinRTO,
-			MaxRTO:        cfg.MaxRTO,
-		}, istream.Callbacks{
+		s.mux = istream.NewMuxInPlace(s.tr, cr.BeginSend, cr.EndSend, even, istream.Config{}, istream.Callbacks{
 			Accept:   s.engineAccept,
 			Readable: s.engineEvent,
 			Writable: s.engineEvent,

@@ -55,50 +55,40 @@ func TestSendToReleasesPayload(t *testing.T) {
 			t.Fatalf("receiver got %q, want %q", got, original)
 		}
 	})
-	for _, batched := range []bool{true, false} {
-		name := "realudp/portable"
-		if batched {
-			name = "realudp/batched"
+	t.Run("realudp", func(t *testing.T) {
+		sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Skipf("loopback UDP unavailable: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Skipf("loopback UDP unavailable: %v", err)
-			}
-			defer sink.Close()
-			to, err := realudp.ToEndpoint(sink.LocalAddr().(*net.UDPAddr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := realudp.New("127.0.0.1:0", realudp.WithBatching(batched))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			if tr.Batched() != batched {
-				t.Skip("no batched send loop on this platform")
-			}
-			// Inside Invoke the batched socket queues the datagram until
-			// the entry ends, after the overwrite; the portable one
-			// writes it at once.
-			tr.Invoke(func() {
-				var conn transport.UDPConn
-				if conn, err = tr.BindUDP(0); err == nil {
-					err = sendThenOverwrite(conn, to)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink.SetReadDeadline(time.Now().Add(5 * time.Second))
-			buf := make([]byte, 256)
-			nb, _, err := sink.ReadFromUDP(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := string(buf[:nb]); got != original {
-				t.Fatalf("receiver got %q, want %q", got, original)
+		defer sink.Close()
+		to, err := realudp.ToEndpoint(sink.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := realudp.New("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		// Inside Invoke the socket queues the datagram until the entry
+		// ends, after the overwrite.
+		tr.Invoke(func() {
+			var conn transport.UDPConn
+			if conn, err = tr.BindUDP(0); err == nil {
+				err = sendThenOverwrite(conn, to)
 			}
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 256)
+		nb, _, err := sink.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(buf[:nb]); got != original {
+			t.Fatalf("receiver got %q, want %q", got, original)
+		}
+	})
 }

@@ -31,7 +31,8 @@ type batchState struct {
 	// from a run whose payloads do not already lie back to back, how
 	// many runs needed that (what the in-place tests count), the
 	// UDP_SEGMENT control message, and the sticky opt-out set the first
-	// time the kernel rejects a segmented send.
+	// time the kernel rejects a segmented send but not the same datagram
+	// unsegmented.
 	gsoBuf  []byte
 	gathers int
 	gsoCmsg []byte
@@ -172,9 +173,9 @@ func gsoRun(ms []Datagram, i int) int {
 	return j
 }
 
-// gsoUnsupported reports whether the error means this kernel (or
+// gsoUnsupported reports whether the error may mean this kernel (or
 // socket) cannot do segmented sends at all, as opposed to a transient
-// send failure.
+// send failure; WriteBatch checks which before it gives GSO up.
 func gsoUnsupported(err error) bool {
 	return err == syscall.EINVAL || err == syscall.EOPNOTSUPP || err == syscall.ENOPROTOOPT
 }
@@ -260,14 +261,21 @@ func (bc *BatchConn) WriteBatch(ms []Datagram) (int, error) {
 			}
 		}
 		if err := bc.sendGSO(ms[i:j]); err != nil {
-			if gsoUnsupported(err) {
-				// Nothing of the run went out; replay it (and the
-				// rest) unsegmented and never try GSO here again.
-				bc.send.gsoOff = true
-				n, merr := bc.sendMMsg(ms[i:])
-				return sent + n, merr
+			if !gsoUnsupported(err) {
+				return sent, err
 			}
-			return sent, err
+			// Nothing of the run went out. A destination the kernel
+			// refuses (port 0) fails with the same EINVAL as a kernel
+			// that cannot segment: the run's first datagram sent on its
+			// own tells the two apart. If it fails too, it is the
+			// refused one; if not, replay the rest unsegmented and never
+			// try GSO here again.
+			if _, err := bc.sendMMsg(ms[i : i+1]); err != nil {
+				return sent, err
+			}
+			bc.send.gsoOff = true
+			n, merr := bc.sendMMsg(ms[i+1:])
+			return sent + 1 + n, merr
 		}
 		sent += j - i
 		plain, i = j, j

@@ -375,6 +375,93 @@ func TestRecvBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRefusedRunKeepsGSO: a run of equal-size datagrams to a
+// destination the kernel refuses fails its segmented send with EINVAL,
+// as a kernel that cannot segment would, but costs the socket nothing
+// beyond those datagrams: the run behind it in the same entry still
+// leaves as one segmented send (one coalesced slot at a GRO receiver),
+// and GSO stays on.
+func TestRefusedRunKeepsGSO(t *testing.T) {
+	tr, conn, _, dst := groPair(t)
+	trS := newTransport(t)
+	sender := bindConn(t, trS)
+	to, _ := fromAddrPort(dst)
+	refused := transport.Endpoint{Addr: to.Addr} // see TestRefusedDatagramLostAlone
+	var run []Datagram
+	for i := byte(0); i < 4; i++ {
+		run = append(run, Datagram{Payload: fill(32, 0x10*i)})
+	}
+	before := slotsOf(tr, conn)
+	c := collect(tr, conn, nil)
+	trS.Invoke(func() {
+		for i := range run {
+			sender.SendTo(refused, run[i].Payload)
+		}
+		for i := range run {
+			sender.SendTo(to, run[i].Payload)
+		}
+	})
+	trS.Invoke(func() { sender.SendTo(to, groSentinel) })
+	c.wait(t)
+	expectRun(t, c.got, run)
+	var off bool
+	trS.Invoke(func() { off = sender.bc.send.gsoOff })
+	if slots := slotsOf(tr, conn) - before - 1; off || slots != 1 { // less the sentinel's
+		t.Errorf("after a run to a refused destination GSO is off=%v, and the next run took %d slots; want on and 1", off, slots)
+	}
+}
+
+// TestReadLoopYieldsAfterRun: the read loop yields after a delivered
+// batch that held a coalesced run — one Invoke's 8 equal-size datagrams
+// leave as one segmented send and arrive in one slot — and never after
+// datagrams that arrive one to an entry.
+func TestReadLoopYieldsAfterRun(t *testing.T) {
+	tr, conn, _, dst := groPair(t)
+	trS := newTransport(t)
+	sender := bindConn(t, trS)
+	to, _ := fromAddrPort(dst)
+	const n = 8
+	got := make(chan struct{}, n)
+	tr.Invoke(func() {
+		conn.OnRecv(func(transport.Endpoint, []byte) { got <- struct{}{} })
+	})
+	receive := func() {
+		t.Helper()
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatal("datagram not delivered")
+		}
+	}
+	yields := func() (y int) {
+		tr.Invoke(func() { y = conn.yields })
+		return
+	}
+	for _, tc := range []struct {
+		name    string
+		entries int // n datagrams in this many Invokes, each one received before the next
+		want    int
+	}{
+		{"one run", 1, 1},
+		{"one datagram an entry", n, 0},
+	} {
+		before := yields()
+		for e := 0; e < tc.entries; e++ {
+			trS.Invoke(func() {
+				for i := 0; i < n/tc.entries; i++ {
+					sender.SendTo(to, fill(64, byte(i)))
+				}
+			})
+			for i := 0; i < n/tc.entries; i++ {
+				receive()
+			}
+		}
+		if y := yields() - before; y != tc.want {
+			t.Errorf("%s: %d yields, want %d", tc.name, y, tc.want)
+		}
+	}
+}
+
 // TestParseGRO pins the reading of one recvmmsg slot's control data
 // and flags.
 func TestParseGRO(t *testing.T) {

@@ -22,24 +22,27 @@
 // a whole run of equal-size datagrams from one peer, which the loop
 // delivers one callback per datagram — filter and close checks
 // included — so the engine cannot tell a coalesced run from its
-// datagrams arriving one to a slot; a slot the kernel
-// flags as truncated is dropped as loss. Every entry into the
-// serialized context — a delivered batch, an Invoke body, a timer
-// callback — is one send batch: the datagrams the engine sends inside
-// it queue up back to back in the conn's send arena — built there,
-// between Reserve and Commit (transport.InPlaceSender), or copied there
-// by SendTo — and leave with one sendmmsg(2) per socket (one segmented
-// send per same-size run to one peer, with UDP GSO, straight from the
-// arena: a run queued there is one piece of memory already) before the
-// entry returns, so everything an Invoke body sent is with the kernel
-// when Invoke returns. A relayed stream therefore costs a recvmmsg slot
-// per run in and ~1/sendBatch of a syscall per packet out, and a stream
-// Write's whole flight costs its writer a syscall or two. The arena
-// starts empty, grows with what an entry queues and holds at most one
-// segmented send's worth. The entry is also the unit of
-// transport.Deferrer's Defer (a deferred function runs when the entry's
-// engine code is done and before its sends leave) and of the clock (Now
-// is read once as the entry begins).
+// datagrams arriving one to a slot; a slot the kernel flags as
+// truncated is dropped as loss. After delivering a batch that held such
+// a run the loop yields its processor, so that a reader the delivery
+// woke runs before the next read instead of behind it; a batch of
+// single datagrams, such as one request to an entry, never yields.
+// Every entry into the serialized context — a delivered batch, an
+// Invoke body, a timer callback — is one send batch: the datagrams the
+// engine sends inside it queue up back to back in the conn's send arena
+// — built there, between Reserve and Commit (transport.InPlaceSender),
+// or copied there by SendTo — and leave with one sendmmsg(2) per
+// socket (one segmented send per same-size run to one peer, with UDP
+// GSO, straight from the arena: a run queued there is one piece of
+// memory already) before the entry returns, so everything an Invoke
+// body sent is with the kernel when Invoke returns. A relayed stream
+// therefore costs a recvmmsg slot per run in and ~1/sendBatch of a
+// syscall per packet out, and a stream Write's whole flight costs its
+// writer a syscall or two. The arena starts empty, grows with what an
+// entry queues and holds at most one segmented send's worth. The entry
+// is also the unit of transport.Deferrer's Defer (a deferred function
+// runs when the entry's engine code is done and before its sends leave)
+// and of the clock (Now is read once as the entry begins).
 // Elsewhere the BatchConn makes one system call per datagram
 // (batch_other.go): a read fills one slot, a flush writes its queue one
 // datagram at a time, and everything above — entries, send arena,
@@ -54,8 +57,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,13 +72,24 @@ import (
 // the same wall-clock nanosecond.
 var seedCounter atomic.Uint64
 
-// newSeed mixes the creation time and a process-wide counter through
-// the splitmix64 finalizer. math/rand folds a seed modulo 2³¹−1, under
-// which a plain "time + counter<<32" of two transports created by two
-// goroutines two nanoseconds apart can fold to one value: the same
-// nonce stream on both, and a peer with two live sessions it cannot
-// tell apart.
-func newSeed() int64 { return mixSeed(time.Now().UnixNano(), seedCounter.Add(1)) }
+// pcgSource is math/rand/v2's PCG as the math/rand Source64 behind
+// Transport.Rand: two words of state to seed, where math/rand's own
+// source fills 607 and cost a short-lived connection a tenth of its CPU.
+type pcgSource struct{ randv2.PCG }
+
+// newSource seeds a transport's source from its creation time, mixed
+// through the splitmix64 finalizer, and a process-wide counter, as the
+// second word: two transports created by two goroutines nanoseconds
+// apart never share a nonce stream, which would leave a peer with two
+// live sessions it cannot tell apart.
+func newSource(nanos int64, n uint64) *pcgSource {
+	s := &pcgSource{}
+	s.PCG.Seed(uint64(mixSeed(nanos, n)), n)
+	return s
+}
+
+func (s *pcgSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 
 func mixSeed(nanos int64, n uint64) int64 {
 	z := uint64(nanos) + n*0x9E3779B97F4A7C15
@@ -132,7 +148,7 @@ func New(laddr string) (*Transport, error) {
 	return &Transport{
 		laddr: a,
 		start: time.Now(),
-		rng:   rand.New(rand.NewSource(newSeed())),
+		rng:   rand.New(newSource(time.Now().UnixNano(), seedCounter.Add(1))),
 		done:  make(chan struct{}),
 	}, nil
 }
@@ -392,6 +408,7 @@ type Conn struct {
 	flushes int // WriteBatch calls so far: what the batch tests count
 	copied  int // datagrams copied into the arena, not built there, likewise
 	slots   int // receive slots delivered so far (under t.mu), likewise
+	yields  int // read-loop yields after a delivered run (under t.mu), likewise
 }
 
 // Local returns the socket's bound endpoint (the private endpoint of
@@ -596,7 +613,14 @@ func (c *Conn) readLoop() {
 		if err != nil {
 			return
 		}
-		c.t.deliverBatch(c, ms[:n], segs)
+		if c.t.deliverBatch(c, ms[:n], segs) {
+			// A goroutine the batch woke (a stream reader) is queued to
+			// run next on this P, where an idle P does not take it at
+			// once. A run says a backlog is arriving, so the next read
+			// would deliver at once and keep the reader waiting; yielding
+			// runs it now, and an idle P picks this loop up.
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -605,11 +629,19 @@ func (c *Conn) readLoop() {
 // or as a single datagram when segs[i] is not inside the payload.
 // Everything that is per datagram stays per segment — the close check,
 // the filter call — so a coalesced run is indistinguishable from its
-// datagrams arriving one slot each.
-func (t *Transport) deliverBatch(c *Conn, ms []Datagram, segs []int) {
+// datagrams arriving one slot each. It reports whether a slot held a
+// coalesced run, after which the read loop yields.
+func (t *Transport) deliverBatch(c *Conn, ms []Datagram, segs []int) (run bool) {
 	t.enter()
 	defer t.leave()
 	c.slots += len(ms)
+	for i := range ms {
+		if 0 < segs[i] && segs[i] < len(ms[i].Payload) {
+			c.yields++
+			run = true
+			break
+		}
+	}
 	for i := range ms {
 		ep, ok := fromAddrPort(ms[i].Addr)
 		if !ok {
@@ -636,6 +668,7 @@ func (t *Transport) deliverBatch(c *Conn, ms []Datagram, segs []int) {
 			}
 		}
 	}
+	return run
 }
 
 // toAddrPort converts a wire endpoint to a netip.AddrPort (both value

@@ -35,22 +35,44 @@ func newTransport(t *testing.T) *Transport {
 
 // TestSeedsSurviveMathRandFold: two goroutines creating transports a
 // few nanoseconds apart, drawing their counter values in either order,
-// get different nonce streams. (The sum "time + counter<<32" this
-// replaces gave both the same one at two nanoseconds' distance:
-// math/rand folds its seed modulo 2³¹−1, where 2³² is 2.)
+// get different nonce streams. A seed that went through math/rand's own
+// source would be folded modulo 2³¹−1, where 2³² is 2, so "time +
+// counter<<32" gave both the same one at two nanoseconds' distance.
 func TestSeedsSurviveMathRandFold(t *testing.T) {
-	first := func(seed int64) uint64 { return rand.New(rand.NewSource(seed)).Uint64() }
+	first := func(nanos int64, n uint64) uint64 { return rand.New(newSource(nanos, n)).Uint64() }
 	now := time.Now().UnixNano()
-	if a, b := now+1<<32, now+2+0<<32; first(a) != first(b) {
-		t.Fatalf("the collision this guards against is gone from math/rand: seeds %d and %d differ", a, b)
-	}
 	for n := uint64(1); n < 500; n++ {
 		for d := int64(-8); d <= 8; d++ {
 			for _, m := range []uint64{n - 1, n + 1} {
-				if first(mixSeed(now, n)) == first(mixSeed(now+d, m)) {
+				if first(now, n) == first(now+d, m) {
 					t.Fatalf("transports %d and %d created %d ns apart share a nonce stream", n, m, d)
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentTransportsDrawDifferentNonces: transports created back
+// to back by two goroutines draw different first nonces.
+func TestConcurrentTransportsDrawDifferentNonces(t *testing.T) {
+	for round := 0; round < 1000; round++ {
+		var nonces [2]uint64
+		var wg sync.WaitGroup
+		for g := range nonces {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr, err := New("127.0.0.1:0")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				nonces[g] = tr.Rand().Uint64()
+			}()
+		}
+		wg.Wait()
+		if nonces[0] == nonces[1] {
+			t.Fatalf("round %d: two transports drew the same first nonce %#x", round, nonces[0])
 		}
 	}
 }

@@ -1,10 +1,12 @@
 // Package stream is the multiplexed reliable-stream engine layered
 // over a punched (or relayed) session's datagrams: QUIC-style streams
 // with explicit IDs and byte offsets, selective-repeat ARQ driven by
-// the out-of-order ranges every ack reports (an RFC 6298
-// RTT-estimated retransmission timer is the fallback), per-stream and
-// per-session flow-control windows, and in-order reassembly on the
-// 32-bit circular offset space shared with internal/tcp.
+// the out-of-order ranges every ack reports (what they cannot expose
+// is resent first by a tail-loss probe one probe timeout after the
+// last advancing ack, and last by an RFC 6298 RTT-estimated
+// retransmission timer), per-stream and per-session flow-control
+// windows, and in-order reassembly on the 32-bit circular offset
+// space shared with internal/tcp.
 //
 // Like the rest of the engine tier, the package is single-threaded
 // and lock-free: every entry point runs inside the transport's
@@ -141,6 +143,7 @@ type Mux struct {
 	rtxTimer transport.Timer
 	rtxAt    time.Duration
 	timeouts int // stream deadlines the timer found expired: go-back-N resends and window probes
+	probes   int // tail-loss probe deadlines the timer found expired (see onRtxTimer)
 
 	// Ack policy (see handleData and flush): an owed ack that nobody is
 	// waiting for is held until a datagram leaves anyway or ackTimer,
@@ -211,6 +214,9 @@ const (
 	// RTT sample taken from a timer-sent ack cannot lift the RTO off its
 	// floor and a held ack is never mistaken for a lost segment.
 	maxAckDelay = 5 * time.Millisecond
+	// maxProbes is how many tail-loss probes a stream sends between
+	// advancing acks before it leaves repair to the go-back-N timeout.
+	maxProbes = 2
 )
 
 // NewMux creates the stream engine over a session. send transmits one
@@ -265,6 +271,18 @@ func NewMuxInPlace(tr transport.Transport, begin func() []byte, end func(p []byt
 // RTT returns the smoothed round-trip estimate (zero before the
 // first sample).
 func (m *Mux) RTT() time.Duration { return m.rtt.RTT() }
+
+// pto is the probe timeout: how long a stream with data in flight
+// waits for an advancing ack before it resends the segment at sndUna.
+// Like QUIC's (RFC 9002 §6.2) it allows for the peer's ack delay, which
+// is ours: both ends share the config. Before the first RTT sample it
+// is the RTO, so no probe goes out ahead of the timeout.
+func (m *Mux) pto() time.Duration {
+	if !m.rtt.valid {
+		return m.rtt.RTO()
+	}
+	return m.rtt.srtt + max(4*m.rtt.rttvar, time.Millisecond) + m.ackDelay
+}
 
 // Open creates a locally initiated stream. The peer learns of it
 // from its first frame.
@@ -666,7 +684,8 @@ func (m *Mux) queueControl(f Frame) { m.pendingCtl = append(m.pendingCtl, f) }
 
 // flush drains everything sendable: staged control frames, per-stream
 // acks and window updates, the holes each stream's scoreboard proves
-// lost, then data round-robin across streams with budget. Frames pack
+// lost and the tail-loss probes the timer asked for, then data
+// round-robin across streams with budget. Frames pack
 // into MaxDatagram-bounded datagrams. Finally the retransmission timer
 // is re-armed to the earliest deadline, including window-probe
 // deadlines for streams starved of credit.
@@ -703,6 +722,9 @@ func (m *Mux) flush() {
 			})
 		}
 		frames = s.appendLost(frames, maxSeg)
+		if s.probeDue {
+			frames = s.appendProbe(frames, maxSeg)
+		}
 	}
 	if m.sessWinPend {
 		m.sessWinPend = false
@@ -737,7 +759,8 @@ func (m *Mux) flush() {
 		s := m.streams[id]
 		if s.rtxAt == 0 && !s.inFlight() &&
 			(s.pendingBytes() > 0 || (s.wantWrite && s.WriteBudget() == 0)) {
-			s.rtxAt = now + s.rto
+			s.rtoAt = now + s.rto
+			s.rtxAt = s.rtoAt
 		}
 	}
 	// The ack policy, decided on the finished list. Acks that nobody is
@@ -800,7 +823,7 @@ func (m *Mux) transmit(frames []Frame) {
 // armRtx (re)arms the single retransmission timer to the earliest
 // per-stream deadline. When nothing is pending an armed timer is left
 // to fire, find nothing due and re-arm nothing, so a request/response
-// exchange arms one timer per RTO, not one per request.
+// exchange arms one timer per probe timeout, not one per request.
 func (m *Mux) armRtx() {
 	var at time.Duration
 	for _, id := range m.order {
@@ -829,9 +852,15 @@ func (m *Mux) armRtx() {
 	m.rtxTimer = m.tr.After(d, m.onRtxTimer)
 }
 
-// onRtxTimer fires expired per-stream deadlines: the last resort when
-// acks stopped saying anything useful. Streams with data in flight go
-// back N — sndNxt rewinds to sndUna with exponential RTO backoff, the
+// onRtxTimer fires expired per-stream deadlines: what acks stopped
+// saying. A stream with data in flight whose go-back-N deadline is
+// still ahead is due a tail-loss probe (RFC 8985's TLP, RFC 9002's
+// PTO): the lost segment nothing fresh follows to expose — a
+// retransmission sent at the window edge, a lost tail — is resent by
+// the flush below (appendProbe), and the next probe, if any is left,
+// is armed twice as far out. Nothing is rewound or backed off. Past
+// that deadline, the last resort: streams with data in flight go back
+// N — sndNxt rewinds to sndUna with exponential RTO backoff, the
 // scoreboard is forgotten (RFC 2018 §8: the peer may have reported
 // everything and released the stream, so only a resend draws its
 // answer), and any outstanding RTT sample is invalidated (Karn's
@@ -848,6 +877,13 @@ func (m *Mux) onRtxTimer() {
 		if s.rtxAt == 0 || s.rtxAt > now {
 			continue
 		}
+		if s.inFlight() && now < s.rtoAt {
+			m.probes++
+			s.probes++
+			s.probeDue = true
+			s.armProbe(now)
+			continue
+		}
 		m.timeouts++
 		if s.inFlight() {
 			s.sndNxt = s.sndUna
@@ -862,7 +898,8 @@ func (m *Mux) onRtxTimer() {
 		if s.rto > m.cfg.MaxRTO {
 			s.rto = m.cfg.MaxRTO
 		}
-		s.rtxAt = now + s.rto
+		s.rtoAt = now + s.rto
+		s.rtxAt = s.rtoAt
 	}
 	m.rtxTimer = nil
 	m.rtxAt = 0
@@ -903,8 +940,11 @@ type Stream struct {
 	finAcked  bool
 	finOff    uint32 // offset after the final byte (valid once queued)
 
-	rtxAt    time.Duration // retransmission/probe deadline (0 = unarmed)
+	rtxAt    time.Duration // earliest deadline: tail-loss probe or rtoAt (0 = unarmed)
+	rtoAt    time.Duration // go-back-N or window-probe deadline, never before rtxAt
 	rto      time.Duration // current, possibly backed-off, timeout
+	probes   int           // tail-loss probes since the last advancing ack
+	probeDue bool          // the timer asked the next flush for a tail-loss probe
 	rttOff   uint32        // sample completes when acked to here
 	rttAt    time.Duration
 	rttValid bool
@@ -1157,9 +1197,26 @@ func (s *Stream) nextSegment(maxSeg int) (Frame, bool) {
 		s.rttAt = s.m.tr.Now()
 	}
 	if s.rtxAt == 0 {
-		s.rtxAt = s.m.tr.Now() + s.rto
+		s.armRto(s.m.tr.Now())
 	}
 	return Frame{Type: proto.TypeStream, Stream: s.id, Off: off, FIN: fin, Data: data}, true
+}
+
+// armRto restarts the go-back-N deadline of a stream with data in
+// flight, rto from now, and puts the next tail-loss probe ahead of it.
+func (s *Stream) armRto(now time.Duration) {
+	s.rtoAt = now + s.rto
+	s.armProbe(now)
+}
+
+// armProbe sets the stream's deadline to its next tail-loss probe, PTO
+// << probes from now while it has probes left, or to rtoAt if that
+// comes first.
+func (s *Stream) armProbe(now time.Duration) {
+	s.rtxAt = s.rtoAt
+	if s.probes < maxProbes {
+		s.rtxAt = min(s.rtxAt, now+s.m.pto()<<s.probes)
+	}
 }
 
 // handleData processes an inbound data frame.
@@ -1387,10 +1444,11 @@ func (s *Stream) handleAck(f Frame) {
 		if len(s.sacked) > 0 && SeqLT(s.sacked[0].start, ack) {
 			s.sacked[0].start = ack
 		}
-		// Fresh progress: reset backoff and restart the timer.
+		// Fresh progress: reset backoff and probes, restart the timer.
 		s.rto = s.m.rtt.RTO()
+		s.probes = 0
 		if s.inFlight() {
-			s.rtxAt = s.m.tr.Now() + s.rto
+			s.armRto(s.m.tr.Now())
 		} else {
 			s.rtxAt = 0
 		}
@@ -1501,8 +1559,37 @@ func (s *Stream) appendLost(frames []Frame, maxSeg int) []Frame {
 	if sent {
 		s.rtxMark = s.sndMax
 		s.rttValid = false // Karn: the pending sample's range may now be ambiguous
-		s.rtxAt = s.m.tr.Now() + s.rto
+		s.armRto(s.m.tr.Now())
 	}
+	return frames
+}
+
+// appendProbe appends the tail-loss probe onRtxTimer asked for: the
+// segment at sndUna — the bytes up to the first reported range, at most
+// maxSeg — or a bare FIN when only the FIN is outstanding. Its ack, or
+// the ranges it draws, restarts recovery from the acks. Like a hole's
+// retransmission it counts as resent (rtxHi) and moves rtxMark, so only
+// data sent after it can prove it lost, and voids the pending RTT
+// sample (Karn).
+func (s *Stream) appendProbe(frames []Frame, maxSeg int) []Frame {
+	s.probeDue = false
+	end := s.sndNxt
+	if len(s.sacked) > 0 {
+		end = s.sacked[0].start
+	}
+	n := min(int(SeqDiff(end, s.sndUna)), maxSeg)
+	fin := s.finSent && !s.finAcked && s.sndUna+uint32(n) == s.finOff
+	if n <= 0 && !fin {
+		return frames // nothing below the reported ranges: the timeout's
+	}
+	frames = append(frames, Frame{
+		Type: proto.TypeStream, Stream: s.id, Off: s.sndUna, FIN: fin, Data: s.snd.Bytes(0, n),
+	})
+	if hi := s.sndUna + uint32(n); SeqLT(s.rtxHi, hi) {
+		s.rtxHi = hi
+	}
+	s.rtxMark = s.sndMax
+	s.rttValid = false
 	return frames
 }
 

@@ -503,7 +503,9 @@ func dropDataNth(nth ...int) func(int, []byte) bool {
 // stream completes as the FIN is handled, before any flush, and its last
 // ack used to go with it, leaving the sender's FIN to a timeout.) Credit
 // comes back half a window at a time, so the transfer is one round trip
-// per half window; a timeout anywhere is five more.
+// per half window; a timeout anywhere is five more. Nor does it probe:
+// the probe timeout allows for the peer's ack delay, so an ack that was
+// held is never taken for a lost tail.
 func TestLosslessTransferNeverTimesOut(t *testing.T) {
 	const size = 4 << 20
 	for _, batch := range []int{0, 64} {
@@ -511,9 +513,9 @@ func TestLosslessTransferNeverTimesOut(t *testing.T) {
 			h := newHarness(18)
 			h.batch = batch
 			oneWayTransfer(t, h, Config{}, size, 4000000)
-			if h.rtxBytes != 0 || h.a.timeouts != 0 || h.b.timeouts != 0 {
-				t.Errorf("retransmitted %d bytes, timer found a stream due %d times at the sender and %d at the receiver: want none of it",
-					h.rtxBytes, h.a.timeouts, h.b.timeouts)
+			if h.rtxBytes != 0 || h.a.timeouts != 0 || h.b.timeouts != 0 || h.a.probes != 0 || h.b.probes != 0 {
+				t.Errorf("retransmitted %d bytes, timer found a stream due %d times at the sender and %d at the receiver, probes %d and %d: want none of it",
+					h.rtxBytes, h.a.timeouts, h.b.timeouts, h.a.probes, h.b.probes)
 			}
 			trips := size/int(h.a.cfg.StreamWindow/2) + 1
 			if limit := time.Duration(trips) * 2 * h.delay; h.clk > limit {
@@ -530,8 +532,10 @@ func TestLosslessTransferNeverTimesOut(t *testing.T) {
 // instead of paying a timeout and a window per hole. The loss hits
 // first transmissions only: a flight here is a whole window sent in one
 // instant, so nothing fresh follows a retransmission to expose its loss
-// and only the timer can repair it; the paced writer of
-// TestLostRetransmissionRepairedWithoutTimeout covers that case.
+// and a lost one waits for the tail-loss probe, which
+// TestLostRetransmissionAtWindowEdge covers; the paced writer of
+// TestLostRetransmissionRepairedWithoutTimeout covers the loss that
+// fresh data exposes.
 //
 // The time bound is in round trips. What a lossy phase waits for beyond
 // the lossless transfer is not recovery but flow control: a hole in the
@@ -650,6 +654,133 @@ func TestLostRetransmissionRepairedWithoutTimeout(t *testing.T) {
 	}
 	if h.rtxBytes > 2*(1152-frameOverhead) {
 		t.Errorf("retransmitted %d bytes: more than the one segment twice", h.rtxBytes)
+	}
+}
+
+// TestLostRetransmissionAtWindowEdge is the case the paced writer above
+// sidesteps. In whole-window flights the sender resends holes with its
+// credit spent, so nothing fresh follows a retransmission and no report
+// can prove it lost. Here two segments of one flight are lost, and the
+// lower hole's retransmission too, while the upper hole's goes out after
+// it. The tail-loss probe resends the lower hole a probe timeout after
+// the last advancing ack, where only the go-back-N timeout used to,
+// MinRTO later.
+func TestLostRetransmissionAtWindowEdge(t *testing.T) {
+	const size = 4 << 20
+	const start = 200 * time.Millisecond // past the first flights: the RTT estimate has settled
+	h := newHarness(18)
+	sends := make(map[uint32]int)
+	fresh := 0 // first transmissions from start on
+	var head, upper uint32
+	var lostAt, upperAt, filledAt time.Duration
+	h.drop = func(from int, p []byte) bool {
+		off, ok := dataTo(from, p)
+		if !ok {
+			return false
+		}
+		sends[off]++
+		switch {
+		case sends[off] == 1 && h.clk >= start:
+			fresh++
+			if fresh == 1 {
+				head = off
+			} else if fresh == 40 {
+				upper = off
+			}
+			return fresh == 1 || fresh == 40
+		case fresh >= 40 && off == upper && sends[off] == 2:
+			upperAt = h.clk
+		case fresh >= 40 && off == head && sends[off] == 2:
+			lostAt = h.clk
+			return true
+		}
+		return false
+	}
+	h.watch = func() {
+		if s := h.b.streams[2]; s != nil && lostAt != 0 && filledAt == 0 && SeqGT(s.rcvNxt, head) {
+			filledAt = h.clk
+		}
+	}
+	oneWayTransfer(t, h, Config{}, size, 4000000)
+	if lostAt == 0 || upperAt < lostAt || filledAt == 0 {
+		t.Fatalf("scenario did not run: head retransmission lost at %v, upper hole resent at %v, head filled at %v",
+			lostAt, upperAt, filledAt)
+	}
+	t.Logf("head hole's retransmission lost at %v, filled %v later (MinRTO %v); %d probes",
+		lostAt, filledAt-lostAt, h.a.cfg.MinRTO, h.a.probes)
+	if h.a.timeouts != 0 {
+		t.Errorf("the sender's timer went back N %d times, want the probe to repair the hole", h.a.timeouts)
+	}
+	if filledAt-lostAt > h.a.cfg.MinRTO/2 {
+		t.Errorf("head hole filled %v after its retransmission was lost, want well inside MinRTO (%v)",
+			filledAt-lostAt, h.a.cfg.MinRTO)
+	}
+	if resent := sends[head] - 1; resent > 3 {
+		t.Errorf("head segment resent %d times, want at most three", resent)
+	}
+}
+
+// TestTailLossProbe: the last full segment before the FIN is lost, and
+// what follows it is too little for any report to prove it lost. The
+// probe resends it a probe timeout after the last advancing ack: no go
+// back N, and the transfer ends less than MinRTO after the lossless
+// one. When both probes are lost as well, the go-back-N timeout fires
+// once, at the virtual time it fired before there were probes: an RTO
+// after the last advancing ack, no later.
+func TestTailLossProbe(t *testing.T) {
+	const size = 1<<20 + 100
+	maxSeg := Config{}.withDefaults().MaxDatagram - frameOverhead
+	// The lossless run names the segment: the last full one on the wire.
+	clean := newHarness(26)
+	var last uint32
+	clean.tap = func(from int, p []byte) {
+		var pr Parser
+		_ = pr.Parse(p, func(f Frame) error {
+			if from == 0 && f.Type == proto.TypeStream && len(f.Data) == maxSeg {
+				last = f.Off
+			}
+			return nil
+		})
+	}
+	oneWayTransfer(t, clean, Config{}, size, 4000000)
+	for _, probesLost := range []bool{false, true} {
+		t.Run(fmt.Sprintf("probesLost=%v", probesLost), func(t *testing.T) {
+			h := newHarness(26)
+			sends := 0
+			h.drop = func(from int, p []byte) bool {
+				if off, ok := dataTo(from, p); !ok || off != last {
+					return false
+				}
+				sends++
+				return sends == 1 || (probesLost && h.a.timeouts == 0)
+			}
+			var firedAt time.Duration
+			h.watch = func() {
+				if h.a.timeouts == 1 && firedAt == 0 {
+					firedAt = h.clk
+				}
+			}
+			oneWayTransfer(t, h, Config{}, size, 4000000)
+			t.Logf("finished at %v, lossless %v (MinRTO %v): %d probes, %d timeouts (at %v)",
+				h.clk, clean.clk, h.a.cfg.MinRTO, h.a.probes, h.a.timeouts, firedAt)
+			if !probesLost {
+				if h.a.probes == 0 || h.a.timeouts != 0 {
+					t.Errorf("%d probes, %d timeouts: want the tail repaired by a probe", h.a.probes, h.a.timeouts)
+				}
+				if late := h.clk - clean.clk; late >= h.a.cfg.MinRTO {
+					t.Errorf("finished %v after the lossless run, want less than MinRTO (%v)", late, h.a.cfg.MinRTO)
+				}
+				return
+			}
+			if h.a.probes != maxProbes || h.a.timeouts != 1 {
+				t.Errorf("%d probes, %d timeouts: want %d and then the one", h.a.probes, h.a.timeouts, maxProbes)
+			}
+			// Without probes the lost segment's go-back-N resend left at
+			// 240 ms, an RTO after the last advancing ack.
+			if want := 240 * time.Millisecond; firedAt != want {
+				t.Errorf("go-back-N timeout fired at %v, want %v as before there were probes", firedAt, want)
+			}
+		})
 	}
 }
 

@@ -15,15 +15,24 @@ import (
 // sent: real stream-layer traffic (data, acks, windows, resets, pings,
 // multi-frame packings) for seeding the fuzzers. It runs once
 // reordered, a datagram per entry, and once in order with flights
-// arriving as entries, which packs acks with data differently.
+// arriving as entries, which packs acks with data differently. A last,
+// shorter run loses one datagram in four, so flights lose their tails
+// and the capture holds tail-loss probes and the acks they draw.
 func capturedDatagrams(tb testing.TB) [][]byte {
 	tb.Helper()
 	seen := make(map[string]bool)
 	var wires [][]byte
-	for _, batch := range []int{0, 16} {
-		h := newHarness(424242 + int64(batch))
-		h.batch = batch
-		if batch == 0 {
+	for _, run := range []struct {
+		seed                   int64
+		batch, lossEvery, size int
+	}{
+		{424242, 0, 10, 40 << 10},
+		{424258, 16, 10, 40 << 10},
+		{424259, 16, 4, 8 << 10},
+	} {
+		h := newHarness(run.seed)
+		h.batch = run.batch
+		if run.batch == 0 {
 			h.jitter = 15 * time.Millisecond // apart in time, never a flight
 		}
 		h.dupEvery = 9
@@ -32,9 +41,9 @@ func capturedDatagrams(tb testing.TB) [][]byte {
 				seen[string(p)] = true
 				wires = append(wires, append([]byte(nil), p...))
 			}
-			return h.rng.Intn(10) == 0
+			return h.rng.Intn(run.lossEvery) == 0
 		}
-		twoWayTransfer(tb, h, Config{StreamWindow: 8 << 10, SessionWindow: 16 << 10}, 40<<10, 1_000_000)
+		twoWayTransfer(tb, h, Config{StreamWindow: 8 << 10, SessionWindow: 16 << 10}, run.size, 1_000_000)
 	}
 	return wires
 }

@@ -407,7 +407,8 @@ func TestIdleCapacityBound(t *testing.T) {
 // TestEarlyRtxTimerRearms: an ack that moves the deadline out leaves
 // the armed timer where it is. When that timer fires — early — it
 // finds no stream due, sends nothing, and re-arms for the deadline the
-// ack set; the lost segment is then resent exactly there.
+// ack set; the lost segment is then resent exactly there, by the
+// tail-loss probe.
 func TestEarlyRtxTimerRearms(t *testing.T) {
 	h := newHarness(24)
 	h.drop = dropDataNth(3)
@@ -426,7 +427,7 @@ func TestEarlyRtxTimerRearms(t *testing.T) {
 	}
 	sentAtEarlyFire := -1
 	h.watch = func() {
-		if h.clk == 125*ms && sentAtEarlyFire < 0 {
+		if h.clk == 105*ms && sentAtEarlyFire < 0 {
 			sentAtEarlyFire = h.sent
 		}
 	}
@@ -434,30 +435,35 @@ func TestEarlyRtxTimerRearms(t *testing.T) {
 
 	// Each segment is a lone small one, so its ack is the ack timer's, 5 ms
 	// after it arrives. Segment 1 is acked at 25 ms: the first RTT sample
-	// (held ack included) makes the RTO its 100 ms floor, and the
-	// deadline 125 ms is earlier than the 500 ms armed at the first
-	// write, so the timer moves in. Segment 2 is acked at 35 ms with
-	// segment 3 (lost) in flight: the deadline becomes 135 ms, later than
-	// the timer, which stays.
-	want := []time.Duration{0, 10 * ms, 25 * ms, 135 * ms}
+	// (held ack included) makes the probe timeout 25 + 4×12.5 + 5 = 80 ms,
+	// and the probe deadline 105 ms is earlier than the 500 ms armed at
+	// the first write, so the timer moves in. Segment 2 is acked at 35 ms
+	// with segment 3 (lost) in flight: the deadline becomes 115 ms, later
+	// than the timer, which stays. The probe resends segment 3 there, 20 ms
+	// ahead of the go-back-N deadline (135 ms).
+	want := []time.Duration{0, 10 * ms, 25 * ms, 115 * ms}
 	if fmt.Sprint(dataAt) != fmt.Sprint(want) {
 		t.Errorf("payload sent at %v, want %v", dataAt, want)
 	}
 	armed := h.ta.armed
-	if len(armed) < 3 || armed[0] != 500*ms || armed[1] != 125*ms || armed[2] != 135*ms {
-		t.Errorf("sender timers armed for %v, want 500ms, 125ms, then 135ms from the early fire", armed)
+	if len(armed) < 3 || armed[0] != 500*ms || armed[1] != 105*ms || armed[2] != 115*ms {
+		t.Errorf("sender timers armed for %v, want 500ms, 105ms, then 115ms from the early fire", armed)
 	}
 	if before := 3 + 2; sentAtEarlyFire != before {
-		t.Errorf("%d datagrams on the wire after the 125 ms fire, want the %d from before it", sentAtEarlyFire, before)
+		t.Errorf("%d datagrams on the wire after the 105 ms fire, want the %d from before it", sentAtEarlyFire, before)
+	}
+	if h.a.probes != 1 || h.a.timeouts != 0 {
+		t.Errorf("%d probes and %d timeouts, want the one probe", h.a.probes, h.a.timeouts)
 	}
 }
 
 // TestRequestResponseRtxTimerPerRTO: between the rounds of a
 // request/response exchange nothing is in flight, and the
 // retransmission timer is left running rather than stopped, so the
-// sender arms about one per MinRTO of virtual time, not one per
-// request. Which of the sender's armed timers are retransmission
-// timers, not ack timers, is read off the mux after every event.
+// sender arms about one per probe timeout of virtual time (the earliest
+// deadline a request in flight sets), not one per request. Which of the
+// sender's armed timers are retransmission timers, not ack timers, is
+// read off the mux after every event.
 func TestRequestResponseRtxTimerPerRTO(t *testing.T) {
 	const size, rounds = 256, 1000
 	h := newHarness(25)
@@ -503,14 +509,17 @@ func TestRequestResponseRtxTimerPerRTO(t *testing.T) {
 	h.watch()
 	h.run(t, func() bool { return responses == rounds }, 100*rounds)
 
-	// Beyond one per MinRTO: the one armed at the initial RTO, the one
-	// that moves in when the first sample brings the RTO down, slack.
-	minRTO := h.a.cfg.MinRTO
-	limit := int(h.clk/minRTO) + 4
-	t.Logf("%d round trips in %v of virtual time: %d timers armed by the sender, %d of them retransmission timers",
-		rounds, h.clk, len(h.ta.armed), len(rtx))
+	// One per probe timeout, taken from the estimate the run ends with,
+	// less a round trip: a timer that fires re-arms for the deadline of the
+	// request in flight, sent up to a round trip earlier. Beyond that: the
+	// one armed at the initial RTO, the one that moves in when the first
+	// sample brings the deadline down, slack.
+	pto, rtt := h.a.pto(), h.a.RTT()
+	limit := int(h.clk/(pto-rtt)) + 4
+	t.Logf("%d round trips in %v of virtual time: %d timers armed by the sender, %d of them retransmission timers (probe timeout %v, RTT %v)",
+		rounds, h.clk, len(h.ta.armed), len(rtx), pto, rtt)
 	if len(rtx) > limit {
-		t.Errorf("the sender armed %d retransmission timers over %d round trips in %v, want at most %d: one per MinRTO (%v)",
-			len(rtx), rounds, h.clk, limit, minRTO)
+		t.Errorf("the sender armed %d retransmission timers over %d round trips in %v, want at most %d: one per probe timeout (%v) less a round trip (%v)",
+			len(rtx), rounds, h.clk, limit, pto, rtt)
 	}
 }

@@ -6,7 +6,8 @@
 // last advancing ack, and last by an RFC 6298 RTT-estimated
 // retransmission timer), per-stream and per-session flow-control
 // windows, and in-order reassembly on the 32-bit circular offset
-// space shared with internal/tcp.
+// space shared with internal/tcp, done in place in each stream's
+// receive queue.
 //
 // Like the rest of the engine tier, the package is single-threaded
 // and lock-free: every entry point runs inside the transport's
@@ -160,7 +161,7 @@ type Mux struct {
 	sndSessLimit uint32
 	rcvSessUsed  uint32 // consumed by the application (or discarded)
 	rcvSessLimit uint32 // last advertised session budget
-	rcvInUse     int    // bytes buffered across all streams (rcv + ooo)
+	rcvInUse     int    // receive queue lengths across all streams, holes included
 	sessWinPend  bool
 
 	pingNext uint32
@@ -606,7 +607,7 @@ func (m *Mux) terminate(s *Stream, err error) {
 	}
 	s.done = true
 	s.closedErr = err
-	m.rcvInUse -= s.rcv.Len() + s.oooBytes()
+	m.rcvInUse -= s.rcv.Len()
 	if err != nil {
 		// Settle receive-side session flow control: the peer charged
 		// its session send-window up to its final size — at least
@@ -949,14 +950,19 @@ type Stream struct {
 	rttAt    time.Duration
 	rttValid bool
 
-	// Receive side: rcv holds in-order bytes awaiting the application;
-	// ooo holds out-of-order segments sorted by offset.
+	// Receive side: rcv holds the bytes from rcvUsed on, each at its
+	// offset — in order up to rcvNxt, awaiting the application, and
+	// beyond it the out-of-order ranges listed in ooo (sorted, disjoint,
+	// never touching, all above rcvNxt); what lies between those ranges
+	// is not stream data yet. A segment filling a hole is written in
+	// place and rcvNxt moves past every range it joined: nothing is
+	// copied twice or allocated.
 	rcv        byteQueue
 	rcvNxt     uint32 // next expected offset
 	rcvUsed    uint32 // offset consumed (or discarded) locally
 	rcvHi      uint32 // highest received end / peer-claimed final (≤ rcvLimit)
 	rcvLimit   uint32 // last advertised stream window limit
-	ooo        []ooseg
+	ooo        []span
 	finRcvd    bool
 	finRcvOff  uint32
 	discard    bool // facade closed: drop (but ack) further data
@@ -966,11 +972,6 @@ type Stream struct {
 
 	closedErr error
 	done      bool
-}
-
-type ooseg struct {
-	off  uint32
-	data []byte
 }
 
 // span is the half-open offset range [start, end).
@@ -1065,13 +1066,7 @@ func (s *Stream) DiscardReads() {
 		return
 	}
 	s.discard = true
-	n := s.rcv.Len()
-	s.rcvUsed += uint32(n)
-	s.m.rcvSessUsed += uint32(n)
-	s.m.rcvInUse -= n
-	s.rcv.Release()
-	s.maybeAdvertise(false)
-	s.m.maybeAdvertiseSession()
+	s.consume(s.readable())
 	s.maybeComplete()
 	// Flush here: the facade calls DiscardReads last in Close, so the
 	// credit freed above must not wait for the next engine event — a
@@ -1079,34 +1074,43 @@ func (s *Stream) DiscardReads() {
 	s.m.flush()
 }
 
-// oooBytes totals the buffered out-of-order segment payloads.
-func (s *Stream) oooBytes() int {
-	n := 0
-	for _, seg := range s.ooo {
-		n += len(seg.data)
+// readable counts the in-order bytes not yet consumed: none once the
+// stream terminated, which releases rcv.
+func (s *Stream) readable() int {
+	if s.done {
+		return 0
 	}
-	return n
+	return int(SeqDiff(s.rcvNxt, s.rcvUsed))
+}
+
+// consume moves the consumed point n in-order bytes on — read by the
+// application, or discarded — dropping them from rcv, where the ones
+// skipped by a discarding stream were never written, and opens the
+// windows they held.
+func (s *Stream) consume(n int) {
+	held := min(n, s.rcv.Len())
+	s.rcv.Consume(held)
+	s.m.rcvInUse -= held
+	s.rcvUsed += uint32(n)
+	s.m.rcvSessUsed += uint32(n)
+	s.maybeAdvertise(false)
+	s.m.maybeAdvertiseSession()
 }
 
 // ReadReady reports the readable byte count and whether EOF has been
 // reached (all data up to the peer's FIN consumed).
 func (s *Stream) ReadReady() (int, bool) {
-	eof := s.finRcvd && s.rcvNxt == s.finRcvOff && s.rcv.Len() == 0
-	return s.rcv.Len(), eof
+	n := s.readable()
+	return n, s.finRcvd && s.rcvNxt == s.finRcvOff && n == 0
 }
 
 // Read copies buffered in-order bytes into p, advancing the consumed
 // point and re-advertising windows as they open. eof reports that the
 // stream's final byte has been consumed.
 func (s *Stream) Read(p []byte) (n int, eof bool) {
-	n = copy(p, s.rcv.Bytes(0, s.rcv.Len()))
+	n = copy(p, s.rcv.Bytes(0, s.readable()))
 	if n > 0 {
-		s.rcv.Consume(n)
-		s.rcvUsed += uint32(n)
-		s.m.rcvSessUsed += uint32(n)
-		s.m.rcvInUse -= n
-		s.maybeAdvertise(false)
-		s.m.maybeAdvertiseSession()
+		s.consume(n)
 		s.maybeComplete() // before the flush: a completing stream hands it its last ack
 		s.m.flush()
 	}
@@ -1281,130 +1285,101 @@ func (s *Stream) handleData(f Frame) {
 		}
 		data = data[:int32(len(data))-over]
 	}
-	// Session budget, likewise against misbehaving peers: never buffer
-	// more than SessionWindow across all streams. A conforming sender
-	// cannot hit this — its unconsumed bytes are bounded by our
-	// advertised session credit — so trimming only sheds traffic its
-	// ARQ retries once reads free space. In-order data on a discard
-	// stream is consumed immediately and never buffers, so it is
-	// exempt.
+	// Session budget, likewise against misbehaving peers: the receive
+	// queues of all streams, holes included (they are memory too), never
+	// outgrow SessionWindow. A conforming sender cannot hit this — a
+	// queue reaches no further than bytes the peer charged to our
+	// advertised session credit — so trimming only sheds traffic its ARQ
+	// retries once reads free space. In-order data on a discard stream
+	// is consumed immediately and never buffers, so it is exempt.
 	if !s.discard || off != s.rcvNxt {
-		if avail := int(s.m.cfg.SessionWindow) - s.m.rcvInUse; len(data) > avail {
+		grow := int(SeqDiff(off+uint32(len(data)), s.rcvUsed)) - s.rcv.Len()
+		if avail := int(s.m.cfg.SessionWindow) - s.m.rcvInUse; grow > avail {
 			s.m.ackNow = true
-			if avail <= 0 {
+			cut := grow - max(avail, 0)
+			if cut >= len(data) {
 				return
 			}
-			data = data[:avail]
+			data = data[:len(data)-cut]
 		}
 	}
 	if off == s.rcvNxt {
 		s.acceptInOrder(data)
-		s.mergeOOO()
 	} else {
 		s.insertOOO(off, data)
 	}
 	s.maybeComplete()
 }
 
-// acceptInOrder appends in-order payload, accounting both windows,
-// and fires Readable.
+// store copies segment payload (decoder-owned) into rcv at its offset,
+// charging the session for however far the queue grew.
+func (s *Stream) store(off uint32, data []byte) {
+	held := s.rcv.Len()
+	s.rcv.WriteAt(int(SeqDiff(off, s.rcvUsed)), data)
+	s.m.rcvInUse += s.rcv.Len() - held
+}
+
+// acceptInOrder takes payload at rcvNxt — behind the readable bytes, or
+// in the hole below the out-of-order ranges — moves rcvNxt past it and
+// past every range it joined, and fires Readable once for all of it.
+// A discarding stream stores none of it and consumes it at once.
 func (s *Stream) acceptInOrder(data []byte) {
-	n := uint32(len(data))
-	s.rcvNxt += n
+	if !s.discard {
+		s.store(s.rcvNxt, data)
+	}
+	from := s.rcvNxt
+	s.rcvNxt += uint32(len(data))
+	joined := 0
+	for ; joined < len(s.ooo) && SeqLEQ(s.ooo[joined].start, s.rcvNxt); joined++ {
+		if SeqGT(s.ooo[joined].end, s.rcvNxt) {
+			s.rcvNxt = s.ooo[joined].end
+		}
+	}
+	s.ooo = append(s.ooo[:0], s.ooo[joined:]...)
 	// The second full segment since the stream's last ack left may not
 	// wait: a bulk sender hears from us every other datagram at least.
-	s.ackOwed += len(data)
+	s.ackOwed += int(SeqDiff(s.rcvNxt, from))
 	if s.ackOwed >= ackEvery*(s.m.cfg.MaxDatagram-frameOverhead) {
 		s.m.ackNow = true
 	}
 	if s.discard {
-		s.rcvUsed += n
-		s.m.rcvSessUsed += n
-		s.maybeAdvertise(false)
-		s.m.maybeAdvertiseSession()
+		s.consume(s.readable())
 		return
 	}
-	s.rcv.Append(data)
-	s.m.rcvInUse += len(data)
-	// A Readable that reads at once flushes the pending ack mid-merge:
-	// what merges after it is news again, or a stream that completes in
-	// this very merge is released with its final ack never sent.
-	s.ackPending = true
 	if s.m.cb.Readable != nil {
 		s.m.cb.Readable(s)
 	}
 }
 
-// insertOOO stores an out-of-order segment (copied; the frame's data
-// is decoder-owned), keeping the list sorted by offset. Overlaps are
-// tolerated: merge trims against rcvNxt as segments become in-order.
-// A bare FIN ahead of its bytes is not stored — handleData recorded
-// it — so every segment here is a range an ack can report.
+// insertOOO stores an out-of-order segment in rcv at its offset and
+// adds its range to ooo. Overlaps are tolerated: overlapping bytes are
+// the same stream bytes, written again. A segment that would open a
+// range beyond maxSpans is refused: its retransmission fills it. A bare
+// FIN ahead of its bytes is not stored — handleData recorded it — so
+// every range here is one an ack can report.
 func (s *Stream) insertOOO(off uint32, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	at := sort.Search(len(s.ooo), func(i int) bool { return SeqGEQ(s.ooo[i].off, off) })
-	if at < len(s.ooo) && s.ooo[at].off == off && len(s.ooo[at].data) >= len(data) {
-		return // duplicate covered by an existing segment
-	}
-	if at > 0 {
-		prev := s.ooo[at-1]
-		if SeqGEQ(prev.off+uint32(len(prev.data)), off+uint32(len(data))) {
-			return // covered by the preceding segment
-		}
-	}
-	s.m.rcvInUse += len(data)
-	seg := ooseg{off: off, data: append([]byte(nil), data...)}
-	s.ooo = append(s.ooo, ooseg{})
-	copy(s.ooo[at+1:], s.ooo[at:])
-	s.ooo[at] = seg
-}
-
-// mergeOOO drains out-of-order segments that became contiguous.
-func (s *Stream) mergeOOO() {
-	for len(s.ooo) > 0 {
-		seg := s.ooo[0]
-		if SeqGT(seg.off, s.rcvNxt) {
-			return
-		}
-		s.ooo[0] = ooseg{}
-		s.ooo = s.ooo[1:]
-		if len(s.ooo) == 0 {
-			s.ooo = nil
-		}
-		s.m.rcvInUse -= len(seg.data)
-		end := seg.off + uint32(len(seg.data))
-		if SeqGT(end, s.rcvNxt) {
-			s.acceptInOrder(seg.data[SeqDiff(s.rcvNxt, seg.off):])
-		}
+	var ok bool
+	if s.ooo, ok = addSpan(s.ooo, span{off, off + uint32(len(data))}, s.m.maxSpans()); ok {
+		s.store(off, data)
 	}
 }
 
-// ackRanges encodes the lowest maxAckRanges coalesced out-of-order
-// ranges as big-endian (start, end) pairs into the mux's per-flush
-// scratch, which outlives the flush's frame list. Nothing out of
-// order is nil: the lossless ack is the bare cumulative one.
+// ackRanges encodes the lowest maxAckRanges out-of-order ranges as
+// big-endian (start, end) pairs into the mux's per-flush scratch, which
+// outlives the flush's frame list. Nothing out of order is nil: the
+// lossless ack is the bare cumulative one.
 func (s *Stream) ackRanges() []byte {
 	if len(s.ooo) == 0 {
 		return nil
 	}
 	m := s.m
-	from, n := len(m.ranges), 0
-	cur := span{s.ooo[0].off, s.ooo[0].off}
-	for _, seg := range s.ooo {
-		if SeqGT(seg.off, cur.end) {
-			if n++; n == maxAckRanges {
-				break
-			}
-			m.ranges = appendSpan(m.ranges, cur)
-			cur = span{seg.off, seg.off}
-		}
-		if end := seg.off + uint32(len(seg.data)); SeqGT(end, cur.end) {
-			cur.end = end
-		}
+	from := len(m.ranges)
+	for _, sp := range s.ooo[:min(len(s.ooo), maxAckRanges)] {
+		m.ranges = appendSpan(m.ranges, sp)
 	}
-	m.ranges = appendSpan(m.ranges, cur)
 	return m.ranges[from:len(m.ranges):len(m.ranges)]
 }
 
@@ -1480,7 +1455,9 @@ func (s *Stream) noteRanges(data []byte) {
 		if SeqGEQ(sp.start, sp.end) {
 			continue
 		}
-		s.markSacked(sp)
+		// A report beyond maxSpans is forgotten: that only delays a
+		// repair to the timer.
+		s.sacked, _ = addSpan(s.sacked, sp, s.m.maxSpans())
 		pastMark = pastMark || SeqGT(sp.end, s.rtxMark)
 	}
 	// Something first sent after the last retransmission got through
@@ -1491,34 +1468,41 @@ func (s *Stream) noteRanges(data []byte) {
 	}
 }
 
-// markSacked merges sp into the scoreboard, coalescing every span it
-// overlaps or touches. A span that would be a new entry beyond the
-// cap is dropped: the cap is the most holes a conforming peer can
-// report in one window, and forgetting a report only delays a repair
-// to the retransmission timer.
-func (s *Stream) markSacked(sp span) {
-	lo := sort.Search(len(s.sacked), func(i int) bool { return SeqGEQ(s.sacked[i].end, sp.start) })
+// maxSpans bounds the ranges a stream keeps on either side: its
+// scoreboard and its out-of-order ranges. A window of full segments
+// leaves at most half as many holes, and a conforming peer reports
+// maxAckRanges at a time, so the bound binds only on a peer that
+// scatters small segments or lies.
+func (m *Mux) maxSpans() int {
+	return max(maxAckRanges, int(m.cfg.StreamWindow)/m.cfg.MaxDatagram)
+}
+
+// addSpan merges sp into list (sorted, disjoint, never touching),
+// coalescing every span it overlaps or touches. A span that would be a
+// new entry beyond limit entries is refused: ok is false.
+func addSpan(list []span, sp span, limit int) (_ []span, ok bool) {
+	lo := sort.Search(len(list), func(i int) bool { return SeqGEQ(list[i].end, sp.start) })
 	hi := lo
-	for hi < len(s.sacked) && SeqLEQ(s.sacked[hi].start, sp.end) {
+	for hi < len(list) && SeqLEQ(list[hi].start, sp.end) {
 		hi++
 	}
 	if lo == hi {
-		if len(s.sacked) >= int(s.m.cfg.StreamWindow)/s.m.cfg.MaxDatagram {
-			return
+		if len(list) >= limit {
+			return list, false
 		}
-		s.sacked = append(s.sacked, span{})
-		copy(s.sacked[lo+1:], s.sacked[lo:])
-		s.sacked[lo] = sp
-		return
+		list = append(list, span{})
+		copy(list[lo+1:], list[lo:])
+		list[lo] = sp
+		return list, true
 	}
-	if SeqLT(s.sacked[lo].start, sp.start) {
-		sp.start = s.sacked[lo].start
+	if SeqLT(list[lo].start, sp.start) {
+		sp.start = list[lo].start
 	}
-	if SeqGT(s.sacked[hi-1].end, sp.end) {
-		sp.end = s.sacked[hi-1].end
+	if SeqGT(list[hi-1].end, sp.end) {
+		sp.end = list[hi-1].end
 	}
-	s.sacked[lo] = sp
-	s.sacked = append(s.sacked[:lo+1], s.sacked[hi:]...)
+	list[lo] = sp
+	return append(list[:lo+1], list[hi:]...), true
 }
 
 // appendLost appends retransmissions of the holes the scoreboard
@@ -1616,7 +1600,7 @@ func (s *Stream) maybeComplete() {
 	if s.done || !s.finAcked || !s.finRcvd || s.snd.Len() != 0 {
 		return
 	}
-	if s.rcvNxt != s.finRcvOff || s.rcv.Len() != 0 {
+	if s.rcvNxt != s.finRcvOff || s.readable() != 0 {
 		return
 	}
 	s.m.terminate(s, nil)

@@ -301,6 +301,14 @@ func (t *fakeTimer) Active() bool { return !t.stopped && !t.fired }
 
 // sink wires a receive-side pump: every Readable drains the stream
 // into a buffer; EOF and termination are recorded.
+//
+// It reads a full segment (at the default MaxDatagram) per call. The
+// window update goes out from the Read that takes the consumed point
+// half a window past the last one advertised, so a larger read moves
+// where the update falls. A repaired hole makes everything above it
+// readable at once, and reading that in 4 KiB pieces instead costs
+// TestTransferOnePercentLoss four round trips of credit, with no change
+// to loss recovery.
 type sink struct {
 	buf  bytes.Buffer
 	eof  bool
@@ -309,7 +317,7 @@ type sink struct {
 }
 
 func (k *sink) pump(s *Stream) {
-	var tmp [4096]byte
+	var tmp [1152 - frameOverhead]byte
 	for {
 		n, eof := s.Read(tmp[:])
 		k.buf.Write(tmp[:n])
@@ -1463,13 +1471,75 @@ func TestSessionBufferBound(t *testing.T) {
 	}
 	total := 0
 	for _, s := range accepted {
-		total += s.rcv.Len() + s.oooBytes()
+		total += s.rcv.Len()
 	}
 	if total != h.b.rcvInUse {
 		t.Fatalf("in-use accounting drifted: tracked %d, actual %d", h.b.rcvInUse, total)
 	}
 	if total != sess {
 		t.Fatalf("buffered %d bytes, want the full session window %d", total, sess)
+	}
+}
+
+// TestSessionBufferBoundCountsHoles: out-of-order bytes lie in the
+// receive queue at their offsets, so a byte at the far end of a stream's
+// window makes the queue a window long, hole and all, and that is what
+// the session is charged. A peer that sends one byte at the window's
+// edge on every stream gets as many windows buffered as the session
+// holds, not one per stream. And single bytes scattered with a gap
+// between each open no more than maxSpans ranges; what they refused
+// arrives in order and the stream reads back intact.
+func TestSessionBufferBoundCountsHoles(t *testing.T) {
+	const window = 64 << 10
+	h := newHarness(17)
+	accepted := map[uint64]*Stream{}
+	h.wire(Config{StreamWindow: window, SessionWindow: 2 * window},
+		Callbacks{},
+		Callbacks{Accept: func(s *Stream) { accepted[s.ID()] = s }})
+	var buf []byte
+	for id := uint64(2); id <= 16; id += 2 {
+		buf = AppendFrame(buf[:0], &Frame{Type: proto.TypeStream, Stream: id, Off: window - 1, Data: []byte{1}})
+		h.b.HandleDatagram(buf)
+	}
+	held, capacity := 0, 0
+	for _, s := range accepted {
+		if s.rcv.Len() > 0 {
+			held++
+		}
+		capacity += cap(s.rcv.buf)
+	}
+	if h.b.rcvInUse != 2*window || held != 2 {
+		t.Errorf("one byte at the window edge on %d streams: %d streams hold bytes, %d charged, want 2 streams, %d",
+			len(accepted), held, h.b.rcvInUse, 2*window)
+	}
+	if capacity > 2*window*2 {
+		t.Errorf("receive queues hold %d KiB of capacity for a %d KiB session window", capacity>>10, 2*window>>10)
+	}
+
+	h = newHarness(17)
+	rcv := &sink{}
+	h.wire(Config{}, Callbacks{}, Callbacks{Readable: func(s *Stream) { rcv.pump(s) }})
+	data := payload(4000)
+	for off := 1; off < len(data)/2; off += 2 {
+		buf = AppendFrame(buf[:0], &Frame{Type: proto.TypeStream, Stream: 2, Off: uint32(off), Data: data[off : off+1]})
+		h.b.HandleDatagram(buf)
+	}
+	s := h.b.streams[2]
+	reach := uint32(0)
+	if n := len(s.ooo); n > 0 {
+		reach = s.ooo[n-1].end
+	}
+	if limit := h.b.maxSpans(); len(s.ooo) != limit || h.b.rcvInUse != int(reach) {
+		t.Errorf("%d single bytes a gap apart: %d ranges reaching %d, %d bytes charged; want the cap, %d ranges, and the queue as far as they reach",
+			len(data)/4, len(s.ooo), reach, h.b.rcvInUse, limit)
+	}
+	for off := 0; off < len(data); off += 1000 {
+		buf = AppendFrame(buf[:0], &Frame{Type: proto.TypeStream, Stream: 2, Off: uint32(off), Data: data[off : off+1000]})
+		h.b.HandleDatagram(buf)
+	}
+	if !bytes.Equal(rcv.buf.Bytes(), data) || len(s.ooo) != 0 || h.b.rcvInUse != 0 {
+		t.Errorf("read %d of %d bytes back (intact: %v), %d ranges and %d bytes charged left",
+			rcv.buf.Len(), len(data), bytes.Equal(rcv.buf.Bytes(), data), len(s.ooo), h.b.rcvInUse)
 	}
 }
 

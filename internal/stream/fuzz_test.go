@@ -15,9 +15,11 @@ import (
 // sent: real stream-layer traffic (data, acks, windows, resets, pings,
 // multi-frame packings) for seeding the fuzzers. It runs once
 // reordered, a datagram per entry, and once in order with flights
-// arriving as entries, which packs acks with data differently. A last,
-// shorter run loses one datagram in four, so flights lose their tails
-// and the capture holds tail-loss probes and the acks they draw.
+// arriving as entries, which packs acks with data differently. Two
+// last, shorter runs lose one datagram in four, so flights lose their
+// tails and the capture holds tail-loss probes and the acks they draw;
+// the second delivers a datagram per entry, so its repairs are acked
+// one segment at a time.
 func capturedDatagrams(tb testing.TB) [][]byte {
 	tb.Helper()
 	seen := make(map[string]bool)
@@ -29,6 +31,7 @@ func capturedDatagrams(tb testing.TB) [][]byte {
 		{424242, 0, 10, 40 << 10},
 		{424258, 16, 10, 40 << 10},
 		{424259, 16, 4, 8 << 10},
+		{424260, 0, 4, 16 << 10},
 	} {
 		h := newHarness(run.seed)
 		h.batch = run.batch
@@ -215,9 +218,9 @@ func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int)
 	h.batch = batch
 	// Acks go nowhere, but each must describe what the receiver holds:
 	// at most maxAckRanges whole ranges, ascending and apart from each
-	// other, inside the stream, not below the cumulative offset (a
-	// reader draining inside Readable acks mid-merge, when the lowest
-	// range starts exactly there).
+	// other and from the cumulative offset, inside the stream. A segment
+	// that fills a hole joins every range it touches before anyone can
+	// read or ack, so no range starts where the cumulative offset stands.
 	h.drop = func(_ int, p []byte) bool {
 		var pr Parser
 		_ = pr.Parse(p, func(fr Frame) error {
@@ -230,7 +233,7 @@ func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int)
 			at := fr.Off
 			for r := fr.Data; len(r) > 0; r = r[8:] {
 				start, end := binary.BigEndian.Uint32(r), binary.BigEndian.Uint32(r[4:])
-				if start < at || (start == at && at != fr.Off) || end <= start || end > uint32(len(data)) {
+				if start <= at || end <= start || end > uint32(len(data)) {
 					t.Fatalf("ack at %d reports range %d..%d after %d (stream of %d bytes)",
 						fr.Off, start, end, at, len(data))
 				}
@@ -251,6 +254,7 @@ func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int)
 		}
 		for i := range sched[:n] {
 			h.b.HandleDatagram(AppendFrame(nil, &sched[i]))
+			checkReassembly(t, h.b)
 		}
 		h.endEntry()
 		sched = sched[n:]
@@ -270,5 +274,33 @@ func reassemble(t *testing.T, data []byte, sched []Frame, seed int64, batch int)
 	}
 	if h.b.ackTimer != nil || h.tb.live() != 0 {
 		t.Fatalf("ack timer %v, %d timers live at quiescence", h.b.ackTimer, h.tb.live())
+	}
+}
+
+// checkReassembly asserts the receive side's standing invariants: each
+// stream's out-of-order ranges are sorted, disjoint, never touching, all
+// above rcvNxt and inside what rcv holds, no more than maxSpans of them;
+// and the session's rcvInUse is what the receive queues hold.
+func checkReassembly(t *testing.T, m *Mux) {
+	t.Helper()
+	inUse := 0
+	for id, s := range m.streams {
+		inUse += s.rcv.Len()
+		at := s.rcvNxt
+		for i, sp := range s.ooo {
+			if SeqLEQ(sp.start, at) || SeqGEQ(sp.start, sp.end) {
+				t.Fatalf("stream %d: out-of-order ranges %v broken at %d (rcvNxt %d)", id, s.ooo, i, s.rcvNxt)
+			}
+			at = sp.end
+		}
+		if held := SeqDiff(at, s.rcvUsed); !s.discard && int(held) > s.rcv.Len() {
+			t.Fatalf("stream %d: holds %d bytes from the consumed point, ranges reach %d", id, s.rcv.Len(), held)
+		}
+		if len(s.ooo) > m.maxSpans() {
+			t.Fatalf("stream %d: %d out-of-order ranges, cap %d", id, len(s.ooo), m.maxSpans())
+		}
+	}
+	if inUse != m.rcvInUse {
+		t.Fatalf("rcvInUse %d, receive queues hold %d", m.rcvInUse, inUse)
 	}
 }

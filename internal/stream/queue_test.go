@@ -65,6 +65,53 @@ func TestByteQueueAgainstModel(t *testing.T) {
 	}
 }
 
+// TestByteQueueWriteAtAgainstModel drives a queue the way a stream's
+// receive side does — segments written at their offsets in any order,
+// holes left between them, prefixes consumed — against a plain []byte
+// and a record of which positions were written. Every written byte
+// must read back, wherever compaction, release and the spare array
+// moved it since.
+func TestByteQueueWriteAtAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var spare []byte
+	q := byteQueue{spare: &spare}
+	var model []byte
+	var written []bool
+	for step := 0; step < 100000; step++ {
+		if rng.Intn(3) > 0 {
+			at := rng.Intn(len(model) + 3000)
+			p := make([]byte, rng.Intn(1500))
+			rng.Read(p)
+			q.WriteAt(at, p)
+			if len(p) > 0 {
+				for len(model) < at+len(p) {
+					model, written = append(model, 0), append(written, false)
+				}
+				copy(model[at:], p)
+				for i := range p {
+					written[at+i] = true
+				}
+			}
+		} else {
+			n := rng.Intn(len(model) + 1)
+			q.Consume(n)
+			model, written = model[n:], written[n:]
+		}
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: queue holds %d bytes, model %d", step, q.Len(), len(model))
+		}
+		got := q.Bytes(0, q.Len())
+		for i, w := range written {
+			if w && got[i] != model[i] {
+				t.Fatalf("step %d: written byte %d of %d reads %d, want %d", step, i, len(model), got[i], model[i])
+			}
+		}
+		if q.Len() > 0 && q.head > q.Len() {
+			t.Fatalf("step %d: dead prefix %d outgrew the %d live bytes", step, q.head, q.Len())
+		}
+	}
+}
+
 // solo is one mux with no peer: the test plays the peer by hand,
 // feeding it frames packed into one reused datagram and discarding
 // what it sends, so every allocation counted is the mux's own.
@@ -196,6 +243,56 @@ func TestSegmentReadZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Errorf("segment + read allocates %v/op in steady state, want 0", allocs)
+	}
+}
+
+// TestHoleRepairZeroAlloc: out-of-order segments land in the receive
+// queue at their offsets, and the segment that fills the hole below them
+// joins them where they lie. In steady state the four segments above a
+// hole, the one that fills it and the read that drains all five
+// allocate nothing, and the bytes above the hole are read from where
+// they first landed: filling the hole moved none of them.
+func TestHoleRepairZeroAlloc(t *testing.T) {
+	const above = 4
+	so := newSolo(false, Config{})
+	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	want := bytes.Repeat(seg, above+1)
+	buf := make([]byte, len(want))
+	off := uint32(0)
+	var s *Stream
+	moved, ranged := 0, 0
+	step := func() {
+		for i := 1; i <= above; i++ {
+			so.feed(Frame{Type: proto.TypeStream, Stream: 2, Off: off + uint32(i*len(seg)), Data: seg})
+		}
+		if s == nil {
+			s = so.m.streams[2]
+		}
+		if len(s.ooo) == 1 {
+			ranged++
+		}
+		landed := &s.rcv.Bytes(len(seg), len(seg)+1)[0]
+		so.feed(Frame{Type: proto.TypeStream, Stream: 2, Off: off, Data: seg})
+		if &s.rcv.Bytes(len(seg), len(seg)+1)[0] != landed {
+			moved++
+		}
+		off += uint32(len(want))
+		if n, _ := s.Read(buf); n != len(buf) || !bytes.Equal(buf, want) || s.rcvNxt != off || len(s.ooo) != 0 {
+			t.Fatalf("read %d of %d bytes (intact: %v) at %d, %d ranges left", n, len(buf), bytes.Equal(buf, want), s.rcvNxt, len(s.ooo))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	moved, ranged = 0, 0
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("four segments above a hole, the one that fills it and the read allocate %v/op in steady state, want 0", allocs)
+	}
+	if moved != 0 || ranged != 1001 {
+		t.Errorf("over 1001 repairs the bytes above the hole moved %d times, and %d times they were one range, want 0 and 1001", moved, ranged)
+	}
+	if m := so.m; m.rcvInUse != 0 || s.rcv.Len() != 0 {
+		t.Errorf("drained, yet %d bytes charged and %d held", m.rcvInUse, s.rcv.Len())
 	}
 }
 

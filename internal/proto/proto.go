@@ -315,7 +315,7 @@ func EndData(buf []byte, dataAt int) []byte {
 // header, so peers interoperate regardless of their local setting.
 func Decode(b []byte) (*Message, error) {
 	m := &Message{}
-	if err := decodeInto(m, b, nil); err != nil {
+	if _, err := decodeInto(m, b, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -331,7 +331,14 @@ func Decode(b []byte) (*Message, error) {
 // outlives that copies it; the name strings are interned and safe to
 // retain.
 type Decoder struct {
-	m     Message
+	m Message
+	n int // Len
+	// last holds the two names most recently resolved through names,
+	// which answer most lookups without hashing: a client mostly decodes
+	// one peer's name, a relay alternates sender and target. next is the
+	// slot the next such name replaces.
+	last  [2]string
+	next  int
 	names map[string]string
 }
 
@@ -341,28 +348,43 @@ const maxInternedNames = 1 << 14
 
 // Decode parses one message into the Decoder's reused Message.
 func (d *Decoder) Decode(b []byte) (*Message, error) {
-	if err := decodeInto(&d.m, b, d); err != nil {
+	n, err := decodeInto(&d.m, b, d)
+	if err != nil {
 		return nil, err
 	}
+	d.n = n
 	return &d.m, nil
 }
 
+// Len returns how many bytes of b the last successful Decode read: the
+// message's own encoding, without whatever followed it in b.
+func (d *Decoder) Len() int { return d.n }
+
 // internString returns a stable string for the byte slice, allocating
-// only the first time a given name is seen. The map index expression
-// `d.names[string(b)]` does not allocate (the compiler elides the
-// conversion for lookups).
+// only the first time a given name is seen. Neither the comparisons
+// with the last two names nor the map index expression
+// `d.names[string(b)]` allocates (the compiler elides the conversion
+// for both).
 func (d *Decoder) internString(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := d.names[string(b)]; ok {
-		return s
+	if string(b) == d.last[0] {
+		return d.last[0]
 	}
-	if d.names == nil || len(d.names) >= maxInternedNames {
-		d.names = make(map[string]string, 16)
+	if string(b) == d.last[1] {
+		return d.last[1]
 	}
-	s := string(b)
-	d.names[s] = s
+	s, ok := d.names[string(b)]
+	if !ok {
+		if d.names == nil || len(d.names) >= maxInternedNames {
+			d.names = make(map[string]string, 16)
+		}
+		s = string(b)
+		d.names[s] = s
+	}
+	d.last[d.next] = s
+	d.next ^= 1
 	return s
 }
 
@@ -374,35 +396,37 @@ type stringInterner interface {
 }
 
 // decodeInto parses b into m, reusing m's Candidates storage when
-// capacity allows. A nil interner copies name strings and payload
-// fresh (Decode); a non-nil one interns the names and points Data at
-// the payload where it lies in b (Decoder). On error m is left
-// partially filled and must be discarded.
-func decodeInto(m *Message, b []byte, in stringInterner) error {
+// capacity allows, and returns how many bytes of b the message takes.
+// A nil interner copies name strings and payload fresh (Decode); a
+// non-nil one interns the names and points Data at the payload where
+// it lies in b (Decoder). On error m is left partially filled and must
+// be discarded.
+func decodeInto(m *Message, b []byte, in stringInterner) (int, error) {
+	size := len(b)
 	if len(b) < 3 || b[0] != magic {
-		return ErrShort
+		return 0, ErrShort
 	}
 	m.Type = Type(b[1])
 	if m.Type == 0 || m.Type > TypeStreamPing {
-		return ErrBadType
+		return 0, ErrBadType
 	}
 	obf := Obfuscator(b[2])
 	b = b[3:]
 	var err error
 	if m.From, b, err = readStringIn(b, in); err != nil {
-		return err
+		return 0, err
 	}
 	if m.Target, b, err = readStringIn(b, in); err != nil {
-		return err
+		return 0, err
 	}
 	if m.Public, b, err = readEndpoint(b, obf); err != nil {
-		return err
+		return 0, err
 	}
 	if m.Private, b, err = readEndpoint(b, obf); err != nil {
-		return err
+		return 0, err
 	}
 	if len(b) < 8+1+4+4 {
-		return ErrShort
+		return 0, ErrShort
 	}
 	m.Nonce = binary.BigEndian.Uint64(b)
 	m.Requester = b[8] == 1
@@ -410,7 +434,7 @@ func decodeInto(m *Message, b []byte, in stringInterner) error {
 	n := binary.BigEndian.Uint32(b[13:])
 	b = b[17:]
 	if uint32(len(b)) < n {
-		return ErrShort
+		return 0, ErrShort
 	}
 	switch {
 	case n == 0:
@@ -427,16 +451,16 @@ func decodeInto(m *Message, b []byte, in stringInterner) error {
 	// Trailing candidate section: absent in pre-negotiation encodings,
 	// which decode as "no candidates".
 	if len(b) == 0 {
-		return nil
+		return size, nil
 	}
 	if len(b) < 2 {
-		return ErrShort
+		return 0, ErrShort
 	}
 	cn := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if cn > 0 {
 		if len(b) < cn*11 {
-			return ErrShort
+			return 0, ErrShort
 		}
 		if cap(m.Candidates) < cn {
 			m.Candidates = make([]Candidate, cn)
@@ -448,12 +472,12 @@ func decodeInto(m *Message, b []byte, in stringInterner) error {
 			c.Kind = b[0]
 			c.Priority = binary.BigEndian.Uint32(b[1:])
 			if c.Endpoint, _, err = readEndpoint(b[5:11], obf); err != nil {
-				return err
+				return 0, err
 			}
 			b = b[11:]
 		}
 	}
-	return nil
+	return size - len(b), nil
 }
 
 func appendString(buf []byte, s string) []byte {

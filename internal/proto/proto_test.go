@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"natpunch/internal/inet"
 )
@@ -282,6 +283,76 @@ func TestDecoderInternTableBounded(t *testing.T) {
 	}
 	if len(d.names) > maxInternedNames {
 		t.Fatalf("intern table grew to %d entries, bound is %d", len(d.names), maxInternedNames)
+	}
+}
+
+// TestDecoderNameCache pins the two-name cache in front of the intern
+// table: two names in alternation (a relay's sender and target) are
+// answered without the table, a third still goes through it and comes
+// back interned, and the table's reset at maxInternedNames returns the
+// right strings on either side of it.
+func TestDecoderNameCache(t *testing.T) {
+	var d Decoder
+	decode := func(from, target string) *Message {
+		t.Helper()
+		m, err := d.Decode(Encode(&Message{Type: TypeRelayTo, From: from, Target: target}, PlainEndpoints))
+		if err != nil || m.From != from || m.Target != target {
+			t.Fatalf("decoded %q -> %q (%v), want %q -> %q", m.From, m.Target, err, from, target)
+		}
+		return m
+	}
+
+	decode("alice", "bob")
+	d.names = nil // a lookup that reaches the table now builds a new one
+	for i := 0; i < 4; i++ {
+		decode("alice", "bob")
+		decode("bob", "alice")
+	}
+	if d.names != nil {
+		t.Fatal("two alternating names went through the intern table")
+	}
+
+	first := decode("carol", "alice").From
+	if d.names["carol"] != "carol" {
+		t.Fatal("a third name was not added to the intern table")
+	}
+	decode("alice", "bob")
+	if again := decode("carol", "bob").From; unsafe.StringData(again) != unsafe.StringData(first) {
+		t.Fatal("a name back from the table is not the interned string")
+	}
+
+	name := make([]byte, 8)
+	for i := 0; i < maxInternedNames+100; i++ {
+		binary.BigEndian.PutUint64(name, uint64(i))
+		decode(string(name), "bob")
+	}
+	if len(d.names) > 1000 {
+		t.Fatalf("intern table holds %d names, want it reset at %d and refilled by about 100", len(d.names), maxInternedNames)
+	}
+	decode("alice", "carol")
+	decode("carol", "alice")
+}
+
+// TestDecoderLen: Len is the message's own length, whatever follows it
+// in the input, with or without the trailing candidate section.
+func TestDecoderLen(t *testing.T) {
+	m := sampleMessage()
+	wire := Encode(m, ObfuscatedEndpoints)
+	bare := Encode(&Message{Type: TypeRelayTo, From: "alice", Target: "bob", Seq: 3, Data: []byte("x")}, PlainEndpoints)
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want int
+	}{
+		{"canonical", wire, len(wire)},
+		{"trailing bytes", append(append([]byte(nil), wire...), "trailer"...), len(wire)},
+		{"no candidate section", bare[:len(bare)-2], len(bare) - 2},
+		{"empty candidate section, trailing bytes", append(append([]byte(nil), bare...), 0xF0, 9), len(bare)},
+	} {
+		var d Decoder
+		if _, err := d.Decode(c.in); err != nil || d.Len() != c.want {
+			t.Errorf("%s: Len %d (%v), want %d", c.name, d.Len(), err, c.want)
+		}
 	}
 }
 

@@ -91,8 +91,8 @@ func requireZeroAllocs(t *testing.T, what string, fn func()) {
 }
 
 // TestRelayForwardZeroAlloc pins the §2.2 relay forward path —
-// decode, registry lookup, re-encode, send — at zero allocations per
-// relayed datagram.
+// decode, registry lookup, copy with the type byte rewritten, send —
+// at zero allocations per relayed datagram.
 func TestRelayForwardZeroAlloc(t *testing.T) {
 	s, conn := allocServer(t, Config{})
 	wire := proto.Encode(&proto.Message{
@@ -127,8 +127,8 @@ func TestRelayOnlyZeroAlloc(t *testing.T) {
 }
 
 // TestFederatedRelayZeroAlloc pins the federated variant: the relayed
-// message is encoded into the inner scratch and wrapped in a
-// FedForward to the target's home server — still zero allocations.
+// bytes are copied into the inner scratch and wrapped in a FedForward
+// to the target's home server — still zero allocations.
 func TestFederatedRelayZeroAlloc(t *testing.T) {
 	s, conn := allocServer(t, Config{})
 	home := inet.MustParseEndpoint("18.181.0.32:1234")

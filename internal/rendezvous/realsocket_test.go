@@ -12,10 +12,11 @@ import (
 
 // TestRealSocketRelayZeroAlloc is the relay hop on real sockets: a
 // RelayTo carrying a full stream datagram goes in through realudp's
-// batched read loop, is decoded where the kernel put it, re-encoded
-// once — into the buffer the socket sends from — and comes out as the
-// Relayed the target reads, byte for byte, with nothing allocated per
-// forwarded datagram anywhere in the process.
+// batched read loop, is decoded where the kernel put it for routing,
+// copied once — into the buffer the socket sends from, type byte
+// rewritten — and comes out as the Relayed the target reads, byte for
+// byte, with nothing allocated per forwarded datagram anywhere in the
+// process.
 func TestRealSocketRelayZeroAlloc(t *testing.T) {
 	tr, err := realudp.New("127.0.0.1:0")
 	if err != nil {

@@ -137,9 +137,10 @@ type Server struct {
 	// registry records) and leaving Data where it lies in the datagram.
 	// scratchMsg is the reused outgoing-message skeleton; enc and
 	// fedScratch are the encode buffers — separate, because a federated
-	// delivery encodes the inner message (fedScratch) and then the
-	// FedForward wrapper around it (enc). A conn that lends its send
-	// buffer (inPlace) is encoded into directly instead of through enc.
+	// delivery encodes the inner message (or copies the relayed bytes)
+	// into fedScratch and then the FedForward wrapper around it into
+	// enc. A conn that lends its send buffer (inPlace) is written into
+	// directly instead of through enc.
 	dec        proto.Decoder
 	scratchMsg proto.Message
 	enc        []byte
@@ -270,7 +271,7 @@ func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 		case proto.TypeKeepAlive:
 			s.keepAliveUDP(from, m)
 		case proto.TypeRelayTo:
-			s.relay(m)
+			s.relay(m, payload[:s.dec.Len()])
 		}
 		return // everything else is out of scope for a pure relay
 	}
@@ -287,7 +288,7 @@ func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 		s.forwardCandidates(m, from)
 
 	case proto.TypeRelayTo:
-		s.relay(m)
+		s.relay(m, payload[:s.dec.Len()])
 
 	case proto.TypeReverseRequest:
 		s.reverse(from, m)
@@ -350,11 +351,9 @@ func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
 }
 
 // sendUDP encodes and transmits one message: into the buffer the socket
-// sends it from where the socket lends that (transport.InPlaceSender;
-// the encoding is then the only copy a relayed payload takes through
-// the server), else into the reused scratch, which SendTo releases
-// before it returns. The forward/relay hot path is allocation-free
-// either way.
+// sends it from where the socket lends that (transport.InPlaceSender),
+// else into the reused scratch, which SendTo releases before it
+// returns. The forwarder's hot path is allocation-free either way.
 func (s *Server) sendUDP(to inet.Endpoint, m *proto.Message) {
 	if s.inPlace != nil {
 		s.inPlace.Commit(to, proto.AppendMessage(s.inPlace.Reserve(), m, s.obf))
@@ -428,7 +427,8 @@ func (s *Server) handleTCPMessage(conn *tcp.Conn, owner *tcpClient, m *proto.Mes
 		s.forwardDetails(conn.Remote(), m, true)
 
 	case proto.TypeRelayTo:
-		s.relay(m)
+		// No datagram to forward: encode the frame's message once.
+		s.relay(m, proto.Encode(m, s.obf))
 
 	case proto.TypeReverseRequest:
 		s.reverse(conn.Remote(), m)

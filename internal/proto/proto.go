@@ -388,20 +388,13 @@ func (d *Decoder) internString(b []byte) string {
 	return s
 }
 
-// stringInterner abstracts the Decoder for decodeInto. An interface
-// (rather than a func value) keeps the call allocation-free: a
-// *Decoder converts to the interface without boxing.
-type stringInterner interface {
-	internString(b []byte) string
-}
-
 // decodeInto parses b into m, reusing m's Candidates storage when
 // capacity allows, and returns how many bytes of b the message takes.
-// A nil interner copies name strings and payload fresh (Decode); a
+// A nil Decoder copies name strings and payload fresh (Decode); a
 // non-nil one interns the names and points Data at the payload where
-// it lies in b (Decoder). On error m is left partially filled and must
-// be discarded.
-func decodeInto(m *Message, b []byte, in stringInterner) (int, error) {
+// it lies in b. On error m is left partially filled and must be
+// discarded.
+func decodeInto(m *Message, b []byte, in *Decoder) (int, error) {
 	size := len(b)
 	if len(b) < 3 || b[0] != magic {
 		return 0, ErrShort
@@ -485,7 +478,7 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readStringIn(b []byte, in stringInterner) (string, []byte, error) {
+func readStringIn(b []byte, in *Decoder) (string, []byte, error) {
 	if len(b) < 2 {
 		return "", nil, ErrShort
 	}

@@ -132,10 +132,10 @@ func TestRelayOnlyZeroAlloc(t *testing.T) {
 func TestFederatedRelayZeroAlloc(t *testing.T) {
 	s, conn := allocServer(t, Config{})
 	home := inet.MustParseEndpoint("18.181.0.32:1234")
-	s.reg.Put(Record{
+	s.reg.put(Record{
 		Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"),
 		Home: home, ExpiresAt: 0,
-	})
+	}, s.now())
 	wire := proto.Encode(&proto.Message{
 		Type: proto.TypeRelayTo, From: "alice", Target: "carol",
 		Seq: 3, Data: []byte("cross-server relay"),

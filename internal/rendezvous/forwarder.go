@@ -7,7 +7,7 @@ import (
 
 // The forwarder service: §3.2 step 2's connection-request forwarding,
 // §2.3 connection reversal, and §4.5 sequential-punch signalling.
-// Each request resolves its target through the Registry (or the TCP
+// Each request resolves its target through the registry (or the TCP
 // client table) and delivers through the federation-aware deliver(),
 // so the same code introduces peers homed on one server or on two.
 
@@ -40,8 +40,8 @@ func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP boo
 		return
 	}
 	now := s.now()
-	a, aok := s.reg.Get(m.From, now)
-	b, bok := s.reg.Get(m.Target, now)
+	a, aok := s.reg.get(m.From, now)
+	b, bok := s.reg.get(m.Target, now)
 	if !aok || !bok {
 		s.fail(from, m, false)
 		return
@@ -88,8 +88,8 @@ func (s *Server) reverse(from inet.Endpoint, m *proto.Message) {
 		return
 	}
 	now := s.now()
-	a, aok := s.reg.Get(m.From, now)
-	b, bok := s.reg.Get(m.Target, now)
+	a, aok := s.reg.get(m.From, now)
+	b, bok := s.reg.get(m.Target, now)
 	if !aok || !bok {
 		s.stats.Errors++
 		return

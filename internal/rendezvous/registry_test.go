@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"natpunch/internal/inet"
 	"natpunch/internal/rendezvous"
@@ -16,25 +14,21 @@ func ep(i int) inet.Endpoint {
 	return inet.Endpoint{Addr: inet.AddrFrom4(18, 181, 0, byte(30+i)), Port: 1234}
 }
 
-// TestOwnerStableAcrossShardCounts is the stable-hashing property:
-// which *server* owns a name is a function of the name and the server
-// set alone. Re-sharding any server's registry — 1-way to 64-way,
-// grown or shrunk, records migrated or not — never re-homes a single
-// client.
-func TestOwnerStableAcrossShardCounts(t *testing.T) {
+// TestOwnerDependsOnlyOnNameAndServerSet is the stable-hashing
+// property: which *server* owns a name is a function of the name and
+// the server set alone — the same on every call, whichever member the
+// pool lists first — so every participant computes the same home and
+// nothing server-local can re-home a client.
+func TestOwnerDependsOnlyOnNameAndServerSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	servers := []inet.Endpoint{ep(1), ep(2), ep(3), ep(4)}
 	for trial := 0; trial < 500; trial++ {
 		name := fmt.Sprintf("peer-%d-%x", trial, rng.Uint64())
 		want := rendezvous.Owner(name, servers)
-		for _, shards := range []int{1, 2, 4, 16, 64} {
-			reg := rendezvous.NewShardedRegistry(shards)
-			reg.Put(rendezvous.Record{Name: name, Public: ep(9)})
-			if _, ok := reg.Get(name, 0); !ok {
-				t.Fatalf("shards=%d lost %q", shards, name)
-			}
-			if got := rendezvous.Owner(name, servers); got != want {
-				t.Fatalf("shards=%d changed owner of %q: %v != %v", shards, name, got, want)
+		for r := range servers {
+			rotated := append(append([]inet.Endpoint(nil), servers[r:]...), servers[:r]...)
+			if got := rendezvous.Owner(name, rotated); got != want {
+				t.Fatalf("pool rotated by %d changed owner of %q: %v != %v", r, name, got, want)
 			}
 		}
 	}
@@ -110,58 +104,5 @@ func TestOwnerSpreadsNames(t *testing.T) {
 		if share < 0.15 || share > 0.35 {
 			t.Errorf("server %v owns %.1f%% of names; want roughly a quarter", e, share*100)
 		}
-	}
-}
-
-func TestShardedRegistryTTLBasics(t *testing.T) {
-	reg := rendezvous.NewShardedRegistry(4)
-	reg.Put(rendezvous.Record{Name: "a", Public: ep(1), ExpiresAt: 100})
-	if _, ok := reg.Get("a", 99); !ok {
-		t.Fatal("live record missing")
-	}
-	if _, ok := reg.Get("a", 101); ok {
-		t.Fatal("expired record returned")
-	}
-	if _, ok := reg.Get("a", 99); ok {
-		t.Fatal("expired record not evicted on first miss")
-	}
-
-	reg.Put(rendezvous.Record{Name: "b", Public: ep(1), ExpiresAt: 100})
-	if !reg.Touch("b", ep(2), 200, 99) {
-		t.Fatal("touch on live record failed")
-	}
-	rec, ok := reg.Get("b", 150)
-	if !ok || rec.ExpiresAt != 200 || rec.Public != ep(2) {
-		t.Fatalf("touch did not refresh: %+v ok=%v", rec, ok)
-	}
-	if reg.Touch("b", ep(3), 300, 250) {
-		t.Fatal("touch revived an expired record")
-	}
-	if reg.Len(250) != 0 {
-		t.Fatalf("Len = %d, want 0", reg.Len(250))
-	}
-}
-
-// TestShardedRegistryConcurrent exercises the per-shard locking under
-// parallel writers/readers (run with -race).
-func TestShardedRegistryConcurrent(t *testing.T) {
-	reg := rendezvous.NewShardedRegistry(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				name := fmt.Sprintf("p%d", i%64)
-				reg.Put(rendezvous.Record{Name: name, Public: ep(w), ExpiresAt: time.Hour})
-				reg.Get(name, time.Minute)
-				reg.Touch(name, ep(w), 2*time.Hour, time.Minute)
-				reg.Range(time.Minute, func(rendezvous.Record) bool { return true })
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := reg.Len(time.Minute); n != 64 {
-		t.Fatalf("Len = %d, want 64", n)
 	}
 }

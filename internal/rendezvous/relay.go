@@ -29,7 +29,7 @@ import (
 // along unread. relay runs on the server's packets-per-second ceiling,
 // so it allocates nothing on the UDP paths.
 func (s *Server) relay(m *proto.Message, wire []byte) {
-	rec, ok := s.reg.Get(m.Target, s.now())
+	rec, ok := s.reg.get(m.Target, s.now())
 	var c *tcpClient
 	if !ok {
 		if c = s.tcpc[m.Target]; c == nil {

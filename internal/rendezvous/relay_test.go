@@ -86,7 +86,7 @@ func TestRelayForwardsReceivedBytes(t *testing.T) {
 					c := &inPlaceConn{stubConn: *conn}
 					s.udp, s.inPlace, conn = c, c, &c.stubConn
 				}
-				s.reg.Put(Record{Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"), Home: home})
+				s.reg.put(Record{Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"), Home: home}, s.now())
 				for _, c := range relayCases(target) {
 					label := fmt.Sprintf("%s to %s (relay-only %v, lent buffer %v)", c.name, target, relayOnly, lends)
 					in := append([]byte(nil), c.wire...)
@@ -214,7 +214,7 @@ func FuzzRelayForward(f *testing.F) {
 	home := inet.MustParseEndpoint("18.181.0.32:1234")
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		s, conn := allocServer(t, Config{})
-		s.reg.Put(Record{Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"), Home: home})
+		s.reg.put(Record{Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"), Home: home}, s.now())
 		in := append([]byte(nil), wire...)
 		sent := conn.sent
 		s.handleUDP(clientEP("alice"), wire)

@@ -1,9 +1,8 @@
 // Package rendezvous implements the well-known server S of the paper
 // (§3.1) as a composition of small services sharing one wire surface:
 //
-//   - a pluggable Registry (registry.go) stores client registrations
-//     — §3.1's endpoint pairs — with §3.6 TTL eviction, sharded for
-//     concurrent scaling by default;
+//   - the registry (registry.go), a map the server owns, stores client
+//     registrations — §3.1's endpoint pairs — with §3.6 TTL eviction;
 //   - the forwarder (forwarder.go) implements §3.2 step 2's
 //     connection-request forwarding plus reversal (§2.3) and
 //     sequential-punch signalling (§4.5);
@@ -75,17 +74,13 @@ func (s Stats) Add(o Stats) Stats {
 const DefaultTTL = 2 * time.Minute
 
 // Config shapes one server. The zero value serves the full rendezvous
-// surface with a fresh DefaultShards-way registry and DefaultTTL.
+// surface with DefaultTTL.
 type Config struct {
 	// Port is the UDP (and, over simulated hosts, TCP) service port;
 	// 0 takes an ephemeral port.
 	Port inet.Port
 	// Obf is the endpoint obfuscation mode for outgoing messages.
 	Obf proto.Obfuscator
-	// Registry is the registration store; nil builds a private
-	// NewShardedRegistry(DefaultShards). Supplying one allows sharing
-	// a store between servers or plugging an external backend.
-	Registry Registry
 	// TTL bounds a registration's life between keep-alives. 0 takes
 	// DefaultTTL; negative disables expiry.
 	TTL time.Duration
@@ -124,7 +119,7 @@ type Server struct {
 
 	udp      transport.UDPConn
 	listener *host.TCPListener
-	reg      Registry
+	reg      registry
 	tcpc     map[string]*tcpClient
 
 	// Federation link state (federation.go). fedPeers preserves join
@@ -154,7 +149,7 @@ type Server struct {
 }
 
 // NewOver starts a rendezvous server over an arbitrary transport at
-// port with default registry and TTL.
+// port with the default TTL.
 func NewOver(tr transport.Transport, port inet.Port, obf proto.Obfuscator) (*Server, error) {
 	return Serve(tr, Config{Port: port, Obf: obf})
 }
@@ -165,15 +160,12 @@ func NewOver(tr transport.Transport, port inet.Port, obf proto.Obfuscator) (*Ser
 // transport; the TCP side is bound only when the transport carries
 // the full simulated host stack.
 func Serve(tr transport.Transport, cfg Config) (*Server, error) {
-	if cfg.Registry == nil {
-		cfg.Registry = NewShardedRegistry(DefaultShards)
-	}
 	if cfg.TTL == 0 {
 		cfg.TTL = DefaultTTL
 	}
 	s := &Server{
 		tr: tr, cfg: cfg, port: cfg.Port, obf: cfg.Obf,
-		reg:    cfg.Registry,
+		reg:    registry{recs: make(map[string]Record)},
 		tcpc:   make(map[string]*tcpClient),
 		fedSet: make(map[inet.Endpoint]bool),
 	}
@@ -224,13 +216,10 @@ func (s *Server) Close() {
 // Stats returns a copy of the counters.
 func (s *Server) Stats() Stats { return s.stats }
 
-// Registry returns the server's registration store.
-func (s *Server) Registry() Registry { return s.reg }
-
 // Registered reports whether a client name is live (on either
 // transport surface, homed anywhere in the federation).
 func (s *Server) Registered(name string) bool {
-	if _, ok := s.reg.Get(name, s.now()); ok {
+	if _, ok := s.reg.get(name, s.now()); ok {
 		return true
 	}
 	_, ok := s.tcpc[name]
@@ -320,7 +309,7 @@ func (s *Server) registerUDP(from inet.Endpoint, m *proto.Message) {
 		Private:   m.Private, // reported by the client itself
 		ExpiresAt: s.expiry(),
 	}
-	s.reg.Put(rec)
+	s.reg.put(rec, s.now())
 	s.stats.RegistrationsUDP++
 	out := &s.scratchMsg
 	*out = proto.Message{
@@ -337,7 +326,8 @@ func (s *Server) registerUDP(from inet.Endpoint, m *proto.Message) {
 // old mapping), ack so clients can tell a live server from a dead one
 // (the facade's failover signal), and replicate the refresh.
 func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
-	if !s.reg.Touch(m.From, from, s.expiry(), s.now()) {
+	rec, ok := s.reg.touch(m.From, from, s.expiry(), s.now())
+	if !ok {
 		return // unknown or expired; the client's refresh cycle re-registers
 	}
 	out := &s.scratchMsg
@@ -345,9 +335,7 @@ func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
 		Type: proto.TypeRegisterOK, Target: m.From, Public: from,
 	}
 	s.sendUDP(from, out)
-	if rec, ok := s.reg.Get(m.From, s.now()); ok && rec.Local() {
-		s.replicate(rec)
-	}
+	s.replicate(rec)
 }
 
 // sendUDP encodes and transmits one message: into the buffer the socket

@@ -43,13 +43,13 @@ func WithRelayFallback() Option { return func(c *config) { c.punch.RelayFallback
 // Servers pools additional rendezvous servers with the one passed to
 // Open. The endpoint's home server is chosen from the pool by stable
 // rendezvous hashing of its name — every participant computes the
-// same owner, and changing unrelated deployment knobs (like registry
-// shard counts) never re-homes anyone — and the rest of the pool is
-// the failover order: a home server that goes silent past its
-// keep-alive grace is abandoned for the next member without tearing
-// down established sessions. Pool servers should be federated
-// (rendezvousapi.Server.Join / cmd/rendezvous -join) so peers homed
-// on different members can still reach each other.
+// same owner, and nothing but the pool's membership can re-home
+// anyone — and the rest of the pool is the failover order: a home
+// server that goes silent past its keep-alive grace is abandoned for
+// the next member without tearing down established sessions. Pool
+// servers should be federated (rendezvousapi.Server.Join /
+// cmd/rendezvous -join) so peers homed on different members can
+// still reach each other.
 func Servers(eps ...transport.Endpoint) Option {
 	return func(c *config) { c.servers = append(c.servers, eps...) }
 }

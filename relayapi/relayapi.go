@@ -46,11 +46,6 @@ func WithTTL(d time.Duration) ServeOption {
 	return func(c *rendezvous.Config) { c.TTL = d }
 }
 
-// WithRegistryShards sizes the sharded registration store.
-func WithRegistryShards(n int) ServeOption {
-	return func(c *rendezvous.Config) { c.Registry = rendezvous.NewShardedRegistry(n) }
-}
-
 // Server is a running standalone relay.
 type Server struct {
 	tr transport.Transport

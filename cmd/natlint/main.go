@@ -22,14 +22,10 @@
 //
 // Flags:
 //
-//	-workers N        parse/type-check/analyze parallelism (default GOMAXPROCS)
-//	-flavors LIST     comma-separated build flavors: native,portable
-//	-json FILE        write the diagnostics as a deterministic JSON artifact
-//	-github           emit GitHub Actions ::error annotations instead of plain lines
-//	-timingjson FILE  write a BENCH-style wall-clock timing artifact
+//	-json FILE  write the diagnostics as a deterministic JSON artifact
+//	-github     emit GitHub Actions ::error annotations instead of plain lines
 //
-// Diagnostics on stdout are byte-identical at any -workers width. Exit
-// status: 0 clean, 1 unsuppressed findings, 2 package load or
+// Exit status: 0 clean, 1 unsuppressed findings, 2 package load or
 // type-check failure (load failures are reported as ordinary "load"
 // diagnostics rather than aborting the run at the first broken
 // package).
@@ -41,13 +37,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"natpunch/internal/analysis"
 )
+
+// flavorNames are the build flavors every run analyzes, in order.
+var flavorNames = []string{"native", "portable"}
 
 // flavorGOOS maps flavor names to the module-file-selection GOOS
 // override ("" = native platform).
@@ -63,13 +61,10 @@ type finding struct {
 }
 
 func main() {
-	workers := flag.Int("workers", 0, "parse/type-check/analyze parallelism (0 = GOMAXPROCS)")
-	flavors := flag.String("flavors", "native,portable", "comma-separated build flavors to analyze (native,portable)")
 	jsonPath := flag.String("json", "", "write diagnostics to this file as a deterministic JSON artifact")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations instead of plain lines")
-	timingPath := flag.String("timingjson", "", "write wall-clock timing to this file (BENCH artifact style)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: natlint [-workers N] [-flavors native,portable] [-json FILE] [-github] [-timingjson FILE] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: natlint [-json FILE] [-github] [./...]\n")
 	}
 	flag.Parse()
 	for _, arg := range flag.Args() {
@@ -79,26 +74,6 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-
-	var flavorNames []string
-	for _, name := range strings.Split(*flavors, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := flavorGOOS[name]; !ok {
-			fmt.Fprintf(os.Stderr, "natlint: unknown flavor %q (want native or portable)\n", name)
-			os.Exit(2)
-		}
-		flavorNames = append(flavorNames, name)
-	}
-	if len(flavorNames) == 0 {
-		fmt.Fprintln(os.Stderr, "natlint: no flavors selected")
-		os.Exit(2)
 	}
 
 	start := time.Now()
@@ -110,9 +85,8 @@ func main() {
 	var prev *analysis.Module
 	for _, name := range flavorNames {
 		mod, loadDiags, err := analysis.LoadWith(".", analysis.LoadOptions{
-			Workers: *workers,
-			GOOS:    flavorGOOS[name],
-			Reuse:   prev,
+			GOOS:  flavorGOOS[name],
+			Reuse: prev,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "natlint: %v\n", err)
@@ -125,7 +99,7 @@ func main() {
 		if len(loadDiags) > 0 {
 			loadFailed = true
 		}
-		diags := append(loadDiags, analysis.RunWorkers(mod, analysis.DefaultConfig(), analyzers, *workers)...)
+		diags := append(loadDiags, analysis.Run(mod, analysis.DefaultConfig(), analyzers)...)
 		for _, d := range diags {
 			key := d.String()
 			f, ok := merged[key]
@@ -174,12 +148,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *timingPath != "" {
-		if err := writeTiming(*timingPath, *workers, flavorNames, packages, len(findings), elapsed); err != nil {
-			fmt.Fprintf(os.Stderr, "natlint: writing %s: %v\n", *timingPath, err)
-			os.Exit(2)
-		}
-	}
 
 	summary := fmt.Sprintf("natlint: %d package(s) · %d flavor(s)", packages, len(flavorNames))
 	for _, a := range analyzers {
@@ -190,7 +158,7 @@ func main() {
 			summary += fmt.Sprintf(" · %s %d", extra, n)
 		}
 	}
-	summary += fmt.Sprintf(" · %.2fs (workers=%d)", elapsed.Seconds(), *workers)
+	summary += fmt.Sprintf(" · %.2fs", elapsed.Seconds())
 	fmt.Fprintln(os.Stderr, summary)
 
 	switch {
@@ -240,28 +208,6 @@ func writeJSON(path, modDir, modPath string, flavorNames []string, findings []*f
 			File: file, Line: f.d.Pos.Line, Col: f.d.Pos.Column,
 			Check: f.d.Check, Message: f.d.Message, Flavors: f.flavors,
 		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeTiming emits the lint-stage timing artifact, shaped like the
-// BENCH_*.json trajectory files CI already collects.
-func writeTiming(path string, workers int, flavorNames []string, packages, findings int, elapsed time.Duration) error {
-	out := struct {
-		Name        string   `json:"name"`
-		Workers     int      `json:"workers"`
-		Flavors     []string `json:"flavors"`
-		Packages    int      `json:"packages"`
-		Diagnostics int      `json:"diagnostics"`
-		WallSeconds float64  `json:"wall_seconds"`
-	}{
-		Name: "natlint", Workers: workers, Flavors: flavorNames,
-		Packages: packages, Diagnostics: findings,
-		WallSeconds: elapsed.Seconds(),
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

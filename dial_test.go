@@ -71,6 +71,36 @@ func TestDialContextCancelSim(t *testing.T) {
 	})
 }
 
+// TestDialRelayAtPunchTimeout pins that WithPunchTimeout bounds the
+// candidate negotiation: symmetric<->symmetric checks never converge,
+// so the dial falls to the relay at the deadline — not before it, and
+// not a whole extra second after it.
+func TestDialRelayAtPunchTimeout(t *testing.T) {
+	const timeout = 3 * time.Second
+	alice, bob, _, w := simPair(t, simnet.Symmetric(), simnet.Symmetric(),
+		WithRelayFallback(), WithPunchTimeout(timeout))
+	ln, err := bob.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoAccept(t, ln)
+
+	start := w.Now()
+	conn, err := alice.Dial("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	took := w.Now() - start
+	if conn.Path() != "relay" {
+		t.Fatalf("symmetric<->symmetric dial took path %s, want relay", conn.Path())
+	}
+	if took < timeout || took >= timeout+time.Second {
+		t.Fatalf("dial fell to the relay after %v of virtual time, want [%v, %v)", took, timeout, timeout+time.Second)
+	}
+	t.Logf("relay after %v of virtual time", took)
+}
+
 func TestDialContextCancelRealUDP(t *testing.T) {
 	requireLoopbackUDP(t)
 	baseline := runtime.NumGoroutine()

@@ -144,7 +144,7 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 		// Every dial, and every re-punch of a live session, is a
 		// candidate negotiation run by the agent; InboundUDP above still
 		// answers a peer that punches with the plain §3.2 exchange.
-		d.agent = ice.New(d.client, cfg.iceCfg)
+		d.agent = ice.New(d.client, ice.Config{})
 		d.agent.Inbound = ice.Callbacks{
 			Established: func(s *punch.UDPSession, _ ice.Candidate) { d.inbound(d.newUDPConn(s)) },
 			Data:        d.udpData,

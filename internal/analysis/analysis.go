@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"go/token"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one analyzer finding, positioned for file:line:col
@@ -293,36 +292,13 @@ func collectPragmas(mod *Module, report func(Diagnostic)) []*pragma {
 // below; pragmas that suppress nothing are reported as unused, so
 // stale exemptions cannot linger after the code they excused is gone.
 func Run(mod *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
-	return RunWorkers(mod, cfg, analyzers, 1)
-}
-
-// RunWorkers runs the analyzers across a worker pool, one analyzer per
-// task — each collects findings into its own slice, so the merged,
-// sorted result is byte-identical at any width.
-func RunWorkers(mod *Module, cfg *Config, analyzers []*Analyzer, workers int) []Diagnostic {
 	var all []Diagnostic
 	pragmas := collectPragmas(mod, func(d Diagnostic) { all = append(all, d) })
-	if workers <= 1 {
-		for _, a := range analyzers {
-			all = append(all, runOne(mod, cfg, a)...)
-		}
-	} else {
-		found := make([][]Diagnostic, len(analyzers))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, a := range analyzers {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, a *Analyzer) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				found[i] = runOne(mod, cfg, a)
-			}(i, a)
-		}
-		wg.Wait()
-		for _, ds := range found {
-			all = append(all, ds...)
-		}
+	for _, a := range analyzers {
+		a.Run(&Pass{Module: mod, Config: cfg, report: func(d Diagnostic) {
+			d.Check = a.Name
+			all = append(all, d)
+		}})
 	}
 
 	kept := all[:0]
@@ -353,19 +329,4 @@ func RunWorkers(mod *Module, cfg *Config, analyzers []*Analyzer, workers int) []
 	// sort.Slice is unstable, so a partial key would vary run to run.
 	sortDiagnostics(kept)
 	return kept
-}
-
-// runOne executes a single analyzer and returns its findings.
-func runOne(mod *Module, cfg *Config, a *Analyzer) []Diagnostic {
-	var out []Diagnostic
-	pass := &Pass{
-		Module: mod,
-		Config: cfg,
-		report: func(d Diagnostic) {
-			d.Check = a.Name
-			out = append(out, d)
-		},
-	}
-	a.Run(pass)
-	return out
 }

@@ -308,44 +308,6 @@ func TestBrokenModuleLoad(t *testing.T) {
 	Run(mod, DefaultConfig(), Analyzers())
 }
 
-// TestWorkerWidthDeterminism pins that load and analysis diagnostics
-// render byte-identically at worker widths 1 and 8, over both a
-// finding-heavy fixture and a load-failing one.
-func TestWorkerWidthDeterminism(t *testing.T) {
-	render := func(t *testing.T, fixture string, cfg *Config, analyzers []*Analyzer, workers int) string {
-		t.Helper()
-		mod, ldiags, err := LoadWith(filepath.Join("testdata", "src", fixture), LoadOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, d := range ldiags {
-			sb.WriteString(d.String() + "\n")
-		}
-		for _, d := range RunWorkers(mod, cfg, analyzers, workers) {
-			sb.WriteString(d.String() + "\n")
-		}
-		return sb.String()
-	}
-	for _, fx := range []struct {
-		name      string
-		cfg       *Config
-		analyzers []*Analyzer
-	}{
-		{"bufown", bufOwnFixtureConfig(), Analyzers()},
-		{"broken", DefaultConfig(), Analyzers()},
-	} {
-		one := render(t, fx.name, fx.cfg, fx.analyzers, 1)
-		eight := render(t, fx.name, fx.cfg, fx.analyzers, 8)
-		if one != eight {
-			t.Errorf("fixture %s: diagnostics differ between -workers 1 and 8:\n--- 1 ---\n%s--- 8 ---\n%s", fx.name, one, eight)
-		}
-		if fx.name == "bufown" && one == "" {
-			t.Error("determinism fixture produced no diagnostics; the comparison is vacuous")
-		}
-	}
-}
-
 // TestRepoClean is the gate the CI stage runs: the repository itself
 // must be free of unsuppressed diagnostics under the real config, for
 // both data-plane build flavors — the portable flavor swaps in the

@@ -11,10 +11,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package of the
@@ -65,9 +63,6 @@ func (m *Module) Sorted() []*Package {
 
 // LoadOptions configures LoadWith.
 type LoadOptions struct {
-	// Workers is the type-check/parse parallelism; <=0 means
-	// runtime.GOMAXPROCS(0). Diagnostics are identical at any width.
-	Workers int
 	// GOOS, when non-empty, overrides the GOOS used for the *module's*
 	// file selection only (build tags and _os filename suffixes); the
 	// standard library always loads for the native platform. The
@@ -87,23 +82,20 @@ type LoadOptions struct {
 // The standard library is type-checked from GOROOT/src by the "source"
 // importer — by far the most expensive part of a load — so one
 // importer (and the FileSet it is bound to) is shared by every module
-// load in the process. The importer is not safe for concurrent use;
-// stdMu serializes it.
+// load in the process. Loads run one at a time, so neither is guarded.
 var (
-	stdOnce sync.Once
 	stdFset *token.FileSet
 	stdImp  types.ImporterFrom
-	stdMu   sync.Mutex
 )
 
 func sharedStd() (*token.FileSet, types.ImporterFrom) {
-	stdOnce.Do(func() {
+	if stdImp == nil {
 		// With cgo disabled the pure-Go fallbacks (e.g. package net's
 		// netgo path) are selected, keeping the load toolchain-independent.
 		build.Default.CgoEnabled = false
 		stdFset = token.NewFileSet()
 		stdImp = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
-	})
+	}
 	return stdFset, stdImp
 }
 
@@ -135,10 +127,6 @@ func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
 		return nil, nil, err
 	}
 	fset, std := sharedStd()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ctxt := build.Default
 	ctxt.CgoEnabled = false
 	if opts.GOOS != "" {
@@ -151,38 +139,33 @@ func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
 			Fset:     fset,
 			Packages: make(map[string]*Package),
 		},
-		std:     std,
-		ctxt:    ctxt,
-		workers: workers,
-		reuse:   opts.Reuse,
-		dirs:    make(map[string]string),
-		files:   make(map[string][]string),
-		asts:    make(map[string][]*ast.File),
-		deps:    make(map[string][]string),
-		failed:  make(map[string]string),
+		std:    std,
+		ctxt:   ctxt,
+		reuse:  opts.Reuse,
+		dirs:   make(map[string]string),
+		files:  make(map[string][]string),
+		asts:   make(map[string][]*ast.File),
+		deps:   make(map[string][]string),
+		failed: make(map[string]string),
 	}
 	if err := ld.discover(); err != nil {
 		return nil, nil, err
 	}
 	ld.markReusable()
-	if err := ld.parseAll(); err != nil {
-		return nil, nil, err
-	}
+	ld.parseAll()
 	ld.collectDeps()
-	ld.markCycles()
 	ld.checkAll()
 	sortDiagnostics(ld.diags)
 	return ld.mod, ld.diags, nil
 }
 
-// loader drives one module load: file discovery, parallel parse,
-// dependency-ordered parallel type-check.
+// loader drives one module load: file discovery, parse, and a
+// dependency-ordered type-check.
 type loader struct {
-	mod     *Module
-	std     types.ImporterFrom
-	ctxt    build.Context
-	workers int
-	reuse   *Module
+	mod   *Module
+	std   types.ImporterFrom
+	ctxt  build.Context
+	reuse *Module
 
 	dirs     map[string]string   // import path -> source dir
 	files    map[string][]string // import path -> sorted file names
@@ -190,7 +173,6 @@ type loader struct {
 	deps     map[string][]string // module-local imports
 	reusable map[string]bool     // take from reuse module verbatim
 
-	mu     sync.Mutex
 	diags  []Diagnostic
 	failed map[string]string // path -> why ("" means not failed)
 }
@@ -356,47 +338,29 @@ func (ld *loader) markReusable() {
 	}
 }
 
-// parseAll parses every non-reusable package across the worker pool.
-// Parse failures mark the package failed with "load" diagnostics.
-func (ld *loader) parseAll() error {
-	paths := ld.sortedPaths()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, ld.workers)
-	for _, path := range paths {
+// parseAll parses every non-reusable package. Parse failures mark
+// the package failed with "load" diagnostics.
+func (ld *loader) parseAll() {
+paths:
+	for _, path := range ld.sortedPaths() {
 		if ld.reusable[path] {
 			continue
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(path string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var files []*ast.File
-			var ferr error
-			for _, name := range ld.files[path] {
-				f, err := parser.ParseFile(ld.mod.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-				if err != nil {
-					ferr = err
-					break
-				}
-				files = append(files, f)
-			}
-			ld.mu.Lock()
-			defer ld.mu.Unlock()
-			if ferr != nil {
+		var files []*ast.File
+		for _, name := range ld.files[path] {
+			f, err := parser.ParseFile(ld.mod.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
 				ld.failed[path] = "parse error"
-				ld.reportLoadErr(path, ferr)
-				return
+				ld.reportLoadErr(path, err)
+				continue paths
 			}
-			ld.asts[path] = files
-		}(path)
+			files = append(files, f)
+		}
+		ld.asts[path] = files
 	}
-	wg.Wait()
-	return nil
 }
 
 // reportLoadErr renders a parse or type error as "load" diagnostics.
-// Must hold ld.mu.
 func (ld *loader) reportLoadErr(path string, err error) {
 	switch e := err.(type) {
 	case scanner.ErrorList:
@@ -450,7 +414,7 @@ func (ld *loader) collectDeps() {
 		sort.Strings(ld.deps[path])
 	}
 	for path := range ld.reusable {
-		// Reused packages keep their recorded deps for scheduling.
+		// Reused packages keep their recorded deps for the walk.
 		prev := ld.reuse.Packages[path]
 		seen := make(map[string]bool)
 		for _, f := range prev.Files {
@@ -466,10 +430,12 @@ func (ld *loader) collectDeps() {
 	}
 }
 
-// markCycles fails every package on a module-local import cycle up
-// front, so the dependency-ordered scheduler can treat failed deps as
-// settled and never stalls.
-func (ld *loader) markCycles() {
+// checkAll type-checks every package after its module-local deps, in
+// one depth-first walk from the sorted paths. The walk doubles as
+// cycle detection: an import edge back onto the walk's stack fails
+// every package from that dep to the top as an import cycle, before
+// any of them is checked.
+func (ld *loader) checkAll() {
 	state := make(map[string]int) // 0 unvisited, 1 on stack, 2 done
 	var stack []string
 	var visit func(path string)
@@ -503,6 +469,7 @@ func (ld *loader) markCycles() {
 		}
 		stack = stack[:len(stack)-1]
 		state[path] = 2
+		ld.checkOne(path)
 	}
 	for _, path := range ld.sortedPaths() {
 		if state[path] == 0 {
@@ -511,92 +478,13 @@ func (ld *loader) markCycles() {
 	}
 }
 
-// checkAll type-checks every package across the worker pool in
-// dependency order: a package is scheduled once all its module-local
-// deps are settled (loaded, reused, or failed).
-func (ld *loader) checkAll() {
-	paths := ld.sortedPaths()
-	remaining := make(map[string]int, len(paths))
-	dependents := make(map[string][]string)
-	for _, path := range paths {
-		// A package already failed (import cycle) is dependency-free:
-		// its cycle edges would otherwise never settle and the whole
-		// pool would park in cond.Wait. Queue it immediately; checkOne
-		// early-returns on failed packages and settle() still releases
-		// its dependents.
-		n := 0
-		if ld.failed[path] == "" {
-			for _, dep := range ld.deps[path] {
-				if _, known := ld.dirs[dep]; known {
-					n++
-					dependents[dep] = append(dependents[dep], path)
-				}
-			}
-		}
-		remaining[path] = n
-	}
-
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	var queue []string
-	done := 0
-	for _, path := range paths {
-		if remaining[path] == 0 {
-			queue = append(queue, path)
-		}
-	}
-
-	settle := func(path string) {
-		// Called with mu held: mark path settled, release dependents.
-		done++
-		for _, dep := range dependents[path] {
-			remaining[dep]--
-			if remaining[dep] == 0 {
-				queue = append(queue, dep)
-			}
-		}
-		cond.Broadcast()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < ld.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(queue) == 0 && done < len(paths) {
-					cond.Wait()
-				}
-				if done >= len(paths) && len(queue) == 0 {
-					mu.Unlock()
-					return
-				}
-				path := queue[0]
-				queue = queue[1:]
-				mu.Unlock()
-
-				ld.checkOne(path)
-
-				mu.Lock()
-				settle(path)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // checkOne type-checks a single package whose deps are all settled.
 func (ld *loader) checkOne(path string) {
-	ld.mu.Lock()
 	if ld.reusable[path] {
 		ld.mod.Packages[path] = ld.reuse.Packages[path]
-		ld.mu.Unlock()
 		return
 	}
 	if ld.failed[path] != "" {
-		ld.mu.Unlock()
 		return
 	}
 	// A failed dependency fails this package with one diagnostic,
@@ -620,12 +508,10 @@ func (ld *loader) checkOne(path string) {
 				Pos:     pos,
 				Message: fmt.Sprintf("package %s: skipped: depends on broken package %s (%s)", path, dep, why),
 			})
-			ld.mu.Unlock()
 			return
 		}
 	}
 	files := ld.asts[path]
-	ld.mu.Unlock()
 
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -640,9 +526,6 @@ func (ld *loader) checkOne(path string) {
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
 	tpkg, err := conf.Check(path, ld.mod.Fset, files, info)
-
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
 	if len(terrs) > 0 || err != nil {
 		ld.failed[path] = "type error"
 		if len(terrs) == 0 {
@@ -670,25 +553,21 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: module-local imports were
-// settled before this package was scheduled; all others resolve as
-// standard library through the shared (serialized) source importer.
+// checked before this package; all others resolve as standard library
+// through the shared source importer.
 func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/") {
-		ld.mu.Lock()
 		pkg, ok := ld.mod.Packages[path]
-		ld.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("analysis: no package %s in module %s", path, ld.mod.Path)
 		}
 		return pkg.Types, nil
 	}
-	stdMu.Lock()
-	defer stdMu.Unlock()
 	return ld.std.ImportFrom(path, srcDir, mode)
 }
 
 // sortDiagnostics orders diagnostics by position, check, and message —
-// the stable order every emitter relies on for width-independence.
+// the stable order every emitter relies on.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		return DiagnosticLess(diags[i], diags[j])

@@ -30,6 +30,10 @@ type Callbacks struct {
 type Agent struct {
 	c   *punch.Client
 	cfg Config
+	// punchInterval and punchTimeout are the client's: the per-check
+	// retransmission interval, and the bound on a whole negotiation
+	// (at which the relay is nominated, or the attempt fails).
+	punchInterval, punchTimeout time.Duration
 
 	// Inbound supplies callbacks for negotiations initiated by peers
 	// (the forwarded candidate offer arrives without any local Connect
@@ -66,15 +70,17 @@ type earlyCheck struct {
 	nonce uint64
 }
 
-// New attaches a negotiation agent to a punch client. Zero cfg fields
-// inherit the client's probe and timeout settings.
+// New attaches a negotiation agent to a punch client, taking its probe
+// interval and deadline from the client's configuration.
 func New(c *punch.Client, cfg Config) *Agent {
 	a := &Agent{
-		c:       c,
-		cfg:     cfg.withDefaults(c.Config().PunchInterval, c.Config().PunchTimeout),
-		negs:    make(map[uint64]*negotiation),
-		byPeer:  make(map[string]*negotiation),
-		inbound: make(map[string]*negotiation),
+		c:             c,
+		cfg:           cfg,
+		punchInterval: c.Config().PunchInterval,
+		punchTimeout:  c.Config().PunchTimeout,
+		negs:          make(map[uint64]*negotiation),
+		byPeer:        make(map[string]*negotiation),
+		inbound:       make(map[string]*negotiation),
 	}
 	c.SetUDPIntercept(a.intercept)
 	c.OnRepunch = a.repunch
@@ -95,9 +101,6 @@ func (a *Agent) Close() {
 	a.byPeer = make(map[string]*negotiation)
 	a.inbound = make(map[string]*negotiation)
 }
-
-// Config returns the agent's effective configuration.
-func (a *Agent) Config() Config { return a.cfg }
 
 func (a *Agent) tr() transport.Transport { return a.c.Transport() }
 
@@ -191,7 +194,7 @@ func (a *Agent) Connect(peer string, cb Callbacks) {
 	}
 	a.negs[n.nonce] = n
 	a.byPeer[peer] = n
-	n.deadline = a.tr().After(a.cfg.Timeout, func() { a.timeout(n) })
+	n.deadline = a.tr().After(a.punchTimeout, func() { a.timeout(n) })
 	a.c.SendUDPMessage(a.c.Server(), &proto.Message{
 		Type: proto.TypeNegotiate, From: a.c.Name(), Target: peer,
 		Nonce: n.nonce, Candidates: a.localCandidates(),
@@ -280,7 +283,7 @@ func (a *Agent) handleDetails(m *proto.Message) {
 		}
 		a.negs[n.nonce] = n
 		a.inbound[n.peer] = n
-		n.deadline = a.tr().After(a.cfg.Timeout, func() { a.timeout(n) })
+		n.deadline = a.tr().After(a.punchTimeout, func() { a.timeout(n) })
 	}
 	if n.gotDetails || n.done {
 		return
@@ -318,10 +321,10 @@ func (a *Agent) handleDetails(m *proto.Message) {
 		ch := &check{cand: cand}
 		n.checks = append(n.checks, ch)
 		n.byEP[cand.Endpoint] = ch
-		// Paced first probes: check i starts i*Pace after the details
-		// arrive (RFC 8445 §6.1.4), so high-priority candidates get a
-		// head start without serializing the whole schedule.
-		d := time.Duration(i) * a.cfg.Pace
+		// Paced first probes: check i starts i*checkPace after the
+		// details arrive (RFC 8445 §6.1.4), so high-priority candidates
+		// get a head start without serializing the whole schedule.
+		d := time.Duration(i) * checkPace
 		ch.timer = a.tr().After(d, func() { a.startCheck(n, ch) })
 	}
 	// Checks that beat these details here are answered now, as if
@@ -345,7 +348,7 @@ func (a *Agent) startCheck(n *negotiation, ch *check) {
 	a.c.SendUDPMessage(ch.cand.Endpoint, &proto.Message{
 		Type: proto.TypePunch, From: a.c.Name(), Nonce: n.nonce,
 	})
-	ch.timer = a.tr().After(a.cfg.ProbeInterval, func() { a.startCheck(n, ch) })
+	ch.timer = a.tr().After(a.punchInterval, func() { a.startCheck(n, ch) })
 }
 
 // answerCheck answers a connectivity check for an active negotiation:
@@ -457,7 +460,7 @@ func (a *Agent) repunch(peer string, nonce uint64) {
 	}
 	a.negs[n.nonce] = n
 	a.byPeer[peer] = n
-	n.deadline = a.tr().After(a.cfg.Timeout, func() { a.timeout(n) })
+	n.deadline = a.tr().After(a.punchTimeout, func() { a.timeout(n) })
 	a.c.SendUDPMessage(a.c.Server(), &proto.Message{
 		Type: proto.TypeNegotiate, From: a.c.Name(), Target: peer,
 		Nonce: n.nonce, Candidates: a.localCandidates(),

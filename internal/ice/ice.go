@@ -167,43 +167,22 @@ func Sort(cands []Candidate) {
 	sort.Slice(cands, func(i, j int) bool { return Less(cands[i], cands[j]) })
 }
 
-// Config tunes the negotiation. Zero values take defaults (and the
-// owning punch client's probe/timeout settings where noted).
+// Config ablates the negotiation: each switch drops a candidate type
+// from both gathering and checking. NoRelay removes the floor, turning
+// deadline expiry into a hard failure even when the punch client has
+// RelayFallback set. Probe interval and deadline are the punch
+// client's PunchInterval and PunchTimeout.
 type Config struct {
-	// Pace staggers successive candidate first-probes, so the cheap
-	// high-priority paths get a head start before lower ones spend
-	// packets (RFC 8445 §6.1.4's pacing, collapsed to one knob).
-	Pace time.Duration // default 50ms
-	// ProbeInterval is the per-check retransmission interval. Default:
-	// the punch client's PunchInterval.
-	ProbeInterval time.Duration
-	// Timeout bounds the whole negotiation; at the deadline the relay
-	// candidate is nominated (or the attempt fails when relaying is
-	// unavailable). Default: the punch client's PunchTimeout.
-	Timeout time.Duration
-
-	// Ablation switches: drop a candidate type from both gathering and
-	// checking. NoRelay removes the floor, turning deadline expiry
-	// into a hard failure even when the punch client has
-	// RelayFallback set.
 	NoPrivate bool
 	NoPublic  bool
 	NoHairpin bool
 	NoRelay   bool
 }
 
-func (c Config) withDefaults(probe, timeout time.Duration) Config {
-	if c.Pace == 0 {
-		c.Pace = 50 * time.Millisecond
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = probe
-	}
-	if c.Timeout == 0 {
-		c.Timeout = timeout
-	}
-	return c
-}
+// checkPace staggers successive candidate first-probes, so the cheap
+// high-priority paths get a head start before lower ones spend
+// packets (RFC 8445 §6.1.4's pacing, collapsed to one constant).
+const checkPace = 50 * time.Millisecond
 
 // BuildChecks derives the deterministic check schedule from a peer's
 // advertised candidate list: map wire kinds, reclassify public

@@ -90,7 +90,7 @@ func TestRelayFirstNegotiationSymmetricFloor(t *testing.T) {
 
 	out := r.connectRelayFirst(t, 5*time.Second)
 	first := out.session
-	r.await(r.agA.Config().Timeout+time.Second, func() bool {
+	r.await(r.agA.Client().Config().PunchTimeout+time.Second, func() bool {
 		return r.agA.PendingNegotiations() == 0 && r.agB.PendingNegotiations() == 0
 	})
 	if out.session.Via != punch.MethodRelay || out.session != first {

@@ -85,12 +85,6 @@ type Config struct {
 	// protocols); §4.2 step 4's "application-defined maximum timeout
 	// period".
 	PunchTimeout time.Duration // default 10s
-	// ConnectRetryInterval is the delay before re-trying a failed TCP
-	// connect ("e.g., one second", §4.2 step 4).
-	ConnectRetryInterval time.Duration // default 1s
-	// AuthTimeout bounds how long an unauthenticated TCP stream may
-	// stay open before being discarded (§4.2 step 5).
-	AuthTimeout time.Duration // default 3s
 	// KeepAliveInterval paces session and registration keep-alives
 	// (§3.6).
 	KeepAliveInterval time.Duration // default 15s
@@ -112,12 +106,6 @@ type Config struct {
 	// server; the client registers and keep-alives with each so its
 	// NAT keeps a mapping open toward them.
 	RelayServers []inet.Endpoint
-	// ServerFailoverAfter is how long the rendezvous server may stay
-	// silent — no keep-alive acks, no replies of any kind — before a
-	// client with a server pool re-homes to the next server in its
-	// preference order. Default 3x KeepAliveInterval (under DeadAfter,
-	// so relayed sessions can re-route before idle death).
-	ServerFailoverAfter time.Duration
 	// DisableRegistrationKeepAlive turns off the periodic keep-alive
 	// to S (useful for tests that want the event queue to drain).
 	// Server-pool failover detection rides the keep-alive clock, so
@@ -140,10 +128,6 @@ type Config struct {
 	// periodic background re-punching (OnRepunch) while a session
 	// rides the relay.
 	PathUpgrade bool
-	// DrainTimeout bounds how long a migrating session's receiver
-	// holds new-path datagrams while the old path's in-flight tail
-	// drains (the tail may have been lost on real networks).
-	DrainTimeout time.Duration // default 1s
 	// RepunchEvery paces the background re-punch attempts of an
 	// upgradable session riding the relay.
 	RepunchEvery time.Duration // default 30s
@@ -156,32 +140,14 @@ func (c Config) withDefaults() Config {
 	if c.PunchTimeout == 0 {
 		c.PunchTimeout = 10 * time.Second
 	}
-	if c.ConnectRetryInterval == 0 {
-		c.ConnectRetryInterval = time.Second
-	}
-	if c.AuthTimeout == 0 {
-		c.AuthTimeout = 3 * time.Second
-	}
 	if c.KeepAliveInterval == 0 {
 		c.KeepAliveInterval = 15 * time.Second
 	}
 	if c.DeadAfter == 0 {
 		c.DeadAfter = 60 * time.Second
 	}
-	if c.ServerFailoverAfter == 0 {
-		// Below DeadAfter, so relay sessions riding the home server can
-		// re-route to the new home before §3.6 declares them dead —
-		// clamped when long keep-alive intervals would push 3x past it.
-		c.ServerFailoverAfter = 3 * c.KeepAliveInterval
-		if c.ServerFailoverAfter >= c.DeadAfter {
-			c.ServerFailoverAfter = c.DeadAfter * 3 / 4
-		}
-	}
 	if c.RelayFirst {
 		c.PathUpgrade = true
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = time.Second
 	}
 	if c.RepunchEvery == 0 {
 		c.RepunchEvery = 30 * time.Second
@@ -196,6 +162,33 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// serverFailoverAfter is how long the rendezvous server may stay
+// silent — no keep-alive acks, no replies of any kind — before a
+// client with a server pool re-homes to the next server in its
+// preference order: 3x KeepAliveInterval, clamped below DeadAfter so
+// relay sessions riding the home server can re-route to the new home
+// before §3.6 declares them dead.
+func (c Config) serverFailoverAfter() time.Duration {
+	if d := 3 * c.KeepAliveInterval; d < c.DeadAfter {
+		return d
+	}
+	return c.DeadAfter * 3 / 4
+}
+
+// Fixed timers of the procedures.
+const (
+	// connectRetryInterval is the delay before re-trying a failed TCP
+	// connect ("e.g., one second", §4.2 step 4).
+	connectRetryInterval = time.Second
+	// authTimeout bounds how long an unauthenticated TCP stream may
+	// stay open before being discarded (§4.2 step 5).
+	authTimeout = 3 * time.Second
+	// drainTimeout bounds how long a migrating session's receiver
+	// holds new-path datagrams while the old path's in-flight tail
+	// drains (the tail may have been lost on real networks).
+	drainTimeout = time.Second
+)
 
 // Client is a hole-punching endpoint application.
 type Client struct {
@@ -389,7 +382,7 @@ func (c *Client) Server() inet.Endpoint { return c.server }
 // (see rendezvous.Preference for the stable ordering clients and
 // servers agree on): the client registers with the head and fails
 // over down the list — wrapping around — when its current server goes
-// silent for ServerFailoverAfter. Call before RegisterUDP.
+// silent for serverFailoverAfter. Call before RegisterUDP.
 func (c *Client) SetServerPool(eps []inet.Endpoint) {
 	if len(eps) == 0 {
 		return

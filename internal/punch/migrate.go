@@ -18,7 +18,7 @@ package punch
 // TypeMigrate marker on the NEW path carrying the last sequence
 // number it sent on the old one, then switches. The receiver keeps
 // delivering old-path datagrams (seq <= marker) and holds new-path
-// datagrams (seq > marker) until the old path drains or DrainTimeout
+// datagrams (seq > marker) until the old path drains or drainTimeout
 // expires, then flushes the held datagrams in sequence order. The
 // reorder buffer exists only inside the migration window, so normal
 // UDP datagram semantics are untouched; because both paths preserve
@@ -149,7 +149,7 @@ func (s *UDPSession) finishDrain() {
 
 // handleMigrate processes the peer's drain marker: everything the
 // peer sent on its old path carries seq <= m.Seq, so newer datagrams
-// are held until that tail drains — or until DrainTimeout concedes
+// are held until that tail drains — or until drainTimeout concedes
 // the tail was lost (real networks drop datagrams; the window must
 // not hold application data hostage).
 func (c *Client) handleMigrate(from inet.Endpoint, m *proto.Message) {
@@ -171,7 +171,7 @@ func (c *Client) handleMigrate(from inet.Endpoint, m *proto.Message) {
 	if s.drainTimer != nil {
 		s.drainTimer.Stop()
 	}
-	s.drainTimer = c.after(c.cfg.DrainTimeout, s.finishDrain)
+	s.drainTimer = c.after(drainTimeout, s.finishDrain)
 }
 
 // repunch asks OnRepunch for a background attempt at a direct path

@@ -267,7 +267,7 @@ func (c *Client) handleTCPDetails(m *proto.Message) {
 
 // dialCandidate makes one asynchronous connect attempt toward ep from
 // the shared local port, retrying transient failures after
-// ConnectRetryInterval (§4.2 step 4).
+// connectRetryInterval (§4.2 step 4).
 func (c *Client) dialCandidate(a *tcpAttempt, ep inet.Endpoint) {
 	if a.done || c.closed {
 		return
@@ -276,7 +276,7 @@ func (c *Client) dialCandidate(a *tcpAttempt, ep inet.Endpoint) {
 		if a.done {
 			return
 		}
-		a.retryTimers = append(a.retryTimers, c.after(c.cfg.ConnectRetryInterval, func() {
+		a.retryTimers = append(a.retryTimers, c.after(connectRetryInterval, func() {
 			c.dialCandidate(a, ep)
 		}))
 	}
@@ -335,7 +335,7 @@ func (c *Client) attemptForRemote(ep inet.Endpoint) *tcpAttempt {
 func (c *Client) handleAccepted(conn *tcp.Conn) {
 	dec := &proto.StreamDecoder{}
 	authed := false
-	authTimer := c.after(c.cfg.AuthTimeout, func() {
+	authTimer := c.after(authTimeout, func() {
 		if !authed {
 			conn.Abort() // §4.2 step 5: close unauthenticated streams
 		}

@@ -386,14 +386,14 @@ func (c *Client) handleRegisterOK(from inet.Endpoint, m *proto.Message) {
 // scheduleServerKeepAlive keeps the registration's NAT mapping alive
 // (§3.6). The same clock drives server-pool failover: a server that
 // has answered nothing — not even keep-alive acks — for
-// ServerFailoverAfter is abandoned for the next pool member.
+// serverFailoverAfter is abandoned for the next pool member.
 func (c *Client) scheduleServerKeepAlive() {
 	c.udpKeepAlive = c.after(c.cfg.KeepAliveInterval, func() {
 		if c.closed {
 			return
 		}
 		switch {
-		case len(c.pool) > 0 && c.now()-c.lastServerSeen > c.cfg.ServerFailoverAfter:
+		case len(c.pool) > 0 && c.now()-c.lastServerSeen > c.cfg.serverFailoverAfter():
 			c.advanceServer()
 			c.sendToServer(&proto.Message{
 				Type: proto.TypeRegister, From: c.name, Private: c.udpPrivate,

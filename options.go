@@ -3,7 +3,6 @@ package natpunch
 import (
 	"time"
 
-	"natpunch/internal/ice"
 	"natpunch/internal/punch"
 	"natpunch/transport"
 )
@@ -11,7 +10,6 @@ import (
 // config collects the effective settings assembled from Options.
 type config struct {
 	punch           punch.Config
-	iceCfg          ice.Config
 	localPort       transport.Port
 	registerTimeout time.Duration
 	servers         []transport.Endpoint
@@ -128,24 +126,7 @@ func WithObfuscation() Option { return func(c *config) { c.punch.Obfuscate = tru
 // WithPunchTimeout bounds each dial's negotiation; at the deadline
 // the relay is nominated when enabled, otherwise the dial fails.
 func WithPunchTimeout(d time.Duration) Option {
-	return func(c *config) {
-		c.punch.PunchTimeout = d
-		c.iceCfg.Timeout = d
-	}
-}
-
-// WithPunchInterval sets the probe retransmission interval.
-func WithPunchInterval(d time.Duration) Option {
-	return func(c *config) {
-		c.punch.PunchInterval = d
-		c.iceCfg.ProbeInterval = d
-	}
-}
-
-// WithCheckPacing staggers successive candidate first-probes
-// (RFC 8445 §6.1.4's pacing, collapsed to one knob).
-func WithCheckPacing(d time.Duration) Option {
-	return func(c *config) { c.iceCfg.Pace = d }
+	return func(c *config) { c.punch.PunchTimeout = d }
 }
 
 // WithLocalPort binds the endpoint's socket(s) to a specific local

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"natpunch/internal/host"
 	"natpunch/internal/nat"
 	"natpunch/internal/natcheck"
-	"natpunch/internal/topo"
 )
 
 func main() {
@@ -81,25 +79,16 @@ func main() {
 		behavior.HairpinTCP = *hairpinTCP
 	}
 
-	in := topo.NewInternet(*seed)
-	core := in.CoreRealm()
-	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
-	s2 := core.AddHost("s2", "18.181.0.32", host.BSDStyle)
-	s3 := core.AddHost("s3", "18.181.0.33", host.BSDStyle)
-	sv, err := natcheck.NewServers(s1, s2, s3)
+	lab, err := natcheck.NewLab(*seed, behavior)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	realm := core.AddSite("NAT", behavior, "155.99.25.11", "10.0.0.0/24")
-	client := realm.AddHost("C", "10.0.0.1", host.BSDStyle)
-
-	var report natcheck.Report
-	if err := natcheck.Run(client, sv, 4321, func(r natcheck.Report) { report = r }); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	report, ok := lab.Run()
+	if !ok {
+		fmt.Fprintln(os.Stderr, "natcheck: check did not complete")
 		os.Exit(1)
 	}
-	in.RunFor(natcheck.CheckDuration + 10e9)
 
 	fmt.Printf("NAT under test: %s\n\n", behavior)
 	fmt.Printf("UDP:\n")

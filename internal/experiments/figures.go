@@ -381,24 +381,17 @@ func Fig7PortReuse(seed int64) Result {
 // well-behaved NAT, printing the packet trace of Figure 8 alongside
 // the resulting report.
 func Fig8NATCheckTrace(seed int64) Result {
-	in := topo.NewInternet(seed)
-	core := in.CoreRealm()
-	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
-	s2 := core.AddHost("s2", "18.181.0.32", host.BSDStyle)
-	s3 := core.AddHost("s3", "18.181.0.33", host.BSDStyle)
-	sv, err := natcheck.NewServers(s1, s2, s3)
+	lab, err := natcheck.NewLab(seed, nat.WellBehaved())
 	must(err)
-	realm := core.AddSite("NAT", nat.WellBehaved(), "155.99.25.11", "10.0.0.0/24")
-	client := realm.AddHost("C", "10.0.0.1", host.BSDStyle)
-
-	rec := trace.Attach(in.Net, 64)
+	rec := trace.Attach(lab.Net, 64)
 	rec.Filter = func(kind sim.HookKind, seg *sim.Segment, ifc *sim.Iface, pkt *inet.Packet) bool {
 		return pkt.Proto == inet.UDP && kind == sim.HookDeliver
 	}
-	var report natcheck.Report
-	must(natcheck.Run(client, sv, 4321, func(r natcheck.Report) { report = r }))
-	in.RunFor(natcheck.CheckDuration + 10e9)
+	report, ok := lab.Run()
 	rec.Detach()
+	if !ok {
+		panic("natcheck: check did not complete")
+	}
 
 	rows := [][]string{
 		{"consistent translation", boolStr(report.UDPConsistent, "yes", "no"), report.UDPPublic1.String()},

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"natpunch/internal/host"
 	"natpunch/internal/natcheck"
-	"natpunch/internal/topo"
 	"natpunch/internal/vendors"
 )
 
@@ -13,18 +11,12 @@ import (
 // each in a fresh isolated topology (the survey's volunteers each ran
 // against their own NAT).
 func checkDevice(seed int64, dev vendors.Device) natcheck.Report {
-	in := topo.NewInternet(seed)
-	core := in.CoreRealm()
-	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
-	s2 := core.AddHost("s2", "18.181.0.32", host.BSDStyle)
-	s3 := core.AddHost("s3", "18.181.0.33", host.BSDStyle)
-	sv, err := natcheck.NewServers(s1, s2, s3)
+	lab, err := natcheck.NewLab(seed, dev.Behavior)
 	must(err)
-	realm := core.AddSite("NAT", dev.Behavior, "155.99.25.11", "10.0.0.0/24")
-	client := realm.AddHost("C", "10.0.0.1", host.BSDStyle)
-	var report natcheck.Report
-	must(natcheck.Run(client, sv, 4321, func(r natcheck.Report) { report = r }))
-	in.RunFor(natcheck.CheckDuration + 10e9)
+	report, ok := lab.Run()
+	if !ok {
+		panic("natcheck: check did not complete")
+	}
 	return report
 }
 

@@ -423,7 +423,6 @@ func (f *Fleet) arrive(p *peer) {
 	c := punch.NewClientOver(p.host.Transport(), p.name, order[0], f.cfg.Punch)
 	if len(order) > 1 {
 		c.SetServerPool(order)
-		c.OnServerSwitch = func(_, _ inet.Endpoint) { f.rep.Failovers++ }
 	}
 	p.client = c
 	p.agent = ice.New(c, f.cfg.ICE)
@@ -433,14 +432,20 @@ func (f *Fleet) arrive(p *peer) {
 	}
 	if err := c.RegisterUDP(clientPort, func(err error) {
 		if err != nil {
-			c.Close()
-			p.client = nil
+			f.closeClient(p)
 			return
 		}
 		f.registered(p)
 	}); err != nil {
 		panic(err)
 	}
+}
+
+// closeClient closes p's client and banks its re-homings in the report.
+func (f *Fleet) closeClient(p *peer) {
+	f.rep.Failovers += p.client.Failovers
+	p.client.Close()
+	p.client = nil
 }
 
 func (f *Fleet) registered(p *peer) {
@@ -494,8 +499,7 @@ func (f *Fleet) depart(p *peer, gen int) {
 		p.agent.Close()
 		p.agent = nil
 	}
-	p.client.Close()
-	p.client = nil
+	f.closeClient(p)
 
 	if f.cfg.MeanRejoin > 0 {
 		f.in.Net.Sched.After(f.expDur(f.cfg.MeanRejoin), func() { f.arrive(p) })
@@ -725,8 +729,12 @@ func (f *Fleet) topo(key string) *TopoStat {
 }
 
 func (f *Fleet) finish() {
-	// Outstanding attempts at the horizon never resolved.
+	// Outstanding attempts at the horizon never resolved; clients
+	// still open bank their re-homings.
 	for _, p := range f.peers {
+		if p.client != nil {
+			f.rep.Failovers += p.client.Failovers
+		}
 		for _, keys := range p.inflight {
 			f.pair(keys.pair).Abandoned++
 			f.topo(keys.topo).Abandoned++

@@ -103,9 +103,6 @@ func New(n *sim.Network, name string, flavor OSFlavor) *Host {
 // Name implements sim.Device.
 func (h *Host) Name() string { return h.name }
 
-// Flavor returns the host's OS flavor.
-func (h *Host) Flavor() OSFlavor { return h.flavor }
-
 // Network returns the owning network.
 func (h *Host) Network() *sim.Network { return h.net }
 

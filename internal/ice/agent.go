@@ -1,7 +1,6 @@
 package ice
 
 import (
-	"fmt"
 	"time"
 
 	"natpunch/internal/inet"
@@ -53,9 +52,6 @@ type Agent struct {
 	// naming that nonce does. handleDetails answers them.
 	early     [earlyChecks]earlyCheck
 	earlyNext int
-
-	// Trace, if set, receives one line per notable negotiation event.
-	Trace func(format string, args ...any)
 }
 
 // earlyChecks bounds the unclaimed checks an agent remembers, however
@@ -103,12 +99,6 @@ func (a *Agent) Close() {
 }
 
 func (a *Agent) tr() transport.Transport { return a.c.Transport() }
-
-func (a *Agent) tracef(format string, args ...any) {
-	if a.Trace != nil {
-		a.Trace("%s/ice: %s", a.c.Name(), fmt.Sprintf(format, args...))
-	}
-}
 
 // negotiation is one in-progress candidate exchange + check schedule.
 type negotiation struct {
@@ -199,7 +189,6 @@ func (a *Agent) Connect(peer string, cb Callbacks) {
 		Type: proto.TypeNegotiate, From: a.c.Name(), Target: peer,
 		Nonce: n.nonce, Candidates: a.localCandidates(),
 	})
-	a.tracef("negotiate -> %s (nonce %d)", peer, n.nonce)
 }
 
 // intercept is the client's UDP pre-dispatch hook.
@@ -245,7 +234,6 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 		// payload to the session that just adopted.
 		if n := a.inbound[m.From]; n != nil && a.c.LookupUDPSession(n.peer) == nil &&
 			a.c.Config().RelayFallback && !a.cfg.NoRelay {
-			a.tracef("relayed data from %s beat our deadline", n.peer)
 			a.timeout(n)
 		}
 	case proto.TypeError:
@@ -258,7 +246,6 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 				if n.established {
 					continue // silent: the live session stays on its path
 				}
-				a.tracef("negotiate %s failed: peer unknown", n.peer)
 				if n.cb.Failed != nil {
 					n.cb.Failed(n.peer, punch.ErrPeerUnknown)
 				}
@@ -305,13 +292,11 @@ func (a *Agent) handleDetails(m *proto.Message) {
 		n.established = true
 		s := a.c.AdoptUDPSession(n.peer, inet.Endpoint{}, punch.MethodRelay, n.nonce,
 			punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
-		a.tracef("relay-first session with %s established; checks continue", n.peer)
 		if n.cb.Established != nil {
 			n.cb.Established(s, Candidate{Kind: KindRelay, Endpoint: a.c.RelayVia(n.peer)})
 		}
 	}
 	cands := BuildChecks(a.c.PublicUDP(), m.Candidates, a.cfg)
-	a.tracef("details for %s: %d checks %v", n.peer, len(cands), cands)
 	for i, cand := range cands {
 		if n.byEP[cand.Endpoint] != nil {
 			// Already discovered (and probing) via an inbound check
@@ -333,7 +318,6 @@ func (a *Agent) handleDetails(m *proto.Message) {
 	for i, e := range a.early {
 		if e.nonce != 0 && e.nonce == n.nonce {
 			a.early[i] = earlyCheck{}
-			a.tracef("answering %s's check from %s that beat the details", n.peer, e.from)
 			a.answerCheck(n, e.from)
 		}
 	}
@@ -365,7 +349,6 @@ func (a *Agent) answerCheck(n *negotiation, from inet.Endpoint) {
 		ch = &check{cand: Candidate{Kind: k, Endpoint: from, Priority: k.Priority()}}
 		n.checks = append(n.checks, ch)
 		n.byEP[from] = ch
-		a.tracef("discovered %s candidate %s for %s", k, from, n.peer)
 	}
 	if !ch.started {
 		// Triggered check: jump the pacing queue — the path provably
@@ -401,14 +384,11 @@ func (a *Agent) nominate(n *negotiation, from inet.Endpoint, m *proto.Message) {
 	if n.established {
 		// Background nomination for a live session: migrate it in
 		// place (drain-then-switch) instead of adopting a new one.
-		if a.c.MigrateUDPSession(n.peer, from, via, n.nonce) != nil {
-			a.tracef("nominated %s for %s (migrated live session)", chosen, n.peer)
-		}
+		a.c.MigrateUDPSession(n.peer, from, via, n.nonce)
 		return
 	}
 	s := a.c.AdoptUDPSession(n.peer, from, via, n.nonce,
 		punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
-	a.tracef("nominated %s for %s", chosen, n.peer)
 	if n.cb.Established != nil {
 		n.cb.Established(s, chosen)
 	}
@@ -427,19 +407,16 @@ func (a *Agent) timeout(n *negotiation) {
 		// The checks never completed, but the session has been live on
 		// the relay all along; it simply stays there (periodic
 		// re-punching keeps trying for a direct path).
-		a.tracef("checks for %s exhausted; session stays on relay", n.peer)
 		return
 	}
 	if a.c.Config().RelayFallback && !a.cfg.NoRelay {
 		s := a.c.AdoptUDPSession(n.peer, inet.Endpoint{}, punch.MethodRelay, n.nonce,
 			punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
-		a.tracef("checks for %s exhausted; nominating relay", n.peer)
 		if n.cb.Established != nil {
 			n.cb.Established(s, Candidate{Kind: KindRelay, Endpoint: a.c.RelayVia(n.peer)})
 		}
 		return
 	}
-	a.tracef("negotiation with %s timed out", n.peer)
 	if n.cb.Failed != nil {
 		n.cb.Failed(n.peer, punch.ErrPunchTimeout)
 	}
@@ -465,7 +442,6 @@ func (a *Agent) repunch(peer string, nonce uint64) {
 		Type: proto.TypeNegotiate, From: a.c.Name(), Target: peer,
 		Nonce: n.nonce, Candidates: a.localCandidates(),
 	})
-	a.tracef("re-negotiate -> %s (nonce %d)", peer, nonce)
 }
 
 // Abort cancels every in-flight negotiation we initiated with peer
@@ -480,9 +456,6 @@ func (a *Agent) Abort(peer string) bool {
 			a.finish(n)
 			aborted = true
 		}
-	}
-	if aborted {
-		a.tracef("negotiation with %s aborted", peer)
 	}
 	return aborted
 }

@@ -129,22 +129,6 @@ func wireKind(k uint8) (Kind, bool) {
 	return 0, false
 }
 
-// WireKind maps an engine kind to its proto wire value.
-func (k Kind) WireKind() uint8 {
-	switch k {
-	case KindPrivate:
-		return proto.CandPrivate
-	case KindPublic:
-		return proto.CandPublic
-	case KindHairpin:
-		return proto.CandHairpin
-	case KindReflexive:
-		return proto.CandReflexive
-	default:
-		return proto.CandRelay
-	}
-}
-
 // Less is the engine's total order on candidates: by priority
 // descending, then kind descending, then endpoint ascending. The
 // endpoint tiebreak makes the order total over distinct candidates,

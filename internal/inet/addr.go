@@ -64,9 +64,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", o[0], o[1], o[2], o[3])
 }
 
-// IsUnspecified reports whether a is 0.0.0.0.
-func (a Addr) IsUnspecified() bool { return a == 0 }
-
 // IsPrivate reports whether a falls in the RFC 1918 private ranges
 // (10/8, 172.16/12, 192.168/16). The paper's topologies place clients
 // in these realms (Figure 1).

@@ -10,9 +10,20 @@ import (
 )
 
 // check runs NAT Check against a client behind the given behavior
-// (nil = no NAT at all).
+// (nil = no NAT at all: the lab's servers with C on the core).
 func check(t *testing.T, behavior *nat.Behavior) natcheck.Report {
 	t.Helper()
+	if behavior != nil {
+		lab, err := natcheck.NewLab(1, *behavior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, ok := lab.Run()
+		if !ok {
+			t.Fatal("NAT Check did not complete")
+		}
+		return report
+	}
 	in := topo.NewInternet(1)
 	core := in.CoreRealm()
 	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
@@ -22,13 +33,7 @@ func check(t *testing.T, behavior *nat.Behavior) natcheck.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var client *host.Host
-	if behavior == nil {
-		client = core.AddHost("C", "155.99.25.80", host.BSDStyle)
-	} else {
-		realm := core.AddSite("NAT", *behavior, "155.99.25.11", "10.0.0.0/24")
-		client = realm.AddHost("C", "10.0.0.1", host.BSDStyle)
-	}
+	client := core.AddHost("C", "155.99.25.80", host.BSDStyle)
 	var report natcheck.Report
 	got := false
 	if err := natcheck.Run(client, sv, 4321, func(r natcheck.Report) { report, got = r, true }); err != nil {

@@ -17,7 +17,6 @@ package punch
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
@@ -232,10 +231,8 @@ type Client struct {
 	poolTried       int
 	lastServerSeen  time.Duration
 	serverConfirmed bool
-	// Failovers counts server switches; OnServerSwitch, if set, fires
-	// on each (old, new) re-homing.
-	Failovers      int
-	OnServerSwitch func(old, new inet.Endpoint)
+	// Failovers counts server switches.
+	Failovers int
 
 	// relayReg tracks which standalone relay servers have acked our
 	// registration (we keep re-registering until they do).
@@ -268,9 +265,6 @@ type Client struct {
 
 	// TCP state (tcp.go).
 	tcpState
-
-	// Trace, if set, receives one line per notable protocol event.
-	Trace func(format string, args ...any)
 
 	closed bool
 }
@@ -318,12 +312,6 @@ func (c *Client) now() time.Duration { return c.tr.Now() }
 
 // rand returns the transport's randomness source.
 func (c *Client) rand() *rand.Rand { return c.tr.Rand() }
-
-func (c *Client) tracef(format string, args ...any) {
-	if c.Trace != nil {
-		c.Trace("%s: %s", c.name, fmt.Sprintf(format, args...))
-	}
-}
 
 // Close tears down sockets, sessions, and timers.
 func (c *Client) Close() {
@@ -392,12 +380,6 @@ func (c *Client) SetServerPool(eps []inet.Endpoint) {
 	c.server = c.pool[0]
 }
 
-// ServerPool returns the installed pool (nil for single-server
-// clients).
-func (c *Client) ServerPool() []inet.Endpoint {
-	return append([]inet.Endpoint(nil), c.pool...)
-}
-
 // relayRoute picks where a relay-fallback session's traffic goes: a
 // standalone relay server chosen by a stable hash of the unordered
 // peer pair (so both ends pick the same one), or — dynamically — the
@@ -456,9 +438,7 @@ func (c *Client) AdoptUDPSession(peer string, remote inet.Endpoint, via Method, 
 	if prev := c.udpSessions[peer]; prev != nil {
 		prev.Close()
 	}
-	s := c.newUDPSession(peer, remote, via, nonce, cb)
-	c.tracef("udp session with %s adopted at %s (%s)", peer, remote, via)
-	return s
+	return c.newUDPSession(peer, remote, via, nonce, cb)
 }
 
 // PendingUDPAttempts counts in-flight punching attempts — the

@@ -95,7 +95,6 @@ func (s *UDPSession) failback() {
 
 func (s *UDPSession) pathChanged(old Method) {
 	s.PathChanges++
-	s.c.tracef("udp session with %s migrated %s -> %s (%s)", s.Peer, old, s.Via, s.Remote)
 	if s.cb.PathChanged != nil {
 		s.cb.PathChanged(s, old, s.Via)
 	}

@@ -172,7 +172,6 @@ func (c *Client) handleServerStream(p []byte) {
 			if !c.tcpRegistered {
 				c.tcpRegistered = true
 				c.tcpPublic = m.Public
-				c.tracef("tcp registered: private=%s public=%s", c.tcpPrivate, c.tcpPublic)
 				if !c.cfg.DisableRegistrationKeepAlive {
 					c.scheduleTCPServerKeepAlive()
 				}
@@ -232,7 +231,6 @@ func (c *Client) ConnectTCP(peer string, cb TCPCallbacks) {
 	c.tcpServer.Write(proto.AppendFrame(nil, &proto.Message{
 		Type: proto.TypeConnectRequest, From: c.name, Target: peer, Nonce: n,
 	}, c.obf))
-	c.tracef("tcp connect -> %s (nonce %d)", peer, n)
 }
 
 func (c *Client) newTCPAttempt(peer string, nonce uint64, cb TCPCallbacks) *tcpAttempt {
@@ -258,7 +256,6 @@ func (c *Client) handleTCPDetails(m *proto.Message) {
 	}
 	a.gotDetails = true
 	a.pub, a.priv = m.Public, m.Private
-	c.tracef("tcp details for %s: public=%s private=%s", a.peer, a.pub, a.priv)
 	c.dialCandidate(a, a.pub)
 	if a.priv != a.pub && !a.priv.IsZero() {
 		c.dialCandidate(a, a.priv)
@@ -440,7 +437,6 @@ func (c *Client) win(a *tcpAttempt, conn *tcp.Conn, dec proto.StreamDecoder) {
 			}
 		},
 	})
-	c.tracef("tcp session with %s via %s (accepted=%v remote=%s)", a.peer, via, conn.Accepted, conn.Remote())
 	if a.cb.Established != nil {
 		a.cb.Established(s)
 	}
@@ -455,36 +451,14 @@ func (c *Client) tcpAttemptTimeout(a *tcpAttempt) {
 	if c.cfg.RelayFallback && c.tcpServer != nil {
 		s := &TCPSession{c: c, Peer: a.peer, Via: MethodRelay, Nonce: a.nonce, cb: a.cb}
 		c.tcpSessions[a.peer] = s
-		c.tracef("tcp punch to %s failed; falling back to relay", a.peer)
 		if a.cb.Established != nil {
 			a.cb.Established(s)
 		}
 		return
 	}
-	c.tracef("tcp punch to %s timed out", a.peer)
 	if a.cb.Failed != nil {
 		a.cb.Failed(a.peer, ErrPunchTimeout)
 	}
-}
-
-// AbortTCP cancels in-flight TCP punching attempts we initiated
-// toward peer without firing their callbacks — the release path for
-// context-cancelled dials. Responder-side attempts are untouched so a
-// cancelled dial cannot kill the peer's crossing dial. It reports
-// whether anything was cancelled.
-func (c *Client) AbortTCP(peer string) bool {
-	aborted := false
-	for n, a := range c.tcpAttempts {
-		if a.peer == peer && a.requester && !a.done {
-			a.stop(nil)
-			delete(c.tcpAttempts, n)
-			aborted = true
-		}
-	}
-	if aborted {
-		c.tracef("tcp attempt to %s aborted", peer)
-	}
-	return aborted
 }
 
 // PendingTCPAttempts counts in-flight TCP punching attempts.
@@ -589,7 +563,6 @@ func (c *Client) RequestReversal(peer string, cb TCPCallbacks) {
 	c.tcpServer.Write(proto.AppendFrame(nil, &proto.Message{
 		Type: proto.TypeReverseRequest, From: c.name, Target: peer, Nonce: n,
 	}, c.obf))
-	c.tracef("reversal request -> %s (nonce %d)", peer, n)
 }
 
 // handleReverseRequest performs the reverse connection: dial the
@@ -599,7 +572,6 @@ func (c *Client) handleReverseRequest(m *proto.Message) {
 	a := c.newTCPAttempt(m.From, m.Nonce, c.InboundTCP)
 	a.gotDetails = true
 	a.pub, a.priv = m.Public, m.Private
-	c.tracef("reverse-connecting to %s at %s", m.From, m.Public)
 	c.dialCandidate(a, a.pub)
 	if a.priv != a.pub && !a.priv.IsZero() {
 		c.dialCandidate(a, a.priv)
@@ -631,7 +603,6 @@ func (c *Client) ConnectTCPSequential(peer string, cb TCPCallbacks) {
 	c.tcpServer.Write(proto.AppendFrame(nil, &proto.Message{
 		Type: proto.TypeSeqRequest, From: c.name, Target: peer, Nonce: n,
 	}, c.obf))
-	c.tracef("sequential connect -> %s (nonce %d)", peer, n)
 }
 
 // handleSeqRequest is the peer side: step 2's doomed connect, then
@@ -657,7 +628,6 @@ func (c *Client) handleSeqRequest(m *proto.Message) {
 			c.tcpServer.Write(proto.AppendFrame(nil, &proto.Message{
 				Type: proto.TypeSeqGo, From: c.name, Target: a.peer, Nonce: a.nonce,
 			}, c.obf))
-			c.tracef("sequential: hole opened toward %s, signalling go", a.peer)
 		})
 	}
 }
@@ -671,6 +641,5 @@ func (c *Client) handleSeqGo(m *proto.Message) {
 	}
 	a.gotDetails = true
 	a.pub, a.priv = m.Public, m.Private
-	c.tracef("sequential: go from %s, dialing %s", m.From, m.Public)
 	c.dialCandidate(a, a.pub)
 }

@@ -134,12 +134,10 @@ func (c *Client) newUDPSession(peer string, remote inet.Endpoint, via Method, no
 }
 
 // lockIn concludes attempt a on the endpoint that first elicited a
-// valid response (§3.2 step 3); evidence names what that response
-// was.
-func (c *Client) lockIn(a *udpAttempt, from inet.Endpoint, evidence string) *UDPSession {
+// valid response (§3.2 step 3): a punch ack or early session data.
+func (c *Client) lockIn(a *udpAttempt, from inet.Endpoint) *UDPSession {
 	c.retireUDPAttempt(a)
 	s := c.newUDPSession(a.peer, from, a.via(from), a.nonce, a.cb)
-	c.tracef("udp session with %s locked in by %s at %s (%s)", a.peer, evidence, from, s.Via)
 	if a.cb.Established != nil {
 		a.cb.Established(s)
 	}
@@ -225,18 +223,13 @@ func (c *Client) sendRegisterUDP() {
 // preference order (wrapping around — a single-member pool retries
 // the same server, which covers server restarts). Every re-homing —
 // registration-time pool walking or runtime failover — counts in
-// Failovers and fires OnServerSwitch, so the two signals agree.
+// Failovers.
 func (c *Client) advanceServer() {
-	old := c.server
 	c.poolIdx = (c.poolIdx + 1) % len(c.pool)
 	c.server = c.pool[c.poolIdx]
 	c.serverConfirmed = false
 	c.lastServerSeen = c.now() // grace period before the next verdict
 	c.Failovers++
-	c.tracef("rendezvous server %s unresponsive; re-homing to %s", old, c.server)
-	if c.OnServerSwitch != nil {
-		c.OnServerSwitch(old, c.server)
-	}
 }
 
 // sendToServer transmits a message to S over UDP.
@@ -304,7 +297,6 @@ func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 	c.sendToServer(&proto.Message{
 		Type: proto.TypeConnectRequest, From: c.name, Target: peer, Nonce: n,
 	})
-	c.tracef("udp connect -> %s (nonce %d)", peer, n)
 }
 
 // handleUDPPacket is the single dispatch point for everything on the
@@ -347,11 +339,8 @@ func (c *Client) handleUDPPacket(from inet.Endpoint, payload []byte) {
 }
 
 func (c *Client) handleRegisterOK(from inet.Endpoint, m *proto.Message) {
-	if ok, tracked := c.relayReg[from]; tracked {
-		if !ok {
-			c.relayReg[from] = true
-			c.tracef("registered with relay server %s", from)
-		}
+	if _, tracked := c.relayReg[from]; tracked {
+		c.relayReg[from] = true
 		if from != c.server {
 			return
 		}
@@ -374,7 +363,6 @@ func (c *Client) handleRegisterOK(from inet.Endpoint, m *proto.Message) {
 	if c.udpRegRetry != nil {
 		c.udpRegRetry.Stop()
 	}
-	c.tracef("udp registered: private=%s public=%s", c.udpPrivate, c.udpPublic)
 	if !c.cfg.DisableRegistrationKeepAlive {
 		c.scheduleServerKeepAlive()
 	}
@@ -439,7 +427,6 @@ func (c *Client) handleConnectDetails(m *proto.Message) {
 	}
 	a.gotDetails = true
 	a.pub, a.priv = m.Public, m.Private
-	c.tracef("udp details for %s: public=%s private=%s", a.peer, a.pub, a.priv)
 	c.probe(a)
 }
 
@@ -500,7 +487,7 @@ func (c *Client) handlePunchAck(from inet.Endpoint, m *proto.Message) {
 		return
 	}
 	if a := c.udpAttempts[m.Nonce]; a != nil && !a.done {
-		c.lockIn(a, from, "punch-ack")
+		c.lockIn(a, from)
 	}
 }
 
@@ -517,13 +504,11 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 		// RelayTo) and fires Dead on idleness, which is what tells the
 		// application its peer is gone.
 		s := c.newUDPSession(a.peer, inet.Endpoint{}, MethodRelay, a.nonce, a.cb)
-		c.tracef("udp punch to %s failed; falling back to relay", a.peer)
 		if a.cb.Established != nil {
 			a.cb.Established(s)
 		}
 		return
 	}
-	c.tracef("udp punch to %s timed out", a.peer)
 	if a.cb.Failed != nil {
 		a.cb.Failed(a.peer, ErrPunchTimeout)
 	}
@@ -558,7 +543,7 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 		if a == nil || a.done || a.peer != m.From || m.From == c.name {
 			return // unauthenticated (§3.4)
 		}
-		s = c.lockIn(a, from, "early data")
+		s = c.lockIn(a, from)
 	}
 	if s.closed || s.Nonce != m.Nonce {
 		return // unauthenticated (§3.4)
@@ -569,7 +554,6 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 		// from a fresh mapping. The nonce authenticates it (§3.4), so
 		// follow the peer to its new endpoint — the QUIC-style
 		// connection-migration move.
-		c.tracef("udp session with %s followed rebind %s -> %s", s.Peer, s.Remote, from)
 		s.Remote = from
 	}
 	s.receive(m.Seq, m.Data)
@@ -589,7 +573,6 @@ func (c *Client) handleRelayed(m *proto.Message) {
 		// side still probing. Relayed traffic from the attempt's peer
 		// proves the peer nominated the relay: take the relay floor now
 		// instead of dropping what may be the only datagram it sends.
-		c.tracef("udp relayed data from %s beat our punch deadline", a.peer)
 		c.udpAttemptTimeout(a)
 		s = c.udpSessions[m.From]
 	}

@@ -52,8 +52,6 @@ func (s *Server) forwardCandidates(m *proto.Message, from inet.Endpoint) {
 	}
 	s.sendUDP(from, toA)
 	s.deliver(b, toB)
-	s.tracef("S: negotiating %s <-> %s (nonce %d, %d candidates)",
-		m.From, m.Target, m.Nonce, len(fromA))
 }
 
 // registrationCandidates synthesizes a candidate list from what the

@@ -54,7 +54,6 @@ func (s *Server) addFedPeer(peer inet.Endpoint) bool {
 	}
 	s.fedSet[peer] = true
 	s.fedPeers = append(s.fedPeers, peer)
-	s.tracef("S: federated with %s (%d peers)", peer, len(s.fedPeers))
 	return true
 }
 

@@ -36,7 +36,6 @@ func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP boo
 			Nonce: m.Nonce, Requester: false,
 			Public: a.public, Private: a.private,
 		})
-		s.tracef("S: introduced %s <-> %s over TCP (nonce %d)", m.From, m.Target, m.Nonce)
 		return
 	}
 	now := s.now()
@@ -62,9 +61,6 @@ func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP boo
 		Public: from, Private: a.Private,
 	}
 	s.deliver(b, out)
-	if s.Trace != nil {
-		s.tracef("S: introduced %s <-> %s (nonce %d)", m.From, m.Target, m.Nonce)
-	}
 }
 
 // reverse implements §2.3: B (who cannot be reached directly) relays

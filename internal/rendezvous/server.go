@@ -143,9 +143,6 @@ type Server struct {
 	inPlace    transport.InPlaceSender
 
 	stats Stats
-
-	// Trace, if set, receives one line per handled message.
-	Trace func(format string, args ...any)
 }
 
 // NewOver starts a rendezvous server over an arbitrary transport at
@@ -237,21 +234,12 @@ func (s *Server) expiry() time.Duration {
 	return s.now() + s.cfg.TTL
 }
 
-func (s *Server) tracef(format string, args ...any) {
-	if s.Trace != nil {
-		s.Trace(format, args...)
-	}
-}
-
 // --- UDP transport ---
 
 func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 	m, err := s.dec.Decode(payload)
 	if err != nil {
 		return // stray traffic; §3.4 says endpoints must expect it
-	}
-	if s.Trace != nil { // guarded: the variadic call itself allocates
-		s.tracef("S/udp <- %s from=%s(%s)", m.Type, m.From, from)
 	}
 	if s.cfg.RelayOnly {
 		switch m.Type {
@@ -392,7 +380,6 @@ func (s *Server) handleAccept(conn *tcp.Conn) {
 }
 
 func (s *Server) handleTCPMessage(conn *tcp.Conn, owner *tcpClient, m *proto.Message) *tcpClient {
-	s.tracef("S/tcp <- %s from=%s(%s)", m.Type, m.From, conn.Remote())
 	switch m.Type {
 	case proto.TypeRegister:
 		c := &tcpClient{

@@ -58,14 +58,13 @@ type Stats struct {
 	Unreachable uint64
 }
 
-// Network owns the scheduler and the set of segments making up a
-// simulated internetwork.
+// Network owns the scheduler, hook, filter and fabric counters shared
+// by the segments making up a simulated internetwork.
 type Network struct {
-	Sched    *Scheduler
-	segments []*Segment
-	hook     Hook
-	filter   func(src, dst inet.Endpoint) bool
-	stats    Stats
+	Sched  *Scheduler
+	hook   Hook
+	filter func(src, dst inet.Endpoint) bool
+	stats  Stats
 }
 
 // NewNetwork creates an empty network with a deterministic scheduler.
@@ -87,9 +86,6 @@ func (n *Network) SetFilter(f func(src, dst inet.Endpoint) bool) { n.filter = f 
 // Stats returns a copy of the fabric counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Segments returns the segments in creation order.
-func (n *Network) Segments() []*Segment { return n.segments }
-
 // Segment is a broadcast domain: a subnet with attached interfaces,
 // an optional default gateway, and link characteristics. It models
 // one address realm edge: a home LAN, an ISP's private realm, or the
@@ -108,15 +104,13 @@ type Segment struct {
 // NewSegment adds a segment with the given CIDR subnet and one-way
 // delivery latency.
 func (n *Network) NewSegment(name, cidr string, latency time.Duration) *Segment {
-	s := &Segment{
+	return &Segment{
 		net:     n,
 		name:    name,
 		prefix:  inet.MustParsePrefix(cidr),
 		latency: latency,
 		ifaces:  make(map[inet.Addr]*Iface),
 	}
-	n.segments = append(n.segments, s)
-	return s
 }
 
 // Name returns the segment's trace name.

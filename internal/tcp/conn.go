@@ -212,9 +212,6 @@ func (c *Conn) OnData(fn func(*Conn, []byte)) { c.cb.Data = fn }
 // OnClosed sets the terminal-close callback.
 func (c *Conn) OnClosed(fn func(*Conn)) { c.cb.Closed = fn }
 
-// OnRemoteClosed sets the peer-FIN callback.
-func (c *Conn) OnRemoteClosed(fn func(*Conn)) { c.cb.RemoteClosed = fn }
-
 // OnError sets the failure callback.
 func (c *Conn) OnError(fn func(*Conn, error)) { c.cb.Error = fn }
 

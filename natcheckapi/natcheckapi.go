@@ -8,9 +8,7 @@ package natcheckapi
 import (
 	"fmt"
 
-	"natpunch/internal/host"
 	"natpunch/internal/natcheck"
-	"natpunch/internal/topo"
 	"natpunch/internal/vendors"
 )
 
@@ -78,33 +76,16 @@ func CheckDevice(vendor string, index int, seed int64) (Result, error) {
 	return Result{}, fmt.Errorf("natcheckapi: unknown vendor %q", vendor)
 }
 
-// run builds the canonical three-server measurement topology, places
-// the device under test in front of one client, and runs the check to
-// completion. The world derives from (seed, device) so seed sweeps
-// genuinely vary the run.
+// run places the device under test in natcheck's three-server lab
+// and runs the check to completion. The world derives from (seed,
+// device) so seed sweeps genuinely vary the run.
 func run(dev vendors.Device, seed int64) (Result, error) {
-	in := topo.NewInternet(seed + int64(dev.Index))
-	core := in.CoreRealm()
-	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
-	s2 := core.AddHost("s2", "18.181.0.32", host.BSDStyle)
-	s3 := core.AddHost("s3", "18.181.0.33", host.BSDStyle)
-	sv, err := natcheck.NewServers(s1, s2, s3)
+	lab, err := natcheck.NewLab(seed+int64(dev.Index), dev.Behavior)
 	if err != nil {
 		return Result{}, err
 	}
-	realm := core.AddSite("NAT", dev.Behavior, "155.99.25.11", "10.0.0.0/24")
-	client := realm.AddHost("C", "10.0.0.1", host.BSDStyle)
-
-	var report natcheck.Report
-	gotReport := false
-	if err := natcheck.Run(client, sv, 4321, func(r natcheck.Report) {
-		report = r
-		gotReport = true
-	}); err != nil {
-		return Result{}, err
-	}
-	in.RunFor(natcheck.CheckDuration + 10e9)
-	if !gotReport {
+	report, ok := lab.Run()
+	if !ok {
 		return Result{}, fmt.Errorf("natcheckapi: check did not complete")
 	}
 	return Result{

@@ -15,19 +15,14 @@ package natpunch
 //
 //	go test -bench=BenchmarkTable1 -benchmem
 //
-// Two knobs control the parallel multi-seed engine:
+// Each experiment's internal fan-out is GOMAXPROCS wide, so go test's
+// -cpu flag sets the pool width (-cpu 1,4 compares serial with four
+// workers), and -runs N sets the independent seeds per benchmark
+// iteration (default 1), e.g. -runs 100 for a multi-seed campaign:
 //
-//	-workers N    worker-pool width for each experiment's internal
-//	              fan-out (default 1: the serial baseline; named
-//	              -workers because go test owns -parallel)
-//	-runs N       independent seeds per benchmark iteration
-//	              (default 1), e.g. -runs 100 for a multi-seed
-//	              campaign
+//	go test -bench=BenchmarkTable1 -benchmem -cpu 1,4 -runs 8
 //
-// e.g. go test -bench=BenchmarkTable1 -benchmem -workers 4 -runs 8.
-// Output tables are byte-identical at every -workers width.
-// BenchmarkTable1Workers runs the serial-vs-4-worker comparison
-// without any flags.
+// Output tables are byte-identical at every width.
 
 import (
 	"flag"
@@ -40,25 +35,16 @@ import (
 	"natpunch/internal/nat"
 )
 
-var (
-	benchWorkers = flag.Int("workers", 1, "worker-pool width for experiment fan-out")
-	benchRuns    = flag.Int("runs", 1, "independent seeds per benchmark iteration")
-)
+var benchRuns = flag.Int("runs", 1, "independent seeds per benchmark iteration")
 
-// benchExperiment runs one experiment driver per iteration over
-// -runs distinct seeds at -workers pool width, so allocations and
-// runtime reflect full fresh runs.
+// benchExperiment runs one experiment driver per iteration over -runs
+// distinct seeds, so allocations and runtime reflect full fresh runs.
 func benchExperiment(b *testing.B, id string) {
-	benchExperimentWorkers(b, id, *benchWorkers, *benchRuns)
-}
-
-func benchExperimentWorkers(b *testing.B, id string, workers, runs int) {
 	e, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	prev := experiments.SetWorkers(workers)
-	defer experiments.SetWorkers(prev)
+	runs := *benchRuns
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, r := range experiments.RunSeeds(e, experiments.Seeds(int64(i*runs+1), runs)) {
@@ -66,17 +52,6 @@ func benchExperimentWorkers(b *testing.B, id string, workers, runs int) {
 				b.Fatal("empty result")
 			}
 		}
-	}
-}
-
-// BenchmarkTable1Workers compares the Table 1 survey serial against
-// the 4-worker pool: the 380 isolated device checks fan out, so the
-// parallel run should finish in well under half the serial time.
-func BenchmarkTable1Workers(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchExperimentWorkers(b, "E1", w, *benchRuns)
-		})
 	}
 }
 

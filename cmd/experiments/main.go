@@ -9,10 +9,10 @@
 //	go run ./cmd/experiments -run E-FLEET       # population-scale churn fleet
 //	go run ./cmd/experiments -run E-ICE         # candidate negotiation x topologies
 //	go run ./cmd/experiments -list              # list experiment IDs
-//	go run ./cmd/experiments -parallel 8        # 8-wide worker pool
+//	GOMAXPROCS=1 go run ./cmd/experiments       # serial run
 //	go run ./cmd/experiments -run E1 -runs 100  # 100-seed campaign
 //
-// Each experiment's workload fans out across -parallel workers;
+// Each experiment's workload fans out across GOMAXPROCS workers;
 // tables are byte-identical at every width. -runs N repeats each
 // experiment over seeds seed..seed+N-1 and reports how many distinct
 // outputs the campaign produced (a quick stability read on the
@@ -33,7 +33,6 @@ func main() {
 	runID := flag.String("run", "", "run a single experiment by ID (e.g. E1)")
 	seed := flag.Int64("seed", 1, "base simulation seed")
 	runs := flag.Int("runs", 1, "seeds per experiment (seed..seed+runs-1)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool width (1 = serial)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 		}
 		return
 	}
-	experiments.SetWorkers(*parallel)
 	if *runs < 1 {
 		*runs = 1
 	}
@@ -69,7 +67,7 @@ func main() {
 				distinct[r.String()]++
 			}
 			fmt.Printf("multi-seed: %d runs (seeds %d..%d), %d distinct outputs, %v wall clock at %d workers\n",
-				*runs, *seed, *seed+int64(*runs)-1, len(distinct), elapsed.Round(time.Millisecond), experiments.Workers())
+				*runs, *seed, *seed+int64(*runs)-1, len(distinct), elapsed.Round(time.Millisecond), runtime.GOMAXPROCS(0))
 		}
 		fmt.Println()
 	}

@@ -32,25 +32,15 @@ func Sec43OSBehaviors(seed int64) Result {
 		s := core.AddHost("S", "18.181.0.31", host.BSDStyle)
 		realmA := core.AddSite("NAT-A", nat.Cone(), "155.99.25.11", "10.0.0.0/24")
 		realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
-		// Asymmetric timing: B is slower to dial, so A's SYN arrives
-		// at B's NAT before B has punched its hole and is dropped;
-		// B's later SYN finds A's hole open.
-		realmB.Seg.SetJitter(0)
-		realmB.Seg.SetLoss(0)
 		hostA := realmA.AddHost("A", "10.0.0.1", cb.a)
 		hostB := realmB.AddHost("B", "10.1.1.3", cb.b)
-		slowLAN := in.Net.NewSegment("slow", "10.9.9.0/24", 150*time.Millisecond)
-		_ = slowLAN
-		srv, err := rendezvousNew(s)
-		must(err)
-		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
-		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
-		must(a.RegisterTCP(4321, nil))
-		must(b.RegisterTCP(4321, nil))
-		await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
-		// Delay the forwarded connection details to B by raising B's
-		// LAN latency after registration.
-		realmBLatencyHack(realmB)
+		_, a, b := register(in, s, hostA, hostB, punch.Config{}, true)
+		// Asymmetric timing: jitter on B's LAN, added after
+		// registration, delays the forwarded connection details to B,
+		// so B is slower to dial. A's SYN arrives at B's NAT before B
+		// has punched its hole and is dropped; B's later SYN finds A's
+		// hole open.
+		realmB.Seg.SetJitter(120 * time.Millisecond)
 
 		var sa, sb *punch.TCPSession
 		b.InboundTCP = punch.TCPCallbacks{Established: func(s *punch.TCPSession) { sb = s }}
@@ -83,12 +73,6 @@ func Sec43OSBehaviors(seed int64) Result {
 	}
 }
 
-// realmBLatencyHack slows B's LAN so B's SYN leaves after A's SYN has
-// already been dropped at B's NAT — the §4.3 ordering.
-func realmBLatencyHack(realm *topo.Realm) {
-	realm.Seg.SetJitter(120 * time.Millisecond)
-}
-
 // Sec44SimultaneousOpen reproduces §4.4's "lucky" case: symmetric
 // timing makes the SYNs cross between the NATs, and both TCP stacks
 // go through the simultaneous-open transition.
@@ -103,13 +87,7 @@ func Sec44SimultaneousOpen(seed int64) Result {
 		realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
 		hostA := realmA.AddHost("A", "10.0.0.1", flavor)
 		hostB := realmB.AddHost("B", "10.1.1.3", flavor)
-		srv, err := rendezvousNew(s)
-		must(err)
-		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), punch.Config{})
-		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), punch.Config{})
-		must(a.RegisterTCP(4321, nil))
-		must(b.RegisterTCP(4321, nil))
-		await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
+		_, a, b := register(in, s, hostA, hostB, punch.Config{}, true)
 
 		var sa, sb *punch.TCPSession
 		b.InboundTCP = punch.TCPCallbacks{Established: func(s *punch.TCPSession) { sb = s }}
@@ -155,7 +133,7 @@ func Sec45SequentialVsParallel(seed int64) Result {
 	// run; fan all 20 out and fold per-config afterwards.
 	outs := fanOut(len(cfgs)*trials, func(i int) tcpOutcome {
 		cfg := cfgs[i/trials]
-		p := newTCPPair(seed+int64(i%trials), nat.Cone(), nat.Cone(), punch.Config{PunchTimeout: 25 * time.Second})
+		p := newPair(seed+int64(i%trials), nat.Cone(), nat.Cone(), punch.Config{PunchTimeout: 25 * time.Second}, true)
 		if cfg.loss > 0 {
 			p.Core.SetLoss(cfg.loss)
 		}
@@ -202,10 +180,10 @@ func Sec36KeepAlives(seed int64) Result {
 		behA.UDPTimeout = natTimeout
 		behB := nat.Cone()
 		behB.UDPTimeout = natTimeout
-		p := newUDPPair(seed, behA, behB, punch.Config{
+		p := newPair(seed, behA, behB, punch.Config{
 			KeepAliveInterval: iv,
 			DeadAfter:         3 * iv,
-		})
+		}, false)
 		out := p.punchUDP(30 * time.Second)
 		if !out.ok {
 			return []string{iv.String(), "punch failed", "-"}
@@ -309,30 +287,18 @@ func Sec51PortPrediction(seed int64) Result {
 				established = true
 			}
 		})
-		// B's public endpoint is deterministic (cone): learn it by
-		// having B ping stun1 once.
-		var bPub inet.Endpoint
+		// B classifies too: its probes open mappings on B's NAT
+		// before the punch (the result itself is not needed).
 		gotB := false
-		must(stun.Classify(hostB, inet.EP("18.181.0.31", 3478), inet.EP("18.181.0.32", 3478), 4322, func(r stun.Result) {
-			bPub, gotB = r.Mapped, true
+		must(stun.Classify(hostB, inet.EP("18.181.0.31", 3478), inet.EP("18.181.0.32", 3478), 4322, func(stun.Result) {
+			gotB = true
 		}))
 		await(in, 10*time.Second, func() bool { return gotB })
-		bPub.Port = 4321 // B's punching socket; cone NAT preserves?? No: use its own mapping below.
 
-		// A punches toward B's actual public endpoint (B's NAT is a
-		// cone with sequential allocation starting at 62000; B's
-		// punching socket creates its mapping on first send).
-		// Establish B's mapping first by sending toward A's predicted
-		// address (which also opens B's hole).
-		for k := 1; k <= window; k++ {
-			predicted := stun.PredictNext(res.Mapped, res.PortDelta, interference+0+k-0)
-			_ = predicted
-		}
-		// A sends first so its new mapping exists; it targets B's
-		// future mapping... B's cone mapping is created by B's own
-		// sends. Order: B sprays predicted ports (opening B's hole and
-		// mapping), then A punches to B's public endpoint, then B
-		// sprays again (A's mapping now exists at some predicted port).
+		// B sprays A's predicted ports (opening B's hole and its
+		// mapping), A punches to B's public endpoint, read from B's
+		// NAT, and B sprays again now that A's new mapping exists at
+		// some predicted port.
 		spray := func() {
 			for k := 1; k <= window; k++ {
 				predicted := stun.PredictNext(res.Mapped, res.PortDelta, interference+k)
@@ -365,7 +331,7 @@ func Sec51PortPrediction(seed int64) Result {
 	grid := len(windows) * len(interferences)
 	outs := fanOut(grid+1, func(i int) predRun {
 		if i == grid {
-			basic := newUDPPair(seed, nat.Symmetric(), nat.Cone(), punch.Config{PunchTimeout: 5 * time.Second})
+			basic := newPair(seed, nat.Symmetric(), nat.Cone(), punch.Config{PunchTimeout: 5 * time.Second}, false)
 			return predRun{baseline: basic.punchUDP(20 * time.Second)}
 		}
 		window := windows[i/len(interferences)]
@@ -415,7 +381,7 @@ func Sec52RSTvsDrop(seed int64) Result {
 		if mode.name == "rst / drop (mixed)" {
 			behB = nat.Cone()
 		}
-		p := newTCPPair(seed, mode.beh(), behB, punch.Config{PunchTimeout: 30 * time.Second})
+		p := newPair(seed, mode.beh(), behB, punch.Config{PunchTimeout: 30 * time.Second}, true)
 		// Slow B's LAN so A's first SYN reaches B's NAT before B has
 		// punched its own hole — the unsolicited-SYN case the refusal
 		// policy governs (§5.2). With symmetric timing the SYNs cross
@@ -445,49 +411,15 @@ func Sec52RSTvsDrop(seed int64) Result {
 // registration's private endpoint and how obfuscation protects it
 // (§3.1, §5.3).
 func Sec53Mangling(seed int64) Result {
-	run := func(obfuscate bool) (recordedPrivate inet.Endpoint, punched bool, via punch.Method) {
-		b := nat.Mangler()
-		c := topo.NewCommonNAT(seed, b)
-		srv, err := rendezvousNew(c.S)
-		must(err)
-		cfg := punch.Config{Obfuscate: obfuscate, PunchTimeout: 5 * time.Second}
-		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
-		bb := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
-		must(a.RegisterUDP(4321, nil))
-		must(bb.RegisterUDP(4321, nil))
-		await(c.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && bb.UDPRegistered() })
-		// What did S record as alice's private endpoint? The
-		// RegisterOK echoes it back; alice's own view:
-		recordedPrivate = a.PrivateUDP()
-		// S's view is what matters; recover it via a straw poll: bob
-		// asks to connect and receives alice's endpoints.
-		var sawPrivate inet.Endpoint
-		gotDetails := false
-		bb.InboundUDP = punch.UDPCallbacks{}
-		var sa *punch.UDPSession
-		failed := false
-		a.InboundUDP = punch.UDPCallbacks{}
-		bb.ConnectUDP("alice", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { sa = s },
-			Failed:      func(string, error) { failed = true },
-		})
-		_ = sawPrivate
-		_ = gotDetails
-		await(c.Internet, 30*time.Second, func() bool { return sa != nil || failed })
-		if sa != nil {
-			return recordedPrivate, true, sa.Via
-		}
-		return recordedPrivate, false, punch.MethodNone
-	}
-	type mangleRun struct {
-		punched bool
-		via     punch.Method
-	}
-	outs := fanOut(2, func(i int) mangleRun {
-		_, ok, via := run(i == 1)
-		return mangleRun{ok, via}
+	// Bob connects to alice: what S recorded as alice's private
+	// endpoint is what bob is told to punch.
+	outs := fanOut(2, func(i int) udpOutcome {
+		c := topo.NewCommonNAT(seed, nat.Mangler())
+		cfg := punch.Config{Obfuscate: i == 1, PunchTimeout: 5 * time.Second}
+		_, _, b := register(c.Internet, c.S, c.A, c.B, cfg, false)
+		return punchFrom(c.Internet, b, "alice", 30*time.Second)
 	})
-	plainOK, obfOK, obfVia := outs[0].punched, outs[1].punched, outs[1].via
+	plainOK, obfOK, obfVia := outs[0].ok, outs[1].ok, outs[1].via
 	mangled := mangledEndpointDemo(seed)
 	rows := [][]string{
 		{"plain encoding", boolStr(plainOK, "established", "failed"), "S recorded private EP as " + mangled},
@@ -530,10 +462,10 @@ func ConnectorAggregate(seed int64) Result {
 		pairSeeds = append(pairSeeds, seed+int64(i))
 	}
 	outs := fanOut(len(pairs), func(i int) udpOutcome {
-		p := newUDPPair(pairSeeds[i], pairs[i][0].Behavior, pairs[i][1].Behavior, punch.Config{
+		p := newPair(pairSeeds[i], pairs[i][0].Behavior, pairs[i][1].Behavior, punch.Config{
 			PunchTimeout:  5 * time.Second,
 			RelayFallback: true,
-		})
+		}, false)
 		return p.punchUDP(30 * time.Second)
 	})
 	counts := map[punch.Method]int{}

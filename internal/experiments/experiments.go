@@ -132,37 +132,33 @@ type pair struct {
 
 const serverPort inet.Port = 1234
 
-// newUDPPair builds and registers a UDP punching pair. It panics on
-// topology errors (experiment code is trusted).
-func newUDPPair(seed int64, behA, behB nat.Behavior, cfg punch.Config) *pair {
-	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
-	if err != nil {
-		panic(err)
-	}
-	p := &pair{Canonical: c, srv: srv}
-	p.a = punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
-	p.b = punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
-	must(p.a.RegisterUDP(4321, nil))
-	must(p.b.RegisterUDP(4321, nil))
-	p.await(10*time.Second, func() bool { return p.a.UDPRegistered() && p.b.UDPRegistered() })
+// newPair builds the Figure-5 topology and registers alice and bob
+// over UDP, or over TCP if tcp is set.
+func newPair(seed int64, behA, behB nat.Behavior, cfg punch.Config, tcp bool) *pair {
+	p := &pair{Canonical: topo.NewCanonical(seed, behA, behB)}
+	p.srv, p.a, p.b = register(p.Internet, p.S, p.A, p.B, cfg, tcp)
 	return p
 }
 
-// newTCPPair is newUDPPair for TCP registration.
-func newTCPPair(seed int64, behA, behB nat.Behavior, cfg punch.Config) *pair {
-	c := topo.NewCanonical(seed, behA, behB)
-	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
-	if err != nil {
-		panic(err)
+// register starts S's rendezvous server and registers alice on hostA
+// and bob on hostB with it, over UDP or, if tcp is set, over TCP,
+// running the world until both are registered. It panics on setup
+// errors (experiment code is trusted).
+func register(in *topo.Internet, s, hostA, hostB *host.Host, cfg punch.Config, tcp bool) (*rendezvous.Server, *punch.Client, *punch.Client) {
+	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
+	must(err)
+	a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), cfg)
+	b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), cfg)
+	if tcp {
+		must(a.RegisterTCP(4321, nil))
+		must(b.RegisterTCP(4321, nil))
+		await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
+	} else {
+		must(a.RegisterUDP(4321, nil))
+		must(b.RegisterUDP(4321, nil))
+		await(in, 10*time.Second, func() bool { return a.UDPRegistered() && b.UDPRegistered() })
 	}
-	p := &pair{Canonical: c, srv: srv}
-	p.a = punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), cfg)
-	p.b = punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), cfg)
-	must(p.a.RegisterTCP(4321, nil))
-	must(p.b.RegisterTCP(4321, nil))
-	p.await(10*time.Second, func() bool { return p.a.TCPRegistered() && p.b.TCPRegistered() })
-	return p
+	return srv, a, b
 }
 
 func must(err error) {
@@ -173,11 +169,9 @@ func must(err error) {
 
 // await runs the simulation until cond holds or the window passes,
 // reporting whether cond held.
-func (p *pair) await(window time.Duration, cond func() bool) bool {
-	deadline := p.Net.Sched.Now() + window
-	p.Net.Sched.RunWhile(func() bool {
-		return !cond() && p.Net.Sched.Now() < deadline
-	})
+func await(in *topo.Internet, window time.Duration, cond func() bool) bool {
+	deadline := in.Net.Sched.Now() + window
+	in.Net.Sched.RunWhile(func() bool { return !cond() && in.Net.Sched.Now() < deadline })
 	return cond()
 }
 
@@ -198,11 +192,28 @@ func (p *pair) punchUDP(window time.Duration) udpOutcome {
 		Established: func(s *punch.UDPSession) { sa = s },
 		Failed:      func(string, error) { failed = true },
 	})
-	p.await(window, func() bool { return (sa != nil && sb != nil) || failed })
+	await(p.Internet, window, func() bool { return (sa != nil && sb != nil) || failed })
 	if sa == nil {
 		return udpOutcome{}
 	}
 	return udpOutcome{ok: true, via: sa.Via, elapsed: p.Net.Sched.Now() - start, session: sa}
+}
+
+// punchFrom is the paper's one-sided §3.2 attempt: x connects to peer
+// over UDP, and the outcome is x's session as soon as x has one.
+func punchFrom(in *topo.Internet, x *punch.Client, peer string, window time.Duration) udpOutcome {
+	start := in.Net.Sched.Now()
+	var s *punch.UDPSession
+	failed := false
+	x.ConnectUDP(peer, punch.UDPCallbacks{
+		Established: func(us *punch.UDPSession) { s = us },
+		Failed:      func(string, error) { failed = true },
+	})
+	await(in, window, func() bool { return s != nil || failed })
+	if s == nil {
+		return udpOutcome{}
+	}
+	return udpOutcome{ok: true, via: s.Via, elapsed: in.Net.Sched.Now() - start, session: s}
 }
 
 // tcpOutcome runs a TCP punch and reports the outcome.
@@ -228,7 +239,7 @@ func (p *pair) punchTCP(window time.Duration, sequential bool) tcpOutcome {
 	} else {
 		p.a.ConnectTCP("bob", cb)
 	}
-	p.await(window, func() bool { return (sa != nil && (sb != nil || sa.Via == punch.MethodRelay)) || failed })
+	await(p.Internet, window, func() bool { return (sa != nil && (sb != nil || sa.Via == punch.MethodRelay)) || failed })
 	if sa == nil {
 		return tcpOutcome{}
 	}
@@ -262,7 +273,8 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.0fms", float64(d)/float64(time.Millisecond))
 }
 
-// publicHostPair builds a reversal-style topology: A public, B NATed.
+// publicHostPair builds a reversal-style topology, A public and B
+// NATed, with alice and bob registered over TCP.
 func publicHostPair(seed int64, behB nat.Behavior, cfg punch.Config) (*topo.Internet, *rendezvous.Server, *punch.Client, *punch.Client) {
 	in := topo.NewInternet(seed)
 	core := in.CoreRealm()
@@ -270,9 +282,6 @@ func publicHostPair(seed int64, behB nat.Behavior, cfg punch.Config) (*topo.Inte
 	hostA := core.AddHost("A", "155.99.25.80", host.BSDStyle)
 	realmB := core.AddSite("NAT-B", behB, "138.76.29.7", "10.1.1.0/24")
 	hostB := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
-	srv, err := rendezvous.NewOver(s.Transport(), serverPort, 0)
-	must(err)
-	a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), cfg)
-	b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), cfg)
+	srv, a, b := register(in, s, hostA, hostB, cfg, true)
 	return in, srv, a, b
 }

@@ -7,19 +7,11 @@ import (
 	"natpunch/internal/fleet"
 )
 
-// fedScenario is one federated-deployment run: a fleet over a
-// rendezvous tier of cfg.Servers federated instances.
-type fedScenario struct {
-	name string
-	desc string
-	cfg  fleet.Config
-}
-
 // fedScenarios is the standing E-FED workload: the same steady
 // population sharded over 1, 2, and 4 federated servers (load skew +
 // outcome-class equivalence), and a 2-server run that loses one
 // server mid-run (failover).
-func fedScenarios() []fedScenario {
+func fedScenarios() []scenario {
 	steady := func(servers int) fleet.Config {
 		return fleet.Config{
 			Peers:            60,
@@ -38,9 +30,8 @@ func fedScenarios() []fedScenario {
 		MeanLifetime:     24 * time.Hour,
 		MeanConnectEvery: 20 * time.Second,
 		KillServerAt:     5 * time.Minute,
-		KillServer:       0,
 	}
-	return []fedScenario{
+	return []scenario{
 		{"fed-1", "60 peers, 1 server (monolithic baseline)", steady(1)},
 		{"fed-2", "60 peers sharded over 2 federated servers", steady(2)},
 		{"fed-4", "60 peers sharded over 4 federated servers", steady(4)},
@@ -69,7 +60,7 @@ func Federation(seed int64) Result {
 
 // fedResult renders the E-FED table from finished reports. Pure (no
 // simulation), so golden tests can pin the layout.
-func fedResult(scenarios []fedScenario, reports []fleet.Report) Result {
+func fedResult(scenarios []scenario, reports []fleet.Report) Result {
 	header := []string{"scenario", "server", "homed", "regs", "connect+negotiate", "relayed msgs", "fed records", "fed forwards"}
 	var rows [][]string
 	notes := []string{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"natpunch/internal/host"
@@ -9,11 +10,9 @@ import (
 	"natpunch/internal/nat"
 	"natpunch/internal/natcheck"
 	"natpunch/internal/punch"
-	"natpunch/internal/rendezvous"
 	"natpunch/internal/sim"
 	"natpunch/internal/tcp"
 	"natpunch/internal/topo"
-	"natpunch/internal/trace"
 )
 
 // Fig1AddressRealms demonstrates the de-facto address architecture of
@@ -79,12 +78,12 @@ func Fig2Relaying(seed int64) Result {
 
 	// Symmetric NATs on both sides: punching is impossible, so the
 	// session lands on the relay floor.
-	relayed := newUDPPair(seed, nat.Symmetric(), nat.Symmetric(), punch.Config{RelayFallback: true})
+	relayed := newPair(seed, nat.Symmetric(), nat.Symmetric(), punch.Config{RelayFallback: true}, false)
 	done, relayRTT := relayed.pingPong(messages)
 	relayBytes := relayed.srv.Stats().RelayedBytes
 
 	// Cone NATs: the same exchange over the punched direct path.
-	direct := newUDPPair(seed+1, nat.Cone(), nat.Cone(), punch.Config{})
+	direct := newPair(seed+1, nat.Cone(), nat.Cone(), punch.Config{}, false)
 	directDone, directRTT := direct.pingPong(messages)
 
 	rows := [][]string{
@@ -139,16 +138,13 @@ func (p *pair) pingPong(n int) (echoes int, avg time.Duration) {
 // fails; reversal through S succeeds.
 func Fig3ConnectionReversal(seed int64) Result {
 	in, srv, a, b := publicHostPair(seed, nat.Cone(), punch.Config{})
-	must(a.RegisterTCP(4321, nil))
-	must(b.RegisterTCP(4321, nil))
-	await(in, 10*time.Second, func() bool { return a.TCPRegistered() && b.TCPRegistered() })
 
 	// Direct attempt: dial B's (private, unroutable) address — the
 	// only address A could know without S.
 	directFailed := false
-	host := a.Host()
-	host.TCPConfig.SYNRetries = 2
-	_, err := host.TCPDial(inet.EP("10.1.1.3", 4321), hostDialOpts(), tcpErrCB(&directFailed))
+	hostA := a.Host()
+	hostA.TCPConfig.SYNRetries = 2
+	_, err := hostA.TCPDial(inet.EP("10.1.1.3", 4321), host.DialOpts{}, tcpErrCB(&directFailed))
 	must(err)
 	await(in, time.Minute, func() bool { return directFailed })
 
@@ -181,40 +177,16 @@ func Fig3ConnectionReversal(seed int64) Result {
 // their private endpoints; the public route needs hairpin support,
 // which Table 1 shows is rare.
 func Fig4CommonNAT(seed int64) Result {
-	run := func(hairpin bool) (udpOutcome, nat.Stats) {
-		b := nat.Cone()
-		b.HairpinUDP = hairpin
-		c := topo.NewCommonNAT(seed, b)
-		srv, err := rendezvousNew(c.S)
-		must(err)
-		a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
-		bb := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
-		must(a.RegisterUDP(4321, nil))
-		must(bb.RegisterUDP(4321, nil))
-		await(c.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && bb.UDPRegistered() })
-		var sa *punch.UDPSession
-		failed := false
-		start := c.Net.Sched.Now()
-		bb.InboundUDP = punch.UDPCallbacks{}
-		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { sa = s },
-			Failed:      func(string, error) { failed = true },
-		})
-		await(c.Internet, 30*time.Second, func() bool { return sa != nil || failed })
-		out := udpOutcome{}
-		if sa != nil {
-			out = udpOutcome{ok: true, via: sa.Via, elapsed: c.Net.Sched.Now() - start, session: sa}
-		}
-		return out, c.NAT.Stats()
-	}
-
 	type hpRun struct {
 		out   udpOutcome
 		stats nat.Stats
 	}
 	outs := fanOut(2, func(i int) hpRun {
-		o, s := run(i == 1)
-		return hpRun{o, s}
+		b := nat.Cone()
+		b.HairpinUDP = i == 1
+		c := topo.NewCommonNAT(seed, b)
+		_, a, _ := register(c.Internet, c.S, c.A, c.B, punch.Config{}, false)
+		return hpRun{punchFrom(c.Internet, a, "bob", 30*time.Second), c.NAT.Stats()}
 	})
 	noHp, statsNo := outs[0].out, outs[0].stats
 	hp, statsHp := outs[1].out, outs[1].stats
@@ -246,7 +218,7 @@ func Fig5DifferentNATs(seed int64) Result {
 	// Each matrix cell is an isolated run; fan the 16 cells out.
 	outs := fanOut(len(kinds)*len(kinds), func(i int) udpOutcome {
 		ka, kb := kinds[i/len(kinds)], kinds[i%len(kinds)]
-		p := newUDPPair(seed, behaviorByName(ka), behaviorByName(kb), punch.Config{PunchTimeout: 8 * time.Second})
+		p := newPair(seed, behaviorByName(ka), behaviorByName(kb), punch.Config{PunchTimeout: 8 * time.Second}, false)
 		return p.punchUDP(30 * time.Second)
 	})
 	var rows [][]string
@@ -280,39 +252,16 @@ func Fig5DifferentNATs(seed int64) Result {
 // Fig6MultiLevel reproduces §3.5: punching through an ISP NAT C
 // requires hairpin support at C.
 func Fig6MultiLevel(seed int64) Result {
-	run := func(hairpinC bool) (udpOutcome, uint64) {
-		behC := nat.Cone()
-		behC.HairpinUDP = hairpinC
-		m := topo.NewMultiLevel(seed, behC, nat.Cone(), nat.Cone())
-		srv, err := rendezvousNew(m.S)
-		must(err)
-		a := punch.NewClientOver(m.A.Transport(), "alice", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
-		b := punch.NewClientOver(m.B.Transport(), "bob", srv.Endpoint(), punch.Config{PunchTimeout: 8 * time.Second})
-		must(a.RegisterUDP(4321, nil))
-		must(b.RegisterUDP(4321, nil))
-		await(m.Internet, 10*time.Second, func() bool { return a.UDPRegistered() && b.UDPRegistered() })
-		var sa *punch.UDPSession
-		failed := false
-		start := m.Net.Sched.Now()
-		b.InboundUDP = punch.UDPCallbacks{}
-		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { sa = s },
-			Failed:      func(string, error) { failed = true },
-		})
-		await(m.Internet, 30*time.Second, func() bool { return sa != nil || failed })
-		out := udpOutcome{}
-		if sa != nil {
-			out = udpOutcome{ok: true, via: sa.Via, elapsed: m.Net.Sched.Now() - start}
-		}
-		return out, m.NATC.Stats().Hairpins
-	}
 	type hpRun struct {
 		out      udpOutcome
 		hairpins uint64
 	}
 	outs := fanOut(2, func(i int) hpRun {
-		o, h := run(i == 1)
-		return hpRun{o, h}
+		behC := nat.Cone()
+		behC.HairpinUDP = i == 1
+		m := topo.NewMultiLevel(seed, behC, nat.Cone(), nat.Cone())
+		_, a, _ := register(m.Internet, m.S, m.A, m.B, punch.Config{PunchTimeout: 8 * time.Second}, false)
+		return hpRun{punchFrom(m.Internet, a, "bob", 30*time.Second), m.NATC.Stats().Hairpins}
 	})
 	no, hairpinsNo := outs[0].out, outs[0].hairpins
 	yes, hairpinsYes := outs[1].out, outs[1].hairpins
@@ -337,13 +286,12 @@ func Fig6MultiLevel(seed int64) Result {
 // outgoing connection attempts — possible only with SO_REUSEADDR
 // semantics (§4.1).
 func Fig7PortReuse(seed int64) Result {
-	p := newTCPPair(seed, nat.Cone(), nat.Cone(), punch.Config{})
+	p := newPair(seed, nat.Cone(), nat.Cone(), punch.Config{}, true)
 
 	// Snapshot socket counts mid-punch: start the punch and sample at
 	// the first instant both dials are outstanding.
 	var rows [][]string
 	var midConns, midPorts int
-	p.b.InboundTCP = punch.TCPCallbacks{}
 	var sa *punch.TCPSession
 	p.a.ConnectTCP("bob", punch.TCPCallbacks{Established: func(s *punch.TCPSession) { sa = s }})
 	// Sample 50ms in: the connection details have arrived (two core
@@ -353,12 +301,12 @@ func Fig7PortReuse(seed int64) Result {
 		midConns = p.A.TCPConnCount()
 		midPorts = p.A.TCPBoundPorts()
 	})
-	p.await(60*time.Second, func() bool { return sa != nil })
+	await(p.Internet, 60*time.Second, func() bool { return sa != nil })
 
 	// Attempting the same layout without the reuse flag fails.
 	_, errNoReuse := p.A.TCPListen(5555, false, nil)
 	must(errNoReuse)
-	_, errSecond := p.A.TCPDial(inet.EP("18.181.0.31", 1234), host.DialOpts{LocalPort: 5555}, tcpErrCBDiscard())
+	_, errSecond := p.A.TCPDial(inet.EP("18.181.0.31", 1234), host.DialOpts{LocalPort: 5555}, tcp.Callbacks{})
 
 	rows = append(rows,
 		[]string{"sockets on A during punch", fmt.Sprint(midConns), "S conn + 2 outgoing attempts (Figure 7)"},
@@ -383,12 +331,18 @@ func Fig7PortReuse(seed int64) Result {
 func Fig8NATCheckTrace(seed int64) Result {
 	lab, err := natcheck.NewLab(seed, nat.WellBehaved())
 	must(err)
-	rec := trace.Attach(lab.Net, 64)
-	rec.Filter = func(kind sim.HookKind, seg *sim.Segment, ifc *sim.Iface, pkt *inet.Packet) bool {
-		return pkt.Proto == inet.UDP && kind == sim.HookDeliver
-	}
+	// The packet trace: the first 64 UDP deliveries, one line each.
+	var trace strings.Builder
+	lines := 0
+	lab.Net.SetHook(func(kind sim.HookKind, seg *sim.Segment, ifc *sim.Iface, pkt *inet.Packet) {
+		if kind != sim.HookDeliver || pkt.Proto != inet.UDP || lines == 64 {
+			return
+		}
+		lines++
+		fmt.Fprintf(&trace, "%10s %-11s %-12s %-28s %s\n", lab.Net.Sched.Now(), kind, seg.Name(), ifc, pkt)
+	})
 	report, ok := lab.Run()
-	rec.Detach()
+	lab.Net.SetHook(nil)
 	if !ok {
 		panic("natcheck: check did not complete")
 	}
@@ -401,7 +355,7 @@ func Fig8NATCheckTrace(seed int64) Result {
 	return Result{
 		ID:    "E9",
 		Title: "Figure 8 — NAT Check method for UDP (single well-behaved NAT)",
-		Table: table([]string{"check", "result", "evidence"}, rows) + "\npacket trace (UDP deliveries):\n" + rec.Dump(),
+		Table: table([]string{"check", "result", "evidence"}, rows) + "\npacket trace (UDP deliveries):\n" + trace.String(),
 		Metrics: map[string]float64{
 			"consistent": boolMetric(report.UDPConsistent),
 			"hairpin":    boolMetric(report.UDPHairpin),
@@ -439,20 +393,6 @@ func describeSession(s *punch.TCPSession) string {
 	return fmt.Sprintf("%s (accepted=%v)", s.Via, s.Accepted)
 }
 
-func await(in *topo.Internet, window time.Duration, cond func() bool) bool {
-	deadline := in.Net.Sched.Now() + window
-	in.Net.Sched.RunWhile(func() bool { return !cond() && in.Net.Sched.Now() < deadline })
-	return cond()
-}
-
-func hostDialOpts() host.DialOpts { return host.DialOpts{} }
-
 func tcpErrCB(flag *bool) tcp.Callbacks {
 	return tcp.Callbacks{Error: func(_ *tcp.Conn, err error) { *flag = true }}
-}
-
-func tcpErrCBDiscard() tcp.Callbacks { return tcp.Callbacks{} }
-
-func rendezvousNew(s *host.Host) (*rendezvous.Server, error) {
-	return rendezvous.NewOver(s.Transport(), serverPort, 0)
 }

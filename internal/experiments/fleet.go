@@ -7,11 +7,11 @@ import (
 	"natpunch/internal/fleet"
 )
 
-// fleetScenario is one independent population-scale run. Each
-// scenario builds its own sim.Network from its own derived seed, so
-// the set fans out across the worker pool like any other experiment
-// workload.
-type fleetScenario struct {
+// scenario is one independent fleet run of a fleet-backed experiment
+// (E-FLEET, E-ICE, E-FED, E-UPGRADE). Each scenario builds its own
+// sim.Network from its own derived seed, so the set fans out across
+// the worker pool like any other experiment workload.
+type scenario struct {
 	name string
 	desc string
 	cfg  fleet.Config
@@ -22,8 +22,8 @@ type fleetScenario struct {
 // overlay (arrivals, departures, rejoins, idle session death and
 // re-punch), and a flash crowd (the whole population arrives in
 // seconds and immediately starts dialing).
-func fleetScenarios() []fleetScenario {
-	return []fleetScenario{
+func fleetScenarios() []scenario {
+	return []scenario{
 		{
 			name: "steady-80",
 			desc: "80 peers, no churn: pure pairwise punch outcomes",
@@ -78,7 +78,7 @@ func FleetChurn(seed int64) Result {
 // fleetResult renders the E-FLEET table from finished reports. Pure
 // (no simulation), so the golden-file tests can pin the row layout
 // against hand-built reports.
-func fleetResult(scenarios []fleetScenario, reports []fleet.Report) Result {
+func fleetResult(scenarios []scenario, reports []fleet.Report) Result {
 	header := []string{"scenario", "NAT pair", "attempts", "direct", "relay", "failed", "abandoned", "direct%", "p50", "p90"}
 	var rows [][]string
 	notes := []string{}

@@ -51,7 +51,7 @@ func ms250(n int) []time.Duration {
 }
 
 func TestFleetRenderGolden(t *testing.T) {
-	scenarios := []fleetScenario{
+	scenarios := []scenario{
 		{name: "alpha", desc: "first synthetic scenario"},
 		{name: "beta", desc: "second synthetic scenario"},
 	}
@@ -86,7 +86,7 @@ func TestFleetRenderGolden(t *testing.T) {
 }
 
 func TestFedRenderGolden(t *testing.T) {
-	scenarios := []fedScenario{
+	scenarios := []scenario{
 		{name: "one", desc: "synthetic single server"},
 		{name: "pair-kill", desc: "synthetic pair with a kill"},
 	}
@@ -112,7 +112,7 @@ func TestFedRenderGolden(t *testing.T) {
 }
 
 func TestICERenderGolden(t *testing.T) {
-	scenarios := []iceScenario{
+	scenarios := []scenario{
 		{name: "gamma", desc: "synthetic topology mix"},
 		{name: "delta", desc: "synthetic ablation"},
 	}
@@ -143,7 +143,7 @@ func TestICERenderGolden(t *testing.T) {
 }
 
 func TestUpgradeRenderGolden(t *testing.T) {
-	scenarios := []upgradeScenario{
+	scenarios := []scenario{
 		{name: "calm", desc: "synthetic stable overlay"},
 		{name: "churny", desc: "synthetic rebind overlay"},
 	}

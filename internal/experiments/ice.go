@@ -9,19 +9,12 @@ import (
 	"natpunch/internal/nat"
 )
 
-// iceScenario is one independent candidate-negotiation fleet run.
-type iceScenario struct {
-	name string
-	desc string
-	cfg  fleet.Config
-}
-
 // iceScenarios is the standing E-ICE workload: a heterogeneous
 // headline mix, then isolating runs for each topology class
 // (Figure 4 shared sites, Figure 6 CGNs with and without hairpin),
 // and candidate-type ablations that knock out exactly the path each
 // topology depends on.
-func iceScenarios() []iceScenario {
+func iceScenarios() []scenario {
 	stable := func(peers int, dur time.Duration) fleet.Config {
 		return fleet.Config{
 			Peers:            peers,
@@ -62,7 +55,7 @@ func iceScenarios() []iceScenario {
 	noHair := hairpinRun
 	noHair.ICE = ice.Config{NoHairpin: true}
 
-	return []iceScenario{
+	return []scenario{
 		{"mix-48", "heterogeneous sites (flat + shared + CGN), Table 1 NAT mix", mix},
 		{"shared-32", "Fig 4: four-peer households behind hairpin-less cone NATs", sharedCone},
 		{"cgn-hairpin-32", "Fig 6: cone + symmetric-open homes under hairpinning CGNs", hairpinRun},
@@ -89,7 +82,7 @@ func ICECandidates(seed int64) Result {
 // iceResult renders the E-ICE table from finished reports. Pure (no
 // simulation), so the golden-file tests can pin the row layout
 // against hand-built reports.
-func iceResult(scenarios []iceScenario, reports []fleet.Report) Result {
+func iceResult(scenarios []scenario, reports []fleet.Report) Result {
 	header := []string{"scenario", "topology", "attempts", "private", "public", "hairpin", "reflex", "relay", "failed", "abandoned", "direct%", "p50"}
 	var rows [][]string
 	notes := []string{}

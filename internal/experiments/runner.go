@@ -10,30 +10,10 @@ import (
 // its workload as a slice of independent runs — each run builds its
 // own isolated sim.Scheduler/sim.Network from its own seed, so runs
 // share no mutable state and per-seed determinism is untouched.
-// fanOut executes those runs across a worker pool and hands the
-// results back in submission order, which keeps the rendered tables
-// bit-for-bit identical to a serial execution at any worker count.
-
-// workerCount is the pool width used by fanOut. 0 (the default)
-// means "one worker per CPU"; 1 forces strictly serial execution.
-var workerCount atomic.Int32
-
-// SetWorkers sets the worker-pool width for experiment fan-out and
-// returns the previous setting. n <= 0 restores the default (one
-// worker per CPU); n == 1 forces serial execution. Output tables are
-// identical at every width; only wall-clock time changes.
-func SetWorkers(n int) int {
-	prev := int(workerCount.Swap(int32(max(n, 0))))
-	return prev
-}
-
-// Workers returns the effective worker-pool width.
-func Workers() int {
-	if n := int(workerCount.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// fanOut executes those runs across a pool of GOMAXPROCS workers and
+// hands the results back in submission order, which keeps the
+// rendered tables bit-for-bit identical to a serial execution
+// (GOMAXPROCS=1) at any width.
 
 // fanOut runs fn(i) for every i in [0, n) across the worker pool and
 // returns the results indexed by i. fn must be self-contained: each
@@ -43,10 +23,7 @@ func Workers() int {
 // ordering a serial loop would have produced.
 func fanOut[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	w := Workers()
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := range out {
 			out[i] = fn(i)

@@ -2,7 +2,9 @@ package experiments_test
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"natpunch/internal/experiments"
@@ -23,31 +25,30 @@ func runOne(t *testing.T, id string, seed int64) string {
 }
 
 // TestRunnerSerialParallelIdentical is the engine's core guarantee:
-// the rendered tables are byte-for-byte identical at any worker-pool
-// width (-parallel 1 vs -parallel 8). The fleet-scale experiments ride
-// along: each of their scenarios is an isolated (seed, config)
-// simulation aggregated in submission order, and E-UPGRADE's paired
-// variants share a derived seed that must be width-independent too.
+// fanOut's pool is GOMAXPROCS wide, and the rendered tables are byte
+// for byte identical at GOMAXPROCS 1 (a serial run) and 8. The
+// fleet-scale experiments ride along: each of their scenarios is an
+// isolated (seed, config) simulation aggregated in submission order,
+// and E-UPGRADE's paired variants share a derived seed that must be
+// width-independent too.
 func TestRunnerSerialParallelIdentical(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, id := range append([]string{"E-FLEET", "E-ICE", "E-FED", "E-UPGRADE"}, detExperiments...) {
 		t.Run(id, func(t *testing.T) {
-			experiments.SetWorkers(1)
+			runtime.GOMAXPROCS(1)
 			serial := runOne(t, id, 1)
-			experiments.SetWorkers(8)
+			runtime.GOMAXPROCS(8)
 			parallel := runOne(t, id, 1)
 			if serial != parallel {
-				t.Errorf("serial and 8-worker outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+				t.Errorf("GOMAXPROCS 1 and 8 outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
 		})
 	}
 }
 
 // TestRunnerSameSeedBitForBit runs each experiment twice with the
-// same seed under the parallel pool: re-running a seed must reproduce
-// the exact bytes.
+// same seed: re-running a seed must reproduce the exact bytes.
 func TestRunnerSameSeedBitForBit(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(4))
 	for _, id := range detExperiments {
 		first := runOne(t, id, 7)
 		second := runOne(t, id, 7)
@@ -57,28 +58,9 @@ func TestRunnerSameSeedBitForBit(t *testing.T) {
 	}
 }
 
-// TestRunnerGOMAXPROCSIndependent pins the scheduler to one OS
-// thread, runs, then restores full width and runs again: results must
-// not depend on how many threads the Go runtime may use.
-func TestRunnerGOMAXPROCSIndependent(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(4))
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	for _, id := range detExperiments {
-		runtime.GOMAXPROCS(1)
-		narrow := runOne(t, id, 3)
-		runtime.GOMAXPROCS(orig)
-		wide := runOne(t, id, 3)
-		if narrow != wide {
-			t.Errorf("%s: GOMAXPROCS=1 and GOMAXPROCS=%d outputs differ", id, orig)
-		}
-	}
-}
-
 // TestRunSeedsOrder checks that results come back in seed order no
 // matter which worker finishes first.
 func TestRunSeedsOrder(t *testing.T) {
-	defer experiments.SetWorkers(experiments.SetWorkers(8))
 	stub := experiments.Experiment{
 		ID:    "stub",
 		Title: "order probe",
@@ -109,23 +91,39 @@ func TestSeeds(t *testing.T) {
 	}
 }
 
-// TestRunAll smoke-runs the whole suite through the pool once.
+// TestRunAll renders RunAll(1) the way cmd/experiments prints it and
+// compares it with EXPERIMENTS.md's table block: every cell of every
+// table is pinned, so a change that moves one fails here.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	defer experiments.SetWorkers(experiments.SetWorkers(0))
-	results := experiments.RunAll(1)
-	all := experiments.All()
-	if len(results) != len(all) {
-		t.Fatalf("got %d results, want %d", len(results), len(all))
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range results {
-		if r.ID != all[i].ID {
-			t.Errorf("slot %d holds %s, want %s", i, r.ID, all[i].ID)
+	_, block, _ := strings.Cut(string(doc), "```\n")
+	want, _, ok := strings.Cut(block, "```")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no table block")
+	}
+	var b strings.Builder
+	for _, r := range experiments.RunAll(1) {
+		fmt.Fprintln(&b, r)
+		fmt.Fprintln(&b)
+	}
+	got := strings.Split(strings.TrimSuffix(b.String(), "\n\n"), "\n")
+	lines := strings.Split(want, "\n")
+	for i := range max(len(got), len(lines)) {
+		g, w := "<EOF>", "<EOF>"
+		if i < len(got) {
+			g = got[i]
 		}
-		if r.Table == "" {
-			t.Errorf("%s produced an empty table", r.ID)
+		if i < len(lines) {
+			w = lines[i]
+		}
+		if g != w {
+			t.Fatalf("RunAll(1) differs from EXPERIMENTS.md at block line %d:\n got: %s\nwant: %s", i+1, g, w)
 		}
 	}
 }

@@ -8,25 +8,17 @@ import (
 	"natpunch/internal/punch"
 )
 
-// upgradeScenario is one relay-first-vs-baseline comparison: the same
-// fleet shape run twice from the same derived seed, once with the
-// punch-at-dial engine (relay fallback at the negotiation deadline)
-// and once relay-first (usable relay session after ~one rendezvous
-// round-trip, direct path punched in the background and migrated in
-// live, DCUtR-style).
-type upgradeScenario struct {
-	name string
-	desc string
-	cfg  fleet.Config // base shape; the driver derives both variants
-}
-
 // upgradeScenarios is the standing E-UPGRADE workload: a stable
 // overlay for the headline claims (connect latency ~one relay RTT,
 // eventual direct share matching the baseline's direct share), and a
 // NAT-rebind churn overlay exercising failback and re-upgrade of
-// live sessions.
-func upgradeScenarios() []upgradeScenario {
-	return []upgradeScenario{
+// live sessions. Each cfg is a base shape that the driver runs twice
+// from the same derived seed: once with the punch-at-dial engine
+// (relay fallback at the negotiation deadline) and once relay-first
+// (usable relay session after ~one rendezvous round-trip, direct path
+// punched in the background and migrated in live, DCUtR-style).
+func upgradeScenarios() []scenario {
+	return []scenario{
 		{
 			name: "steady-48",
 			desc: "48 peers, stable paths: connect latency and eventual direct share",
@@ -82,7 +74,7 @@ func Upgrade(seed int64) Result {
 // (reports[2i] = scenario i baseline, reports[2i+1] = relay-first).
 // Pure (no simulation), so the golden-file tests can pin the row
 // layout against hand-built reports.
-func upgradeResult(scenarios []upgradeScenario, reports []fleet.Report) Result {
+func upgradeResult(scenarios []scenario, reports []fleet.Report) Result {
 	header := []string{"scenario", "mode", "NAT pair", "attempts", "direct@est", "relay@est", "upgraded", "eventual direct%"}
 	var rows [][]string
 	notes := []string{}

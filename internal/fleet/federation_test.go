@@ -112,7 +112,6 @@ func TestFleetServerKillFailsOver(t *testing.T) {
 	cfg.Servers = 2
 	cfg.Duration = 12 * time.Minute
 	cfg.KillServerAt = 5 * time.Minute
-	cfg.KillServer = 0
 	rep := fleet.Run(9, cfg)
 
 	if rep.ServerKilledAt != cfg.KillServerAt {

@@ -49,13 +49,11 @@ type Config struct {
 	// server is chosen by stable rendezvous hashing of its name, and
 	// the rest of the tier is its failover pool.
 	Servers int
-	// KillServerAt, when positive, closes server KillServer's sockets
-	// at that simulated time — the mid-run failure the failover
-	// machinery must absorb. Peers homed there re-home to the next
-	// server in their preference order after their keep-alive grace.
+	// KillServerAt, when positive, closes server 0's sockets at that
+	// simulated time — the mid-run failure the failover machinery
+	// must absorb. Peers homed there re-home to the next server in
+	// their preference order after their keep-alive grace.
 	KillServerAt time.Duration
-	// KillServer indexes the server KillServerAt kills.
-	KillServer int
 	// PublicFraction is the probability that a peer is un-NATed
 	// (attached directly to the public core). Default 0.
 	PublicFraction float64
@@ -263,9 +261,9 @@ func build(seed int64, cfg Config) *Fleet {
 			}
 		}
 	}
-	if cfg.KillServerAt > 0 && cfg.KillServer >= 0 && cfg.KillServer < len(f.srvs) {
+	if cfg.KillServerAt > 0 {
 		in.Net.Sched.At(cfg.KillServerAt, func() {
-			f.srvs[cfg.KillServer].Close()
+			f.srvs[0].Close()
 			f.rep.ServerKilledAt = cfg.KillServerAt
 		})
 	}

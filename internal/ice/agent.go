@@ -233,7 +233,7 @@ func (a *Agent) intercept(from inet.Endpoint, m *proto.Message) bool {
 		// deadline, early — and return false so the client delivers the
 		// payload to the session that just adopted.
 		if n := a.inbound[m.From]; n != nil && a.c.LookupUDPSession(n.peer) == nil &&
-			a.c.Config().RelayFallback && !a.cfg.NoRelay {
+			a.c.Config().RelayFallback {
 			a.timeout(n)
 		}
 	case proto.TypeError:
@@ -282,7 +282,7 @@ func (a *Agent) handleDetails(m *proto.Message) {
 		// must migrate the session, never replace it.
 		n.established = true
 	}
-	if a.c.Config().RelayFirst && !a.cfg.NoRelay && !n.established &&
+	if a.c.Config().RelayFirst && !n.established &&
 		a.c.LookupUDPSession(n.peer) == nil {
 		// Relay-first connect: the candidate exchange completing
 		// proves both ends are registered, so the §2.2 relay floor is
@@ -409,7 +409,7 @@ func (a *Agent) timeout(n *negotiation) {
 		// re-punching keeps trying for a direct path).
 		return
 	}
-	if a.c.Config().RelayFallback && !a.cfg.NoRelay {
+	if a.c.Config().RelayFallback {
 		s := a.c.AdoptUDPSession(n.peer, inet.Endpoint{}, punch.MethodRelay, n.nonce,
 			punch.UDPCallbacks{Data: n.cb.Data, Dead: n.cb.Dead})
 		if n.cb.Established != nil {

@@ -152,15 +152,14 @@ func Sort(cands []Candidate) {
 }
 
 // Config ablates the negotiation: each switch drops a candidate type
-// from both gathering and checking. NoRelay removes the floor, turning
-// deadline expiry into a hard failure even when the punch client has
-// RelayFallback set. Probe interval and deadline are the punch
-// client's PunchInterval and PunchTimeout.
+// from both gathering and checking. The relay floor is the punch
+// client's RelayFallback (without it, deadline expiry is a hard
+// failure); probe interval and deadline are its PunchInterval and
+// PunchTimeout.
 type Config struct {
 	NoPrivate bool
 	NoPublic  bool
 	NoHairpin bool
-	NoRelay   bool
 }
 
 // checkPace staggers successive candidate first-probes, so the cheap

@@ -274,7 +274,9 @@ func TestRestrictedConeSymmetricConvergesReflexive(t *testing.T) {
 }
 
 func TestNoRelayHardFails(t *testing.T) {
-	r := flatRig(t, 9, nat.Symmetric(), nat.Symmetric(), fastCfg(), ice.Config{NoRelay: true})
+	cfg := fastCfg()
+	cfg.RelayFallback = false
+	r := flatRig(t, 9, nat.Symmetric(), nat.Symmetric(), cfg, ice.Config{})
 	out := r.negotiate(10 * time.Second)
 	if !out.failed || out.err != punch.ErrPunchTimeout {
 		t.Fatalf("want hard timeout failure, got %+v", out)

@@ -7,9 +7,11 @@ import (
 
 // The forwarder service: §3.2 step 2's connection-request forwarding,
 // §2.3 connection reversal, and §4.5 sequential-punch signalling.
-// Each request resolves its target through the registry (or the TCP
-// client table) and delivers through the federation-aware deliver(),
-// so the same code introduces peers homed on one server or on two.
+// Connection requests resolve their target through the registry (or
+// the TCP client table) and deliver through the federation-aware
+// deliver(), so the same code introduces peers homed on one server or
+// on two. Reversal and sequential-punch signals arrive only on TCP
+// registration connections and go out on the target's.
 
 // forwardDetails implements §3.2 step 2: "S replies to A with a
 // message containing B's public and private endpoints. At the same
@@ -65,37 +67,22 @@ func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP boo
 
 // reverse implements §2.3: B (who cannot be reached directly) relays
 // a connection request through S asking the peer to attempt a
-// "reverse" connection back to B.
-func (s *Server) reverse(from inet.Endpoint, m *proto.Message) {
-	out := &s.scratchMsg
-	*out = proto.Message{
-		Type: proto.TypeReverseRequest, From: m.From, Target: m.Target,
-		Nonce: m.Nonce,
-	}
-	if b, ok := s.tcpc[m.Target]; ok {
-		a, aok := s.tcpc[m.From]
-		if !aok {
-			s.stats.Errors++
-			return
-		}
-		s.stats.ReversalRequests++
-		out.Public, out.Private = a.public, a.private
-		s.sendTCP(b, out)
-		return
-	}
-	now := s.now()
-	a, aok := s.reg.get(m.From, now)
-	b, bok := s.reg.get(m.Target, now)
-	if !aok || !bok {
+// "reverse" connection back to B. TCP-surface only: both ends must
+// hold registration connections.
+func (s *Server) reverse(m *proto.Message) {
+	b, ok := s.tcpc[m.Target]
+	a, aok := s.tcpc[m.From]
+	if !ok || !aok {
 		s.stats.Errors++
 		return
 	}
 	s.stats.ReversalRequests++
-	out.Public, out.Private = a.Public, a.Private
-	if a.Local() {
-		out.Public = from // observed, authoritative (§3.1)
+	out := &s.scratchMsg
+	*out = proto.Message{
+		Type: proto.TypeReverseRequest, From: m.From, Target: m.Target,
+		Nonce: m.Nonce, Public: a.public, Private: a.private,
 	}
-	s.deliver(b, out)
+	s.sendTCP(b, out)
 }
 
 // seqSignal forwards sequential hole punching coordination (§4.5),

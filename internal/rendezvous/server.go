@@ -267,12 +267,6 @@ func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 	case proto.TypeRelayTo:
 		s.relay(m, payload[:s.dec.Len()])
 
-	case proto.TypeReverseRequest:
-		s.reverse(from, m)
-
-	case proto.TypeSeqRequest, proto.TypeSeqGo:
-		s.seqSignal(m)
-
 	case proto.TypeKeepAlive:
 		s.keepAliveUDP(from, m)
 
@@ -406,7 +400,7 @@ func (s *Server) handleTCPMessage(conn *tcp.Conn, owner *tcpClient, m *proto.Mes
 		s.relay(m, proto.Encode(m, s.obf))
 
 	case proto.TypeReverseRequest:
-		s.reverse(conn.Remote(), m)
+		s.reverse(m)
 
 	case proto.TypeSeqRequest, proto.TypeSeqGo:
 		s.seqSignal(m)

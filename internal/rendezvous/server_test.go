@@ -220,3 +220,44 @@ func TestTCPRegistrationAndIntroduction(t *testing.T) {
 	connA.Close()
 	c.RunFor(5 * time.Second)
 }
+
+// TestReversalNeedsTCPTarget pins that connection reversal (§2.3) is
+// served on the TCP surface only, the one punch clients send it on: a
+// request toward a peer registered only over UDP counts as an error,
+// as one toward an unknown peer does, and nothing is sent to the peer.
+func TestReversalNeedsTCPTarget(t *testing.T) {
+	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newRawClient(t, c.A, 4321)
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "alice", Private: a.sock.Local()})
+	b := newRawClient(t, c.B, 4321)
+	b.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "bob", Private: b.sock.Local()})
+	_, err = c.A.TCPDial(srv.Endpoint(), host.DialOpts{LocalPort: 4321, ReuseAddr: true}, tcp.Callbacks{
+		Established: func(cn *tcp.Conn) {
+			cn.Write(proto.AppendFrame(nil, &proto.Message{
+				Type: proto.TypeRegister, From: "alice", Private: cn.Local(),
+			}, 0))
+			cn.Write(proto.AppendFrame(nil, &proto.Message{
+				Type: proto.TypeReverseRequest, From: "alice", Target: "bob", Nonce: 7,
+			}, 0))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(2 * time.Second)
+
+	st := srv.Stats()
+	if st.RegistrationsUDP != 2 || st.RegistrationsTCP != 1 {
+		t.Fatalf("registrations: %+v", st)
+	}
+	if st.ReversalRequests != 0 || st.Errors != 1 {
+		t.Errorf("reversal toward a UDP-only peer: %d served, %d errors; want 0 and 1", st.ReversalRequests, st.Errors)
+	}
+	if m := b.find(proto.TypeReverseRequest); m != nil {
+		t.Errorf("bob was sent %+v over UDP", m)
+	}
+}

@@ -15,6 +15,14 @@ import (
 func loopSessions(t *testing.T) (w *world, alice, bob *stream.Session) {
 	t.Helper()
 	w = loopWorld(t, baseOpts()...)
+	alice, bob = sessions(t, w)
+	return w, alice, bob
+}
+
+// sessions dials bob from alice in w and brings a stream session up on
+// both ends; both close when the test ends.
+func sessions(t *testing.T, w *world) (alice, bob *stream.Session) {
+	t.Helper()
 	ln, err := w.bob.Listen()
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +54,7 @@ func loopSessions(t *testing.T) (w *world, alice, bob *stream.Session) {
 		t.Fatalf("accept side: %v", a.err)
 	}
 	t.Cleanup(func() { a.sess.Close() })
-	return w, alice, a.sess
+	return alice, a.sess
 }
 
 // TestSessionWakeZeroAlloc: an entry raising three events on one stream

@@ -58,6 +58,24 @@ func TestRunnerSameSeedBitForBit(t *testing.T) {
 	}
 }
 
+// TestRunnerGOMAXPROCSIndependent pins the scheduler to one OS
+// thread, runs, then restores full width and runs again, at a second
+// seed: results must not depend on how many threads the Go runtime may
+// use, which is also the width of fanOut's pool.
+func TestRunnerGOMAXPROCSIndependent(t *testing.T) {
+	orig := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(orig)
+	for _, id := range detExperiments {
+		runtime.GOMAXPROCS(1)
+		narrow := runOne(t, id, 3)
+		runtime.GOMAXPROCS(orig)
+		wide := runOne(t, id, 3)
+		if narrow != wide {
+			t.Errorf("%s: GOMAXPROCS=1 and GOMAXPROCS=%d outputs differ", id, orig)
+		}
+	}
+}
+
 // TestRunSeedsOrder checks that results come back in seed order no
 // matter which worker finishes first.
 func TestRunSeedsOrder(t *testing.T) {

@@ -188,7 +188,7 @@ func BenchmarkConnect(b *testing.B) {
 	for _, mode := range []string{"punch-at-dial", "relay-first"} {
 		b.Run(mode, func(b *testing.B) {
 			cfg := base
-			cfg.RelayFirst = mode == "relay-first"
+			cfg.Punch.RelayFirst = mode == "relay-first"
 			b.ReportAllocs()
 			var last fleet.Report
 			for i := 0; i < b.N; i++ {
@@ -199,7 +199,7 @@ func BenchmarkConnect(b *testing.B) {
 			}
 			b.ReportMetric(float64(last.ConnectQuantile(0.5))/float64(time.Millisecond), "p50-ms")
 			b.ReportMetric(float64(last.ConnectQuantile(0.95))/float64(time.Millisecond), "p95-ms")
-			if cfg.RelayFirst {
+			if cfg.Punch.RelayFirst {
 				upgraded := 0
 				for _, ps := range last.Pairs {
 					upgraded += ps.Upgraded

@@ -14,11 +14,15 @@
 //
 // The module enclosing the working directory is always analyzed in
 // full — the invariants are module-global, so package patterns are
-// accepted only for command-line familiarity. By default the suite
-// runs over both data-plane build flavors (native and portable), so
-// e.g. realudp's batch_linux.go and batch_other.go are both analyzed
-// regardless of the host platform; a finding is annotated with its
-// flavor only when it does not appear in every flavor.
+// accepted only for command-line familiarity. Files are selected as
+// go/build selects them: for the host platform, or for $GOOS when it
+// is set. Running the built binary with GOOS=windows or GOOS=darwin
+// analyzes that platform's files (e.g. realudp's batch_other.go)
+// against that platform's standard library:
+//
+//	go build -o natlint ./cmd/natlint && GOOS=windows ./natlint ./...
+//
+// (`GOOS=windows go run` would cross-compile a binary it cannot run.)
 //
 // Flags:
 //
@@ -44,22 +48,6 @@ import (
 	"natpunch/internal/analysis"
 )
 
-// flavorNames are the build flavors every run analyzes, in order.
-var flavorNames = []string{"native", "portable"}
-
-// flavorGOOS maps flavor names to the module-file-selection GOOS
-// override ("" = native platform).
-var flavorGOOS = map[string]string{
-	"native":   "",
-	"portable": "portable",
-}
-
-// finding is one merged diagnostic with the flavors it appeared in.
-type finding struct {
-	d       analysis.Diagnostic
-	flavors []string
-}
-
 func main() {
 	jsonPath := flag.String("json", "", "write diagnostics to this file as a deterministic JSON artifact")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations instead of plain lines")
@@ -78,78 +66,39 @@ func main() {
 
 	start := time.Now()
 	analyzers := analysis.Analyzers()
-	merged := make(map[string]*finding)
-	var modDir, modPath string
-	var loadFailed bool
-	packages := 0
-	var prev *analysis.Module
-	for _, name := range flavorNames {
-		mod, loadDiags, err := analysis.LoadWith(".", analysis.LoadOptions{
-			GOOS:  flavorGOOS[name],
-			Reuse: prev,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "natlint: %v\n", err)
-			os.Exit(2)
-		}
-		modDir, modPath = mod.Dir, mod.Path
-		if n := len(mod.Packages); n > packages {
-			packages = n
-		}
-		if len(loadDiags) > 0 {
-			loadFailed = true
-		}
-		diags := append(loadDiags, analysis.Run(mod, analysis.DefaultConfig(), analyzers)...)
-		for _, d := range diags {
-			key := d.String()
-			f, ok := merged[key]
-			if !ok {
-				f = &finding{d: d}
-				merged[key] = f
-			}
-			f.flavors = append(f.flavors, name)
-		}
-		prev = mod
+	mod, loadDiags, err := analysis.Load(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "natlint: %v\n", err)
+		os.Exit(2)
 	}
+	// One stable order over load and analyzer findings (numeric
+	// line/column, not lexical).
+	diags := append(loadDiags, analysis.Run(mod, analysis.DefaultConfig(), analyzers)...)
+	sort.Slice(diags, func(i, j int) bool { return analysis.DiagnosticLess(diags[i], diags[j]) })
 	elapsed := time.Since(start)
 
-	// Merged keys are unique diagnostics, so the stable emitter order
-	// (numeric line/column, not lexical) is a total order over them.
-	findings := make([]*finding, 0, len(merged))
-	for _, f := range merged {
-		findings = append(findings, f)
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		return analysis.DiagnosticLess(findings[i].d, findings[j].d)
-	})
-
 	counts := make(map[string]int)
-	for _, f := range findings {
-		counts[f.d.Check]++
-		d := f.d
-		if rel, err := filepath.Rel(modDir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+	for _, d := range diags {
+		counts[d.Check]++
+		if rel, err := filepath.Rel(mod.Dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			d.Pos.Filename = rel
-		}
-		suffix := ""
-		if len(f.flavors) < len(flavorNames) {
-			suffix = fmt.Sprintf(" (flavor: %s)", strings.Join(f.flavors, ","))
 		}
 		if *github {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=natlint(%s)::%s\n",
-				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, githubEscape(d.Message+suffix))
+				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, githubEscape(d.Message))
 		} else {
-			fmt.Printf("%s%s\n", d, suffix)
+			fmt.Println(d)
 		}
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, modDir, modPath, flavorNames, findings); err != nil {
+		if err := writeJSON(*jsonPath, mod, diags); err != nil {
 			fmt.Fprintf(os.Stderr, "natlint: writing %s: %v\n", *jsonPath, err)
 			os.Exit(2)
 		}
 	}
 
-	summary := fmt.Sprintf("natlint: %d package(s) · %d flavor(s)", packages, len(flavorNames))
+	summary := fmt.Sprintf("natlint: %d package(s)", len(mod.Packages))
 	for _, a := range analyzers {
 		summary += fmt.Sprintf(" · %s %d", a.Name, counts[a.Name])
 	}
@@ -162,9 +111,9 @@ func main() {
 	fmt.Fprintln(os.Stderr, summary)
 
 	switch {
-	case loadFailed:
+	case len(loadDiags) > 0:
 		os.Exit(2)
-	case len(findings) > 0:
+	case len(diags) > 0:
 		os.Exit(1)
 	}
 }
@@ -179,34 +128,31 @@ func githubEscape(s string) string {
 
 // jsonDiagnostic is the -json artifact schema for one finding.
 type jsonDiagnostic struct {
-	File    string   `json:"file"`
-	Line    int      `json:"line"`
-	Col     int      `json:"col"`
-	Check   string   `json:"check"`
-	Message string   `json:"message"`
-	Flavors []string `json:"flavors"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
 }
 
 // writeJSON emits the deterministic diagnostics artifact (no timing,
 // no absolute paths).
-func writeJSON(path, modDir, modPath string, flavorNames []string, findings []*finding) error {
+func writeJSON(path string, mod *analysis.Module, diags []analysis.Diagnostic) error {
 	out := struct {
 		Module      string           `json:"module"`
-		Flavors     []string         `json:"flavors"`
 		Diagnostics []jsonDiagnostic `json:"diagnostics"`
 	}{
-		Module:      modPath,
-		Flavors:     flavorNames,
-		Diagnostics: make([]jsonDiagnostic, 0, len(findings)),
+		Module:      mod.Path,
+		Diagnostics: make([]jsonDiagnostic, 0, len(diags)),
 	}
-	for _, f := range findings {
-		file := f.d.Pos.Filename
-		if rel, err := filepath.Rel(modDir, file); err == nil && !strings.HasPrefix(rel, "..") {
+	for _, d := range diags {
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(mod.Dir, file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = filepath.ToSlash(rel)
 		}
 		out.Diagnostics = append(out.Diagnostics, jsonDiagnostic{
-			File: file, Line: f.d.Pos.Line, Col: f.d.Pos.Column,
-			Check: f.d.Check, Message: f.d.Message, Flavors: f.flavors,
+			File: file, Line: d.Pos.Line, Col: d.Pos.Column,
+			Check: d.Check, Message: d.Message,
 		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -134,3 +134,58 @@ func TestFacadeDialUnknownPeerFails(t *testing.T) {
 		t.Fatal("dial to unregistered peer should fail")
 	}
 }
+
+func TestFacadeObfuscationBeatsMangler(t *testing.T) {
+	// §5.3 through the public API (E16): alice and bob sit behind one
+	// NAT that rewrites payload bytes resembling its private addresses,
+	// with no hairpin, so their private endpoints are the only path.
+	// Obfuscated registrations (server and both dialers) keep those
+	// endpoints intact; plain ones lose the private path, and with no
+	// relay fallback the dial fails.
+	for _, obfuscate := range []bool{true, false} {
+		w := simnet.NewWorld(42)
+		t.Cleanup(w.Close)
+		core := w.Core()
+		var serveOpts []rendezvousapi.ServeOption
+		opts := []Option{WithPunchTimeout(2 * time.Second)}
+		if obfuscate {
+			serveOpts = append(serveOpts, rendezvousapi.WithObfuscation())
+			opts = append(opts, WithObfuscation())
+		}
+		srv, err := rendezvousapi.Serve(core.AddHost("S", "18.181.0.31").Transport(), 1234, serveOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mangler := simnet.Cone()
+		mangler.Mangle = true
+		lan := core.AddSite("NAT", mangler, "155.99.25.11", "10.0.0.0/24")
+		alice, err := Open(lan.AddHost("A", "10.0.0.1").Transport(), "alice", srv.Endpoint(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { alice.Close() })
+		bob, err := Open(lan.AddHost("B", "10.0.0.2").Transport(), "bob", srv.Endpoint(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { bob.Close() })
+		ln, err := bob.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		echoAccept(t, ln)
+
+		conn, err := alice.Dial("bob")
+		switch {
+		case obfuscate && err != nil:
+			t.Errorf("obfuscated dial behind the mangler: %v", err)
+		case obfuscate && conn.Path() != "private":
+			t.Errorf("obfuscated dial behind the mangler took %q, want private", conn.Path())
+		case !obfuscate && err == nil:
+			t.Errorf("plain dial behind the mangler succeeded on %q, want it to fail with no path left", conn.Path())
+		}
+		if err == nil {
+			conn.Close()
+		}
+	}
+}

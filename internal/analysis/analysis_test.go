@@ -2,9 +2,12 @@ package analysis
 
 import (
 	"fmt"
+	"go/build"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,13 +27,24 @@ type extraWant struct {
 
 var wantRe = regexp.MustCompile(`want (\w+) "([^"]+)"`)
 
-func runFixture(t *testing.T, name string, cfg *Config, analyzers []*Analyzer, extras ...extraWant) {
+// loadFixture loads testdata/src/<name>, failing the test on any load
+// diagnostic: every fixture module must type-check cleanly.
+func loadFixture(t *testing.T, name string) *Module {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	mod, err := Load(dir)
+	mod, diags, err := Load(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
+	if len(diags) > 0 {
+		t.Fatalf("loading fixture %s: %s", name, diags[0])
+	}
+	return mod
+}
+
+func runFixture(t *testing.T, name string, cfg *Config, analyzers []*Analyzer, extras ...extraWant) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", name)
+	mod := loadFixture(t, name)
 	diags := Run(mod, cfg, analyzers)
 
 	type want struct {
@@ -38,7 +52,7 @@ func runFixture(t *testing.T, name string, cfg *Config, analyzers []*Analyzer, e
 		matched       bool
 	}
 	wants := make(map[string][]*want)
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
@@ -163,11 +177,7 @@ func TestGoLifecycleFixture(t *testing.T) {
 func TestCatchesHistoricalBugs(t *testing.T) {
 	find := func(t *testing.T, fixture string, cfg *Config, a *Analyzer, file, substr string) {
 		t.Helper()
-		mod, err := Load(filepath.Join("testdata", "src", fixture))
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", fixture, err)
-		}
-		for _, d := range Run(mod, cfg, []*Analyzer{a}) {
+		for _, d := range Run(loadFixture(t, fixture), cfg, []*Analyzer{a}) {
 			if strings.HasSuffix(filepath.ToSlash(d.Pos.Filename), file) && strings.Contains(d.Message, substr) {
 				return
 			}
@@ -188,10 +198,7 @@ func TestCatchesHistoricalBugs(t *testing.T) {
 // violation on the next line is excused — and malformed or unused
 // pragmas are themselves diagnosed.
 func TestPragmaScope(t *testing.T) {
-	mod, err := Load(filepath.Join("testdata", "src", "pragma"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadFixture(t, "pragma")
 	cfg := &Config{
 		EnginePackages: []string{"pragfix/mixed"},
 		WirePackages:   []string{"pragfix/mixed"},
@@ -259,7 +266,7 @@ func TestDiagnosticLessNumeric(t *testing.T) {
 // member without stalling the scheduler, and healthy siblings still
 // load and get analyzed.
 func TestBrokenModuleLoad(t *testing.T) {
-	mod, diags, err := LoadWith(filepath.Join("testdata", "src", "broken"), LoadOptions{})
+	mod, diags, err := Load(filepath.Join("testdata", "src", "broken"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,53 +316,53 @@ func TestBrokenModuleLoad(t *testing.T) {
 }
 
 // TestRepoClean is the gate the CI stage runs: the repository itself
-// must be free of unsuppressed diagnostics under the real config, for
-// both data-plane build flavors — the portable flavor swaps in the
-// !linux data-plane files so batch_other.go is analyzed even on the
-// linux CI host (and vice versa).
+// must load without diagnostics and be free of unsuppressed findings
+// under the real config. It checks the files go/build selects for the
+// host, then re-runs itself with GOOS=darwin, which selects the !linux
+// data-plane files (realudp's batch_other.go, realnet's
+// sockopt_other.go) and type-checks them against darwin's standard
+// library, so no finding hides behind the host's GOOS.
 func TestRepoClean(t *testing.T) {
-	native, ldiags, err := LoadWith(filepath.Join("..", ".."), LoadOptions{})
+	mod, ldiags, err := Load(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
+	goos := build.Default.GOOS
 	for _, d := range ldiags {
-		t.Errorf("load: %s", d)
+		t.Errorf("GOOS=%s load: %s", goos, d)
 	}
-	if native.Path != "natpunch" {
-		t.Fatalf("expected to load the natpunch module, got %q", native.Path)
+	if mod.Path != "natpunch" {
+		t.Fatalf("expected to load the natpunch module, got %q", mod.Path)
 	}
-	for _, d := range Run(native, DefaultConfig(), Analyzers()) {
-		t.Errorf("native: %s", d)
-	}
-
-	portable, pdiags, err := LoadWith(filepath.Join("..", ".."), LoadOptions{GOOS: "portable", Reuse: native})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range pdiags {
-		t.Errorf("portable load: %s", d)
-	}
-	for _, d := range Run(portable, DefaultConfig(), Analyzers()) {
-		t.Errorf("portable: %s", d)
+	for _, d := range Run(mod, DefaultConfig(), Analyzers()) {
+		t.Errorf("GOOS=%s: %s", goos, d)
 	}
 
-	// The portable flavor must actually have selected the !linux
-	// data-plane files.
-	ru, ok := portable.Packages["natpunch/realudp"]
+	// The load must have selected exactly the data-plane file for goos.
+	ru, ok := mod.Packages["natpunch/realudp"]
 	if !ok {
-		t.Fatal("portable flavor lost natpunch/realudp")
+		t.Fatalf("GOOS=%s: natpunch/realudp did not load", goos)
 	}
-	var sawOther, sawLinux bool
+	selected := make(map[string]bool)
 	for _, f := range ru.Files {
-		name := filepath.Base(portable.Fset.Position(f.Package).Filename)
-		if name == "batch_other.go" {
-			sawOther = true
-		}
-		if name == "batch_linux.go" {
-			sawLinux = true
-		}
+		selected[filepath.Base(mod.Fset.Position(f.Package).Filename)] = true
 	}
-	if !sawOther || sawLinux {
-		t.Errorf("portable flavor file selection wrong: batch_other.go in=%v batch_linux.go in=%v", sawOther, sawLinux)
+	want, notWant := "batch_other.go", "batch_linux.go"
+	if goos == "linux" {
+		want, notWant = notWant, want
+	}
+	if !selected[want] || selected[notWant] {
+		t.Errorf("GOOS=%s file selection wrong: %s in=%v, %s in=%v",
+			goos, want, selected[want], notWant, selected[notWant])
+	}
+
+	if goos != runtime.GOOS || goos == "darwin" {
+		return // this is the child (or the host already is darwin)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRepoClean$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), "GOOS=darwin")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: TestRepoClean") {
+		t.Errorf("GOOS=darwin run failed: %v\n%s", err, out)
 	}
 }

@@ -61,24 +61,6 @@ func (m *Module) Sorted() []*Package {
 	return pkgs
 }
 
-// LoadOptions configures LoadWith.
-type LoadOptions struct {
-	// GOOS, when non-empty, overrides the GOOS used for the *module's*
-	// file selection only (build tags and _os filename suffixes); the
-	// standard library always loads for the native platform. The
-	// pseudo-GOOS "portable" matches no real OS, so `//go:build linux`
-	// files drop out and their `!linux` fallbacks load — that is how
-	// the portable data-plane flavor gets analyzed on a linux host.
-	GOOS string
-	// Reuse, when set, lets this load share type-checked packages with
-	// a previous load of the same module tree: any package whose file
-	// list and transitive module-local dependencies are unchanged
-	// under this flavor's file selection is taken from Reuse verbatim
-	// instead of being re-parsed and re-type-checked. Sound because
-	// every load shares one FileSet and one stdlib importer.
-	Reuse *Module
-}
-
 // The standard library is type-checked from GOROOT/src by the "source"
 // importer — by far the most expensive part of a load — so one
 // importer (and the FileSet it is bound to) is shared by every module
@@ -101,37 +83,24 @@ func sharedStd() (*token.FileSet, types.ImporterFrom) {
 
 // Load discovers, parses, and type-checks every package of the module
 // rooted at dir (the directory containing go.mod, or any directory
-// below it) for the native platform, failing hard on any broken
-// package. Test files (_test.go) and testdata trees are excluded:
-// natlint's invariants govern shipped code, and tests legitimately use
-// wall-clock time.
-func Load(dir string) (*Module, error) {
-	mod, diags, err := LoadWith(dir, LoadOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if len(diags) > 0 {
-		return nil, fmt.Errorf("analysis: %s", diags[0])
-	}
-	return mod, nil
-}
-
-// LoadWith loads the module with explicit options. Packages that fail
-// to parse or type-check are reported as "load" diagnostics (their
-// dependents as one "skipped" diagnostic each) and omitted from the
-// module, so one broken package no longer aborts the whole run; err is
-// reserved for environmental failures (no module, unreadable tree).
-func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
+// below it). Files are selected the way go/build selects them from the
+// environment: for the host platform, or for $GOOS when it is set, so
+// `GOOS=windows natlint` analyzes the Windows files against the
+// Windows standard library. Test files (_test.go) and testdata trees
+// are excluded: natlint's invariants govern shipped code, and tests
+// legitimately use wall-clock time.
+//
+// Packages that fail to parse or type-check are reported as "load"
+// diagnostics (their dependents as one "skipped" diagnostic each) and
+// omitted from the module, so one broken package does not abort the
+// whole run; err is reserved for environmental failures (no module,
+// unreadable tree).
+func Load(dir string) (*Module, []Diagnostic, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	fset, std := sharedStd()
-	ctxt := build.Default
-	ctxt.CgoEnabled = false
-	if opts.GOOS != "" {
-		ctxt.GOOS = opts.GOOS
-	}
 	ld := &loader{
 		mod: &Module{
 			Path:     modPath,
@@ -140,8 +109,6 @@ func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
 			Packages: make(map[string]*Package),
 		},
 		std:    std,
-		ctxt:   ctxt,
-		reuse:  opts.Reuse,
 		dirs:   make(map[string]string),
 		files:  make(map[string][]string),
 		asts:   make(map[string][]*ast.File),
@@ -151,7 +118,6 @@ func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
 	if err := ld.discover(); err != nil {
 		return nil, nil, err
 	}
-	ld.markReusable()
 	ld.parseAll()
 	ld.collectDeps()
 	ld.checkAll()
@@ -162,16 +128,13 @@ func LoadWith(dir string, opts LoadOptions) (*Module, []Diagnostic, error) {
 // loader drives one module load: file discovery, parse, and a
 // dependency-ordered type-check.
 type loader struct {
-	mod   *Module
-	std   types.ImporterFrom
-	ctxt  build.Context
-	reuse *Module
+	mod *Module
+	std types.ImporterFrom
 
-	dirs     map[string]string   // import path -> source dir
-	files    map[string][]string // import path -> sorted file names
-	asts     map[string][]*ast.File
-	deps     map[string][]string // module-local imports
-	reusable map[string]bool     // take from reuse module verbatim
+	dirs  map[string]string   // import path -> source dir
+	files map[string][]string // import path -> sorted file names
+	asts  map[string][]*ast.File
+	deps  map[string][]string // module-local imports
 
 	diags  []Diagnostic
 	failed map[string]string // path -> why ("" means not failed)
@@ -243,9 +206,8 @@ func (ld *loader) discover() error {
 }
 
 // sourceFiles lists dir's buildable non-test Go files, applying build
-// constraints (file suffixes and //go:build lines) under the loader's
-// flavor context so e.g. exactly one of batch_linux.go / batch_other.go
-// is selected per flavor.
+// constraints (file suffixes and //go:build lines) as go/build does,
+// so e.g. exactly one of batch_linux.go / batch_other.go is selected.
 func (ld *loader) sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -259,7 +221,7 @@ func (ld *loader) sourceFiles(dir string) ([]string, error) {
 			strings.HasPrefix(name, "_") {
 			continue
 		}
-		match, err := ld.ctxt.MatchFile(dir, name)
+		match, err := build.Default.MatchFile(dir, name)
 		if err != nil {
 			return nil, err
 		}
@@ -281,71 +243,11 @@ func (ld *loader) sortedPaths() []string {
 	return paths
 }
 
-// markReusable computes which packages can be taken verbatim from the
-// reuse module: identical file list, and every module-local dependency
-// itself reusable. Import lists come from the reuse module's ASTs, so
-// nothing needs parsing to decide.
-func (ld *loader) markReusable() {
-	ld.reusable = make(map[string]bool)
-	if ld.reuse == nil {
-		return
-	}
-	memo := make(map[string]int) // 0 unknown / 1 yes / 2 no
-	var can func(path string) bool
-	can = func(path string) bool {
-		switch memo[path] {
-		case 1:
-			return true
-		case 2:
-			return false
-		}
-		memo[path] = 2 // breaks import cycles pessimistically
-		prev, ok := ld.reuse.Packages[path]
-		if !ok {
-			return false
-		}
-		want := ld.files[path]
-		if len(want) != len(prev.Files) {
-			return false
-		}
-		got := make([]string, len(prev.Files))
-		for i, f := range prev.Files {
-			got[i] = ld.mod.Fset.Position(f.Package).Filename
-		}
-		sort.Strings(got)
-		for i := range want {
-			if want[i] != got[i] {
-				return false
-			}
-		}
-		for _, f := range prev.Files {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if p == ld.mod.Path || strings.HasPrefix(p, ld.mod.Path+"/") {
-					if !can(p) {
-						return false
-					}
-				}
-			}
-		}
-		memo[path] = 1
-		return true
-	}
-	for path := range ld.dirs {
-		if can(path) {
-			ld.reusable[path] = true
-		}
-	}
-}
-
-// parseAll parses every non-reusable package. Parse failures mark
-// the package failed with "load" diagnostics.
+// parseAll parses every package. Parse failures mark the package
+// failed with "load" diagnostics.
 func (ld *loader) parseAll() {
 paths:
 	for _, path := range ld.sortedPaths() {
-		if ld.reusable[path] {
-			continue
-		}
 		var files []*ast.File
 		for _, name := range ld.files[path] {
 			f, err := parser.ParseFile(ld.mod.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -413,21 +315,6 @@ func (ld *loader) collectDeps() {
 		}
 		sort.Strings(ld.deps[path])
 	}
-	for path := range ld.reusable {
-		// Reused packages keep their recorded deps for the walk.
-		prev := ld.reuse.Packages[path]
-		seen := make(map[string]bool)
-		for _, f := range prev.Files {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if (p == ld.mod.Path || strings.HasPrefix(p, ld.mod.Path+"/")) && !seen[p] {
-					seen[p] = true
-					ld.deps[path] = append(ld.deps[path], p)
-				}
-			}
-		}
-		sort.Strings(ld.deps[path])
-	}
 }
 
 // checkAll type-checks every package after its module-local deps, in
@@ -480,10 +367,6 @@ func (ld *loader) checkAll() {
 
 // checkOne type-checks a single package whose deps are all settled.
 func (ld *loader) checkOne(path string) {
-	if ld.reusable[path] {
-		ld.mod.Packages[path] = ld.reuse.Packages[path]
-		return
-	}
 	if ld.failed[path] != "" {
 		return
 	}

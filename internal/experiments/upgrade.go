@@ -64,7 +64,7 @@ func Upgrade(seed int64) Result {
 	// variants of scenario i share seed+i.
 	reports := fanOut(2*len(scenarios), func(i int) fleet.Report {
 		cfg := scenarios[i/2].cfg
-		cfg.RelayFirst = i%2 == 1
+		cfg.Punch.RelayFirst = i%2 == 1
 		return fleet.Run(seed+int64(i/2), cfg)
 	})
 	return upgradeResult(scenarios, reports)

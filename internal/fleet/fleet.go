@@ -83,13 +83,6 @@ type Config struct {
 	// relay path of §2.2). Default 20 seconds.
 	AppDataEvery time.Duration
 
-	// RelayFirst switches every dial to DCUtR-style relay-first
-	// connect: sessions establish on the §2.2 relay within about one
-	// rendezvous round-trip and migrate to a punched direct path in
-	// the background. The report's Upgrades/Failbacks/UpgradeTimes
-	// columns account the resulting live-path churn. Implies relay
-	// fallback and path upgrading.
-	RelayFirst bool
 	// MeanRebindEvery, when positive, power-cycles each site NAT on an
 	// exponential clock with this mean: the device loses its whole
 	// translation table at once (the consumer-NAT failure mode behind
@@ -99,8 +92,12 @@ type Config struct {
 
 	// Punch tunes the punching clients. RelayFallback is forced on
 	// unless NoRelay is set; other zero fields take punch defaults
-	// (100ms probes, 10s punch timeout, 15s keep-alives, 60s idle
-	// death).
+	// (10s punch timeout, 15s keep-alives, 60s idle death).
+	// Punch.RelayFirst switches every dial to DCUtR-style relay-first
+	// connect: sessions establish on the §2.2 relay within about one
+	// rendezvous round-trip and migrate to a punched direct path in
+	// the background; the report's Upgrades/Failbacks/UpgradeTimes
+	// columns account the resulting live-path churn.
 	Punch   punch.Config
 	NoRelay bool
 
@@ -136,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Topology == nil {
 		c.Topology = FlatOnly()
-	}
-	if c.RelayFirst {
-		c.Punch.RelayFirst = true
 	}
 	c.Punch.RelayFallback = !c.NoRelay
 	return c

@@ -18,9 +18,9 @@ func migrationCfg() Config {
 		MeanLifetime:     time.Hour, // stay online: the churn under test is path churn
 		MeanConnectEvery: 20 * time.Second,
 		AppDataEvery:     5 * time.Second,
-		RelayFirst:       true,
 		MeanRebindEvery:  3 * time.Minute,
 		Punch: punch.Config{
+			RelayFirst:        true,
 			KeepAliveInterval: 5 * time.Second,
 			DeadAfter:         15 * time.Second,
 			PunchTimeout:      5 * time.Second,
@@ -97,7 +97,7 @@ func TestFleetRelayFirstBeatsPunchAtDial(t *testing.T) {
 	rf := Run(7, rfCfg)
 
 	dialCfg := rfCfg
-	dialCfg.RelayFirst = false
+	dialCfg.Punch.RelayFirst = false
 	atDial := Run(7, dialCfg)
 
 	rfCC, dialCC := rf.Pair("cone<->cone"), atDial.Pair("cone<->cone")

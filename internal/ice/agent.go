@@ -29,10 +29,9 @@ type Callbacks struct {
 type Agent struct {
 	c   *punch.Client
 	cfg Config
-	// punchInterval and punchTimeout are the client's: the per-check
-	// retransmission interval, and the bound on a whole negotiation
+	// punchTimeout is the client's: the bound on a whole negotiation
 	// (at which the relay is nominated, or the attempt fails).
-	punchInterval, punchTimeout time.Duration
+	punchTimeout time.Duration
 
 	// Inbound supplies callbacks for negotiations initiated by peers
 	// (the forwarded candidate offer arrives without any local Connect
@@ -66,17 +65,16 @@ type earlyCheck struct {
 	nonce uint64
 }
 
-// New attaches a negotiation agent to a punch client, taking its probe
-// interval and deadline from the client's configuration.
+// New attaches a negotiation agent to a punch client, taking its
+// deadline from the client's configuration.
 func New(c *punch.Client, cfg Config) *Agent {
 	a := &Agent{
-		c:             c,
-		cfg:           cfg,
-		punchInterval: c.Config().PunchInterval,
-		punchTimeout:  c.Config().PunchTimeout,
-		negs:          make(map[uint64]*negotiation),
-		byPeer:        make(map[string]*negotiation),
-		inbound:       make(map[string]*negotiation),
+		c:            c,
+		cfg:          cfg,
+		punchTimeout: c.Config().PunchTimeout,
+		negs:         make(map[uint64]*negotiation),
+		byPeer:       make(map[string]*negotiation),
+		inbound:      make(map[string]*negotiation),
 	}
 	c.SetUDPIntercept(a.intercept)
 	c.OnRepunch = a.repunch
@@ -332,7 +330,7 @@ func (a *Agent) startCheck(n *negotiation, ch *check) {
 	a.c.SendUDPMessage(ch.cand.Endpoint, &proto.Message{
 		Type: proto.TypePunch, From: a.c.Name(), Nonce: n.nonce,
 	})
-	ch.timer = a.tr().After(a.punchInterval, func() { a.startCheck(n, ch) })
+	ch.timer = a.tr().After(punch.ProbeInterval, func() { a.startCheck(n, ch) })
 }
 
 // answerCheck answers a connectivity check for an active negotiation:

@@ -73,8 +73,7 @@ func TestCheckBeforeDetailsAnswered(t *testing.T) {
 	if !out.ok || out.chosen.Kind != ice.KindPublic {
 		t.Fatalf("want a public nomination, got %+v", out)
 	}
-	probe := r.agA.Client().Config().PunchInterval
-	if wait := start + out.elapsed - *checkAt; wait >= probe {
+	if probe, wait := punch.ProbeInterval, start+out.elapsed-*checkAt; wait >= probe {
 		t.Fatalf("alice nominated %v after her first check reached bob, want under one probe interval (%v)", wait, probe)
 	}
 }
@@ -126,7 +125,7 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 	if *checkAt == 0 || !out.ok || out.chosen.Kind != ice.KindPublic {
 		t.Fatalf("want a public nomination after a forced early check, got %+v (check at %v)", out, *checkAt)
 	}
-	if wait := start + out.elapsed - *checkAt; wait >= r.agA.Client().Config().PunchInterval {
+	if wait := start + out.elapsed - *checkAt; wait >= punch.ProbeInterval {
 		t.Fatalf("alice's early check went unanswered for %v", wait)
 	}
 	if replies != 0 {

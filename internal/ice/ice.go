@@ -154,8 +154,8 @@ func Sort(cands []Candidate) {
 // Config ablates the negotiation: each switch drops a candidate type
 // from both gathering and checking. The relay floor is the punch
 // client's RelayFallback (without it, deadline expiry is a hard
-// failure); probe interval and deadline are its PunchInterval and
-// PunchTimeout.
+// failure); the deadline is its PunchTimeout, and checks retransmit
+// every punch.ProbeInterval.
 type Config struct {
 	NoPrivate bool
 	NoPublic  bool

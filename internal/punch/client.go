@@ -76,10 +76,12 @@ func (m Method) String() string {
 	}
 }
 
+// ProbeInterval is the UDP probe retransmission interval, of §3.2's
+// punch attempts and of internal/ice's connectivity checks alike.
+const ProbeInterval = 100 * time.Millisecond
+
 // Config tunes the punching procedures. Zero values take defaults.
 type Config struct {
-	// PunchInterval is the UDP probe retransmission interval.
-	PunchInterval time.Duration // default 100ms
 	// PunchTimeout bounds the whole punching attempt (both
 	// protocols); §4.2 step 4's "application-defined maximum timeout
 	// period".
@@ -133,9 +135,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PunchInterval == 0 {
-		c.PunchInterval = 100 * time.Millisecond
-	}
 	if c.PunchTimeout == 0 {
 		c.PunchTimeout = 10 * time.Second
 	}

@@ -442,7 +442,7 @@ func (c *Client) probe(a *udpAttempt) {
 	if a.priv != a.pub && !a.priv.IsZero() {
 		c.sendUDP(a.priv, msg)
 	}
-	a.probeTimer = c.after(c.cfg.PunchInterval, func() { c.probe(a) })
+	a.probeTimer = c.after(ProbeInterval, func() { c.probe(a) })
 }
 
 // handlePunch answers an authenticated probe (§3.2 step 3). Probes

@@ -11,6 +11,7 @@ package natpunch
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -220,6 +221,77 @@ func TestFacadeRelayFirstSymmetricStaysRelay(t *testing.T) {
 	}
 	for _, ev := range rec.snapshot() {
 		t.Errorf("unexpected path event %+v on unpunchable pair", ev)
+	}
+}
+
+func TestFacadePathUpgradeFailsBack(t *testing.T) {
+	// WithPathUpgrade without relay-first: a punched Conn whose direct
+	// path goes dark retreats to the relay when §3.6 idle detection
+	// fires, and the same Conn keeps carrying datagrams. Without the
+	// option the idle death ends the session.
+	for _, upgrade := range []bool{true, false} {
+		rec := &pathRecorder{}
+		opts := []Option{WithRelayFallback(), WithKeepAlive(200*time.Millisecond, time.Second),
+			WithOnPathChange(rec.hook)}
+		if upgrade {
+			opts = append(opts, WithPathUpgrade())
+		}
+		alice, bob, srv, w := simPair(t, simnet.Cone(), simnet.Cone(), opts...)
+		ln, err := bob.Listen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		echoAccept(t, ln)
+		conn, err := alice.Dial("bob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if conn.Path() != "public" {
+			t.Fatalf("upgrade=%v: cone<->cone dialed on %q, want public", upgrade, conn.Path())
+		}
+		echo := func(msg string) error {
+			if _, err := conn.Write([]byte(msg)); err != nil {
+				return err
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			buf := make([]byte, 256)
+			n, err := conn.Read(buf)
+			if err == nil && string(buf[:n]) != "echo:"+msg {
+				t.Fatalf("upgrade=%v: got %q, want echo:%s", upgrade, buf[:n], msg)
+			}
+			return err
+		}
+		if err := echo("direct"); err != nil {
+			t.Fatal(err)
+		}
+
+		// Black out every packet that neither comes from nor goes to S.
+		server := srv.Endpoint().Addr
+		w.SetPacketFilter(func(src, dst transport.Endpoint) bool {
+			return src.Addr == server || dst.Addr == server
+		})
+
+		if !upgrade {
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, ErrSessionDead) {
+				t.Fatalf("without WithPathUpgrade: read after blackout = %v, want ErrSessionDead", err)
+			}
+			conn.Close()
+			continue
+		}
+		waitConnPath(t, conn, "relay", 10*time.Second)
+		if err := echo("relayed"); err != nil {
+			t.Fatalf("echo after failback: %v", err)
+		}
+		conn.Close()
+		// The hook names the remote peer: alice's Conn reports "bob".
+		var failedBack bool
+		for _, ev := range rec.snapshot() {
+			failedBack = failedBack || ev.peer == "bob" && ev.old == "public" && ev.new == "relay"
+		}
+		if !failedBack {
+			t.Errorf("OnPathChange events %+v, want bob public -> relay on alice's Conn", rec.snapshot())
+		}
 	}
 }
 

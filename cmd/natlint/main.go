@@ -15,14 +15,17 @@
 // The module enclosing the working directory is always analyzed in
 // full — the invariants are module-global, so package patterns are
 // accepted only for command-line familiarity. Files are selected as
-// go/build selects them: for the host platform, or for $GOOS when it
-// is set. Running the built binary with GOOS=windows or GOOS=darwin
-// analyzes that platform's files (e.g. realudp's batch_other.go)
-// against that platform's standard library:
+// the go command selects them: for the host platform, or for $GOOS
+// when it is set. Running the built binary with GOOS=windows or
+// GOOS=darwin analyzes that platform's files (e.g. realudp's
+// batch_other.go) against that platform's standard library:
 //
 //	go build -o natlint ./cmd/natlint && GOOS=windows ./natlint ./...
 //
 // (`GOOS=windows go run` would cross-compile a binary it cannot run.)
+// natlint needs `go` on PATH: one `go list` run says what to load, and
+// the standard library is imported from the export data it finds (or
+// builds) in the build cache.
 //
 // Flags:
 //

@@ -315,10 +315,76 @@ func TestBrokenModuleLoad(t *testing.T) {
 	Run(mod, DefaultConfig(), Analyzers())
 }
 
+// TestLoadWithoutGoCommand pins that the go command is a requirement,
+// not an option: without it Load fails with an error naming go list
+// instead of returning an empty module.
+func TestLoadWithoutGoCommand(t *testing.T) {
+	t.Setenv("PATH", "")
+	mod, _, err := Load(filepath.Join("testdata", "src", "broken"))
+	if err == nil || !strings.Contains(err.Error(), "go list") {
+		t.Fatalf("Load without go on PATH: err = %v, module = %v; want an error naming go list", err, mod)
+	}
+}
+
+// TestLoadMissingStdImport pins that an import of a standard path that
+// does not exist is the importing package's load diagnostic, not a
+// failed load.
+func TestLoadMissingStdImport(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":   "module missfix\n\ngo 1.24\n",
+		"p/p.go":   "package p\n\nimport _ \"nosuch/pkg\"\n",
+		"ok/ok.go": "package ok\n",
+	} {
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, diags, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || diags[0].Check != "load" || !strings.Contains(diags[0].Message, "package missfix/p: could not import nosuch/pkg") {
+		t.Errorf("want one load diagnostic for missfix/p, got: %v", diags)
+	}
+	if _, ok := mod.Packages["missfix/ok"]; !ok || len(mod.Packages) != 1 {
+		t.Errorf("want only missfix/ok loaded, got %v", mod.Sorted())
+	}
+}
+
+// TestLoadFromSubdirectory pins that Load below the module root loads
+// the whole module, as natlint run from a subdirectory must.
+func TestLoadFromSubdirectory(t *testing.T) {
+	root := filepath.Join("testdata", "src", "broken")
+	whole, wantDiags, err := Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, diags, err := Load(filepath.Join(root, "ok"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := func(m *Module) (ps []string) {
+		for _, p := range m.Sorted() {
+			ps = append(ps, p.Path)
+		}
+		return ps
+	}
+	if got, want := fmt.Sprint(paths(sub)), fmt.Sprint(paths(whole)); got != want {
+		t.Errorf("packages from a subdirectory = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(diags), fmt.Sprint(wantDiags); got != want {
+		t.Errorf("diagnostics from a subdirectory:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestRepoClean is the gate the CI stage runs: the repository itself
 // must load without diagnostics and be free of unsuppressed findings
-// under the real config. It checks the files go/build selects for the
-// host, then re-runs itself with GOOS=darwin, which selects the !linux
+// under the real config. It checks the files the go command selects for
+// the host, then re-runs itself with GOOS=darwin, which selects the !linux
 // data-plane files (realudp's batch_other.go, realnet's
 // sockopt_other.go) and type-checks them against darwin's standard
 // library, so no finding hides behind the host's GOOS.

@@ -1,15 +1,18 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -61,83 +64,114 @@ func (m *Module) Sorted() []*Package {
 	return pkgs
 }
 
-// The standard library is type-checked from GOROOT/src by the "source"
-// importer — by far the most expensive part of a load — so one
-// importer (and the FileSet it is bound to) is shared by every module
-// load in the process. Loads run one at a time, so neither is guarded.
-var (
-	stdFset *token.FileSet
-	stdImp  types.ImporterFrom
-)
-
-func sharedStd() (*token.FileSet, types.ImporterFrom) {
-	if stdImp == nil {
-		// With cgo disabled the pure-Go fallbacks (e.g. package net's
-		// netgo path) are selected, keeping the load toolchain-independent.
-		build.Default.CgoEnabled = false
-		stdFset = token.NewFileSet()
-		stdImp = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
-	}
-	return stdFset, stdImp
-}
-
-// Load discovers, parses, and type-checks every package of the module
-// rooted at dir (the directory containing go.mod, or any directory
-// below it). Files are selected the way go/build selects them from the
-// environment: for the host platform, or for $GOOS when it is set, so
-// `GOOS=windows natlint` analyzes the Windows files against the
-// Windows standard library. Test files (_test.go) and testdata trees
-// are excluded: natlint's invariants govern shipped code, and tests
-// legitimately use wall-clock time.
+// Load parses and type-checks every package of the module rooted at
+// dir (the directory containing go.mod, or any directory below it).
+// One `go list` run at the module root says what to load, so files
+// are selected as the go command selects them: for the host platform,
+// or for $GOOS when it is set, so `GOOS=windows natlint` analyzes the
+// Windows files against the Windows standard library. The standard
+// library is imported from the export data go list finds or builds in
+// the build cache; the module's own packages are type-checked from
+// source, because the analyzers need their syntax trees. Test files
+// (_test.go) and testdata trees are excluded: natlint's invariants
+// govern shipped code, and tests legitimately use wall-clock time.
 //
 // Packages that fail to parse or type-check are reported as "load"
 // diagnostics (their dependents as one "skipped" diagnostic each) and
 // omitted from the module, so one broken package does not abort the
 // whole run; err is reserved for environmental failures (no module,
-// unreadable tree).
+// no go command).
 func Load(dir string) (*Module, []Diagnostic, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	fset, std := sharedStd()
+	listed, err := goList(root)
+	if err != nil {
+		return nil, nil, err
+	}
 	ld := &loader{
 		mod: &Module{
 			Path:     modPath,
 			Dir:      root,
-			Fset:     fset,
+			Fset:     token.NewFileSet(),
 			Packages: make(map[string]*Package),
 		},
-		std:    std,
-		dirs:   make(map[string]string),
-		files:  make(map[string][]string),
-		asts:   make(map[string][]*ast.File),
-		deps:   make(map[string][]string),
-		failed: make(map[string]string),
+		pkgs: make(map[string]*listedPackage),
 	}
-	if err := ld.discover(); err != nil {
-		return nil, nil, err
+	export := make(map[string]string) // import path -> export data file
+	for _, p := range listed {
+		switch {
+		case !ld.inModule(p.ImportPath):
+			export[p.ImportPath] = p.Export
+		case len(p.GoFiles) > 0:
+			ld.pkgs[p.ImportPath] = p
+			ld.sorted = append(ld.sorted, p)
+		}
 	}
+	sort.Slice(ld.sorted, func(i, j int) bool { return ld.sorted[i].ImportPath < ld.sorted[j].ImportPath })
+	ld.std = importer.ForCompiler(ld.mod.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	})
 	ld.parseAll()
-	ld.collectDeps()
 	ld.checkAll()
 	sortDiagnostics(ld.diags)
 	return ld.mod, ld.diags, nil
 }
 
-// loader drives one module load: file discovery, parse, and a
-// dependency-ordered type-check.
+// listedPackage is one package as `go list -json` describes it, plus
+// what the loader learns about it.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string // file names in Dir, build constraints applied
+	Imports    []string // sorted
+	Export     string   // export data file
+
+	files  []*ast.File
+	failed string // why the package did not load ("" if it did)
+}
+
+// goList runs `go list` at the module root over every package of the
+// module and everything they import. -e keeps a package that does not
+// type-check (or imports what does not exist) in the listing instead
+// of failing the command: the loader reports those itself.
+func goList(root string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Imports,Export", "./...")
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list: %w\n%s", err, stderr.Bytes())
+	}
+	var pkgs []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("analysis: go list output: %w", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+}
+
+// loader drives one module load: parse, then a dependency-ordered
+// type-check.
 type loader struct {
-	mod *Module
-	std types.ImporterFrom
-
-	dirs  map[string]string   // import path -> source dir
-	files map[string][]string // import path -> sorted file names
-	asts  map[string][]*ast.File
-	deps  map[string][]string // module-local imports
-
+	mod    *Module
+	std    types.Importer
+	pkgs   map[string]*listedPackage // the module's packages with Go files
+	sorted []*listedPackage          // the same, in import-path order
 	diags  []Diagnostic
-	failed map[string]string // path -> why ("" means not failed)
+}
+
+func (ld *loader) inModule(path string) bool {
+	return path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/")
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns
@@ -164,106 +198,24 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// discover maps every directory under the module root holding
-// non-test Go sources to its import path. testdata trees, hidden
-// directories, and nested modules are skipped, mirroring the go tool.
-func (ld *loader) discover() error {
-	return filepath.WalkDir(ld.mod.Dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != ld.mod.Dir {
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // nested module
-			}
-		}
-		files, err := ld.sourceFiles(path)
-		if err != nil {
-			return err
-		}
-		if len(files) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(ld.mod.Dir, path)
-		if err != nil {
-			return err
-		}
-		imp := ld.mod.Path
-		if rel != "." {
-			imp = ld.mod.Path + "/" + filepath.ToSlash(rel)
-		}
-		ld.dirs[imp] = path
-		ld.files[imp] = files
-		return nil
-	})
-}
-
-// sourceFiles lists dir's buildable non-test Go files, applying build
-// constraints (file suffixes and //go:build lines) as go/build does,
-// so e.g. exactly one of batch_linux.go / batch_other.go is selected.
-func (ld *loader) sourceFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") ||
-			strings.HasPrefix(name, "_") {
-			continue
-		}
-		match, err := build.Default.MatchFile(dir, name)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			files = append(files, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(files)
-	return files, nil
-}
-
-// sortedPaths returns the discovered import paths in canonical order.
-func (ld *loader) sortedPaths() []string {
-	paths := make([]string, 0, len(ld.dirs))
-	for p := range ld.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
 // parseAll parses every package. Parse failures mark the package
 // failed with "load" diagnostics.
 func (ld *loader) parseAll() {
-paths:
-	for _, path := range ld.sortedPaths() {
-		var files []*ast.File
-		for _, name := range ld.files[path] {
-			f, err := parser.ParseFile(ld.mod.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, p := range ld.sorted {
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(ld.mod.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				ld.failed[path] = "parse error"
-				ld.reportLoadErr(path, err)
-				continue paths
+				p.failed = "parse error"
+				ld.reportLoadErr(p, err)
+				break
 			}
-			files = append(files, f)
+			p.files = append(p.files, f)
 		}
-		ld.asts[path] = files
 	}
 }
 
 // reportLoadErr renders a parse or type error as "load" diagnostics.
-func (ld *loader) reportLoadErr(path string, err error) {
+func (ld *loader) reportLoadErr(p *listedPackage, err error) {
 	switch e := err.(type) {
 	case scanner.ErrorList:
 		for i, pe := range e {
@@ -271,27 +223,27 @@ func (ld *loader) reportLoadErr(path string, err error) {
 				ld.diags = append(ld.diags, Diagnostic{
 					Check:   "load",
 					Pos:     token.Position{Filename: pe.Pos.Filename, Line: pe.Pos.Line, Column: pe.Pos.Column},
-					Message: fmt.Sprintf("package %s: %d more parse errors omitted", path, len(e)-maxLoadErrs),
+					Message: fmt.Sprintf("package %s: %d more parse errors omitted", p.ImportPath, len(e)-maxLoadErrs),
 				})
 				break
 			}
 			ld.diags = append(ld.diags, Diagnostic{
 				Check:   "load",
 				Pos:     token.Position{Filename: pe.Pos.Filename, Line: pe.Pos.Line, Column: pe.Pos.Column},
-				Message: fmt.Sprintf("package %s: %s", path, pe.Msg),
+				Message: fmt.Sprintf("package %s: %s", p.ImportPath, pe.Msg),
 			})
 		}
 	case types.Error:
 		ld.diags = append(ld.diags, Diagnostic{
 			Check:   "load",
 			Pos:     e.Fset.Position(e.Pos),
-			Message: fmt.Sprintf("package %s: %s", path, e.Msg),
+			Message: fmt.Sprintf("package %s: %s", p.ImportPath, e.Msg),
 		})
 	default:
 		ld.diags = append(ld.diags, Diagnostic{
 			Check:   "load",
-			Pos:     token.Position{Filename: filepath.Join(ld.dirs[path], "")},
-			Message: fmt.Sprintf("package %s: %v", path, err),
+			Pos:     token.Position{Filename: p.Dir},
+			Message: fmt.Sprintf("package %s: %v", p.ImportPath, err),
 		})
 	}
 }
@@ -300,21 +252,20 @@ func (ld *loader) reportLoadErr(path string, err error) {
 // doesn't drown the report.
 const maxLoadErrs = 8
 
-// collectDeps records each package's module-local imports.
-func (ld *loader) collectDeps() {
-	for path, files := range ld.asts {
-		seen := make(map[string]bool)
-		for _, f := range files {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if (p == ld.mod.Path || strings.HasPrefix(p, ld.mod.Path+"/")) && !seen[p] {
-					seen[p] = true
-					ld.deps[path] = append(ld.deps[path], p)
-				}
-			}
-		}
-		sort.Strings(ld.deps[path])
+// deps returns the module packages p imports, in import-path order.
+// A package that failed to parse is not followed, so its dependents
+// report it as broken rather than as part of a cycle.
+func (ld *loader) deps(p *listedPackage) []*listedPackage {
+	if p.failed != "" {
+		return nil
 	}
+	var deps []*listedPackage
+	for _, imp := range p.Imports {
+		if dep := ld.pkgs[imp]; dep != nil {
+			deps = append(deps, dep)
+		}
+	}
+	return deps
 }
 
 // checkAll type-checks every package after its module-local deps, in
@@ -323,78 +274,75 @@ func (ld *loader) collectDeps() {
 // every package from that dep to the top as an import cycle, before
 // any of them is checked.
 func (ld *loader) checkAll() {
-	state := make(map[string]int) // 0 unvisited, 1 on stack, 2 done
-	var stack []string
-	var visit func(path string)
-	visit = func(path string) {
-		state[path] = 1
-		stack = append(stack, path)
-		for _, dep := range ld.deps[path] {
-			if _, known := ld.dirs[dep]; !known {
-				continue
-			}
+	state := make(map[*listedPackage]int) // 0 unvisited, 1 on stack, 2 done
+	var stack []*listedPackage
+	var visit func(p *listedPackage)
+	visit = func(p *listedPackage) {
+		state[p] = 1
+		stack = append(stack, p)
+		for _, dep := range ld.deps(p) {
 			switch state[dep] {
 			case 0:
 				visit(dep)
 			case 1:
 				// Everything from dep to the top of the stack cycles.
 				for i := len(stack) - 1; i >= 0; i-- {
-					p := stack[i]
-					if ld.failed[p] == "" {
-						ld.failed[p] = "import cycle"
+					q := stack[i]
+					if q.failed == "" {
+						q.failed = "import cycle"
 						ld.diags = append(ld.diags, Diagnostic{
 							Check:   "load",
-							Pos:     token.Position{Filename: filepath.Join(ld.dirs[p], "")},
-							Message: fmt.Sprintf("package %s: import cycle through %s", p, dep),
+							Pos:     token.Position{Filename: q.Dir},
+							Message: fmt.Sprintf("package %s: import cycle through %s", q.ImportPath, dep.ImportPath),
 						})
 					}
-					if p == dep {
+					if q == dep {
 						break
 					}
 				}
 			}
 		}
 		stack = stack[:len(stack)-1]
-		state[path] = 2
-		ld.checkOne(path)
+		state[p] = 2
+		ld.checkOne(p)
 	}
-	for _, path := range ld.sortedPaths() {
-		if state[path] == 0 {
-			visit(path)
+	for _, p := range ld.sorted {
+		if state[p] == 0 {
+			visit(p)
 		}
 	}
 }
 
 // checkOne type-checks a single package whose deps are all settled.
-func (ld *loader) checkOne(path string) {
-	if ld.failed[path] != "" {
+func (ld *loader) checkOne(p *listedPackage) {
+	if p.failed != "" {
 		return
 	}
 	// A failed dependency fails this package with one diagnostic,
 	// anchored at the import of the broken dep.
-	for _, dep := range ld.deps[path] {
-		if why := ld.failed[dep]; why != "" {
-			ld.failed[path] = "broken dependency"
-			pos := token.Position{Filename: filepath.Join(ld.dirs[path], "")}
-			for _, f := range ld.asts[path] {
-				for _, imp := range f.Imports {
-					if strings.Trim(imp.Path.Value, `"`) == dep {
-						pos = ld.mod.Fset.Position(imp.Pos())
-					}
-				}
-				if pos.Line != 0 {
-					break
+	for _, dep := range ld.deps(p) {
+		if dep.failed == "" {
+			continue
+		}
+		p.failed = "broken dependency"
+		pos := token.Position{Filename: p.Dir}
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == dep.ImportPath {
+					pos = ld.mod.Fset.Position(imp.Pos())
 				}
 			}
-			ld.diags = append(ld.diags, Diagnostic{
-				Check:   "load",
-				Pos:     pos,
-				Message: fmt.Sprintf("package %s: skipped: depends on broken package %s (%s)", path, dep, why),
-			})
-			return
+			if pos.Line != 0 {
+				break
+			}
 		}
+		ld.diags = append(ld.diags, Diagnostic{
+			Check:   "load",
+			Pos:     pos,
+			Message: fmt.Sprintf("package %s: skipped: depends on broken package %s (%s)", p.ImportPath, dep.ImportPath, dep.failed),
+		})
+		return
 	}
-	files := ld.asts[path]
 
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -408,9 +356,9 @@ func (ld *loader) checkOne(path string) {
 		Importer: ld,
 		Error:    func(err error) { terrs = append(terrs, err) },
 	}
-	tpkg, err := conf.Check(path, ld.mod.Fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, ld.mod.Fset, p.files, info)
 	if len(terrs) > 0 || err != nil {
-		ld.failed[path] = "type error"
+		p.failed = "type error"
 		if len(terrs) == 0 {
 			terrs = []error{err}
 		}
@@ -418,35 +366,30 @@ func (ld *loader) checkOne(path string) {
 			if i == maxLoadErrs {
 				ld.diags = append(ld.diags, Diagnostic{
 					Check:   "load",
-					Pos:     token.Position{Filename: filepath.Join(ld.dirs[path], "")},
-					Message: fmt.Sprintf("package %s: %d more type errors omitted", path, len(terrs)-maxLoadErrs),
+					Pos:     token.Position{Filename: p.Dir},
+					Message: fmt.Sprintf("package %s: %d more type errors omitted", p.ImportPath, len(terrs)-maxLoadErrs),
 				})
 				break
 			}
-			ld.reportLoadErr(path, te)
+			ld.reportLoadErr(p, te)
 		}
 		return
 	}
-	ld.mod.Packages[path] = &Package{Path: path, Dir: ld.dirs[path], Files: files, Types: tpkg, Info: info}
+	ld.mod.Packages[p.ImportPath] = &Package{Path: p.ImportPath, Dir: p.Dir, Files: p.files, Types: tpkg, Info: info}
 }
 
-// Import implements types.Importer.
+// Import implements types.Importer: module-local imports were checked
+// before this package; all others come from the standard library's
+// export data.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, ld.mod.Dir, 0)
-}
-
-// ImportFrom implements types.ImporterFrom: module-local imports were
-// checked before this package; all others resolve as standard library
-// through the shared source importer.
-func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/") {
+	if ld.inModule(path) {
 		pkg, ok := ld.mod.Packages[path]
 		if !ok {
 			return nil, fmt.Errorf("analysis: no package %s in module %s", path, ld.mod.Path)
 		}
 		return pkg.Types, nil
 	}
-	return ld.std.ImportFrom(path, srcDir, mode)
+	return ld.std.Import(path)
 }
 
 // sortDiagnostics orders diagnostics by position, check, and message —

@@ -198,10 +198,6 @@ func (s *Server) Endpoint() inet.Endpoint {
 	return s.udp.Local()
 }
 
-// BoundEndpoint returns the transport-reported bound endpoint,
-// regardless of any advertised override.
-func (s *Server) BoundEndpoint() inet.Endpoint { return s.udp.Local() }
-
 // Close releases the server's sockets.
 func (s *Server) Close() {
 	s.udp.Close()

@@ -107,7 +107,7 @@ func TestFigureExperiments(t *testing.T) {
 		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run(1)
+			r := seedOneResult(t, e.ID)
 			if r.Table == "" {
 				t.Fatal("empty table")
 			}

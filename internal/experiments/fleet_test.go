@@ -12,11 +12,10 @@ import (
 // symmetric-involved pairs fall back to relay, nothing hard-fails
 // while the relay fallback is on.
 func TestFleetTable1Expectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-FLEET")
-	if !ok {
+	if _, ok := experiments.Lookup("E-FLEET"); !ok {
 		t.Fatal("E-FLEET not registered")
 	}
-	r := e.Run(1)
+	r := seedOneResult(t, "E-FLEET")
 	if r.Metrics["total_attempts"] == 0 {
 		t.Fatal("fleet made no punch attempts")
 	}

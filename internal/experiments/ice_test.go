@@ -12,11 +12,10 @@ import (
 // candidates, and symmetric<->symmetric pairs behind a hairpinning
 // CGN connect without relay.
 func TestICEExpectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-ICE")
-	if !ok {
+	if _, ok := experiments.Lookup("E-ICE"); !ok {
 		t.Fatal("E-ICE not registered")
 	}
-	r := e.Run(1)
+	r := seedOneResult(t, "E-ICE")
 	if r.Metrics["total_attempts"] == 0 {
 		t.Fatal("no attempts recorded")
 	}

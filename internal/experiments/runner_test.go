@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"natpunch/internal/experiments"
@@ -14,6 +15,28 @@ import (
 // TCP punching with loss, NAT-timeout sweeps, and multi-run grids —
 // the shapes most likely to betray cross-run state sharing.
 var detExperiments = []string{"E5", "E6", "E12", "E13"}
+
+// seedOne is RunAll(1), computed once per test binary at GOMAXPROCS 8
+// and shared by every test that reads a seed-1 table: TestRunAll,
+// TestFigureExperiments, the *Expectations tests and, as its wide run,
+// TestRunnerSerialParallelIdentical.
+var seedOne = sync.OnceValue(func() []experiments.Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	return experiments.RunAll(1)
+})
+
+// seedOneResult is id's entry in seedOne: RunAll returns its results
+// in All's order.
+func seedOneResult(t *testing.T, id string) experiments.Result {
+	t.Helper()
+	for i, e := range experiments.All() {
+		if e.ID == id {
+			return seedOne()[i]
+		}
+	}
+	t.Fatalf("unknown experiment %s", id)
+	return experiments.Result{}
+}
 
 func runOne(t *testing.T, id string, seed int64) string {
 	t.Helper()
@@ -26,7 +49,8 @@ func runOne(t *testing.T, id string, seed int64) string {
 
 // TestRunnerSerialParallelIdentical is the engine's core guarantee:
 // fanOut's pool is GOMAXPROCS wide, and the rendered tables are byte
-// for byte identical at GOMAXPROCS 1 (a serial run) and 8. The
+// for byte identical at GOMAXPROCS 1 (a serial run) and 8 (seedOne's,
+// where RunAll runs every experiment at once). The
 // fleet-scale experiments ride along: each of their scenarios is an
 // isolated (seed, config) simulation aggregated in submission order,
 // and E-UPGRADE's paired variants share a derived seed that must be
@@ -35,10 +59,9 @@ func TestRunnerSerialParallelIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, id := range append([]string{"E-FLEET", "E-ICE", "E-FED", "E-UPGRADE"}, detExperiments...) {
 		t.Run(id, func(t *testing.T) {
+			parallel := seedOneResult(t, id).String()
 			runtime.GOMAXPROCS(1)
 			serial := runOne(t, id, 1)
-			runtime.GOMAXPROCS(8)
-			parallel := runOne(t, id, 1)
 			if serial != parallel {
 				t.Errorf("GOMAXPROCS 1 and 8 outputs differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
@@ -126,7 +149,7 @@ func TestRunAll(t *testing.T) {
 		t.Fatal("EXPERIMENTS.md has no table block")
 	}
 	var b strings.Builder
-	for _, r := range experiments.RunAll(1) {
+	for _, r := range seedOne() {
 		fmt.Fprintln(&b, r)
 		fmt.Fprintln(&b)
 	}

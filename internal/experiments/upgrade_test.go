@@ -15,11 +15,10 @@ import (
 // direct share (upgrading moves timing, not reachability), and the
 // rebind scenario actually exercises failback.
 func TestUpgradeExpectations(t *testing.T) {
-	e, ok := experiments.Lookup("E-UPGRADE")
-	if !ok {
+	if _, ok := experiments.Lookup("E-UPGRADE"); !ok {
 		t.Fatal("E-UPGRADE not registered")
 	}
-	r := e.Run(1)
+	r := seedOneResult(t, "E-UPGRADE")
 
 	for _, sc := range []string{"steady-48", "rebind-24"} {
 		rf, base := r.Metrics[sc+"_rf_connect_p50_ms"], r.Metrics[sc+"_base_connect_p50_ms"]

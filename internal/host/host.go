@@ -67,8 +67,9 @@ type Host struct {
 
 	nextEphemeral inet.Port
 
-	// TCPConfig is applied to new TCP connections. Zero fields take
-	// package tcp defaults.
+	// TCPConfig is applied to new TCP connections: how many times a
+	// SYN is retried (zero takes tcp's default of 5). Segment size and
+	// timers are package tcp's constants.
 	TCPConfig tcp.Config
 
 	// SilentToClosedPorts suppresses RST / ICMP-port-unreachable
@@ -102,9 +103,6 @@ func New(n *sim.Network, name string, flavor OSFlavor) *Host {
 
 // Name implements sim.Device.
 func (h *Host) Name() string { return h.name }
-
-// Network returns the owning network.
-func (h *Host) Network() *sim.Network { return h.net }
 
 // Sched returns the simulation scheduler, for timer convenience.
 func (h *Host) Sched() *sim.Scheduler { return h.net.Sched }

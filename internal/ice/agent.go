@@ -143,13 +143,10 @@ func (n *negotiation) stop() {
 // (§3.1's endpoint pair), minus ablated types. For un-NATed clients
 // the two coincide and only the public candidate is sent.
 func (a *Agent) localCandidates() []proto.Candidate {
-	var cands []proto.Candidate
 	priv, pub := a.c.PrivateUDP(), a.c.PublicUDP()
-	if !a.cfg.NoPublic {
-		cands = append(cands, proto.Candidate{
-			Kind: proto.CandPublic, Priority: KindPublic.Priority(), Endpoint: pub,
-		})
-	}
+	cands := []proto.Candidate{{
+		Kind: proto.CandPublic, Priority: KindPublic.Priority(), Endpoint: pub,
+	}}
 	if !a.cfg.NoPrivate && priv != pub && !priv.IsZero() {
 		cands = append(cands, proto.Candidate{
 			Kind: proto.CandPrivate, Priority: KindPrivate.Priority(), Endpoint: priv,

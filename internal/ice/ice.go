@@ -158,7 +158,6 @@ func Sort(cands []Candidate) {
 // every punch.ProbeInterval.
 type Config struct {
 	NoPrivate bool
-	NoPublic  bool
 	NoHairpin bool
 }
 
@@ -187,7 +186,6 @@ func BuildChecks(selfPublic inet.Endpoint, remote []proto.Candidate, cfg Config)
 		}
 		switch {
 		case cfg.NoPrivate && k == KindPrivate,
-			cfg.NoPublic && k == KindPublic,
 			cfg.NoHairpin && k == KindHairpin:
 			continue
 		}

@@ -110,9 +110,8 @@ func (r *rig) negotiate(window time.Duration) outcome {
 
 func fastCfg() punch.Config {
 	return punch.Config{
-		PunchTimeout:                 3 * time.Second,
-		RelayFallback:                true,
-		DisableRegistrationKeepAlive: true,
+		PunchTimeout:  3 * time.Second,
+		RelayFallback: true,
 	}
 }
 

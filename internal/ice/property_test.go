@@ -85,9 +85,8 @@ func TestBuildChecksIsPure(t *testing.T) {
 		for _, cfg := range []ice.Config{
 			{},
 			{NoPrivate: true},
-			{NoPublic: true},
 			{NoHairpin: true},
-			{NoPrivate: true, NoPublic: true, NoHairpin: true},
+			{NoPrivate: true, NoHairpin: true},
 		} {
 			a := ice.BuildChecks(self, remote, cfg)
 			b := ice.BuildChecks(self, append([]proto.Candidate(nil), remote...), cfg)
@@ -100,7 +99,6 @@ func TestBuildChecksIsPure(t *testing.T) {
 					t.Fatalf("relay candidate scheduled as a probe: %v", c)
 				}
 				if cfg.NoPrivate && c.Kind == ice.KindPrivate ||
-					cfg.NoPublic && c.Kind == ice.KindPublic ||
 					cfg.NoHairpin && c.Kind == ice.KindHairpin {
 					t.Fatalf("ablated kind %v survived (cfg %+v)", c.Kind, cfg)
 				}

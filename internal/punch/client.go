@@ -107,11 +107,6 @@ type Config struct {
 	// server; the client registers and keep-alives with each so its
 	// NAT keeps a mapping open toward them.
 	RelayServers []inet.Endpoint
-	// DisableRegistrationKeepAlive turns off the periodic keep-alive
-	// to S (useful for tests that want the event queue to drain).
-	// Server-pool failover detection rides the keep-alive clock, so
-	// it is disabled too.
-	DisableRegistrationKeepAlive bool
 	// RelayFirst makes a candidate negotiation (internal/ice)
 	// establish its session through the §2.2 relay the moment the
 	// candidate exchange completes — roughly one rendezvous round-trip

@@ -172,9 +172,7 @@ func (c *Client) handleServerStream(p []byte) {
 			if !c.tcpRegistered {
 				c.tcpRegistered = true
 				c.tcpPublic = m.Public
-				if !c.cfg.DisableRegistrationKeepAlive {
-					c.scheduleTCPServerKeepAlive()
-				}
+				c.scheduleTCPServerKeepAlive()
 				if c.tcpRegDone != nil {
 					c.tcpRegDone(nil)
 				}
@@ -501,9 +499,6 @@ func (s *TCPSession) feed(p []byte) {
 
 // OnData replaces the session's data callback.
 func (s *TCPSession) OnData(fn func(*TCPSession, []byte)) { s.cb.Data = fn }
-
-// OnClosed replaces the session's closed callback.
-func (s *TCPSession) OnClosed(fn func(*TCPSession)) { s.cb.Closed = fn }
 
 // Send transmits one framed message on the session.
 func (s *TCPSession) Send(data []byte) error {

@@ -363,9 +363,7 @@ func (c *Client) handleRegisterOK(from inet.Endpoint, m *proto.Message) {
 	if c.udpRegRetry != nil {
 		c.udpRegRetry.Stop()
 	}
-	if !c.cfg.DisableRegistrationKeepAlive {
-		c.scheduleServerKeepAlive()
-	}
+	c.scheduleServerKeepAlive()
 	if c.udpRegDone != nil {
 		c.udpRegDone(nil)
 	}

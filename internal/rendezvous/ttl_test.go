@@ -21,9 +21,9 @@ import (
 )
 
 // newTTLWorld builds the canonical pair against a server with the
-// given TTL, with bob's registration keep-alives disabled so he goes
-// silent the moment he registers.
-func newTTLWorld(t *testing.T, ttl time.Duration) (*topo.Canonical, *rendezvous.Server, *punch.Client, *punch.Client) {
+// given TTL and closes bob once both have registered: Close sends
+// nothing, so he goes silent with his registration still on S.
+func newTTLWorld(t *testing.T, ttl time.Duration) (*topo.Canonical, *rendezvous.Server, *punch.Client) {
 	t.Helper()
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
 	srv, err := rendezvous.Serve(c.S.Transport(), rendezvous.Config{Port: 1234, TTL: ttl})
@@ -31,9 +31,7 @@ func newTTLWorld(t *testing.T, ttl time.Duration) (*topo.Canonical, *rendezvous.
 		t.Fatal(err)
 	}
 	a := punch.NewClientOver(c.A.Transport(), "alice", srv.Endpoint(), punch.Config{})
-	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{
-		DisableRegistrationKeepAlive: true,
-	})
+	b := punch.NewClientOver(c.B.Transport(), "bob", srv.Endpoint(), punch.Config{})
 	if err := a.RegisterUDP(4321, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +42,12 @@ func newTTLWorld(t *testing.T, ttl time.Duration) (*topo.Canonical, *rendezvous.
 	if !a.UDPRegistered() || !b.UDPRegistered() {
 		t.Fatal("registration incomplete")
 	}
-	return c, srv, a, b
+	b.Close()
+	return c, srv, a
 }
 
 func TestSilentPeerPurgedAndDialFailsFast(t *testing.T) {
-	c, srv, a, _ := newTTLWorld(t, 30*time.Second)
+	c, srv, a := newTTLWorld(t, 30*time.Second)
 	if !srv.Registered("bob") {
 		t.Fatal("bob not registered")
 	}
@@ -97,7 +96,7 @@ func TestKeepAlivesExtendRegistrationTTL(t *testing.T) {
 }
 
 func TestNegativeTTLDisablesExpiry(t *testing.T) {
-	c, srv, _, _ := newTTLWorld(t, -1)
+	c, srv, _ := newTTLWorld(t, -1)
 	c.RunFor(time.Hour)
 	if !srv.Registered("bob") {
 		t.Fatal("expiry ran with a negative TTL")
@@ -107,7 +106,7 @@ func TestNegativeTTLDisablesExpiry(t *testing.T) {
 // TestRelayToPurgedPeerErrors pins the original bug's worst symptom:
 // forwards to a dead client must stop once the TTL fires.
 func TestRelayToPurgedPeerErrors(t *testing.T) {
-	c, srv, a, _ := newTTLWorld(t, 30*time.Second)
+	c, srv, a := newTTLWorld(t, 30*time.Second)
 	c.RunFor(31 * time.Second)
 	before := srv.Stats().Errors
 	// Raw relay attempt toward the purged name.

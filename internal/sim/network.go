@@ -116,12 +116,6 @@ func (n *Network) NewSegment(name, cidr string, latency time.Duration) *Segment 
 // Name returns the segment's trace name.
 func (s *Segment) Name() string { return s.name }
 
-// Prefix returns the segment's subnet.
-func (s *Segment) Prefix() inet.Prefix { return s.prefix }
-
-// Latency returns the segment's one-way delivery latency.
-func (s *Segment) Latency() time.Duration { return s.latency }
-
 // SetLatency changes the one-way delivery latency; experiments use it
 // to create timing asymmetries mid-run.
 func (s *Segment) SetLatency(d time.Duration) { s.latency = d }
@@ -174,12 +168,6 @@ type Iface struct {
 
 // Addr returns the interface's address.
 func (i *Iface) Addr() inet.Addr { return i.addr }
-
-// Segment returns the segment the interface is attached to.
-func (i *Iface) Segment() *Segment { return i.seg }
-
-// Device returns the owning device.
-func (i *Iface) Device() Device { return i.dev }
 
 // String renders "device/addr@segment".
 func (i *Iface) String() string {

@@ -163,7 +163,7 @@ func TestPingPongIsTwoDatagramsPerRoundTrip(t *testing.T) {
 					t.Errorf("%d + %d bare acks, want the one for the last response", bare[0], bare[1])
 				}
 				if last := (*wire)[len(*wire)-1]; !last.ackOnly() || lastData != len(*wire)-2 ||
-					last.at != (*wire)[lastData].at+h.delay+h.a.ackDelay {
+					last.at != (*wire)[lastData].at+h.delay+maxAckDelay {
 					t.Errorf("the bare ack is not the timer's, at the end: the last payload left at %v, the last datagram %+v",
 						(*wire)[lastData].at, last)
 				}
@@ -206,14 +206,14 @@ func TestLoneWriteAckedOnceByTimer(t *testing.T) {
 				if ack.from != 1 || !ack.ackOnly() || len(ack.frames) != 1 || ack.frames[0].Off != uint32(i*len(msg)) {
 					t.Fatalf("write %d answered by %+v, want one ack at %d", i, ack, i*len(msg))
 				}
-				if want := wrote + h.delay + h.b.ackDelay; ack.at != want {
-					t.Fatalf("write %d of %v acknowledged at %v, want %v: %v after it arrived", i, wrote, ack.at, want, h.b.ackDelay)
+				if want := wrote + h.delay + maxAckDelay; ack.at != want {
+					t.Fatalf("write %d of %v acknowledged at %v, want %v: %v after it arrived", i, wrote, ack.at, want, maxAckDelay)
 				}
 			}
 			if rcv.buf.Len() != 1000*len(msg) {
 				t.Fatalf("receiver read %d bytes", rcv.buf.Len())
 			}
-			floor := h.a.cfg.MinRTO
+			floor := minRTO
 			if h.a.timeouts != 0 || s.rto != floor || h.a.rtt.RTO() != floor {
 				t.Errorf("sender saw %d timeouts and stands at a timeout of %v (estimator %v), want none and the %v floor",
 					h.a.timeouts, s.rto, h.a.rtt.RTO(), floor)
@@ -226,7 +226,7 @@ func TestLoneWriteAckedOnceByTimer(t *testing.T) {
 // draw it in the flush of the entry they arrived in; the frames before
 // them did not (held is the control: the timer sends those).
 func TestAckThatMayNotWait(t *testing.T) {
-	seg := Config{}.withDefaults().MaxDatagram - frameOverhead
+	seg := maxDatagram - frameOverhead
 	data := func(off, n int) Frame {
 		return Frame{Type: proto.TypeStream, Stream: 2, Off: uint32(off), Data: payload(n)}
 	}
@@ -278,8 +278,8 @@ func TestAckThatMayNotWait(t *testing.T) {
 					}
 					so.h.drain(t, 10)
 					// The timer an earlier held ack armed is this one's too.
-					if waited := so.h.clk - arrived; waited <= 0 || waited > so.m.ackDelay {
-						t.Fatalf("the ack waited %v for the timer, want no more than %v", waited, so.m.ackDelay)
+					if waited := so.h.clk - arrived; waited <= 0 || waited > maxAckDelay {
+						t.Fatalf("the ack waited %v for the timer, want no more than %v", waited, maxAckDelay)
 					}
 				}
 				if so.sent != sent+1 {
@@ -301,25 +301,20 @@ func TestAckThatMayNotWait(t *testing.T) {
 	}
 }
 
-// TestAckDelayFollowsMinRTO: the delay is the configuration's, not a
-// knob: 5 ms, and a quarter of MinRTO where that is less.
+// TestAckDelayFollowsMinRTO: a held ack is sent 5 ms after the
+// segment it acknowledges, no more than a quarter of minRTO.
 func TestAckDelayFollowsMinRTO(t *testing.T) {
-	const ms = time.Millisecond
-	for _, c := range []struct{ minRTO, want time.Duration }{
-		{0, 5 * ms}, // the 100 ms default
-		{time.Second, 5 * ms},
-		{20 * ms, 5 * ms},
-		{10 * ms, 2500 * time.Microsecond},
-		{8 * ms, 2 * ms},
-	} {
-		so := newSolo(false, Config{MinRTO: c.minRTO})
-		so.feed(Frame{Type: proto.TypeStream, Stream: 2, Data: payload(100)})
-		arrived := so.h.clk
-		so.h.drain(t, 10)
-		if so.m.ackDelay != c.want || so.sent != 1 || so.h.clk-arrived != c.want {
-			t.Errorf("MinRTO %v: delay %v, %d acks sent %v after the segment, want one after %v",
-				c.minRTO, so.m.ackDelay, so.sent, so.h.clk-arrived, c.want)
-		}
+	if maxAckDelay > minRTO/4 {
+		t.Fatalf("maxAckDelay %v exceeds a quarter of minRTO (%v)", maxAckDelay, minRTO)
+	}
+	const want = 5 * time.Millisecond
+	so := newSolo(false, Config{})
+	so.feed(Frame{Type: proto.TypeStream, Stream: 2, Data: payload(100)})
+	arrived := so.h.clk
+	so.h.drain(t, 10)
+	if maxAckDelay != want || so.sent != 1 || so.h.clk-arrived != want {
+		t.Errorf("delay %v, %d acks sent %v after the segment, want one after %v",
+			maxAckDelay, so.sent, so.h.clk-arrived, want)
 	}
 }
 
@@ -401,7 +396,7 @@ func TestCompletingStreamSendsFinalAck(t *testing.T) {
 				}
 
 				closedAt := h.clk
-				s.Write(payload(3 * (h.a.cfg.MaxDatagram - frameOverhead)))
+				s.Write(payload(3 * (maxDatagram - frameOverhead)))
 				s.CloseWrite() // the FIN leaves alone, behind the three segments
 				h.endEntry()
 				h.run(t, func() bool { return s.Done() }, 100)

@@ -56,15 +56,6 @@ type Config struct {
 	// (default 1 MiB), bounding in-order bytes accepted across all
 	// streams ahead of application reads.
 	SessionWindow uint32
-	// MaxDatagram bounds one packed frame datagram (default 1152
-	// bytes), keeping session datagrams under a conservative path MTU
-	// once the outer envelope is added.
-	MaxDatagram int
-	// InitialRTO seeds the retransmission timeout before the first
-	// RTT sample (default 500ms).
-	InitialRTO time.Duration
-	// MinRTO/MaxRTO clamp the timeout (defaults 100ms / 10s).
-	MinRTO, MaxRTO time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -73,18 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionWindow == 0 {
 		c.SessionWindow = 1 << 20
-	}
-	if c.MaxDatagram == 0 {
-		c.MaxDatagram = 1152
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = 500 * time.Millisecond
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 100 * time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 10 * time.Second
 	}
 	return c
 }
@@ -148,9 +127,8 @@ type Mux struct {
 
 	// Ack policy (see handleData and flush): an owed ack that nobody is
 	// waiting for is held until a datagram leaves anyway or ackTimer,
-	// armed ackDelay ahead by the first flush that held one, fires.
+	// armed maxAckDelay ahead by the first flush that held one, fires.
 	// ackNow says a frame arrived whose ack may not wait.
-	ackDelay time.Duration
 	ackTimer transport.Timer
 	ackNow   bool
 
@@ -198,6 +176,15 @@ type resetRec struct {
 }
 
 const (
+	// maxDatagram bounds one packed frame datagram, keeping session
+	// datagrams under a conservative path MTU once the outer envelope
+	// is added.
+	maxDatagram = 1152
+	// initialRTO seeds the retransmission timeout before the first RTT
+	// sample; minRTO and maxRTO clamp it.
+	initialRTO = 500 * time.Millisecond
+	minRTO     = 100 * time.Millisecond
+	maxRTO     = 10 * time.Second
 	// maxResetRecords bounds m.resets on sessions with many resets.
 	maxResetRecords = 128
 	// maxPings bounds outstanding ping probes under pathological loss.
@@ -210,10 +197,10 @@ const (
 	// ackEvery is how many full segments may arrive in order on a stream
 	// before their ack may no longer wait for company.
 	ackEvery = 2
-	// maxAckDelay is the longest an owed ack is held. A mux uses less
-	// when its MinRTO is short: never more than a quarter of it, so an
-	// RTT sample taken from a timer-sent ack cannot lift the RTO off its
-	// floor and a held ack is never mistaken for a lost segment.
+	// maxAckDelay is the longest an owed ack is held: no more than a
+	// quarter of minRTO, so an RTT sample taken from a timer-sent ack
+	// cannot lift the RTO off its floor and a held ack is never
+	// mistaken for a lost segment.
 	maxAckDelay = 5 * time.Millisecond
 	// maxProbes is how many tail-loss probes a stream sends between
 	// advancing acks before it leaves repair to the go-back-N timeout.
@@ -255,8 +242,6 @@ func NewMuxInPlace(tr transport.Transport, begin func() []byte, end func(p []byt
 	} else {
 		m.nextID, m.peerLSB = 1, 0
 	}
-	m.rtt = rttEstimator{initial: m.cfg.InitialRTO, min: m.cfg.MinRTO, max: m.cfg.MaxRTO}
-	m.ackDelay = min(maxAckDelay, m.cfg.MinRTO/4)
 	m.sndSessLimit = m.cfg.SessionWindow
 	m.rcvSessLimit = m.cfg.SessionWindow
 	if d, ok := tr.(transport.Deferrer); ok {
@@ -282,7 +267,7 @@ func (m *Mux) pto() time.Duration {
 	if !m.rtt.valid {
 		return m.rtt.RTO()
 	}
-	return m.rtt.srtt + max(4*m.rtt.rttvar, time.Millisecond) + m.ackDelay
+	return m.rtt.srtt + max(4*m.rtt.rttvar, time.Millisecond) + maxAckDelay
 }
 
 // Open creates a locally initiated stream. The peer learns of it
@@ -687,7 +672,7 @@ func (m *Mux) queueControl(f Frame) { m.pendingCtl = append(m.pendingCtl, f) }
 // acks and window updates, the holes each stream's scoreboard proves
 // lost and the tail-loss probes the timer asked for, then data
 // round-robin across streams with budget. Frames pack
-// into MaxDatagram-bounded datagrams. Finally the retransmission timer
+// into maxDatagram-bounded datagrams. Finally the retransmission timer
 // is re-armed to the earliest deadline, including window-probe
 // deadlines for streams starved of credit.
 func (m *Mux) flush() {
@@ -703,7 +688,7 @@ func (m *Mux) flush() {
 	// treats it as license to forget its retransmission buffer. Lost
 	// holes ride along, ahead of all fresh data: they are what the
 	// peer's reader is blocked on.
-	maxSeg := m.cfg.MaxDatagram - frameOverhead
+	maxSeg := maxDatagram - frameOverhead
 	acking := m.acking[:0]
 	for _, id := range m.order {
 		s := m.streams[id]
@@ -772,7 +757,7 @@ func (m *Mux) flush() {
 	// a response carries the ack of its request.
 	if len(frames) == len(acking) && !m.ackNow {
 		if len(acking) > 0 && m.ackTimer == nil {
-			m.ackTimer = m.tr.After(m.ackDelay, m.onAckTimer)
+			m.ackTimer = m.tr.After(maxAckDelay, m.onAckTimer)
 		}
 		frames = frames[:0]
 	} else {
@@ -789,10 +774,10 @@ func (m *Mux) flush() {
 	m.armRtx()
 }
 
-// onAckTimer sends what is still owed ackDelay after a flush held an
+// onAckTimer sends what is still owed maxAckDelay after a flush held an
 // ack. The timer is not stopped when the acks it was armed for ride out
 // early: it fires, finds nothing owed and sends nothing, so a steady
-// exchange arms one timer per ackDelay, not one per message.
+// exchange arms one timer per maxAckDelay, not one per message.
 func (m *Mux) onAckTimer() {
 	m.ackTimer = nil
 	m.ackNow = true
@@ -801,7 +786,7 @@ func (m *Mux) onAckTimer() {
 
 // transmit packs frames into datagrams and sends them: each frame is
 // encoded once, where its datagram is sent from. A frame that would
-// take a datagram past MaxDatagram opens the next one; a datagram's
+// take a datagram past maxDatagram opens the next one; a datagram's
 // first frame is taken whatever its size.
 func (m *Mux) transmit(frames []Frame) {
 	if len(frames) == 0 {
@@ -811,7 +796,7 @@ func (m *Mux) transmit(frames []Frame) {
 	start := len(buf)
 	for i := range frames {
 		f := &frames[i]
-		if packed := len(buf) - start; packed > 0 && packed+frameOverhead+len(f.Data) > m.cfg.MaxDatagram {
+		if packed := len(buf) - start; packed > 0 && packed+frameOverhead+len(f.Data) > maxDatagram {
 			_ = m.end(buf) // lossy by contract; the ARQ recovers
 			buf = m.begin()
 			start = len(buf)
@@ -895,10 +880,7 @@ func (m *Mux) onRtxTimer() {
 		} else {
 			m.queueControl(Frame{Type: proto.TypeStream, Stream: s.id, Off: s.sndNxt})
 		}
-		s.rto *= 2
-		if s.rto > m.cfg.MaxRTO {
-			s.rto = m.cfg.MaxRTO
-		}
+		s.rto = min(2*s.rto, maxRTO)
 		s.rtoAt = now + s.rto
 		s.rtxAt = s.rtoAt
 	}
@@ -1339,7 +1321,7 @@ func (s *Stream) acceptInOrder(data []byte) {
 	// The second full segment since the stream's last ack left may not
 	// wait: a bulk sender hears from us every other datagram at least.
 	s.ackOwed += int(SeqDiff(s.rcvNxt, from))
-	if s.ackOwed >= ackEvery*(s.m.cfg.MaxDatagram-frameOverhead) {
+	if s.ackOwed >= ackEvery*(maxDatagram-frameOverhead) {
 		s.m.ackNow = true
 	}
 	if s.discard {
@@ -1474,7 +1456,7 @@ func (s *Stream) noteRanges(data []byte) {
 // maxAckRanges at a time, so the bound binds only on a peer that
 // scatters small segments or lies.
 func (m *Mux) maxSpans() int {
-	return max(maxAckRanges, int(m.cfg.StreamWindow)/m.cfg.MaxDatagram)
+	return max(maxAckRanges, int(m.cfg.StreamWindow)/maxDatagram)
 }
 
 // addSpan merges sp into list (sorted, disjoint, never touching),

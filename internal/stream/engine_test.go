@@ -302,7 +302,7 @@ func (t *fakeTimer) Active() bool { return !t.stopped && !t.fired }
 // sink wires a receive-side pump: every Readable drains the stream
 // into a buffer; EOF and termination are recorded.
 //
-// It reads a full segment (at the default MaxDatagram) per call. The
+// It reads a full segment (at maxDatagram) per call. The
 // window update goes out from the Read that takes the consumed point
 // half a window past the last one advertised, so a larger read moves
 // where the update falls. A repaired hole makes everything above it
@@ -672,7 +672,7 @@ func TestLostRetransmissionRepairedWithoutTimeout(t *testing.T) {
 // lower hole's retransmission too, while the upper hole's goes out after
 // it. The tail-loss probe resends the lower hole a probe timeout after
 // the last advancing ack, where only the go-back-N timeout used to,
-// MinRTO later.
+// minRTO later.
 func TestLostRetransmissionAtWindowEdge(t *testing.T) {
 	const size = 4 << 20
 	const start = 200 * time.Millisecond // past the first flights: the RTT estimate has settled
@@ -714,14 +714,14 @@ func TestLostRetransmissionAtWindowEdge(t *testing.T) {
 		t.Fatalf("scenario did not run: head retransmission lost at %v, upper hole resent at %v, head filled at %v",
 			lostAt, upperAt, filledAt)
 	}
-	t.Logf("head hole's retransmission lost at %v, filled %v later (MinRTO %v); %d probes",
-		lostAt, filledAt-lostAt, h.a.cfg.MinRTO, h.a.probes)
+	t.Logf("head hole's retransmission lost at %v, filled %v later (minRTO %v); %d probes",
+		lostAt, filledAt-lostAt, minRTO, h.a.probes)
 	if h.a.timeouts != 0 {
 		t.Errorf("the sender's timer went back N %d times, want the probe to repair the hole", h.a.timeouts)
 	}
-	if filledAt-lostAt > h.a.cfg.MinRTO/2 {
-		t.Errorf("head hole filled %v after its retransmission was lost, want well inside MinRTO (%v)",
-			filledAt-lostAt, h.a.cfg.MinRTO)
+	if filledAt-lostAt > minRTO/2 {
+		t.Errorf("head hole filled %v after its retransmission was lost, want well inside minRTO (%v)",
+			filledAt-lostAt, minRTO)
 	}
 	if resent := sends[head] - 1; resent > 3 {
 		t.Errorf("head segment resent %d times, want at most three", resent)
@@ -731,13 +731,13 @@ func TestLostRetransmissionAtWindowEdge(t *testing.T) {
 // TestTailLossProbe: the last full segment before the FIN is lost, and
 // what follows it is too little for any report to prove it lost. The
 // probe resends it a probe timeout after the last advancing ack: no go
-// back N, and the transfer ends less than MinRTO after the lossless
+// back N, and the transfer ends less than minRTO after the lossless
 // one. When both probes are lost as well, the go-back-N timeout fires
 // once, at the virtual time it fired before there were probes: an RTO
 // after the last advancing ack, no later.
 func TestTailLossProbe(t *testing.T) {
 	const size = 1<<20 + 100
-	maxSeg := Config{}.withDefaults().MaxDatagram - frameOverhead
+	maxSeg := maxDatagram - frameOverhead
 	// The lossless run names the segment: the last full one on the wire.
 	clean := newHarness(26)
 	var last uint32
@@ -769,14 +769,14 @@ func TestTailLossProbe(t *testing.T) {
 				}
 			}
 			oneWayTransfer(t, h, Config{}, size, 4000000)
-			t.Logf("finished at %v, lossless %v (MinRTO %v): %d probes, %d timeouts (at %v)",
-				h.clk, clean.clk, h.a.cfg.MinRTO, h.a.probes, h.a.timeouts, firedAt)
+			t.Logf("finished at %v, lossless %v (minRTO %v): %d probes, %d timeouts (at %v)",
+				h.clk, clean.clk, minRTO, h.a.probes, h.a.timeouts, firedAt)
 			if !probesLost {
 				if h.a.probes == 0 || h.a.timeouts != 0 {
 					t.Errorf("%d probes, %d timeouts: want the tail repaired by a probe", h.a.probes, h.a.timeouts)
 				}
-				if late := h.clk - clean.clk; late >= h.a.cfg.MinRTO {
-					t.Errorf("finished %v after the lossless run, want less than MinRTO (%v)", late, h.a.cfg.MinRTO)
+				if late := h.clk - clean.clk; late >= minRTO {
+					t.Errorf("finished %v after the lossless run, want less than minRTO (%v)", late, minRTO)
 				}
 				return
 			}
@@ -892,9 +892,9 @@ func TestAckReportsLowestRanges(t *testing.T) {
 	}
 	sent := len(acks)
 	h.drain(t, 100)
-	if last = acks[len(acks)-1]; len(acks) != sent+1 || last.Off != 2500 || last.Data != nil || h.clk != h.b.ackDelay {
+	if last = acks[len(acks)-1]; len(acks) != sent+1 || last.Off != 2500 || last.Data != nil || h.clk != maxAckDelay {
 		t.Fatalf("%d acks after the ack delay (at %v), the last at %d with ranges % x: want one more, at 2500 with none, %v on",
-			len(acks)-sent, h.clk, last.Off, last.Data, h.b.ackDelay)
+			len(acks)-sent, h.clk, last.Off, last.Data, maxAckDelay)
 	}
 }
 
@@ -906,7 +906,7 @@ func TestAckReportsLowestRanges(t *testing.T) {
 // timer, which forgets the board.
 func TestHostileAckRangesBounded(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	limit := int(cfg.StreamWindow) / cfg.MaxDatagram
+	limit := int(cfg.StreamWindow) / maxDatagram
 	cases := []struct {
 		name string
 		acks func(una, nxt uint32) [][]byte // ack Data payloads

@@ -42,7 +42,7 @@ func writeRun(t *testing.T, h *harness, n int) (s *Stream, seg uint32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg = uint32(h.a.cfg.MaxDatagram - frameOverhead)
+	seg = uint32(maxDatagram - frameOverhead)
 	data := payload(n * int(seg))
 	before := h.sent
 	if got := s.Write(data); got != len(data) {

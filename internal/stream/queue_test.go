@@ -169,7 +169,7 @@ func ackedSender(tb testing.TB, window uint32) (so *solo, step func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	seg := payload(maxDatagram - frameOverhead)
 	for s.WriteBudget() > 0 {
 		s.Write(seg[:min(len(seg), s.WriteBudget())])
 	}
@@ -218,7 +218,7 @@ func TestAckZeroAlloc(t *testing.T) {
 func TestSegmentReadZeroAlloc(t *testing.T) {
 	const held = 256 << 10
 	so := newSolo(false, Config{StreamWindow: 2*held + 4096, SessionWindow: 8 * held})
-	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	seg := payload(maxDatagram - frameOverhead)
 	off := uint32(0)
 	arrive := func() {
 		so.feed(Frame{Type: proto.TypeStream, Stream: 2, Off: off, Data: seg})
@@ -255,7 +255,7 @@ func TestSegmentReadZeroAlloc(t *testing.T) {
 func TestHoleRepairZeroAlloc(t *testing.T) {
 	const above = 4
 	so := newSolo(false, Config{})
-	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	seg := payload(maxDatagram - frameOverhead)
 	want := bytes.Repeat(seg, above+1)
 	buf := make([]byte, len(want))
 	off := uint32(0)
@@ -303,7 +303,7 @@ func TestHoleRepairZeroAlloc(t *testing.T) {
 func TestEntryFlushZeroAlloc(t *testing.T) {
 	const held, run = 256 << 10, 8
 	so := newSoloBatch(false, Config{StreamWindow: 2*held + 64<<10, SessionWindow: 8 * held}, run)
-	seg := payload(so.m.cfg.MaxDatagram - frameOverhead)
+	seg := payload(maxDatagram - frameOverhead)
 	off := uint32(0)
 	arrive := func(n int) {
 		for i := 0; i < n; i++ {

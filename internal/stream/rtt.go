@@ -5,13 +5,11 @@ import "time"
 // rttEstimator maintains the smoothed round-trip estimate and the
 // retransmission timeout per RFC 6298: SRTT/RTTVAR from clean samples
 // (Karn's algorithm — the engine never samples retransmitted data),
-// RTO = SRTT + 4*RTTVAR clamped to [min, max].
+// RTO = SRTT + 4*RTTVAR clamped to [minRTO, maxRTO].
 type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
 	valid  bool
-
-	initial, min, max time.Duration
 }
 
 // Sample folds one clean round-trip measurement into the estimate.
@@ -46,17 +44,11 @@ func (e *rttEstimator) RTT() time.Duration {
 // RTO returns the current retransmission timeout.
 func (e *rttEstimator) RTO() time.Duration {
 	if !e.valid {
-		return e.clamp(e.initial)
+		return clamp(initialRTO)
 	}
-	return e.clamp(e.srtt + 4*e.rttvar)
+	return clamp(e.srtt + 4*e.rttvar)
 }
 
-func (e *rttEstimator) clamp(d time.Duration) time.Duration {
-	if d < e.min {
-		return e.min
-	}
-	if d > e.max {
-		return e.max
-	}
-	return d
+func clamp(d time.Duration) time.Duration {
+	return min(max(d, minRTO), maxRTO)
 }

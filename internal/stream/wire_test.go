@@ -140,7 +140,7 @@ func TestFrameOverheadMatchesEncoding(t *testing.T) {
 		}
 	}
 
-	// The boundary, through transmit: two frames that make MaxDatagram
+	// The boundary, through transmit: two frames that make maxDatagram
 	// exactly share a datagram, one byte more and the second opens the
 	// next. begin hands out a buffer with an envelope already in it,
 	// which counts for nothing.
@@ -152,10 +152,10 @@ func TestFrameOverheadMatchesEncoding(t *testing.T) {
 		func(p []byte) error { sent, buf = append(sent, len(p)-envelope), p; return nil },
 		true, Config{}, Callbacks{})
 	ack := Frame{Type: proto.TypeStreamAck, Stream: 1, Off: 1, Data: ranges(2)}
-	room := m.cfg.MaxDatagram - (frameOverhead + len(ack.Data)) - frameOverhead
+	room := maxDatagram - (frameOverhead + len(ack.Data)) - frameOverhead
 	m.transmit([]Frame{ack, {Type: proto.TypeStream, Stream: 1, Data: make([]byte, room)}})
 	m.transmit([]Frame{ack, {Type: proto.TypeStream, Stream: 1, Data: make([]byte, room+1)}})
-	if want := []int{m.cfg.MaxDatagram, frameOverhead + len(ack.Data), frameOverhead + room + 1}; !slices.Equal(sent, want) {
+	if want := []int{maxDatagram, frameOverhead + len(ack.Data), frameOverhead + room + 1}; !slices.Equal(sent, want) {
 		t.Errorf("datagrams of %v bytes, want %v: a full one, then the frame that no longer fits on its own", sent, want)
 	}
 }

@@ -73,52 +73,21 @@ var (
 	ErrAddrInUse   = errors.New("tcp: address already in use")
 )
 
-// Config tunes a connection's timers and segmentation.
+// Segmentation and timers. synRTO is the paper's suggested one-second
+// delay before a failed connection attempt is retried (§4.2 step 4);
+// it doubles per retry.
+const (
+	mss    = 1400                   // maximum payload bytes per segment
+	rto    = 200 * time.Millisecond // fixed data retransmission timeout
+	synRTO = time.Second
+	msl    = 500 * time.Millisecond // maximum segment lifetime; TIME-WAIT lasts 2*msl
+)
+
+// Config tunes a connection's open attempt.
 type Config struct {
-	// MSS is the maximum payload bytes per segment.
-	MSS int
-	// RTO is the (fixed) data retransmission timeout.
-	RTO time.Duration
-	// SYNRTO is the initial SYN/SYN-ACK retransmission timeout; it
-	// doubles per retry.
-	SYNRTO time.Duration
 	// SYNRetries is how many times a SYN is retransmitted before the
-	// open attempt fails with ErrTimeout.
+	// open attempt fails with ErrTimeout (default 5).
 	SYNRetries int
-	// MSL is the maximum segment lifetime; TIME-WAIT lasts 2*MSL.
-	MSL time.Duration
-}
-
-// DefaultConfig returns the simulation defaults. SYNRTO of one second
-// mirrors the paper's suggested retry delay for failed connection
-// attempts (§4.2 step 4).
-func DefaultConfig() Config {
-	return Config{
-		MSS:        1400,
-		RTO:        200 * time.Millisecond,
-		SYNRTO:     time.Second,
-		SYNRetries: 5,
-		MSL:        500 * time.Millisecond,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.MSS == 0 {
-		c.MSS = d.MSS
-	}
-	if c.RTO == 0 {
-		c.RTO = d.RTO
-	}
-	if c.SYNRTO == 0 {
-		c.SYNRTO = d.SYNRTO
-	}
-	if c.SYNRetries == 0 {
-		c.SYNRetries = d.SYNRetries
-	}
-	if c.MSL == 0 {
-		c.MSL = d.MSL
-	}
 }
 
 // Env supplies a connection's environment: time, timers, segment
@@ -197,7 +166,9 @@ type Conn struct {
 // iss is the initial send sequence number (the host stack supplies a
 // deterministic pseudo-random value).
 func NewConn(env Env, cfg Config, local, remote inet.Endpoint, iss uint32, cb Callbacks) *Conn {
-	cfg.fillDefaults()
+	if cfg.SYNRetries == 0 {
+		cfg.SYNRetries = 5
+	}
 	return &Conn{env: env, cfg: cfg, cb: cb, local: local, remote: remote, iss: iss,
 		sndUna: iss, sndNxt: iss}
 }
@@ -277,8 +248,7 @@ func (c *Conn) sendSYN(withAck bool) {
 
 func (c *Conn) armSYNTimer() {
 	c.stopRtx()
-	rto := c.cfg.SYNRTO << uint(c.synRetries)
-	c.rtxTimer = c.env.After(rto, c.synTimeout)
+	c.rtxTimer = c.env.After(synRTO<<uint(c.synRetries), c.synTimeout)
 }
 
 func (c *Conn) synTimeout() {
@@ -354,10 +324,7 @@ func (c *Conn) pump() {
 		return
 	}
 	for len(c.pending) > 0 {
-		n := len(c.pending)
-		if n > c.cfg.MSS {
-			n = c.cfg.MSS
-		}
+		n := min(len(c.pending), mss)
 		chunk := c.pending[:n:n]
 		c.pending = c.pending[n:]
 		seg := segment{seq: c.sndNxt, payload: chunk}
@@ -400,7 +367,7 @@ func (c *Conn) armRtx() {
 	if c.rtxTimer.Active() {
 		return
 	}
-	c.rtxTimer = c.env.After(c.cfg.RTO, c.rtxTimeout)
+	c.rtxTimer = c.env.After(rto, c.rtxTimeout)
 }
 
 func (c *Conn) rtxTimeout() {
@@ -411,7 +378,7 @@ func (c *Conn) rtxTimeout() {
 	for _, seg := range c.rtxq {
 		c.transmit(seg)
 	}
-	c.rtxTimer = c.env.After(c.cfg.RTO, c.rtxTimeout)
+	c.rtxTimer = c.env.After(rto, c.rtxTimeout)
 }
 
 func (c *Conn) stopRtx() {
@@ -689,7 +656,7 @@ func (c *Conn) handleFIN() {
 func (c *Conn) enterTimeWait() {
 	c.setState(TimeWait)
 	c.stopRtx()
-	c.waitTimer = c.env.After(2*c.cfg.MSL, func() { c.teardown(nil) })
+	c.waitTimer = c.env.After(2*msl, func() { c.teardown(nil) })
 }
 
 // String renders a one-line connection summary for traces.

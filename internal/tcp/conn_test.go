@@ -249,7 +249,7 @@ func TestSYNRetransmission(t *testing.T) {
 	if !w.a.estab || !w.b.estab {
 		t.Fatal("handshake did not recover from lost SYN")
 	}
-	// The retransmit happens after SYNRTO (1s).
+	// The retransmit happens after synRTO (1s).
 	if w.sched.Now() < time.Second {
 		t.Errorf("recovered suspiciously fast: %v", w.sched.Now())
 	}

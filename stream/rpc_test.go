@@ -21,7 +21,7 @@ import (
 // ack flushed as its frame arrives makes it four per round trip.
 func TestLoopbackPingPongIsTwoDatagramsPerRoundTrip(t *testing.T) {
 	const size, warmup, rounds = 256, 10, 2000
-	const ackDelay = 5 * time.Millisecond // internal/stream's, at the default MinRTO
+	const ackDelay = 5 * time.Millisecond // internal/stream's maxAckDelay
 	w := loopWorld(t, baseOpts()...)
 
 	// Everything not from the server is the peer's. The counters live in

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"natpunch/internal/proto"
 	"natpunch/realudp"
 	"natpunch/rendezvousapi"
 	"natpunch/simnet"
@@ -76,8 +75,8 @@ func makeSimPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 }
 
 // makeRealPair builds the scenario over real loopback sockets:
-// blockDirect models unpunchable paths by dropping all punch/check
-// probes and acks at bob, in front of the engine's own dispatch.
+// blockDirect models unpunchable paths by dropping, at bob, every
+// datagram from alice's socket.
 // Explicit opts replace the default conformance options.
 func makeRealPair(t *testing.T, blockDirect bool, opts ...Option) (*Dialer, *Dialer) {
 	t.Helper()
@@ -111,26 +110,18 @@ func makeRealPair(t *testing.T, blockDirect bool, opts ...Option) (*Dialer, *Dia
 	}
 	alice, bob := open("alice"), open("bob")
 	if blockDirect {
-		dropProbes(bob)
+		severDirect(bob, alice)
 	}
 	return alice, bob
 }
 
-// dropProbes installs a fault-injection filter at d that consumes all
-// punch/check probes and acks before the engine sees them, chaining
-// to the previously installed (agent) interceptor for everything
-// else. Candidate negotiation still happens — every check just
-// fails, which is what forces the §2.2 relay floor.
-func dropProbes(d *Dialer) {
-	d.tr.Invoke(func() {
-		prev := d.client.UDPIntercept()
-		d.client.SetUDPIntercept(func(from transport.Endpoint, m *proto.Message) bool {
-			if m.Type == proto.TypePunch || m.Type == proto.TypePunchAck {
-				return true
-			}
-			return prev != nil && prev(from, m)
-		})
-	})
+// severDirect makes d's real-socket transport drop every datagram
+// from peer's socket, while both keep hearing the servers. Candidate
+// negotiation still happens — every check just fails, which is what
+// forces the §2.2 relay floor.
+func severDirect(d, peer *Dialer) {
+	from := peer.LocalAddr().ep
+	d.tr.(*realudp.Transport).SetPacketFilter(func(src transport.Endpoint) bool { return src != from })
 }
 
 // runScenario dials bob from alice, exchanges one echo round trip,
@@ -270,8 +261,8 @@ func makeRealFedPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 		time.Sleep(time.Millisecond)
 	}
 	if blockDirect {
-		dropProbes(alice)
-		dropProbes(bob)
+		severDirect(alice, bob)
+		severDirect(bob, alice)
 	}
 	return alice, bob
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"natpunch/internal/ice"
 	"natpunch/internal/punch"
 	"natpunch/internal/rendezvous"
 	"natpunch/transport"
@@ -77,7 +76,6 @@ type Dialer struct {
 	name   string
 	cfg    config
 	client *punch.Client
-	agent  *ice.Agent
 
 	mu       sync.Mutex
 	conns    map[*punch.UDPSession]*Conn
@@ -127,7 +125,7 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 			d.client.SetServerPool(pool)
 		}
 		d.client.InboundUDP = punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { d.inbound(d.newUDPConn(s)) },
+			Established: func(s *punch.UDPSession, _ punch.Candidate) { d.inbound(d.newUDPConn(s)) },
 			Data:        d.udpData,
 			Dead:        d.udpDead,
 		}
@@ -138,18 +136,6 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 			}
 		}
 		err = d.client.RegisterUDP(cfg.localPort, done)
-		if err != nil {
-			return
-		}
-		// Every dial, and every re-punch of a live session, is a
-		// candidate negotiation run by the agent; InboundUDP above still
-		// answers a peer that punches with the plain §3.2 exchange.
-		d.agent = ice.New(d.client, ice.Config{})
-		d.agent.Inbound = ice.Callbacks{
-			Established: func(s *punch.UDPSession, _ ice.Candidate) { d.inbound(d.newUDPConn(s)) },
-			Data:        d.udpData,
-			Dead:        d.udpDead,
-		}
 	})
 	if err != nil {
 		d.shutdownEngine()
@@ -238,8 +224,8 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		}
 	}
 	d.tr.Invoke(func() {
-		d.agent.Connect(peer, ice.Callbacks{
-			Established: func(s *punch.UDPSession, _ ice.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
+		d.client.Connect(peer, punch.UDPCallbacks{
+			Established: func(s *punch.UDPSession, _ punch.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
 			Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
 			Data:        d.udpData,
 			Dead:        d.udpDead,
@@ -262,7 +248,7 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		}
 		return r.conn, nil
 	case <-ctx.Done():
-		d.tr.Invoke(func() { d.agent.Abort(peer) })
+		d.tr.Invoke(func() { d.client.Abort(peer) })
 		// The dial may have resolved while the abort was acquiring the
 		// engine; release anything that slipped through.
 		select {
@@ -328,9 +314,6 @@ func (d *Dialer) Close() error {
 
 func (d *Dialer) shutdownEngine() {
 	d.tr.Invoke(func() {
-		if d.agent != nil {
-			d.agent.Close()
-		}
 		if d.client != nil {
 			d.client.Close()
 		}

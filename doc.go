@@ -28,7 +28,7 @@
 // The repository is structured facade → engine → transport:
 //
 //	natpunch (Dialer/Listener/Conn, options, blocking+context API)
-//	  └─ internal/punch + internal/ice + internal/rendezvous
+//	  └─ internal/punch + internal/rendezvous
 //	       └─ natpunch/transport (sockets, timers, clock, serialization)
 //	            ├─ natpunch/simnet  (deterministic simulated worlds)
 //	            └─ natpunch/realudp (real UDP sockets)

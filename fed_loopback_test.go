@@ -117,8 +117,8 @@ func TestFederatedLoopbackRelayOnlyFallback(t *testing.T) {
 	alice := openLoop(t, "alice", eps[0], opts...)
 	bob := openLoop(t, "bob", eps[1], opts...)
 	awaitReplicated(t, srvs, "alice", "bob")
-	dropProbes(alice)
-	dropProbes(bob)
+	severDirect(alice, bob)
+	severDirect(bob, alice)
 
 	dialPath, acceptPath := runScenario(t, alice, bob)
 	if dialPath != "relay" || acceptPath != "relay" {
@@ -165,8 +165,8 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 	alice := openLoop(t, "alice", transport.Endpoint{}, opts...)
 	bob := openLoop(t, "bob", transport.Endpoint{}, opts...)
 	awaitReplicated(t, srvs, "alice", "bob")
-	dropProbes(alice) // force the relay path: it must survive the kill
-	dropProbes(bob)
+	severDirect(alice, bob) // force the relay path: it must survive the kill
+	severDirect(bob, alice)
 
 	ln, err := bob.Listen()
 	if err != nil {

@@ -149,6 +149,8 @@ func DefaultConfig() *Config {
 		},
 		WirePackages: []string{
 			"natpunch/internal/proto",
+			"natpunch/internal/punch",
+			"natpunch/internal/ice",
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/experiments",
 			"natpunch/internal/fleet",

@@ -12,8 +12,8 @@ import (
 // proto.Type* constant must (a) have an entry in Type.String's name
 // map (the renderer used by traces and error paths), (b) be handled
 // by at least one dispatch switch over proto.Type in the engine
-// (server side in internal/rendezvous, client side in internal/punch
-// and internal/ice — their union must be total, or a new message
+// (server side in internal/rendezvous, client side in internal/punch,
+// negotiation included — their union must be total, or a new message
 // silently falls through everywhere), and (c) sit within Decode's
 // validity bound (the `m.Type > TypeLast` guard must name the last
 // constant, or new messages are rejected as ErrBadType on arrival).

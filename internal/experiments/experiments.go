@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"natpunch/internal/host"
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
 	"natpunch/internal/punch"
@@ -187,9 +188,9 @@ func (p *pair) punchUDP(window time.Duration) udpOutcome {
 	start := p.Net.Sched.Now()
 	var sa, sb *punch.UDPSession
 	failed := false
-	p.b.InboundUDP.Established = func(s *punch.UDPSession) { sb = s }
+	p.b.InboundUDP.Established = func(s *punch.UDPSession, _ ice.Candidate) { sb = s }
 	p.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(string, error) { failed = true },
 	})
 	await(p.Internet, window, func() bool { return (sa != nil && sb != nil) || failed })
@@ -206,7 +207,7 @@ func punchFrom(in *topo.Internet, x *punch.Client, peer string, window time.Dura
 	var s *punch.UDPSession
 	failed := false
 	x.ConnectUDP(peer, punch.UDPCallbacks{
-		Established: func(us *punch.UDPSession) { s = us },
+		Established: func(us *punch.UDPSession, _ ice.Candidate) { s = us },
 		Failed:      func(string, error) { failed = true },
 	})
 	await(in, window, func() bool { return s != nil || failed })

@@ -50,10 +50,10 @@ func iceScenarios() []scenario {
 	symOpenCGN.Topology = []fleet.SiteShape{{Label: "cgn-hairpin-16", Kind: fleet.SiteCGN, Hosts: 16, CGN: nat.WellBehaved(), Weight: 1}}
 
 	noPriv := sharedCone
-	noPriv.ICE = ice.Config{NoPrivate: true}
+	noPriv.Punch.ICE = ice.Config{NoPrivate: true}
 
 	noHair := hairpinRun
-	noHair.ICE = ice.Config{NoHairpin: true}
+	noHair.Punch.ICE = ice.Config{NoHairpin: true}
 
 	return []scenario{
 		{"mix-48", "heterogeneous sites (flat + shared + CGN), Table 1 NAT mix", mix},

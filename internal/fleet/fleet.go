@@ -10,8 +10,8 @@
 // Sites come in three shapes (SiteShape): flat one-peer NATs
 // (Figure 5), multi-peer sites sharing one NAT (Figure 4), and
 // CGN sites nesting per-peer home NATs under an ISP-level NAT
-// (Figure 6) — with or without hairpin support. Every attempt runs
-// through the internal/ice candidate-negotiation engine, and outcomes
+// (Figure 6) — with or without hairpin support. Every attempt is a
+// candidate negotiation (punch.Client.Connect), and outcomes
 // are attributed both to the NAT-pair class and to the pair's
 // topology class, by nominated candidate type.
 //
@@ -98,12 +98,9 @@ type Config struct {
 	// rendezvous round-trip and migrate to a punched direct path in
 	// the background; the report's Upgrades/Failbacks/UpgradeTimes
 	// columns account the resulting live-path churn.
+	// Punch.ICE ablates candidate types from every negotiation.
 	Punch   punch.Config
 	NoRelay bool
-
-	// ICE tunes the candidate-negotiation engine (pacing, ablations).
-	// Zero fields inherit the punch settings.
-	ICE ice.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -160,7 +157,6 @@ type peer struct {
 	siteKind SiteKind
 
 	client     *punch.Client
-	agent      *ice.Agent
 	online     bool
 	everJoined bool
 	onlinePos  int // index into Fleet.online while online
@@ -417,8 +413,7 @@ func (f *Fleet) arrive(p *peer) {
 		c.SetServerPool(order)
 	}
 	p.client = c
-	p.agent = ice.New(c, f.cfg.ICE)
-	p.agent.Inbound = ice.Callbacks{
+	c.InboundUDP = punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, _ ice.Candidate) { f.adopt(p, s, false) },
 		Data:        func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
 	}
@@ -487,10 +482,6 @@ func (f *Fleet) depart(p *peer, gen int) {
 	for q := range p.connected {
 		delete(p.connected, q)
 	}
-	if p.agent != nil {
-		p.agent.Close()
-		p.agent = nil
-	}
 	f.closeClient(p)
 
 	if f.cfg.MeanRejoin > 0 {
@@ -528,7 +519,7 @@ func (f *Fleet) attempt(p, q *peer) {
 	f.rep.Attempts++
 	p.inflight[q.name] = keys
 	start := f.in.Net.Sched.Now()
-	p.agent.Connect(q.name, ice.Callbacks{
+	p.client.Connect(q.name, punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, chosen ice.Candidate) {
 			delete(p.inflight, q.name)
 			f.record(ps, ts, chosen.Kind, f.in.Net.Sched.Now()-start)

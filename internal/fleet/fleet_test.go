@@ -256,7 +256,7 @@ func TestFleetFlatConesGoDirect(t *testing.T) {
 	// On flat all-cone topologies every pair can punch (§3.4), so
 	// every completed attempt is direct: none relayed, none failed.
 	// The paper's plain §3.2 punch has the same profile (the
-	// per-pair differential against it is internal/ice's).
+	// per-pair differential against it lives in internal/ice's tests).
 	cfg := stable(30)
 	cfg.Mix = coneMix()
 	rep := fleet.Run(25, cfg)

@@ -18,7 +18,7 @@ func legacyPunch(t *testing.T, in *topo.Internet, a, b *punch.Client, window tim
 	failed := false
 	b.InboundUDP = punch.UDPCallbacks{}
 	a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(string, error) { failed = true },
 	})
 	sched := in.Net.Sched

@@ -1,34 +1,27 @@
-// Package ice is a deterministic candidate-negotiation engine — an
-// ICE-lite — layered on the hole-punching client of internal/punch.
+// Package ice is the candidate model of an ICE-lite: the candidate
+// kinds, their priorities and total order, and the check schedule
+// built from a peer's advertised list. The punch client's negotiation
+// (internal/punch) runs the schedule.
 //
 // The paper's §3.4 shows that robust connectivity requires trying
 // *multiple* candidate paths: private endpoints reach peers behind
 // the same NAT (§3.3, Figure 4); public endpoints punch across
 // different NATs (§3.4, Figure 5); when multi-level NAT puts both
 // peers behind one upper device, the public path works only if that
-// device hairpins (§3.4.2/§3.5, Figure 6); and relaying through S is
-// the floor that always works (§2.2). The engine makes that policy
-// explicit: gather candidates, exchange them through S
-// (proto.TypeNegotiate), run prioritized, paced connectivity checks
-// on the simulation scheduler, nominate the first candidate that
-// answers, and fall back to the relay candidate at the deadline.
+// device hairpins (§3.4.2/§3.5, Figure 6); peer-reflexive candidates,
+// discovered when checks arrive from endpoints nobody advertised (a
+// symmetric NAT's fresh per-destination mapping, §5.1), let
+// cone↔symmetric pairs converge; and relaying through S is the floor
+// that always works (§2.2).
 //
-// Candidates whose check traffic arrives from endpoints nobody
-// advertised (a symmetric NAT's fresh per-destination mapping, §5.1)
-// are adopted as peer-reflexive candidates and answered with
-// triggered checks, which is what lets cone↔symmetric — and, behind a
-// hairpinning upper NAT, even symmetric↔symmetric — pairs converge
-// without ever learning the topology.
-//
-// Everything runs inside the single-threaded simulation event loop;
-// with a fixed seed the candidate order, check schedule, and
-// nomination are bit-for-bit reproducible.
+// The schedule is a pure function of its inputs, so with a fixed seed
+// the candidate order and check schedule are bit-for-bit
+// reproducible.
 package ice
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
@@ -152,19 +145,11 @@ func Sort(cands []Candidate) {
 }
 
 // Config ablates the negotiation: each switch drops a candidate type
-// from both gathering and checking. The relay floor is the punch
-// client's RelayFallback (without it, deadline expiry is a hard
-// failure); the deadline is its PunchTimeout, and checks retransmit
-// every punch.ProbeInterval.
+// from both gathering and checking.
 type Config struct {
 	NoPrivate bool
 	NoHairpin bool
 }
-
-// checkPace staggers successive candidate first-probes, so the cheap
-// high-priority paths get a head start before lower ones spend
-// packets (RFC 8445 §6.1.4's pacing, collapsed to one constant).
-const checkPace = 50 * time.Millisecond
 
 // BuildChecks derives the deterministic check schedule from a peer's
 // advertised candidate list: map wire kinds, reclassify public
@@ -209,10 +194,10 @@ func BuildChecks(selfPublic inet.Endpoint, remote []proto.Candidate, cfg Config)
 	return kept
 }
 
-// classifyDiscovery assigns the kind for a peer-reflexive discovery:
+// ClassifyDiscovery assigns the kind for a peer-reflexive discovery:
 // traffic arriving from the client's own public address can only have
 // hairpinned off the shared outer NAT.
-func classifyDiscovery(selfPublic inet.Endpoint, from inet.Endpoint) Kind {
+func ClassifyDiscovery(selfPublic inet.Endpoint, from inet.Endpoint) Kind {
 	if from.Addr == selfPublic.Addr && from != selfPublic {
 		return KindHairpin
 	}

@@ -15,14 +15,12 @@ import (
 
 const serverPort inet.Port = 1234
 
-// rig is one negotiation testbed: a topology with S, two registered
-// punch clients, and an agent on each.
+// rig is one negotiation testbed: a topology with S and two
+// registered punch clients.
 type rig struct {
 	in   *topo.Internet
 	srv  *rendezvous.Server
 	a, b *punch.Client
-	agA  *ice.Agent
-	agB  *ice.Agent
 }
 
 func newRig(t testing.TB, in *topo.Internet, s, hostA, hostB *host.Host, pcfg punch.Config, icfg ice.Config) *rig {
@@ -32,10 +30,9 @@ func newRig(t testing.TB, in *topo.Internet, s, hostA, hostB *host.Host, pcfg pu
 		t.Fatal(err)
 	}
 	r := &rig{in: in, srv: srv}
+	pcfg.ICE = icfg
 	r.a = punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), pcfg)
 	r.b = punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), pcfg)
-	r.agA = ice.New(r.a, icfg)
-	r.agB = ice.New(r.b, icfg)
 	if err := r.a.RegisterUDP(4321, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +89,12 @@ type outcome struct {
 func (r *rig) negotiate(window time.Duration) outcome {
 	var out outcome
 	start := r.in.Net.Sched.Now()
-	r.agB.Inbound = ice.Callbacks{
+	r.b.InboundUDP = punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, chosen ice.Candidate) {
 			out.bOK, out.bChosen, out.bSession = true, chosen, s
 		},
 	}
-	r.agA.Connect("bob", ice.Callbacks{
+	r.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, chosen ice.Candidate) {
 			out.ok, out.chosen, out.session = true, chosen, s
 			out.elapsed = r.in.Net.Sched.Now() - start
@@ -232,13 +229,13 @@ func TestRelayedDataBeforeResponderDeadline(t *testing.T) {
 	var bChosen ice.Candidate
 	var bGot string
 	var bGotAt time.Duration
-	r.agB.Inbound = ice.Callbacks{
+	r.b.InboundUDP = punch.UDPCallbacks{
 		Established: func(_ *punch.UDPSession, chosen ice.Candidate) { bChosen = chosen },
 		Data:        func(_ *punch.UDPSession, p []byte) { bGot, bGotAt = string(p), sched.Now() },
 	}
 	c.RealmB.Seg.SetLatency(30 * topo.LANLatency)
 	start := sched.Now()
-	r.agA.Connect("bob", ice.Callbacks{
+	r.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("only datagram")) },
 		Failed:      func(_ string, err error) { t.Fatalf("negotiation failed: %v", err) },
 	})
@@ -256,7 +253,7 @@ func TestRelayedDataBeforeResponderDeadline(t *testing.T) {
 		t.Fatalf("datagram delivered at %v, not before the responder's deadline %v: the order was not forced",
 			bGotAt, responderDeadline)
 	}
-	if n := r.agB.PendingNegotiations(); n != 0 {
+	if n := r.b.PendingUDPAttempts(); n != 0 {
 		t.Errorf("%d negotiations still pending on the responder", n)
 	}
 }
@@ -285,7 +282,7 @@ func TestNoRelayHardFails(t *testing.T) {
 func TestUnknownPeerFails(t *testing.T) {
 	r := flatRig(t, 10, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
 	var failed error
-	r.agA.Connect("nobody", ice.Callbacks{
+	r.a.Connect("nobody", punch.UDPCallbacks{
 		Failed: func(peer string, err error) { failed = err },
 	})
 	r.await(10*time.Second, func() bool { return failed != nil })
@@ -296,9 +293,9 @@ func TestUnknownPeerFails(t *testing.T) {
 
 func TestBusyNegotiationRejected(t *testing.T) {
 	r := flatRig(t, 11, nat.Symmetric(), nat.Symmetric(), fastCfg(), ice.Config{})
-	r.agA.Connect("bob", ice.Callbacks{})
+	r.a.Connect("bob", punch.UDPCallbacks{})
 	var failed error
-	r.agA.Connect("bob", ice.Callbacks{Failed: func(_ string, err error) { failed = err }})
+	r.a.Connect("bob", punch.UDPCallbacks{Failed: func(_ string, err error) { failed = err }})
 	if failed != punch.ErrBusy {
 		t.Fatalf("want ErrBusy, got %v", failed)
 	}
@@ -324,10 +321,10 @@ func TestCrossingNegotiations(t *testing.T) {
 	// must end with exactly one live session per side.
 	r := flatRig(t, 13, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
 	var aOK, bOK bool
-	r.agA.Connect("bob", ice.Callbacks{
+	r.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(*punch.UDPSession, ice.Candidate) { aOK = true },
 	})
-	r.agB.Connect("alice", ice.Callbacks{
+	r.b.Connect("alice", punch.UDPCallbacks{
 		Established: func(*punch.UDPSession, ice.Candidate) { bOK = true },
 	})
 	r.await(10*time.Second, func() bool { return aOK && bOK })
@@ -342,22 +339,22 @@ func TestCrossingNegotiations(t *testing.T) {
 func TestAbortDoesNotKillCrossingNegotiation(t *testing.T) {
 	r := flatRig(t, 16, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
 	var bobSession *punch.UDPSession
-	r.agA.Connect("bob", ice.Callbacks{
+	r.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(*punch.UDPSession, ice.Candidate) { t.Error("alice's aborted dial established") },
 	})
-	r.agB.Connect("alice", ice.Callbacks{
+	r.b.Connect("alice", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, _ ice.Candidate) { bobSession = s },
 	})
 	// Let S forward both offers, so alice holds her own negotiation
 	// AND the responder side of bob's.
 	r.await(45*time.Millisecond, func() bool { return false })
-	if n := r.agA.PendingNegotiations(); n != 2 {
+	if n := r.a.PendingUDPAttempts(); n != 2 {
 		t.Fatalf("alice holds %d negotiations before the abort, want 2", n)
 	}
-	if !r.agA.Abort("bob") {
+	if !r.a.Abort("bob") {
 		t.Fatal("expected alice's own dial to be abortable")
 	}
-	if r.agA.Abort("bob") {
+	if r.a.Abort("bob") {
 		t.Fatal("second abort should find nothing: the responder side must survive")
 	}
 	if !r.await(5*time.Second, func() bool { return bobSession != nil && r.a.LookupUDPSession("bob") != nil }) {
@@ -372,14 +369,14 @@ func TestAdoptedSessionCarriesData(t *testing.T) {
 	r := flatRig(t, 14, nat.Cone(), nat.Cone(), fastCfg(), ice.Config{})
 	var got []byte
 	var bobSession *punch.UDPSession
-	r.agB.Inbound = ice.Callbacks{
+	r.b.InboundUDP = punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, _ ice.Candidate) { bobSession = s },
 		Data: func(s *punch.UDPSession, p []byte) {
 			s.Send(append([]byte("echo:"), p...))
 		},
 	}
 	var aliceSession *punch.UDPSession
-	r.agA.Connect("bob", ice.Callbacks{
+	r.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, _ ice.Candidate) { aliceSession = s },
 		Data:        func(s *punch.UDPSession, p []byte) { got = p },
 	})

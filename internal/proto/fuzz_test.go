@@ -54,7 +54,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 			Data: func(s *punch.UDPSession, p []byte) { s.Send([]byte("pong")) },
 		}
 		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { s.Send([]byte("ping")) },
+			Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("ping")) },
 		})
 		c.RunFor(30 * time.Second) // punch + data + a keep-alive round
 	}
@@ -65,7 +65,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 	// Symmetric pair with relay fallback: error/relay message shapes.
 	capture(topo.NewCanonical(3, nat.Symmetric(), nat.Symmetric()), punch.Config{RelayFallback: true})
 
-	// Candidate-negotiation traffic (internal/ice): TypeNegotiate
+	// Candidate-negotiation traffic (punch.Client.Connect): TypeNegotiate
 	// offers and TypeNegotiateDetails with multi-entry candidate
 	// lists, plus the check/ack flow, over the topologies that
 	// exercise each candidate type.
@@ -85,7 +85,6 @@ func capturedCorpus(tb testing.TB) [][]byte {
 		})
 		a := punch.NewClientOver(hostA.Transport(), "alice", srv.Endpoint(), cfg)
 		b := punch.NewClientOver(hostB.Transport(), "bob", srv.Endpoint(), cfg)
-		agA, agB := ice.New(a, ice.Config{}), ice.New(b, ice.Config{})
 		if err := a.RegisterUDP(4321, nil); err != nil {
 			tb.Fatal(err)
 		}
@@ -93,10 +92,10 @@ func capturedCorpus(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 		in.RunFor(2 * time.Second)
-		agB.Inbound = ice.Callbacks{
+		b.InboundUDP = punch.UDPCallbacks{
 			Data: func(s *punch.UDPSession, p []byte) { s.Send([]byte("pong")) },
 		}
-		agA.Connect("bob", ice.Callbacks{
+		a.Connect("bob", punch.UDPCallbacks{
 			Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("ping")) },
 		})
 		in.RunFor(30 * time.Second)
@@ -152,7 +151,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 			Data: func(s *punch.UDPSession, p []byte) { s.Send([]byte("pong")) },
 		}
 		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { s.Send([]byte("ping")) },
+			Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("ping")) },
 		})
 		in.RunFor(30 * time.Second)
 	}

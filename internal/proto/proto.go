@@ -73,7 +73,7 @@ const (
 	// TypeData: application payload on an established punched session.
 	TypeData
 	// TypeNegotiate: client -> S. Like TypeConnectRequest, but opens a
-	// full candidate negotiation (internal/ice): the requester
+	// full candidate negotiation (punch.Client.Connect): the requester
 	// advertises its gathered candidates and S forwards them — with the
 	// observed public endpoint substituted authoritatively (§3.1) — to
 	// the target, while synthesizing the target's own candidate list

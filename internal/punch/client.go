@@ -3,6 +3,13 @@
 // companion techniques — relaying (§2.2), connection reversal (§2.3),
 // and the sequential TCP variant (§4.5).
 //
+// A Client dials in two ways. Connect is the one every production
+// caller uses: a candidate negotiation (negotiate.go) that exchanges
+// private, public and discovered candidates through S, locks in the
+// first one a check reaches, falls back to the relay, and re-punches
+// live sessions that ride it (migrate.go). ConnectUDP is the paper's
+// plain §3.2 attempt on the public/private endpoint pair.
+//
 // A Client owns one UDP socket (enough for S and any number of peers,
 // §4.2) and one TCP local port shared — via SO_REUSEADDR semantics —
 // by the registration connection to S, a listener, and all outgoing
@@ -18,11 +25,15 @@ package punch
 import (
 	"errors"
 	"hash/fnv"
+	"iter"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"natpunch/internal/host"
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
 	"natpunch/transport"
@@ -77,7 +88,7 @@ func (m Method) String() string {
 }
 
 // ProbeInterval is the UDP probe retransmission interval, of §3.2's
-// punch attempts and of internal/ice's connectivity checks alike.
+// punch attempts and of negotiation checks alike.
 const ProbeInterval = 100 * time.Millisecond
 
 // Config tunes the punching procedures. Zero values take defaults.
@@ -107,10 +118,10 @@ type Config struct {
 	// server; the client registers and keep-alives with each so its
 	// NAT keeps a mapping open toward them.
 	RelayServers []inet.Endpoint
-	// RelayFirst makes a candidate negotiation (internal/ice)
-	// establish its session through the §2.2 relay the moment the
-	// candidate exchange completes — roughly one rendezvous round-trip
-	// after the dial — while the checks continue in the background; a
+	// RelayFirst makes a candidate negotiation (Connect) establish
+	// its session through the §2.2 relay the moment the candidate
+	// exchange completes — roughly one rendezvous round-trip after
+	// the dial — while the checks continue in the background; a
 	// nomination migrates the live session onto the direct path with
 	// no datagram loss or reordering (drain-then-switch, migrate.go).
 	// This is the relay-first pattern the paper's production
@@ -121,12 +132,16 @@ type Config struct {
 	// upgrade when a background negotiation nominates a direct path,
 	// direct->relay failback — instead of terminal session death —
 	// when §3.6 idle detection declares the direct path dead, and
-	// periodic background re-punching (OnRepunch) while a session
-	// rides the relay.
+	// periodic background re-negotiation while a session rides the
+	// relay.
 	PathUpgrade bool
 	// RepunchEvery paces the background re-punch attempts of an
 	// upgradable session riding the relay.
 	RepunchEvery time.Duration // default 30s
+	// ICE ablates candidate types from negotiations (gathering and
+	// checking alike), for the experiments that measure what each
+	// type is worth.
+	ICE ice.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -239,23 +254,17 @@ type Client struct {
 	udpSessions map[string]*UDPSession
 
 	// InboundUDP supplies callbacks for sessions initiated by peers
-	// (the forwarded connection request of §3.2 step 2 arrives without
-	// any local Connect call).
+	// (a forwarded connection request or candidate offer arrives
+	// without any local call).
 	InboundUDP UDPCallbacks
 
-	// OnRepunch, if set, runs when a live session riding the relay
-	// should try for a direct path (migrate.go). The
-	// candidate-negotiation engine (internal/ice) installs it and
-	// re-negotiates under the session's nonce, so upgrades use the
-	// machinery that established the session. Without it sessions
-	// still fail back, but never re-punch.
-	OnRepunch func(peer string, nonce uint64)
+	// Candidate negotiations (negotiate.go).
+	negState
 
-	// udpIntercept, if set, sees every decoded UDP message before the
-	// client's own dispatch; returning true consumes the message. The
-	// candidate-negotiation engine (internal/ice) claims its
-	// negotiation and connectivity-check traffic this way.
-	udpIntercept func(from inet.Endpoint, m *proto.Message) bool
+	// testDispatch, set only by tests (export_test.go), runs in place
+	// of dispatchUDP for every decoded message, to drop, hold or
+	// observe it.
+	testDispatch func(from inet.Endpoint, m *proto.Message)
 
 	// TCP state (tcp.go).
 	tcpState
@@ -264,10 +273,10 @@ type Client struct {
 }
 
 // NewClientOver creates a punching client over an arbitrary
-// transport. The full engine — UDP punching, keep-alives, idle
-// death, relay fallback, and (via internal/ice) candidate
-// negotiation — is available on any transport; the TCP procedures
-// additionally require the transport's SimHost capability.
+// transport. The full engine — candidate negotiation, UDP punching,
+// keep-alives, idle death, relay fallback — is available on any
+// transport; the TCP procedures additionally require the transport's
+// SimHost capability.
 func NewClientOver(tr transport.Transport, name string, server inet.Endpoint, cfg Config) *Client {
 	c := &Client{
 		tr:          tr,
@@ -277,6 +286,11 @@ func NewClientOver(tr transport.Transport, name string, server inet.Endpoint, cf
 		udpAttempts: make(map[uint64]*udpAttempt),
 		udpInbound:  make(map[string]*udpAttempt),
 		udpSessions: make(map[string]*UDPSession),
+		negState: negState{
+			negs:       make(map[uint64]*negotiation),
+			negByPeer:  make(map[string]*negotiation),
+			negInbound: make(map[string]*negotiation),
+		},
 	}
 	if hp, ok := tr.(interface{ SimHost() *host.Host }); ok {
 		c.h = hp.SimHost()
@@ -307,18 +321,30 @@ func (c *Client) now() time.Duration { return c.tr.Now() }
 // rand returns the transport's randomness source.
 func (c *Client) rand() *rand.Rand { return c.tr.Rand() }
 
-// Close tears down sockets, sessions, and timers.
+// Close tears down sockets, sessions, and timers. In-flight attempts
+// and negotiations are retired without callbacks.
 func (c *Client) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
+	//natlint:ignore maporder closing a session stops its timers and sends nothing
 	for _, s := range c.udpSessions {
 		s.Close()
 	}
+	//natlint:ignore maporder timer stops only
 	for _, a := range c.udpAttempts {
 		a.stop()
 	}
+	//natlint:ignore maporder timer stops only
+	for _, n := range c.negs {
+		n.stop()
+	}
+	clear(c.udpAttempts)
+	clear(c.udpInbound)
+	clear(c.negs)
+	clear(c.negByPeer)
+	clear(c.negInbound)
 	if c.udpKeepAlive != nil {
 		c.udpKeepAlive.Stop()
 	}
@@ -341,19 +367,17 @@ func (c *Client) nonce() uint64 {
 	return n
 }
 
-// --- extension surface for the candidate-negotiation engine ---
-
-// SetUDPIntercept installs fn ahead of the client's own UDP message
-// dispatch; fn returning true consumes the message. One interceptor
-// at a time (internal/ice installs itself here).
-func (c *Client) SetUDPIntercept(fn func(from inet.Endpoint, m *proto.Message) bool) {
-	c.udpIntercept = fn
-}
-
-// UDPIntercept returns the installed interceptor (nil when none), so
-// test harnesses can chain fault-injection filters in front of it.
-func (c *Client) UDPIntercept() func(from inet.Endpoint, m *proto.Message) bool {
-	return c.udpIntercept
+// inNonceOrder yields the attempts of m in nonce order, skipping any
+// retired while the loop runs: loops that send or fire callbacks walk
+// attempts this way, so a seed replays exactly.
+func inNonceOrder[A any](m map[uint64]*A) iter.Seq[*A] {
+	return func(yield func(*A) bool) {
+		for _, n := range slices.Sorted(maps.Keys(m)) {
+			if a := m[n]; a != nil && !yield(a) {
+				return
+			}
+		}
+	}
 }
 
 // Server returns the current rendezvous server's endpoint (the pool
@@ -394,50 +418,10 @@ func (c *Client) relayRoute(peer string) (ep inet.Endpoint, dynamic bool) {
 	return c.cfg.RelayServers[h.Sum64()%uint64(len(c.cfg.RelayServers))], false
 }
 
-// RelayVia reports which server would carry a relay-fallback session
-// with peer (the candidate endpoint the ICE engine nominates for the
-// §2.2 floor).
-func (c *Client) RelayVia(peer string) inet.Endpoint {
-	ep, _ := c.relayRoute(peer)
-	return ep
-}
-
-// Closed reports whether the client has been closed.
-func (c *Client) Closed() bool { return c.closed }
-
-// Config returns the client's effective (defaulted) configuration.
-func (c *Client) Config() Config { return c.cfg }
-
-// NextNonce draws a fresh session nonce from the deterministic
-// simulation source, for negotiations conducted outside ConnectUDP.
-func (c *Client) NextNonce() uint64 { return c.nonce() }
-
-// SendUDPMessage encodes and transmits m on the client's UDP socket,
-// applying the client's obfuscation setting. to may be a peer
-// candidate endpoint or the rendezvous server.
-func (c *Client) SendUDPMessage(to inet.Endpoint, m *proto.Message) error {
-	if c.udp == nil {
-		return ErrNotRegistered
-	}
-	return c.sendUDP(to, m)
-}
-
-// AdoptUDPSession installs an externally negotiated session — the
-// nomination step of the candidate engine. The session joins the
-// client's table (so data, keep-alives, §3.6 idle death, and re-acks
-// for late probes all work exactly as for natively punched sessions)
-// and any previous session with the peer is closed first. The caller
-// fires its own establishment callbacks.
-func (c *Client) AdoptUDPSession(peer string, remote inet.Endpoint, via Method, nonce uint64, cb UDPCallbacks) *UDPSession {
-	if prev := c.udpSessions[peer]; prev != nil {
-		prev.Close()
-	}
-	return c.newUDPSession(peer, remote, via, nonce, cb)
-}
-
-// PendingUDPAttempts counts in-flight punching attempts — the
-// accounting hook that cancellation tests recount against.
-func (c *Client) PendingUDPAttempts() int { return len(c.udpAttempts) }
+// PendingUDPAttempts counts in-flight UDP punching attempts and
+// negotiations — the accounting hook that cancellation tests recount
+// against.
+func (c *Client) PendingUDPAttempts() int { return len(c.udpAttempts) + len(c.negs) }
 
 // UDPSessionCount counts live UDP sessions.
 func (c *Client) UDPSessionCount() int { return len(c.udpSessions) }

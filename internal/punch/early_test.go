@@ -1,4 +1,4 @@
-package ice_test
+package punch_test
 
 import (
 	"fmt"
@@ -11,48 +11,33 @@ import (
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
 	"natpunch/internal/punch"
-	"natpunch/internal/topo"
 )
 
-// publicRig puts S and both peers on the public core, un-NATed: each
-// peer advertises one candidate, checked at once, and every datagram
-// reaches its addressee.
-func publicRig(t *testing.T, seed int64) *rig {
-	in := topo.NewInternet(seed)
-	core := in.CoreRealm()
-	s := core.AddHost("S", "18.181.0.31", host.BSDStyle)
-	ha := core.AddHost("A", "155.99.25.80", host.BSDStyle)
-	hb := core.AddHost("B", "138.76.29.9", host.BSDStyle)
-	return newRig(t, in, s, ha, hb, fastCfg(), ice.Config{})
-}
-
-// holdDetails makes c's agent see the first NegotiateDetails from S
-// only once a connectivity check has reached c — the order of the race
-// when the server→c hop is slower than the peer→c one. It chains in
-// front of whatever interceptor c has, and returns where to read when
-// that check arrived.
-func holdDetails(r *rig, c *punch.Client) *time.Duration {
-	next := c.UDPIntercept()
+// holdDetails makes c see the first NegotiateDetails from S only once
+// a connectivity check has reached c — the order of the race when the
+// server→c hop is slower than the peer→c one. It returns where to
+// read when that check arrived.
+func holdDetails(r *duo, c *punch.Client) *time.Duration {
 	var (
 		held     *proto.Message
 		heldFrom inet.Endpoint
 		released bool
 		checkAt  time.Duration
 	)
-	c.SetUDPIntercept(func(from inet.Endpoint, m *proto.Message) bool {
+	punch.InterceptUDP(c, func(next func(inet.Endpoint, *proto.Message), from inet.Endpoint, m *proto.Message) {
 		switch {
 		case released:
 		case m.Type == proto.TypeNegotiateDetails && held == nil:
 			h := *m
 			held, heldFrom = &h, from
-			return true
+			return
 		case m.Type == proto.TypePunch && held != nil:
-			released, checkAt = true, r.in.Net.Sched.Now()
-			consumed := next(from, m)
+			released, checkAt = true, r.Net.Sched.Now()
+			next(from, m)
 			next(heldFrom, held)
-			return consumed
+			return
 		}
-		return next(from, m)
+		next(from, m)
 	})
 	return &checkAt
 }
@@ -63,9 +48,9 @@ func holdDetails(r *rig, c *punch.Client) *time.Duration {
 // must answer that check once the details arrive, not leave the
 // requester to wait out a probe retransmission.
 func TestCheckBeforeDetailsAnswered(t *testing.T) {
-	r := publicRig(t, 15)
+	r := publicDuo(t, 15)
 	checkAt := holdDetails(r, r.b)
-	start := r.in.Net.Sched.Now()
+	start := r.Net.Sched.Now()
 	out := r.negotiate(5 * time.Second)
 	if *checkAt == 0 {
 		t.Fatal("no check reached bob while his details were held: the race was not forced")
@@ -79,15 +64,15 @@ func TestCheckBeforeDetailsAnswered(t *testing.T) {
 }
 
 // TestEarlyCheckFloodBounded: checks with nonces nobody negotiated,
-// from several endpoints, cost a registered agent a fixed ring and
+// from several endpoints, cost a registered client a fixed ring and
 // draw no reply; of everything it remembers, it answers only the
 // check whose nonce S later names in NegotiateDetails.
 func TestEarlyCheckFloodBounded(t *testing.T) {
-	r := publicRig(t, 16)
+	r := publicDuo(t, 16)
 	var replies int
 	var flooders []*host.UDPSocket
 	for i := 0; i < 4; i++ {
-		h := r.in.CoreRealm().AddHost(fmt.Sprintf("F%d", i), fmt.Sprintf("203.0.113.%d", i+1), host.BSDStyle)
+		h := r.CoreRealm().AddHost(fmt.Sprintf("F%d", i), fmt.Sprintf("203.0.113.%d", i+1), host.BSDStyle)
 		s, err := h.UDPBind(4000)
 		if err != nil {
 			t.Fatal(err)
@@ -95,12 +80,11 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 		s.OnRecv(func(inet.Endpoint, []byte) { replies++ })
 		flooders = append(flooders, s)
 	}
-	// Read the ring after every datagram bob's agent sees.
-	agent, most := r.b.UDPIntercept(), 0
-	r.b.SetUDPIntercept(func(from inet.Endpoint, m *proto.Message) bool {
-		consumed := agent(from, m)
-		most = max(most, r.agB.EarlyChecks())
-		return consumed
+	// Read the ring after every datagram bob sees.
+	most := 0
+	punch.InterceptUDP(r.b, func(next func(inet.Endpoint, *proto.Message), from inet.Endpoint, m *proto.Message) {
+		next(from, m)
+		most = max(most, r.b.EarlyChecks())
 	})
 
 	rng := rand.New(rand.NewSource(16))
@@ -110,8 +94,8 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 		flooders[i%len(flooders)].SendTo(r.b.PublicUDP(), proto.Encode(check, 0))
 	}
 	r.await(time.Second, func() bool { return false })
-	if most != ice.EarlyCheckRing {
-		t.Fatalf("ring held at most %d checks after a flood of %d, want exactly its bound %d", most, flood, ice.EarlyCheckRing)
+	if most != punch.EarlyCheckRing {
+		t.Fatalf("ring held at most %d checks after a flood of %d, want exactly its bound %d", most, flood, punch.EarlyCheckRing)
 	}
 	if replies != 0 {
 		t.Fatalf("bob answered %d of %d checks nobody negotiated", replies, flood)
@@ -120,7 +104,7 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 	// A real dial whose first check beats its details lands in the same
 	// ring; it alone is answered when S names its nonce.
 	checkAt := holdDetails(r, r.b)
-	start := r.in.Net.Sched.Now()
+	start := r.Net.Sched.Now()
 	out := r.negotiate(5 * time.Second)
 	if *checkAt == 0 || !out.ok || out.chosen.Kind != ice.KindPublic {
 		t.Fatalf("want a public nomination after a forced early check, got %+v (check at %v)", out, *checkAt)
@@ -131,7 +115,7 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 	if replies != 0 {
 		t.Fatalf("details for alice's nonce drew %d replies to the flood", replies)
 	}
-	if most > ice.EarlyCheckRing {
-		t.Fatalf("ring grew to %d, past its bound %d", most, ice.EarlyCheckRing)
+	if most > punch.EarlyCheckRing {
+		t.Fatalf("ring grew to %d, past its bound %d", most, punch.EarlyCheckRing)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"natpunch/internal/host"
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
 	"natpunch/internal/punch"
@@ -82,9 +83,9 @@ func TestServerPoolFailoverPreservesSessions(t *testing.T) {
 
 	// Establish a direct session first.
 	var sa, sb *punch.UDPSession
-	w.b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }}
+	w.b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s }}
 	w.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(_ string, err error) { t.Fatalf("initial punch failed: %v", err) },
 	})
 	w.runUntil(t, 30*time.Second, func() bool { return sa != nil && sb != nil })
@@ -120,7 +121,7 @@ func TestServerPoolFailoverPreservesSessions(t *testing.T) {
 		sb.Close()
 	}
 	w.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { s2 = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { s2 = s },
 		Failed:      func(_ string, err error) { t.Fatalf("post-failover punch failed: %v", err) },
 	})
 	w.runUntil(t, 5*time.Minute, func() bool { return s2 != nil })

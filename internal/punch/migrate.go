@@ -5,14 +5,14 @@ package punch
 // A session is no longer pinned to the path that established it:
 //
 //   - relay -> direct *upgrade* when a background negotiation
-//     (internal/ice) nominates a direct path after a relay-first
+//     (negotiate.go) nominates a direct path after a relay-first
 //     connect;
 //   - direct -> relay *failback* when §3.6 idle detection declares
 //     the direct path dead (NAT rebind, mobility, expired mapping),
 //     instead of terminal session death;
 //   - background *re-punch* — a negotiation reusing the session's
-//     authenticating nonce (OnRepunch) — to win the direct path back
-//     after a failback.
+//     authenticating nonce — to win the direct path back after a
+//     failback.
 //
 // The cutover is drain-then-switch: the migrating sender transmits a
 // TypeMigrate marker on the NEW path carrying the last sequence
@@ -173,34 +173,17 @@ func (c *Client) handleMigrate(from inet.Endpoint, m *proto.Message) {
 	s.drainTimer = c.after(drainTimeout, s.finishDrain)
 }
 
-// repunch asks OnRepunch for a background attempt at a direct path
-// for a live session. The client runs none itself: the attempt is the
-// candidate-negotiation engine's, under the session's nonce, and its
-// nomination migrates the session (MigrateUDPSession).
+// repunch starts a background attempt at a direct path for a live
+// session: a re-negotiation under the session's nonce, whose
+// nomination migrates the session (negotiate.go).
 func (c *Client) repunch(s *UDPSession) {
-	if c.closed || s.closed || !c.cfg.PathUpgrade || c.udp == nil || c.OnRepunch == nil {
+	if c.closed || s.closed || !c.cfg.PathUpgrade {
 		return
 	}
-	c.OnRepunch(s.Peer, s.Nonce)
+	c.renegotiate(s.Peer, s.Nonce)
 }
 
 // LookupUDPSession returns the live session with peer, or nil.
 func (c *Client) LookupUDPSession(peer string) *UDPSession {
 	return c.udpSessions[peer]
-}
-
-// MigrateUDPSession switches the live session with peer — identified
-// by its authenticating nonce — onto a new path, preserving session
-// identity, sequence space, stats, and callbacks: the nomination step
-// of a background upgrade conducted outside the engine (internal/ice
-// calls this instead of AdoptUDPSession when its negotiation was an
-// upgrade of an existing session). Returns nil when no live session
-// carries the nonce.
-func (c *Client) MigrateUDPSession(peer string, remote inet.Endpoint, via Method, nonce uint64) *UDPSession {
-	s := c.udpSessions[peer]
-	if s == nil || s.closed || s.Nonce != nonce {
-		return nil
-	}
-	s.migrateTo(remote, via)
-	return s
 }

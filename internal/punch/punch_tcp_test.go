@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"natpunch/internal/host"
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
 	"natpunch/internal/punch"
@@ -216,7 +217,7 @@ func TestMultiLevelNATRequiresHairpin(t *testing.T) {
 		failed := false
 		b.InboundUDP = punch.UDPCallbacks{}
 		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { sa = s },
+			Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 			Failed:      func(string, error) { failed = true },
 		})
 		deadline := m.Net.Sched.Now() + 30*time.Second
@@ -278,7 +279,7 @@ func TestDeadSessionDetectionAndRepunch(t *testing.T) {
 	// Re-punch on demand succeeds.
 	var sa2 *punch.UDPSession
 	d.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa2 = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa2 = s },
 	})
 	d.runUntil(t, 60*time.Second, func() bool { return sa2 != nil })
 }
@@ -307,7 +308,7 @@ func TestManglerNATBreaksPlainCommonNATPunchObfuscationFixes(t *testing.T) {
 		failed := false
 		bb.InboundUDP = punch.UDPCallbacks{}
 		a.ConnectUDP("bob", punch.UDPCallbacks{
-			Established: func(s *punch.UDPSession) { sa = s },
+			Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 			Failed:      func(string, error) { failed = true },
 		})
 		deadline := c.Net.Sched.Now() + 30*time.Second
@@ -356,11 +357,11 @@ func TestStrayTrafficAuthentication(t *testing.T) {
 	var sa, sb *punch.UDPSession
 	twinGot := 0
 	tw.InboundUDP = punch.UDPCallbacks{
-		Established: func(*punch.UDPSession) { twinGot++ },
+		Established: func(*punch.UDPSession, ice.Candidate) { twinGot++ },
 	}
-	b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }}
+	b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s }}
 	a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 	})
 	runUntil(t, in, 30*time.Second, func() bool { return sa != nil && sb != nil })
 

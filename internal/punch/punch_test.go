@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"natpunch/internal/host"
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
 	"natpunch/internal/punch"
@@ -25,7 +26,13 @@ type duo struct {
 
 func newDuo(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Config) *duo {
 	t.Helper()
-	c := topo.NewCanonical(seed, behA, behB)
+	return duoOn(t, topo.NewCanonical(seed, behA, behB), cfg)
+}
+
+// duoOn wires the server and both clients onto an already-built
+// topology's S, A and B hosts.
+func duoOn(t *testing.T, c *topo.Canonical, cfg punch.Config) *duo {
+	t.Helper()
 	srv, err := rendezvous.NewOver(c.S.Transport(), serverPort, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,10 +89,10 @@ func (d *duo) runUntil(t *testing.T, d2 time.Duration, cond func() bool) {
 func punchUDP(t *testing.T, d *duo) (sa, sb *punch.UDPSession) {
 	t.Helper()
 	d.b.InboundUDP = punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sb = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s },
 	}
 	d.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(peer string, err error) { t.Fatalf("punch failed: %v", err) },
 	})
 	d.runUntil(t, 30*time.Second, func() bool { return sa != nil && sb != nil })
@@ -161,9 +168,9 @@ func TestUDPPunchCommonNAT(t *testing.T) {
 	})
 
 	var sa, sb *punch.UDPSession
-	b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }}
+	b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s }}
 	a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(_ string, err error) { t.Fatalf("punch failed: %v", err) },
 	})
 	runUntil(t, c.Internet, 30*time.Second, func() bool { return sa != nil && sb != nil })
@@ -188,7 +195,7 @@ func TestUDPPunchSymmetricFailsThenRelayRescues(t *testing.T) {
 	d.registerUDP(t)
 	var failed error
 	d.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(*punch.UDPSession) { t.Fatal("symmetric punch should not succeed") },
+		Established: func(*punch.UDPSession, ice.Candidate) { t.Fatal("symmetric punch should not succeed") },
 		Failed:      func(_ string, err error) { failed = err },
 	})
 	d.runUntil(t, 30*time.Second, func() bool { return failed != nil })
@@ -204,11 +211,11 @@ func TestUDPPunchSymmetricFailsThenRelayRescues(t *testing.T) {
 	var sa, sb *punch.UDPSession
 	var bGot string
 	d2.b.InboundUDP = punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sb = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s },
 		Data:        func(_ *punch.UDPSession, p []byte) { bGot = string(p) },
 	}
 	d2.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 	})
 	d2.runUntil(t, 60*time.Second, func() bool { return sa != nil })
 	if sa.Via != punch.MethodRelay {
@@ -243,7 +250,7 @@ func TestRelayedDataBeforeListenerDeadline(t *testing.T) {
 	var bGot string
 	var bGotAt time.Duration
 	d.b.InboundUDP = punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sb = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s },
 		Data: func(_ *punch.UDPSession, p []byte) {
 			bGot, bGotAt = string(p), d.Net.Sched.Now()
 		},
@@ -251,7 +258,7 @@ func TestRelayedDataBeforeListenerDeadline(t *testing.T) {
 	d.RealmB.Seg.SetLatency(30 * topo.LANLatency)
 	start := d.Net.Sched.Now()
 	d.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { s.Send([]byte("only datagram")) },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { s.Send([]byte("only datagram")) },
 		Failed:      func(_ string, err error) { t.Fatalf("dial failed: %v", err) },
 	})
 	d.RunFor(time.Second) // the introduction is over; both sides probe in vain
@@ -284,7 +291,7 @@ func TestRelaySessionIdleDeath(t *testing.T) {
 	d.registerUDP(t)
 	var sa *punch.UDPSession
 	d.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 	})
 	d.runUntil(t, 30*time.Second, func() bool { return sa != nil })
 	if sa.Via != punch.MethodRelay {
@@ -322,7 +329,7 @@ func TestUDPPunchOnePeerPublic(t *testing.T) {
 	b.RegisterUDP(4321, nil)
 
 	var sa, sb *punch.UDPSession
-	a.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sa = s }}
+	a.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s }}
 	registered := func() bool { return a.UDPRegistered() && b.UDPRegistered() }
 	deadline := in.Net.Sched.Now() + 10*time.Second
 	in.Net.Sched.RunWhile(func() bool { return !registered() && in.Net.Sched.Now() < deadline })
@@ -335,7 +342,7 @@ func TestUDPPunchOnePeerPublic(t *testing.T) {
 	if a.PublicUDP() != a.PrivateUDP() {
 		t.Errorf("public %v != private %v for un-NATed host", a.PublicUDP(), a.PrivateUDP())
 	}
-	b.ConnectUDP("alice", punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }})
+	b.ConnectUDP("alice", punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s }})
 	deadline = in.Net.Sched.Now() + 30*time.Second
 	in.Net.Sched.RunWhile(func() bool { return (sa == nil || sb == nil) && in.Net.Sched.Now() < deadline })
 	if sa == nil || sb == nil {
@@ -353,5 +360,37 @@ func TestUDPUnknownPeer(t *testing.T) {
 	d.runUntil(t, 10*time.Second, func() bool { return failed != nil })
 	if !errors.Is(failed, punch.ErrPeerUnknown) {
 		t.Errorf("err = %v, want ErrPeerUnknown", failed)
+	}
+}
+
+// TestUnknownPeerFailsInOrder: two in-flight attempts toward the same
+// unregistered peer fail on S's one error reply together, and their
+// Failed callbacks fire in the same order on every run of the seed.
+func TestUnknownPeerFailsInOrder(t *testing.T) {
+	run := func() string {
+		d := newDuo(t, 1, nat.Cone(), nat.Cone(), punch.Config{})
+		d.registerUDP(t)
+		var order string
+		for _, name := range []string{"first", "second"} {
+			d.a.ConnectUDP("nobody", punch.UDPCallbacks{
+				Failed: func(_ string, err error) {
+					if !errors.Is(err, punch.ErrPeerUnknown) {
+						t.Errorf("%s: err = %v, want ErrPeerUnknown", name, err)
+					}
+					order += name + " "
+				},
+			})
+		}
+		d.runUntil(t, 10*time.Second, func() bool { return d.a.PendingUDPAttempts() == 0 })
+		return order
+	}
+	want := run()
+	if want != "first second " && want != "second first " {
+		t.Fatalf("Failed fired as %q, want both attempts once", want)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: Failed order %q, run 0 had %q", i, got, want)
+		}
 	}
 }

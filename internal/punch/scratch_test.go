@@ -67,7 +67,7 @@ func aliceWith(t *testing.T, conn transport.UDPConn, via Method, got func([]byte
 	if err := c.BindUDP(0); err != nil {
 		t.Fatal(err)
 	}
-	s := c.AdoptUDPSession("bob", bobEP, via, sessionNonce, UDPCallbacks{
+	s := c.newUDPSession("bob", bobEP, via, sessionNonce, UDPCallbacks{
 		Data: func(_ *UDPSession, p []byte) { got(p) },
 	})
 	return c, s
@@ -142,7 +142,7 @@ func TestSimTransportStillCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kept [][]byte
-	s := c.AdoptUDPSession("bob", bobEP, MethodPublic, sessionNonce, UDPCallbacks{
+	s := c.newUDPSession("bob", bobEP, MethodPublic, sessionNonce, UDPCallbacks{
 		Data: func(_ *UDPSession, p []byte) { kept = append(kept, p) },
 	})
 	s.Send([]byte("first out"))

@@ -2,6 +2,7 @@ package punch
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"natpunch/internal/host"
@@ -65,7 +66,7 @@ func (c *Client) tcpInit() {
 }
 
 func (c *Client) tcpClose() {
-	for _, a := range c.tcpAttempts {
+	for a := range inNonceOrder(c.tcpAttempts) {
 		a.stop(nil)
 	}
 	if c.tcpKeepAlive != nil {
@@ -92,7 +93,7 @@ type tcpAttempt struct {
 	pub, priv  inet.Endpoint
 	gotDetails bool
 
-	conns       map[*tcp.Conn]bool // outstanding unauthenticated conns
+	conns       []*tcp.Conn // outstanding unauthenticated conns, oldest first
 	retryTimers []transport.Timer
 	deadline    transport.Timer
 	sequential  bool
@@ -107,12 +108,20 @@ func (a *tcpAttempt) stop(winner *tcp.Conn) {
 	if a.deadline != nil {
 		a.deadline.Stop()
 	}
-	for conn := range a.conns {
+	conns := a.conns
+	a.conns = nil
+	for _, conn := range conns {
 		if conn != winner {
 			conn.Abort()
 		}
 	}
-	a.conns = nil
+}
+
+// forget drops conn from the attempt's outstanding set.
+func (a *tcpAttempt) forget(conn *tcp.Conn) {
+	if i := slices.Index(a.conns, conn); i >= 0 {
+		a.conns = slices.Delete(a.conns, i, i+1)
+	}
 }
 
 // RegisterTCP binds the client's TCP port (listener + registration
@@ -234,7 +243,6 @@ func (c *Client) ConnectTCP(peer string, cb TCPCallbacks) {
 func (c *Client) newTCPAttempt(peer string, nonce uint64, cb TCPCallbacks) *tcpAttempt {
 	a := &tcpAttempt{
 		c: c, peer: peer, nonce: nonce, cb: cb,
-		conns: make(map[*tcp.Conn]bool),
 	}
 	c.tcpAttempts[nonce] = a
 	a.deadline = c.after(c.cfg.PunchTimeout, func() { c.tcpAttemptTimeout(a) })
@@ -285,7 +293,7 @@ func (c *Client) dialCandidate(a *tcpAttempt, ep inet.Endpoint) {
 		},
 		Data: func(cn *tcp.Conn, p []byte) { c.attemptConnData(a, cn, p) },
 		Error: func(cn *tcp.Conn, err error) {
-			delete(a.conns, cn)
+			a.forget(cn)
 			switch {
 			case errors.Is(err, tcp.ErrAddrInUse):
 				// §4.3 second behavior: our connect lost to the listen
@@ -304,13 +312,13 @@ func (c *Client) dialCandidate(a *tcpAttempt, ep inet.Endpoint) {
 		retry()
 		return
 	}
-	a.conns[conn] = true
+	a.conns = append(a.conns, conn)
 }
 
 // attemptForRemote finds a pending attempt one of whose candidate
-// endpoints matches ep.
+// endpoints matches ep, the lowest nonce first.
 func (c *Client) attemptForRemote(ep inet.Endpoint) *tcpAttempt {
-	for _, a := range c.tcpAttempts {
+	for a := range inNonceOrder(c.tcpAttempts) {
 		if !a.done && a.gotDetails && (a.pub == ep || a.priv == ep) {
 			return a
 		}
@@ -380,7 +388,7 @@ func (c *Client) attemptConnData(a *tcpAttempt, cn *tcp.Conn, p []byte) {
 	msgs, err := dec.Feed(p)
 	if err != nil {
 		cn.Abort()
-		delete(a.conns, cn)
+		a.forget(cn)
 		return
 	}
 	for _, m := range msgs {
@@ -410,7 +418,7 @@ func (c *Client) attemptConnData(a *tcpAttempt, cn *tcp.Conn, p []byte) {
 // win adopts conn as the session stream: "the clients use the first
 // successfully authenticated TCP stream" (§4.2 step 5).
 func (c *Client) win(a *tcpAttempt, conn *tcp.Conn, dec proto.StreamDecoder) {
-	delete(a.conns, conn)
+	a.forget(conn)
 	a.stop(conn)
 	delete(c.tcpAttempts, a.nonce)
 
@@ -463,10 +471,10 @@ func (c *Client) tcpAttemptTimeout(a *tcpAttempt) {
 func (c *Client) PendingTCPAttempts() int { return len(c.tcpAttempts) }
 
 func (c *Client) tcpServerError(m *proto.Message) {
-	for n, a := range c.tcpAttempts {
+	for a := range inNonceOrder(c.tcpAttempts) {
 		if a.peer == m.From && a.requester && !a.gotDetails {
 			a.stop(nil)
-			delete(c.tcpAttempts, n)
+			delete(c.tcpAttempts, a.nonce)
 			if a.cb.Failed != nil {
 				a.cb.Failed(a.peer, ErrPeerUnknown)
 			}

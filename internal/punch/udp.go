@@ -3,15 +3,22 @@ package punch
 import (
 	"time"
 
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/proto"
 	"natpunch/transport"
 )
 
+// Candidate is package ice's candidate, named here so that a caller
+// that only dials need not import the candidate model.
+type Candidate = ice.Candidate
+
 // UDPCallbacks are the application-visible events of a UDP session.
 type UDPCallbacks struct {
-	// Established fires once the session is usable.
-	Established func(*UDPSession)
+	// Established fires once the session is usable, with the
+	// candidate it was locked in on: public, private or relay from
+	// ConnectUDP, any kind from a negotiation.
+	Established func(s *UDPSession, chosen Candidate)
 	// Failed fires when punching fails and no fallback is available.
 	Failed func(peer string, err error)
 	// Data fires per received datagram.
@@ -119,8 +126,8 @@ func (c *Client) retireUDPAttempt(a *udpAttempt) {
 
 // newUDPSession enters a session with peer in the client's table and
 // starts its §3.6 maintenance. Every lock-in builds its session here:
-// a punch-ack, early data, the relay floor, and a session negotiated
-// outside the client (AdoptUDPSession). The caller fires Established.
+// a punch-ack, early data, the relay floor, and a negotiation's
+// nomination. The caller fires Established.
 func (c *Client) newUDPSession(peer string, remote inet.Endpoint, via Method, nonce uint64, cb UDPCallbacks) *UDPSession {
 	s := &UDPSession{c: c, Peer: peer, Remote: remote, Via: via, Nonce: nonce, cb: cb}
 	if via == MethodRelay {
@@ -137,9 +144,13 @@ func (c *Client) newUDPSession(peer string, remote inet.Endpoint, via Method, no
 // valid response (§3.2 step 3): a punch ack or early session data.
 func (c *Client) lockIn(a *udpAttempt, from inet.Endpoint) *UDPSession {
 	c.retireUDPAttempt(a)
-	s := c.newUDPSession(a.peer, from, a.via(from), a.nonce, a.cb)
+	via, kind := a.via(from), ice.KindPublic
+	if via == MethodPrivate {
+		kind = ice.KindPrivate
+	}
+	s := c.newUDPSession(a.peer, from, via, a.nonce, a.cb)
 	if a.cb.Established != nil {
-		a.cb.Established(s)
+		a.cb.Established(s, ice.Candidate{Kind: kind, Endpoint: from, Priority: kind.Priority()})
 	}
 	return s
 }
@@ -299,7 +310,7 @@ func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 	})
 }
 
-// handleUDPPacket is the single dispatch point for everything on the
+// handleUDPPacket is the single entry point for everything on the
 // client's one UDP socket: rendezvous replies, punch probes, session
 // data, and stray traffic (§3.4 requires robust filtering of the
 // latter).
@@ -313,14 +324,24 @@ func (c *Client) handleUDPPacket(from inet.Endpoint, payload []byte) {
 		// alive; the keep-alive clock uses this for failover detection.
 		c.lastServerSeen = c.now()
 	}
-	if c.udpIntercept != nil && c.udpIntercept(from, m) {
+	if c.testDispatch != nil {
+		c.testDispatch(from, m)
 		return
 	}
+	c.dispatchUDP(from, m)
+}
+
+// dispatchUDP hands a decoded message to its handler. Where a type
+// serves both negotiations and plain attempts, the handler gives a
+// negotiation the first claim on it.
+func (c *Client) dispatchUDP(from inet.Endpoint, m *proto.Message) {
 	switch m.Type {
 	case proto.TypeRegisterOK:
 		c.handleRegisterOK(from, m)
 	case proto.TypeConnectDetails:
 		c.handleConnectDetails(m)
+	case proto.TypeNegotiateDetails:
+		c.handleNegotiateDetails(m)
 	case proto.TypePunch:
 		c.handlePunch(from, m)
 	case proto.TypePunchAck:
@@ -453,6 +474,16 @@ func (c *Client) handlePunch(from inet.Endpoint, m *proto.Message) {
 	if m.From == c.name {
 		return
 	}
+	if n := c.negs[m.Nonce]; n != nil && !n.done {
+		c.answerCheck(n, from)
+		return
+	}
+	if m.Nonce != 0 {
+		// No negotiation claims it yet: remember it, in case S's
+		// details naming this nonce are still on their way.
+		c.early[c.earlyNext] = earlyCheck{from: from, nonce: m.Nonce}
+		c.earlyNext = (c.earlyNext + 1) % earlyChecks
+	}
 	if a := c.udpAttempts[m.Nonce]; a != nil && !a.done {
 		c.sendUDP(from, &proto.Message{
 			Type: proto.TypePunchAck, From: c.name, Nonce: m.Nonce,
@@ -468,6 +499,7 @@ func (c *Client) handlePunch(from inet.Endpoint, m *proto.Message) {
 	}
 	// Re-ack probes for sessions already locked in, so a peer whose
 	// ack was lost can still converge.
+	//natlint:ignore maporder every match sends the same ack and ends the loop
 	for _, s := range c.udpSessions {
 		if s.Nonce == m.Nonce && !s.closed {
 			c.sendUDP(from, &proto.Message{
@@ -482,6 +514,10 @@ func (c *Client) handlePunch(from inet.Endpoint, m *proto.Message) {
 // response (§3.2 step 3).
 func (c *Client) handlePunchAck(from inet.Endpoint, m *proto.Message) {
 	if m.From == c.name {
+		return
+	}
+	if n := c.negs[m.Nonce]; n != nil && !n.done {
+		c.nominate(n, from)
 		return
 	}
 	if a := c.udpAttempts[m.Nonce]; a != nil && !a.done {
@@ -503,7 +539,7 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 		// application its peer is gone.
 		s := c.newUDPSession(a.peer, inet.Endpoint{}, MethodRelay, a.nonce, a.cb)
 		if a.cb.Established != nil {
-			a.cb.Established(s)
+			a.cb.Established(s, ice.Candidate{Kind: ice.KindRelay, Endpoint: s.relayVia})
 		}
 		return
 	}
@@ -512,10 +548,23 @@ func (c *Client) udpAttemptTimeout(a *udpAttempt) {
 	}
 }
 
+// handleServerError: S could not broker a request (peer unknown or
+// offline), and reports it against the requester. Every attempt we
+// requested toward that peer fails: negotiations, then plain UDP
+// attempts, then TCP attempts, each in nonce order.
 func (c *Client) handleServerError(m *proto.Message) {
-	// S reports failures against the requester; fail all attempts
-	// toward that peer.
-	for _, a := range c.udpAttempts {
+	for n := range inNonceOrder(c.negs) {
+		if n.peer == m.From && n.requester && !n.gotDetails && !n.done {
+			c.finishNegotiation(n)
+			if n.established {
+				continue // silent: the live session stays on its path
+			}
+			if n.cb.Failed != nil {
+				n.cb.Failed(n.peer, ErrPeerUnknown)
+			}
+		}
+	}
+	for a := range inNonceOrder(c.udpAttempts) {
 		if a.peer == m.From && a.requester && !a.gotDetails {
 			c.retireUDPAttempt(a)
 			if a.cb.Failed != nil {
@@ -529,6 +578,13 @@ func (c *Client) handleServerError(m *proto.Message) {
 // --- established session traffic ---
 
 func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
+	if n := c.negs[m.Nonce]; n != nil && !n.done && n.peer == m.From && m.From != c.name {
+		// The peer's first data datagram can overtake its check-ack;
+		// a correctly-nonced payload from the negotiation's peer is at
+		// least as strong evidence, so nominate on it and deliver the
+		// payload to the session the nomination adopted.
+		c.nominate(n, from)
+	}
 	s := c.udpSessions[m.From]
 	if s == nil {
 		// With both sides punching, the peer's first data datagram can
@@ -565,13 +621,19 @@ func (c *Client) handleSessionKeepAlive(from inet.Endpoint, m *proto.Message) {
 
 func (c *Client) handleRelayed(m *proto.Message) {
 	s := c.udpSessions[m.From]
-	if a := c.udpInbound[m.From]; s == nil && a != nil && c.cfg.RelayFallback {
+	if s == nil && c.cfg.RelayFallback {
 		// The dialer's punch deadline fires one server round trip
 		// before ours, so the first datagram it relays can find our
-		// side still probing. Relayed traffic from the attempt's peer
-		// proves the peer nominated the relay: take the relay floor now
-		// instead of dropping what may be the only datagram it sends.
-		c.udpAttemptTimeout(a)
+		// side still probing. Relayed traffic from the peer of an
+		// inbound negotiation or attempt proves the peer nominated the
+		// relay: take the relay floor now, the deadline early, instead
+		// of dropping what may be the only datagram it sends.
+		if n := c.negInbound[m.From]; n != nil {
+			c.negotiationTimeout(n)
+		}
+		if a := c.udpInbound[m.From]; a != nil && c.udpSessions[m.From] == nil {
+			c.udpAttemptTimeout(a)
+		}
 		s = c.udpSessions[m.From]
 	}
 	if s == nil || (s.Via != MethodRelay && !c.cfg.PathUpgrade) {

@@ -5,9 +5,9 @@ import (
 	"natpunch/internal/proto"
 )
 
-// The broker service: candidate negotiation for the ICE-style engine
-// (internal/ice) — the generalization of §3.2 step 2's endpoint
-// exchange to full candidate lists.
+// The broker service: candidate negotiation for the punch client's
+// Connect — the generalization of §3.2 step 2's endpoint exchange to
+// full candidate lists.
 
 // forwardCandidates brokers one candidate negotiation (UDP only):
 // the requester's advertised candidates go to the target, and a

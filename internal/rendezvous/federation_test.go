@@ -74,9 +74,9 @@ func (w *fedWorld) runUntil(t *testing.T, window time.Duration, cond func() bool
 // punchVia runs alice's dial toward bob and returns both sessions.
 func (w *fedWorld) punchVia(t *testing.T, window time.Duration) (sa, sb *punch.UDPSession) {
 	t.Helper()
-	w.b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession) { sb = s }}
+	w.b.InboundUDP = punch.UDPCallbacks{Established: func(s *punch.UDPSession, _ ice.Candidate) { sb = s }}
 	w.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Failed:      func(_ string, err error) { t.Errorf("punch failed: %v", err) },
 	})
 	w.runUntil(t, window, func() bool {
@@ -109,7 +109,7 @@ func baselineVia(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Co
 	registered := func() bool { return a.UDPRegistered() && b.UDPRegistered() }
 	c.Net.Sched.RunWhile(func() bool { return !registered() && c.Net.Sched.Now() < deadline })
 	a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s; done = true },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s; done = true },
 		Failed:      func(string, error) { done = true },
 	})
 	c.Net.Sched.RunWhile(func() bool { return !done && c.Net.Sched.Now() < deadline })
@@ -184,7 +184,7 @@ func TestFederatedRelaySessionCrossServer(t *testing.T) {
 		},
 	}
 	w.a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(s *punch.UDPSession) { sa = s },
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa = s },
 		Data:        func(_ *punch.UDPSession, p []byte) { gotA = append([]byte(nil), p...) },
 	})
 	w.runUntil(t, 30*time.Second, func() bool { return sa != nil })
@@ -208,13 +208,12 @@ func TestFederatedRelaySessionCrossServer(t *testing.T) {
 func TestFederatedICENegotiationCrossServer(t *testing.T) {
 	cfg := punch.Config{RelayFallback: true, PunchTimeout: 5 * time.Second}
 	w := newFedWorld(t, 5, nat.Cone(), nat.Cone(), cfg, true)
-	agA, agB := ice.New(w.a, ice.Config{}), ice.New(w.b, ice.Config{})
 	w.register(t)
 
 	var sa *punch.UDPSession
 	var chosen ice.Candidate
-	agB.Inbound = ice.Callbacks{}
-	agA.Connect("bob", ice.Callbacks{
+	w.b.InboundUDP = punch.UDPCallbacks{}
+	w.a.Connect("bob", punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, c ice.Candidate) { sa, chosen = s, c },
 		Failed:      func(_ string, err error) { t.Errorf("negotiation failed: %v", err) },
 	})

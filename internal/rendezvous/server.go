@@ -7,7 +7,7 @@
 //     connection-request forwarding plus reversal (§2.3) and
 //     sequential-punch signalling (§4.5);
 //   - the broker (broker.go) runs candidate negotiation for the
-//     ICE-style engine (internal/ice);
+//     punch client's Connect;
 //   - the relay (relay.go) is the §2.2 always-works fallback, also
 //     servable on dedicated hosts as a standalone relay service
 //     (Config.RelayOnly, package natpunch/relayapi);
@@ -35,8 +35,8 @@ type Stats struct {
 	RegistrationsUDP uint64
 	RegistrationsTCP uint64
 	ConnectRequests  uint64
-	// NegotiateRequests counts candidate negotiations brokered for the
-	// ICE-style engine (internal/ice).
+	// NegotiateRequests counts candidate negotiations brokered for
+	// the punch client's Connect.
 	NegotiateRequests uint64
 	RelayedMessages   uint64
 	RelayedBytes      uint64

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"natpunch/internal/ice"
 	"natpunch/internal/nat"
 	"natpunch/internal/proto"
 	"natpunch/internal/punch"
@@ -62,7 +63,7 @@ func TestSilentPeerPurgedAndDialFailsFast(t *testing.T) {
 	var dialErr error
 	var failedAt time.Duration
 	a.ConnectUDP("bob", punch.UDPCallbacks{
-		Established: func(*punch.UDPSession) { t.Error("established a session with a purged peer") },
+		Established: func(*punch.UDPSession, ice.Candidate) { t.Error("established a session with a purged peer") },
 		Failed: func(_ string, err error) {
 			dialErr = err
 			failedAt = c.Net.Sched.Now()
@@ -106,13 +107,18 @@ func TestNegativeTTLDisablesExpiry(t *testing.T) {
 // TestRelayToPurgedPeerErrors pins the original bug's worst symptom:
 // forwards to a dead client must stop once the TTL fires.
 func TestRelayToPurgedPeerErrors(t *testing.T) {
-	c, srv, a := newTTLWorld(t, 30*time.Second)
+	c, srv, _ := newTTLWorld(t, 30*time.Second)
 	c.RunFor(31 * time.Second)
 	before := srv.Stats().Errors
-	// Raw relay attempt toward the purged name.
-	a.SendUDPMessage(srv.Endpoint(), &proto.Message{
+	// Raw relay attempt toward the purged name, from a bare socket on
+	// alice's host.
+	raw, err := c.A.UDPBind(4322)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.SendTo(srv.Endpoint(), proto.Encode(&proto.Message{
 		Type: proto.TypeRelayTo, From: "alice", Target: "bob", Seq: 1, Data: []byte("x"),
-	})
+	}, 0))
 	c.RunFor(time.Second)
 	if srv.Stats().Errors == before {
 		t.Error("relay to a purged peer was not rejected")

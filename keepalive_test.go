@@ -54,7 +54,7 @@ func realPairKeepAlive(t *testing.T, blockDirect bool) (alice, bob *Dialer, bobT
 	alice, _ = open("alice")
 	bob, bobTr = open("bob")
 	if blockDirect {
-		dropProbes(bob)
+		severDirect(bob, alice)
 	}
 	return alice, bob, bobTr
 }

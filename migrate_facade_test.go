@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"natpunch/internal/punch"
 	"natpunch/simnet"
 	"natpunch/transport"
 )
@@ -372,21 +371,30 @@ func TestInboundRacingCloseIsTornDown(t *testing.T) {
 	}
 
 	// Deterministic: an inbound arriving strictly after Close must
-	// close its engine session inside the same engine dispatch.
-	bobOnly, _, _, _ := simPair(t, simnet.Cone(), simnet.Cone())
-	bobOnly.Close()
+	// close its engine session inside the same engine dispatch. The
+	// session is a live one (the dialer's own dial), handed to inbound
+	// once Close's first step has marked the dialer closed and before
+	// its engine shutdown.
+	late, _, _, _ := simPair(t, simnet.Cone(), simnet.Cone())
+	conn, err := late.Dial("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.mu.Lock()
+	late.closed = true
+	late.mu.Unlock()
 	var sessions int
-	bobOnly.tr.Invoke(func() {
-		s := bobOnly.client.AdoptUDPSession("late", transport.Endpoint{}, punch.MethodRelay, 7, punch.UDPCallbacks{})
-		bobOnly.inbound(bobOnly.newUDPConn(s))
-		sessions = bobOnly.client.UDPSessionCount()
+	late.tr.Invoke(func() {
+		late.inbound(late.newUDPConn(conn.sess))
+		sessions = late.client.UDPSessionCount()
 	})
+	late.shutdownEngine()
 	if sessions != 0 {
 		t.Fatalf("post-Close inbound left %d engine sessions live", sessions)
 	}
-	bobOnly.mu.Lock()
-	pend := len(bobOnly.pending)
-	bobOnly.mu.Unlock()
+	late.mu.Lock()
+	pend := len(late.pending)
+	late.mu.Unlock()
 	if pend != 0 {
 		t.Fatalf("post-Close inbound re-populated the pending queue (%d)", pend)
 	}

@@ -1,7 +1,7 @@
 // Package realudp implements the natpunch transport seam over real
 // UDP sockets (package net), so the exact engine the simulator
-// validates — internal/punch's hole punching, internal/ice's
-// candidate negotiation, internal/rendezvous's brokering, §3.6
+// validates — internal/punch's hole punching and candidate
+// negotiation, internal/rendezvous's brokering, §3.6
 // keep-alives and idle death, and the §2.2 relay floor — runs
 // between actual hosts.
 //

@@ -37,8 +37,8 @@ func (c *Conn) Carry(onDatagram func(p []byte), onDead func(err error)) (*Carrie
 		switch {
 		case c.closed:
 			err = ErrClosed
-		case c.dead:
-			err = c.deadError()
+		case c.deadErr != nil:
+			err = c.deadErr
 		case c.tap != nil:
 			err = errors.New("natpunch: Carry: conn already carried")
 		}

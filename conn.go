@@ -54,14 +54,15 @@ type Conn struct {
 	// sess is an engine object: touched only under d.tr.Invoke.
 	sess *punch.UDPSession
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	via      punch.Method // live path; moves on upgrade/failback
-	remote   Addr         // live remote endpoint, tracks via
-	inbox    [][]byte     // datagram queue
-	closed   bool         // closed locally
-	dead     bool         // terminal: §3.6 idle death or superseded
-	deadErr  error        // which terminal error Read/Write surface
+	mu     sync.Mutex
+	cond   *sync.Cond
+	via    punch.Method // live path; moves on upgrade/failback
+	remote Addr         // live remote endpoint, tracks via
+	inbox  [][]byte     // datagram queue
+	closed bool         // closed locally
+	// deadErr is set once the Conn is terminally dead (§3.6 idle death
+	// or superseded) and is what Read and Write surface from then on.
+	deadErr  error
 	rdl, wdl time.Time
 	rdlTimer *time.Timer
 
@@ -74,7 +75,8 @@ type Conn struct {
 
 var _ net.Conn = (*Conn)(nil)
 
-// newUDPConn wraps an engine UDP session (engine context).
+// newUDPConn wraps an engine UDP session and binds the session's
+// events to the new Conn (engine context).
 func (d *Dialer) newUDPConn(s *punch.UDPSession) *Conn {
 	c := &Conn{
 		d: d, peer: s.Peer, via: s.Via, sess: s,
@@ -82,16 +84,23 @@ func (d *Dialer) newUDPConn(s *punch.UDPSession) *Conn {
 		remote: Addr{ep: s.Remote, relay: s.Via == punch.MethodRelay},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	s.OnPathChange(d.udpPathChanged)
-	d.adopt(s, c)
+	s.OnData(func(_ *punch.UDPSession, p []byte) { c.deliver(p) })
+	s.OnDead(func(*punch.UDPSession) { c.sessionDead() })
+	s.OnPathChange(c.migrated)
+	d.adopt(c)
 	return c
 }
 
 // migrated tracks an engine path migration (engine context): the Conn
 // follows its session between relay and direct paths so Path() and
-// RemoteAddr() stay live, then the user's OnPathChange hook fires.
+// RemoteAddr() stay live, then the user's OnPathChange hook fires. A
+// dead Conn no longer follows its session.
 func (c *Conn) migrated(s *punch.UDPSession, old, new punch.Method) {
 	c.mu.Lock()
+	if c.deadErr != nil {
+		c.mu.Unlock()
+		return
+	}
 	c.via = new
 	c.remote = Addr{ep: s.Remote, relay: new == punch.MethodRelay}
 	c.mu.Unlock()
@@ -100,43 +109,20 @@ func (c *Conn) migrated(s *punch.UDPSession, old, new punch.Method) {
 	}
 }
 
-// adopt records a new Conn and retires any previous Conn to the same
-// peer: the engine replaces sessions in place (a re-dial or a peer's
-// fresh negotiation closes the old session without firing Dead), so
-// the superseded Conn must be marked dead here or its readers would
-// block forever. Retired Conns surface ErrSuperseded — distinct from
-// a genuine §3.6 death, though errors.Is(err, ErrSessionDead) still
-// holds — and drop their deadline timer, which would otherwise keep
-// firing into the abandoned Conn until its wall-clock deadline.
-func (d *Dialer) adopt(sess *punch.UDPSession, c *Conn) {
-	var stale []*Conn
+// adopt records c as the Dialer's Conn to its peer and retires the
+// previous one: the engine replaces sessions in place (a re-dial or a
+// peer's fresh negotiation closes the old session without firing
+// Dead), so the superseded Conn must be marked dead here or its
+// readers would block forever. Retired Conns surface ErrSuperseded —
+// distinct from a genuine §3.6 death, though errors.Is(err,
+// ErrSessionDead) still holds.
+func (d *Dialer) adopt(c *Conn) {
 	d.mu.Lock()
-	for k, old := range d.conns {
-		if old.peer == c.peer {
-			delete(d.conns, k)
-			stale = append(stale, old)
-		}
-	}
-	d.conns[sess] = c
+	old := d.conns[c.peer]
+	d.conns[c.peer] = c
 	d.mu.Unlock()
-	for _, old := range stale {
-		old.mu.Lock()
-		old.dead = true
-		if old.deadErr == nil {
-			old.deadErr = ErrSuperseded
-		}
-		if old.rdlTimer != nil {
-			old.rdlTimer.Stop()
-			old.rdlTimer = nil
-		}
-		err := old.deadError()
-		onDead := old.onDead
-		old.onDead = nil
-		old.cond.Broadcast()
-		old.mu.Unlock()
-		if onDead != nil {
-			onDead(err)
-		}
+	if old != nil {
+		old.retire(ErrSuperseded)
 	}
 }
 
@@ -168,7 +154,7 @@ func (c *Conn) RemoteAddr() net.Addr {
 // deliver appends inbound payload (engine context).
 func (c *Conn) deliver(p []byte) {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.deadErr != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -185,14 +171,27 @@ func (c *Conn) deliver(p []byte) {
 	c.cond.Broadcast()
 }
 
-// markDead flags §3.6 idle death (engine context).
-func (c *Conn) markDead() {
+// sessionDead handles §3.6 idle death of the session (engine context).
+func (c *Conn) sessionDead() {
+	c.retire(ErrSessionDead)
+	c.d.forget(c)
+}
+
+// retire marks the Conn terminally dead with err, unless it already
+// is: blocked readers wake, the read-deadline timer stops (it would
+// otherwise keep firing into the dead Conn until its wall-clock
+// deadline), and a carrying stream session's onDead fires once.
+func (c *Conn) retire(err error) {
 	c.mu.Lock()
-	c.dead = true
-	if c.deadErr == nil {
-		c.deadErr = ErrSessionDead
+	if c.deadErr != nil {
+		c.mu.Unlock()
+		return
 	}
-	err := c.deadError()
+	c.deadErr = err
+	if c.rdlTimer != nil {
+		c.rdlTimer.Stop()
+		c.rdlTimer = nil
+	}
 	onDead := c.onDead
 	c.onDead = nil
 	c.cond.Broadcast()
@@ -200,16 +199,6 @@ func (c *Conn) markDead() {
 	if onDead != nil {
 		onDead(err)
 	}
-	c.d.forget(c.sess)
-}
-
-// deadError reports which terminal error this dead Conn surfaces
-// (caller holds c.mu).
-func (c *Conn) deadError() error {
-	if c.deadErr != nil {
-		return c.deadErr
-	}
-	return ErrSessionDead
 }
 
 // Read returns the next datagram (long datagrams truncate to len(p)
@@ -239,8 +228,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return 0, ErrCarried
 		case c.closed:
 			return 0, ErrClosed
-		case c.dead:
-			return 0, c.deadError()
+		case c.deadErr != nil:
+			return 0, c.deadErr
 		case !c.rdl.IsZero() && !time.Now().Before(c.rdl):
 			return 0, os.ErrDeadlineExceeded
 		}
@@ -259,8 +248,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 	case c.closed:
 		c.mu.Unlock()
 		return 0, ErrClosed
-	case c.dead:
-		err := c.deadError()
+	case c.deadErr != nil:
+		err := c.deadErr
 		c.mu.Unlock()
 		return 0, err
 	case !c.wdl.IsZero() && !time.Now().Before(c.wdl):
@@ -299,7 +288,7 @@ func (c *Conn) Close() error {
 		}
 		c.sess.Close()
 	})
-	c.d.forget(c.sess)
+	c.d.forget(c)
 	return nil
 }
 

@@ -153,7 +153,8 @@ func makeRealPairLongDial(t *testing.T) *Dialer {
 // peer re-dialed): ErrSuperseded, distinguishable from a genuine
 // §3.6 idle death yet still matching errors.Is(err, ErrSessionDead),
 // with the abandoned Conn's read-deadline timer stopped rather than
-// left firing until its wall-clock deadline.
+// left firing until its wall-clock deadline, and the new session's
+// datagrams reaching the new Conn only.
 func TestDialSupersededConn(t *testing.T) {
 	alice, bob, _, _ := simPair(t, simnet.Cone(), simnet.Cone())
 	ln, err := bob.Listen()
@@ -201,7 +202,8 @@ func TestDialSupersededConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	defer accept().Close()
+	bconn2 := accept()
+	defer bconn2.Close()
 
 	select {
 	case err := <-readErr:
@@ -227,5 +229,23 @@ func TestDialSupersededConn(t *testing.T) {
 	bconn1.mu.Unlock()
 	if timer != nil {
 		t.Error("superseded conn still holds a live read-deadline timer")
+	}
+
+	// The re-dialed session's traffic reaches bob's new Conn, and only
+	// it: the superseded Conn stays bound to its dead session.
+	if _, err := conn2.Write([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	bconn2.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, 16)
+	n, err := bconn2.Read(buf)
+	if err != nil || string(buf[:n]) != "after" {
+		t.Fatalf("new conn read = %q, %v; want \"after\"", buf[:n], err)
+	}
+	bconn1.mu.Lock()
+	stale := len(bconn1.inbox)
+	bconn1.mu.Unlock()
+	if stale != 0 {
+		t.Errorf("superseded conn queued %d datagrams of the new session", stale)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -78,7 +80,7 @@ type Dialer struct {
 	client *punch.Client
 
 	mu       sync.Mutex
-	conns    map[*punch.UDPSession]*Conn
+	conns    map[string]*Conn // the live Conn to each peer
 	listener *Listener
 	pending  []*Conn // inbound conns accepted before Listen
 	closed   bool
@@ -112,7 +114,7 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 	}
 	pool = rendezvous.Preference(name, pool)
 
-	d := &Dialer{tr: tr, name: name, cfg: cfg, conns: make(map[*punch.UDPSession]*Conn)}
+	d := &Dialer{tr: tr, name: name, cfg: cfg, conns: make(map[string]*Conn)}
 	if w, ok := tr.(transport.Waiter); ok {
 		d.waiter = w
 	}
@@ -126,8 +128,6 @@ func Open(tr transport.Transport, name string, server transport.Endpoint, opts .
 		}
 		d.client.InboundUDP = punch.UDPCallbacks{
 			Established: func(s *punch.UDPSession, _ punch.Candidate) { d.inbound(d.newUDPConn(s)) },
-			Data:        d.udpData,
-			Dead:        d.udpDead,
 		}
 		done := func(e error) {
 			select {
@@ -227,8 +227,6 @@ func (d *Dialer) DialContext(ctx context.Context, peer string) (*Conn, error) {
 		d.client.Connect(peer, punch.UDPCallbacks{
 			Established: func(s *punch.UDPSession, _ punch.Candidate) { deliver(dialResult{conn: d.newUDPConn(s)}) },
 			Failed:      func(_ string, err error) { deliver(dialResult{err: err}) },
-			Data:        d.udpData,
-			Dead:        d.udpDead,
 		})
 	})
 
@@ -298,6 +296,7 @@ func (d *Dialer) Close() error {
 	for _, c := range d.conns {
 		conns = append(conns, c)
 	}
+	slices.SortFunc(conns, func(a, b *Conn) int { return strings.Compare(a.peer, b.peer) })
 	conns = append(conns, d.pending...)
 	d.pending = nil
 	d.mu.Unlock()
@@ -338,7 +337,7 @@ func (d *Dialer) inbound(c *Conn) {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		c.sess.Close()
-		d.forget(c.sess)
+		d.forget(c)
 		return
 	}
 	l := d.listener
@@ -351,34 +350,13 @@ func (d *Dialer) inbound(c *Conn) {
 	}
 }
 
-func (d *Dialer) lookup(sess *punch.UDPSession) *Conn {
+// forget drops c from the Dialer's table unless a newer Conn to the
+// same peer has already taken its place.
+func (d *Dialer) forget(c *Conn) {
 	d.mu.Lock()
-	c := d.conns[sess]
-	d.mu.Unlock()
-	return c
-}
-
-func (d *Dialer) udpData(s *punch.UDPSession, p []byte) {
-	if c := d.lookup(s); c != nil {
-		c.deliver(p)
+	if d.conns[c.peer] == c {
+		delete(d.conns, c.peer)
 	}
-}
-
-func (d *Dialer) udpPathChanged(s *punch.UDPSession, old, new punch.Method) {
-	if c := d.lookup(s); c != nil {
-		c.migrated(s, old, new)
-	}
-}
-
-func (d *Dialer) udpDead(s *punch.UDPSession) {
-	if c := d.lookup(s); c != nil {
-		c.markDead()
-	}
-}
-
-func (d *Dialer) forget(sess *punch.UDPSession) {
-	d.mu.Lock()
-	delete(d.conns, sess)
 	d.mu.Unlock()
 }
 

@@ -148,6 +148,8 @@ func DefaultConfig() *Config {
 			"natpunch/simnet",
 		},
 		WirePackages: []string{
+			"natpunch",
+			"natpunch/stream",
 			"natpunch/internal/proto",
 			"natpunch/internal/punch",
 			"natpunch/internal/ice",

@@ -80,15 +80,15 @@ func fedResult(scenarios []scenario, reports []fleet.Report) Result {
 				fmt.Sprintf("%d", sl.Stats.FedForwards),
 			})
 		}
-		direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive
+		direct := rep.Direct()
 		notes = append(notes, fmt.Sprintf(
 			"%s (%s): %d attempts, %.0f%% direct, %.0f%% relayed, %d failovers, %d pre-kill direct deaths",
 			sc.name, sc.desc, rep.Attempts,
-			pct(direct, direct+rep.Relay+rep.Failed),
-			pct(rep.Relay, direct+rep.Relay+rep.Failed),
+			pct(direct, rep.Completed()),
+			pct(rep.Relay, rep.Completed()),
 			rep.Failovers, rep.PreKillDirectDeaths))
 		metrics[sc.name+"_attempts"] = float64(rep.Attempts)
-		metrics[sc.name+"_direct_pct"] = pct(direct, direct+rep.Relay+rep.Failed)
+		metrics[sc.name+"_direct_pct"] = pct(direct, rep.Completed())
 		metrics[sc.name+"_failovers"] = float64(rep.Failovers)
 		metrics[sc.name+"_prekill_direct_deaths"] = float64(rep.PreKillDirectDeaths)
 		if len(rep.PerServer) > 1 {

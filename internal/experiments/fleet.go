@@ -106,7 +106,7 @@ func fleetResult(scenarios []scenario, reports []fleet.Report) Result {
 				p50, p90,
 			})
 		}
-		direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive
+		direct := rep.Direct()
 		totAttempts += rep.Attempts
 		totDirect += direct
 		totRelay += rep.Relay
@@ -119,7 +119,7 @@ func fleetResult(scenarios []scenario, reports []fleet.Report) Result {
 			sc.name, rep.Server.ConnectRequests+rep.Server.NegotiateRequests,
 			rep.Server.RelayedMessages, rep.Server.RelayedBytes, rep.Fabric.Sent, rep.Events))
 		metrics[sc.name+"_attempts"] = float64(rep.Attempts)
-		metrics[sc.name+"_direct_pct"] = pct(direct, direct+rep.Relay+rep.Failed)
+		metrics[sc.name+"_direct_pct"] = pct(direct, rep.Completed())
 		metrics[sc.name+"_peak_sessions"] = float64(rep.PeakSessions)
 		metrics[sc.name+"_relayed_msgs"] = float64(rep.Server.RelayedMessages)
 		metrics[sc.name+"_p50_ms"] = float64(rep.Quantile(0.5)) / float64(time.Millisecond)

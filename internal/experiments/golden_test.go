@@ -58,28 +58,26 @@ func TestFleetRenderGolden(t *testing.T) {
 	reports := []fleet.Report{
 		{
 			Seed: 1, Arrivals: 10, Departures: 2, Rejoins: 1, PeakOnline: 9,
-			Attempts: 30, Public: 20, Private: 4, Relay: 5, Failed: 0, Abandoned: 1,
+			Outcomes:     fleet.Outcomes{Attempts: 30, Public: 20, Private: 4, Relay: 5, Failed: 0, Abandoned: 1, Times: ms250(24)},
 			PeakSessions: 7, DeadSessions: 2, Repunches: 1,
 			Pairs: []fleet.PairStat{
 				{Pair: "cone<->cone", Outcomes: fleet.Outcomes{Attempts: 20, Public: 16, Private: 4, Times: ms250(20)}},
 				{Pair: "cone<->symmetric", Outcomes: fleet.Outcomes{Attempts: 10, Relay: 5, Abandoned: 1}},
 			},
-			EstTimes: ms250(24),
-			Server:   rendezvous.Stats{ConnectRequests: 25, RelayedMessages: 100, RelayedBytes: 500},
-			Fabric:   sim.Stats{Sent: 1000},
-			Events:   2000,
+			Server: rendezvous.Stats{ConnectRequests: 25, RelayedMessages: 100, RelayedBytes: 500},
+			Fabric: sim.Stats{Sent: 1000},
+			Events: 2000,
 		},
 		{
 			Seed: 2, Arrivals: 5, PeakOnline: 5,
-			Attempts: 8, Public: 8,
+			Outcomes:     fleet.Outcomes{Attempts: 8, Public: 8, Times: ms250(8)},
 			PeakSessions: 3,
 			Pairs: []fleet.PairStat{
 				{Pair: "public<->public", Outcomes: fleet.Outcomes{Attempts: 8, Public: 8, Times: ms250(8)}},
 			},
-			EstTimes: ms250(8),
-			Server:   rendezvous.Stats{ConnectRequests: 8},
-			Fabric:   sim.Stats{Sent: 200},
-			Events:   400,
+			Server: rendezvous.Stats{ConnectRequests: 8},
+			Fabric: sim.Stats{Sent: 200},
+			Events: 400,
 		},
 	}
 	goldenCompare(t, "e_fleet_render.golden", fleetResult(scenarios, reports).String())
@@ -92,14 +90,16 @@ func TestFedRenderGolden(t *testing.T) {
 	}
 	reports := []fleet.Report{
 		{
-			Seed: 1, Attempts: 30, Public: 24, Relay: 6,
+			Seed:     1,
+			Outcomes: fleet.Outcomes{Attempts: 30, Public: 24, Relay: 6},
 			PerServer: []fleet.ServerLoad{
 				{Index: 0, Homed: 20, Stats: rendezvous.Stats{RegistrationsUDP: 20, ConnectRequests: 28, RelayedMessages: 40}},
 			},
 			Server: rendezvous.Stats{RegistrationsUDP: 20, ConnectRequests: 28, RelayedMessages: 40},
 		},
 		{
-			Seed: 2, Attempts: 22, Public: 18, Relay: 4,
+			Seed:      2,
+			Outcomes:  fleet.Outcomes{Attempts: 22, Public: 18, Relay: 4},
 			Failovers: 7, ServerKilledAt: 5 * time.Minute,
 			PerServer: []fleet.ServerLoad{
 				{Index: 0, Homed: 11, Stats: rendezvous.Stats{RegistrationsUDP: 11, ConnectRequests: 9, FedRecords: 30, FedForwards: 12}},
@@ -119,7 +119,7 @@ func TestICERenderGolden(t *testing.T) {
 	reports := []fleet.Report{
 		{
 			Seed:     1,
-			Attempts: 40, Public: 20, Private: 5, Hairpin: 6, Reflexive: 2, Relay: 6, Abandoned: 1,
+			Outcomes: fleet.Outcomes{Attempts: 40, Public: 20, Private: 5, Hairpin: 6, Reflexive: 2, Relay: 6, Abandoned: 1},
 			Pairs: []fleet.PairStat{
 				{Pair: "symmetric<->symmetric", Outcomes: fleet.Outcomes{Attempts: 9, Hairpin: 6, Relay: 3, Times: ms250(6)}},
 			},
@@ -132,7 +132,7 @@ func TestICERenderGolden(t *testing.T) {
 		},
 		{
 			Seed:     2,
-			Attempts: 12, Relay: 12,
+			Outcomes: fleet.Outcomes{Attempts: 12, Relay: 12},
 			Topos: []fleet.TopoStat{
 				{Topo: "same-site", Outcomes: fleet.Outcomes{Attempts: 12, Relay: 12}},
 			},
@@ -149,7 +149,8 @@ func TestUpgradeRenderGolden(t *testing.T) {
 	}
 	reports := []fleet.Report{
 		{ // calm, punch-at-dial
-			Seed: 1, Attempts: 30, Public: 20, Relay: 10,
+			Seed:     1,
+			Outcomes: fleet.Outcomes{Attempts: 30, Public: 20, Relay: 10},
 			Pairs: []fleet.PairStat{
 				{Pair: "cone<->cone", Outcomes: fleet.Outcomes{Attempts: 20, Public: 20, Times: ms250(20)}},
 				{Pair: "cone<->symmetric", Outcomes: fleet.Outcomes{Attempts: 10, Relay: 10}},
@@ -157,7 +158,8 @@ func TestUpgradeRenderGolden(t *testing.T) {
 			ConnectTimes: ms250(30),
 		},
 		{ // calm, relay-first
-			Seed: 1, Attempts: 30, Relay: 30, Upgrades: 19, Failbacks: 1,
+			Seed: 1, Upgrades: 19, Failbacks: 1,
+			Outcomes: fleet.Outcomes{Attempts: 30, Relay: 30},
 			Pairs: []fleet.PairStat{
 				{Pair: "cone<->cone", Outcomes: fleet.Outcomes{Attempts: 20, Relay: 20}, Upgraded: 18},
 				{Pair: "cone<->symmetric", Outcomes: fleet.Outcomes{Attempts: 10, Relay: 10}},
@@ -166,7 +168,8 @@ func TestUpgradeRenderGolden(t *testing.T) {
 			UpgradeTimes: ms250(18),
 		},
 		{ // churny, punch-at-dial
-			Seed: 2, Attempts: 12, Public: 9, Relay: 3,
+			Seed:     2,
+			Outcomes: fleet.Outcomes{Attempts: 12, Public: 9, Relay: 3},
 			Pairs: []fleet.PairStat{
 				{Pair: "cone<->cone", Outcomes: fleet.Outcomes{Attempts: 9, Public: 9, Times: ms250(9)}},
 				{Pair: "symmetric<->symmetric", Outcomes: fleet.Outcomes{Attempts: 3, Relay: 3}},
@@ -174,7 +177,8 @@ func TestUpgradeRenderGolden(t *testing.T) {
 			ConnectTimes: ms250(12),
 		},
 		{ // churny, relay-first
-			Seed: 2, Attempts: 12, Relay: 12, Upgrades: 14, Failbacks: 6, NATRebinds: 4,
+			Seed: 2, Upgrades: 14, Failbacks: 6, NATRebinds: 4,
+			Outcomes: fleet.Outcomes{Attempts: 12, Relay: 12},
 			Pairs: []fleet.PairStat{
 				{Pair: "cone<->cone", Outcomes: fleet.Outcomes{Attempts: 9, Relay: 9}, Upgraded: 8},
 				{Pair: "symmetric<->symmetric", Outcomes: fleet.Outcomes{Attempts: 3, Relay: 3}},

@@ -111,7 +111,7 @@ func iceResult(scenarios []scenario, reports []fleet.Report) Result {
 			})
 			metrics[sc.name+"_"+ts.Topo+"_direct_pct"] = ts.DirectPct()
 		}
-		direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive
+		direct := rep.Direct()
 		totAttempts += rep.Attempts
 		totDirect += direct
 		totRelay += rep.Relay
@@ -126,7 +126,7 @@ func iceResult(scenarios []scenario, reports []fleet.Report) Result {
 			metrics[sc.name+"_symsym_hairpin"] = float64(ss.Hairpin)
 			metrics[sc.name+"_symsym_relay"] = float64(ss.Relay)
 		}
-		metrics[sc.name+"_direct_pct"] = pct(direct, direct+rep.Relay+rep.Failed)
+		metrics[sc.name+"_direct_pct"] = pct(direct, rep.Completed())
 	}
 	notes = append(notes,
 		"same-site pairs ride private candidates (§3.3); same-cgn pairs need the hairpin candidate (§3.5) — ablate either and those classes fall to the relay floor (§2.2)",

@@ -98,7 +98,7 @@ func upgradeResult(scenarios []scenario, reports []fleet.Report) Result {
 			}
 		}
 
-		baseDirect := base.Public + base.Private + base.Hairpin + base.Reflexive
+		baseDirect := base.Direct()
 		rfUpgraded := 0
 		for _, ps := range rf.Pairs {
 			rfUpgraded += ps.Upgraded
@@ -115,12 +115,12 @@ func upgradeResult(scenarios []scenario, reports []fleet.Report) Result {
 		notes = append(notes, fmt.Sprintf(
 			"%s eventual direct share: %.0f%% relay-first vs %.0f%% at-establishment baseline — same pair classes punch, only the timing moves",
 			sc.name, pct(rfUpgraded, rf.Relay+rf.Failed),
-			pct(baseDirect, baseDirect+base.Relay+base.Failed)))
+			pct(baseDirect, base.Completed())))
 
 		metrics[sc.name+"_base_connect_p50_ms"] = float64(baseP50) / float64(time.Millisecond)
 		metrics[sc.name+"_rf_connect_p50_ms"] = float64(rfP50) / float64(time.Millisecond)
 		metrics[sc.name+"_rf_upgrade_p50_ms"] = float64(rf.UpgradeQuantile(0.5)) / float64(time.Millisecond)
-		metrics[sc.name+"_base_direct_pct"] = pct(baseDirect, baseDirect+base.Relay+base.Failed)
+		metrics[sc.name+"_base_direct_pct"] = pct(baseDirect, base.Completed())
 		metrics[sc.name+"_rf_eventual_direct_pct"] = pct(rfUpgraded, rf.Relay+rf.Failed)
 		metrics[sc.name+"_rf_failbacks"] = float64(rf.Failbacks)
 		metrics[sc.name+"_rf_upgrades"] = float64(rf.Upgrades)

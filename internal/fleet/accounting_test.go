@@ -10,7 +10,9 @@ import (
 // replacements, departures mid-attempt, relay deaths), sessionsOpen
 // must equal a recount of live initiated sessions (regression: an
 // inbound session replacing an initiated one used to leave a stale
-// initiated flag behind, double-decrementing on its death).
+// initiated flag behind, double-decrementing on its death). Every
+// live record must also be its peer's current session, and an offline
+// peer must hold none.
 func TestSessionAccountingConsistent(t *testing.T) {
 	cfg := Config{
 		Peers:            50,
@@ -25,9 +27,15 @@ func TestSessionAccountingConsistent(t *testing.T) {
 		f.in.Net.Sched.RunUntil(f.cfg.Duration)
 		want := 0
 		for _, p := range f.peers {
-			for q := range p.initiated {
-				if p.connected[q] != nil {
+			if !p.online && len(p.live) != 0 {
+				t.Errorf("seed %d: offline %s still holds %d live sessions", seed, p.name, len(p.live))
+			}
+			for q, ls := range p.live {
+				if ls.initiated {
 					want++
+				}
+				if p.client == nil || p.client.LookupUDPSession(q) != ls.s {
+					t.Errorf("seed %d: %s's live record for %s is not its current session", seed, p.name, q)
 				}
 			}
 		}

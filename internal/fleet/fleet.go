@@ -162,12 +162,28 @@ type peer struct {
 	onlinePos  int // index into Fleet.online while online
 	gen        int // bumped on every departure; stale timers check it
 
-	// connected tracks live sessions by peer name (both directions);
-	// initiated marks the ones this peer dialed (the metrics side).
-	connected map[string]*punch.UDPSession
-	initiated map[string]bool
+	// live holds the current session to each peer, both directions.
+	live map[string]*liveSession
 	// inflight maps target name -> stat keys for outstanding attempts.
 	inflight map[string]attemptKeys
+}
+
+// liveSession is one peer's record of a live session: the session's
+// callbacks and ping clock carry it, and act only while it is still
+// the peer's current record for that remote peer.
+type liveSession struct {
+	s *punch.UDPSession
+	// initiated marks sessions this peer dialed (the metrics side).
+	initiated bool
+	// born is when an initiated session was established, so a server
+	// kill can be audited: direct sessions established before the
+	// kill must survive it (they are peer-to-peer; only transient
+	// sessions from the failover window may die).
+	born time.Duration
+	// upgraded marks an initiated session whose first relay->direct
+	// migration has been timed, so UpgradeTimes holds one latency per
+	// session even when rebind churn cycles it through failbacks.
+	upgraded bool
 }
 
 // attemptKeys addresses the stat rows an in-flight attempt will land
@@ -193,15 +209,6 @@ type Fleet struct {
 	topos        map[string]*TopoStat
 	rep          Report
 	sessionsOpen int
-	// born timestamps initiated sessions, so a server kill can be
-	// audited: direct sessions established before the kill must
-	// survive it (they are peer-to-peer; only transient sessions from
-	// the failover window may die).
-	born map[*punch.UDPSession]time.Duration
-	// upgraded marks initiated sessions whose first relay->direct
-	// migration has been timed, so UpgradeTimes holds one latency per
-	// session even when rebind churn cycles it through failbacks.
-	upgraded map[*punch.UDPSession]bool
 	// nats collects every leaf site NAT for MeanRebindEvery churn.
 	nats []*nat.NAT
 }
@@ -222,14 +229,12 @@ func build(seed int64, cfg Config) *Fleet {
 	in := topo.NewInternet(seed)
 	core := in.CoreRealm()
 	f := &Fleet{
-		cfg:      cfg,
-		in:       in,
-		rng:      in.Net.Sched.Rand(),
-		byName:   make(map[string]*peer),
-		pairs:    make(map[string]*PairStat),
-		topos:    make(map[string]*TopoStat),
-		born:     make(map[*punch.UDPSession]time.Duration),
-		upgraded: make(map[*punch.UDPSession]bool),
+		cfg:    cfg,
+		in:     in,
+		rng:    in.Net.Sched.Rand(),
+		byName: make(map[string]*peer),
+		pairs:  make(map[string]*PairStat),
+		topos:  make(map[string]*TopoStat),
 	}
 	f.rep.Seed = seed
 	// The rendezvous tier: cfg.Servers hosts at consecutive public
@@ -276,12 +281,11 @@ func build(seed int64, cfg Config) *Fleet {
 	pubAddr := func() inet.Addr { nextPub++; return base + inet.Addr(nextPub) }
 	newPeer := func() *peer {
 		p := &peer{
-			f:         f,
-			name:      fmt.Sprintf("p%d", len(f.peers)),
-			site:      -1,
-			connected: make(map[string]*punch.UDPSession),
-			initiated: make(map[string]bool),
-			inflight:  make(map[string]attemptKeys),
+			f:        f,
+			name:     fmt.Sprintf("p%d", len(f.peers)),
+			site:     -1,
+			live:     make(map[string]*liveSession),
+			inflight: make(map[string]attemptKeys),
 		}
 		f.peers = append(f.peers, p)
 		f.byName[p.name] = p
@@ -467,21 +471,18 @@ func (f *Fleet) depart(p *peer, gen int) {
 	// Abandoned attempts get no outcome callback once the client
 	// closes; account for them now (pure commutative increments, so
 	// map order does not matter).
-	for q, keys := range p.inflight {
-		f.pair(keys.pair).Abandoned++
-		f.topo(keys.topo).Abandoned++
-		f.rep.Abandoned++
-		delete(p.inflight, q)
+	for _, keys := range p.inflight {
+		for _, o := range f.rows(keys) {
+			o.Abandoned++
+		}
 	}
-	for q := range p.initiated {
-		if p.connected[q] != nil {
+	clear(p.inflight)
+	for _, ls := range p.live {
+		if ls.initiated {
 			f.sessionsOpen--
 		}
-		delete(p.initiated, q)
 	}
-	for q := range p.connected {
-		delete(p.connected, q)
-	}
+	clear(p.live)
 	f.closeClient(p)
 
 	if f.cfg.MeanRejoin > 0 {
@@ -500,7 +501,7 @@ func (f *Fleet) tick(p *peer, gen int) {
 		return
 	}
 	q := f.online[f.rng.Intn(len(f.online))]
-	if q == p || p.connected[q.name] != nil {
+	if q == p || p.live[q.name] != nil {
 		return
 	}
 	if _, busy := p.inflight[q.name]; busy {
@@ -513,101 +514,70 @@ func (f *Fleet) tick(p *peer, gen int) {
 // the outcome into the pair-class and topology-class stats.
 func (f *Fleet) attempt(p, q *peer) {
 	keys := attemptKeys{pair: PairKey(p.class, q.class), topo: topoClass(p, q)}
-	ps, ts := f.pair(keys.pair), f.topo(keys.topo)
-	ps.Attempts++
-	ts.Attempts++
-	f.rep.Attempts++
+	rows := f.rows(keys)
+	for _, o := range rows {
+		o.Attempts++
+	}
 	p.inflight[q.name] = keys
 	start := f.in.Net.Sched.Now()
 	p.client.Connect(q.name, punch.UDPCallbacks{
 		Established: func(s *punch.UDPSession, chosen ice.Candidate) {
 			delete(p.inflight, q.name)
-			f.record(ps, ts, chosen.Kind, f.in.Net.Sched.Now()-start)
+			elapsed := f.in.Net.Sched.Now() - start
+			for _, o := range rows {
+				o.add(chosen.Kind, elapsed)
+			}
+			// ConnectTimes is kind-agnostic: under RelayFirst it
+			// captures the headline relay-first latency (~one relay
+			// round-trip), while Times keeps its direct-only meaning.
+			f.rep.ConnectTimes = append(f.rep.ConnectTimes, elapsed)
 			f.adopt(p, s, true)
 		},
 		Failed: func(string, error) {
 			delete(p.inflight, q.name)
-			ps.Failed++
-			ts.Failed++
-			f.rep.Failed++
+			for _, o := range rows {
+				o.Failed++
+			}
 		},
 		Data: func(s *punch.UDPSession, payload []byte) { f.appData(p, s, payload) },
 	})
 }
 
-// record attributes one resolved attempt to its stat rows by the
-// nominated candidate kind.
-func (f *Fleet) record(ps *PairStat, ts *TopoStat, kind ice.Kind, elapsed time.Duration) {
-	bump := func(o *Outcomes) {
-		switch kind {
-		case ice.KindRelay:
-			o.Relay++
-		case ice.KindPrivate:
-			o.Private++
-		case ice.KindHairpin:
-			o.Hairpin++
-		case ice.KindReflexive:
-			o.Reflexive++
-		default:
-			o.Public++
-		}
-		if kind != ice.KindRelay {
-			o.Times = append(o.Times, elapsed)
-		}
-	}
-	bump(&ps.Outcomes)
-	bump(&ts.Outcomes)
-	switch kind {
-	case ice.KindRelay:
-		f.rep.Relay++
-	case ice.KindPrivate:
-		f.rep.Private++
-	case ice.KindHairpin:
-		f.rep.Hairpin++
-	case ice.KindReflexive:
-		f.rep.Reflexive++
-	default:
-		f.rep.Public++
-	}
-	if kind != ice.KindRelay {
-		f.rep.EstTimes = append(f.rep.EstTimes, elapsed)
-	}
-	// ConnectTimes is kind-agnostic: under RelayFirst it captures the
-	// headline relay-first latency (~one relay round-trip), while
-	// EstTimes keeps its direct-only meaning.
-	f.rep.ConnectTimes = append(f.rep.ConnectTimes, elapsed)
+// rows returns the three outcome rows an attempt is counted in: its
+// NAT-pair class, its topology class, and the fleet-wide total.
+func (f *Fleet) rows(keys attemptKeys) [3]*Outcomes {
+	return [3]*Outcomes{&f.pair(keys.pair).Outcomes, &f.topo(keys.topo).Outcomes, &f.rep.Outcomes}
 }
 
 // adopt registers a live session with its local peer: concurrency
 // accounting, idle-death watching, and — for the initiating side —
 // the application ping clock.
 func (f *Fleet) adopt(p *peer, s *punch.UDPSession, initiated bool) {
-	if prev := p.connected[s.Peer]; prev != nil && p.initiated[s.Peer] {
+	if prev := p.live[s.Peer]; prev != nil && prev.initiated {
 		// A crossing punch replaced an existing initiated session; undo
 		// its accounting so the replacement (whichever direction it
 		// came from) starts from a clean slate.
 		f.sessionsOpen--
-		delete(p.initiated, s.Peer)
 	}
-	p.connected[s.Peer] = s
+	ls := &liveSession{s: s, initiated: initiated}
+	p.live[s.Peer] = ls
 	if initiated {
-		p.initiated[s.Peer] = true
 		f.sessionsOpen++
 		if f.sessionsOpen > f.rep.PeakSessions {
 			f.rep.PeakSessions = f.sessionsOpen
 		}
-		f.born[s] = f.in.Net.Sched.Now()
-		f.schedulePing(p, s)
+		ls.born = f.in.Net.Sched.Now()
+		f.schedulePing(p, ls)
 	}
-	s.OnDead(func(ds *punch.UDPSession) { f.sessionDead(p, ds) })
-	s.OnPathChange(func(ds *punch.UDPSession, old, new punch.Method) { f.pathMoved(p, ds, old, new) })
+	s.OnDead(func(*punch.UDPSession) { f.sessionDead(p, ls) })
+	s.OnPathChange(func(_ *punch.UDPSession, old, new punch.Method) { f.pathMoved(p, ls, old, new) })
 }
 
 // pathMoved accounts live-path migrations (RelayFirst/PathUpgrade
 // runs). Like attempt outcomes, migrations are counted on the
 // initiating side only, so each logical session counts once.
-func (f *Fleet) pathMoved(p *peer, s *punch.UDPSession, old, new punch.Method) {
-	if p.connected[s.Peer] != s || !p.initiated[s.Peer] {
+func (f *Fleet) pathMoved(p *peer, ls *liveSession, old, new punch.Method) {
+	if p.live[ls.s.Peer] != ls || !ls.initiated {
 		return
 	}
 	if new == punch.MethodRelay {
@@ -618,42 +588,36 @@ func (f *Fleet) pathMoved(p *peer, s *punch.UDPSession, old, new punch.Method) {
 		return // direct->direct hop; nothing to classify
 	}
 	f.rep.Upgrades++
-	if !f.upgraded[s] {
+	if !ls.upgraded {
 		// First upgrade of this session: the per-pair Upgraded counter
 		// tracks unique sessions (so EventualDirect stays <= Attempts
 		// under failback/re-upgrade flapping), and the latency sample
 		// is establish->first-direct only.
-		f.upgraded[s] = true
-		if q := f.byName[s.Peer]; q != nil {
+		ls.upgraded = true
+		if q := f.byName[ls.s.Peer]; q != nil {
 			f.pair(PairKey(p.class, q.class)).Upgraded++
 		}
-		if birth, ok := f.born[s]; ok {
-			f.rep.UpgradeTimes = append(f.rep.UpgradeTimes, f.in.Net.Sched.Now()-birth)
-		}
+		f.rep.UpgradeTimes = append(f.rep.UpgradeTimes, f.in.Net.Sched.Now()-ls.born)
 	}
 }
 
 // sessionDead handles §3.6 idle death: accounting, then an on-demand
 // re-punch when both ends are still online.
-func (f *Fleet) sessionDead(p *peer, s *punch.UDPSession) {
-	if p.connected[s.Peer] != s {
+func (f *Fleet) sessionDead(p *peer, ls *liveSession) {
+	s := ls.s
+	if p.live[s.Peer] != ls {
 		return
 	}
-	delete(p.connected, s.Peer)
-	if !p.initiated[s.Peer] {
+	delete(p.live, s.Peer)
+	if !ls.initiated {
 		return
 	}
-	delete(p.initiated, s.Peer)
 	f.sessionsOpen--
 	f.rep.DeadSessions++
-	delete(f.upgraded, s)
-	if birth, ok := f.born[s]; ok {
-		delete(f.born, s)
-		if f.rep.ServerKilledAt > 0 && birth < f.rep.ServerKilledAt && s.Via != punch.MethodRelay {
-			// A peer-to-peer session that predates the server kill died
-			// after it: the kill broke something it must not touch.
-			f.rep.PreKillDirectDeaths++
-		}
+	if f.rep.ServerKilledAt > 0 && ls.born < f.rep.ServerKilledAt && s.Via != punch.MethodRelay {
+		// A peer-to-peer session that predates the server kill died
+		// after it: the kill broke something it must not touch.
+		f.rep.PreKillDirectDeaths++
 	}
 	q := f.byName[s.Peer]
 	if _, busy := p.inflight[s.Peer]; p.online && q != nil && q.online && !busy {
@@ -674,13 +638,13 @@ var (
 
 // schedulePing runs the initiator's application clock for one
 // session: a ping every AppDataEvery while the session stays current.
-func (f *Fleet) schedulePing(p *peer, s *punch.UDPSession) {
+func (f *Fleet) schedulePing(p *peer, ls *liveSession) {
 	f.in.Net.Sched.After(f.expDur(f.cfg.AppDataEvery), func() {
-		if !p.online || p.connected[s.Peer] != s {
+		if !p.online || p.live[ls.s.Peer] != ls {
 			return
 		}
-		s.Send(pingPayload)
-		f.schedulePing(p, s)
+		ls.s.Send(pingPayload)
+		f.schedulePing(p, ls)
 	})
 }
 
@@ -719,13 +683,13 @@ func (f *Fleet) finish() {
 			f.rep.Failovers += p.client.Failovers
 		}
 		for _, keys := range p.inflight {
-			f.pair(keys.pair).Abandoned++
-			f.topo(keys.topo).Abandoned++
-			f.rep.Abandoned++
+			for _, o := range f.rows(keys) {
+				o.Abandoned++
+			}
 		}
 	}
 	// Collected in map order, sorted before they can reach the report
-	// renderer (finalize re-sorts, but the invariant is local here).
+	// renderer.
 	pairs := make([]PairStat, 0, len(f.pairs))
 	for _, ps := range f.pairs {
 		pairs = append(pairs, *ps)

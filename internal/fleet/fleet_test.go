@@ -266,7 +266,7 @@ func TestFleetFlatConesGoDirect(t *testing.T) {
 	if rep.Relay != 0 || rep.Failed != 0 {
 		t.Errorf("relay=%d failed=%d; want 0/0", rep.Relay, rep.Failed)
 	}
-	if direct := rep.Public + rep.Private + rep.Hairpin + rep.Reflexive; direct+rep.Abandoned != rep.Attempts {
+	if direct := rep.Direct(); direct+rep.Abandoned != rep.Attempts {
 		t.Errorf("direct=%d abandoned=%d of %d attempts", direct, rep.Abandoned, rep.Attempts)
 	}
 }

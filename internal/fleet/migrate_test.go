@@ -40,8 +40,8 @@ func TestFleetRelayFirstMigrationUnderChurn(t *testing.T) {
 
 	want := 0
 	for _, p := range f.peers {
-		for q := range p.initiated {
-			if p.connected[q] != nil {
+		for _, ls := range p.live {
+			if ls.initiated {
 				want++
 			}
 		}
@@ -75,7 +75,7 @@ func TestFleetRelayFirstMigrationUnderChurn(t *testing.T) {
 	// Relay-first establishment is kind-agnostic relay: every
 	// completed attempt lands in Relay first, so the direct-outcome
 	// counters stay zero and upgrades carry the direct share.
-	if rep.Public+rep.Private+rep.Hairpin+rep.Reflexive != 0 {
+	if rep.Direct() != 0 {
 		t.Errorf("relay-first run recorded direct establishment outcomes: %+v", rep)
 	}
 	if cc := rep.Pair("cone<->cone"); cc == nil || cc.Upgraded == 0 {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
 	"natpunch/internal/rendezvous"
@@ -108,6 +109,25 @@ type Outcomes struct {
 	Times []time.Duration
 }
 
+// add counts one resolved attempt by the candidate kind its
+// negotiation nominated, and times it when the path is direct.
+func (o *Outcomes) add(kind ice.Kind, elapsed time.Duration) {
+	switch kind {
+	case ice.KindRelay:
+		o.Relay++
+		return
+	case ice.KindPrivate:
+		o.Private++
+	case ice.KindHairpin:
+		o.Hairpin++
+	case ice.KindReflexive:
+		o.Reflexive++
+	default:
+		o.Public++
+	}
+	o.Times = append(o.Times, elapsed)
+}
+
 // Direct is the number of attempts that established without relaying.
 func (o *Outcomes) Direct() int { return o.Public + o.Private + o.Hairpin + o.Reflexive }
 
@@ -192,15 +212,9 @@ type Report struct {
 	PreKillDirectDeaths int
 	PerServer           []ServerLoad // per-instance load; Server is the sum
 
-	// Punch attempt outcomes (initiator side), fleet-wide.
-	Attempts  int
-	Public    int
-	Private   int
-	Hairpin   int
-	Reflexive int
-	Relay     int
-	Failed    int
-	Abandoned int
+	// Punch attempt outcomes (initiator side), fleet-wide; Times
+	// holds every direct time-to-establish, sorted ascending.
+	Outcomes
 
 	// Session lifecycle.
 	PeakSessions int // high-water mark of concurrent initiated sessions
@@ -223,9 +237,6 @@ type Report struct {
 	// same-site / same-cgn), sorted by class key.
 	Topos []TopoStat
 
-	// EstTimes holds every direct time-to-establish, sorted ascending.
-	EstTimes []time.Duration
-
 	// ConnectTimes holds time-to-establish for every completed attempt
 	// regardless of path kind, sorted ascending — under RelayFirst
 	// this is the dial-to-usable-Conn latency (about one relay RTT).
@@ -242,7 +253,7 @@ type Report struct {
 // time-to-establish distribution, or 0 when no direct session was
 // established.
 func (r *Report) Quantile(q float64) time.Duration {
-	return quantileOf(r.EstTimes, q)
+	return quantileOf(r.Times, q)
 }
 
 // ConnectQuantile returns the q-th quantile of the kind-agnostic
@@ -285,12 +296,10 @@ func (r *Report) Topo(key string) *TopoStat {
 	return nil
 }
 
-// finalize sorts the aggregate views so reports render and compare
-// deterministically.
+// finalize sorts the latency samples so reports render and compare
+// deterministically (finish has already sorted Pairs and Topos).
 func (r *Report) finalize() {
-	sort.Slice(r.Pairs, func(i, j int) bool { return r.Pairs[i].Pair < r.Pairs[j].Pair })
-	sort.Slice(r.Topos, func(i, j int) bool { return r.Topos[i].Topo < r.Topos[j].Topo })
-	sort.Slice(r.EstTimes, func(i, j int) bool { return r.EstTimes[i] < r.EstTimes[j] })
+	sort.Slice(r.Times, func(i, j int) bool { return r.Times[i] < r.Times[j] })
 	sort.Slice(r.ConnectTimes, func(i, j int) bool { return r.ConnectTimes[i] < r.ConnectTimes[j] })
 	sort.Slice(r.UpgradeTimes, func(i, j int) bool { return r.UpgradeTimes[i] < r.UpgradeTimes[j] })
 	for i := range r.Pairs {

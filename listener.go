@@ -60,7 +60,14 @@ func (l *Listener) AcceptConn() (*Conn, error) {
 	for {
 		if len(l.queue) > 0 {
 			c := l.queue[0]
+			// Nil the popped slot and drop a drained array, as Conn.Read
+			// does: the backing array would otherwise keep every
+			// accepted Conn, with its session and Dialer, reachable.
+			l.queue[0] = nil
 			l.queue = l.queue[1:]
+			if len(l.queue) == 0 {
+				l.queue = nil
+			}
 			return c, nil
 		}
 		if l.closed {

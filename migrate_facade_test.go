@@ -6,8 +6,9 @@ package natpunch
 // WithOnPathChange hook), the datagram stream survives the cutover
 // intact, and sessions that can never punch stay quietly on the
 // relay. Also pins the session-lifecycle fixes that ride along:
-// consumed inbox datagrams are released, and inbound sessions racing
-// Dialer.Close are torn down instead of leaking in the pending queue.
+// consumed inbox datagrams and accepted Conns are released, and
+// inbound sessions racing Dialer.Close are torn down instead of
+// leaking in the pending queue.
 
 import (
 	"encoding/binary"
@@ -333,6 +334,40 @@ func TestConnReadReleasesConsumedDatagrams(t *testing.T) {
 	c.mu.Unlock()
 	if capLeft != 0 {
 		t.Errorf("drained inbox retains backing array of cap %d", capLeft)
+	}
+}
+
+func TestAcceptConnReleasesAcceptedConns(t *testing.T) {
+	// AcceptConn used to pop the queue with l.queue[1:], so the backing
+	// array kept every accepted Conn — with its session and Dialer —
+	// reachable until a later append reallocated it.
+	l := newListener(&Dialer{})
+	for i := 0; i < 3; i++ {
+		l.enqueue(&Conn{})
+	}
+	l.mu.Lock()
+	backing := l.queue // aliases the backing array AcceptConn pops from
+	l.mu.Unlock()
+
+	if _, err := l.AcceptConn(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	retained := backing[0]
+	l.mu.Unlock()
+	if retained != nil {
+		t.Error("accepted queue slot still references its Conn")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := l.AcceptConn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.mu.Lock()
+	capLeft := cap(l.queue)
+	l.mu.Unlock()
+	if capLeft != 0 {
+		t.Errorf("drained accept queue retains backing array of cap %d", capLeft)
 	}
 }
 

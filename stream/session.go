@@ -149,6 +149,7 @@ func (s *Session) bump() {
 // session's end (caller holds s.mu).
 func (s *Session) bumpAll() {
 	s.bump()
+	//natlint:ignore maporder every waiter sleeps on s.mu, held here, so none wakes before the loop ends: wake order is unobservable
 	for _, st := range s.streams {
 		st.bump()
 	}

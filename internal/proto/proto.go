@@ -378,7 +378,7 @@ func (d *Decoder) internString(b []byte) string {
 	s, ok := d.names[string(b)]
 	if !ok {
 		if d.names == nil || len(d.names) >= maxInternedNames {
-			d.names = make(map[string]string, 16)
+			d.names = make(map[string]string)
 		}
 		s = string(b)
 		d.names[s] = s

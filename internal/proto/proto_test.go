@@ -286,6 +286,28 @@ func TestDecoderInternTableBounded(t *testing.T) {
 	}
 }
 
+// TestFreshDecoderAllocs: a fresh Decoder — a short-lived client's —
+// decoding three distinct names allocates the three strings and a
+// table sized for them, 5 objects. A table made for 16 names up front
+// cost 7.
+func TestFreshDecoderAllocs(t *testing.T) {
+	var wires [][]byte
+	for _, name := range []string{"alice", "bob", "carol"} {
+		wires = append(wires, Encode(&Message{Type: TypeKeepAlive, From: name}, PlainEndpoints))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		d := new(Decoder)
+		for _, w := range wires {
+			if _, err := d.Decode(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("a fresh Decoder decoding three names allocates %v objects, want at most 5", allocs)
+	}
+}
+
 // TestDecoderNameCache pins the two-name cache in front of the intern
 // table: two names in alternation (a relay's sender and target) are
 // answered without the table, a third still goes through it and comes

@@ -305,12 +305,9 @@ func (c *Client) negotiationTimeout(n *negotiation) {
 	}
 }
 
-// adopt enters the session negotiation n nominated, closing any
+// adopt enters the session negotiation n nominated, replacing any
 // previous session with the peer, and reports it.
 func (c *Client) adopt(n *negotiation, remote inet.Endpoint, via Method, chosen ice.Candidate) {
-	if prev := c.udpSessions[n.peer]; prev != nil {
-		prev.Close()
-	}
 	s := c.newUDPSession(n.peer, remote, via, n.nonce, n.cb)
 	if n.cb.Established != nil {
 		n.cb.Established(s, chosen)

@@ -308,6 +308,43 @@ func TestRelaySessionIdleDeath(t *testing.T) {
 	}
 }
 
+// TestRedialReplacesInboundSession: when alice closes her session and
+// dials bob again, bob's inbound lock-in closes the session it
+// replaces at once. The replaced session sends no more keep-alives and
+// never reports itself dead, and bob holds one session to alice.
+func TestRedialReplacesInboundSession(t *testing.T) {
+	d := newDuo(t, 1, nat.Cone(), nat.Cone(), punch.Config{})
+	d.registerUDP(t)
+	sa, sb := punchUDP(t, d)
+	dead := false
+	sb.OnDead(func(*punch.UDPSession) { dead = true })
+
+	sa.Close()
+	var sa2, sb2 *punch.UDPSession
+	d.b.InboundUDP = punch.UDPCallbacks{
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sb2 = s },
+	}
+	d.a.ConnectUDP("bob", punch.UDPCallbacks{
+		Established: func(s *punch.UDPSession, _ ice.Candidate) { sa2 = s },
+		Failed:      func(_ string, err error) { t.Fatalf("re-dial failed: %v", err) },
+	})
+	d.runUntil(t, 30*time.Second, func() bool { return sa2 != nil && sb2 != nil })
+	if sb2 == sb {
+		t.Fatal("re-dial did not give bob a new session")
+	}
+	if err := sb.Send([]byte("stale")); err == nil {
+		t.Error("bob's replaced session still sends")
+	}
+	deadline := d.Net.Sched.Now() + 3*time.Minute
+	d.Net.Sched.RunWhile(func() bool { return !dead && d.Net.Sched.Now() < deadline })
+	if dead {
+		t.Error("bob's replaced session reported itself dead")
+	}
+	if n := d.b.UDPSessionCount(); n != 1 {
+		t.Errorf("bob holds %d sessions, want 1", n)
+	}
+}
+
 func TestUDPPunchOnePeerPublic(t *testing.T) {
 	// Connection-reversal topology (Figure 3) for UDP: punching
 	// handles it with no special casing — B's probes to A's (public)

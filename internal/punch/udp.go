@@ -124,11 +124,14 @@ func (c *Client) retireUDPAttempt(a *udpAttempt) {
 	}
 }
 
-// newUDPSession enters a session with peer in the client's table and
-// starts its §3.6 maintenance. Every lock-in builds its session here:
-// a punch-ack, early data, the relay floor, and a negotiation's
-// nomination. The caller fires Established.
+// newUDPSession enters a session with peer in the client's table,
+// closing the one it replaces, and starts its §3.6 maintenance. Every
+// lock-in builds its session here: a punch-ack, early data, the relay
+// floor, and a negotiation's nomination. The caller fires Established.
 func (c *Client) newUDPSession(peer string, remote inet.Endpoint, via Method, nonce uint64, cb UDPCallbacks) *UDPSession {
+	if prev := c.udpSessions[peer]; prev != nil {
+		prev.Close()
+	}
 	s := &UDPSession{c: c, Peer: peer, Remote: remote, Via: via, Nonce: nonce, cb: cb}
 	if via == MethodRelay {
 		s.relayVia, s.relayDynamic = c.relayRoute(peer)

@@ -7,9 +7,13 @@
 //
 // The engine is single-threaded by contract (see natpunch/transport):
 // this implementation serializes everything that enters engine code —
-// socket read loops, wall-clock timer callbacks, and Invoke — on one
-// mutex per Transport. Timer.Stop/Active are only ever called from
-// inside that serialized context, which keeps them lock-free.
+// socket read loops, timer callbacks, and Invoke — on one mutex per
+// Transport. Timers are one min-heap per Transport in that serialized
+// context, ordered by deadline and then by arming order, and one
+// runtime timer drives it: a firing is one entry that runs every timer
+// already due, so the sends they make leave together. Timer.Stop is a
+// heap delete and Timer.Active a field read, both lock-free because the
+// engine only calls them from inside the serialized context.
 //
 // # Data plane
 //
@@ -28,7 +32,7 @@
 // woke runs before the next read instead of behind it; a batch of
 // single datagrams, such as one request to an entry, never yields.
 // Every entry into the serialized context — a delivered batch, an
-// Invoke body, a timer callback — is one send batch: the datagrams the
+// Invoke body, a timer firing — is one send batch: the datagrams the
 // engine sends inside it queue up back to back in the conn's send arena
 // — built there, between Reserve and Commit (transport.InPlaceSender),
 // or copied there by SendTo — and leave with one sendmmsg(2) per
@@ -56,6 +60,7 @@ package realudp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"net"
@@ -135,7 +140,18 @@ type Transport struct {
 	// filter (under mu) drops inbound datagrams before the engine sees
 	// them; see SetPacketFilter.
 	filter func(src transport.Endpoint) bool
+	// The timers (under mu): the pending ones on a heap, their arming
+	// sequence, and the one runtime timer that fires the heap — made by
+	// the first After, and armed for wakeAt on the clock (never when it
+	// is not armed).
+	timers   timerHeap
+	timerSeq uint64
+	wake     *time.Timer
+	wakeAt   time.Duration
 }
+
+// never is wakeAt when the runtime timer is not armed.
+const never = time.Duration(math.MaxInt64)
 
 // New prepares a transport whose sockets bind at laddr (e.g.
 // "0.0.0.0:0" or "127.0.0.1:0"). No socket is bound until the engine
@@ -146,10 +162,11 @@ func New(laddr string) (*Transport, error) {
 		return nil, err
 	}
 	return &Transport{
-		laddr: a,
-		start: time.Now(),
-		rng:   rand.New(newSource(time.Now().UnixNano(), seedCounter.Add(1))),
-		done:  make(chan struct{}),
+		laddr:  a,
+		start:  time.Now(),
+		rng:    rand.New(newSource(time.Now().UnixNano(), seedCounter.Add(1))),
+		done:   make(chan struct{}),
+		wakeAt: never,
 	}, nil
 }
 
@@ -198,31 +215,68 @@ func (t *Transport) BindUDP(port transport.Port) (transport.UDPConn, error) {
 	return c, nil
 }
 
-// After schedules fn on a wall-clock timer, serialized with datagram
-// delivery.
+// After schedules fn to run d from the entry's clock reading, in an
+// entry of its own or with other timers that fall due with it (engine
+// context only). On a closed transport the timer is never pending.
 func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
-	tm := &timer{}
-	tm.t = time.AfterFunc(d, func() {
-		t.enter()
-		defer t.leave()
-		if tm.stopped {
-			return
-		}
-		select {
-		case <-t.done:
-			return // transport closed
-		default:
-		}
-		tm.fired = true
-		fn()
-	})
+	select {
+	case <-t.done:
+		return &timer{idx: -1}
+	default:
+	}
+	t.timerSeq++
+	tm := &timer{t: t, at: t.Now() + d, seq: t.timerSeq, fn: fn}
+	t.timers.push(tm)
+	if tm.idx == 0 {
+		t.arm(tm.at)
+	}
 	return tm
+}
+
+// arm makes the runtime timer fire by at, on the transport's clock. It
+// is moved only when at is earlier than where it stands: a firing that
+// finds nothing due re-arms for the head then.
+func (t *Transport) arm(at time.Duration) {
+	if at >= t.wakeAt {
+		return
+	}
+	t.wakeAt = at
+	d := at - time.Since(t.start)
+	if t.wake == nil {
+		t.wake = time.AfterFunc(d, t.fire)
+		return
+	}
+	t.wake.Reset(d)
+}
+
+// fire is the runtime timer's callback: one entry that runs, in heap
+// order, every timer due by the entry's clock, then arms for the new
+// head. A timer armed during the pass waits for a later firing, even
+// one due at once, so a callback that re-arms itself at d=0 runs once
+// per firing instead of spinning the entry.
+func (t *Transport) fire() {
+	t.enter()
+	defer t.leave()
+	t.wakeAt = never
+	now, last := t.Now(), t.timerSeq
+	for len(t.timers) > 0 {
+		tm := t.timers[0]
+		if tm.at > now || tm.seq > last {
+			break
+		}
+		fn := tm.fn
+		t.timers.remove(0)
+		fn()
+	}
+	if len(t.timers) > 0 {
+		t.arm(t.timers[0].at)
+	}
 }
 
 // Now returns monotonic elapsed wall time since the transport was
 // created. Inside the serialized context it is one reading per entry:
 // the clock is read when a delivered batch, an Invoke body or a timer
-// callback begins, and every Now until that entry ends returns that
+// firing begins, and every Now until that entry ends returns that
 // reading, so a timestamp or an RTT sample taken by engine code is
 // early by at most the time the entry has been running (microseconds,
 // against a 100 ms minimum retransmission timeout). A caller outside
@@ -270,7 +324,7 @@ func (t *Transport) Invoke(fn func()) {
 func (t *Transport) Defer(fn func()) { t.hooks = append(t.hooks, fn) }
 
 // enter and leave bracket every run of engine code — a delivered
-// batch, an Invoke body, a timer callback: the serialization mutex,
+// batch, an Invoke body, a timer firing: the serialization mutex,
 // one clock reading, the deferred functions, and one send batch that
 // is on the wire when leave returns.
 func (t *Transport) enter() {
@@ -334,8 +388,9 @@ func (t *Transport) LocalAddr() *net.UDPAddr {
 	return t.first.c.LocalAddr().(*net.UDPAddr)
 }
 
-// Close tears down every socket; read loops exit, pending timers
-// become no-ops, and later BindUDP calls fail with ErrClosed.
+// Close tears down every socket; read loops exit, pending timers are
+// dropped with their callbacks, and later BindUDP calls fail with
+// ErrClosed.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -350,28 +405,102 @@ func (t *Transport) Close() error {
 		c.c.Close()
 	}
 	t.conns = nil
+	if t.wake != nil {
+		t.wake.Stop()
+	}
+	for _, tm := range t.timers {
+		tm.idx, tm.fn = -1, nil
+	}
+	t.timers = nil
 	return nil
 }
 
-// timer is a wall-clock transport.Timer. Stop/Active run only inside
-// the transport's serialized context (engine contract), so plain
-// fields suffice.
+// timer is a transport.Timer on its transport's heap. Stop/Active run
+// only inside the transport's serialized context (engine contract), so
+// plain fields suffice.
 type timer struct {
-	t       *time.Timer
-	fired   bool
-	stopped bool
+	t   *Transport
+	at  time.Duration // deadline on t's clock
+	seq uint64        // arming order, which breaks ties in at
+	fn  func()        // nil once the timer is no longer pending
+	idx int           // index in t.timers; -1 once fired, stopped or dropped
 }
 
 func (tm *timer) Stop() bool {
-	if tm.fired || tm.stopped {
+	if tm.idx < 0 {
 		return false
 	}
-	tm.stopped = true
-	tm.t.Stop()
+	tm.t.timers.remove(tm.idx)
 	return true
 }
 
-func (tm *timer) Active() bool { return !tm.fired && !tm.stopped }
+func (tm *timer) Active() bool { return tm.idx >= 0 }
+
+// timerHeap is a binary min-heap of pending timers by (at, seq). Each
+// timer keeps its index, so Stop removes it where it lies.
+type timerHeap []*timer
+
+func (h timerHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (h timerHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx, h[j].idx = i, j
+}
+
+func (h *timerHeap) push(tm *timer) {
+	tm.idx = len(*h)
+	*h = append(*h, tm)
+	h.up(tm.idx)
+}
+
+// remove takes the timer at i off the heap and lets go of its callback.
+func (h *timerHeap) remove(i int) {
+	tm, n := (*h)[i], len(*h)-1
+	if i != n {
+		h.swap(i, n)
+	}
+	(*h)[n] = nil
+	*h = (*h)[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+	tm.idx, tm.fn = -1, nil
+}
+
+func (h timerHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the timer at i0 toward the leaves and reports whether it
+// moved.
+func (h timerHeap) down(i0 int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
 
 // Conn is one bound real UDP socket.
 type Conn struct {

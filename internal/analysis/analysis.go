@@ -196,10 +196,8 @@ func DefaultConfig() *Config {
 		},
 		MessageTypes: []string{"natpunch/internal/proto.Message"},
 		ScratchFields: []string{
-			"natpunch/internal/rendezvous.Server.enc",
 			"natpunch/internal/rendezvous.Server.fedScratch",
 			"natpunch/internal/rendezvous.Server.scratchMsg",
-			"natpunch/internal/punch.Client.enc",
 		},
 		// Everything that spawns goroutines serving live sessions: the
 		// facade, both socket transports, the sim world driver, and the

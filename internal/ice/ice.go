@@ -28,7 +28,7 @@ import (
 )
 
 // Kind classifies a candidate path. The order is meaningful: higher
-// kinds are preferred when priorities tie.
+// kinds are preferred.
 type Kind uint8
 
 // Candidate kinds, lowest preference first.
@@ -89,15 +89,15 @@ func (k Kind) typePreference() uint32 {
 	}
 }
 
-// Priority computes the kind's deterministic check priority (higher
-// checks first).
+// Priority is the advisory priority a client puts on the wire with a
+// candidate of this kind (proto.Candidate.Priority). It increases with
+// the kind, and the engine orders candidates by kind (Less).
 func (k Kind) Priority() uint32 { return k.typePreference() << 24 }
 
 // Candidate is one checkable transport address for a peer.
 type Candidate struct {
 	Kind     Kind
 	Endpoint inet.Endpoint
-	Priority uint32
 }
 
 // String renders "kind endpoint" for traces and tables.
@@ -122,14 +122,11 @@ func wireKind(k uint8) (Kind, bool) {
 	return 0, false
 }
 
-// Less is the engine's total order on candidates: by priority
-// descending, then kind descending, then endpoint ascending. The
-// endpoint tiebreak makes the order total over distinct candidates,
-// so a sorted check schedule is a pure function of the candidate set.
+// Less is the engine's total order on candidates: by kind descending
+// (the kind's priority), then endpoint ascending. The endpoint tiebreak
+// makes the order total over distinct candidates, so a sorted check
+// schedule is a pure function of the candidate set.
 func Less(a, b Candidate) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
 	if a.Kind != b.Kind {
 		return a.Kind > b.Kind
 	}
@@ -137,11 +134,6 @@ func Less(a, b Candidate) bool {
 		return a.Endpoint.Addr < b.Endpoint.Addr
 	}
 	return a.Endpoint.Port < b.Endpoint.Port
-}
-
-// Sort orders candidates by Less, in place.
-func Sort(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool { return Less(cands[i], cands[j]) })
 }
 
 // Config ablates the negotiation: each switch drops a candidate type
@@ -155,10 +147,10 @@ type Config struct {
 // advertised candidate list: map wire kinds, reclassify public
 // candidates that share selfPublic's address as hairpin (§3.5: the
 // path exists only through the common NAT's loopback), apply the
-// config's ablations, deduplicate by endpoint keeping the preferred
-// kind, recompute local priorities, and sort. The result is a pure
-// function of (selfPublic, remote, cfg) — the property the schedule
-// determinism tests pin.
+// config's ablations, ignore the advertised priorities, sort, and
+// deduplicate by endpoint keeping the preferred kind. The result is a
+// pure function of (selfPublic, remote, cfg) — the property the
+// schedule determinism tests pin.
 func BuildChecks(selfPublic inet.Endpoint, remote []proto.Candidate, cfg Config) []Candidate {
 	var out []Candidate
 	for _, rc := range remote {
@@ -177,9 +169,9 @@ func BuildChecks(selfPublic inet.Endpoint, remote []proto.Candidate, cfg Config)
 		if rc.Endpoint.IsZero() {
 			continue
 		}
-		out = append(out, Candidate{Kind: k, Endpoint: rc.Endpoint, Priority: k.Priority()})
+		out = append(out, Candidate{Kind: k, Endpoint: rc.Endpoint})
 	}
-	Sort(out)
+	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
 	// Dedupe by endpoint; after sorting the first occurrence carries
 	// the preferred kind.
 	kept := out[:0]

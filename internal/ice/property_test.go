@@ -3,6 +3,7 @@ package ice_test
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -29,10 +30,26 @@ func randomCandidates(rng *rand.Rand, n int) []proto.Candidate {
 	return out
 }
 
+// sortChecks orders candidates by ice.Less, as BuildChecks does.
+func sortChecks(cands []ice.Candidate) {
+	sort.Slice(cands, func(i, j int) bool { return ice.Less(cands[i], cands[j]) })
+}
+
+// TestKindPriorityIncreasesWithKind: the advisory wire priority of a
+// kind strictly increases with the kind, so ordering candidates by
+// kind (Less) is ordering them by priority.
+func TestKindPriorityIncreasesWithKind(t *testing.T) {
+	for k := ice.KindRelay; k < ice.KindPrivate; k++ {
+		if k.Priority() >= (k + 1).Priority() {
+			t.Errorf("%v priority %#x, %v priority %#x: want strictly increasing", k, k.Priority(), k+1, (k + 1).Priority())
+		}
+	}
+}
+
 // TestCandidateOrderIsDeterministicTotalOrder pins the first half of
 // the ordering satellite: Less is a strict total order over distinct
-// candidates, so Sort yields one canonical schedule regardless of
-// input permutation.
+// candidates, so sorting by it yields one canonical schedule
+// regardless of input permutation.
 func TestCandidateOrderIsDeterministicTotalOrder(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,17 +58,16 @@ func TestCandidateOrderIsDeterministicTotalOrder(t *testing.T) {
 			k := ice.Kind(rng.Intn(5))
 			cands = append(cands, ice.Candidate{
 				Kind:     k,
-				Priority: k.Priority(),
 				Endpoint: inet.Endpoint{Addr: inet.Addr(rng.Intn(64)), Port: inet.Port(rng.Intn(8))},
 			})
 		}
 		sorted := append([]ice.Candidate(nil), cands...)
-		ice.Sort(sorted)
+		sortChecks(sorted)
 		// Any shuffle sorts to the identical schedule.
 		for trial := 0; trial < 5; trial++ {
 			shuf := append([]ice.Candidate(nil), cands...)
 			rng.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
-			ice.Sort(shuf)
+			sortChecks(shuf)
 			if !reflect.DeepEqual(sorted, shuf) {
 				t.Fatalf("seed %d trial %d: sort is permutation-sensitive:\n%v\n%v", seed, trial, sorted, shuf)
 			}

@@ -223,12 +223,10 @@ type Client struct {
 	// Allocation-free datagram path: every inbound datagram decodes
 	// into dec's one reused Message — its Data the datagram's own bytes,
 	// valid until the handler returns, so whatever outlives it copies —
-	// and every send encodes into enc, or, on a socket that lends its
-	// send buffer (inPlace, transport.InPlaceSender), straight into
-	// that.
-	inPlace transport.InPlaceSender
-	dec     proto.Decoder
-	enc     []byte
+	// and every send is encoded into the buffer sender lends
+	// (transport.SendBuffer).
+	sender transport.InPlaceSender
+	dec    proto.Decoder
 
 	// Server pool state: pool is the preference-ordered rendezvous
 	// server list (pool[poolIdx] == server), lastServerSeen timestamps

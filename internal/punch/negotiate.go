@@ -243,7 +243,7 @@ func (c *Client) answerCheck(n *negotiation, from inet.Endpoint) {
 	ch := n.byEP[from]
 	if ch == nil {
 		k := ice.ClassifyDiscovery(c.udpPublic, from)
-		ch = &check{cand: ice.Candidate{Kind: k, Endpoint: from, Priority: k.Priority()}}
+		ch = &check{cand: ice.Candidate{Kind: k, Endpoint: from}}
 		n.checks = append(n.checks, ch)
 		n.byEP[from] = ch
 	}
@@ -264,7 +264,6 @@ func (c *Client) nominate(n *negotiation, from inet.Endpoint) {
 	if ch := n.byEP[from]; ch != nil {
 		chosen = ch.cand
 	}
-	chosen.Priority = chosen.Kind.Priority()
 	c.finishNegotiation(n)
 
 	via := MethodPublic

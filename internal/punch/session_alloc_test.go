@@ -64,7 +64,7 @@ const sessionNonce = 42
 func aliceWith(t *testing.T, conn transport.UDPConn, via Method, got func([]byte)) (*Client, *UDPSession) {
 	t.Helper()
 	c := NewClientOver(&wireTransport{conn: conn, rng: rand.New(rand.NewSource(1))}, "alice", serverEP, Config{})
-	if err := c.BindUDP(0); err != nil {
+	if err := c.bindUDP(0); err != nil {
 		t.Fatal(err)
 	}
 	s := c.newUDPSession("bob", bobEP, via, sessionNonce, UDPCallbacks{
@@ -138,7 +138,7 @@ func TestSimTransportStillCopies(t *testing.T) {
 		}
 	})
 	c := NewClientOver(ah.Transport(), "alice", serverEP, Config{})
-	if err := c.BindUDP(aliceEP.Port); err != nil {
+	if err := c.bindUDP(aliceEP.Port); err != nil {
 		t.Fatal(err)
 	}
 	var kept [][]byte
@@ -216,7 +216,7 @@ func TestSessionDatagramInPlaceZeroAlloc(t *testing.T) {
 	for _, via := range []Method{MethodPublic, MethodRelay} {
 		conn := &lendingConn{arena: make([]byte, 0, 2048)}
 		c, s := aliceWith(t, conn, via, func([]byte) {})
-		if c.inPlace == nil {
+		if c.sender != conn {
 			t.Fatal("in-place path off on a socket that lends its send buffer")
 		}
 		payload := make([]byte, 1152)
@@ -265,7 +265,7 @@ func TestSessionDatagramInPlaceZeroAlloc(t *testing.T) {
 }
 
 // TestBeginSendOnOtherSockets: on a socket that does not lend its send
-// buffer the two halves are Send through the client's scratch, which
+// buffer the two halves are Send through a reused scratch, which
 // keeps what the appends grew it to and leaves the next datagram as
 // encoded, and a closed session sends nothing.
 func TestBeginSendOnOtherSockets(t *testing.T) {
@@ -282,10 +282,10 @@ func TestBeginSendOnOtherSockets(t *testing.T) {
 	// encoded into what they grew it to.
 	big := string(make([]byte, 1500))
 	s.EndSend(append(s.BeginSend(), big...))
-	grown := cap(c.enc)
+	grown := cap(c.sender.Reserve())
 	s.EndSend(append(s.BeginSend(), "three"...))
-	if string(conn.last) != want(3, "three") || grown < len(want(2, big)) || cap(c.enc) != grown {
-		t.Fatalf("after outgrowing the scratch: %q on the wire, scratch cap %d then %d", conn.last, grown, cap(c.enc))
+	if string(conn.last) != want(3, "three") || grown < len(want(2, big)) || cap(c.sender.Reserve()) != grown {
+		t.Fatalf("after outgrowing the scratch: %q on the wire, scratch cap %d then %d", conn.last, grown, cap(c.sender.Reserve()))
 	}
 
 	s.Close()

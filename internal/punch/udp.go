@@ -153,16 +153,14 @@ func (c *Client) lockIn(a *udpAttempt, from inet.Endpoint) *UDPSession {
 	}
 	s := c.newUDPSession(a.peer, from, via, a.nonce, a.cb)
 	if a.cb.Established != nil {
-		a.cb.Established(s, ice.Candidate{Kind: kind, Endpoint: from, Priority: kind.Priority()})
+		a.cb.Established(s, ice.Candidate{Kind: kind, Endpoint: from})
 	}
 	return s
 }
 
-// BindUDP binds the client's UDP socket to localPort without yet
-// registering with S. Most callers use RegisterUDP; binding alone
-// supports adapters that must own a socket before the rendezvous
-// server is reachable.
-func (c *Client) BindUDP(localPort inet.Port) error {
+// bindUDP binds the client's UDP socket to localPort without yet
+// registering with S.
+func (c *Client) bindUDP(localPort inet.Port) error {
 	if c.udp != nil {
 		return nil
 	}
@@ -172,7 +170,7 @@ func (c *Client) BindUDP(localPort inet.Port) error {
 	}
 	c.udp = s
 	c.udpPrivate = s.Local()
-	c.inPlace, _ = s.(transport.InPlaceSender)
+	c.sender = transport.SendBuffer(s)
 	s.OnRecv(c.handleUDPPacket)
 	return nil
 }
@@ -182,7 +180,7 @@ func (c *Client) BindUDP(localPort inet.Port) error {
 // server — learning the public endpoint. done is invoked with nil on
 // success or an error once the whole pool's retries are exhausted.
 func (c *Client) RegisterUDP(localPort inet.Port, done func(error)) error {
-	if err := c.BindUDP(localPort); err != nil {
+	if err := c.bindUDP(localPort); err != nil {
 		return err
 	}
 	c.udpRegDone = done
@@ -251,27 +249,7 @@ func (c *Client) sendToServer(m *proto.Message) { c.sendUDP(c.server, m) }
 
 // sendUDP encodes and transmits one message.
 func (c *Client) sendUDP(to inet.Endpoint, m *proto.Message) error {
-	return c.sendFrom(to, proto.AppendMessage(c.sendBuf(), m, c.obf))
-}
-
-// sendBuf returns the empty buffer the next datagram is encoded into,
-// and sendFrom sends what was appended to it: the socket's own send
-// buffer where it lends that, so the encoding is the only copy; else
-// the client's scratch, which SendTo releases before it returns.
-// Nothing else is sent between the two.
-func (c *Client) sendBuf() []byte {
-	if c.inPlace != nil {
-		return c.inPlace.Reserve()
-	}
-	return c.enc[:0]
-}
-
-func (c *Client) sendFrom(to inet.Endpoint, p []byte) error {
-	if c.inPlace != nil {
-		return c.inPlace.Commit(to, p)
-	}
-	c.enc = p[:0] // keep what the appends grew
-	return c.udp.SendTo(to, p)
+	return c.sender.Commit(to, proto.AppendMessage(c.sender.Reserve(), m, c.obf))
 }
 
 // UDPRegistered reports whether UDP registration completed.
@@ -288,9 +266,9 @@ func (c *Client) PrivateUDP() inet.Endpoint { return c.udpPrivate }
 // for help establishing a UDP session with B"). The outcome arrives
 // via cb. The socket must be bound; normally the caller has
 // registered first (RegisterUDP). A merely-bound client may still
-// try — blocking adapters rely on that — but unless S already knows
-// this client the request fails with ErrPeerUnknown (S's error reply
-// blames the pair, not the missing registration).
+// try, but unless S already knows this client the request fails with
+// ErrPeerUnknown (S's error reply blames the pair, not the missing
+// registration).
 func (c *Client) ConnectUDP(peer string, cb UDPCallbacks) {
 	if c.udp == nil {
 		if cb.Failed != nil {
@@ -679,7 +657,7 @@ func (s *UDPSession) Send(data []byte) error {
 // EndSend sends the result on the session's live path. Every BeginSend
 // is followed by its EndSend before anything else is sent on the
 // client, and the buffer — the socket's own send buffer where it lends
-// that, see sendBuf — is not kept past it.
+// that (transport.SendBuffer) — is not kept past it.
 func (s *UDPSession) BeginSend() []byte {
 	if s.closed {
 		return nil
@@ -690,7 +668,7 @@ func (s *UDPSession) BeginSend() []byte {
 	if s.Via == MethodRelay {
 		m.Type, m.Target, m.Nonce = proto.TypeRelayTo, s.Peer, 0
 	}
-	buf := proto.BeginData(s.c.sendBuf(), &m, s.c.obf)
+	buf := proto.BeginData(s.c.sender.Reserve(), &m, s.c.obf)
 	s.dataAt = len(buf)
 	return buf
 }
@@ -704,7 +682,7 @@ func (s *UDPSession) EndSend(p []byte) error {
 	if s.Via == MethodRelay {
 		to = s.relayTarget()
 	}
-	return s.c.sendFrom(to, proto.EndData(p, s.dataAt))
+	return s.c.sender.Commit(to, proto.EndData(p, s.dataAt))
 }
 
 // Close tears the session down locally.

@@ -28,7 +28,7 @@ func TestRealSocketRelayZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Skipf("UDP loopback unavailable: %v", err)
 	}
-	if s.inPlace == nil {
+	if _, ok := s.sender.(*realudp.Conn); !ok {
 		t.Fatal("a realudp socket does not lend its send buffer: the path under test is off")
 	}
 	server := realudp.ToUDPAddr(s.Endpoint())

@@ -3,7 +3,6 @@ package rendezvous
 import (
 	"encoding/binary"
 
-	"natpunch/internal/inet"
 	"natpunch/internal/proto"
 )
 
@@ -49,24 +48,11 @@ func (s *Server) relay(m *proto.Message, wire []byte) {
 		frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(wire)), uint32(len(wire)))
 		c.conn.Write(appendRelayed(frame, wire))
 	case rec.Local():
-		s.sendRelayed(rec.Public, wire)
+		s.sender.Commit(rec.Public, appendRelayed(s.sender.Reserve(), wire))
 	default:
 		s.fedScratch = appendRelayed(s.fedScratch[:0], wire)
 		s.fedForward(rec.Home, rec.Name, s.fedScratch)
 	}
-}
-
-// sendRelayed sends wire, rewritten by appendRelayed, to a local
-// client: copied into the buffer the socket sends it from where the
-// socket lends that (transport.InPlaceSender), else into the reused
-// scratch, which SendTo releases before it returns.
-func (s *Server) sendRelayed(to inet.Endpoint, wire []byte) {
-	if s.inPlace != nil {
-		s.inPlace.Commit(to, appendRelayed(s.inPlace.Reserve(), wire))
-		return
-	}
-	s.enc = appendRelayed(s.enc[:0], wire)
-	s.udp.SendTo(to, s.enc)
 }
 
 // appendRelayed appends wire, a RelayTo's encoding, to dst as the

@@ -84,7 +84,7 @@ func TestRelayForwardsReceivedBytes(t *testing.T) {
 				s, conn := allocServer(t, Config{RelayOnly: relayOnly})
 				if lends {
 					c := &inPlaceConn{stubConn: *conn}
-					s.udp, s.inPlace, conn = c, c, &c.stubConn
+					s.udp, s.sender, conn = c, c, &c.stubConn
 				}
 				s.reg.put(Record{Name: "carol", Public: inet.MustParseEndpoint("204.16.1.9:7000"), Home: home}, s.now())
 				for _, c := range relayCases(target) {

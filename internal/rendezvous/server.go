@@ -91,10 +91,6 @@ type Config struct {
 	// keep-alives, and §2.2 relaying — the standalone relay service
 	// deployable on its own hosts (package natpunch/relayapi).
 	RelayOnly bool
-	// Peers lists federation peers to Join at startup (adapters
-	// consume this; rendezvous.Serve itself leaves joining to the
-	// caller so it happens inside the right transport context).
-	Peers []inet.Endpoint
 }
 
 // tcpClient is S's record of one client registered over the TCP
@@ -130,17 +126,16 @@ type Server struct {
 	// Zero-alloc hot path state. dec decodes every UDP datagram into
 	// one reused Message, interning client names (safe to retain in
 	// registry records) and leaving Data where it lies in the datagram.
-	// scratchMsg is the reused outgoing-message skeleton; enc and
-	// fedScratch are the encode buffers — separate, because a federated
-	// delivery encodes the inner message (or copies the relayed bytes)
-	// into fedScratch and then the FedForward wrapper around it into
-	// enc. A conn that lends its send buffer (inPlace) is written into
-	// directly instead of through enc.
+	// scratchMsg is the reused outgoing-message skeleton. Every UDP
+	// datagram is built in the buffer sender lends
+	// (transport.SendBuffer); fedScratch is apart from it, because a
+	// federated delivery encodes the inner message (or copies the
+	// relayed bytes) into fedScratch and then the FedForward wrapper
+	// around it into the lent buffer.
 	dec        proto.Decoder
 	scratchMsg proto.Message
-	enc        []byte
 	fedScratch []byte
-	inPlace    transport.InPlaceSender
+	sender     transport.InPlaceSender
 
 	stats Stats
 }
@@ -175,7 +170,7 @@ func Serve(tr transport.Transport, cfg Config) (*Server, error) {
 	}
 	s.udp = u
 	s.port = u.Local().Port
-	s.inPlace, _ = u.(transport.InPlaceSender)
+	s.sender = transport.SendBuffer(u)
 	u.OnRecv(s.handleUDP)
 	if s.h != nil && !cfg.RelayOnly {
 		l, err := s.h.TCPListen(s.port, false, s.handleAccept)
@@ -316,17 +311,11 @@ func (s *Server) keepAliveUDP(from inet.Endpoint, m *proto.Message) {
 	s.replicate(rec)
 }
 
-// sendUDP encodes and transmits one message: into the buffer the socket
-// sends it from where the socket lends that (transport.InPlaceSender),
-// else into the reused scratch, which SendTo releases before it
-// returns. The forwarder's hot path is allocation-free either way.
+// sendUDP encodes and transmits one message, into the buffer sender
+// lends. The forwarder's hot path is allocation-free on every
+// transport.
 func (s *Server) sendUDP(to inet.Endpoint, m *proto.Message) {
-	if s.inPlace != nil {
-		s.inPlace.Commit(to, proto.AppendMessage(s.inPlace.Reserve(), m, s.obf))
-		return
-	}
-	s.enc = proto.AppendMessage(s.enc[:0], m, s.obf)
-	s.udp.SendTo(to, s.enc)
+	s.sender.Commit(to, proto.AppendMessage(s.sender.Reserve(), m, s.obf))
 }
 
 // deliver routes a message to a registered client: directly when the
@@ -339,9 +328,9 @@ func (s *Server) deliver(rec Record, m *proto.Message) {
 		return
 	}
 	// Inner message into its own scratch: fedForward will reuse both
-	// scratchMsg (the wrapper skeleton) and enc (the wrapper encoding),
-	// so m — often scratchMsg itself — must be fully encoded before the
-	// call.
+	// scratchMsg (the wrapper skeleton) and the lent send buffer (the
+	// wrapper encoding), so m — often scratchMsg itself — must be fully
+	// encoded before the call.
 	s.fedScratch = proto.AppendMessage(s.fedScratch[:0], m, s.obf)
 	s.fedForward(rec.Home, rec.Name, s.fedScratch)
 }

@@ -146,9 +146,9 @@ type Mux struct {
 	pings    []pingProbe
 
 	// Receive-path flushes wait for the end of the transport's entry
-	// when it has one (transport.Deferrer; see flushSoon): entryEnd is
-	// nil when it has not, flushAtEnd is the function deferred, built
-	// once, and flushDue says it is registered for the running entry.
+	// (transport.EntryEnd; see flushSoon): flushAtEnd is the function
+	// deferred, built once, and flushDue says it is registered for the
+	// running entry.
 	entryEnd   transport.Deferrer
 	flushAtEnd func()
 	flushDue   bool
@@ -244,12 +244,10 @@ func NewMuxInPlace(tr transport.Transport, begin func() []byte, end func(p []byt
 	}
 	m.sndSessLimit = m.cfg.SessionWindow
 	m.rcvSessLimit = m.cfg.SessionWindow
-	if d, ok := tr.(transport.Deferrer); ok {
-		m.entryEnd = d
-		m.flushAtEnd = func() {
-			m.flushDue = false
-			m.flush() // a mux closed or failed since is a no-op there
-		}
+	m.entryEnd = transport.EntryEnd(tr)
+	m.flushAtEnd = func() {
+		m.flushDue = false
+		m.flush() // a mux closed or failed since is a no-op there
 	}
 	return m
 }
@@ -374,22 +372,19 @@ func (m *Mux) HandleDatagram(p []byte) {
 	m.flushSoon()
 }
 
-// flushSoon is the receive path's flush, and the one place that chooses
-// between now and later. A transport that delivers datagrams a batch at
-// a time (transport.Deferrer) gets one flush when the batch is done:
-// one ack per stream carrying the cumulative offset and the ranges the
-// whole run left, where a flush per datagram sends an ack per datagram
-// — and the peer, in turn, one advancing ack to process per run. On any
-// other transport this is flush. Everything the application or a timer
-// starts (Write, Read, CloseWrite, Reset, DiscardReads, Ping, the
-// retransmission timer) calls flush itself: those are one flush per
-// entry already, and their callers count on the frames being queued
-// when the call returns.
+// flushSoon is the receive path's flush: once, when the transport's
+// entry ends. A transport that delivers datagrams a batch at a time
+// gets one flush when the batch is done: one ack per stream carrying
+// the cumulative offset and the ranges the whole run left, where a
+// flush per datagram sends an ack per datagram — and the peer, in
+// turn, one advancing ack to process per run. On a transport whose
+// every datagram is its own entry this is flush. Everything the
+// application or a timer starts (Write, Read, CloseWrite, Reset,
+// DiscardReads, Ping, the retransmission timer) calls flush itself:
+// those are one flush per entry already, and their callers count on
+// the frames being queued when the call returns.
 func (m *Mux) flushSoon() {
-	switch {
-	case m.entryEnd == nil:
-		m.flush()
-	case !m.flushDue:
+	if !m.flushDue {
 		m.flushDue = true
 		m.entryEnd.Defer(m.flushAtEnd)
 	}

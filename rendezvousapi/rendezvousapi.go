@@ -37,31 +37,39 @@ type Stats = rendezvous.Stats
 const DefaultTTL = rendezvous.DefaultTTL
 
 // ServeOption tunes Serve.
-type ServeOption func(*rendezvous.Config)
+type ServeOption func(*serveConfig)
+
+// serveConfig is what ServeOptions set: the server's configuration,
+// and the federation peers Serve joins once the server runs (inside
+// the transport's serialized context).
+type serveConfig struct {
+	rendezvous.Config
+	peers []transport.Endpoint
+}
 
 // WithAdvertise sets the endpoint Endpoint() reports and operators
 // publish to clients. Wildcard-bound real transports ("0.0.0.0:7000")
 // otherwise report the unroutable bind address verbatim.
 func WithAdvertise(ep transport.Endpoint) ServeOption {
-	return func(c *rendezvous.Config) { c.Advertise = ep }
+	return func(c *serveConfig) { c.Advertise = ep }
 }
 
 // WithTTL bounds a registration's life between §3.6 keep-alives
 // (default DefaultTTL; negative disables expiry).
 func WithTTL(d time.Duration) ServeOption {
-	return func(c *rendezvous.Config) { c.TTL = d }
+	return func(c *serveConfig) { c.TTL = d }
 }
 
 // WithPeers federates the new server with the given peers at startup
 // (it joins each; links become bidirectional via the hello exchange).
 func WithPeers(eps ...transport.Endpoint) ServeOption {
-	return func(c *rendezvous.Config) { c.Peers = append(c.Peers, eps...) }
+	return func(c *serveConfig) { c.peers = append(c.peers, eps...) }
 }
 
 // WithObfuscation one's-complements endpoint bytes in server replies
 // (§3.1/§5.3).
 func WithObfuscation() ServeOption {
-	return func(c *rendezvous.Config) { c.Obf = 1 }
+	return func(c *serveConfig) { c.Obf = 1 }
 }
 
 // Server is a running rendezvous server.
@@ -73,20 +81,18 @@ type Server struct {
 // Serve starts a rendezvous server on tr at port (0 uses the
 // transport's configured or an ephemeral port).
 func Serve(tr transport.Transport, port uint16, opts ...ServeOption) (*Server, error) {
-	cfg := rendezvous.Config{Port: transport.Port(port)}
+	cfg := serveConfig{Config: rendezvous.Config{Port: transport.Port(port)}}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	peers := cfg.Peers
-	cfg.Peers = nil
 	var s *rendezvous.Server
 	var err error
 	tr.Invoke(func() {
-		s, err = rendezvous.Serve(tr, cfg)
+		s, err = rendezvous.Serve(tr, cfg.Config)
 		if err != nil {
 			return
 		}
-		for _, p := range peers {
+		for _, p := range cfg.peers {
 			s.Join(p)
 		}
 	})

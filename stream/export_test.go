@@ -26,3 +26,6 @@ func (st *Stream) Wakeups() uint64 {
 // EngineEvent is the engine's readable/writable callback for the
 // stream (engine context only), for tests that count what one costs.
 func (st *Stream) EngineEvent() { st.s.engineEvent(st.es) }
+
+// Invoke runs fn in the session's engine context.
+func (s *Session) Invoke(fn func()) { s.tr.Invoke(fn) }

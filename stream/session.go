@@ -45,10 +45,10 @@ type Session struct {
 	// touched only inside tr.Invoke or engine callbacks.
 	mux   *istream.Mux
 	early [][]byte // datagrams that arrived before the mux existed
-	// On a transport with an end of entry (transport.Deferrer) a stream
-	// an event names is queued in woken once per entry (Stream.queued),
-	// and wakeAtEnd (s.wakeQueued, built once), deferred by the first,
-	// wakes them all when the entry ends.
+	// A stream an event names is queued in woken once per entry
+	// (Stream.queued), and wakeAtEnd (s.wakeQueued, built once),
+	// deferred by the first, wakes them all when the transport's entry
+	// ends (transport.EntryEnd).
 	entryEnd  transport.Deferrer
 	wakeAtEnd func()
 	woken     []*Stream
@@ -88,10 +88,8 @@ func NewSession(conn *natpunch.Conn) (*Session, error) {
 	if w, ok := s.tr.(transport.Waiter); ok {
 		s.w = w
 	}
-	if d, ok := s.tr.(transport.Deferrer); ok {
-		s.entryEnd = d
-		s.wakeAtEnd = s.wakeQueued
-	}
+	s.entryEnd = transport.EntryEnd(s.tr)
+	s.wakeAtEnd = s.wakeQueued
 	// Stream-ID parity must differ across the two endpoints; both
 	// sides know both rendezvous names, so the lexicographically
 	// smaller name takes the even IDs.
@@ -176,22 +174,20 @@ func (s *Session) engineAccept(es *istream.Stream) {
 
 // engineEvent wakes the callers of the stream a readable/writable
 // change names, and nobody else (engine context). A waiter cannot
-// enter the engine before the entry that woke it is over, so where the
-// transport says when that is, each stream the entry touched is woken
-// once, then, however many events it raised.
+// enter the engine before the entry that woke it is over, so each
+// stream the entry touched is woken once, when it ends, however many
+// events it raised. The stream is queued before Defer is called: on a
+// transport whose every event is its own entry, Defer runs wakeQueued
+// at once.
 func (s *Session) engineEvent(es *istream.Stream) {
 	st := s.streams[es]
-	switch {
-	case s.entryEnd == nil:
-		s.mu.Lock()
-		st.bump()
-		s.mu.Unlock()
-	case !st.queued:
-		st.queued = true
-		if len(s.woken) == 0 {
-			s.entryEnd.Defer(s.wakeAtEnd)
-		}
-		s.woken = append(s.woken, st)
+	if st.queued {
+		return
+	}
+	st.queued = true
+	s.woken = append(s.woken, st)
+	if len(s.woken) == 1 {
+		s.entryEnd.Defer(s.wakeAtEnd)
 	}
 }
 

@@ -96,6 +96,35 @@ func TestSessionWakeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSessionWakePerEventOnSim: on a transport whose every event is
+// its own entry (the simulator has no end of entry), each event wakes
+// the stream it names at once, inside the entry that raised it, and
+// wakes no other stream.
+func TestSessionWakePerEventOnSim(t *testing.T) {
+	sess, _ := simSessions(t)
+	named, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Invoke(func() {
+		woke, idle := named.Wakeups(), other.Wakeups()
+		for i := 1; i <= 3; i++ {
+			named.EngineEvent()
+			if n := named.Wakeups() - woke; n != uint64(i) {
+				t.Errorf("after %d events in one entry the stream woke %d times, want %d", i, n, i)
+				return
+			}
+		}
+		if n := other.Wakeups() - idle; n != 0 {
+			t.Errorf("events on stream %d woke stream %d %d times, want 0", named.ID(), other.ID(), n)
+		}
+	})
+}
+
 // TestLoopbackDataWakesOnlyItsReader: four streams each have a reader
 // blocked in Read; a byte for one of them wakes that reader and leaves
 // the other three asleep, in turn for each stream.

@@ -23,15 +23,22 @@
 // Transport implementation must therefore serialize everything that
 // enters engine code — datagram delivery callbacks, timer callbacks,
 // and work submitted through Invoke all run mutually excluded, and
-// the engine only ever calls BindUDP, After, Now, Rand, and (where the
-// transport has them) Deferrer's Defer and InPlaceSender's Reserve and
-// Commit from inside that serialized context. Application-side callers
-// (the facade, adapters, tests) must enter the engine exclusively
-// through Invoke.
+// the engine only ever calls BindUDP, After, Now, Rand, Defer, Reserve
+// and Commit from inside that serialized context. Application-side
+// callers (the facade, adapters, tests) must enter the engine
+// exclusively through Invoke.
 //
 // Timer.Stop and Timer.Active are likewise only called from inside
 // the serialized context, which is what lets the real-socket
 // implementation keep them lock-free.
+//
+// # Optional capabilities
+//
+// A conn may lend its send buffer (InPlaceSender) and a transport may
+// say where its entries end (Deferrer). Engine code never tests for
+// either: it resolves them once, with SendBuffer and EntryEnd, which
+// stand in for a missing one with what such a transport does anyway
+// (a scratch sent with SendTo, an entry per event).
 //
 // # Buffer ownership
 //
@@ -140,11 +147,10 @@ type ScratchSender interface {
 // that queue what they are sent: the conn lends the memory its next
 // datagram will leave from, the engine encodes the datagram there —
 // envelope, then frames, each written once — and hands it back, so the
-// bytes are not copied again on their way to the kernel. Engine hot
-// paths (the punch client's and the rendezvous server's sendUDP, a
-// session's BeginSend/EndSend under the stream engine) probe for it by
-// type assertion. Only realudp's conns implement it. A conn without it
-// is sent the same bytes through SendTo, from a reused scratch.
+// bytes are not copied again on their way to the kernel. Only realudp's
+// conns implement it. Engine code reaches every conn through it:
+// SendBuffer hands a conn without it a sender that lends a reused
+// scratch and sends that with SendTo.
 type InPlaceSender interface {
 	// Reserve returns an empty buffer to append the next datagram to:
 	// the tail of the conn's send queue, with whatever room the conn
@@ -158,7 +164,8 @@ type InPlaceSender interface {
 	// Commit sends p, what the caller appended to the reserved buffer,
 	// to the given endpoint. Any other p — one the appends outgrew and
 	// reallocated, one of the caller's own, one reserved before
-	// something else was sent — is sent too, through a copy. On a conn
+	// something else was sent — is sent too. Either way p is the conn's
+	// from then on: a conn may keep its array to lend again. On a conn
 	// that is not queueing (closed, or outside the transport's
 	// serialized context) the datagram is written at once and the
 	// error returned. Engine context only.
@@ -171,10 +178,10 @@ type InPlaceSender interface {
 // timer callback — after which everything the entry sent leaves at
 // once. Engine code that would otherwise do the same work once per
 // datagram of a batch (the stream engine's flush, the stream facade's
-// wake-up) probes for it and does that work once per entry. A
-// transport without it has no such boundary and the engine works per
-// datagram; the simulated transport deliberately does not implement
-// it, which keeps simulated runs datagram for datagram what they were.
+// wake-up) defers it to the end of the entry, and so does it once per
+// entry. Only realudp implements it. EntryEnd hands a transport without
+// it a Defer that runs fn at once: each event is its own entry, which
+// keeps simulated runs datagram for datagram what they were.
 type Deferrer interface {
 	// Defer runs fn once, in the serialized context, after the engine
 	// code of the entry that is running returns and before that entry's
@@ -183,6 +190,49 @@ type Deferrer interface {
 	// closed nothing deferred runs.
 	Defer(fn func())
 }
+
+// SendBuffer resolves how engine code builds a datagram on conn: conn
+// itself where it lends its send buffer, else a sender that lends one
+// reused scratch and sends it with SendTo. Call it once, at bind.
+func SendBuffer(conn UDPConn) InPlaceSender {
+	if s, ok := conn.(InPlaceSender); ok {
+		return s
+	}
+	return &scratchSender{conn: conn}
+}
+
+// scratchSender is SendBuffer's InPlaceSender for a conn that does not
+// lend its send buffer. Commit keeps the array the caller's appends
+// grew, so the scratch grows to the largest datagram once and then
+// allocates nothing; SendTo releases it before Commit returns.
+type scratchSender struct {
+	conn UDPConn
+	buf  []byte
+}
+
+func (s *scratchSender) Reserve() []byte { return s.buf[:0] }
+
+func (s *scratchSender) Commit(to Endpoint, p []byte) error {
+	if cap(p) > cap(s.buf) {
+		s.buf = p[:0]
+	}
+	return s.conn.SendTo(to, p)
+}
+
+// EntryEnd resolves the end of tr's entries: tr's own Defer where it
+// has one, else a Defer that runs fn at once, because each event is
+// its own entry there. Call it once, at construction.
+func EntryEnd(tr Transport) Deferrer {
+	if d, ok := tr.(Deferrer); ok {
+		return d
+	}
+	return eachEvent{}
+}
+
+// eachEvent is EntryEnd's Deferrer for a transport without entries.
+type eachEvent struct{}
+
+func (eachEvent) Defer(fn func()) { fn() }
 
 // Waiter is an optional Transport capability for virtual-time
 // implementations: the facade brackets every blocking wait (dial,

@@ -49,13 +49,15 @@ type batchState struct {
 	// built on first use: a closure per call would go to the heap,
 	// with everything it captures, once per batch. The system call's
 	// number and arguments go in through the fields, its result and
-	// error come back through them.
+	// error come back through them, and waited says whether the call
+	// found the socket not ready first and parked on the poller.
 	call   func(fd uintptr) bool
 	trap   uintptr
 	msg    unsafe.Pointer // the msghdr, or the first mmsghdr
 	a2, a3 uintptr
 	n      int
 	errno  syscall.Errno
+	waited bool
 }
 
 // do issues one non-blocking system call on the socket through park
@@ -66,6 +68,7 @@ func (st *batchState) do(park func(func(fd uintptr) bool) error, trap uintptr, m
 		st.call = func(fd uintptr) bool {
 			r, _, e := syscall.Syscall6(st.trap, fd, uintptr(st.msg), st.a2, st.a3, 0, 0)
 			if e == syscall.EAGAIN || e == syscall.EINTR {
+				st.waited = true
 				return false // park on the poller until ready
 			}
 			st.n, st.errno = int(r), e
@@ -73,6 +76,7 @@ func (st *batchState) do(park func(func(fd uintptr) bool) error, trap uintptr, m
 		}
 	}
 	st.trap, st.msg, st.a2, st.a3 = trap, msg, a2, a3
+	st.waited = false
 	err := park(st.call)
 	st.msg = nil
 	if err != nil {
@@ -374,7 +378,10 @@ func parseGRO(control []byte, flags int32, n int) (seg int, ok bool) {
 // blocking (on the runtime poller) until at least one arrives. Filled
 // entries get Addr set and Payload re-sliced to the received length,
 // one datagram per entry.
-func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) { return bc.readBatch(ms, nil) }
+func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) {
+	n, _, err := bc.readBatch(ms, nil)
+	return n, err
+}
 
 // readBatch is the one receive routine. On a socket with GRO on, a
 // filled entry may hold a coalesced run: segs[i] is the size its
@@ -382,9 +389,12 @@ func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) { return bc.readBatch
 // parseGRO rejects are dropped as loss — swapped out of ms[:n], so
 // every entry keeps a buffer of its own, and n may then be 0. With GRO
 // off (never asked for, or refused) segs[i] is the payload's length.
-func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
+// waited reports whether recvmmsg found nothing queued on its first try
+// and the read parked on the poller: a read that did not wait found a
+// backlog.
+func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (n int, waited bool, err error) {
 	if len(ms) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 	st := &bc.recv
 	st.grow(len(ms))
@@ -399,10 +409,10 @@ func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
 			h.SetControllen(groCmsgSpace)
 		}
 	}
-	n, err := st.do(bc.rc.Read, sysRECVMMSG, unsafe.Pointer(&st.hdrs[0]),
+	n, err = st.do(bc.rc.Read, sysRECVMMSG, unsafe.Pointer(&st.hdrs[0]),
 		uintptr(len(ms)), syscall.MSG_DONTWAIT)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	k := 0
 	for i := 0; i < n; i++ {
@@ -423,5 +433,5 @@ func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
 		}
 		k++
 	}
-	return k, nil
+	return k, st.waited, nil
 }

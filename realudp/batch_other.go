@@ -16,8 +16,12 @@ func (bc *BatchConn) ReadBatch(ms []Datagram) (int, error) { return bc.readOne(m
 // enableGRO: no coalesced receives off Linux.
 func (bc *BatchConn) enableGRO() {}
 
-// readBatch is ReadBatch: every entry is one datagram.
-func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (int, error) {
+// readBatch is ReadBatch: every entry is one datagram. A read fills
+// one slot whatever is queued behind it, so it reports waited: nothing
+// here is evidence of a backlog a second slot would take, and the read
+// loop stays at one.
+func (bc *BatchConn) readBatch(ms []Datagram, segs []int) (n int, waited bool, err error) {
 	clear(segs)
-	return bc.readOne(ms)
+	n, err = bc.readOne(ms)
+	return n, true, err
 }

@@ -336,7 +336,7 @@ func TestGROTruncatedSlotDropped(t *testing.T) {
 		ms[i].Payload = make([]byte, 2048)
 	}
 	ruc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	n, err := rbc.readBatch(ms, segs)
+	n, _, err := rbc.readBatch(ms, segs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,23 @@
 //
 // Every socket runs the same read loop and send queue on every
 // platform; platforms differ only in the BatchConn underneath. On Linux
-// it batches kernel crossings. The read loop drains up to recvBatch
-// slots per recvmmsg(2) call and delivers the whole batch under one
-// mutex acquisition. With UDP GRO (Linux 5.0+, set on the transport's
-// own sockets, never on a BatchConn made by NewBatchConn) a slot holds
-// a whole run of equal-size datagrams from one peer, which the loop
-// delivers one callback per datagram — filter and close checks
-// included — so the engine cannot tell a coalesced run from its
-// datagrams arriving one to a slot; a slot the kernel flags as
-// truncated is dropped as loss. After delivering a batch that held such
-// a run the loop yields its processor, so that a reader the delivery
-// woke runs before the next read instead of behind it; a batch of
-// single datagrams, such as one request to an entry, never yields.
+// it batches kernel crossings. The read loop fills its slots with one
+// recvmmsg(2) call and delivers the whole batch under one mutex
+// acquisition. It starts with one 64 KiB slot and doubles them, up to
+// recvBatch, only when the socket shows a backlog: a read that filled
+// every slot followed by one that found data without waiting on the
+// poller. So an idle socket holds 64 KiB, and receive memory follows
+// what is queued, not how many sockets are open. With UDP GRO (Linux
+// 5.0+, set on the transport's own sockets, never on a BatchConn made
+// by NewBatchConn) a slot holds a whole run of equal-size datagrams
+// from one peer, which the loop delivers one callback per datagram —
+// filter and close checks included — so the engine cannot tell a
+// coalesced run from its datagrams arriving one to a slot; a slot the
+// kernel flags as truncated is dropped as loss. After delivering a
+// batch that held such a run the loop yields its processor, so that a
+// reader the delivery woke runs before the next read instead of behind
+// it; a batch of single datagrams, such as one request to an entry,
+// never yields.
 // Every entry into the serialized context — a delivered batch, an
 // Invoke body, a timer firing — is one send batch: the datagrams the
 // engine sends inside it queue up back to back in the conn's send arena
@@ -48,13 +53,14 @@
 // runs when the entry's engine code is done and before its sends leave)
 // and of the clock (Now is read once as the entry begins).
 // Elsewhere the BatchConn makes one system call per datagram
-// (batch_other.go): a read fills one slot, a flush writes its queue one
-// datagram at a time, and everything above — entries, send arena,
-// flush — is the same code. A datagram the kernel refuses is lost on
-// its own: the rest of its flush still leaves. Receive buffers are
-// reused across datagrams and, through a pool of slabs, across
-// sockets, so delivery callbacks get a slice that is valid only during
-// the callback, per the transport.UDPConn ownership contract.
+// (batch_other.go): a read fills one slot, so the read loop never
+// widens, a flush writes its queue one datagram at a time, and
+// everything above — entries, send arena, flush — is the same code. A
+// datagram the kernel refuses is lost on its own: the rest of its flush
+// still leaves. Receive slots are reused across datagrams and, through
+// a process-wide pool of slots, across sockets, so delivery callbacks
+// get a slice that is valid only during the callback, per the
+// transport.UDPConn ownership contract.
 package realudp
 
 import (
@@ -108,10 +114,11 @@ func mixSeed(nanos int64, n uint64) int64 {
 // will ever close.
 var ErrClosed = errors.New("realudp: transport closed")
 
-// Datagram batch sizing. recvBatch bounds per-socket buffer memory
-// (recvBatch slots of recvSlot bytes per conn); sendBatch bounds how many
-// engine sends one entry into the serialized context can coalesce
-// before a flush in the middle of it.
+// Datagram batch sizing. recvBatch bounds per-socket receive memory: a
+// read loop widens to at most recvBatch slots of recvSlot bytes, and
+// only under a backlog. sendBatch bounds how many engine sends one
+// entry into the serialized context can coalesce before a flush in the
+// middle of it.
 const (
 	recvBatch = 16
 	sendBatch = 32
@@ -538,6 +545,7 @@ type Conn struct {
 	copied  int // datagrams copied into the arena, not built there, likewise
 	slots   int // receive slots delivered so far (under t.mu), likewise
 	yields  int // read-loop yields after a delivered run (under t.mu), likewise
+	width   int // receive slots the read loop holds (under t.mu), likewise
 }
 
 // Local returns the socket's bound endpoint (the private endpoint of
@@ -707,42 +715,54 @@ func (c *Conn) Close() {
 	c.c.Close()
 }
 
-// recvSlab is one read loop's receive memory: recvBatch slots of
-// recvSlot bytes — any datagram, or any run the kernel coalesces, fits
-// one — and the batch bookkeeping over them.
-type recvSlab struct {
-	ms   [recvBatch]Datagram
-	segs [recvBatch]int
-	bufs []byte // recvBatch × recvSlot
-}
-
+// recvSlot is one receive slot: any datagram, or any run the kernel
+// coalesces, fits one.
 const recvSlot = 64 << 10
 
-// slabs recycles receive slabs across sockets: a fresh MiB zeroed per
-// socket was most of what a short-lived connection cost. A recycled
-// slab still holds the previous socket's bytes; handlers only ever see
+// slotPool recycles receive slots across read loops, so that a
+// short-lived socket does not zero a fresh 64 KiB. A recycled slot
+// still holds an earlier socket's bytes; handlers only ever see
 // payloads cut (length and capacity) to what this socket received.
-var slabs = sync.Pool{New: func() any { return &recvSlab{bufs: make([]byte, recvBatch*recvSlot)} }}
+var slotPool = sync.Pool{New: func() any { return new([recvSlot]byte) }}
 
-// readLoop drains up to recvBatch slots per read — each one datagram
-// or, with UDP GRO, a coalesced run of them — and delivers them under a
-// single mutex acquisition.
+// readLoop reads into as many slots as the socket's backlog has shown
+// it needs — each slot one datagram or, with UDP GRO, a coalesced run
+// of them — and delivers each read under a single mutex acquisition. It
+// starts with one slot and doubles them, up to recvBatch, when a read
+// that filled every slot is followed by one that found data without
+// waiting on the poller: a queue the loop is not keeping up with.
+// Datagrams that each arrive after the loop went back to waiting never
+// widen it, so an idle socket holds one slot for its whole life; a
+// socket that has widened never gives slots back.
 func (c *Conn) readLoop() {
-	slab := slabs.Get().(*recvSlab)
+	var (
+		ms    [recvBatch]Datagram
+		segs  [recvBatch]int
+		slots [recvBatch]*[recvSlot]byte
+	)
+	w := 1
+	slots[0] = slotPool.Get().(*[recvSlot]byte)
 	// Back to the pool only once the last deliverBatch has returned:
 	// handlers may not keep a payload past their callback.
-	defer slabs.Put(slab)
-	c.bc.enableGRO()
-	ms, segs := slab.ms[:], slab.segs[:]
-	for {
-		for i := range ms {
-			ms[i] = Datagram{Payload: slab.bufs[i*recvSlot:][:recvSlot]}
+	defer func() {
+		for _, s := range slots[:w] {
+			slotPool.Put(s)
 		}
-		n, err := c.bc.readBatch(ms, segs)
+	}()
+	c.setWidth(w)
+	c.bc.enableGRO()
+	full := false
+	for {
+		for i := range w {
+			ms[i] = Datagram{Payload: slots[i][:]}
+		}
+		n, waited, err := c.bc.readBatch(ms[:w], segs[:w])
 		if err != nil {
 			return
 		}
-		if c.t.deliverBatch(c, ms[:n], segs) {
+		backlog := full && !waited && w < recvBatch
+		full = n == w
+		if c.t.deliverBatch(c, ms[:n], segs[:n]) {
 			// A goroutine the batch woke (a stream reader) is queued to
 			// run next on this P, where an idle P does not take it at
 			// once. A run says a backlog is arriving, so the next read
@@ -750,7 +770,21 @@ func (c *Conn) readLoop() {
 			// runs it now, and an idle P picks this loop up.
 			runtime.Gosched()
 		}
+		if backlog {
+			for i := w; i < 2*w; i++ {
+				slots[i] = slotPool.Get().(*[recvSlot]byte)
+			}
+			w *= 2
+			c.setWidth(w)
+		}
 	}
+}
+
+// setWidth records how many slots the read loop holds, for the tests.
+func (c *Conn) setWidth(w int) {
+	c.t.mu.Lock()
+	c.width = w
+	c.t.mu.Unlock()
 }
 
 // deliverBatch feeds one received batch to the engine: slot i as one
@@ -786,7 +820,7 @@ func (t *Transport) deliverBatch(c *Conn, ms []Datagram, segs []int) (run bool) 
 				n = segs[i]
 			}
 			// Capacity cut too: a handler's append must not reach the
-			// next segment, nor a reslice the slab's stale bytes.
+			// next segment, nor a reslice the slot's stale bytes.
 			seg := p[:n:n]
 			p = p[n:]
 			if t.filter == nil || t.filter(ep) {

@@ -177,7 +177,10 @@ func TestBatchConnRoundTrip(t *testing.T) {
 		{"ReadBatch", func() (int, error) { return rbc.ReadBatch(bufs) }},
 		// The read loop's call on a socket that never turned GRO on (a
 		// kernel that refuses it): the same routine, one datagram a slot.
-		{"readBatch, GRO off", func() (int, error) { return rbc.readBatch(bufs, segs) }},
+		{"readBatch, GRO off", func() (int, error) {
+			n, _, err := rbc.readBatch(bufs, segs)
+			return n, err
+		}},
 	} {
 		n, err := sbc.WriteBatch(out)
 		if err != nil || n != total {
@@ -608,14 +611,56 @@ func TestSendAfterCloseStillErrors(t *testing.T) {
 	}
 }
 
-// TestRecvSlabsRecycled: sockets opened and closed in sequence share
-// receive slabs instead of zeroing a fresh MiB each, and a handler on
-// a recycled slab sees its own datagram and not a byte more — the
-// first socket's datagram is large, so every later slab holds its
-// bytes beyond what the later sockets receive. The test runs each
-// socket's read loop itself, to know when it has returned (and with it
-// the slab).
-func TestRecvSlabsRecycled(t *testing.T) {
+// runLoop binds a loopback socket on tr whose read loop the test runs
+// itself, so that it knows when the loop has returned (and with it the
+// slots) and, through waitParked, when the loop waits on the poller.
+// The socket is closed at cleanup if the test has not closed it.
+func runLoop(t *testing.T, tr *Transport) (conn *Conn, exited <-chan struct{}) {
+	t.Helper()
+	uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := NewBatchConn(uc)
+	if err != nil {
+		uc.Close()
+		t.Fatal(err)
+	}
+	local, _ := ToEndpoint(uc.LocalAddr().(*net.UDPAddr))
+	conn = &Conn{t: tr, c: uc, bc: bc, local: local}
+	done := make(chan struct{})
+	go func() { conn.readLoop(); close(done) }()
+	t.Cleanup(func() { conn.Close(); <-done })
+	return conn, done
+}
+
+// waitParked returns once the read loop runLoop started is parked on
+// the runtime poller, which it reaches only after a read found its
+// socket empty.
+func waitParked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("created by natpunch/realudp.runLoop")) && bytes.Contains(g, []byte(" [IO wait")) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("read loop never parked on the poller")
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRecvSlotsRecycled: sockets opened and closed in sequence share
+// receive slots instead of zeroing a fresh 64 KiB each, and a handler
+// on a recycled slot sees its own datagram and not a byte more — the
+// first socket's datagram is large, so every later slot holds its bytes
+// beyond what the later sockets receive.
+func TestRecvSlotsRecycled(t *testing.T) {
 	requireLoopback(t)
 	probe, _ := loopSink(t)
 	const sockets = 64
@@ -626,27 +671,18 @@ func TestRecvSlabsRecycled(t *testing.T) {
 		if i == 0 {
 			want = bytes.Repeat([]byte{0xEE}, 60000)
 		}
-		tr := newTransport(t)
-		uc, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc, err := NewBatchConn(uc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn, exited := runLoop(t, newTransport(t))
 		got := make(chan struct{})
-		conn := &Conn{t: tr, c: uc, bc: bc}
-		conn.onRecv = func(_ transport.Endpoint, p []byte) {
-			if !bytes.Equal(p, want) || cap(p) != len(p) {
-				t.Errorf("socket %d: got %d bytes (cap %d) starting %x, want %d of %x",
-					i, len(p), cap(p), p[:min(2, len(p))], len(want), want[0])
-			}
-			close(got)
-		}
-		exited := make(chan struct{})
-		go func() { conn.readLoop(); close(exited) }()
-		if _, err := probe.WriteToUDPAddrPort(want, uc.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		conn.t.Invoke(func() {
+			conn.OnRecv(func(_ transport.Endpoint, p []byte) {
+				if !bytes.Equal(p, want) || cap(p) != len(p) {
+					t.Errorf("socket %d: got %d bytes (cap %d) starting %x, want %d of %x",
+						i, len(p), cap(p), p[:min(2, len(p))], len(want), want[0])
+				}
+				close(got)
+			})
+		})
+		if _, err := probe.WriteToUDPAddrPort(want, toAddrPort(conn.Local())); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -658,14 +694,173 @@ func TestRecvSlabsRecycled(t *testing.T) {
 		<-exited
 	}
 	runtime.ReadMemStats(&after)
-	// A slab is a MiB. The race detector makes sync.Pool drop one Put
-	// in four, at random: 16 ± 4 slabs more.
+	// Everything the sockets allocated, counted in slots: one a socket
+	// without recycling. The race detector makes sync.Pool drop one Put
+	// in four, at random (16 ± 4 slots more), and each P's private
+	// entry may keep one from the next socket's loop.
 	grew := after.TotalAlloc - before.TotalAlloc
-	if grew > sockets*recvBatch*recvSlot*5/8 {
-		t.Errorf("%d sockets in sequence allocated %d KiB: receive slabs are not recycled", sockets, grew>>10)
+	if grew > sockets*recvSlot*5/8 {
+		t.Errorf("%d sockets in sequence allocated %d KiB (%d slots): receive slots are not recycled",
+			sockets, grew>>10, grew/recvSlot)
 	} else {
-		t.Logf("%d sockets in sequence allocated %d KiB", sockets, grew>>10)
+		t.Logf("%d sockets in sequence allocated %d KiB (%d slots)", sockets, grew>>10, grew/recvSlot)
 	}
+}
+
+// TestIdleSocketsHoldOneSlot: a socket that has received one datagram
+// holds one receive slot, not the sixteen (a MiB) that a busy socket may
+// grow to: 64 sockets on one transport grow the live heap by at most 64
+// slots, plus 8 KiB a socket for everything else a socket keeps.
+func TestIdleSocketsHoldOneSlot(t *testing.T) {
+	requireLoopback(t)
+	probe, _ := loopSink(t)
+	tr := newTransport(t)
+	const sockets = 64
+	runtime.GC()
+	runtime.GC() // twice: a pooled slot outlives one collection
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := make(chan struct{}, sockets)
+	conns := make([]transport.UDPConn, sockets)
+	tr.Invoke(func() {
+		for i := range conns {
+			c, err := tr.BindUDP(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.OnRecv(func(transport.Endpoint, []byte) { got <- struct{}{} })
+			conns[i] = c
+		}
+	})
+	for _, c := range conns {
+		if _, err := probe.WriteToUDPAddrPort([]byte("keep-alive"), toAddrPort(c.Local())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range conns {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatal("datagram not delivered")
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(sockets * (recvSlot + 8<<10)); grew > limit {
+		t.Errorf("%d idle sockets grew the live heap by %d KiB, want at most %d KiB: more than one receive slot each",
+			sockets, grew>>10, limit>>10)
+	} else {
+		t.Logf("%d idle sockets grew the live heap by %d KiB (%d slots' worth)", sockets, grew>>10, grew/recvSlot)
+	}
+	runtime.KeepAlive(conns)
+}
+
+// TestReadLoopGrowsOnBacklog: a read loop widens only for a backlog. A
+// socket whose handler blocks on its first datagram while 40 more queue
+// up reaches recvBatch slots and delivers all 41 byte-exact and in
+// order; one that gets 200 datagrams, each sent once the one before it
+// was delivered and the loop is back waiting on the poller, stays at
+// one slot.
+func TestReadLoopGrowsOnBacklog(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("one datagram per read off Linux: the read loop never widens")
+	}
+	requireLoopback(t)
+	probe, _ := loopSink(t)
+	// Datagram i: 100+i bytes, so that no two can coalesce (UDP GRO
+	// merges equal sizes only) and a moved or swapped one shows.
+	dgram := func(i int) []byte { return fill(100+i, byte(i)) }
+
+	t.Run("backlog", func(t *testing.T) {
+		tr := newTransport(t)
+		conn, _ := runLoop(t, tr)
+		const queued = 40
+		var got [][]byte
+		first, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		t.Cleanup(func() { // before the transport's: a blocked handler holds its mutex
+			select {
+			case <-release:
+			default:
+				close(release)
+			}
+		})
+		tr.Invoke(func() {
+			conn.OnRecv(func(_ transport.Endpoint, p []byte) {
+				got = append(got, append([]byte(nil), p...))
+				switch len(got) {
+				case 1:
+					close(first)
+					<-release
+				case 1 + queued:
+					close(done)
+				}
+			})
+		})
+		to := toAddrPort(conn.Local())
+		for i := 0; i <= queued; i++ {
+			if _, err := probe.WriteToUDPAddrPort(dgram(i), to); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				select {
+				case <-first:
+				case <-time.After(5 * time.Second):
+					t.Fatal("first datagram not delivered")
+				}
+			}
+		}
+		close(release)
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d datagrams not all delivered", 1+queued)
+		}
+		var w int
+		tr.Invoke(func() {
+			for i, p := range got {
+				if !bytes.Equal(p, dgram(i)) {
+					t.Errorf("datagram %d: %d bytes starting %x, want %d starting %x", i, len(p), p[0], 100+i, byte(i))
+				}
+			}
+			w = conn.width
+		})
+		t.Logf("%d datagrams queued behind a blocked handler: the loop reads %d slots at a time", queued, w)
+		if w != recvBatch {
+			t.Errorf("read loop holds %d slots after a %d-datagram backlog, want %d", w, queued, recvBatch)
+		}
+	})
+
+	t.Run("one at a time", func(t *testing.T) {
+		tr := newTransport(t)
+		conn, _ := runLoop(t, tr)
+		const n = 200
+		delivered := make(chan []byte, 1)
+		tr.Invoke(func() {
+			conn.OnRecv(func(_ transport.Endpoint, p []byte) { delivered <- append([]byte(nil), p...) })
+		})
+		to := toAddrPort(conn.Local())
+		for i := 0; i < n; i++ {
+			waitParked(t)
+			if _, err := probe.WriteToUDPAddrPort(dgram(i), to); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case p := <-delivered:
+				if !bytes.Equal(p, dgram(i)) {
+					t.Fatalf("datagram %d: %d bytes, want %d", i, len(p), 100+i)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("datagram %d not delivered", i)
+			}
+		}
+		var w int
+		tr.Invoke(func() { w = conn.width })
+		t.Logf("%d datagrams, each once the one before it was delivered: the loop reads %d slot(s) at a time", n, w)
+		if w != 1 {
+			t.Errorf("read loop holds %d slots after %d datagrams that never queued, want 1", w, n)
+		}
+	})
 }
 
 func TestEndpointConversions(t *testing.T) {

@@ -4,9 +4,8 @@
 // iteration order on wire/render paths), layering (facade edges as
 // pinned in docs/API.md), wiredispatch (exhaustive wire-message
 // handling), bufown (callback-scoped buffers must not escape their
-// callback), atomicfield (no mixed atomic/plain access), and
-// golifecycle (goroutines and timers tied to shutdown). See
-// docs/LINT.md.
+// callback), and golifecycle (goroutines and timers tied to
+// shutdown). See docs/LINT.md.
 //
 // Usage:
 //
@@ -32,10 +31,8 @@
 //	-json FILE  write the diagnostics as a deterministic JSON artifact
 //	-github     emit GitHub Actions ::error annotations instead of plain lines
 //
-// Exit status: 0 clean, 1 unsuppressed findings, 2 package load or
-// type-check failure (load failures are reported as ordinary "load"
-// diagnostics rather than aborting the run at the first broken
-// package).
+// Exit status: 0 clean, 1 unsuppressed findings, 2 the module does
+// not build (the go command's error is printed).
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -69,15 +65,12 @@ func main() {
 
 	start := time.Now()
 	analyzers := analysis.Analyzers()
-	mod, loadDiags, err := analysis.Load(".")
+	mod, err := analysis.Load(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "natlint: %v\n", err)
 		os.Exit(2)
 	}
-	// One stable order over load and analyzer findings (numeric
-	// line/column, not lexical).
-	diags := append(loadDiags, analysis.Run(mod, analysis.DefaultConfig(), analyzers)...)
-	sort.Slice(diags, func(i, j int) bool { return analysis.DiagnosticLess(diags[i], diags[j]) })
+	diags := analysis.Run(mod, analysis.DefaultConfig(), analyzers)
 	elapsed := time.Since(start)
 
 	counts := make(map[string]int)
@@ -105,18 +98,13 @@ func main() {
 	for _, a := range analyzers {
 		summary += fmt.Sprintf(" · %s %d", a.Name, counts[a.Name])
 	}
-	for _, extra := range []string{"pragma", "load"} {
-		if n := counts[extra]; n > 0 {
-			summary += fmt.Sprintf(" · %s %d", extra, n)
-		}
+	if n := counts["pragma"]; n > 0 {
+		summary += fmt.Sprintf(" · pragma %d", n)
 	}
 	summary += fmt.Sprintf(" · %.2fs", elapsed.Seconds())
 	fmt.Fprintln(os.Stderr, summary)
 
-	switch {
-	case len(loadDiags) > 0:
-		os.Exit(2)
-	case len(diags) > 0:
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -19,6 +19,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -37,12 +38,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// DiagnosticLess reports whether a orders before b in the stable
+// diagnosticLess reports whether a orders before b in the stable
 // emitter order: filename, then numeric line and column, then check,
-// then message. Every emitter (including cmd/natlint's cross-flavor
-// merge) must use this comparator so positions sort numerically, not
-// lexically.
-func DiagnosticLess(a, b Diagnostic) bool {
+// then message, so positions sort numerically, not lexically.
+func diagnosticLess(a, b Diagnostic) bool {
 	if a.Pos.Filename != b.Pos.Filename {
 		return a.Pos.Filename < b.Pos.Filename
 	}
@@ -162,14 +161,13 @@ func DefaultConfig() *Config {
 		InternalAllowedPublic: []string{"natpunch/transport"},
 		ProtoPackage:          "natpunch/internal/proto",
 		// Server-received types dispatch in rendezvous; client-received
-		// types dispatch in punch (UDP and TCP paths), ice, and — for
-		// the TypeStream* frame types — the stream layer. The union
+		// types dispatch in punch (UDP and TCP paths) and — for the
+		// TypeStream* frame types — the stream layer. The union
 		// must cover every wire type, so a new message can never
 		// silently fall through everywhere.
 		DispatchPackages: []string{
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/punch",
-			"natpunch/internal/ice",
 			"natpunch/internal/stream",
 		},
 		// Every package a live datagram payload flows through. The
@@ -185,7 +183,6 @@ func DefaultConfig() *Config {
 			"natpunch/rendezvousapi",
 			"natpunch/natcheckapi",
 			"natpunch/internal/punch",
-			"natpunch/internal/ice",
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/tcp",
 			"natpunch/internal/stream",
@@ -208,7 +205,6 @@ func DefaultConfig() *Config {
 			"natpunch/simnet",
 			"natpunch/realudp",
 			"natpunch/internal/punch",
-			"natpunch/internal/ice",
 			"natpunch/internal/rendezvous",
 			"natpunch/internal/tcp",
 			"natpunch/internal/stream",
@@ -221,7 +217,7 @@ func DefaultConfig() *Config {
 
 // Analyzers returns the full natlint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, Layering, WireDispatch, BufOwn, AtomicField, GoLifecycle}
+	return []*Analyzer{Determinism, MapOrder, Layering, WireDispatch, BufOwn, GoLifecycle}
 }
 
 // matchPath reports whether the import path matches pattern: an exact
@@ -329,6 +325,6 @@ func Run(mod *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 	// The full sort (position, check, then message) is load-bearing:
 	// wiredispatch anchors several findings on one switch position and
 	// sort.Slice is unstable, so a partial key would vary run to run.
-	sortDiagnostics(kept)
+	sort.Slice(kept, func(i, j int) bool { return diagnosticLess(kept[i], kept[j]) })
 	return kept
 }

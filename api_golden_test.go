@@ -19,7 +19,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -64,7 +64,9 @@ func TestAPISurfaceGolden(t *testing.T) {
 }
 
 // dumpExported renders dir's exported declarations, one per line
-// block, sorted for stability.
+// block, sorted for stability. Files are parsed regardless of build
+// constraints, so a declaration kept per platform (realudp's
+// batch_linux.go and batch_other.go) renders once.
 func dumpExported(dir string) (string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -84,8 +86,8 @@ func dumpExported(dir string) (string, error) {
 			}
 		}
 	}
-	sort.Strings(decls)
-	return strings.Join(decls, "\n"), nil
+	slices.Sort(decls)
+	return strings.Join(slices.Compact(decls), "\n"), nil
 }
 
 // renderDecl prints one exported declaration without bodies or doc

@@ -13,7 +13,8 @@
 //	go run ./cmd/rendezvous -listen 0.0.0.0:7000 -advertise 203.0.113.8:7000 \
 //	    -join 203.0.113.7:7000
 //
-//	# a standalone §2.2 relay host (clients: WithRelayServers)
+//	# a standalone §2.2 relay host: registration, keep-alives and relaying
+//	# only (rendezvousapi.WithRelayOnly; clients: WithRelayServers)
 //	go run ./cmd/rendezvous -listen 0.0.0.0:7001 -advertise 203.0.113.9:7001 \
 //	    -relay-only
 //
@@ -30,7 +31,6 @@ import (
 	"strings"
 
 	"natpunch/realudp"
-	"natpunch/relayapi"
 	"natpunch/rendezvousapi"
 	"natpunch/transport"
 )
@@ -69,6 +69,11 @@ func main() {
 		}
 	}
 
+	var opts []rendezvousapi.ServeOption
+	if !adv.IsZero() {
+		opts = append(opts, rendezvousapi.WithAdvertise(adv))
+	}
+	kind := "rendezvous"
 	if *relayOnly {
 		if len(peers) > 0 {
 			// Relay reachability comes from every client registering
@@ -76,41 +81,22 @@ func main() {
 			// ignored -join would mislead the operator.
 			fail(fmt.Errorf("-relay-only does not federate; drop -join (clients list relay hosts via WithRelayServers)"))
 		}
-		var opts []relayapi.ServeOption
-		if !adv.IsZero() {
-			opts = append(opts, relayapi.WithAdvertise(adv))
-		}
-		srv, err := relayapi.Serve(tr, 0, opts...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("relay server listening on %s, advertising %s\n", tr.LocalAddr(), srv.Endpoint())
-		awaitInterrupt()
-		st := srv.Stats()
-		fmt.Printf("served: %d registrations, %d relayed messages (%d bytes)\n",
-			st.RegistrationsUDP, st.RelayedMessages, st.RelayedBytes)
-		srv.Close()
-		tr.Close()
-		return
-	}
-
-	var opts []rendezvousapi.ServeOption
-	if !adv.IsZero() {
-		opts = append(opts, rendezvousapi.WithAdvertise(adv))
+		opts = append(opts, rendezvousapi.WithRelayOnly())
+		kind = "relay"
 	}
 	opts = append(opts, rendezvousapi.WithPeers(peers...))
 	srv, err := rendezvousapi.Serve(tr, 0, opts...)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("rendezvous server listening on %s, advertising %s\n", tr.LocalAddr(), srv.Endpoint())
+	fmt.Printf("%s server listening on %s, advertising %s\n", kind, tr.LocalAddr(), srv.Endpoint())
 	if len(peers) > 0 {
 		fmt.Printf("federated with %d peer(s): %v\n", len(peers), peers)
 	}
 	awaitInterrupt()
 	st := srv.Stats()
-	fmt.Printf("served: %d registrations, %d connect requests, %d negotiations, %d relayed messages, %d fed records, %d fed forwards\n",
-		st.RegistrationsUDP, st.ConnectRequests, st.NegotiateRequests, st.RelayedMessages,
+	fmt.Printf("served: %d registrations, %d connect requests, %d negotiations, %d relayed messages (%d bytes), %d fed records, %d fed forwards\n",
+		st.RegistrationsUDP, st.ConnectRequests, st.NegotiateRequests, st.RelayedMessages, st.RelayedBytes,
 		st.FedRecords, st.FedForwards)
 	srv.Close()
 	tr.Close()

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"natpunch"
-	"natpunch/relayapi"
 	"natpunch/rendezvousapi"
 	"natpunch/simnet"
 	"natpunch/transport"
@@ -34,7 +33,7 @@ func main() {
 	s2, err := rendezvousapi.Serve(core.AddHost("S2", "18.181.0.32").Transport(), 1234)
 	check(err)
 	s1.Join(s2.Endpoint()) // links are bidirectional after the hello exchange
-	relay, err := relayapi.Serve(core.AddHost("R", "18.181.0.40").Transport(), 1234)
+	relay, err := rendezvousapi.Serve(core.AddHost("R", "18.181.0.40").Transport(), 1234, rendezvousapi.WithRelayOnly())
 	check(err)
 	pool := []transport.Endpoint{s1.Endpoint(), s2.Endpoint()}
 

@@ -3,7 +3,8 @@ package natpunch
 // Federated loopback smoke: the multi-server deployment shape on real
 // UDP sockets — two federated rendezvous servers, a cross-server
 // negotiated punch, the relay-only fallback through a standalone
-// relayapi host, and mid-run home-server loss with pool failover.
+// relay host (rendezvousapi.WithRelayOnly), and mid-run home-server
+// loss with pool failover.
 // These are the real-socket halves of the engine-level pins in
 // internal/rendezvous and internal/punch.
 
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"natpunch/realudp"
-	"natpunch/relayapi"
 	"natpunch/rendezvousapi"
 	"natpunch/transport"
 )
@@ -104,7 +104,7 @@ func TestFederatedLoopbackRelayOnlyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { relayTr.Close() })
-	relay, err := relayapi.Serve(relayTr, 0)
+	relay, err := rendezvousapi.Serve(relayTr, 0, rendezvousapi.WithRelayOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFederatedLoopbackFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { relayTr.Close() })
-	relay, err := relayapi.Serve(relayTr, 0)
+	relay, err := rendezvousapi.Serve(relayTr, 0, rendezvousapi.WithRelayOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,19 +317,19 @@ func TestWithAdvertiseOverridesWildcardEndpoint(t *testing.T) {
 		t.Errorf("wildcard bind reported %v; expected the 0.0.0.0 bind address", got)
 	}
 
-	// relayapi shares the option.
+	// A relay-only server shares the option.
 	tr3, err := realudp.New("0.0.0.0:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr3.Close() })
-	rsrv, err := relayapi.Serve(tr3, 0, relayapi.WithAdvertise(adv))
+	rsrv, err := rendezvousapi.Serve(tr3, 0, rendezvousapi.WithRelayOnly(), rendezvousapi.WithAdvertise(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rsrv.Close)
 	if got := rsrv.Endpoint(); got != adv {
-		t.Errorf("relayapi Endpoint() = %v, want the advertised %v", got, adv)
+		t.Errorf("relay-only Endpoint() = %v, want the advertised %v", got, adv)
 	}
 }
 

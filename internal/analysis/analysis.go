@@ -179,7 +179,6 @@ func DefaultConfig() *Config {
 			"natpunch/transport",
 			"natpunch/simnet",
 			"natpunch/realudp",
-			"natpunch/relayapi",
 			"natpunch/rendezvousapi",
 			"natpunch/natcheckapi",
 			"natpunch/internal/punch",

@@ -111,12 +111,12 @@ type Config struct {
 	// punching fails (§2.2: "a useful fall-back strategy if maximum
 	// robustness is desired").
 	RelayFallback bool
-	// RelayServers lists standalone §2.2 relay services (package
-	// natpunch/relayapi). When non-empty, relay-fallback sessions
-	// route through one of these (chosen by a stable hash of the peer
-	// pair, so both ends agree) instead of loading the rendezvous
-	// server; the client registers and keep-alives with each so its
-	// NAT keeps a mapping open toward them.
+	// RelayServers lists standalone §2.2 relay services (relay-only
+	// servers, rendezvous.Config.RelayOnly). When non-empty,
+	// relay-fallback sessions route through one of these (chosen by a
+	// stable hash of the peer pair, so both ends agree) instead of
+	// loading the rendezvous server; the client registers and
+	// keep-alives with each so its NAT keeps a mapping open toward them.
 	RelayServers []inet.Endpoint
 	// RelayFirst makes a candidate negotiation (Connect) establish
 	// its session through the §2.2 relay the moment the candidate

@@ -189,6 +189,23 @@ func TestHeldDatagramsSurviveDecoderReuse(t *testing.T) {
 	}
 }
 
+// TestHeldDatagramIsACopy: receive holds its own copy of a datagram
+// that overtakes the drain, so whatever the caller's buffer holds
+// next (realudp reuses its receive slots) is not what finishDrain
+// delivers.
+func TestHeldDatagramIsACopy(t *testing.T) {
+	var got []string
+	_, s := aliceWith(t, &wireConn{}, MethodPublic, func(p []byte) { got = append(got, string(p)) })
+	s.draining, s.drainTo = true, 2
+	buf := []byte("third, held")
+	s.receive(3, buf)
+	copy(buf, "overwritten")
+	s.finishDrain()
+	if len(got) != 1 || got[0] != "third, held" {
+		t.Fatalf("finishDrain delivered %q, want [\"third, held\"]", got)
+	}
+}
+
 // lendingConn adds transport.InPlaceSender the way realudp has it: one
 // array of its own, lent whole, and a record of whether what came back
 // was built in it.

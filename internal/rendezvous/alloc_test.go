@@ -113,7 +113,7 @@ func TestRelayForwardZeroAlloc(t *testing.T) {
 }
 
 // TestRelayOnlyZeroAlloc runs the same gate in RelayOnly mode — the
-// standalone relay tier deployment (relayapi).
+// standalone relay tier deployment (rendezvousapi.WithRelayOnly).
 func TestRelayOnlyZeroAlloc(t *testing.T) {
 	_, conn := allocServer(t, Config{RelayOnly: true})
 	wire := proto.Encode(&proto.Message{

@@ -9,7 +9,7 @@ import (
 // The relay service: the §2.2 fallback that forwards application
 // payloads between clients who could not punch. It is part of every
 // full rendezvous server and is also the entire surface of a
-// relay-only deployment (Config.RelayOnly, package natpunch/relayapi)
+// relay-only deployment (Config.RelayOnly, rendezvousapi.WithRelayOnly)
 // — clients select dedicated relay hosts with WithRelayServers and
 // keep the §2.2 load off the brokering tier.
 

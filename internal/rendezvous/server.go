@@ -10,7 +10,7 @@
 //     punch client's Connect;
 //   - the relay (relay.go) is the §2.2 always-works fallback, also
 //     servable on dedicated hosts as a standalone relay service
-//     (Config.RelayOnly, package natpunch/relayapi);
+//     (Config.RelayOnly, rendezvousapi.WithRelayOnly);
 //   - federation (federation.go) links multiple S instances over the
 //     ordinary transport seam, replicating registrations and routing
 //     deliveries through each client's home server, so a peer
@@ -89,7 +89,7 @@ type Config struct {
 	Advertise inet.Endpoint
 	// RelayOnly restricts the served surface to registration,
 	// keep-alives, and §2.2 relaying — the standalone relay service
-	// deployable on its own hosts (package natpunch/relayapi).
+	// deployable on its own hosts (rendezvousapi.WithRelayOnly).
 	RelayOnly bool
 }
 

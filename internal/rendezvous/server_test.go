@@ -11,6 +11,7 @@ import (
 	"natpunch/internal/rendezvous"
 	"natpunch/internal/tcp"
 	"natpunch/internal/topo"
+	"natpunch/rendezvousapi"
 )
 
 // rawClient speaks the rendezvous protocol over a bare UDP socket so
@@ -150,6 +151,59 @@ func TestUDPRelayPath(t *testing.T) {
 	}
 	if srv.Stats().RelayedBytes != 5 {
 		t.Errorf("relayed bytes = %d", srv.Stats().RelayedBytes)
+	}
+}
+
+// TestRelayOnlySurface: a WithRelayOnly server answers registration
+// and keep-alives and forwards RelayTo (§2.2), and drops connection
+// requests, negotiations and federation hellos unanswered,
+// unforwarded and uncounted.
+func TestRelayOnlySurface(t *testing.T) {
+	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
+	srv, err := rendezvousapi.Serve(c.S.Transport(), 1234, rendezvousapi.WithRelayOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newRawClient(t, c.A, 4321)
+	b := newRawClient(t, c.B, 4321)
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "alice", Private: a.sock.Local()})
+	b.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "bob", Private: b.sock.Local()})
+	c.RunFor(time.Second)
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeKeepAlive, From: "alice"})
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRelayTo, From: "alice", Target: "bob", Data: []byte("via R")})
+	c.RunFor(time.Second)
+
+	types := func(ms []*proto.Message) []proto.Type {
+		var ts []proto.Type
+		for _, m := range ms {
+			ts = append(ts, m.Type)
+		}
+		return ts
+	}
+	if got := types(a.got); len(got) != 2 || got[0] != proto.TypeRegisterOK || got[1] != proto.TypeRegisterOK {
+		t.Errorf("alice got %v; want a RegisterOK for her registration and one for her keep-alive", got)
+	}
+	if got := types(b.got); len(got) != 2 || got[0] != proto.TypeRegisterOK || got[1] != proto.TypeRelayed || string(b.got[1].Data) != "via R" {
+		t.Errorf("bob got %v; want RegisterOK then the relayed payload", got)
+	}
+	want := rendezvousapi.Stats{RegistrationsUDP: 2, RelayedMessages: 1, RelayedBytes: 5}
+	if st := srv.Stats(); st != want {
+		t.Errorf("stats = %+v; want %+v", st, want)
+	}
+
+	a.got, b.got = nil, nil
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeConnectRequest, From: "alice", Target: "bob", Nonce: 1})
+	a.send(srv.Endpoint(), &proto.Message{
+		Type: proto.TypeNegotiate, From: "alice", Target: "bob", Nonce: 2,
+		Candidates: []proto.Candidate{{Kind: proto.CandPublic, Endpoint: a.sock.Local()}},
+	})
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeFedHello})
+	c.RunFor(time.Second)
+	if len(a.got) != 0 || len(b.got) != 0 {
+		t.Errorf("relay-only server answered out-of-scope requests: alice got %v, bob got %v", types(a.got), types(b.got))
+	}
+	if st := srv.Stats(); st != want {
+		t.Errorf("out-of-scope requests counted: stats = %+v; want %+v", st, want)
 	}
 }
 

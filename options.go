@@ -53,8 +53,8 @@ func Servers(eps ...transport.Endpoint) Option {
 }
 
 // WithRelayServers routes the §2.2 relay fallback through standalone
-// relay hosts (natpunch/relayapi, cmd/rendezvous -relay-only) instead
-// of the rendezvous server, keeping payload load off the brokering
+// relay hosts (rendezvousapi.WithRelayOnly, cmd/rendezvous -relay-only)
+// instead of the rendezvous server, keeping payload load off the brokering
 // tier. Each relayed session picks one host by a stable hash of the
 // peer pair, so both ends meet at the same relay; the endpoint
 // registers and keep-alives with every listed host so a fallback can

@@ -17,7 +17,8 @@
 // eviction: a client that dies without teardown stops being dialable
 // once its keep-alives stop, instead of receiving forwards forever,
 // and a flood of names that go silent does not stay resident.
-// For the standalone §2.2 relay tier, see package natpunch/relayapi.
+// WithRelayOnly serves the standalone §2.2 relay tier on its own
+// hosts (clients list them with natpunch.WithRelayServers).
 package rendezvousapi
 
 import (
@@ -70,6 +71,14 @@ func WithPeers(eps ...transport.Endpoint) ServeOption {
 // (§3.1/§5.3).
 func WithObfuscation() ServeOption {
 	return func(c *serveConfig) { c.Obf = 1 }
+}
+
+// WithRelayOnly serves only registration, §3.6 keep-alives and §2.2
+// RelayTo forwarding, so relay hosts take the payload load off the
+// brokering tier. Every other request is dropped unanswered and
+// uncounted; a relay host does not federate, so leave WithPeers off.
+func WithRelayOnly() ServeOption {
+	return func(c *serveConfig) { c.RelayOnly = true }
 }
 
 // Server is a running rendezvous server.

@@ -702,7 +702,7 @@ func (bo *bufOwnFunc) exprTaint(e ast.Expr) taintClass {
 	case *ast.FuncLit:
 		// A closure value holding a tainted free variable is itself a
 		// retention vector once stored.
-		return bo.capturedTaint(x)
+		return bo.capturedTaint(x, false)
 	case *ast.CallExpr:
 		if bo.isReserveCall(x) {
 			return taintReserved
@@ -833,8 +833,10 @@ func (bo *bufOwnFunc) exprTaintIgnoringCleanse(e ast.Expr) taintClass {
 
 // capturedTaint returns the strongest taint among free variables the
 // literal captures from the enclosing unit, and the decoder-owned
-// fields it reads through them.
-func (bo *bufOwnFunc) capturedTaint(lit *ast.FuncLit) taintClass {
+// fields it reads through them. A literal that runs later (go, defer,
+// Defer) may not capture a pointer to a decoder-owned Message at all:
+// by then the decoder has handed the same message to the next datagram.
+func (bo *bufOwnFunc) capturedTaint(lit *ast.FuncLit, later bool) taintClass {
 	var t taintClass
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		// m.Data of a captured Message parameter: the variable is clean,
@@ -855,6 +857,9 @@ func (bo *bufOwnFunc) capturedTaint(lit *ast.FuncLit) taintClass {
 		}
 		if ct := bo.carrier[obj]; ct > t {
 			t = ct
+		}
+		if later && bo.msgParams[obj] && isPointer(obj.Type()) {
+			t = max(t, taintCallback)
 		}
 		return true
 	})
@@ -986,13 +991,17 @@ func (bo *bufOwnFunc) setCarrier(obj types.Object, t taintClass) {
 // an argument carries what it captures).
 func (bo *bufOwnFunc) checkAsyncCall(call *ast.CallExpr, kw string) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		if t := bo.capturedTaint(lit); t != taintNone {
+		if t := bo.capturedTaint(lit, true); t != taintNone {
 			bo.pass.Reportf(call.Pos(),
 				"%s captured by a %s closure: it runs after the callback returns and the buffer is reused; copy first", t, kw)
 		}
 	}
 	for _, a := range call.Args {
-		if t := bo.exprTaint(a); t != taintNone {
+		t := bo.exprTaint(a)
+		if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
+			t = bo.capturedTaint(lit, true)
+		}
+		if t != taintNone {
 			bo.pass.Reportf(a.Pos(),
 				"%s passed to a %s call: it runs after the callback returns and the buffer is reused; copy first", t, kw)
 		}

@@ -103,7 +103,16 @@ func (s *Server) handleMsg(from string, m *proto.Message) {
 	s.udp.SendTo(from, m.Data)
 	// The decoder reuses m.Data for the next datagram of the batch.
 	s.tr.Defer(func() { s.observe(m.Data) }) // want bufown "passed to a Defer call"
+	// So is m itself: by then it holds the batch's next message.
+	s.tr.Defer(func() { s.handleLater(m) }) // want bufown "passed to a Defer call"
+	// A field copied out beforehand is this message's: clean.
+	seq := m.Seq
+	s.tr.Defer(func() { s.note(seq) })
 }
+
+func (s *Server) handleLater(m *proto.Message) { s.note(m.Seq) }
+
+func (s *Server) note(seq uint32) { _ = seq }
 
 // sendScratch exercises the scratch rules: scratch absorbs
 // callback-scoped data, exits through SendTo, and must not be

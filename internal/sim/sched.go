@@ -8,10 +8,13 @@
 // determinism is what lets the test suite assert on packet-level
 // orderings (SYN races, idle timeouts) that in the paper's real-world
 // setting were matters of luck (§4.4's "lucky" simultaneous open).
+//
+// The Scheduler's queue is also realudp's timer queue: there it runs on
+// the wall clock, one RunDue pass per runtime-timer firing, instead of
+// on virtual time.
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 
@@ -31,61 +34,100 @@ type event struct {
 	seq   uint64
 	gen   uint32
 	fn    func()
-	index int // heap index; -1 once popped or cancelled
+	index int    // heap index; -1 once popped or cancelled
+	next  *event // next on the free list
 
 	// Inline packet delivery, used when fn == nil.
 	target *Iface
 	pkt    *inet.Packet
 }
 
+// eventHeap is a binary min-heap of pending events by (at, seq). Each
+// event keeps its index, so Timer.Stop removes it where it lies.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index, h[j].index = i, j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
+
+func (h *eventHeap) push(e *event) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at i off the heap and returns it.
+func (h *eventHeap) remove(i int) *event {
+	e, n := (*h)[i], len(*h)-1
+	if i != n {
+		h.swap(i, n)
+	}
+	(*h)[n] = nil
+	*h = (*h)[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
 	e.index = -1
-	*h = old[:n-1]
 	return e
 }
 
-// Scheduler is the discrete-event loop: a virtual clock and a pending
-// event queue. The zero value is not usable; construct with
-// NewScheduler.
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the event at i0 toward the leaves and reports whether it
+// moved.
+func (h eventHeap) down(i0 int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// Scheduler is the discrete-event loop: a clock and a pending event
+// queue. The zero value is ready to use, with seed 0 and the clock at
+// 0. The simulator drives it on virtual time (Run, RunUntil, Step);
+// realudp drives it on the wall clock (RunDue, NextAt).
 type Scheduler struct {
 	now     time.Duration
 	queue   eventHeap
 	seq     uint64
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // built from seed by the first Rand
 	stopped bool
-	free    []*event // recycled events (see event.gen)
+	free    *event // recycled events, linked by next (see event.gen)
 	// Processed counts events executed, for budget checks in tests.
 	Processed uint64
 }
 
 // NewScheduler returns a scheduler with virtual time 0 and a
 // deterministic random source derived from seed.
-func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
-}
+func NewScheduler(seed int64) *Scheduler { return &Scheduler{seed: seed} }
 
 // Now returns the current virtual time (elapsed since simulation
 // start).
@@ -93,8 +135,14 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Rand returns the simulation's deterministic random source. All
 // randomized behavior (loss, port randomization) must draw from it so
-// runs stay reproducible.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// runs stay reproducible. The source is built on first use, so a
+// scheduler that never draws never pays for it.
+func (s *Scheduler) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // Timer is a handle to a scheduled event, allowing cancellation. The
 // generation snapshot guards against the underlying pooled event slot
@@ -111,8 +159,7 @@ func (t *Timer) Stop() bool {
 	if !t.Active() {
 		return false
 	}
-	heap.Remove(&t.s.queue, t.e.index)
-	t.s.release(t.e)
+	t.s.release(t.s.queue.remove(t.e.index))
 	return true
 }
 
@@ -121,20 +168,21 @@ func (t *Timer) Active() bool {
 	return t != nil && t.e != nil && t.e.gen == t.gen && t.e.index >= 0
 }
 
-// acquire returns a blank event at time t, reusing a recycled slot
-// when one is available.
-func (s *Scheduler) acquire(t time.Duration) *event {
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+// schedule queues a blank event at time t, or now if t is in the past,
+// reusing a recycled slot when one is available.
+func (s *Scheduler) schedule(t time.Duration) *event {
+	if t < s.now {
+		t = s.now
+	}
+	e := s.free
+	if e != nil {
+		s.free, e.next = e.next, nil
 	} else {
 		e = &event{}
 	}
-	e.at = t
-	e.seq = s.seq
+	e.at, e.seq = t, s.seq
 	s.seq++
+	s.queue.push(e)
 	return e
 }
 
@@ -142,31 +190,22 @@ func (s *Scheduler) acquire(t time.Duration) *event {
 // invalidates any outstanding Timer handles to the slot.
 func (s *Scheduler) release(e *event) {
 	e.gen++
-	e.fn = nil
-	e.target = nil
-	e.pkt = nil
-	s.free = append(s.free, e)
+	e.fn, e.target, e.pkt = nil, nil, nil
+	e.next, s.free = s.free, e
 }
 
 // After schedules fn to run d from now. Negative d is treated as 0
 // (fn runs at the current instant, after already-queued events at
 // that instant).
 func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
 	return s.At(s.now+d, fn)
 }
 
 // At schedules fn to run at absolute virtual time t. Times in the
 // past are clamped to now.
 func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
-	if t < s.now {
-		t = s.now
-	}
-	e := s.acquire(t)
+	e := s.schedule(t)
 	e.fn = fn
-	heap.Push(&s.queue, e)
 	return &Timer{s: s, e: e, gen: e.gen}
 }
 
@@ -174,27 +213,31 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
 // without allocating a closure or a Timer handle — the fabric's
 // per-packet fast path.
 func (s *Scheduler) scheduleDelivery(d time.Duration, target *Iface, pkt *inet.Packet) {
-	if d < 0 {
-		d = 0
-	}
-	e := s.acquire(s.now + d)
-	e.target = target
-	e.pkt = pkt
-	heap.Push(&s.queue, e)
+	e := s.schedule(s.now + d)
+	e.target, e.pkt = target, pkt
 }
 
 // Stop aborts a Run in progress after the current event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// step executes the earliest pending event. It reports false when the
-// queue is empty. The event slot is recycled before the callback runs
-// so it is immediately reusable by anything the callback schedules.
-func (s *Scheduler) step() bool {
+// Step executes the earliest pending event, reporting false when the
+// queue is empty. External drivers (the simnet world's waiter-driven
+// loop) use it to advance virtual time one event at a time while
+// interleaving with application goroutines.
+func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
-	s.now = e.at
+	s.now = s.queue[0].at
+	s.runHead()
+	return true
+}
+
+// runHead takes the earliest event off the queue and runs it, leaving
+// the clock where it is. The slot is recycled before the callback runs,
+// so anything the callback schedules can reuse it at once.
+func (s *Scheduler) runHead() {
+	e := s.queue.remove(0)
 	fn, target, pkt := e.fn, e.target, e.pkt
 	s.release(e)
 	switch {
@@ -205,21 +248,14 @@ func (s *Scheduler) step() bool {
 		s.Processed++
 		target.deliverNow(pkt)
 	}
-	return true
 }
-
-// Step executes the earliest pending event, reporting false when the
-// queue is empty. External drivers (the simnet world's waiter-driven
-// loop) use it to advance virtual time one event at a time while
-// interleaving with application goroutines.
-func (s *Scheduler) Step() bool { return s.step() }
 
 // Run executes events until the queue drains or Stop is called. It
 // returns the number of events executed by this call.
 func (s *Scheduler) Run() uint64 {
 	start := s.Processed
 	s.stopped = false
-	for !s.stopped && s.step() {
+	for !s.stopped && s.Step() {
 	}
 	return s.Processed - start
 }
@@ -229,7 +265,7 @@ func (s *Scheduler) Run() uint64 {
 func (s *Scheduler) RunUntil(t time.Duration) {
 	s.stopped = false
 	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
-		s.step()
+		s.Step()
 	}
 	if s.now < t {
 		s.now = t
@@ -249,10 +285,44 @@ func (s *Scheduler) RunWhile(cond func() bool) bool {
 		if !cond() {
 			return true
 		}
-		if s.stopped || !s.step() {
+		if s.stopped || !s.Step() {
 			return false
 		}
 	}
+}
+
+// RunDue runs, in queue order, every event due by t that was scheduled
+// before the call, with the clock at t (or left where it is if t is
+// earlier: the clock never moves back). An event a callback schedules
+// waits for the next call, even one due at once, so a callback that
+// re-arms itself at d=0 runs once per call. It is the pass of a
+// wall-clock driver, which then waits until NextAt.
+func (s *Scheduler) RunDue(t time.Duration) {
+	if s.now < t {
+		s.now = t
+	}
+	last := s.seq
+	for len(s.queue) > 0 && s.queue[0].at <= t && s.queue[0].seq < last {
+		s.runHead()
+	}
+}
+
+// NextAt returns when the earliest pending event is due; ok is false
+// when none is pending.
+func (s *Scheduler) NextAt() (at time.Duration, ok bool) {
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
+}
+
+// Drop cancels every pending event and lets go of it and its callback;
+// the handles of dropped timers report inactive.
+func (s *Scheduler) Drop() {
+	for _, e := range s.queue {
+		e.index, e.fn, e.target, e.pkt = -1, nil, nil, nil
+	}
+	s.queue = nil
 }
 
 // Pending returns the number of queued events, for leak checks in

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"weak"
+
+	"natpunch/internal/inet"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -233,5 +238,186 @@ func TestDeterministicRand(t *testing.T) {
 		if a.Rand().Int63() != b.Rand().Int63() {
 			t.Fatal("same seed should give same sequence")
 		}
+	}
+}
+
+// TestRandIsSeedSource: the source Rand builds on first use draws what
+// math/rand's source for the seed draws, whatever ran before it, so
+// every seeded run keeps its sequence.
+func TestRandIsSeedSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7} {
+		s := NewScheduler(seed)
+		s.After(time.Millisecond, func() {})
+		s.Run()
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 10; i++ {
+			if got, w := s.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("seed %d draw %d = %d, want %d", seed, i, got, w)
+			}
+		}
+	}
+}
+
+// TestZeroScheduler: a zero Scheduler schedules, runs and draws (seed 0)
+// without NewScheduler.
+func TestZeroScheduler(t *testing.T) {
+	var s Scheduler
+	var got []int
+	s.After(2*time.Millisecond, func() { got = append(got, 2) })
+	s.After(time.Millisecond, func() { got = append(got, 1) })
+	if n := s.Run(); n != 2 || !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("Run() = %d, fired %v", n, got)
+	}
+	if s.Now() != 2*time.Millisecond {
+		t.Errorf("Now() = %v, want 2ms", s.Now())
+	}
+	if got, want := s.Rand().Int63(), NewScheduler(0).Rand().Int63(); got != want {
+		t.Errorf("zero Scheduler draws %d, NewScheduler(0) %d", got, want)
+	}
+}
+
+func TestNextAt(t *testing.T) {
+	s := NewScheduler(1)
+	if at, ok := s.NextAt(); ok {
+		t.Errorf("NextAt() on an empty queue = %v, true", at)
+	}
+	s.At(30*time.Millisecond, func() {})
+	head := s.At(10*time.Millisecond, func() {})
+	if at, ok := s.NextAt(); !ok || at != 10*time.Millisecond {
+		t.Errorf("NextAt() = %v, %v; want 10ms, true", at, ok)
+	}
+	head.Stop()
+	if at, ok := s.NextAt(); !ok || at != 30*time.Millisecond {
+		t.Errorf("NextAt() after stopping the head = %v, %v; want 30ms, true", at, ok)
+	}
+	s.Run()
+	if _, ok := s.NextAt(); ok {
+		t.Error("NextAt() reports an event after Run drained the queue")
+	}
+}
+
+// TestRunDue: RunDue runs what is due by t in (at, seq) order with the
+// clock at t, leaves what a callback schedules for the next call (even
+// at d=0, and without stranding older events due by t), and never
+// moves the clock back.
+func TestRunDue(t *testing.T) {
+	s := NewScheduler(1)
+	var got []string
+	add := func(name string, at time.Duration) {
+		s.At(at, func() { got = append(got, name) })
+	}
+	add("40", 40*time.Millisecond)
+	add("20-a", 20*time.Millisecond)
+	s.At(10*time.Millisecond, func() {
+		got = append(got, "10")
+		if s.Now() != 25*time.Millisecond {
+			t.Errorf("callback saw Now() = %v, want 25ms", s.Now())
+		}
+		s.After(0, func() { got = append(got, "armed-0") })
+	})
+	add("20-b", 20*time.Millisecond)
+	add("25", 25*time.Millisecond)
+
+	s.RunDue(25 * time.Millisecond)
+	if want := []string{"10", "20-a", "20-b", "25"}; !slices.Equal(got, want) {
+		t.Errorf("first RunDue ran %v, want %v", got, want)
+	}
+	if s.Now() != 25*time.Millisecond || s.Pending() != 2 {
+		t.Errorf("after first RunDue: Now() = %v, Pending() = %d; want 25ms, 2", s.Now(), s.Pending())
+	}
+	got = nil
+	s.RunDue(25 * time.Millisecond)
+	if want := []string{"armed-0"}; !slices.Equal(got, want) {
+		t.Errorf("second RunDue ran %v, want %v", got, want)
+	}
+	s.RunDue(5 * time.Millisecond)
+	if s.Now() != 25*time.Millisecond {
+		t.Errorf("RunDue(5ms) moved the clock back to %v", s.Now())
+	}
+
+	// A callback that re-arms itself at d=0 runs once per call.
+	runs := 0
+	var again func()
+	again = func() {
+		if runs++; runs < 5 {
+			s.After(0, again)
+		}
+	}
+	s.After(0, again)
+	for call := 1; call <= 5; call++ {
+		s.RunDue(s.Now())
+		if runs != call {
+			t.Fatalf("after RunDue call %d the callback ran %d times", call, runs)
+		}
+	}
+	if at, ok := s.NextAt(); !ok || at != 40*time.Millisecond {
+		t.Errorf("NextAt() = %v, %v; want 40ms, true", at, ok)
+	}
+}
+
+// TestDrop: Drop empties the queue, its timers report inactive and
+// never run, and it lets go of their callbacks while the scheduler and
+// the timers' handles are still reachable.
+func TestDrop(t *testing.T) {
+	s := NewScheduler(1)
+	type state struct{ buf [64]byte }
+	var wp weak.Pointer[state]
+	var tms []*Timer
+	func() {
+		st := &state{}
+		wp = weak.Make(st)
+		for i := 1; i <= 3; i++ {
+			tms = append(tms, s.After(time.Duration(i)*time.Hour, func() { st.buf[0]++ }))
+		}
+	}()
+	s.Drop()
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Drop", s.Pending())
+	}
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("a dropped timer still holds its callback")
+	}
+	for i, tm := range tms {
+		if tm.Active() || tm.Stop() {
+			t.Errorf("timer %d is pending after Drop", i)
+		}
+	}
+	if n := s.Run(); n != 0 {
+		t.Errorf("Run() after Drop executed %d events", n)
+	}
+	runtime.KeepAlive(s)
+}
+
+type sinkDev struct{ got int }
+
+func (d *sinkDev) Name() string                 { return "sink" }
+func (d *sinkDev) Receive(*Iface, *inet.Packet) { d.got++ }
+
+// TestSchedulerAllocs pins what the shared queue allocates: a timer
+// armed and stopped costs its handle, and a packet delivery costs
+// nothing once the free list is warm. The simulated dial's allocation
+// count and realudp's one-allocation timer both rest on it.
+func TestSchedulerAllocs(t *testing.T) {
+	s := NewScheduler(1)
+	nop := func() {}
+	if a := testing.AllocsPerRun(1000, func() { s.After(time.Hour, nop).Stop() }); a != 1 {
+		t.Errorf("At+Stop allocates %v/op, want 1 (the handle)", a)
+	}
+
+	n := NewNetwork(1)
+	dev := &sinkDev{}
+	ifc := n.NewSegment("lan", "10.0.0.0/24", time.Millisecond).Attach(dev, inet.MustParseAddr("10.0.0.1"))
+	pkt := udpPkt(inet.EP("10.0.0.2", 1), inet.EP("10.0.0.1", 2), "x")
+	a := testing.AllocsPerRun(1000, func() {
+		n.Sched.scheduleDelivery(time.Millisecond, ifc, pkt)
+		n.Sched.Step()
+	})
+	if a != 0 {
+		t.Errorf("a packet delivery allocates %v/op, want 0", a)
+	}
+	if dev.got != 1001 {
+		t.Errorf("device received %d packets, want 1001", dev.got)
 	}
 }

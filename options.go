@@ -97,7 +97,11 @@ func WithPathUpgrade() Option {
 // fn(peer, old, new) runs whenever an established session moves
 // between paths ("relay" -> "public" on upgrade, back on failback).
 // The hook is called from the engine's dispatch context and must not
-// block; Conn.Path() already reflects the new path when it fires.
+// block; Conn.Path() already reflects the new path when it fires. In a
+// simnet world that context holds the world's lock, so the hook must
+// not call simnet.World.Now (it takes the lock and deadlocks): read the
+// clock through the host's transport instead (simnet.Host.Transport's
+// Now), which takes no lock.
 func WithOnPathChange(fn func(peer, old, new string)) Option {
 	return func(c *config) { c.onPathChange = fn }
 }

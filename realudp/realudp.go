@@ -8,12 +8,12 @@
 // The engine is single-threaded by contract (see natpunch/transport):
 // this implementation serializes everything that enters engine code —
 // socket read loops, timer callbacks, and Invoke — on one mutex per
-// Transport. Timers are one min-heap per Transport in that serialized
-// context, ordered by deadline and then by arming order, and one
-// runtime timer drives it: a firing is one entry that runs every timer
-// already due, so the sends they make leave together. Timer.Stop is a
-// heap delete and Timer.Active a field read, both lock-free because the
-// engine only calls them from inside the serialized context.
+// Transport. Timers are the simulator's event queue (sim.Scheduler,
+// by deadline, then arming order) run on the wall clock by one runtime
+// timer: a firing is one entry that runs every timer already due, so
+// the sends they make leave together. Timer.Stop is a heap delete and
+// Timer.Active a field read, both lock-free because the engine only
+// calls them from inside the serialized context.
 //
 // # Data plane
 //
@@ -76,6 +76,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"natpunch/internal/sim"
 	"natpunch/transport"
 )
 
@@ -147,14 +148,13 @@ type Transport struct {
 	// filter (under mu) drops inbound datagrams before the engine sees
 	// them; see SetPacketFilter.
 	filter func(src transport.Endpoint) bool
-	// The timers (under mu): the pending ones on a heap, their arming
-	// sequence, and the one runtime timer that fires the heap — made by
-	// the first After, and armed for wakeAt on the clock (never when it
-	// is not armed).
-	timers   timerHeap
-	timerSeq uint64
-	wake     *time.Timer
-	wakeAt   time.Duration
+	// The timers (under mu): the pending ones, on the transport's clock,
+	// and the one runtime timer that fires them — made by the first
+	// After, and armed for wakeAt on the clock (never when it is not
+	// armed).
+	timers sim.Scheduler
+	wake   *time.Timer
+	wakeAt time.Duration
 }
 
 // never is wakeAt when the runtime timer is not armed.
@@ -228,16 +228,12 @@ func (t *Transport) BindUDP(port transport.Port) (transport.UDPConn, error) {
 func (t *Transport) After(d time.Duration, fn func()) transport.Timer {
 	select {
 	case <-t.done:
-		return &timer{idx: -1}
+		return (*sim.Timer)(nil)
 	default:
 	}
-	t.timerSeq++
-	tm := &timer{t: t, at: t.Now() + d, seq: t.timerSeq, fn: fn}
-	t.timers.push(tm)
-	if tm.idx == 0 {
-		t.arm(tm.at)
-	}
-	return tm
+	at := t.Now() + d
+	t.arm(at)
+	return t.timers.At(at, fn)
 }
 
 // arm makes the runtime timer fire by at, on the transport's clock. It
@@ -256,27 +252,18 @@ func (t *Transport) arm(at time.Duration) {
 	t.wake.Reset(d)
 }
 
-// fire is the runtime timer's callback: one entry that runs, in heap
+// fire is the runtime timer's callback: one entry that runs, in queue
 // order, every timer due by the entry's clock, then arms for the new
 // head. A timer armed during the pass waits for a later firing, even
-// one due at once, so a callback that re-arms itself at d=0 runs once
-// per firing instead of spinning the entry.
+// one due at once (RunDue), so a callback that re-arms itself at d=0
+// runs once per firing instead of spinning the entry.
 func (t *Transport) fire() {
 	t.enter()
 	defer t.leave()
+	t.timers.RunDue(t.Now())
 	t.wakeAt = never
-	now, last := t.Now(), t.timerSeq
-	for len(t.timers) > 0 {
-		tm := t.timers[0]
-		if tm.at > now || tm.seq > last {
-			break
-		}
-		fn := tm.fn
-		t.timers.remove(0)
-		fn()
-	}
-	if len(t.timers) > 0 {
-		t.arm(t.timers[0].at)
+	if at, ok := t.timers.NextAt(); ok {
+		t.arm(at)
 	}
 }
 
@@ -415,98 +402,8 @@ func (t *Transport) Close() error {
 	if t.wake != nil {
 		t.wake.Stop()
 	}
-	for _, tm := range t.timers {
-		tm.idx, tm.fn = -1, nil
-	}
-	t.timers = nil
+	t.timers.Drop()
 	return nil
-}
-
-// timer is a transport.Timer on its transport's heap. Stop/Active run
-// only inside the transport's serialized context (engine contract), so
-// plain fields suffice.
-type timer struct {
-	t   *Transport
-	at  time.Duration // deadline on t's clock
-	seq uint64        // arming order, which breaks ties in at
-	fn  func()        // nil once the timer is no longer pending
-	idx int           // index in t.timers; -1 once fired, stopped or dropped
-}
-
-func (tm *timer) Stop() bool {
-	if tm.idx < 0 {
-		return false
-	}
-	tm.t.timers.remove(tm.idx)
-	return true
-}
-
-func (tm *timer) Active() bool { return tm.idx >= 0 }
-
-// timerHeap is a binary min-heap of pending timers by (at, seq). Each
-// timer keeps its index, so Stop removes it where it lies.
-type timerHeap []*timer
-
-func (h timerHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
-}
-
-func (h timerHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-
-func (h *timerHeap) push(tm *timer) {
-	tm.idx = len(*h)
-	*h = append(*h, tm)
-	h.up(tm.idx)
-}
-
-// remove takes the timer at i off the heap and lets go of its callback.
-func (h *timerHeap) remove(i int) {
-	tm, n := (*h)[i], len(*h)-1
-	if i != n {
-		h.swap(i, n)
-	}
-	(*h)[n] = nil
-	*h = (*h)[:n]
-	if i != n && !h.down(i) {
-		h.up(i)
-	}
-	tm.idx, tm.fn = -1, nil
-}
-
-func (h timerHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(j, i) {
-			return
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-// down sifts the timer at i0 toward the leaves and reports whether it
-// moved.
-func (h timerHeap) down(i0 int) bool {
-	i := i0
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			break
-		}
-		if j+1 < len(h) && h.less(j+1, j) {
-			j++
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		i = j
-	}
-	return i > i0
 }
 
 // Conn is one bound real UDP socket.

@@ -99,7 +99,7 @@ func TestTimerStop(t *testing.T) {
 				t.Errorf("Stop on fired timer %d reported true", i+1)
 			}
 		}
-		if n := len(tr.timers); n != 0 {
+		if n := tr.timers.Pending(); n != 0 {
 			t.Errorf("%d timers left on the heap", n)
 		}
 	})
@@ -209,7 +209,7 @@ func TestTimerConcurrentEntries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	awaitTimers(t, tr, func() bool { return fired == want && len(tr.timers) == 0 })
+	awaitTimers(t, tr, func() bool { return fired == want && tr.timers.Pending() == 0 })
 }
 
 // TestTimerAfterClose: After on a closed transport returns a timer that

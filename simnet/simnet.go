@@ -116,15 +116,21 @@ func (w *World) Close() {
 // keeps flowing, which is how the stream failback tests force a §3.6
 // relay retreat mid-transfer.
 //
-// f runs on the world's driver goroutine and must not call back into
-// the world.
+// f runs in the world's serialized context with its lock held: on the
+// driver goroutine for a forwarded hop, and inside Invoke on the
+// sending application's goroutine for a send's first hop. It must not
+// call back into the world.
 func (w *World) SetPacketFilter(f func(src, dst transport.Endpoint) bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.in.Net.SetFilter(f)
 }
 
-// Now returns the world's virtual clock.
+// Now returns the world's virtual clock. It takes the world's lock,
+// which every engine callback in the world runs under, so a callback
+// that calls it (a natpunch.WithOnPathChange hook, say) deadlocks: read
+// the host transport's Now there instead (Host.Transport), which takes
+// no lock.
 func (w *World) Now() time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -187,7 +187,6 @@ func DefaultConfig() *Config {
 			"natpunch/internal/stream",
 			"natpunch/stream",
 			"natpunch/internal/host",
-			"natpunch/internal/stun",
 			"natpunch/internal/natcheck",
 		},
 		MessageTypes: []string{"natpunch/internal/proto.Message"},

@@ -338,9 +338,8 @@ func TestLoadFromSubdirectory(t *testing.T) {
 // must load and be free of unsuppressed findings
 // under the real config. It checks the files the go command selects for
 // the host, then re-runs itself with GOOS=darwin, which selects the !linux
-// data-plane files (realudp's batch_other.go, realnet's
-// sockopt_other.go) and type-checks them against darwin's standard
-// library, so no finding hides behind the host's GOOS.
+// data-plane file (realudp's batch_other.go) and type-checks it against
+// darwin's standard library, so no finding hides behind the host's GOOS.
 func TestRepoClean(t *testing.T) {
 	goos := build.Default.GOOS
 	mod, err := Load(filepath.Join("..", ".."))

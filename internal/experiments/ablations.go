@@ -8,8 +8,8 @@ import (
 	"natpunch/internal/host"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
+	"natpunch/internal/natcheck"
 	"natpunch/internal/punch"
-	"natpunch/internal/stun"
 	"natpunch/internal/topo"
 	"natpunch/internal/vendors"
 )
@@ -220,8 +220,12 @@ func Sec36KeepAlives(seed int64) Result {
 }
 
 // Sec51PortPrediction implements the §5.1 prediction variant over a
-// sequential-allocating symmetric NAT and quantifies its fragility
-// under competing-session interference ("chasing a moving target").
+// sequential-allocating symmetric NAT ("variants of hole punching
+// algorithms can be made to work much of the time over symmetric NATs
+// by ... using the resulting information to predict the public port
+// number the NAT will assign to a new session"). The paper warns that
+// prediction "amounts to chasing a moving target"; the grid quantifies
+// that fragility under competing-session interference.
 func Sec51PortPrediction(seed int64) Result {
 	// run performs one predicted punch. interference is the number of
 	// unrelated sessions another inside client opens between probing
@@ -230,16 +234,11 @@ func Sec51PortPrediction(seed int64) Result {
 	run := func(interference, window int) bool {
 		in := topo.NewInternet(seed)
 		core := in.CoreRealm()
-		s1h := core.AddHost("stun1", "18.181.0.31", host.BSDStyle)
-		s2h := core.AddHost("stun2", "18.181.0.32", host.BSDStyle)
-		s3h := core.AddHost("stun3", "18.181.0.33", host.BSDStyle)
-		st1, err := stun.NewServer(s1h, 3478)
+		sv, err := natcheck.NewServers(
+			core.AddHost("s1", "18.181.0.31", host.BSDStyle),
+			core.AddHost("s2", "18.181.0.32", host.BSDStyle),
+			core.AddHost("s3", "18.181.0.33", host.BSDStyle))
 		must(err)
-		_, err = stun.NewServer(s2h, 3478)
-		must(err)
-		st3, err := stun.NewServer(s3h, 3478)
-		must(err)
-		st1.SetCompanion(st3)
 
 		realmA := core.AddSite("NAT-A", nat.Symmetric(), "155.99.25.11", "10.0.0.0/24")
 		realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
@@ -247,16 +246,23 @@ func Sec51PortPrediction(seed int64) Result {
 		rival := realmA.AddHost("rival", "10.0.0.2", host.BSDStyle)
 		hostB := realmB.AddHost("B", "10.1.1.3", host.BSDStyle)
 
-		// Step 1: A probes its NAT with STUN to learn the mapping
-		// stride and its current mapping.
-		var res stun.Result
+		// Step 1: A probes its NAT from two servers (NAT Check's UDP
+		// phase). Different mappings mean symmetric; their port
+		// difference is the allocation stride.
+		var res natcheck.Report
 		gotRes := false
-		must(stun.Classify(hostA, inet.EP("18.181.0.31", 3478), inet.EP("18.181.0.32", 3478), 4000, func(r stun.Result) {
+		must(natcheck.RunUDP(hostA, sv, 4000, func(r natcheck.Report) {
 			res, gotRes = r, true
 		}))
 		await(in, 10*time.Second, func() bool { return gotRes })
-		if res.Type != stun.TypeSymmetric || res.PortDelta <= 0 {
+		stride := int(res.UDPPublic2.Port) - int(res.UDPPublic1.Port)
+		if !res.UDPResponded || res.UDPConsistent || stride <= 0 {
 			return false
+		}
+		// The k-th session after the probe is expected at the last
+		// observed mapping plus stride*k.
+		predict := func(k int) inet.Endpoint {
+			return inet.Endpoint{Addr: res.UDPPublic2.Addr, Port: res.UDPPublic2.Port + inet.Port(stride*k)}
 		}
 
 		// Step 2: interference — another client behind the same NAT
@@ -269,9 +275,7 @@ func Sec51PortPrediction(seed int64) Result {
 		in.RunFor(time.Second)
 
 		// Step 3: B opens its socket; both sides punch. B knows A's
-		// *predicted* endpoints: the classifier's last mapping plus
-		// stride*(k) for k in 1..window (k=1 would be A's next
-		// mapping absent interference).
+		// predicted endpoints for k in 1..window.
 		sa, err := hostA.UDPBind(4321)
 		must(err)
 		sb, err := hostB.UDPBind(4321)
@@ -287,13 +291,6 @@ func Sec51PortPrediction(seed int64) Result {
 				established = true
 			}
 		})
-		// B classifies too: its probes open mappings on B's NAT
-		// before the punch (the result itself is not needed).
-		gotB := false
-		must(stun.Classify(hostB, inet.EP("18.181.0.31", 3478), inet.EP("18.181.0.32", 3478), 4322, func(stun.Result) {
-			gotB = true
-		}))
-		await(in, 10*time.Second, func() bool { return gotB })
 
 		// B sprays A's predicted ports (opening B's hole and its
 		// mapping), A punches to B's public endpoint, read from B's
@@ -301,15 +298,12 @@ func Sec51PortPrediction(seed int64) Result {
 		// some predicted port.
 		spray := func() {
 			for k := 1; k <= window; k++ {
-				predicted := stun.PredictNext(res.Mapped, res.PortDelta, interference+k)
-				sb.SendTo(predicted, []byte("punch-b"))
+				sb.SendTo(predict(k), []byte("punch-b"))
 			}
 		}
 		spray()
 		in.RunFor(200 * time.Millisecond)
-		// B's public endpoint: read from B's NAT mapping table.
-		bNAT := realmB.NAT
-		bPubActual, okB := bNAT.PublicEndpointFor(inet.UDP, sb.Local(), stun.PredictNext(res.Mapped, res.PortDelta, interference+1))
+		bPubActual, okB := realmB.NAT.PublicEndpointFor(inet.UDP, sb.Local(), predict(1))
 		if !okB {
 			return false
 		}
@@ -353,7 +347,7 @@ func Sec51PortPrediction(seed int64) Result {
 		Table: table([]string{"competing sessions", "spray window", "outcome"}, rows),
 		Notes: []string{
 			"baseline (no prediction): " + boolStr(basicOut.ok, "established (unexpected!)", "failed — symmetric NAT defeats basic punching"),
-			"prediction works when the spray window covers the allocator's drift; competing sessions beyond the window break it — §5.1's 'chasing a moving target'",
+			"established exactly when the competing sessions are fewer than the spray window: each one moves A's next mapping a port further from the prediction — §5.1's 'chasing a moving target'",
 		},
 		Metrics: map[string]float64{"baseline_ok": boolMetric(basicOut.ok)},
 	}

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,30 @@ func TestFigureExperiments(t *testing.T) {
 				check(t, r)
 			}
 		})
+	}
+}
+
+// TestPortPredictionDiagonal reads E14's grid at two seeds: a predicted
+// punch is established exactly when the competing sessions are fewer
+// than the spray window, since each one moves A's next mapping a port
+// past the prediction (§5.1's "moving target").
+func TestPortPredictionDiagonal(t *testing.T) {
+	e, _ := experiments.Lookup("E14")
+	for _, r := range []experiments.Result{seedOneResult(t, "E14"), e.Run(7)} {
+		rows := strings.Split(strings.TrimSpace(r.Table), "\n")[2:]
+		if len(rows) != 8 {
+			t.Fatalf("E14 has %d rows, want 8:\n%s", len(rows), r.Table)
+		}
+		for _, row := range rows {
+			var competing, window int
+			var outcome string
+			if _, err := fmt.Sscan(row, &competing, &window, &outcome); err != nil {
+				t.Fatalf("row %q: %v", row, err)
+			}
+			if want := competing < window; (outcome == "established") != want {
+				t.Errorf("%d competing sessions, window %d: %s", competing, window, outcome)
+			}
+		}
 	}
 }
 

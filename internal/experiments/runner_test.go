@@ -134,7 +134,10 @@ func TestSeeds(t *testing.T) {
 
 // TestRunAll renders RunAll(1) the way cmd/experiments prints it and
 // compares it with EXPERIMENTS.md's table block: every cell of every
-// table is pinned, so a change that moves one fails here.
+// table is pinned, so a change that moves one fails here. The CLI
+// prints RunSeeds(e, []int64{seed})[0] for each e instead; both call
+// e.Run(seed), whose worlds are built from the seed alone, so running
+// the experiments one after another or all at once prints the same.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

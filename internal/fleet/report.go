@@ -286,16 +286,6 @@ func (r *Report) Pair(key string) *PairStat {
 	return nil
 }
 
-// Topo returns the stats row for a topology class, or nil.
-func (r *Report) Topo(key string) *TopoStat {
-	for i := range r.Topos {
-		if r.Topos[i].Topo == key {
-			return &r.Topos[i]
-		}
-	}
-	return nil
-}
-
 // finalize sorts the latency samples so reports render and compare
 // deterministically (finish has already sorted Pairs and Topos).
 func (r *Report) finalize() {

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-
-	"natpunch/internal/nat"
-)
+import "natpunch/internal/nat"
 
 // SiteKind is the shape of one fleet site — how many peers share
 // which NAT arrangement.
@@ -24,19 +20,6 @@ const (
 	// the site need the upper NAT to hairpin — or a relay.
 	SiteCGN
 )
-
-// String names the kind.
-func (k SiteKind) String() string {
-	switch k {
-	case SiteFlat:
-		return "flat"
-	case SiteShared:
-		return "shared"
-	case SiteCGN:
-		return "cgn"
-	}
-	return fmt.Sprintf("site(%d)", uint8(k))
-}
 
 // SiteShape is one weighted entry of a topology mix.
 type SiteShape struct {

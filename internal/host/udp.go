@@ -47,10 +47,6 @@ func (s *UDPSocket) Local() inet.Endpoint { return s.local }
 // OnRecv sets the datagram delivery callback.
 func (s *UDPSocket) OnRecv(fn func(from inet.Endpoint, payload []byte)) { s.onRecv = fn }
 
-// OnError sets the callback for ICMP errors attributed to this
-// socket's traffic.
-func (s *UDPSocket) OnError(fn func(about inet.Endpoint, err error)) { s.onError = fn }
-
 // SendTo transmits a datagram to the given endpoint. The packet it
 // queues carries its own copy of payload, so the caller may reuse the
 // slice as soon as SendTo returns (the transport.UDPConn contract).

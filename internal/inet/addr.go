@@ -64,21 +64,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", o[0], o[1], o[2], o[3])
 }
 
-// IsPrivate reports whether a falls in the RFC 1918 private ranges
-// (10/8, 172.16/12, 192.168/16). The paper's topologies place clients
-// in these realms (Figure 1).
-func (a Addr) IsPrivate() bool {
-	switch {
-	case a>>24 == 10:
-		return true
-	case a>>20 == 172<<4|1: // 172.16.0.0/12
-		return true
-	case a>>16 == 192<<8|168:
-		return true
-	}
-	return false
-}
-
 // Complement returns the bitwise one's complement of the address.
 // The paper (§3.1, §5.3) recommends transmitting the complement of an
 // IP address inside message payloads to defeat NATs that blindly
@@ -149,9 +134,6 @@ func (e Endpoint) Less(o Endpoint) bool {
 type Session struct {
 	Local, Remote Endpoint
 }
-
-// Flip returns the same session viewed from the other end.
-func (s Session) Flip() Session { return Session{Local: s.Remote, Remote: s.Local} }
 
 // String formats the session as "local->remote".
 func (s Session) String() string {

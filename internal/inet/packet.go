@@ -121,23 +121,12 @@ type Packet struct {
 // DefaultTTL is the initial TTL placed on packets by host stacks.
 const DefaultTTL = 64
 
-// Clone returns a deep copy of the packet. NATs must clone before
-// rewriting when tracing is enabled so trace consumers see the
-// original header.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	return &q
-}
-
 // ShallowClone returns a copy of the packet that shares the payload
 // slice with the original. It is the right clone for forwarders that
 // rewrite only header fields (NAT translation, hairpinning, ICMP
 // rewriting): trace consumers still see the original header, and the
 // per-packet payload copy is avoided. Callers that mutate Payload
-// must deep-copy it first (see Packet.Clone).
+// must copy it first, as a mangling NAT does.
 func (p *Packet) ShallowClone() *Packet {
 	q := *p
 	return &q

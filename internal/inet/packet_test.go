@@ -24,27 +24,6 @@ func TestTCPFlags(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
-	p := &Packet{
-		Proto:   UDP,
-		Src:     EP("10.0.0.1", 4321),
-		Dst:     EP("18.181.0.31", 1234),
-		TTL:     DefaultTTL,
-		Payload: []byte("hello"),
-	}
-	q := p.Clone()
-	q.Payload[0] = 'H'
-	q.Src.Port = 9
-	if p.Payload[0] != 'h' || p.Src.Port != 4321 {
-		t.Error("Clone aliases the original")
-	}
-	// Nil payload stays nil.
-	r := (&Packet{Proto: TCP}).Clone()
-	if r.Payload != nil {
-		t.Error("clone invented a payload")
-	}
-}
-
 func TestPacketSession(t *testing.T) {
 	p := &Packet{Proto: UDP, Src: EP("1.1.1.1", 1), Dst: EP("2.2.2.2", 2)}
 	s := p.Session()

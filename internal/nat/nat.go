@@ -62,17 +62,8 @@ func New(n *sim.Network, name string, b Behavior) *NAT {
 	}
 }
 
-// SetBasicNATPool switches the device to Basic NAT mode: private host
-// addresses are mapped one-to-one onto pool addresses with ports
-// preserved (§2.1). The pool addresses must also be attached to the
-// outside segment via AttachOutside so traffic routes back.
-func (nat *NAT) SetBasicNATPool(addrs []inet.Addr) { nat.pool = addrs }
-
 // Name implements sim.Device.
 func (nat *NAT) Name() string { return nat.name }
-
-// Behavior returns the device's behavioral configuration.
-func (nat *NAT) Behavior() Behavior { return nat.b }
 
 // Stats returns a copy of the activity counters.
 func (nat *NAT) Stats() Stats { return nat.stats }

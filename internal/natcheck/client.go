@@ -52,6 +52,25 @@ func Run(h *host.Host, sv *Servers, localPort inet.Port, done func(Report)) erro
 	return nil
 }
 
+// RunUDP runs the check's opening UDP phase alone (§6.1.1): one
+// socket on localPort asks servers 1 and 2 for its public endpoint.
+// No TCP or hairpin probe follows and no filtering verdict is taken,
+// so the NAT opens only the mappings the report shows. The report,
+// with only UDPResponded, UDPPublic1, UDPPublic2 and UDPConsistent
+// set, arrives via done after replyWait of virtual time.
+func RunUDP(h *host.Host, sv *Servers, localPort inet.Port, done func(Report)) error {
+	c := &Client{h: h, sv: sv, port: localPort}
+	if err := c.startUDP(); err != nil {
+		return err
+	}
+	h.Sched().After(replyWait, func() {
+		c.udpVerdict()
+		c.udp1.Close()
+		done(c.r)
+	})
+	return nil
+}
+
 // --- UDP test (§6.1.1, Figure 8) ---
 
 func (c *Client) startUDP() error {
@@ -91,11 +110,17 @@ func (c *Client) handleUDP(from inet.Endpoint, p []byte) {
 	}
 }
 
+// udpVerdict records whether both servers answered and whether they
+// saw the same public endpoint (§5.1's consistent translation).
+func (c *Client) udpVerdict() {
+	c.r.UDPResponded = c.gotUDP1 && c.gotUDP2
+	c.r.UDPConsistent = c.r.UDPResponded && c.r.UDPPublic1 == c.r.UDPPublic2
+}
+
 // udpPhase2 evaluates consistency and launches the hairpin probe at
 // the public endpoint reported by server 2.
 func (c *Client) udpPhase2() {
-	c.r.UDPResponded = c.gotUDP1 && c.gotUDP2
-	c.r.UDPConsistent = c.r.UDPResponded && c.r.UDPPublic1 == c.r.UDPPublic2
+	c.udpVerdict()
 	if !c.r.UDPResponded {
 		return
 	}

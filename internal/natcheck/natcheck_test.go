@@ -2,6 +2,7 @@ package natcheck_test
 
 import (
 	"testing"
+	"time"
 
 	"natpunch/internal/host"
 	"natpunch/internal/nat"
@@ -26,13 +27,7 @@ func check(t *testing.T, behavior *nat.Behavior) natcheck.Report {
 	}
 	in := topo.NewInternet(1)
 	core := in.CoreRealm()
-	s1 := core.AddHost("s1", "18.181.0.31", host.BSDStyle)
-	s2 := core.AddHost("s2", "18.181.0.32", host.BSDStyle)
-	s3 := core.AddHost("s3", "18.181.0.33", host.BSDStyle)
-	sv, err := natcheck.NewServers(s1, s2, s3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := newServers(t, core)
 	client := core.AddHost("C", "155.99.25.80", host.BSDStyle)
 	var report natcheck.Report
 	got := false
@@ -46,7 +41,61 @@ func check(t *testing.T, behavior *nat.Behavior) natcheck.Report {
 	return report
 }
 
+// newServers puts NAT Check's three servers on the core at the lab's
+// addresses.
+func newServers(t *testing.T, core *topo.Realm) *natcheck.Servers {
+	t.Helper()
+	sv, err := natcheck.NewServers(
+		core.AddHost("s1", "18.181.0.31", host.BSDStyle),
+		core.AddHost("s2", "18.181.0.32", host.BSDStyle),
+		core.AddHost("s3", "18.181.0.33", host.BSDStyle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
 func bp(b nat.Behavior) *nat.Behavior { return &b }
+
+// runUDP runs RunUDP from a client behind a NAT with behavior b and
+// returns the report and the NAT's live mappings once it arrived.
+func runUDP(t *testing.T, b nat.Behavior) (natcheck.Report, int) {
+	t.Helper()
+	in := topo.NewInternet(1)
+	core := in.CoreRealm()
+	sv := newServers(t, core)
+	site := core.AddSite("NAT", b, "155.99.25.11", "10.0.0.0/24")
+	client := site.AddHost("C", "10.0.0.1", host.BSDStyle)
+	var report natcheck.Report
+	got := false
+	if err := natcheck.RunUDP(client, sv, 4321, func(r natcheck.Report) { report, got = r, true }); err != nil {
+		t.Fatal(err)
+	}
+	in.RunFor(5 * time.Second)
+	if !got {
+		t.Fatal("RunUDP did not report")
+	}
+	return report, site.NAT.MappingCount()
+}
+
+// TestRunUDP checks the UDP phase alone: behind a sequential symmetric
+// NAT the two servers see consecutive ports, and the NAT holds exactly
+// the two mappings the report shows; behind a cone they agree.
+func TestRunUDP(t *testing.T) {
+	r, mappings := runUDP(t, nat.Symmetric())
+	if !r.UDPResponded || r.UDPConsistent {
+		t.Errorf("symmetric NAT: responded=%v consistent=%v, want true false", r.UDPResponded, r.UDPConsistent)
+	}
+	if stride := int(r.UDPPublic2.Port) - int(r.UDPPublic1.Port); stride != 1 {
+		t.Errorf("stride = %d (%v then %v), want 1", stride, r.UDPPublic1, r.UDPPublic2)
+	}
+	if mappings != 2 {
+		t.Errorf("symmetric NAT holds %d mappings, want 2", mappings)
+	}
+	if r, _ := runUDP(t, nat.Cone()); !r.UDPResponded || !r.UDPConsistent {
+		t.Errorf("cone NAT: responded=%v consistent=%v, want true true", r.UDPResponded, r.UDPConsistent)
+	}
+}
 
 func TestNATCheckWellBehaved(t *testing.T) {
 	r := check(t, bp(nat.WellBehaved()))

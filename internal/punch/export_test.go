@@ -29,3 +29,6 @@ func InterceptUDP(c *Client, f func(next func(inet.Endpoint, *proto.Message), fr
 	}
 	c.testDispatch = func(from inet.Endpoint, m *proto.Message) { f(next, from, m) }
 }
+
+// PublicTCP returns the client's public TCP endpoint as observed by S.
+func (c *Client) PublicTCP() inet.Endpoint { return c.tcpPublic }

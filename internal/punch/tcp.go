@@ -165,9 +165,6 @@ func (c *Client) RegisterTCP(localPort inet.Port, done func(error)) error {
 // TCPRegistered reports whether TCP registration completed.
 func (c *Client) TCPRegistered() bool { return c.tcpRegistered }
 
-// PublicTCP returns the client's public TCP endpoint as observed by S.
-func (c *Client) PublicTCP() inet.Endpoint { return c.tcpPublic }
-
 // handleServerStream processes frames on the registration connection.
 func (c *Client) handleServerStream(p []byte) {
 	msgs, err := c.tcpServerDec.Feed(p)

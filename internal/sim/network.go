@@ -145,20 +145,6 @@ func (s *Segment) Attach(dev Device, addr inet.Addr) *Iface {
 	return ifc
 }
 
-// Detach removes an interface from the segment (used by dynamics
-// tests that reconfigure topology mid-run).
-func (s *Segment) Detach(ifc *Iface) {
-	if s.ifaces[ifc.addr] == ifc {
-		delete(s.ifaces, ifc.addr)
-	}
-	if s.gateway == ifc {
-		s.gateway = nil
-	}
-}
-
-// Lookup returns the interface bound to addr on this segment, or nil.
-func (s *Segment) Lookup(addr inet.Addr) *Iface { return s.ifaces[addr] }
-
 // Iface is one attachment point of a device on a segment.
 type Iface struct {
 	dev  Device

@@ -201,28 +201,6 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	seg.Attach(a, inet.MustParseAddr("10.0.0.1"))
 }
 
-func TestDetach(t *testing.T) {
-	n := NewNetwork(1)
-	seg := n.NewSegment("lan", "10.0.0.0/24", 0)
-	a := &echoDev{name: "a"}
-	b := &echoDev{name: "b"}
-	a.ifc = seg.Attach(a, inet.MustParseAddr("10.0.0.1"))
-	b.ifc = seg.Attach(b, inet.MustParseAddr("10.0.0.2"))
-	seg.SetGateway(b.ifc)
-	seg.Detach(b.ifc)
-	if seg.Lookup(inet.MustParseAddr("10.0.0.2")) != nil {
-		t.Error("detached iface still attached")
-	}
-	if seg.Gateway() != nil {
-		t.Error("gateway not cleared on detach")
-	}
-	a.ifc.Send(udpPkt(inet.EP("10.0.0.1", 1), inet.EP("10.0.0.2", 2), "x"))
-	n.Sched.Run()
-	if len(b.got) != 0 {
-		t.Error("detached device received a packet")
-	}
-}
-
 func TestHookKinds(t *testing.T) {
 	n := NewNetwork(1)
 	seg := n.NewSegment("lan", "10.0.0.0/24", 0)

@@ -114,13 +114,12 @@ func (h eventHeap) down(i0 int) bool {
 // 0. The simulator drives it on virtual time (Run, RunUntil, Step);
 // realudp drives it on the wall clock (RunDue, NextAt).
 type Scheduler struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	seed    int64
-	rng     *rand.Rand // built from seed by the first Rand
-	stopped bool
-	free    *event // recycled events, linked by next (see event.gen)
+	now   time.Duration
+	queue eventHeap
+	seq   uint64
+	seed  int64
+	rng   *rand.Rand // built from seed by the first Rand
+	free  *event     // recycled events, linked by next (see event.gen)
 	// Processed counts events executed, for budget checks in tests.
 	Processed uint64
 }
@@ -217,9 +216,6 @@ func (s *Scheduler) scheduleDelivery(d time.Duration, target *Iface, pkt *inet.P
 	e.target, e.pkt = target, pkt
 }
 
-// Stop aborts a Run in progress after the current event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Step executes the earliest pending event, reporting false when the
 // queue is empty. External drivers (the simnet world's waiter-driven
 // loop) use it to advance virtual time one event at a time while
@@ -250,12 +246,11 @@ func (s *Scheduler) runHead() {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called. It
-// returns the number of events executed by this call.
+// Run executes events until the queue drains. It returns the number
+// of events executed by this call.
 func (s *Scheduler) Run() uint64 {
 	start := s.Processed
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 	return s.Processed - start
 }
@@ -263,8 +258,7 @@ func (s *Scheduler) Run() uint64 {
 // RunUntil executes events with timestamps <= t, then advances the
 // clock to t. Events scheduled later remain queued.
 func (s *Scheduler) RunUntil(t time.Duration) {
-	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -277,15 +271,13 @@ func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
 // RunWhile executes events while cond stays true. It returns true if
 // cond became false (goal reached) and false if the event queue
-// drained or Stop was called first. cond is evaluated before each
-// event.
+// drained first. cond is evaluated before each event.
 func (s *Scheduler) RunWhile(cond func() bool) bool {
-	s.stopped = false
 	for {
 		if !cond() {
 			return true
 		}
-		if s.stopped || !s.Step() {
+		if !s.Step() {
 			return false
 		}
 	}

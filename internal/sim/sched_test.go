@@ -175,28 +175,6 @@ func TestRunWhile(t *testing.T) {
 	}
 }
 
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-	// Run resumes after Stop.
-	s.Run()
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	// Events scheduled from within events at the same instant run in
 	// the same Run, after already-queued same-instant events.

@@ -34,9 +34,6 @@ func NewInternet(seed int64) *Internet {
 	return &Internet{Net: n, Core: core}
 }
 
-// Run drains the event queue.
-func (i *Internet) Run() { i.Net.Sched.Run() }
-
 // RunFor advances virtual time by d.
 func (i *Internet) RunFor(d time.Duration) { i.Net.Sched.RunFor(d) }
 

@@ -2,7 +2,7 @@ package natpunch
 
 // Regression tests carrying the engine's §3.6 keep-alive / idle-death
 // guarantees (pinned in the simulator by the PR-2 fleet tests, e.g.
-// TestRelaySessionIdleDeath) onto real sockets: the old realnet stack
+// TestRelaySessionIdleDeath) onto real sockets: the old real-socket stack
 // had neither, and the transport unification is what brings them
 // along for free.
 

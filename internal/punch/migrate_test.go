@@ -94,3 +94,44 @@ func TestFailbackAndRepunchRecovery(t *testing.T) {
 		t.Error("recovery replaced bob's session instead of migrating it")
 	}
 }
+
+// TestStaleDatagramDoesNotMoveSession: a datagram b has already
+// delivered, replayed from a stranger's endpoint, leaves b's session
+// where it was, and b's next datagram still reaches a. Only a datagram
+// newer than any delivered follows the peer to a new endpoint.
+func TestStaleDatagramDoesNotMoveSession(t *testing.T) {
+	r := flatDuo(t, 5, nat.Cone(), nat.Cone(), migrateCfg())
+	out := r.negotiate(10 * time.Second)
+	sa, sb := out.session, out.bSession
+	if !out.ok || sb == nil || sa.Via != punch.MethodPublic {
+		t.Fatalf("setup: want a public session on both sides, got %+v", out)
+	}
+	var first *proto.Message
+	var dispatch func(inet.Endpoint, *proto.Message)
+	punch.InterceptUDP(r.b, func(next func(inet.Endpoint, *proto.Message), from inet.Endpoint, m *proto.Message) {
+		if m.Type == proto.TypeData && first == nil {
+			cp := *m
+			cp.Data = append([]byte(nil), m.Data...)
+			first, dispatch = &cp, next
+		}
+		next(from, m)
+	})
+	got := 0
+	sb.OnData(func(*punch.UDPSession, []byte) { got++ })
+	sa.Send([]byte("first"))
+	if !r.await(5*time.Second, func() bool { return got == 1 }) || first == nil {
+		t.Fatalf("b received %d datagrams, captured %v", got, first != nil)
+	}
+
+	remote := sb.Remote
+	dispatch(inet.EP("6.6.6.6", 4444), first)
+	if sb.Remote != remote {
+		t.Errorf("a replayed datagram moved b's session from %v to %v", remote, sb.Remote)
+	}
+	var reply bool
+	sa.OnData(func(*punch.UDPSession, []byte) { reply = true })
+	sb.Send([]byte("reply"))
+	if !r.await(5*time.Second, func() bool { return reply }) {
+		t.Errorf("b's next datagram never reached a (sent to %v)", sb.Remote)
+	}
+}

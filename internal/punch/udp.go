@@ -584,11 +584,13 @@ func (c *Client) handleSessionData(from inet.Endpoint, m *proto.Message) {
 		return // unauthenticated (§3.4)
 	}
 	s.touchDirect()
-	if c.cfg.PathUpgrade && s.Via != MethodRelay && from != s.Remote {
+	if c.cfg.PathUpgrade && s.Via != MethodRelay && from != s.Remote && m.Seq > s.recvSeq {
 		// The peer's NAT rebound mid-session: its traffic now arrives
 		// from a fresh mapping. The nonce authenticates it (§3.4), so
 		// follow the peer to its new endpoint — the QUIC-style
-		// connection-migration move.
+		// connection-migration move. Only a datagram newer than any
+		// delivered moves the session (RFC 9000 §9.3): one replayed, or
+		// delayed across the rebind from the old mapping, never does.
 		s.Remote = from
 	}
 	s.receive(m.Seq, m.Data)

@@ -200,12 +200,28 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
 
+// timerEvent is an event slot allocated together with the handle of
+// its first timer.
+type timerEvent struct {
+	t Timer
+	e event
+}
+
 // At schedules fn to run at absolute virtual time t. Times in the
-// past are clamped to now.
+// past are clamped to now. It costs one allocation: the handle, or,
+// with no recycled slot, a fresh slot and its handle together.
 func (s *Scheduler) At(t time.Duration, fn func()) *Timer {
+	var tm *Timer
+	if s.free == nil {
+		te := new(timerEvent)
+		s.free, tm = &te.e, &te.t
+	} else {
+		tm = new(Timer)
+	}
 	e := s.schedule(t)
 	e.fn = fn
-	return &Timer{s: s, e: e, gen: e.gen}
+	*tm = Timer{s: s, e: e, gen: e.gen}
+	return tm
 }
 
 // scheduleDelivery enqueues a packet arrival at target after d,

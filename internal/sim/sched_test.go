@@ -399,3 +399,32 @@ func TestSchedulerAllocs(t *testing.T) {
 		t.Errorf("device received %d packets, want 1001", dev.got)
 	}
 }
+
+// TestSchedulerColdAtAllocs: on a scheduler with no recycled slots, as
+// a fresh realudp.Transport's is, each At costs one allocation too: the
+// slot comes with its handle. The queue is sized up front so only At's
+// own allocations count.
+func TestSchedulerColdAtAllocs(t *testing.T) {
+	const runs, timers = 100, 10
+	fresh := make([]*Scheduler, runs+1) // AllocsPerRun warms up with one more call
+	for i := range fresh {
+		fresh[i] = &Scheduler{queue: make(eventHeap, 0, timers)}
+	}
+	nop := func() {}
+	next := 0
+	var held [timers]*Timer // the handles escape, as a caller's do
+	a := testing.AllocsPerRun(runs, func() {
+		s := fresh[next]
+		next++
+		for i := range held {
+			held[i] = s.At(time.Duration(i)*time.Millisecond, nop)
+		}
+	})
+	if a != timers {
+		t.Errorf("%d At calls on a fresh scheduler allocate %v objects, want %d", timers, a, timers)
+	}
+	s := fresh[0]
+	if s.Run() != timers || len(s.queue) != 0 {
+		t.Errorf("the timers did not all run")
+	}
+}

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,20 +47,22 @@ func recordWire(h *harness) *wireLog {
 	return &log
 }
 
-// ackOnly reports whether every frame of the datagram is an ack.
-func (d wireDgram) ackOnly() bool {
+// bareAck reports whether the datagram is acks and nothing but the
+// credit that rides them: no stream frame, and an ack first.
+func (d wireDgram) bareAck() bool {
 	for _, f := range d.frames {
-		if f.Type != proto.TypeStreamAck {
+		if f.Type != proto.TypeStreamAck && f.Type != proto.TypeStreamWindow {
 			return false
 		}
 	}
-	return true
+	return len(d.frames) > 0 && d.frames[0].Type == proto.TypeStreamAck
 }
 
 // TestPingPongIsTwoDatagramsPerRoundTrip: a request smaller than a
 // segment and its response, N times over, are 2N datagrams: every one
 // after the first carries the ack of what it answers in front of its
-// payload, and the only bare ack is the timer's, for the last response.
+// payload and nothing else, and the only bare ack is the timer's, for
+// the last response (with the credit the responses' reads freed).
 // The application answers inside Readable, or, like the facade's reader
 // goroutine, in an entry of its own that follows: then the receive
 // path's flush has held the ack before the answer is written.
@@ -140,7 +143,7 @@ func TestPingPongIsTwoDatagramsPerRoundTrip(t *testing.T) {
 				var data, bare [2]int
 				lastData := 0
 				for i, d := range *wire {
-					if d.ackOnly() {
+					if d.bareAck() {
 						bare[d.from]++
 						continue
 					}
@@ -162,7 +165,7 @@ func TestPingPongIsTwoDatagramsPerRoundTrip(t *testing.T) {
 				if bare != [2]int{1, 0} {
 					t.Errorf("%d + %d bare acks, want the one for the last response", bare[0], bare[1])
 				}
-				if last := (*wire)[len(*wire)-1]; !last.ackOnly() || lastData != len(*wire)-2 ||
+				if last := (*wire)[len(*wire)-1]; !last.bareAck() || lastData != len(*wire)-2 ||
 					last.at != (*wire)[lastData].at+h.delay+maxAckDelay {
 					t.Errorf("the bare ack is not the timer's, at the end: the last payload left at %v, the last datagram %+v",
 						(*wire)[lastData].at, last)
@@ -176,7 +179,9 @@ func TestPingPongIsTwoDatagramsPerRoundTrip(t *testing.T) {
 }
 
 // TestLoneWriteAckedOnceByTimer: a small write with nothing to ride on
-// is acknowledged once, by the ack timer, ackDelay after it arrived. A
+// is acknowledged once, by the ack timer, ackDelay after it arrived.
+// The credit the reads freed rides that ack, stream and session, once
+// it adds up to a segment since credit last left, and not before. A
 // thousand of them later the sender's timer has never found the stream
 // due and its timeout is still the floor: the RTT samples include the
 // held ack's wait, and ackDelay is too short for that to matter.
@@ -193,6 +198,7 @@ func TestLoneWriteAckedOnceByTimer(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg := payload(100)
+			var credited uint32 // read when credit last left
 			for i := 1; i <= 1000; i++ {
 				*wire = (*wire)[:0]
 				wrote := h.clk
@@ -202,9 +208,18 @@ func TestLoneWriteAckedOnceByTimer(t *testing.T) {
 				if len(*wire) != 2 {
 					t.Fatalf("write %d: %d datagrams on the wire, want the write and its ack", i, len(*wire))
 				}
-				ack := (*wire)[1]
-				if ack.from != 1 || !ack.ackOnly() || len(ack.frames) != 1 || ack.frames[0].Off != uint32(i*len(msg)) {
-					t.Fatalf("write %d answered by %+v, want one ack at %d", i, ack, i*len(msg))
+				ack, read := (*wire)[1], uint32(i*len(msg))
+				want := []Frame{{Type: proto.TypeStreamAck, Stream: s.ID(), Off: read}}
+				if read-credited >= maxDatagram-frameOverhead {
+					credited = read
+					want = append(want,
+						Frame{Type: proto.TypeStreamWindow, Stream: s.ID(), Off: read + h.b.cfg.StreamWindow},
+						Frame{Type: proto.TypeStreamWindow, Off: read + h.b.cfg.SessionWindow})
+				}
+				if ack.from != 1 || !slices.EqualFunc(ack.frames, want, func(a, b Frame) bool {
+					return a.Type == b.Type && a.Stream == b.Stream && a.Off == b.Off && a.FIN == b.FIN && len(a.Data) == len(b.Data)
+				}) {
+					t.Fatalf("write %d answered by %+v, want %+v", i, ack, want)
 				}
 				if want := wrote + h.delay + maxAckDelay; ack.at != want {
 					t.Fatalf("write %d of %v acknowledged at %v, want %v: %v after it arrived", i, wrote, ack.at, want, maxAckDelay)

@@ -666,10 +666,11 @@ func (m *Mux) queueControl(f Frame) { m.pendingCtl = append(m.pendingCtl, f) }
 // flush drains everything sendable: staged control frames, per-stream
 // acks and window updates, the holes each stream's scoreboard proves
 // lost and the tail-loss probes the timer asked for, then data
-// round-robin across streams with budget. Frames pack
-// into maxDatagram-bounded datagrams. Finally the retransmission timer
-// is re-armed to the earliest deadline, including window-probe
-// deadlines for streams starved of credit.
+// round-robin across streams with budget. Acks that leave without
+// stream data carry the credit the reader has freed (appendCredit).
+// Frames pack into maxDatagram-bounded datagrams. Finally the
+// retransmission timer is re-armed to the earliest deadline, including
+// window-probe deadlines for streams starved of credit.
 func (m *Mux) flush() {
 	if m.closed {
 		return
@@ -759,6 +760,9 @@ func (m *Mux) flush() {
 		for _, s := range acking {
 			s.ackPending, s.ackOwed = false, 0
 		}
+		if len(acking) > 0 && !carriesStream(frames) {
+			frames = m.appendCredit(frames, acking, maxSeg)
+		}
 	}
 	m.ackNow = false
 	clear(acking)
@@ -767,6 +771,37 @@ func (m *Mux) flush() {
 	clear(frames) // drop the aliases of queue arrays since replaced
 	m.frames = frames[:0]
 	m.armRtx()
+}
+
+// carriesStream reports whether frames hold a stream frame: data, a
+// retransmission, a probe.
+func carriesStream(frames []Frame) bool {
+	for i := range frames {
+		if frames[i].Type == proto.TypeStream {
+			return true
+		}
+	}
+	return false
+}
+
+// appendCredit puts the credit the reader has freed on acks that leave
+// without stream data, the way TCP puts its window in every ACK: a
+// window update for each acked stream, and one for the session, whose
+// limit has grown by at least a segment since it last left. A datagram
+// that carries data is not made longer, and none is added, so what
+// maybeAdvertise sends alone is only what no ack takes first.
+func (m *Mux) appendCredit(frames []Frame, acking []*Stream, maxSeg int) []Frame {
+	for _, s := range acking {
+		if SeqDiff(s.advertisable(), s.rcvLimit) >= int32(maxSeg) {
+			s.rcvLimit = s.advertisable()
+			frames = append(frames, Frame{Type: proto.TypeStreamWindow, Stream: s.id, Off: s.rcvLimit})
+		}
+	}
+	if lim := m.rcvSessUsed + m.cfg.SessionWindow; SeqDiff(lim, m.rcvSessLimit) >= int32(maxSeg) {
+		m.rcvSessLimit = lim
+		frames = append(frames, Frame{Type: proto.TypeStreamWindow, Off: lim})
+	}
+	return frames
 }
 
 // onAckTimer sends what is still owed maxAckDelay after a flush held an
@@ -1098,10 +1133,12 @@ func (s *Stream) Read(p []byte) (n int, eof bool) {
 // advertisable computes the stream window limit worth advertising.
 func (s *Stream) advertisable() uint32 { return s.rcvUsed + s.m.cfg.StreamWindow }
 
-// maybeAdvertise queues a window update. Unsolicited updates (from
-// application reads) use half-window hysteresis; probed updates (the
-// peer is starved) always re-send the current limit, so a lost
-// window frame cannot deadlock the sender.
+// maybeAdvertise queues a window update. Credit normally rides the
+// acks that leave anyway (appendCredit); an unsolicited update (from
+// application reads) goes alone only once the reader has freed half a
+// window since credit last left. Probed updates (the peer is starved)
+// always re-send the current limit, so a lost window frame cannot
+// deadlock the sender.
 func (s *Stream) maybeAdvertise(probed bool) {
 	if s.done {
 		return

@@ -51,6 +51,9 @@ type harness struct {
 	// so fresh data keeps following whatever the ARQ resends.
 	pace  time.Duration
 	chunk int
+	// read, when nonzero, is what oneWayTransfer's reader takes per Read
+	// call (see sink).
+	read int
 	// watch, when set, runs after every event: tests sample engine
 	// state over virtual time with it.
 	watch func()
@@ -300,26 +303,24 @@ func (t *fakeTimer) Stop() bool {
 func (t *fakeTimer) Active() bool { return !t.stopped && !t.fired }
 
 // sink wires a receive-side pump: every Readable drains the stream
-// into a buffer; EOF and termination are recorded.
-//
-// It reads a full segment (at maxDatagram) per call. The
-// window update goes out from the Read that takes the consumed point
-// half a window past the last one advertised, so a larger read moves
-// where the update falls. A repaired hole makes everything above it
-// readable at once, and reading that in 4 KiB pieces instead costs
-// TestTransferOnePercentLoss four round trips of credit, with no change
-// to loss recovery.
+// into a buffer, read bytes per Read call (a full segment when zero, at
+// most 4 KiB); EOF and termination are recorded.
 type sink struct {
 	buf  bytes.Buffer
+	read int
 	eof  bool
 	err  error
 	done bool
 }
 
 func (k *sink) pump(s *Stream) {
-	var tmp [1152 - frameOverhead]byte
+	var tmp [4 << 10]byte
+	read := k.read
+	if read == 0 {
+		read = maxDatagram - frameOverhead
+	}
 	for {
-		n, eof := s.Read(tmp[:])
+		n, eof := s.Read(tmp[:read])
 		k.buf.Write(tmp[:n])
 		k.eof = eof
 		if n == 0 {
@@ -368,7 +369,7 @@ func payload(n int) []byte {
 func oneWayTransfer(t *testing.T, h *harness, cfg Config, size, budget int) {
 	t.Helper()
 	src := &source{data: payload(size), chunk: h.chunk}
-	rcv := &sink{}
+	rcv := &sink{read: h.read}
 	var accepted *Stream
 	cba := Callbacks{
 		Writable: func(s *Stream) {
@@ -510,8 +511,9 @@ func dropDataNth(nth ...int) func(int, []byte) bool {
 // a receiver which has read everything and whose own FIN is acked: the
 // stream completes as the FIN is handled, before any flush, and its last
 // ack used to go with it, leaving the sender's FIN to a timeout.) Credit
-// comes back half a window at a time, so the transfer is one round trip
-// per half window; a timeout anywhere is five more. Nor does it probe:
+// comes back on the acks as the reader frees it, so the transfer is one
+// round trip per window and one more; a timeout anywhere is five more,
+// and credit held back to half-window steps doubles it. Nor does it probe:
 // the probe timeout allows for the peer's ack delay, so an ack that was
 // held is never taken for a lost tail.
 func TestLosslessTransferNeverTimesOut(t *testing.T) {
@@ -525,7 +527,7 @@ func TestLosslessTransferNeverTimesOut(t *testing.T) {
 				t.Errorf("retransmitted %d bytes, timer found a stream due %d times at the sender and %d at the receiver, probes %d and %d: want none of it",
 					h.rtxBytes, h.a.timeouts, h.b.timeouts, h.a.probes, h.b.probes)
 			}
-			trips := size/int(h.a.cfg.StreamWindow/2) + 1
+			trips := size/int(h.a.cfg.StreamWindow) + 1
 			if limit := time.Duration(trips) * 2 * h.delay; h.clk > limit {
 				t.Errorf("took %v, want at most %v: %d round trips", h.clk, limit, trips)
 			}
@@ -545,45 +547,74 @@ func TestLosslessTransferNeverTimesOut(t *testing.T) {
 // TestLostRetransmissionRepairedWithoutTimeout covers the loss that
 // fresh data exposes.
 //
-// The time bound is in round trips. What a lossy phase waits for beyond
-// the lossless transfer is not recovery but flow control: a hole in the
-// first half of a flight stops the reader below the half-window mark,
-// so the window update waits for the repair, and the sender, out of
-// credit, has only the repair to send for a round trip. It happens two
-// or three times in each of these phases, and one more round trip
-// repairs a hole in the last flight: 60 to 80 ms, at most four round
-// trips of the 38 the holes could cost, and less than the one timeout
-// (five) the bound must exclude.
+// The time bounds are in round trips. The stream window is about one
+// bandwidth-delay product here, and credit rides the acks, so the
+// lossless transfer takes a round trip per window and one more. What a
+// lossy phase waits for beyond that is not recovery but flow control:
+// the reader cannot read past a hole, so the window stops at it, and
+// the sender, out of credit, has only the repair to send for a round
+// trip. A hundred segments are a little less than half a window, so
+// every window-sized flight holds a hole: at most one more round trip
+// per window. A timeout is five. And none of it depends on how much the
+// reader takes per Read: the credit a read frees leaves with the next
+// ack, wherever the read ended.
 func TestTransferOnePercentLoss(t *testing.T) {
 	const size = 4 << 20
-	clean := newHarness(18)
-	oneWayTransfer(t, clean, Config{}, size, 4000000)
-	for _, phase := range []int{0, 37, 99} {
-		lossy := newHarness(18)
-		seen := make(map[uint32]bool)
-		lossy.drop = func(from int, p []byte) bool {
-			off, ok := dataTo(from, p)
-			if !ok || seen[off] {
-				return false
+	reads := []int{maxDatagram - frameOverhead, 4 << 10}
+	phases := []int{0, 37, 99}
+	took := make([][]time.Duration, len(reads)) // per read size: lossless, then each phase
+	var rtt time.Duration
+	for i, read := range reads {
+		t.Run(fmt.Sprintf("read=%d", read), func(t *testing.T) {
+			clean := newHarness(18)
+			clean.read = read
+			oneWayTransfer(t, clean, Config{}, size, 4000000)
+			rtt = 2 * clean.delay
+			windows := size / int(clean.a.cfg.StreamWindow)
+			if limit := time.Duration(windows+1) * rtt; clean.clk > limit {
+				t.Errorf("lossless took %v, want at most %v: a round trip per window and one more", clean.clk, limit)
 			}
-			seen[off] = true
-			return len(seen)%100 == phase
+			took[i] = append(took[i], clean.clk)
+			for _, phase := range phases {
+				lossy := newHarness(18)
+				lossy.read = read
+				seen := make(map[uint32]bool)
+				lossy.drop = func(from int, p []byte) bool {
+					off, ok := dataTo(from, p)
+					if !ok || seen[off] {
+						return false
+					}
+					seen[off] = true
+					return len(seen)%100 == phase
+				}
+				oneWayTransfer(t, lossy, Config{}, size, 4000000)
+				took[i] = append(took[i], lossy.clk)
+				if lossy.a.timeouts != 0 {
+					t.Errorf("phase %d: the sender's timer found a stream due %d times, want every hole repaired from the acks' ranges",
+						phase, lossy.a.timeouts)
+				}
+				if limit := clean.clk + time.Duration(windows)*rtt; lossy.clk > limit {
+					t.Errorf("phase %d: 1%% loss took %v, lossless %v: want at most one round trip more per window, %v",
+						phase, lossy.clk, clean.clk, limit)
+				}
+				if ratio := float64(lossy.rtxBytes) / size; ratio > 0.015 {
+					t.Errorf("phase %d: retransmitted %.4f bytes per byte delivered, want <= 0.015",
+						phase, ratio)
+				}
+				t.Logf("phase %d: %v (lossless %v), %.4f retransmitted", phase, lossy.clk, clean.clk,
+					float64(lossy.rtxBytes)/size)
+			}
+		})
+	}
+	for j := range min(len(took[0]), len(took[1])) {
+		if a, b := took[0][j], took[1][j]; a-b > rtt || b-a > rtt {
+			run := "lossless"
+			if j > 0 {
+				run = fmt.Sprintf("phase %d", phases[j-1])
+			}
+			t.Errorf("%s: %d-byte reads took %v, %d-byte reads %v: want within one round trip",
+				run, reads[0], a, reads[1], b)
 		}
-		oneWayTransfer(t, lossy, Config{}, size, 4000000)
-		if lossy.a.timeouts != 0 {
-			t.Errorf("phase %d: the sender's timer found a stream due %d times, want every hole repaired from the acks' ranges",
-				phase, lossy.a.timeouts)
-		}
-		if limit := clean.clk + 4*2*lossy.delay; lossy.clk > limit {
-			t.Errorf("phase %d: 1%% loss took %v, lossless %v: want within four round trips, %v",
-				phase, lossy.clk, clean.clk, limit)
-		}
-		if ratio := float64(lossy.rtxBytes) / size; ratio > 0.015 {
-			t.Errorf("phase %d: retransmitted %.4f bytes per byte delivered, want <= 0.015",
-				phase, ratio)
-		}
-		t.Logf("phase %d: %v (lossless %v), %.4f retransmitted", phase, lossy.clk, clean.clk,
-			float64(lossy.rtxBytes)/size)
 	}
 }
 
@@ -732,9 +763,11 @@ func TestLostRetransmissionAtWindowEdge(t *testing.T) {
 // what follows it is too little for any report to prove it lost. The
 // probe resends it a probe timeout after the last advancing ack: no go
 // back N, and the transfer ends less than minRTO after the lossless
-// one. When both probes are lost as well, the go-back-N timeout fires
-// once, at the virtual time it fired before there were probes: an RTO
-// after the last advancing ack, no later.
+// one. When the probes are lost as well, the go-back-N timeout fires
+// once, where it would without probes: one RTO after the last advancing
+// ack, as the sender stood then, no later. Before it go the probes that
+// fit, the first a probe timeout after that ack and each next one twice
+// as far out.
 func TestTailLossProbe(t *testing.T) {
 	const size = 1<<20 + 100
 	maxSeg := maxDatagram - frameOverhead
@@ -762,15 +795,21 @@ func TestTailLossProbe(t *testing.T) {
 				sends++
 				return sends == 1 || (probesLost && h.a.timeouts == 0)
 			}
-			var firedAt time.Duration
+			// The sender as the last advancing ack left it: when, its
+			// timeout and its probe timeout.
+			var una uint32
+			var advAt, rto, pto, firedAt time.Duration
 			h.watch = func() {
+				if s := h.a.streams[2]; s != nil && h.a.timeouts == 0 && s.sndUna != una {
+					una, advAt, rto, pto = s.sndUna, h.clk, s.rto, h.a.pto()
+				}
 				if h.a.timeouts == 1 && firedAt == 0 {
 					firedAt = h.clk
 				}
 			}
 			oneWayTransfer(t, h, Config{}, size, 4000000)
-			t.Logf("finished at %v, lossless %v (minRTO %v): %d probes, %d timeouts (at %v)",
-				h.clk, clean.clk, minRTO, h.a.probes, h.a.timeouts, firedAt)
+			t.Logf("finished at %v, lossless %v (minRTO %v): %d probes, %d timeouts (at %v, last advancing ack at %v, RTO %v, PTO %v)",
+				h.clk, clean.clk, minRTO, h.a.probes, h.a.timeouts, firedAt, advAt, rto, pto)
 			if !probesLost {
 				if h.a.probes == 0 || h.a.timeouts != 0 {
 					t.Errorf("%d probes, %d timeouts: want the tail repaired by a probe", h.a.probes, h.a.timeouts)
@@ -780,13 +819,18 @@ func TestTailLossProbe(t *testing.T) {
 				}
 				return
 			}
-			if h.a.probes != maxProbes || h.a.timeouts != 1 {
-				t.Errorf("%d probes, %d timeouts: want %d and then the one", h.a.probes, h.a.timeouts, maxProbes)
+			probes, at := 0, advAt
+			for probes < maxProbes {
+				if at += pto << probes; at >= advAt+rto {
+					break
+				}
+				probes++
 			}
-			// Without probes the lost segment's go-back-N resend left at
-			// 240 ms, an RTO after the last advancing ack.
-			if want := 240 * time.Millisecond; firedAt != want {
-				t.Errorf("go-back-N timeout fired at %v, want %v as before there were probes", firedAt, want)
+			if probes == 0 || h.a.probes != probes || h.a.timeouts != 1 {
+				t.Errorf("%d probes, %d timeouts: want %d and then the one", h.a.probes, h.a.timeouts, probes)
+			}
+			if want := advAt + rto; firedAt != want {
+				t.Errorf("go-back-N timeout fired at %v, want %v: one RTO after the last advancing ack", firedAt, want)
 			}
 		})
 	}

@@ -8,8 +8,10 @@
 //	# one monolithic server
 //	go run ./cmd/rendezvous -listen 0.0.0.0:7000 -advertise 203.0.113.7:7000
 //
-//	# two federated servers (run on separate hosts; join either way)
-//	go run ./cmd/rendezvous -listen 0.0.0.0:7000 -advertise 203.0.113.7:7000
+//	# two federated servers (run on separate hosts; each joins the other,
+//	# since a server accepts federation traffic only from peers it joined)
+//	go run ./cmd/rendezvous -listen 0.0.0.0:7000 -advertise 203.0.113.7:7000 \
+//	    -join 203.0.113.8:7000
 //	go run ./cmd/rendezvous -listen 0.0.0.0:7000 -advertise 203.0.113.8:7000 \
 //	    -join 203.0.113.7:7000
 //

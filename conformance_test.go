@@ -203,6 +203,7 @@ func makeSimFedPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 		t.Fatal(err)
 	}
 	s1.Join(s2.Endpoint())
+	s2.Join(s1.Endpoint())
 	hostA := core.AddSite("NAT-A", natA, "155.99.25.11", "10.0.0.0/24").AddHost("A", "10.0.0.1")
 	hostB := core.AddSite("NAT-B", natB, "138.76.29.7", "10.1.1.0/24").AddHost("B", "10.1.1.3")
 	alice, err := Open(hostA.Transport(), "alice", s1.Endpoint(), conformanceOpts()...)
@@ -237,6 +238,7 @@ func makeRealFedPair(t *testing.T, blockDirect bool) (*Dialer, *Dialer) {
 	}
 	s1 := serve()
 	s2 := serve(s1.Endpoint())
+	s1.Join(s2.Endpoint())
 	open := func(name string, server transport.Endpoint) *Dialer {
 		tr, err := realudp.New("127.0.0.1:0")
 		if err != nil {

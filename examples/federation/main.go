@@ -32,7 +32,8 @@ func main() {
 	check(err)
 	s2, err := rendezvousapi.Serve(core.AddHost("S2", "18.181.0.32").Transport(), 1234)
 	check(err)
-	s1.Join(s2.Endpoint()) // links are bidirectional after the hello exchange
+	s1.Join(s2.Endpoint()) // a link needs both sides to join
+	s2.Join(s1.Endpoint())
 	relay, err := rendezvousapi.Serve(core.AddHost("R", "18.181.0.40").Transport(), 1234, rendezvousapi.WithRelayOnly())
 	check(err)
 	pool := []transport.Endpoint{s1.Endpoint(), s2.Endpoint()}

@@ -38,6 +38,12 @@ func fedServers(t *testing.T, n int) ([]*rendezvousapi.Server, []transport.Endpo
 		srvs = append(srvs, srv)
 		eps = append(eps, srv.Endpoint())
 	}
+	// Each server joined the ones before it; a link needs both sides.
+	for i, srv := range srvs {
+		for _, ep := range eps[i+1:] {
+			srv.Join(ep)
+		}
+	}
 	return srvs, eps
 }
 

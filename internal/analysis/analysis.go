@@ -119,8 +119,9 @@ type Config struct {
 	// (OnRecv payloads, decoder-owned Message fields, scratch reuse).
 	BufOwnPackages []string
 	// MessageTypes name wire-message types ("pkgpath.Type") whose
-	// slice fields are decoder-owned when the value is received as a
-	// function parameter — valid only until the handler returns.
+	// slice fields are decoder-owned when the value, or a pointer to
+	// it, is received as a function parameter — valid only until the
+	// handler returns.
 	MessageTypes []string
 	// ScratchFields name reused encode scratch ("pkgpath.Type.field"):
 	// legal escape targets for callback-scoped data, and themselves
@@ -189,7 +190,7 @@ func DefaultConfig() *Config {
 			"natpunch/internal/host",
 			"natpunch/internal/natcheck",
 		},
-		MessageTypes: []string{"natpunch/internal/proto.Message"},
+		MessageTypes: []string{"natpunch/internal/proto.Message", "natpunch/internal/stream.Frame"},
 		ScratchFields: []string{
 			"natpunch/internal/rendezvous.Server.fedScratch",
 			"natpunch/internal/rendezvous.Server.scratchMsg",

@@ -137,7 +137,7 @@ func TestWireDispatchFixture(t *testing.T) {
 func bufOwnFixtureConfig() *Config {
 	return &Config{
 		BufOwnPackages: []string{"buffix/..."},
-		MessageTypes:   []string{"buffix/proto.Message"},
+		MessageTypes:   []string{"buffix/proto.Message", "buffix/stream.Frame"},
 		ScratchFields: []string{
 			"buffix/server.Server.enc",
 			"buffix/server.Server.fedScratch",

@@ -17,7 +17,8 @@ import (
 //   - slice fields of a *proto.Message received as a parameter (the
 //     reusing proto.Decoder owns the Candidates storage, which the next
 //     datagram overwrites, and its Data is the received datagram's own
-//     bytes);
+//     bytes), and of a stream.Frame received by value or pointer (the
+//     frame parser's Data is the datagram's bytes too);
 //   - configured scratch fields (Config.ScratchFields: reused encode
 //     buffers and message skeletons on the zero-alloc hot path);
 //   - the buffer a Reserve() call lends (transport.InPlaceSender): the

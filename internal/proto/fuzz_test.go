@@ -135,6 +135,7 @@ func capturedCorpus(tb testing.TB) [][]byte {
 			}
 		})
 		s1.Join(s2.Endpoint())
+		s2.Join(s1.Endpoint())
 		realmA := core.AddSite("NAT-A", nat.Symmetric(), "155.99.25.11", "10.0.0.0/24")
 		realmB := core.AddSite("NAT-B", nat.Symmetric(), "138.76.29.7", "10.1.1.0/24")
 		cfg := punch.Config{RelayFallback: true, PunchTimeout: 2 * time.Second}

@@ -114,28 +114,30 @@ const (
 	// that keeps migration loss- and reorder-free.
 	TypeMigrate
 	// TypeStream: one reliable-stream data frame (internal/stream),
-	// carried inside a session datagram (TypeData/TypeRelayTo payload).
-	// Nonce is the stream ID, Seq the byte offset of Data within the
-	// stream, and Requester marks FIN: Data's last byte is the final
-	// byte of the stream. Offsets live in the 32-bit circular space of
-	// RFC 793 §3.3, compared with the stream engine's Seq* helpers.
+	// carried inside a session datagram (TypeData/TypeRelayTo payload)
+	// in the stream layer's own 16-byte frame header, not in a Message:
+	// these five constants number its frame types. The frame carries
+	// the stream ID, the byte offset of its data within the stream, and
+	// FIN: the data's last byte is the final byte of the stream.
+	// Offsets live in the 32-bit circular space of RFC 793 §3.3,
+	// compared with the stream engine's Seq* helpers.
 	TypeStream
-	// TypeStreamAck: cumulative acknowledgment for one stream. Nonce is
-	// the stream ID and Seq the next byte offset the receiver expects
-	// (everything below Seq arrived in order). Acks drive the sender's
-	// RTT estimate and release its retransmission buffer.
+	// TypeStreamAck: cumulative acknowledgment for one stream: the
+	// next byte offset the receiver expects (everything below it
+	// arrived in order). Acks drive the sender's RTT estimate and
+	// release its retransmission buffer.
 	TypeStreamAck
-	// TypeStreamWindow: flow-control credit. Nonce is the stream ID —
-	// or zero for the session-level window — and Seq the absolute limit
-	// offset (stream) or cumulative byte budget (session) the sender
-	// may reach. A receiver re-advertises as the application consumes.
+	// TypeStreamWindow: flow-control credit for a stream — or, on
+	// stream ID zero, the session — as the absolute limit offset
+	// (stream) or cumulative byte budget (session) the sender may
+	// reach. A receiver re-advertises as the application consumes.
 	TypeStreamWindow
-	// TypeStreamReset: abrupt bidirectional stream termination. Nonce
-	// is the stream ID; both directions stop, buffered data is dropped.
+	// TypeStreamReset: abrupt bidirectional stream termination; both
+	// directions stop, buffered data is dropped.
 	TypeStreamReset
-	// TypeStreamPing: session liveness/RTT probe. Seq is an echo token;
-	// Requester false asks, true answers with the same token. The
-	// round-trip seeds the retransmission timer on idle sessions.
+	// TypeStreamPing: session liveness/RTT probe. The offset field is
+	// an echo token; FIN clear asks, set answers with the same token.
+	// The round-trip seeds the retransmission timer on idle sessions.
 	TypeStreamPing
 )
 

@@ -41,6 +41,7 @@ func newPooledWorld(t *testing.T, seed int64) *pooledWorld {
 		t.Fatal(err)
 	}
 	s1.Join(s2.Endpoint())
+	s2.Join(s1.Endpoint())
 	pool := []inet.Endpoint{s1.Endpoint(), s2.Endpoint()}
 	realmA := core.AddSite("NAT-A", nat.Cone(), "155.99.25.11", "10.0.0.0/24")
 	realmB := core.AddSite("NAT-B", nat.Cone(), "138.76.29.7", "10.1.1.0/24")
@@ -158,6 +159,7 @@ func TestRegistrationWalksDeadPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Join(s2.Endpoint())
+	s2.Join(s1.Endpoint())
 	in.RunFor(time.Second)
 	s1.Close() // the head of the pool is dead before anyone registers
 

@@ -24,54 +24,51 @@ import (
 //     clients age out of the survivors' registries and dials to them
 //     fail fast until the clients re-home (client-side failover).
 //
-// Membership is operator-driven (Join / cmd/rendezvous -join); links
-// are made bidirectional by the hello exchange. Like client
-// registration itself, federation carries no authentication — the
+// Membership is operator-driven (Join / cmd/rendezvous -join), and
+// the configured set is the whole of it: Fed* messages from any other
+// source are dropped, so a link needs both sides to join each other.
+// Whichever side joins second completes the exchange: its hello makes
+// the first side sync its records back. Like client registration
+// itself, federation carries no authentication beyond that set: the
 // deployment's network perimeter is the trust boundary.
 
-// Join links this server to a peer: the peer learns of us from the
-// hello's source address, answers with its own hello, and both sides
-// exchange a full sync of locally homed registrations.
+// Join configures peer as a federation peer and greets it: the hello
+// asks the peer to sync its locally homed registrations to us, and we
+// sync ours to it. The peer accepts both only once it has joined us.
 func (s *Server) Join(peer inet.Endpoint) {
 	if peer == s.Endpoint() || peer == s.udp.Local() {
 		return
 	}
-	s.addFedPeer(peer)
+	if !s.fedSet[peer] {
+		s.fedSet[peer] = true
+		s.fedPeers = append(s.fedPeers, peer)
+	}
 	s.sendUDP(peer, &proto.Message{Type: proto.TypeFedHello})
 	s.syncTo(peer)
 }
 
-// Peers returns the current federation peer set in join order.
+// Peers returns the configured federation peer set in join order, the
+// order replication fans out in, so simulated runs stay deterministic.
 func (s *Server) Peers() []inet.Endpoint {
 	return append([]inet.Endpoint(nil), s.fedPeers...)
 }
 
-// addFedPeer records a peer, reporting whether it was new. Join order
-// is preserved so replication fan-out is deterministic.
-func (s *Server) addFedPeer(peer inet.Endpoint) bool {
-	if s.fedSet[peer] {
-		return false
-	}
-	s.fedSet[peer] = true
-	s.fedPeers = append(s.fedPeers, peer)
-	return true
-}
-
-// handleFedHello answers a peer's hello: record the link, hello back
-// if the peer was unknown (exactly once, so hellos cannot ping-pong),
-// and sync our locally homed records over.
+// handleFedHello answers a configured peer's hello with a sync of our
+// locally homed records. It never hellos back, so hellos cannot
+// ping-pong.
 func (s *Server) handleFedHello(from inet.Endpoint) {
-	if s.addFedPeer(from) {
-		s.sendUDP(from, &proto.Message{Type: proto.TypeFedHello})
+	if s.fedSet[from] {
+		s.syncTo(from)
 	}
-	s.syncTo(from)
 }
 
 // handleFedRecord stores one replicated registration, homed at the
 // sending server. Last writer wins: a client that re-homes (failover)
 // is re-replicated by its new home and the stale claim is replaced.
 func (s *Server) handleFedRecord(from inet.Endpoint, m *proto.Message) {
-	s.addFedPeer(from)
+	if !s.fedSet[from] {
+		return
+	}
 	s.stats.FedRecords++
 	s.reg.put(Record{
 		Name:      m.From,
@@ -83,9 +80,11 @@ func (s *Server) handleFedRecord(from inet.Endpoint, m *proto.Message) {
 }
 
 // handleFedForward delivers the wrapped wire bytes to the locally
-// homed target on behalf of a peer.
+// homed target on behalf of a configured peer.
 func (s *Server) handleFedForward(from inet.Endpoint, m *proto.Message) {
-	s.addFedPeer(from)
+	if !s.fedSet[from] {
+		return
+	}
 	s.stats.FedForwards++
 	rec, ok := s.reg.get(m.Target, s.now())
 	if !ok || !rec.Local() {

@@ -1,14 +1,19 @@
 package rendezvous_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"natpunch/internal/host"
 	"natpunch/internal/ice"
+	"natpunch/internal/inet"
 	"natpunch/internal/nat"
+	"natpunch/internal/proto"
 	"natpunch/internal/punch"
 	"natpunch/internal/rendezvous"
+	"natpunch/internal/sim"
 	"natpunch/internal/topo"
 )
 
@@ -38,6 +43,7 @@ func newFedWorld(t *testing.T, seed int64, behA, behB nat.Behavior, cfg punch.Co
 	}
 	if join {
 		s1.Join(s2.Endpoint())
+		s2.Join(s1.Endpoint())
 	}
 	realmA := core.AddSite("NAT-A", behA, "155.99.25.11", "10.0.0.0/24")
 	realmB := core.AddSite("NAT-B", behB, "138.76.29.7", "10.1.1.0/24")
@@ -240,6 +246,7 @@ func TestFederationSyncOnJoin(t *testing.T) {
 		t.Fatal("records leaked across servers before any join")
 	}
 	w.s1.Join(w.s2.Endpoint())
+	w.s2.Join(w.s1.Endpoint())
 	w.runUntil(t, 5*time.Second, func() bool {
 		return w.s1.Registered("bob") && w.s2.Registered("alice")
 	})
@@ -249,5 +256,60 @@ func TestFederationSyncOnJoin(t *testing.T) {
 	sa, _ := w.punchVia(t, 30*time.Second)
 	if sa.Via == punch.MethodRelay {
 		t.Fatalf("cone<->cone relayed after join sync")
+	}
+}
+
+// TestFederationIgnoresStrangers pins that federation traffic counts
+// only from the peers a server joined. A stranger sends both servers a
+// FedHello, a FedRecord claiming the name the other server's client
+// dials, and a FedForward for the server's own client. None of it
+// lands: the peer sets stay as joined, the stranger receives nothing,
+// the forward reaches no one, and alice's dial still reaches bob.
+func TestFederationIgnoresStrangers(t *testing.T) {
+	w := newFedWorld(t, 7, nat.Cone(), nat.Cone(), punch.Config{}, true)
+	w.register(t)
+	w.runUntil(t, 5*time.Second, func() bool {
+		return w.s1.Registered("bob") && w.s2.Registered("alice")
+	})
+	peers1, peers2 := w.s1.Peers(), w.s2.Peers()
+	stats1, stats2 := w.s1.Stats(), w.s2.Stats()
+	marker := []byte("forwarded by a stranger")
+	forwarded := 0
+	w.Net.SetHook(func(kind sim.HookKind, _ *sim.Segment, _ *sim.Iface, pkt *inet.Packet) {
+		if kind == sim.HookSend && bytes.Equal(pkt.Payload, marker) {
+			forwarded++
+		}
+	})
+
+	x := newRawClient(t, w.CoreRealm().AddHost("X", "18.181.0.66", host.BSDStyle), 4321)
+	xe := x.sock.Local()
+	for _, c := range []struct {
+		s            *rendezvous.Server
+		local, other string
+	}{{w.s1, "alice", "bob"}, {w.s2, "bob", "alice"}} {
+		x.send(c.s.Endpoint(), &proto.Message{Type: proto.TypeFedHello})
+		x.send(c.s.Endpoint(), &proto.Message{Type: proto.TypeFedRecord, From: c.other, Public: xe, Private: xe})
+		x.send(c.s.Endpoint(), &proto.Message{Type: proto.TypeFedForward, Target: c.local, Data: marker})
+	}
+	w.RunFor(time.Second)
+
+	if !slices.Equal(w.s1.Peers(), peers1) || !slices.Equal(w.s2.Peers(), peers2) {
+		t.Errorf("peer sets moved: s1 %v -> %v, s2 %v -> %v", peers1, w.s1.Peers(), peers2, w.s2.Peers())
+	}
+	if st := w.s1.Stats(); st.FedRecords != stats1.FedRecords || st.FedForwards != stats1.FedForwards {
+		t.Errorf("s1 counted the stranger's records or forwards: %+v -> %+v", stats1, st)
+	}
+	if st := w.s2.Stats(); st.FedRecords != stats2.FedRecords || st.FedForwards != stats2.FedForwards {
+		t.Errorf("s2 counted the stranger's records or forwards: %+v -> %+v", stats2, st)
+	}
+	if forwarded != 0 {
+		t.Errorf("the stranger's FedForward was delivered %d times", forwarded)
+	}
+	sa, _ := w.punchVia(t, 30*time.Second)
+	if sa.Via == punch.MethodRelay {
+		t.Errorf("cone<->cone relayed after the stranger's claim on bob")
+	}
+	if len(x.got) != 0 {
+		t.Errorf("the stranger received %d messages, the first %v", len(x.got), x.got[0].Type)
 	}
 }

@@ -118,8 +118,9 @@ type Server struct {
 	reg      registry
 	tcpc     map[string]*tcpClient
 
-	// Federation link state (federation.go). fedPeers preserves join
-	// order so replication fan-out is deterministic.
+	// Federation link state (federation.go): the configured peers,
+	// the only sources Fed* messages are accepted from. fedPeers
+	// preserves join order so replication fan-out is deterministic.
 	fedPeers []inet.Endpoint
 	fedSet   map[inet.Endpoint]bool
 

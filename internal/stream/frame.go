@@ -3,20 +3,19 @@ package stream
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"natpunch/internal/proto"
 )
 
 // Frame is one stream-layer unit, the decoded form of the
-// TypeStream* wire messages. Several frames pack into one session
-// datagram, each as a length-prefixed proto encoding, so control
-// (acks, windows) piggybacks with data in a single send.
+// TypeStream* frame types. Several frames pack back to back into one
+// session datagram, so control (acks, windows) piggybacks with data in
+// a single send. Each frame is a 16-byte big-endian header, then Data:
 //
-// Field mapping onto proto.Message: Nonce carries the stream ID, Seq
-// the offset/ack/limit/token, Requester the FIN bit, Data the
-// payload or ack ranges. Stream ID 0 is reserved for session-scoped frames (the
-// session flow-control window, pings).
+//	type (1) | flags (1, bit 0 = FIN) | stream ID (8) | Off (4) | len(Data) (2)
+//
+// Stream ID 0 is reserved for session-scoped frames (the session
+// flow-control window, pings).
 type Frame struct {
 	// Type is one of proto.TypeStream, TypeStreamAck,
 	// TypeStreamWindow, TypeStreamReset, TypeStreamPing.
@@ -41,71 +40,65 @@ type Frame struct {
 // ErrBadFrame reports a malformed frame datagram.
 var ErrBadFrame = errors.New("stream: malformed frame datagram")
 
-// frameOverhead is the wire cost of one empty packed frame: the
-// 4-byte length prefix plus the proto envelope with empty strings,
-// zero endpoints, and no candidates. Every frame's encoding is exactly
-// this much longer than its Data, which is what lets transmit decide
-// where a frame goes before encoding it.
-const frameOverhead = 4 + 3 + 2 + 2 + 6 + 6 + 8 + 1 + 4 + 4 + 2
+// frameOverhead is the wire cost of one frame beyond its Data: the
+// header. transmit decides where a frame goes from it before encoding.
+const frameOverhead = 1 + 1 + 8 + 4 + 2
 
-// AppendFrame appends f's length-prefixed wire encoding to dst.
+// flagFIN is the one defined bit of a frame's flags byte.
+const flagFIN = 1
+
+// AppendFrame appends f's wire encoding to dst. f.Data must fit the
+// 16-bit length; the engine never builds a frame past maxDatagram.
 func AppendFrame(dst []byte, f *Frame) []byte {
-	m := proto.Message{
-		Type: f.Type, Nonce: f.Stream, Seq: f.Off,
-		Requester: f.FIN, Data: f.Data,
+	var flags byte
+	if f.FIN {
+		flags = flagFIN
 	}
-	return proto.AppendFrame(dst, &m, 0)
+	dst = append(dst, byte(f.Type), flags)
+	dst = binary.BigEndian.AppendUint64(dst, f.Stream)
+	dst = binary.BigEndian.AppendUint32(dst, f.Off)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Data)))
+	return append(dst, f.Data...)
 }
 
-// Parser unpacks frame datagrams, reusing one proto decoder so
-// steady-state parsing allocates nothing and copies nothing. The Frame
-// passed to the callback is not the callback's to keep: its Data is the
-// frame's bytes where they lie in the datagram being parsed, so the
-// callback must copy what it keeps.
-type Parser struct {
-	dec proto.Decoder
-}
+// Parser unpacks frame datagrams; it holds no state, so parsing
+// allocates nothing and copies nothing. The Frame passed to the
+// callback is not the callback's to keep: its Data is the frame's bytes
+// where they lie in the datagram being parsed, capacity-capped so an
+// append cannot reach the next frame, and the callback must copy what
+// it keeps.
+type Parser struct{}
 
 // Parse walks the packed frames in p, invoking fn for each. It stops
-// at the first malformed frame or callback error.
-func (pr *Parser) Parse(p []byte, fn func(Frame) error) error {
+// at the first malformed frame or callback error. The switch is the
+// stream layer's wire dispatch: every TypeStream* constant must be
+// accepted here (natlint wiredispatch).
+func (Parser) Parse(p []byte, fn func(Frame) error) error {
 	for len(p) > 0 {
-		if len(p) < 4 {
+		if len(p) < frameOverhead || p[1]&^flagFIN != 0 {
 			return ErrBadFrame
 		}
-		n := binary.BigEndian.Uint32(p)
-		p = p[4:]
-		if uint64(len(p)) < uint64(n) {
+		switch proto.Type(p[0]) {
+		case proto.TypeStream, proto.TypeStreamAck, proto.TypeStreamWindow,
+			proto.TypeStreamReset, proto.TypeStreamPing:
+		default:
 			return ErrBadFrame
 		}
-		m, err := pr.dec.Decode(p[:n])
-		if err != nil {
-			return err
+		end := frameOverhead + int(binary.BigEndian.Uint16(p[14:]))
+		if len(p) < end {
+			return ErrBadFrame
 		}
-		p = p[n:]
-		f, err := frameOf(m)
-		if err != nil {
-			return err
+		f := Frame{
+			Type:   proto.Type(p[0]),
+			Stream: binary.BigEndian.Uint64(p[2:]),
+			Off:    binary.BigEndian.Uint32(p[10:]),
+			FIN:    p[1] == flagFIN,
+			Data:   p[frameOverhead:end:end],
 		}
+		p = p[end:]
 		if err := fn(f); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// frameOf maps a decoded wire message onto its stream-layer frame.
-// The switch is the stream layer's wire dispatch: every TypeStream*
-// constant must be handled here (natlint wiredispatch).
-func frameOf(m *proto.Message) (Frame, error) {
-	switch m.Type {
-	case proto.TypeStream, proto.TypeStreamAck, proto.TypeStreamWindow,
-		proto.TypeStreamReset, proto.TypeStreamPing:
-		return Frame{
-			Type: m.Type, Stream: m.Nonce, Off: m.Seq,
-			FIN: m.Requester, Data: m.Data,
-		}, nil
-	default:
-		return Frame{}, fmt.Errorf("stream: frame type %v: %w", m.Type, ErrBadFrame)
-	}
 }

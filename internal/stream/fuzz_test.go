@@ -102,12 +102,14 @@ func FuzzFrameParse(f *testing.F) {
 	for _, wire := range capturedDatagrams(f) {
 		f.Add(wire)
 	}
-	// Adversarial shapes: empty, short prefix, length past the end,
-	// non-stream proto type smuggled inside a valid frame envelope.
+	// Adversarial shapes: empty, a short header, a non-stream type byte,
+	// a flag bit other than FIN, and a length one past the end.
+	data := AppendFrame(nil, &Frame{Type: proto.TypeStream, Stream: 2, Off: 7, Data: []byte("tail")})
 	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x00, 0x00})
-	f.Add([]byte{0x00, 0x00, 0xFF, 0xFF, 0x01})
-	f.Add(proto.AppendFrame(nil, &proto.Message{Type: proto.TypeData}, 0))
+	f.Add(data[:frameOverhead-1])
+	f.Add(AppendFrame(nil, &Frame{Type: proto.TypeData, Stream: 2}))
+	f.Add(append([]byte{byte(proto.TypeStream), 2}, data[2:]...))
+	f.Add(data[:len(data)-1])
 	// Acks reporting out-of-order ranges: well-formed, then with a
 	// 7-byte tail, a reversed pair and more pairs than an ack may carry.
 	ranges := ackRangesOf(2000, 3110, 4220, 5330)

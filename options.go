@@ -45,9 +45,9 @@ func WithRelayFallback() Option { return func(c *config) { c.punch.RelayFallback
 // anyone — and the rest of the pool is the failover order: a home
 // server that goes silent past its keep-alive grace is abandoned for
 // the next member without tearing down established sessions. Pool
-// servers should be federated (rendezvousapi.Server.Join /
-// cmd/rendezvous -join) so peers homed on different members can
-// still reach each other.
+// servers should be federated, each joining every other
+// (rendezvousapi.Server.Join / cmd/rendezvous -join), so peers homed
+// on different members can still reach each other.
 func Servers(eps ...transport.Endpoint) Option {
 	return func(c *config) { c.servers = append(c.servers, eps...) }
 }

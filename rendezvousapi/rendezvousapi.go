@@ -62,7 +62,8 @@ func WithTTL(d time.Duration) ServeOption {
 }
 
 // WithPeers federates the new server with the given peers at startup
-// (it joins each; links become bidirectional via the hello exchange).
+// (it joins each). A link is up once each side has joined the other:
+// a server accepts federation traffic only from the peers it joined.
 func WithPeers(eps ...transport.Endpoint) ServeOption {
 	return func(c *serveConfig) { c.peers = append(c.peers, eps...) }
 }
@@ -122,9 +123,11 @@ func (s *Server) Endpoint() transport.Endpoint {
 	return ep
 }
 
-// Join federates this server with a peer server: registrations
-// replicate both ways and clients homed on either side can dial,
-// negotiate with, and relay to each other.
+// Join federates this server with a peer server. Once the peer has
+// joined this server too, registrations replicate both ways and
+// clients homed on either side can dial, negotiate with, and relay to
+// each other; until then the peer drops this server's federation
+// traffic.
 func (s *Server) Join(peer transport.Endpoint) {
 	s.tr.Invoke(func() { s.s.Join(peer) })
 }

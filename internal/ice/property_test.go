@@ -10,40 +10,35 @@ import (
 	"natpunch/internal/ice"
 	"natpunch/internal/inet"
 	"natpunch/internal/nat"
-	"natpunch/internal/proto"
 )
 
-// randomCandidates draws a wire-level candidate list, including
-// garbage kinds and zero endpoints that BuildChecks must tolerate.
-func randomCandidates(rng *rand.Rand, n int) []proto.Candidate {
-	out := make([]proto.Candidate, n)
-	for i := range out {
-		out[i] = proto.Candidate{
-			Kind:     uint8(rng.Intn(8)), // 0 and 6..7 are not valid kinds
-			Priority: rng.Uint32(),
-			Endpoint: inet.Endpoint{
-				Addr: inet.Addr(rng.Uint32() >> uint(rng.Intn(24))),
-				Port: inet.Port(rng.Intn(1 << 16)),
-			},
+// randomPair draws an endpoint pair as S sends it, including the
+// shapes BuildChecks must handle: zero endpoints, a public endpoint
+// on self's address (the peer behind the same outer NAT), and a
+// private endpoint equal to the public one (an un-NATed peer).
+func randomPair(rng *rand.Rand, self inet.Endpoint) (public, private inet.Endpoint) {
+	draw := func() inet.Endpoint {
+		switch rng.Intn(4) {
+		case 0:
+			return inet.Endpoint{}
+		case 1:
+			return inet.Endpoint{Addr: self.Addr, Port: inet.Port(rng.Intn(1 << 16))}
+		}
+		return inet.Endpoint{
+			Addr: inet.Addr(rng.Uint32() >> uint(rng.Intn(24))),
+			Port: inet.Port(rng.Intn(1 << 16)),
 		}
 	}
-	return out
+	public, private = draw(), draw()
+	if rng.Intn(4) == 0 {
+		private = public
+	}
+	return public, private
 }
 
-// sortChecks orders candidates by ice.Less, as BuildChecks does.
+// sortChecks orders candidates by ice.Less.
 func sortChecks(cands []ice.Candidate) {
 	sort.Slice(cands, func(i, j int) bool { return ice.Less(cands[i], cands[j]) })
-}
-
-// TestKindPriorityIncreasesWithKind: the advisory wire priority of a
-// kind strictly increases with the kind, so ordering candidates by
-// kind (Less) is ordering them by priority.
-func TestKindPriorityIncreasesWithKind(t *testing.T) {
-	for k := ice.KindRelay; k < ice.KindPrivate; k++ {
-		if k.Priority() >= (k + 1).Priority() {
-			t.Errorf("%v priority %#x, %v priority %#x: want strictly increasing", k, k.Priority(), k+1, (k + 1).Priority())
-		}
-	}
 }
 
 // TestCandidateOrderIsDeterministicTotalOrder pins the first half of
@@ -90,49 +85,53 @@ func TestCandidateOrderIsDeterministicTotalOrder(t *testing.T) {
 }
 
 // TestBuildChecksIsPure pins schedule determinism: the check plan is
-// a pure function of (self public endpoint, advertised list, config),
-// relay candidates never appear as probes, ablations hold, and
-// shared-public-address candidates are reclassified hairpin.
+// a pure function of (self public endpoint, the peer's endpoint pair,
+// config), in Less order, with no zero or repeated endpoint; ablations
+// hold, a shared-address public endpoint is reclassified hairpin, and
+// each endpoint of the pair is checked unless one of those rules
+// drops it.
 func TestBuildChecksIsPure(t *testing.T) {
 	self := inet.EP("155.99.25.11", 62000)
-	for seed := int64(0); seed < 50; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		remote := randomCandidates(rng, rng.Intn(12))
+		public, private := randomPair(rng, self)
 		for _, cfg := range []ice.Config{
 			{},
 			{NoPrivate: true},
 			{NoHairpin: true},
 			{NoPrivate: true, NoHairpin: true},
 		} {
-			a := ice.BuildChecks(self, remote, cfg)
-			b := ice.BuildChecks(self, append([]proto.Candidate(nil), remote...), cfg)
-			if !reflect.DeepEqual(a, b) {
+			a := ice.BuildChecks(self, public, private, cfg)
+			if b := ice.BuildChecks(self, public, private, cfg); !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d: BuildChecks not pure:\n%v\n%v", seed, a, b)
 			}
-			seen := make(map[inet.Endpoint]bool)
-			for i, c := range a {
-				if c.Kind == ice.KindRelay {
-					t.Fatalf("relay candidate scheduled as a probe: %v", c)
-				}
-				if cfg.NoPrivate && c.Kind == ice.KindPrivate ||
-					cfg.NoHairpin && c.Kind == ice.KindHairpin {
-					t.Fatalf("ablated kind %v survived (cfg %+v)", c.Kind, cfg)
-				}
-				if c.Endpoint.IsZero() {
-					t.Fatalf("zero endpoint scheduled")
-				}
-				if seen[c.Endpoint] {
-					t.Fatalf("duplicate endpoint %v in schedule", c.Endpoint)
-				}
-				seen[c.Endpoint] = true
-				if i > 0 && ice.Less(a[i], a[i-1]) {
-					t.Fatalf("schedule out of order at %d: %v", i, a)
+			for i := 1; i < len(a); i++ {
+				if ice.Less(a[i], a[i-1]) {
+					t.Fatalf("seed %d: schedule out of Less order: %v", seed, a)
 				}
 			}
-			for _, c := range a {
-				if c.Kind == ice.KindPublic && c.Endpoint.Addr == self.Addr {
-					t.Fatalf("shared-address public candidate not reclassified hairpin: %v", c)
+			want := map[inet.Endpoint]ice.Kind{}
+			if !private.IsZero() && private != public && !cfg.NoPrivate {
+				want[private] = ice.KindPrivate
+			}
+			if !public.IsZero() {
+				switch {
+				case public.Addr != self.Addr, public == self:
+					want[public] = ice.KindPublic
+				case !cfg.NoHairpin:
+					want[public] = ice.KindHairpin
 				}
+			}
+			got := map[inet.Endpoint]ice.Kind{}
+			for _, c := range a {
+				if _, dup := got[c.Endpoint]; dup {
+					t.Fatalf("seed %d: duplicate endpoint %v in schedule %v", seed, c.Endpoint, a)
+				}
+				got[c.Endpoint] = c.Kind
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (public %v, private %v, cfg %+v): schedule %v, want %v",
+					seed, public, private, cfg, a, want)
 			}
 		}
 	}

@@ -73,15 +73,15 @@ const (
 	// TypeData: application payload on an established punched session.
 	TypeData
 	// TypeNegotiate: client -> S. Like TypeConnectRequest, but opens a
-	// full candidate negotiation (punch.Client.Connect): the requester
-	// advertises its gathered candidates and S forwards them — with the
-	// observed public endpoint substituted authoritatively (§3.1) — to
-	// the target, while synthesizing the target's own candidate list
-	// from its registration.
+	// candidate negotiation (punch.Client.Connect). S brokers it as it
+	// does a connection request (§3.2 step 2): each side gets the
+	// other's registered private endpoint and the public one S
+	// observed (§3.1 makes S authoritative for it).
 	TypeNegotiate
 	// TypeNegotiateDetails: S -> both clients. The negotiation
-	// counterpart of TypeConnectDetails: carries the peer's full
-	// candidate list, the session nonce, and the requester flag.
+	// counterpart of TypeConnectDetails, with the same fields: the
+	// peer's public and private endpoints, the session nonce, and the
+	// requester flag. The receiver builds its checks from that pair.
 	TypeNegotiateDetails
 	// TypeFedHello: server -> server. Opens (or refreshes) a
 	// federation link between two rendezvous servers: the receiver
@@ -183,15 +183,17 @@ type Message struct {
 	Seq uint32
 	// Data is relay or application payload.
 	Data []byte
-	// Candidates is the transport-address list exchanged during
-	// candidate negotiation (TypeNegotiate/TypeNegotiateDetails). The
-	// section is trailing and optional on the wire, so pre-negotiation
-	// encodings still decode (as an empty list).
+	// Candidates is a transport-address list. No message the clients or
+	// S send carries one: a negotiation's candidates are the
+	// Public/Private pair. The section is trailing and optional on the
+	// wire, so encodings without it decode (as an empty list), and a
+	// list that arrives is decoded and ignored.
 	Candidates []Candidate
 }
 
-// Candidate kind wire values. The semantics live in internal/ice;
-// the wire layer only round-trips them.
+// Candidate kind wire values. The wire layer only round-trips them;
+// the engine's candidate kinds (internal/ice) come from the
+// Public/Private pair, not from these.
 const (
 	// CandPrivate is a host (private-realm) transport address, the
 	// client's own view of its endpoint (§3.1).
@@ -199,15 +201,6 @@ const (
 	// CandPublic is the server-reflexive address: the client's public
 	// endpoint as observed by S (§3.1).
 	CandPublic uint8 = 2
-	// CandHairpin marks a public candidate that can only work via
-	// loopback translation on a shared upper NAT (§3.5): the peers'
-	// public addresses coincide. Assigned by the checking side, but
-	// legal on the wire.
-	CandHairpin uint8 = 3
-	// CandReflexive is a peer-reflexive address discovered when a
-	// connectivity check arrives from an endpoint nobody advertised
-	// (a symmetric NAT's fresh mapping, §5.1).
-	CandReflexive uint8 = 4
 	// CandRelay is the §2.2 relay path through S, the guaranteed floor.
 	CandRelay uint8 = 5
 )
@@ -216,9 +209,8 @@ const (
 type Candidate struct {
 	// Kind is one of the Cand* wire values.
 	Kind uint8
-	// Priority orders checks, higher first. Advisory on the wire: the
-	// checking side recomputes priorities locally so both agents pace
-	// deterministically regardless of what the peer claims.
+	// Priority is advisory, higher first; the wire layer only
+	// round-trips it.
 	Priority uint32
 	// Endpoint is the transport address to check.
 	Endpoint inet.Endpoint

@@ -119,3 +119,60 @@ func TestEarlyCheckFloodBounded(t *testing.T) {
 		t.Fatalf("ring grew to %d, past its bound %d", most, punch.EarlyCheckRing)
 	}
 }
+
+// TestDiscoveredCheckFloodBounded: checks that carry a pending
+// negotiation's nonce from many unknown sources are each acked once,
+// but only the first few become probe loops; the rest cost one
+// datagram each, however long the negotiation stays pending.
+func TestDiscoveredCheckFloodBounded(t *testing.T) {
+	r := publicDuo(t, 21)
+	var nonce uint64
+	punch.InterceptUDP(r.a, func(next func(inet.Endpoint, *proto.Message), from inet.Endpoint, m *proto.Message) {
+		if m.From == "bob" && from != r.srv.Endpoint() {
+			return // bob's checks and acks never reach alice: she stays pending
+		}
+		if m.Type == proto.TypeNegotiateDetails {
+			nonce = m.Nonce
+		}
+		next(from, m)
+	})
+	failed := false
+	r.a.Connect("bob", punch.UDPCallbacks{Failed: func(string, error) { failed = true }})
+	if !r.await(time.Second, func() bool { return nonce != 0 }) {
+		t.Fatal("alice got no NegotiateDetails")
+	}
+
+	h := r.CoreRealm().AddHost("F", "203.0.113.1", host.BSDStyle)
+	const flood = 500
+	got := make([]int, flood)
+	for i := range got {
+		s, err := h.UDPBind(inet.Port(4000 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.OnRecv(func(inet.Endpoint, []byte) { got[i]++ })
+		check := &proto.Message{Type: proto.TypePunch, From: "mallory", Nonce: nonce}
+		s.SendTo(r.a.PublicUDP(), proto.Encode(check, 0))
+	}
+	const window = time.Second
+	r.await(window, func() bool { return false })
+	if failed {
+		t.Fatal("alice's negotiation ended inside the window: the flood met no pending negotiation")
+	}
+	total, looped := 0, 0
+	for i, n := range got {
+		if n == 0 {
+			t.Fatalf("source %d got no ack for its check", i)
+		}
+		if n > 1 {
+			looped++
+		}
+		total += n
+	}
+	if looped > punch.MaxChecks {
+		t.Errorf("%d of %d sources drew probe loops, want at most %d", looped, flood, punch.MaxChecks)
+	}
+	if most := flood + punch.MaxChecks*int(window/punch.ProbeInterval+1); total > most {
+		t.Errorf("alice sent %d datagrams to %d one-check sources in %v, want at most %d", total, flood, window, most)
+	}
+}

@@ -8,6 +8,10 @@ import (
 // EarlyCheckRing is the number of unclaimed checks a client keeps.
 const EarlyCheckRing = earlyChecks
 
+// MaxChecks bounds the checks a negotiation holds before a check from
+// an unknown source starts no probe loop.
+const MaxChecks = maxChecks
+
 // EarlyChecks counts the unclaimed checks c is keeping.
 func (c *Client) EarlyChecks() int {
 	n := 0

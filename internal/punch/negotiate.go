@@ -1,14 +1,15 @@
 package punch
 
-// Candidate negotiation: the dial every production client runs. The
-// peers exchange candidate lists through S (proto.TypeNegotiate),
-// probe them on a paced, prioritized schedule (package ice orders
-// it), lock in the first candidate whose check is answered — §3.2
-// step 3's "locks in whichever endpoint first elicits a valid
-// response", over the whole candidate set — and fall back to the
-// §2.2 relay at the deadline. Checks that arrive from endpoints
-// nobody advertised (a symmetric NAT's fresh mapping, §5.1) become
-// peer-reflexive candidates and are answered with triggered checks.
+// Candidate negotiation: the dial every production client runs. S
+// gives each peer the other's public and private endpoints
+// (proto.TypeNegotiate, §3.2 step 2), the peers probe both on a
+// paced, prioritized schedule (package ice orders it), lock in the
+// first candidate whose check is answered — §3.2 step 3's "locks in
+// whichever endpoint first elicits a valid response", over the whole
+// candidate set — and fall back to the §2.2 relay at the deadline.
+// Checks that arrive from endpoints S did not name (a symmetric NAT's
+// fresh mapping, §5.1) become peer-reflexive candidates and are
+// answered with triggered checks.
 //
 // A re-punch of a live session (migrate.go) is a negotiation under
 // the session's nonce; its nomination migrates the session instead of
@@ -32,6 +33,14 @@ const checkPace = 50 * time.Millisecond
 // many arrive: a check that waits for details is one in flight, and a
 // flood of made-up nonces only recycles the ring.
 const earlyChecks = 8
+
+// maxChecks bounds the checks a negotiation holds before a check from
+// an unknown source may start one more: S's endpoint pair gives at
+// most two, and a genuine peer shows us at most two sources (one
+// mapping per endpoint of ours it checks, §5.1's symmetric NATs
+// included). A check from past the bound is still acked, one ack per
+// check, but starts no probe loop of its own.
+const maxChecks = 4
 
 // earlyCheck is one remembered check; nonce 0 marks an empty slot
 // (clients never draw it, and a check carrying it is not kept).
@@ -66,8 +75,7 @@ type negotiation struct {
 	cb        UDPCallbacks
 
 	gotDetails bool
-	checks     []*check
-	byEP       map[inet.Endpoint]*check
+	checks     []*check // at most maxChecks+2: see answerCheck
 	deadline   transport.Timer
 	done       bool
 	// established marks a negotiation whose session is already live —
@@ -86,6 +94,16 @@ type check struct {
 	timer   transport.Timer // start (pacing) or retransmission timer
 }
 
+// check returns the negotiation's check of ep, or nil.
+func (n *negotiation) check(ep inet.Endpoint) *check {
+	for _, ch := range n.checks {
+		if ch.cand.Endpoint == ep {
+			return ch
+		}
+	}
+	return nil
+}
+
 func (n *negotiation) stop() {
 	n.done = true
 	if n.deadline != nil {
@@ -102,10 +120,7 @@ func (n *negotiation) stop() {
 // its deadline: PunchTimeout bounds the whole exchange, at which the
 // relay is nominated or the attempt fails.
 func (c *Client) newNegotiation(peer string, nonce uint64, requester bool, cb UDPCallbacks) *negotiation {
-	n := &negotiation{
-		peer: peer, nonce: nonce, requester: requester, cb: cb,
-		byEP: make(map[inet.Endpoint]*check),
-	}
+	n := &negotiation{peer: peer, nonce: nonce, requester: requester, cb: cb}
 	c.negs[nonce] = n
 	if requester {
 		c.negByPeer[peer] = n
@@ -116,30 +131,12 @@ func (c *Client) newNegotiation(peer string, nonce uint64, requester bool, cb UD
 	return n
 }
 
-// offer sends the negotiation's candidate list to S, which forwards it
-// to the peer and answers with the peer's.
+// offer asks S to broker the negotiation: S answers with the peer's
+// endpoint pair and sends the peer ours.
 func (c *Client) offer(n *negotiation) {
 	c.sendToServer(&proto.Message{
-		Type: proto.TypeNegotiate, From: c.name, Target: n.peer,
-		Nonce: n.nonce, Candidates: c.localCandidates(),
+		Type: proto.TypeNegotiate, From: c.name, Target: n.peer, Nonce: n.nonce,
 	})
-}
-
-// localCandidates gathers what this client advertises: its private
-// (self-observed) endpoint and its rendezvous-observed public one
-// (§3.1's endpoint pair), minus ablated types. For un-NATed clients
-// the two coincide and only the public candidate is sent.
-func (c *Client) localCandidates() []proto.Candidate {
-	priv, pub := c.udpPrivate, c.udpPublic
-	cands := []proto.Candidate{{
-		Kind: proto.CandPublic, Priority: ice.KindPublic.Priority(), Endpoint: pub,
-	}}
-	if !c.cfg.ICE.NoPrivate && priv != pub && !priv.IsZero() {
-		cands = append(cands, proto.Candidate{
-			Kind: proto.CandPrivate, Priority: ice.KindPrivate.Priority(), Endpoint: priv,
-		})
-	}
-	return cands
 }
 
 // Connect starts a candidate negotiation toward peer. The outcome
@@ -163,7 +160,7 @@ func (c *Client) Connect(peer string, cb UDPCallbacks) {
 	c.offer(c.newNegotiation(peer, c.nonce(), true, cb))
 }
 
-// handleNegotiateDetails receives the peer's candidate list — as the
+// handleNegotiateDetails receives the peer's endpoint pair — as the
 // requester (reply to our offer) or as the target (the forwarded
 // offer; adopt the InboundUDP callbacks).
 func (c *Client) handleNegotiateDetails(m *proto.Message) {
@@ -193,16 +190,15 @@ func (c *Client) handleNegotiateDetails(m *proto.Message) {
 		n.established = true
 		c.adoptRelay(n)
 	}
-	cands := ice.BuildChecks(c.udpPublic, m.Candidates, c.cfg.ICE)
+	cands := ice.BuildChecks(c.udpPublic, m.Public, m.Private, c.cfg.ICE)
 	for i, cand := range cands {
-		if n.byEP[cand.Endpoint] != nil {
+		if n.check(cand.Endpoint) != nil {
 			// Already discovered (and probing) via an inbound check
 			// that beat the details here; don't start a second loop.
 			continue
 		}
 		ch := &check{cand: cand}
 		n.checks = append(n.checks, ch)
-		n.byEP[cand.Endpoint] = ch
 		// Paced first probes: check i starts i*checkPace after the
 		// details arrive (RFC 8445 §6.1.4), so high-priority candidates
 		// get a head start without serializing the whole schedule.
@@ -235,17 +231,20 @@ func (c *Client) startCheck(n *negotiation, ch *check) {
 // answerCheck answers a connectivity check for an active negotiation:
 // ack the probe, and run the triggered check back at the observed
 // source — discovering it as a peer-reflexive (or hairpin) candidate
-// when nobody advertised it (§5.1's fresh symmetric mappings).
+// when S's pair did not name it (§5.1's fresh symmetric mappings),
+// while the negotiation holds fewer than maxChecks.
 func (c *Client) answerCheck(n *negotiation, from inet.Endpoint) {
 	c.sendUDP(from, &proto.Message{
 		Type: proto.TypePunchAck, From: c.name, Nonce: n.nonce,
 	})
-	ch := n.byEP[from]
+	ch := n.check(from)
 	if ch == nil {
+		if len(n.checks) >= maxChecks {
+			return
+		}
 		k := ice.ClassifyDiscovery(c.udpPublic, from)
 		ch = &check{cand: ice.Candidate{Kind: k, Endpoint: from}}
 		n.checks = append(n.checks, ch)
-		n.byEP[from] = ch
 	}
 	if !ch.started {
 		// Triggered check: jump the pacing queue — the path provably
@@ -261,7 +260,7 @@ func (c *Client) answerCheck(n *negotiation, from inet.Endpoint) {
 // answer — a check-ack, or session data that overtook it.
 func (c *Client) nominate(n *negotiation, from inet.Endpoint) {
 	chosen := ice.Candidate{Kind: ice.ClassifyDiscovery(c.udpPublic, from), Endpoint: from}
-	if ch := n.byEP[from]; ch != nil {
+	if ch := n.check(from); ch != nil {
 		chosen = ch.cand
 	}
 	c.finishNegotiation(n)

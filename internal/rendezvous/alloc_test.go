@@ -163,29 +163,21 @@ func TestForwarderZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestNegotiateAllocs bounds one brokered candidate negotiation: the
-// two candidate lists S builds for NegotiateDetails (the target's,
-// synthesized from its registration, and the requester's with the
-// observed public endpoint substituted) are the only allocations.
+// TestNegotiateAllocs pins one brokered candidate negotiation — a
+// Negotiate fans out two NegotiateDetails carrying the endpoint pairs —
+// at zero allocations per request, like a ConnectRequest.
 func TestNegotiateAllocs(t *testing.T) {
 	_, conn := allocServer(t, Config{})
 	wire := proto.Encode(&proto.Message{
 		Type: proto.TypeNegotiate, From: "alice", Target: "bob", Nonce: 42,
-		Candidates: []proto.Candidate{
-			{Kind: proto.CandPrivate, Endpoint: inet.MustParseEndpoint("10.0.0.1:4321")},
-			{Kind: proto.CandPublic, Endpoint: inet.MustParseEndpoint("155.99.25.11:62000")},
-		},
 	}, 0)
 	src := clientEP("alice")
-	fn := func() { conn.onRecv(src, wire) }
-	fn() // warm up scratch buffers and intern table
 	before := conn.sent
-	fn()
-	if conn.sent != before+2 || conn.lastTo != clientEP("bob") {
-		t.Fatalf("negotiation not brokered to both ends (sent %d, lastTo=%v)", conn.sent-before, conn.lastTo)
-	}
-	if allocs := testing.AllocsPerRun(500, fn); allocs > 2 {
-		t.Errorf("negotiation allocates %v/op in steady state, want at most 2", allocs)
+	requireZeroAllocs(t, "negotiation broker", func() {
+		conn.onRecv(src, wire)
+	})
+	if conn.sent == before || conn.lastTo != clientEP("bob") {
+		t.Fatalf("negotiation not brokered to the target (sent %d, lastTo=%v)", conn.sent-before, conn.lastTo)
 	}
 }
 

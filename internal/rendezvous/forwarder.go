@@ -5,9 +5,10 @@ import (
 	"natpunch/internal/proto"
 )
 
-// The forwarder service: §3.2 step 2's connection-request forwarding,
-// §2.3 connection reversal, and §4.5 sequential-punch signalling.
-// Connection requests resolve their target through the registry (or
+// The forwarder service: §3.2 step 2's connection-request forwarding
+// (for the punch client's candidate negotiation too), §2.3 connection
+// reversal, and §4.5 sequential-punch signalling. Connection requests
+// and negotiations resolve their target through the registry (or
 // the TCP client table) and deliver through the federation-aware
 // deliver(), so the same code introduces peers homed on one server or
 // on two. Reversal and sequential-punch signals arrive only on TCP
@@ -19,7 +20,9 @@ import (
 // message containing A's public and private endpoints." from is the
 // observed source of A's request — authoritative for A's public
 // endpoint (§3.1) and always reachable, since the request itself just
-// traversed A's NAT.
+// traversed A's NAT. A TypeNegotiate (UDP only) is brokered the same
+// way and answered with TypeNegotiateDetails: the pair is all a
+// negotiation's checks are built from.
 func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP bool) {
 	if viaTCP {
 		a, aok := s.tcpc[m.From]
@@ -47,18 +50,22 @@ func (s *Server) forwardDetails(from inet.Endpoint, m *proto.Message, viaTCP boo
 		s.fail(from, m, false)
 		return
 	}
+	typ := proto.TypeConnectDetails
+	if m.Type == proto.TypeNegotiate {
+		typ = proto.TypeNegotiateDetails
+	}
 	// Both introductions go through the scratch skeleton sequentially:
 	// sendUDP/deliver fully encode before returning, so the second
 	// fill cannot clobber the first in flight.
 	out := &s.scratchMsg
 	*out = proto.Message{
-		Type: proto.TypeConnectDetails, From: m.Target, Target: m.From,
+		Type: typ, From: m.Target, Target: m.From,
 		Nonce: m.Nonce, Requester: true,
 		Public: b.Public, Private: b.Private,
 	}
 	s.sendUDP(from, out)
 	*out = proto.Message{
-		Type: proto.TypeConnectDetails, From: m.From, Target: m.Target,
+		Type: typ, From: m.From, Target: m.Target,
 		Nonce: m.Nonce, Requester: false,
 		Public: from, Private: a.Private,
 	}

@@ -254,7 +254,7 @@ func (s *Server) handleUDP(from inet.Endpoint, payload []byte) {
 
 	case proto.TypeNegotiate:
 		s.stats.NegotiateRequests++
-		s.forwardCandidates(m, from)
+		s.forwardDetails(from, m, false)
 
 	case proto.TypeRelayTo:
 		s.relay(m, payload[:s.dec.Len()])

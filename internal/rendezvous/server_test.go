@@ -113,6 +113,56 @@ func TestConnectDetailsGoToBothSides(t *testing.T) {
 	}
 }
 
+// TestNegotiateDetailsCarryRegisteredPair: S brokers a negotiation
+// from what it registered and observed, not from what the requester
+// advertises. A Negotiate carrying a candidate list that disagrees
+// with the registry (as a client built before candidate lists left
+// the wire sends) gets both NegotiateDetails with the registered
+// private endpoints, the observed public ones, and no candidates.
+func TestNegotiateDetailsCarryRegisteredPair(t *testing.T) {
+	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
+	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newRawClient(t, c.A, 4321)
+	b := newRawClient(t, c.B, 4321)
+	a.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "alice", Private: a.sock.Local()})
+	b.send(srv.Endpoint(), &proto.Message{Type: proto.TypeRegister, From: "bob", Private: b.sock.Local()})
+	c.RunFor(time.Second)
+
+	a.send(srv.Endpoint(), &proto.Message{
+		Type: proto.TypeNegotiate, From: "alice", Target: "bob", Nonce: 78,
+		Candidates: []proto.Candidate{
+			{Kind: proto.CandPrivate, Endpoint: inet.EP("10.9.9.9", 999)},
+			{Kind: proto.CandPublic, Endpoint: inet.EP("1.2.3.4", 5)},
+			{Kind: proto.CandRelay, Endpoint: inet.EP("18.181.0.99", 1234)},
+		},
+	})
+	c.RunFor(time.Second)
+
+	da := a.find(proto.TypeNegotiateDetails)
+	db := b.find(proto.TypeNegotiateDetails)
+	if da == nil || db == nil {
+		t.Fatal("details missing on one side")
+	}
+	if !da.Requester || db.Requester || da.From != "bob" || db.From != "alice" || da.Nonce != 78 || db.Nonce != 78 {
+		t.Errorf("details wrong: %+v / %+v", da, db)
+	}
+	if da.Public != inet.EP("138.76.29.7", 62000) || da.Private != inet.EP("10.1.1.3", 4321) {
+		t.Errorf("alice's view of bob: %v/%v", da.Public, da.Private)
+	}
+	if db.Public != inet.EP("155.99.25.11", 62000) || db.Private != inet.EP("10.0.0.1", 4321) {
+		t.Errorf("bob's view of alice: %v/%v, want the observed public and the registered private", db.Public, db.Private)
+	}
+	if len(da.Candidates) != 0 || len(db.Candidates) != 0 {
+		t.Errorf("details carry candidate lists: %v / %v", da.Candidates, db.Candidates)
+	}
+	if st := srv.Stats(); st.NegotiateRequests != 1 || st.ConnectRequests != 0 {
+		t.Errorf("stats = %+v, want one negotiation and no connect request", st)
+	}
+}
+
 func TestConnectUnknownTargetErrors(t *testing.T) {
 	c := topo.NewCanonical(1, nat.Cone(), nat.Cone())
 	srv, err := rendezvous.NewOver(c.S.Transport(), 1234, 0)

@@ -10,8 +10,9 @@
 //	go run ./cmd/punch -name alice -server <server-ip>:7000 -wait
 //	go run ./cmd/punch -name bob -server <server-ip>:7000 -peer alice
 //
-// Dials negotiate full candidate lists (private/public/hairpin
-// candidates with peer-reflexive discovery); add -relay to fall back
+// Dials negotiate candidates (the peer's private and public endpoints
+// from the server, public ones on a shared NAT checked as hairpin, with
+// peer-reflexive discovery); add -relay to fall back
 // to relaying through the server when punching fails.
 //
 // Against a federated deployment, -servers pools extra rendezvous

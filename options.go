@@ -22,8 +22,8 @@ func defaultConfig() config {
 
 // Option tunes Open. The zero set yields UDP hole punching
 // (§3.2-3.5) with the engine's default timers and no fallback: dials
-// exchange candidate lists through S, run prioritized paced
-// connectivity checks with peer-reflexive discovery, and lock in the
+// get the peer's public and private endpoints from S, run prioritized
+// paced connectivity checks with peer-reflexive discovery, and lock in the
 // first candidate that answers — same-NAT private paths (§3.3),
 // punched public paths (§3.4), and hairpin paths under multi-level
 // NAT (§3.5) under one policy.
